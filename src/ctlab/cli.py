@@ -18,7 +18,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .backend import PROFILES, LoweringError, lower
@@ -143,8 +142,7 @@ def _cmd_matrix(args) -> int:
                           args.inputs, args.seed)
         return MatrixRow(toggles, report)
 
-    with ThreadPoolExecutor() as pool:
-        results = list(pool.map(run_row, rows))
+    results = [run_row(values) for values in rows]
 
     if args.json:
         payload = {

@@ -1,16 +1,26 @@
 """Trace comparison, leak classification, and report diffing.
 
 Two traces of the same function on the same public inputs should be
-identical when the code is constant-time.  Divergences are classified:
+identical when the code is constant-time.  Traces are first split into
+classes of identical event sequences, each represented by its smallest
+index; identical traces cannot diverge from each other, and they diverge
+from any third trace in the same way.  One pair of representatives is then
+compared per pair of classes, in one scan over the two event streams that
+stops at the first misaligned event.  Divergences are classified:
 
 * control-flow: the first aligned position where a conditional branch went
-  different ways.  Scanning for that pair stops there; later events are
-  unaligned and would only produce noise.
-* memory-access: for each load/store id, the ordered offset sequences over
-  the common control-flow prefix differ.
+  different ways.  The scan stops there; later events are unaligned and
+  would only produce noise.
+* memory-access: an aligned load/store before that point (same id, kind
+  and region) whose element offset differs.  Inside the aligned prefix
+  each id's offsets line up position by position, so this is the same as
+  comparing each id's ordered offset sequence.
 
 Findings are attributed to instruction ids and source locations, and
 deduplicated by (instr, kind) so each culprit appears once per report.
+Class pairs are visited in representative order, so a finding's witness is
+the first diverging input pair in index order, as if every pair had been
+scanned.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import SourceLoc
-from .tracer import BranchDir, MemAccess, Trace
+from .tracer import BranchDir, Trace
 
 CONTROL_FLOW = "control-flow"
 MEMORY_ACCESS = "memory-access"
@@ -88,40 +98,40 @@ def first_divergence(a: Trace, b: Trace) -> tuple[int, int] | None:
     return n, longer.events[n].instr
 
 
-def _aligned(ea, eb) -> bool:
-    if type(ea) is not type(eb) or ea.instr != eb.instr:
-        return False
-    if isinstance(ea, MemAccess):
-        return ea.kind == eb.kind and ea.region == eb.region
-    return True
+def _scan(a: tuple, b: tuple) -> tuple[int | None, set[int]]:
+    """(diverging condbr id or None, ids of offset-diverging memory events).
 
-
-def _cf_prefix(a: Trace, b: Trace) -> tuple[int, int | None]:
-    """(prefix length, diverging condbr id or None).
-
-    The prefix ends at the first aligned branch pair with opposite
-    directions (a control-flow leak) or at the first structurally
-    misaligned event (defensive; deterministic programs only reach this
-    through an earlier divergence).  Offset-only differences on aligned
-    memory events do not end the prefix.
+    Walks both event streams in step.  Equal events are skipped.  The scan
+    stops at the first aligned branch pair with opposite directions (a
+    control-flow leak) or at the first structurally misaligned event
+    (defensive; deterministic programs only reach this through an earlier
+    divergence).  Aligned memory events that differ only in offset are
+    recorded and do not stop the scan.
     """
-    n = min(len(a.events), len(b.events))
-    for pos in range(n):
-        ea, eb = a.events[pos], b.events[pos]
-        if not _aligned(ea, eb):
-            return pos, None
-        if isinstance(ea, BranchDir) and ea.taken != eb.taken:
-            return pos, ea.instr
-    return n, None
+    mem: set[int] = set()
+    for ea, eb in zip(a, b):
+        if ea == eb:
+            continue
+        if type(ea) is not type(eb) or ea.instr != eb.instr:
+            break
+        if type(ea) is BranchDir:
+            return ea.instr, mem
+        if ea.kind != eb.kind or ea.region != eb.region:
+            break
+        mem.add(ea.instr)
+    return None, mem
 
 
 def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
                    pipeline: str = "") -> LeakReport:
-    """Pairwise-compare traces and attribute every divergence.
+    """Compare every pair of distinct traces and attribute each divergence.
 
-    All pairs (i < j) are scanned; findings are deduplicated by
-    (instr, kind), keeping the witness from the first pair in index order.
-    The finding set is independent of trace order.
+    Identical traces form one class, represented by its smallest index;
+    each pair of classes is scanned once, through its representatives, in
+    index order.  Findings are deduplicated by (instr, kind), keeping the
+    witness from the first diverging pair in index order, which is always
+    a pair of representatives.  The finding set is independent of trace
+    order.
     """
     if len(traces) < 2:
         raise LeakError("need at least 2 traces to compare")
@@ -140,24 +150,19 @@ def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
             raise LeakError(f"no source location for instruction id {instr}")
         found[key] = LeakFinding(instr, kind, loc, witness)
 
-    for i in range(len(traces)):
-        for j in range(i + 1, len(traces)):
-            a, b = traces[i], traces[j]
-            prefix, cf_id = _cf_prefix(a, b)
+    # Insertion order keeps the representatives ascending.
+    classes: dict[tuple, int] = {}
+    for i, t in enumerate(traces):
+        classes.setdefault(tuple(t.events), i)
+    reps = list(classes.items())
+
+    for x, (a, i) in enumerate(reps):
+        for b, j in reps[x + 1:]:
+            cf_id, mem_ids = _scan(a, b)
             if cf_id is not None:
                 add(cf_id, CONTROL_FLOW, (i, j))
-
-            seq_a: dict[int, list[int]] = {}
-            for e in a.events[:prefix]:
-                if isinstance(e, MemAccess):
-                    seq_a.setdefault(e.instr, []).append(e.offset)
-            seq_b: dict[int, list[int]] = {}
-            for e in b.events[:prefix]:
-                if isinstance(e, MemAccess):
-                    seq_b.setdefault(e.instr, []).append(e.offset)
-            for iid in sorted(set(seq_a) | set(seq_b)):
-                if seq_a.get(iid) != seq_b.get(iid):
-                    add(iid, MEMORY_ACCESS, (i, j))
+            for iid in sorted(mem_ids):
+                add(iid, MEMORY_ACCESS, (i, j))
 
     findings = [found[k] for k in sorted(found)]
     return LeakReport(next(iter(names)), pipeline, findings)

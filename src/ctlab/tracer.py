@@ -7,6 +7,10 @@ would see on real hardware:
 * ``MemAccess``  - (region, element offset) of every load and store;
   vector memory ops emit one event per lane, in lane order
 
+Events are ``NamedTuple``s: immutable, equal by value, and hashable, so a
+whole trace's ``tuple(events)`` can key a dict.  The two kinds never compare
+equal to each other (their lengths differ).
+
 Straight-line data ops, ``select``, and ``cmov`` emit nothing: they model
 branch-free instruction sequences.  Two runs that differ only in secret
 inputs should therefore produce identical event streams when the code is
@@ -16,6 +20,7 @@ constant-time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ir import ArrayType, Instruction, Program, ScalarType
 
@@ -28,14 +33,12 @@ class TraceError(Exception):
     """Raised when execution cannot complete (bad program or inputs)."""
 
 
-@dataclass(frozen=True)
-class BranchDir:
+class BranchDir(NamedTuple):
     instr: int
     taken: bool
 
 
-@dataclass(frozen=True)
-class MemAccess:
+class MemAccess(NamedTuple):
     instr: int
     kind: str               # "load" or "store"
     region: str             # global or array-parameter name

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ctlab.ir import SourceLoc, parse_ir
 from ctlab.leaks import (
@@ -15,7 +16,7 @@ from ctlab.leaks import (
     diff_reports,
     first_divergence,
 )
-from ctlab.tracer import execute
+from ctlab.tracer import BranchDir, MemAccess, Trace, execute
 
 SECRET_BRANCH = """
 func f(secret s: u1) {
@@ -169,3 +170,139 @@ def test_duplicated_instructions_same_line_count_once():
     rep = LeakReport("p", "d", findings)
     assert rep.vulnerable_instructions == 2
     assert rep.vulnerable_lines == 1
+
+
+# ----------------------------------------------------------------------
+# Reference: every pair scanned, per-id offset sequences compared.
+
+def _ref_aligned(ea, eb) -> bool:
+    if type(ea) is not type(eb) or ea.instr != eb.instr:
+        return False
+    if isinstance(ea, MemAccess):
+        return ea.kind == eb.kind and ea.region == eb.region
+    return True
+
+
+def _ref_cf_prefix(a: Trace, b: Trace) -> tuple[int, int | None]:
+    n = min(len(a.events), len(b.events))
+    for pos in range(n):
+        ea, eb = a.events[pos], b.events[pos]
+        if not _ref_aligned(ea, eb):
+            return pos, None
+        if isinstance(ea, BranchDir) and ea.taken != eb.taken:
+            return pos, ea.instr
+    return n, None
+
+
+def reference_compare_traces(traces, id_to_loc):
+    """The all-pairs checker, kept as an oracle for compare_traces."""
+    found = {}
+
+    def add(instr, kind, witness):
+        if (instr, kind) in found:
+            return
+        loc = id_to_loc.get(instr)
+        if loc is None:
+            raise LeakError(f"no source location for instruction id {instr}")
+        found[(instr, kind)] = LeakFinding(instr, kind, loc, witness)
+
+    for i in range(len(traces)):
+        for j in range(i + 1, len(traces)):
+            a, b = traces[i], traces[j]
+            prefix, cf_id = _ref_cf_prefix(a, b)
+            if cf_id is not None:
+                add(cf_id, CONTROL_FLOW, (i, j))
+            seq_a, seq_b = {}, {}
+            for e in a.events[:prefix]:
+                if isinstance(e, MemAccess):
+                    seq_a.setdefault(e.instr, []).append(e.offset)
+            for e in b.events[:prefix]:
+                if isinstance(e, MemAccess):
+                    seq_b.setdefault(e.instr, []).append(e.offset)
+            for iid in sorted(set(seq_a) | set(seq_b)):
+                if seq_a.get(iid) != seq_b.get(iid):
+                    add(iid, MEMORY_ACCESS, (i, j))
+    return LeakReport(traces[0].function, "", [found[k] for k in sorted(found)])
+
+
+def outcome(check, traces, id_to_loc):
+    """Findings, or the LeakError message when the check raises."""
+    try:
+        return "ok", check(traces, id_to_loc).findings
+    except LeakError as e:
+        return "error", str(e)
+
+
+def mk_trace(events) -> Trace:
+    return Trace("f", list(events), None, len(events))
+
+
+IDS = range(4)
+# Branches and memory events share ids, so one position can hold a
+# BranchDir in one trace and a MemAccess with the same id in another.
+EVENTS = st.one_of(
+    st.builds(BranchDir, st.sampled_from(IDS), st.booleans()),
+    st.builds(MemAccess, st.sampled_from(IDS), st.sampled_from(["load", "store"]),
+              st.sampled_from(["t", "u"]), st.integers(0, 2)),
+)
+STREAMS = st.lists(EVENTS, max_size=8)
+
+
+def tweak(e, flip: bool):
+    """The same event with another branch direction or offset: still
+    aligned with ``e``, but not equal to it."""
+    if not flip:
+        return e
+    if isinstance(e, BranchDir):
+        return e._replace(taken=not e.taken)
+    return e._replace(offset=e.offset + 1)
+
+
+@st.composite
+def trace_lists(draw):
+    """2-7 traces, each fresh or derived from an earlier one: a duplicate,
+    a strict prefix, a reordering, a copy with one event replaced, or a
+    copy with some events tweaked in place."""
+    streams = [draw(STREAMS)]
+    for _ in range(draw(st.integers(1, 6))):
+        base = list(draw(st.sampled_from(streams)))
+        how = draw(st.sampled_from(
+            ["fresh", "duplicate", "prefix", "reorder", "replace", "tweak"]))
+        if how == "fresh":
+            base = draw(STREAMS)
+        elif how == "prefix" and base:
+            base = base[:draw(st.integers(0, len(base) - 1))]
+        elif how == "reorder":
+            base = draw(st.permutations(base))
+        elif how == "replace" and base:
+            base[draw(st.integers(0, len(base) - 1))] = draw(EVENTS)
+        elif how == "tweak":
+            flips = draw(st.lists(st.booleans(), min_size=len(base),
+                                  max_size=len(base)))
+            base = [tweak(e, f) for e, f in zip(base, flips)]
+        streams.append(base)
+    return [mk_trace(s) for s in streams]
+
+
+@settings(max_examples=400, deadline=None)
+@given(trace_lists(), st.sets(st.sampled_from(IDS)))
+@example(  # two unlocated ids part in one pair: the error names the lower
+    [mk_trace([MemAccess(0, "load", "t", o), MemAccess(1, "load", "t", o)])
+     for o in (0, 1)], {0, 1})
+def test_compare_traces_matches_all_pairs_reference(traces, missing):
+    id_to_loc = {i: SourceLoc("r.c", 10 + i) for i in IDS if i not in missing}
+    assert (outcome(compare_traces, traces, id_to_loc)
+            == outcome(reference_compare_traces, traces, id_to_loc))
+
+
+def test_witness_is_first_pair_in_index_order_with_duplicates():
+    a = [BranchDir(0, False)]
+    b = [BranchDir(0, True), MemAccess(1, "load", "t", 0)]
+    c = [BranchDir(0, True), MemAccess(1, "load", "t", 1)]
+    traces = [mk_trace(e) for e in (a, a, b, c, b)]
+    id_to_loc = {0: SourceLoc("w.c", 1), 1: SourceLoc("w.c", 2)}
+    rep = compare_traces(traces, id_to_loc)
+    witnesses = {(f.instr, f.kind): f.witness for f in rep.findings}
+    assert witnesses == {(0, CONTROL_FLOW): (0, 2),      # A/B
+                         (1, MEMORY_ACCESS): (2, 3)}     # only B/C
+    assert rep.findings == reference_compare_traces(traces, id_to_loc).findings

@@ -109,6 +109,25 @@ def test_memory_events_and_final_memory():
     assert t.memory["table"] == tuple(range(256))
 
 
+def test_events_are_hashable_value_tuples():
+    b = BranchDir(instr=3, taken=True)
+    m = MemAccess(instr=3, kind="load", region="table", offset=0)
+    assert b == BranchDir(3, True) and hash(b) == hash(BranchDir(3, True))
+    assert b != BranchDir(instr=3, taken=False)
+    assert (m.instr, m.kind, m.region, m.offset) == (3, "load", "table", 0)
+    with pytest.raises(AttributeError):
+        b.taken = False
+    branches = [BranchDir(i, t) for i in range(2) for t in (False, True)]
+    accesses = [MemAccess(i, k, "table", o) for i in range(2)
+                for k in ("load", "store") for o in range(2)]
+    assert all(x != y and y != x for x in branches for y in accesses)
+    assert len(set(branches) | set(accesses)) == len(branches) + len(accesses)
+
+    seen = {tuple(run(MEMORY, s=9).events): "s=9"}
+    assert seen[tuple(run(MEMORY, s=9).events)] == "s=9"
+    assert tuple(run(MEMORY, s=8).events) not in seen
+
+
 def test_vector_ops_emit_per_lane_events():
     src = """
 func f(secret s: u1) {
