@@ -6,35 +6,17 @@ select; on x86-64 that select becomes a cmov and stays safe, but on a
 target without cmov it becomes a branch on the secret.
 """
 
-from ctlab import (
-    PROFILES,
-    compare_traces,
-    execute,
-    gen_inputs,
-    load_program,
-    lower,
-    preset,
-    print_ir,
-    run_pipeline,
-)
-
-
-def analyze(name: str, preset_name: str):
-    p = preset(preset_name)
-    mid, _ = run_pipeline(load_program(name), p.spec)
-    low, _ = lower(mid, PROFILES[p.spec.backend], p.spec.cmov_conversion)
-    inputs = gen_inputs(low, count=16, seed=0)
-    traces = [execute(low, a) for a in inputs.arg_dicts()]
-    report = compare_traces(traces, low.function().id_to_loc())
-    return low, report
+from ctlab import analyze, load_program, preset, print_ir
 
 
 def main():
+    source = load_program("fig1c_ctselect")
     print("source:")
-    print(print_ir(load_program("fig1c_ctselect")))
+    print(print_ir(source))
 
     for preset_name in ("baseline-off", "llvm18-O3", "i386-O3"):
-        low, report = analyze("fig1c_ctselect", preset_name)
+        result = analyze(source, preset(preset_name).spec)
+        report = result.report
         verdict = ("constant-time" if report.is_clean
                    else "NOT constant-time")
         print(f"== {preset_name}: {verdict}")
@@ -42,7 +24,7 @@ def main():
             print(f"   {f.kind} at {f.loc} (id {f.instr})")
         if preset_name == "i386-O3":
             print("lowered form on i386:")
-            print(print_ir(low))
+            print(print_ir(result.lowered))
 
 
 if __name__ == "__main__":

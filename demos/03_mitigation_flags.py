@@ -6,33 +6,13 @@ set keeps every constant-time entry clean, while the variant that keeps
 the loop vectorizer still breaks the runtime-bound lookup.
 """
 
-from ctlab import (
-    PROFILES,
-    compare_traces,
-    emit_real_flags,
-    entries,
-    execute,
-    gen_inputs,
-    load_program,
-    lower,
-    preset,
-    run_pipeline,
-)
+from ctlab import analyze, emit_real_flags, entries, load_program, preset
 
 
 def verdicts(preset_name: str) -> dict[str, bool]:
-    p = preset(preset_name)
-    out = {}
-    for entry in entries():
-        if not entry.ct_expected:
-            continue
-        mid, _ = run_pipeline(load_program(entry.name), p.spec)
-        low, _ = lower(mid, PROFILES[p.spec.backend], p.spec.cmov_conversion)
-        inputs = gen_inputs(low, count=16, seed=0)
-        traces = [execute(low, a) for a in inputs.arg_dicts()]
-        out[entry.name] = compare_traces(
-            traces, low.function().id_to_loc()).is_clean
-    return out
+    spec = preset(preset_name).spec
+    return {entry.name: analyze(load_program(entry.name), spec).report.is_clean
+            for entry in entries() if entry.ct_expected}
 
 
 def main():

@@ -4,9 +4,11 @@ A small SSA IR, a tracing interpreter whose traces expose branch directions
 and memory addresses, a set of optimization passes modeled after the ones
 that break constant-time code, two backend profiles, a leak checker that
 diffs traces across secret inputs, a benchmark corpus, and named presets
-tying it all to real compiler flag sets.
+tying it all to real compiler flag sets.  ``analyze`` runs one program
+through one pipeline end to end.
 """
 
+from .analysis import Analysis, analyze
 from .backend import PROFILES, BackendProfile, LoweringError, lower
 from .cfg import CountedLoop, Loop, counted_loop_info, natural_loops
 from .corpus import CorpusEntry, CorpusError, entries, get, load_program
@@ -33,7 +35,7 @@ from .leaks import (
     diff_reports,
     first_divergence,
 )
-from .mitigations import FlagPreset, PRESETS, emit_real_flags, list_presets, preset
+from .mitigations import FlagPreset, PRESETS, emit_real_flags, preset
 from .passes import (
     InternalPassError,
     PassLogEntry,
@@ -46,15 +48,15 @@ from .tracer import InputSet, Trace, TraceError, execute, gen_inputs
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendProfile", "CONTROL_FLOW", "CorpusEntry", "CorpusError",
-    "CountedLoop", "FlagPreset", "Function", "GlobalArray", "IRError",
-    "InputSet", "Instruction", "InternalPassError", "LeakFinding",
+    "Analysis", "BackendProfile", "CONTROL_FLOW", "CorpusEntry",
+    "CorpusError", "CountedLoop", "FlagPreset", "Function", "GlobalArray",
+    "IRError", "InputSet", "Instruction", "InternalPassError", "LeakFinding",
     "LeakReport", "Loop", "LoweringError", "MEMORY_ACCESS", "PROFILES",
     "PRESETS", "Param", "PassLogEntry", "PipelineSpec", "Program",
-    "ReportDiff", "SourceLoc", "Trace", "TraceError", "compare_traces",
-    "copy_program", "counted_loop_info", "diff_reports", "emit_real_flags",
-    "entries", "execute", "first_divergence", "gen_inputs", "get",
-    "list_presets", "load_program", "lower", "natural_loops", "parse_ir",
-    "preset", "print_ir", "render_pass_log", "run_pipeline", "validate",
-    "__version__",
+    "ReportDiff", "SourceLoc", "Trace", "TraceError", "analyze",
+    "compare_traces", "copy_program", "counted_loop_info", "diff_reports",
+    "emit_real_flags", "entries", "execute", "first_divergence",
+    "gen_inputs", "get", "load_program", "lower", "natural_loops",
+    "parse_ir", "preset", "print_ir", "render_pass_log", "run_pipeline",
+    "validate", "__version__",
 ]

@@ -3,8 +3,7 @@
 A ``select`` becomes either a ``cmov`` (branchless, same instruction id) or
 a three-block branch diamond, depending on the target profile and on the
 cmov-conversion heuristic.  A ``vselect`` becomes a branch over its mask's
-scalar source, or an xor/and blend when the target has a vector blend.
-The output program is marked ``stage lowered`` and contains no select or
+scalar source.  The output program is marked ``stage lowered`` and contains no select or
 vselect instructions.
 """
 
@@ -22,7 +21,7 @@ from .ir import (
     copy_program,
     validate,
 )
-from .passes import PassLogEntry
+from .passes import PassLogEntry, _fix_phi_arm_labels, _fresh_name, _labels
 
 __all__ = ["BackendProfile", "LoweringError", "PROFILES", "lower"]
 
@@ -37,12 +36,11 @@ class BackendProfile:
 
     name: str
     has_cmov: bool
-    has_vector_blend: bool
 
 
 PROFILES: dict[str, BackendProfile] = {
-    "x86-64": BackendProfile("x86-64", has_cmov=True, has_vector_blend=False),
-    "i386": BackendProfile("i386", has_cmov=False, has_vector_blend=False),
+    "x86-64": BackendProfile("x86-64", has_cmov=True),
+    "i386": BackendProfile("i386", has_cmov=False),
 }
 
 
@@ -90,35 +88,19 @@ def _conversion_marks(func: Function) -> set[int]:
 # Rewriting
 # ----------------------------------------------------------------------
 
-def _fresh_label(func: Function, base: str) -> str:
-    taken = {b.label for b in func.blocks}
-    if base not in taken:
-        return base
-    n = 0
-    while f"{base}{n}" in taken:
-        n += 1
-    return f"{base}{n}"
-
-
-def _retarget_phi_arms(func: Function, old: str, new: str) -> None:
-    for block in func.blocks:
-        for ins in block.phis():
-            if old in ins.labels:
-                ins.labels = tuple(new if l == old else l for l in ins.labels)
-
-
 def _split_to_diamond(func: Function, bidx: int, iidx: int, cond: object,
                       true_val: object, false_val: object,
-                      ins: Instruction) -> int:
+                      ins: Instruction) -> None:
     """Replace instrs[iidx] of block bidx with a condbr diamond.
 
-    Returns the id of the new condbr.  The join block keeps the rest of
-    the original block, so later selects stay rewritable in place.
+    The join block keeps the rest of the original block, so later selects
+    stay rewritable in place.
     """
     block = func.blocks[bidx]
-    t_l = _fresh_label(func, f"{block.label}.t")
-    f_l = _fresh_label(func, f"{block.label}.f")
-    j_l = _fresh_label(func, f"{block.label}.j")
+    taken = _labels(func)
+    t_l = _fresh_name(taken, f"{block.label}.t")
+    f_l = _fresh_name(taken, f"{block.label}.f")
+    j_l = _fresh_name(taken, f"{block.label}.j")
     condbr = Instruction(func.fresh_id(), "condbr", None, (cond,), ins.loc,
                          labels=(t_l, f_l))
     t_blk = [Instruction(func.fresh_id(), "br", None, (), ins.loc,
@@ -129,14 +111,13 @@ def _split_to_diamond(func: Function, bidx: int, iidx: int, cond: object,
                            (true_val, false_val), ins.loc, ins.width,
                            labels=(t_l, f_l))
     rest = block.instrs[iidx + 1:]
-    _retarget_phi_arms(func, block.label, j_l)
+    _fix_phi_arm_labels(func, block.label, j_l)
     block.instrs = block.instrs[:iidx] + [condbr]
     func.blocks[bidx + 1:bidx + 1] = [
         BasicBlock(t_l, t_blk),
         BasicBlock(f_l, f_blk),
         BasicBlock(j_l, [join_phi] + rest),
     ]
-    return condbr.iid
 
 
 def _lower_function(func: Function, profile: BackendProfile,
@@ -156,64 +137,25 @@ def _lower_function(func: Function, profile: BackendProfile,
                 if profile.has_cmov and ins.iid not in marks:
                     block.instrs[iidx] = replace(ins, opcode="cmov")
                     continue
-                deleted.add(ins.iid)
-                top = func.next_id
-                _split_to_diamond(func, bidx, iidx, ins.operands[0],
-                                  ins.operands[1], ins.operands[2], ins)
-                created |= set(range(top, func.next_id))
-                rewritten = True
-                break
-            if ins.opcode == "vselect":
+                cond, a, b = ins.operands
+            elif ins.opcode == "vselect":
                 mask, a, b = ins.operands
                 mask_def = defs.get(mask) if isinstance(mask, str) else None
                 if mask_def is None or mask_def.opcode != "splat":
                     raise LoweringError(
                         f"id {ins.iid}: vselect mask {mask!r} is not a splat")
-                scalar = mask_def.operands[0]
-                deleted.add(ins.iid)
-                top = func.next_id
-                if profile.has_vector_blend:
-                    lanes = ins.width
-                    names = _blend_names(func, ins.result)
-                    ws, wv, x1, x2 = names
-                    blend = [
-                        Instruction(func.fresh_id(), "neg", ws, (scalar,),
-                                    ins.loc),
-                        Instruction(func.fresh_id(), "splat", wv, (ws,),
-                                    ins.loc, lanes),
-                        Instruction(func.fresh_id(), "vxor", x1, (a, b),
-                                    ins.loc, lanes),
-                        Instruction(func.fresh_id(), "vand", x2, (wv, x1),
-                                    ins.loc, lanes),
-                        Instruction(func.fresh_id(), "vxor", ins.result,
-                                    (b, x2), ins.loc, lanes),
-                    ]
-                    block.instrs[iidx:iidx + 1] = blend
-                    created |= set(range(top, func.next_id))
-                    rewritten = True
-                    break
-                _split_to_diamond(func, bidx, iidx, scalar, a, b, ins)
-                created |= set(range(top, func.next_id))
-                rewritten = True
-                break
+                cond = mask_def.operands[0]
+            else:
+                continue
+            deleted.add(ins.iid)
+            top = func.next_id
+            _split_to_diamond(func, bidx, iidx, cond, a, b, ins)
+            created |= set(range(top, func.next_id))
+            rewritten = True
+            break
         if not rewritten:
             bidx += 1
     return created, deleted
-
-
-def _blend_names(func: Function, base: str | None) -> list[str]:
-    taken = {ins.result for ins in func.instructions() if ins.result}
-    stem = base or "blend"
-    out = []
-    for suffix in (".m", ".mv", ".x", ".a"):
-        name = f"{stem}{suffix}"
-        n = 0
-        while name in taken:
-            name = f"{stem}{suffix}{n}"
-            n += 1
-        taken.add(name)
-        out.append(name)
-    return out
 
 
 def lower(prog: Program, profile: BackendProfile,

@@ -20,15 +20,6 @@ class Loop:
     blocks: set[str] = field(default_factory=set)
     parent: "Loop | None" = None
 
-    @property
-    def depth(self) -> int:
-        d = 1
-        p = self.parent
-        while p is not None:
-            d += 1
-            p = p.parent
-        return d
-
 
 def natural_loops(func: Function) -> list[Loop]:
     """All natural loops, via back edges (tail dominated by head).
@@ -64,15 +55,6 @@ def natural_loops(func: Function) -> list[Loop]:
                 if inner.parent is None or len(outer.blocks) < len(inner.parent.blocks):
                     inner.parent = outer
     return loops
-
-
-def innermost_loop_map(func: Function) -> dict[str, Loop]:
-    """Map each block label to the smallest loop containing it, if any."""
-    out: dict[str, Loop] = {}
-    for loop in sorted(natural_loops(func), key=lambda l: -len(l.blocks)):
-        for label in loop.blocks:
-            out[label] = loop  # smaller loops overwrite larger ones
-    return out
 
 
 @dataclass

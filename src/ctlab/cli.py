@@ -20,13 +20,14 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .backend import PROFILES, LoweringError, lower
+from .analysis import analyze
+from .backend import LoweringError
 from .corpus import CorpusError, entries, load_program
 from .ir import IRError
-from .leaks import LeakError, LeakReport, compare_traces, diff_reports
-from .mitigations import PRESETS, emit_real_flags, preset
-from .passes import InternalPassError, PipelineSpec, run_pipeline
-from .tracer import TraceError, execute, gen_inputs
+from .leaks import LeakError, LeakReport, diff_reports
+from .mitigations import emit_real_flags, preset
+from .passes import InternalPassError, PipelineSpec
+from .tracer import TraceError
 
 __all__ = ["main"]
 
@@ -53,16 +54,8 @@ class MatrixRow:
 
 def _analyze(program: str, spec: PipelineSpec, preset_name: str,
              inputs: int, seed: int) -> LeakReport:
-    prog = load_program(program)
-    mid, _ = run_pipeline(prog, spec)
-    low, _ = lower(mid, PROFILES[spec.backend], spec.cmov_conversion)
-    func = low.function()
-    iset = gen_inputs(low, count=inputs, seed=seed)
-    traces = [execute(low, args) for args in iset.arg_dicts()]
-    report = compare_traces(traces, func.id_to_loc(), spec.digest())
+    report = analyze(load_program(program), spec, inputs, seed).report
     report.preset = preset_name
-    report.seed = seed
-    report.inputs = len(iset)
     return report
 
 
@@ -120,12 +113,6 @@ def _cmd_analyze(args) -> int:
     return 0 if report.is_clean else 2
 
 
-def _matrix_rows(vary: list[str]) -> list[tuple[bool, ...]]:
-    if set(vary) == set(_CANONICAL_VARY):
-        return list(_CANONICAL_ROWS)
-    return list(itertools.product((True, False), repeat=len(vary)))
-
-
 def _cmd_matrix(args) -> int:
     base = preset(args.preset).spec
     vary = [v.strip() for v in args.vary.split(",") if v.strip()]
@@ -133,16 +120,15 @@ def _cmd_matrix(args) -> int:
         raise ValueError("--vary needs at least one toggle name")
     canonical = set(vary) == set(_CANONICAL_VARY)
     order = list(_CANONICAL_VARY) if canonical else vary
-    rows = _matrix_rows(vary)
+    rows = (_CANONICAL_ROWS if canonical
+            else itertools.product((True, False), repeat=len(vary)))
 
-    def run_row(values: tuple[bool, ...]) -> MatrixRow:
+    results = []
+    for values in rows:
         toggles = dict(zip(order, values))
-        spec = base.with_toggles(**toggles)
-        report = _analyze(args.program, spec, args.preset,
-                          args.inputs, args.seed)
-        return MatrixRow(toggles, report)
-
-    results = [run_row(values) for values in rows]
+        report = _analyze(args.program, base.with_toggles(**toggles),
+                          args.preset, args.inputs, args.seed)
+        results.append(MatrixRow(toggles, report))
 
     if args.json:
         payload = {

@@ -15,11 +15,9 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .backend import PROFILES, lower
+from .analysis import analyze
 from .ir import Program, parse_ir
-from .leaks import compare_traces
-from .passes import PipelineSpec, run_pipeline
-from .tracer import execute, gen_inputs
+from .passes import PipelineSpec
 
 __all__ = ["CorpusEntry", "CorpusError", "entries", "get", "load_program",
            "names"]
@@ -97,13 +95,7 @@ def _read_ir(name: str) -> str:
 
 def _baseline_check(entry: CorpusEntry) -> None:
     """With all passes off, the checker verdict must match ct_expected."""
-    prog = entry.load()
-    mid, _ = run_pipeline(prog, PipelineSpec(toggles={}))
-    low, _ = lower(mid, PROFILES["x86-64"], cmov_conversion=False)
-    func = low.function()
-    inputs = gen_inputs(low, count=16, seed=0)
-    traces = [execute(low, args) for args in inputs.arg_dicts()]
-    report = compare_traces(traces, func.id_to_loc())
+    report = analyze(entry.load(), PipelineSpec()).report
     if report.is_clean != entry.ct_expected:
         verdict = "clean" if report.is_clean else "leaky"
         raise CorpusError(

@@ -145,10 +145,6 @@ class Instruction:
     def is_terminator(self) -> bool:
         return self.opcode in TERMINATOR_OPS
 
-    @property
-    def is_vector(self) -> bool:
-        return self.opcode in VECTOR_OPS
-
     def __str__(self) -> str:
         return print_instruction(self)
 
@@ -527,10 +523,6 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
 # Printing
 # ======================================================================
 
-def _print_operand(op) -> str:
-    return str(op)
-
-
 def print_instruction(ins: Instruction, with_id: bool = False) -> str:
     op = ins.opcode
     if ins.pred:
@@ -541,16 +533,16 @@ def print_instruction(ins: Instruction, with_id: bool = False) -> str:
         op += f".{ins.width}"
 
     if ins.opcode == "phi":
-        body = ", ".join(f"[{l}: {_print_operand(v)}]"
+        body = ", ".join(f"[{l}: {v}]"
                          for l, v in zip(ins.labels, ins.operands))
     elif ins.opcode == "br":
         body = ins.labels[0]
     elif ins.opcode == "condbr":
-        body = f"{_print_operand(ins.operands[0])}, {ins.labels[0]}, {ins.labels[1]}"
+        body = f"{ins.operands[0]}, {ins.labels[0]}, {ins.labels[1]}"
     elif ins.opcode == "ret":
-        body = _print_operand(ins.operands[0]) if ins.operands else ""
+        body = str(ins.operands[0]) if ins.operands else ""
     else:
-        body = ", ".join(_print_operand(v) for v in ins.operands)
+        body = ", ".join(map(str, ins.operands))
 
     text = f"{op} {body}".rstrip()
     if ins.result is not None:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .passes import PipelineSpec
 
-__all__ = ["FlagPreset", "PRESETS", "emit_real_flags", "list_presets",
-           "preset"]
+__all__ = ["FlagPreset", "PRESETS", "emit_real_flags", "preset"]
 
 
 # Flags that neutralize the branch-introducing transforms, per compiler.
@@ -144,7 +143,3 @@ def preset(name: str) -> FlagPreset:
         known = ", ".join(PRESETS)
         raise ValueError(f"unknown preset {name!r} (have: {known})")
     return p
-
-
-def list_presets() -> list[FlagPreset]:
-    return list(_PRESET_LIST)

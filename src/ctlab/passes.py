@@ -18,6 +18,7 @@ from .ir import (
     BasicBlock,
     Function,
     Instruction,
+    IRError,
     MEMORY_OPS,
     Program,
     clone_instruction,
@@ -29,16 +30,20 @@ from .ir import (
     validate,
 )
 
-PASS_ORDER = (
-    "instcombine",
-    "jump_thread",
-    "path_split",
-    "loop_unswitch",
-    "loop_unroll",
-    "loop_vectorize",
-    "slp",
-    "if_convert",
-)
+# The pass table, in pipeline order: each entry applies one pass with its
+# knobs from the spec.  Passes are looked up as module globals at call
+# time, so a wrapper installed on the module sees every application.
+_PASSES = {
+    "instcombine": lambda f, s: instcombine_lite(f),
+    "jump_thread": lambda f, s: jump_thread(f),
+    "path_split": lambda f, s: path_split(f),
+    "loop_unswitch": lambda f, s: loop_unswitch(f, s.unswitch_threshold),
+    "loop_unroll": lambda f, s: loop_unroll(f, s.unroll_full_limit),
+    "loop_vectorize": lambda f, s: loop_vectorize(f, s.vector_width),
+    "slp": lambda f, s: slp_lite(f, s.vector_width),
+    "if_convert": lambda f, s: if_convert(f),
+}
+PASS_ORDER = tuple(_PASSES)
 
 _VECTOR_FORM = {"add": "vadd", "and": "vand", "or": "vor", "xor": "vxor"}
 _PURE_OPS = {"const", "add", "sub", "mul", "and", "or", "xor", "shl",
@@ -134,6 +139,8 @@ def _all_names(func: Function) -> set[str]:
 
 
 def _fresh_name(taken: set[str], base: str) -> str:
+    """``base``, or ``base`` plus the smallest free counter; the result is
+    added to ``taken``.  Serves value names and block labels alike."""
     name = base
     n = 0
     while name in taken:
@@ -141,16 +148,6 @@ def _fresh_name(taken: set[str], base: str) -> str:
         n += 1
     taken.add(name)
     return name
-
-
-def _fresh_label(taken: set[str], base: str) -> str:
-    label = base
-    n = 0
-    while label in taken:
-        label = f"{base}{n}"
-        n += 1
-    taken.add(label)
-    return label
 
 
 def _labels(func: Function) -> set[str]:
@@ -640,11 +637,11 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
         return False
 
     labels = _labels(f)
-    bt = _fresh_label(labels, f"{block.label}.t")
-    bf = _fresh_label(labels, f"{block.label}.f")
-    bft = _fresh_label(labels, f"{block.label}.ft")
-    bff = _fresh_label(labels, f"{block.label}.ff")
-    bj = _fresh_label(labels, f"{block.label}.join")
+    bt = _fresh_name(labels, f"{block.label}.t")
+    bf = _fresh_name(labels, f"{block.label}.f")
+    bft = _fresh_name(labels, f"{block.label}.ft")
+    bff = _fresh_name(labels, f"{block.label}.ff")
+    bj = _fresh_name(labels, f"{block.label}.join")
     names = _all_names(f)
 
     # False path recomputes the mids with r1 bound to its false value.
@@ -750,8 +747,8 @@ def _split_once(f: Function) -> bool:
             continue
 
         labels = _labels(f)
-        lt = _fresh_label(labels, f"{latch_label}.t")
-        lf = _fresh_label(labels, f"{latch_label}.f")
+        lt = _fresh_name(labels, f"{latch_label}.t")
+        lf = _fresh_name(labels, f"{latch_label}.f")
         names = _all_names(f)
 
         def clone_tail(suffix: str, r_val):
@@ -858,7 +855,7 @@ def _unswitch_once(f: Function, threshold: int) -> bool:
         pre = outside[0]
         names = _all_names(f)
         labels = _labels(f)
-        label_map = {l: _fresh_label(labels, f"{l}.us") for l in ordered}
+        label_map = {l: _fresh_name(labels, f"{l}.us") for l in ordered}
         value_map: dict[str, str] = {}
         for l in ordered:
             for ins in f.block(l).instrs:
@@ -900,7 +897,7 @@ def _unswitch_once(f: Function, threshold: int) -> bool:
             cblock.instrs[-1] = replace(cterm, opcode="br", operands=(),
                                         labels=(cterm.labels[1],))
 
-        guard_label = _fresh_label(labels, "unsw.guard")
+        guard_label = _fresh_name(labels, "unsw.guard")
         guard = BasicBlock(guard_label, [Instruction(
             f.fresh_id(), "condbr", None, (cond,), cand.loc,
             labels=(loop.header, label_map[loop.header]))])
@@ -977,10 +974,10 @@ def _unroll_full(f: Function, loop, info, trip: int, pre: str) -> bool:
 
     names = _all_names(f)
     labels = _labels(f)
-    h_labels = [_fresh_label(labels, f"{header_label}.it{k}")
+    h_labels = [_fresh_name(labels, f"{header_label}.it{k}")
                 for k in range(trip + 1)]
     b_label_maps = [
-        {l: _fresh_label(labels, f"{l}.it{k}") for l in body_labels}
+        {l: _fresh_name(labels, f"{l}.it{k}") for l in body_labels}
         for k in range(trip)
     ]
 
@@ -1239,9 +1236,9 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
     iv = info.iv_phi.result
     names = _all_names(f)
     labels = _labels(f)
-    vpre_l = _fresh_label(labels, f"{loop.header}.vpre")
-    vh_l = _fresh_label(labels, f"{loop.header}.vh")
-    vb_l = _fresh_label(labels, f"{loop.header}.vb")
+    vpre_l = _fresh_name(labels, f"{loop.header}.vpre")
+    vh_l = _fresh_name(labels, f"{loop.header}.vh")
+    vb_l = _fresh_name(labels, f"{loop.header}.vb")
     w = info.iv_phi.width
 
     vlimit = _fresh_name(names, "vlimit")
@@ -1626,42 +1623,26 @@ def _if_convert_once(f: Function) -> bool:
 # Pipeline runner
 # ======================================================================
 
-def _apply_pass(name: str, func: Function, spec: PipelineSpec) -> Function:
-    if name == "instcombine":
-        return instcombine_lite(func)
-    if name == "jump_thread":
-        return jump_thread(func)
-    if name == "path_split":
-        return path_split(func)
-    if name == "loop_unswitch":
-        return loop_unswitch(func, spec.unswitch_threshold)
-    if name == "loop_unroll":
-        return loop_unroll(func, spec.unroll_full_limit)
-    if name == "loop_vectorize":
-        return loop_vectorize(func, spec.vector_width)
-    if name == "slp":
-        return slp_lite(func, spec.vector_width)
-    if name == "if_convert":
-        return if_convert(func)
-    raise ValueError(f"unknown pass {name!r}")
-
-
 def run_pipeline(prog: Program,
                  spec: PipelineSpec) -> tuple[Program, list[PassLogEntry]]:
     """Apply the enabled passes in their fixed order, cleaning up and
     validating after each.  With every toggle off the program comes back
-    unchanged (modulo copying).  Raises InternalPassError on a validation
-    failure, carrying the log of passes applied so far.
+    unchanged (modulo copying).  Raises IRError when the input program is
+    malformed, and InternalPassError when a pass leaves it malformed,
+    carrying the log of passes applied so far.
     """
-    out = copy_program(prog)
-    if out.stage != "midend":
+    if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
+    errors = validate(prog)
+    if errors:
+        raise IRError(f"invalid input program: {errors[0]}")
+    out = copy_program(prog)
     log: list[PassLogEntry] = []
     for name in spec.order:
         for fname in list(out.functions):
             func = out.functions[fname]
             before = {i.iid for i in func.instructions()}
-            new = cleanup(_apply_pass(name, func, spec))
+            new = cleanup(_PASSES[name](func, spec))
             after = {i.iid for i in new.instructions()}
             created = tuple(sorted(after - before))
             deleted = tuple(sorted(before - after))

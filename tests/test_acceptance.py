@@ -5,13 +5,12 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
 
 from __future__ import annotations
 
-from ctlab.backend import PROFILES, lower
+from ctlab import analysis
 from ctlab.cli import _CANONICAL_ROWS, _CANONICAL_VARY
 from ctlab.corpus import entries, load_program, names
 from ctlab.ir import parse_ir, print_ir
 from ctlab.leaks import CONTROL_FLOW, compare_traces, first_divergence
 from ctlab.mitigations import PRESETS, emit_real_flags, preset
-from ctlab.passes import run_pipeline
 from ctlab.tracer import execute, gen_inputs
 
 
@@ -20,15 +19,10 @@ def verdict(n: int, name: str, ok: bool) -> None:
     assert ok, f"criterion {n} ({name})"
 
 
-def analyze(program: str, spec, inputs: int = 16, seed: int = 0):
-    """Pipeline + lowering + differential tracing; returns (report, lower log)."""
-    prog = load_program(program)
-    mid, _ = run_pipeline(prog, spec)
-    low, llog = lower(mid, PROFILES[spec.backend], spec.cmov_conversion)
-    iset = gen_inputs(low, count=inputs, seed=seed)
-    traces = [execute(low, args) for args in iset.arg_dicts()]
-    report = compare_traces(traces, low.function().id_to_loc())
-    return report, llog
+def analyze(program: str, spec):
+    """One analysis of a corpus entry; returns (report, lower log)."""
+    result = analysis.analyze(load_program(program), spec)
+    return result.report, result.lower_log
 
 
 def matrix_verdicts(program: str) -> list[bool]:
@@ -134,8 +128,7 @@ def test_9_property_suites():
     for preset_name, p in PRESETS.items():
         for name in names():
             base = load_program(name)
-            mid, _ = run_pipeline(base, p.spec)
-            low, _ = lower(mid, PROFILES[p.spec.backend], p.spec.cmov_conversion)
+            low = analysis.analyze(base, p.spec, inputs=2).lowered
             for args in gen_inputs(base, count=64, seed=7).arg_dicts():
                 want = execute(base, args)
                 got = execute(low, args)

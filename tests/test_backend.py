@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ctlab.backend import PROFILES, BackendProfile, LoweringError, lower
+from ctlab.backend import PROFILES, LoweringError, lower
 from ctlab.ir import parse_ir, validate
 from ctlab.tracer import BranchDir, execute
 
@@ -21,7 +21,7 @@ bb0:
 
 
 def test_profiles():
-    assert X64.has_cmov and not X64.has_vector_blend
+    assert X64.has_cmov
     assert not I386.has_cmov
     assert set(PROFILES) == {"x86-64", "i386"}
 
@@ -172,19 +172,6 @@ def test_vselect_branches_on_the_splat_scalar():
     func = low.function()
     condbr = func.block("bb0").instrs[-1]
     assert condbr.opcode == "condbr" and condbr.operands == ("s",)
-    for s in (0, 1):
-        t = execute(low, {"s": s, "a": 2})
-        want = (0, 1, 2, 3) if s else (2, 2, 2, 2)
-        assert t.memory["g"][4:] == want
-
-
-def test_vselect_blend_when_target_has_one():
-    blendy = BackendProfile("x86-64+blend", has_cmov=True, has_vector_blend=True)
-    low, _ = lower(parse_ir(VSELECT), blendy)
-    func = low.function()
-    assert len(func.blocks) == 1                  # no control flow introduced
-    opset = {i.opcode for i in func.instructions()}
-    assert {"neg", "splat", "vxor", "vand"} <= opset
     for s in (0, 1):
         t = execute(low, {"s": s, "a": 2})
         want = (0, 1, 2, 3) if s else (2, 2, 2, 2)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ctlab.cfg import counted_loop_info, innermost_loop_map, natural_loops
+from ctlab.cfg import counted_loop_info, natural_loops
 from ctlab.corpus import load_program
 from ctlab.ir import parse_ir
 
@@ -18,7 +18,6 @@ bb0:
 def test_no_loops_in_straight_line_code():
     func = parse_ir(STRAIGHT).function()
     assert natural_loops(func) == []
-    assert innermost_loop_map(func) == {}
 
 
 def test_nested_loops_rsa():
@@ -29,12 +28,6 @@ def test_nested_loops_rsa():
     assert inner.parent is outer
     assert outer.parent is None
     assert inner.blocks < outer.blocks
-    assert inner.depth == 2 and outer.depth == 1
-    imap = innermost_loop_map(func)
-    for label in inner.blocks:
-        assert imap[label].header == inner.header
-    for label in outer.blocks - inner.blocks:
-        assert imap[label].header == outer.header
 
 
 def test_counted_loop_fields_simple():

@@ -161,6 +161,21 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "unknown preset" in err
 
 
+def test_malformed_ir_is_blamed_on_the_input(tmp_path, capsys):
+    from ctlab.corpus import get
+    from ctlab.mitigations import PRESETS
+    src = get("fig1a_branch").source
+    second = src.index("br bbJ", src.index("br bbJ") + 1)
+    p = tmp_path / "bad.ir"
+    p.write_text(src[:second] + "br bbX" + src[second + len("br bbJ"):],
+                 encoding="utf-8")
+    for name in PRESETS:
+        code, _, err = run(capsys, "analyze", str(p), "--preset", name)
+        assert code == 1, name
+        assert "bbX" in err, name
+        assert "broke the program" not in err, name
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "analyze", "--help")[0] == 0

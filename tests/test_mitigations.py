@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ctlab.mitigations import PRESETS, emit_real_flags, list_presets, preset
+from ctlab.mitigations import PRESETS, emit_real_flags, preset
 
 
 def test_llvm_flags_exact():
@@ -47,7 +47,6 @@ def test_preset_registry():
         "gcc13-O3", "gcc13-Os", "gcc13-O3-mitig", "baseline-off",
         "i386-O3", "toy-novec-nounroll",
     }
-    assert [p.name for p in list_presets()] == list(PRESETS)
     with pytest.raises(ValueError):
         preset("llvm18-O4")
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from ctlab.backend import PROFILES, lower
+from ctlab.analysis import analyze
 from ctlab.corpus import load_program, names
 from ctlab.ir import parse_ir, print_ir
 from ctlab.leaks import compare_traces, first_divergence
 from ctlab.mitigations import PRESETS, preset
-from ctlab.passes import run_pipeline
 from ctlab.tracer import execute, gen_inputs
 
 SETTLE = settings(max_examples=25, deadline=None)
@@ -24,10 +23,15 @@ def secret_bits(prog) -> int:
 SMALL_SECRET = [n for n in names() if secret_bits(load_program(n)) <= 8]
 
 
-def build(program_name: str, preset_name: str):
+def run(program_name: str, preset_name: str):
+    """One analysis; two inputs are the fewest the leak check takes, and
+    callers only look at the programs."""
     spec = preset(preset_name).spec
-    mid, _ = run_pipeline(load_program(program_name), spec)
-    return lower(mid, PROFILES[spec.backend], spec.cmov_conversion)[0]
+    return analyze(load_program(program_name), spec, inputs=2)
+
+
+def build(program_name: str, preset_name: str):
+    return run(program_name, preset_name).lowered
 
 
 @SETTLE
@@ -83,10 +87,8 @@ def test_sampling_is_sound(program_name, preset_name, seed):
 @given(st.sampled_from(PRESET_NAMES), st.sampled_from(names()))
 def test_printed_ir_round_trips(preset_name, program_name):
     """print -> parse -> print is a fixpoint, for source and optimized IR."""
-    spec = preset(preset_name).spec
-    mid, _ = run_pipeline(load_program(program_name), spec)
-    low, _ = lower(mid, PROFILES[spec.backend], spec.cmov_conversion)
-    for prog in (mid, low):
+    result = run(program_name, preset_name)
+    for prog in (result.midend, result.lowered):
         text = print_ir(prog)
         assert print_ir(parse_ir(text)) == text
 
@@ -100,11 +102,9 @@ def test_locations_never_invented(preset_name, program_name):
                 for f in prog.functions.values() for i in f.instructions()}
 
     base = load_program(program_name)
-    spec = preset(preset_name).spec
-    mid, _ = run_pipeline(base, spec)
-    low, _ = lower(mid, PROFILES[spec.backend], spec.cmov_conversion)
-    assert locs(mid) <= locs(base)
-    assert locs(low) <= locs(base)
+    result = run(program_name, preset_name)
+    assert locs(result.midend) <= locs(base)
+    assert locs(result.lowered) <= locs(base)
 
 
 @settings(max_examples=25, deadline=None)
