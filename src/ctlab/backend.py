@@ -13,13 +13,13 @@ from dataclasses import dataclass, replace
 
 from .cfg import natural_loops
 from .ir import (
-    MEMORY_OPS,
     BasicBlock,
     Function,
     Instruction,
     Program,
     copy_program,
     validate,
+    value_operands,
 )
 from .passes import PassLogEntry, _fix_phi_arm_labels, _fresh_name, _labels
 
@@ -73,8 +73,8 @@ def _conversion_marks(func: Function) -> set[int]:
             continue
         derived: set[str] = set()
         for ins in block.instrs:
-            ops = ins.operands[1:] if ins.opcode in MEMORY_OPS else ins.operands
-            tainted = any(isinstance(o, str) and o in derived for o in ops)
+            tainted = any(isinstance(o, str) and o in derived
+                          for o in value_operands(ins))
             if ins.opcode == "select" and tainted:
                 marked.add(ins.iid)
             if ins.result is None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import Function, Instruction, dominators, predecessors, successors
+from .ir import (Function, Instruction, dominators, evaluate, predecessors,
+                 successors)
 
 
 @dataclass
@@ -59,7 +60,7 @@ def natural_loops(func: Function) -> list[Loop]:
 
 @dataclass
 class CountedLoop:
-    """A header-tested loop `for (iv = init; iv <pred> bound; iv += 1)`.
+    """A header-tested loop `for (iv = init; iv < bound; iv += 1)`.
 
     * header holds the iv phi, the bound compare, and a condbr whose taken
       edge enters the body and whose other edge exits.
@@ -84,33 +85,21 @@ class CountedLoop:
     @property
     def trip_count(self) -> int | None:
         if isinstance(self.init, int) and isinstance(self.bound, int):
-            if self.cmp_instr.pred == "lt":
-                return max(0, self.bound - self.init)
+            return max(0, self.bound - self.init)
         return None
 
 
-def _resolve_const(func: Function, op: object) -> object:
-    """Follow const definitions and foldable shl/add over consts."""
-    if isinstance(op, int):
+def _resolve_const(defs: dict[str, Instruction], op: object) -> object:
+    """Follow const definitions and shl/add/sub over resolved constants."""
+    ins = defs.get(op) if isinstance(op, str) else None
+    if ins is None:
         return op
-    defs = func.defs()
-    seen = set()
-    while isinstance(op, str) and op in defs and op not in seen:
-        seen.add(op)
-        ins = defs[op]
-        if ins.opcode == "const":
-            return ins.operands[0]
-        if ins.opcode in ("shl", "add", "sub"):
-            a = _resolve_const(func, ins.operands[0])
-            b = _resolve_const(func, ins.operands[1])
-            if isinstance(a, int) and isinstance(b, int):
-                mask = (1 << ins.width) - 1
-                if ins.opcode == "shl":
-                    return (a << (b & (ins.width - 1))) & mask
-                if ins.opcode == "add":
-                    return (a + b) & mask
-                return (a - b) & mask
-        break
+    if ins.opcode == "const":
+        return ins.operands[0]
+    if ins.opcode in ("shl", "add", "sub"):
+        args = [_resolve_const(defs, a) for a in ins.operands]
+        if all(isinstance(a, int) for a in args):
+            return evaluate(ins, *args)
     return op
 
 
@@ -168,7 +157,7 @@ def counted_loop_info(func: Function, loop: Loop) -> CountedLoop | None:
     if latch_term is None or latch_term.opcode != "br":
         return None
 
-    bound = _resolve_const(func, cmp_ins.operands[1])
-    init_res = _resolve_const(func, init)
+    bound = _resolve_const(defs, cmp_ins.operands[1])
+    init_res = _resolve_const(defs, init)
     return CountedLoop(loop, loop.header, body_labels, latch, not_taken,
                        iv_phi, init_res, step, cmp_ins, term, bound)

@@ -118,6 +118,9 @@ def _cmd_matrix(args) -> int:
     vary = [v.strip() for v in args.vary.split(",") if v.strip()]
     if not vary:
         raise ValueError("--vary needs at least one toggle name")
+    repeated = next((v for i, v in enumerate(vary) if v in vary[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"--vary names {repeated!r} more than once")
     canonical = set(vary) == set(_CANONICAL_VARY)
     order = list(_CANONICAL_VARY) if canonical else vary
     rows = (_CANONICAL_ROWS if canonical

@@ -29,7 +29,18 @@ Conventions:
   {8, 16, 32, 64} (default 32).
 * Scalar opcodes take an optional width suffix (``add.16``); ``icmp`` takes a
   predicate suffix (``icmp.lt``); vector opcodes take a lane-count suffix
-  (``vload.4``).  Shift amounts are masked by width-1; arithmetic wraps.
+  (``vload.4``).
+* This module is where opcode semantics are defined: one table each for the
+  binary ops (``BINARY_OPS``), ``neg``, the ``icmp`` predicates and the
+  lanewise vector ops (``LANEWISE_OPS``).  The interpreter and every
+  constant folder compute through them, so folding and execution cannot
+  disagree.  Arithmetic operands are read at the instruction's width: the
+  result wraps to it, shift amounts are masked by width-1, and ``lshr``
+  masks its left operand before shifting (``lshr.8 300, 1`` is 22).
+  ``icmp`` compares its operand values as given.  A vector op applies its
+  scalar op to each pair of 32-bit lanes.
+* Memory ops name their region (a global or an array parameter) in their
+  first operand; ``value_operands`` gives the operands that are values.
 * ``!loc file:line`` attaches the originating source line.  If omitted the
   parser falls back to the textual line number, but every instruction always
   carries a location.
@@ -49,16 +60,38 @@ from dataclasses import dataclass, field, replace
 SECRET = "secret"
 PUBLIC = "public"
 
-SCALAR_OPS = {
-    "const", "add", "sub", "and", "or", "xor", "shl", "lshr", "mul", "neg",
-    "icmp", "select", "cmov",
+# Opcode semantics.  A binary op maps (a, b, width) to its result at that
+# width; so does ``neg`` with (a, width).
+BINARY_OPS = {
+    "add": lambda a, b, w: (a + b) & ((1 << w) - 1),
+    "sub": lambda a, b, w: (a - b) & ((1 << w) - 1),
+    "mul": lambda a, b, w: (a * b) & ((1 << w) - 1),
+    "and": lambda a, b, w: a & b & ((1 << w) - 1),
+    "or": lambda a, b, w: (a | b) & ((1 << w) - 1),
+    "xor": lambda a, b, w: (a ^ b) & ((1 << w) - 1),
+    "shl": lambda a, b, w: (a << (b & (w - 1))) & ((1 << w) - 1),
+    "lshr": lambda a, b, w: (a & ((1 << w) - 1)) >> (b & (w - 1)),
 }
-VECTOR_OPS = {"vselect", "splat", "vadd", "vand", "vxor", "vor", "vload", "vstore"}
+_UNARY_OPS = {"neg": lambda a, w: -a & ((1 << w) - 1)}
+_COMPARISONS = {
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+    "lt": lambda a, b: a < b,
+    "gt": lambda a, b: a > b,
+}
+# Vector op -> the scalar op it applies to each pair of 32-bit lanes.
+LANEWISE_OPS = {"vadd": "add", "vand": "and", "vxor": "xor", "vor": "or"}
+LANE_WIDTH = 32
+# Opcodes whose result ``evaluate`` computes from their operand values.
+EVAL_OPS = set(BINARY_OPS) | set(_UNARY_OPS) | {"icmp"}
+
+SCALAR_OPS = EVAL_OPS | {"const", "select", "cmov"}
+VECTOR_OPS = set(LANEWISE_OPS) | {"vselect", "splat", "vload", "vstore"}
 MEMORY_OPS = {"load", "store", "vload", "vstore"}
 TERMINATOR_OPS = {"br", "condbr", "ret"}
 ALL_OPS = SCALAR_OPS | VECTOR_OPS | MEMORY_OPS | TERMINATOR_OPS | {"phi"}
 
-CMP_PREDS = ("eq", "ne", "lt", "gt")
+CMP_PREDS = tuple(_COMPARISONS)
 INSTR_WIDTHS = (8, 16, 32, 64)
 PARAM_WIDTHS = (1, 2, 4, 8, 16, 32, 64)
 LANE_COUNTS = (2, 4, 8)
@@ -323,9 +356,8 @@ def _split_opcode(tok: str, lineno: int) -> tuple[str, str | None, int]:
 
 # Operand arity by opcode (phi/ret handled specially).
 _ARITY = {
-    "const": 1, "neg": 1, "splat": 1,
-    "add": 2, "sub": 2, "and": 2, "or": 2, "xor": 2, "shl": 2, "lshr": 2,
-    "mul": 2, "icmp": 2, "vadd": 2, "vand": 2, "vxor": 2, "vor": 2,
+    **dict.fromkeys(BINARY_OPS, 2), **dict.fromkeys(LANEWISE_OPS, 2),
+    "const": 1, "neg": 1, "splat": 1, "icmp": 2,
     "select": 3, "cmov": 3, "vselect": 3,
     "load": 2, "vload": 2, "store": 3, "vstore": 3,
 }
@@ -490,7 +522,7 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
                 raise IRParseError(
                     f"{base} takes {_ARITY[base]} operand(s), got {len(parts)}", lineno)
             operands = tuple(_parse_operand(t, lineno) for t in parts)
-            if base in ("load", "store", "vload", "vstore") and not isinstance(operands[0], str):
+            if base in MEMORY_OPS and not isinstance(operands[0], str):
                 raise IRParseError(f"{base} needs a global name first", lineno)
             if base == "const":
                 if not isinstance(operands[0], int):
@@ -498,8 +530,8 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
                 operands = (operands[0] & ((1 << width) - 1),)
 
         # Canonicalize negative immediates at instruction width (vector ops
-        # at 32-bit lanes).
-        mask = (1 << (width if base not in VECTOR_OPS else 32)) - 1
+        # at lane width).
+        mask = (1 << (width if base not in VECTOR_OPS else LANE_WIDTH)) - 1
         operands = tuple(op & mask if isinstance(op, int) and op < 0 else op
                          for op in operands)
 
@@ -707,9 +739,7 @@ def validate(prog: Program) -> list[str]:
             if block.label not in dom:
                 continue  # unreachable; skip dominance checks
             for idx, ins in enumerate(block.instrs):
-                uses = [op for op in ins.operands if isinstance(op, str)]
-                if ins.opcode in MEMORY_OPS:
-                    uses = uses[1:]  # first operand is a memory name
+                uses = [op for op in value_operands(ins) if isinstance(op, str)]
                 if ins.opcode == "phi":
                     for label, op in zip(ins.labels, ins.operands):
                         if label not in preds.get(block.label, []):
@@ -745,6 +775,33 @@ def validate(prog: Program) -> list[str]:
 
 
 # ======================================================================
+# Semantics and operand roles
+# ======================================================================
+
+def evaluate(ins: Instruction, *args: int) -> int:
+    """The result of ``ins`` (an opcode in ``EVAL_OPS``) on operand values
+    ``args``: arithmetic at the instruction's width, an ``icmp`` as 0 or 1."""
+    if ins.opcode == "icmp":
+        return int(_COMPARISONS[ins.pred](*args))
+    op = BINARY_OPS.get(ins.opcode) or _UNARY_OPS[ins.opcode]
+    return op(*args, ins.width)
+
+
+def value_operands(ins: Instruction) -> tuple[object, ...]:
+    """The operands that are values; a memory op's first names its region."""
+    if ins.opcode in MEMORY_OPS:
+        return ins.operands[1:]
+    return ins.operands
+
+
+def substitute(ins: Instruction, mapping: dict[str, object]) -> tuple[object, ...]:
+    """``ins.operands`` with every value name in ``mapping`` replaced."""
+    values = value_operands(ins)
+    region = ins.operands[:len(ins.operands) - len(values)]
+    return region + tuple(mapping.get(op, op) for op in values)
+
+
+# ======================================================================
 # Structural cloning
 # ======================================================================
 
@@ -752,14 +809,7 @@ def clone_instruction(ins: Instruction, new_id: int,
                       value_map: dict[str, object] | None = None,
                       label_map: dict[str, str] | None = None,
                       result: str | None = None) -> Instruction:
-    operands = ins.operands
-    if value_map:
-        start = 1 if ins.opcode in MEMORY_OPS else 0
-        ops = list(operands)
-        for i in range(start, len(ops)):
-            if isinstance(ops[i], str) and ops[i] in value_map:
-                ops[i] = value_map[ops[i]]
-        operands = tuple(ops)
+    operands = substitute(ins, value_map) if value_map else ins.operands
     labels = ins.labels
     if label_map:
         labels = tuple(label_map.get(l, l) for l in labels)

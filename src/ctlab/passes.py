@@ -15,19 +15,25 @@ from dataclasses import dataclass, field, replace
 
 from .cfg import counted_loop_info, natural_loops
 from .ir import (
+    BINARY_OPS,
+    EVAL_OPS,
+    LANEWISE_OPS,
     BasicBlock,
     Function,
     Instruction,
     IRError,
-    MEMORY_OPS,
     Program,
+    ScalarType,
     clone_instruction,
     copy_function,
     copy_program,
+    evaluate,
     predecessors,
     reachable,
+    substitute,
     successors,
     validate,
+    value_operands,
 )
 
 # The pass table, in pipeline order: each entry applies one pass with its
@@ -45,9 +51,8 @@ _PASSES = {
 }
 PASS_ORDER = tuple(_PASSES)
 
-_VECTOR_FORM = {"add": "vadd", "and": "vand", "or": "vor", "xor": "vxor"}
-_PURE_OPS = {"const", "add", "sub", "mul", "and", "or", "xor", "shl",
-             "lshr", "neg", "icmp", "select"}
+_VECTOR_FORM = {scalar: vector for vector, scalar in LANEWISE_OPS.items()}
+_PURE_OPS = EVAL_OPS | {"const", "select"}
 
 
 class InternalPassError(Exception):
@@ -154,30 +159,16 @@ def _labels(func: Function) -> set[str]:
     return {b.label for b in func.blocks}
 
 
-def _subst(ins: Instruction, mapping: dict[str, object]) -> None:
-    """Rewrite value operands in place; memory region names stay as-is."""
-    start = 1 if ins.opcode in MEMORY_OPS else 0
-    ops = list(ins.operands)
-    changed = False
-    for i in range(start, len(ops)):
-        if isinstance(ops[i], str) and ops[i] in mapping:
-            ops[i] = mapping[ops[i]]
-            changed = True
-    if changed:
-        ins.operands = tuple(ops)
-
-
 def _subst_everywhere(func: Function, mapping: dict[str, object]) -> None:
     for block in func.blocks:
         for ins in block.instrs:
-            _subst(ins, mapping)
+            ins.operands = substitute(ins, mapping)
 
 
 def _uses(func: Function) -> dict[str, list[Instruction]]:
     out: dict[str, list[Instruction]] = {}
     for ins in func.instructions():
-        start = 1 if ins.opcode in MEMORY_OPS else 0
-        for op in ins.operands[start:]:
+        for op in value_operands(ins):
             if isinstance(op, str):
                 out.setdefault(op, []).append(ins)
     return out
@@ -219,11 +210,14 @@ def _match_neg(defs: dict[str, Instruction], op: object) -> object | None:
     return None
 
 
+def _relabel(ins: Instruction, old: str, new: str) -> None:
+    ins.labels = tuple(new if l == old else l for l in ins.labels)
+
+
 def _fix_phi_arm_labels(func: Function, old: str, new: str) -> None:
     for block in func.blocks:
         for ins in block.phis():
-            if old in ins.labels:
-                ins.labels = tuple(new if l == old else l for l in ins.labels)
+            _relabel(ins, old, new)
 
 
 def _defined_in(func: Function, labels) -> set[str]:
@@ -241,10 +235,9 @@ def _loop_values_escape(func: Function, blocks: set[str]) -> bool:
         if b.label in blocks:
             continue
         for ins in b.instrs:
-            start = 1 if ins.opcode in MEMORY_OPS else 0
-            for op in ins.operands[start:]:
-                if isinstance(op, str) and op in inside:
-                    return True
+            if any(isinstance(op, str) and op in inside
+                   for op in value_operands(ins)):
+                return True
     return False
 
 
@@ -262,30 +255,11 @@ def _fold_constants(func: Function) -> bool:
     for block in func.blocks:
         for idx, ins in enumerate(block.instrs):
             ops = ins.operands
-            if ins.opcode in ("add", "sub", "mul", "and", "or", "xor",
-                              "shl", "lshr") and \
-                    isinstance(ops[0], int) and isinstance(ops[1], int):
-                a, b = ops
-                mask = (1 << ins.width) - 1
-                r = {"add": a + b, "sub": a - b, "mul": a * b, "and": a & b,
-                     "or": a | b, "xor": a ^ b,
-                     "shl": a << (b & (ins.width - 1)),
-                     "lshr": a >> (b & (ins.width - 1))}[ins.opcode]
-                block.instrs[idx] = replace(ins, opcode="const",
-                                            operands=(r & mask,))
-                changed = True
-            elif ins.opcode == "neg" and isinstance(ops[0], int):
-                mask = (1 << ins.width) - 1
-                block.instrs[idx] = replace(ins, opcode="const",
-                                            operands=((-ops[0]) & mask,))
-                changed = True
-            elif ins.opcode == "icmp" and isinstance(ops[0], int) \
-                    and isinstance(ops[1], int):
-                a, b = ops
-                r = {"eq": a == b, "ne": a != b,
-                     "lt": a < b, "gt": a > b}[ins.pred]
+            # EVAL_OPS take at most two operands: the first and last are all.
+            if ins.opcode in EVAL_OPS and isinstance(ops[0], int) \
+                    and isinstance(ops[-1], int):
                 block.instrs[idx] = replace(ins, opcode="const", pred=None,
-                                            operands=(int(r),))
+                                            operands=(evaluate(ins, *ops),))
                 changed = True
             elif ins.opcode == "condbr" and isinstance(ops[0], int):
                 target = ins.labels[0] if ops[0] else ins.labels[1]
@@ -296,7 +270,8 @@ def _fold_constants(func: Function) -> bool:
 
 
 def _apply_copies(func: Function) -> bool:
-    """Forward const-condition selects, trivial phis, and identities."""
+    """Forward const-condition selects, trivial phis, and identities whose
+    forwarded operand already fits the instruction's width."""
     defs = func.defs()
 
     def const_of(op):
@@ -304,6 +279,15 @@ def _apply_copies(func: Function) -> bool:
             return op
         d = defs.get(op)
         return d.operands[0] if d is not None and d.opcode == "const" else None
+
+    def fits(op, width):
+        if isinstance(op, int):
+            return op < (1 << width)
+        if op in defs:
+            return defs[op].width <= width
+        param = func.param(op)
+        return param is not None and isinstance(param.type, ScalarType) \
+            and param.type.width <= width
 
     copies: dict[str, object] = {}
     for ins in func.instructions():
@@ -340,8 +324,11 @@ def _apply_copies(func: Function) -> bool:
                 tgt = ops[1]
             elif 0 in ops:
                 tgt = 0
-        if tgt is not None and tgt != ins.result:
-            copies[ins.result] = tgt
+        if tgt is None or tgt == ins.result:
+            continue
+        if ins.opcode in BINARY_OPS and not fits(tgt, ins.width):
+            continue            # the identity still wraps tgt to the width
+        copies[ins.result] = tgt
     if not copies:
         return False
     for name in list(copies):
@@ -360,8 +347,7 @@ def _apply_copies(func: Function) -> bool:
 def _remove_dead_code(func: Function) -> bool:
     used: set[str] = set()
     for ins in func.instructions():
-        start = 1 if ins.opcode in MEMORY_OPS else 0
-        for op in ins.operands[start:]:
+        for op in value_operands(ins):
             if isinstance(op, str):
                 used.add(op)
     changed = False
@@ -533,20 +519,12 @@ def instcombine_lite(func: Function) -> Function:
 # jump threading
 # ======================================================================
 
-def _true_range(pred: str, k: int, width: int) -> list[tuple[int, int]]:
-    hi = (1 << width) - 1
-    if pred == "lt":
-        return [(0, k - 1)] if k > 0 else []
-    if pred == "gt":
-        return [(k + 1, hi)] if k < hi else []
-    if pred == "eq":
-        return [(k, k)]
-    out = []
-    if k > 0:
-        out.append((0, k - 1))
-    if k < hi:
-        out.append((k + 1, hi))
-    return out
+def _true_range(cmp: Instruction) -> list[tuple[int, int]]:
+    """The values x for which `icmp x, k` holds, as ranges: each predicate
+    is uniformly true or false below k, at k, and above k."""
+    k = cmp.operands[1]
+    pieces = ((0, k - 1), (k, k), (k + 1, (1 << cmp.width) - 1))
+    return [(lo, hi) for lo, hi in pieces if lo <= hi and evaluate(cmp, lo, k)]
 
 
 def _ranges_disjoint(r1, r2) -> bool:
@@ -600,9 +578,7 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
     c2 = _cmp_against_const(defs, s2.operands[0])
     if c1 is None or c2 is None or c1.operands[0] != c2.operands[0]:
         return False
-    if not _ranges_disjoint(
-            _true_range(c1.pred, c1.operands[1], c1.width),
-            _true_range(c2.pred, c2.operands[1], c2.width)):
+    if not _ranges_disjoint(_true_range(c1), _true_range(c2)):
         return False
 
     r1 = s1.result
@@ -877,7 +853,8 @@ def _unswitch_once(f: Function, threshold: int) -> bool:
             block.instrs.remove(cand)
             for l in ordered:
                 for ins in f.block(l).instrs:
-                    _subst(ins, {cand.result: cand.operands[1]})
+                    ins.operands = substitute(
+                        ins, {cand.result: cand.operands[1]})
             cblock = next(b for b in clones
                           if b.label == label_map[cand_label])
             csel = next(i for i in cblock.instrs
@@ -885,7 +862,8 @@ def _unswitch_once(f: Function, threshold: int) -> bool:
             cblock.instrs.remove(csel)
             for cb in clones:
                 for ins in cb.instrs:
-                    _subst(ins, {csel.result: csel.operands[2]})
+                    ins.operands = substitute(
+                        ins, {csel.result: csel.operands[2]})
         else:
             block = f.block(cand_label)
             idx = block.instrs.index(cand)
@@ -902,16 +880,10 @@ def _unswitch_once(f: Function, threshold: int) -> bool:
             f.fresh_id(), "condbr", None, (cond,), cand.loc,
             labels=(loop.header, label_map[loop.header]))])
 
-        pre_term = f.block(pre).terminator
-        pre_term.labels = tuple(guard_label if l == loop.header else l
-                                for l in pre_term.labels)
-        for ins in f.block(loop.header).phis():
-            ins.labels = tuple(guard_label if l == pre else l
-                               for l in ins.labels)
-        for cb in clones:
-            for ins in cb.phis():
-                ins.labels = tuple(guard_label if l == pre else l
-                                   for l in ins.labels)
+        _relabel(f.block(pre).terminator, loop.header, guard_label)
+        for b in [f.block(loop.header)] + clones:
+            for ins in b.phis():
+                _relabel(ins, pre, guard_label)
 
         at = f.block_index(loop.header)
         f.blocks[at:at] = [guard]
@@ -990,7 +962,6 @@ def _unroll_full(f: Function, loop, info, trip: int, pre: str) -> bool:
             elif l == pre:
                 entry_val[phi.result] = v
     iv = info.iv_phi.result
-    iv_mask = (1 << info.iv_phi.width) - 1
 
     cur = dict(entry_val)
     cur[iv] = info.init
@@ -1041,12 +1012,10 @@ def _unroll_full(f: Function, loop, info, trip: int, pre: str) -> bool:
         for phi in phis:
             op = latch_val[phi.result]
             nxt[phi.result] = vmap.get(op, op) if isinstance(op, str) else op
-        nxt[iv] = (info.init + k + 1) & iv_mask
+        nxt[iv] = evaluate(info.step_instr, cur[iv], 1)
         cur = nxt
 
-    pre_term = f.block(pre).terminator
-    pre_term.labels = tuple(h_labels[0] if l == header_label else l
-                            for l in pre_term.labels)
+    _relabel(f.block(pre).terminator, header_label, h_labels[0])
 
     loop_defined = _defined_in(f, loop.blocks)
     at = f.block_index(header_label)
@@ -1064,7 +1033,7 @@ def _unroll_full(f: Function, loop, info, trip: int, pre: str) -> bool:
         if b.label in new_set:
             continue
         for ins in b.instrs:
-            _subst(ins, mapping)
+            ins.operands = substitute(ins, mapping)
     return True
 
 
@@ -1326,9 +1295,7 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
     preds = predecessors(f)
     outside = [p for p in preds[loop.header] if p not in loop.blocks]
     pre = outside[0]
-    pre_term = f.block(pre).terminator
-    pre_term.labels = tuple(vpre_l if l == loop.header else l
-                            for l in pre_term.labels)
+    _relabel(f.block(pre).terminator, loop.header, vpre_l)
     phi = info.iv_phi
     arms = [(vpre_l if l == pre else l, v)
             for l, v in zip(phi.labels, phi.operands)]

@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .ir import ArrayType, Instruction, Program, ScalarType
+from .ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS, ArrayType,
+                 Instruction, Program, ScalarType, evaluate)
 
 DEFAULT_FUEL = 1_000_000
-_LANE_MASK = (1 << 32) - 1
+_LANE_MASK = (1 << LANE_WIDTH) - 1
 _M64 = (1 << 64) - 1
 
 
@@ -143,45 +144,15 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
             op = ins.opcode
             if op == "phi":
                 continue
-            mask = (1 << ins.width) - 1
-
-            if op == "const":
-                env[ins.result] = ins.operands[0] & mask
-            elif op in ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr"):
+            if op in BINARY_OPS:
                 a = _as_scalar(val(ins.operands[0], ins), ins)
                 b = _as_scalar(val(ins.operands[1], ins), ins)
-                if op == "add":
-                    r = a + b
-                elif op == "sub":
-                    r = a - b
-                elif op == "mul":
-                    r = a * b
-                elif op == "and":
-                    r = a & b
-                elif op == "or":
-                    r = a | b
-                elif op == "xor":
-                    r = a ^ b
-                elif op == "shl":
-                    r = a << (b & (ins.width - 1))
-                else:
-                    r = (a & mask) >> (b & (ins.width - 1))
-                env[ins.result] = r & mask
-            elif op == "neg":
-                a = _as_scalar(val(ins.operands[0], ins), ins)
-                env[ins.result] = (-a) & mask
-            elif op == "icmp":
-                a = _as_scalar(val(ins.operands[0], ins), ins)
-                b = _as_scalar(val(ins.operands[1], ins), ins)
-                if ins.pred == "eq":
-                    r = a == b
-                elif ins.pred == "ne":
-                    r = a != b
-                elif ins.pred == "lt":
-                    r = a < b
-                else:
-                    r = a > b
-                env[ins.result] = int(r)
+                env[ins.result] = BINARY_OPS[op](a, b, ins.width)
+            elif op in EVAL_OPS:
+                env[ins.result] = evaluate(
+                    ins, *[_as_scalar(val(o, ins), ins) for o in ins.operands])
+            elif op == "const":
+                env[ins.result] = ins.operands[0] & ((1 << ins.width) - 1)
             elif op in ("select", "vselect") and prog.stage == "lowered":
                 raise TraceError(
                     f"id {ins.iid}: {op} executed in a lowered program")
@@ -200,18 +171,12 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
             elif op == "splat":
                 x = _as_scalar(val(ins.operands[0], ins), ins)
                 env[ins.result] = (x & _LANE_MASK,) * ins.width
-            elif op in ("vadd", "vand", "vxor", "vor"):
+            elif op in LANEWISE_OPS:
                 a = _as_vector(val(ins.operands[0], ins), ins, ins.width)
                 b = _as_vector(val(ins.operands[1], ins), ins, ins.width)
-                if op == "vadd":
-                    r = tuple((x + y) & _LANE_MASK for x, y in zip(a, b))
-                elif op == "vand":
-                    r = tuple(x & y for x, y in zip(a, b))
-                elif op == "vxor":
-                    r = tuple(x ^ y for x, y in zip(a, b))
-                else:
-                    r = tuple(x | y for x, y in zip(a, b))
-                env[ins.result] = r
+                lane_op = BINARY_OPS[LANEWISE_OPS[op]]
+                env[ins.result] = tuple(lane_op(x, y, LANE_WIDTH)
+                                        for x, y in zip(a, b))
             elif op == "load":
                 name = region(ins)
                 off = _as_scalar(val(ins.operands[1], ins), ins)

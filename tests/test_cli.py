@@ -93,6 +93,16 @@ def test_matrix_custom_vary_uses_product(capsys):
     assert len(combos) == 4
 
 
+def test_matrix_rejects_a_repeated_vary_name(capsys):
+    for vary in ("loop_unroll,loop_unroll",
+                 "instcombine,loop_unswitch,loop_unroll,loop_vectorize,"
+                 "loop_unroll"):
+        code, out, err = run(capsys, "matrix", "fig1a_branch", "--vary", vary)
+        assert code == 1, vary
+        assert out == ""
+        assert "'loop_unroll' more than once" in err
+
+
 def test_matrix_text_table(capsys):
     code, out, _ = run(capsys, "matrix", "fig1a_branch",
                        "--preset", "baseline-off", "--vary", "instcombine")

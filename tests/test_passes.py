@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ctlab.corpus import load_program
-from ctlab.ir import parse_ir, print_ir, validate
+from ctlab.ir import BINARY_OPS, CMP_PREDS, parse_ir, print_ir, validate
 from ctlab.passes import (
     PASS_ORDER,
     InternalPassError,
@@ -170,6 +170,66 @@ bb1:
     func = cleanup(parse_ir(src).function())
     assert len(func.blocks) == 1
     assert [i.opcode for i in func.instructions()] == ["add", "add", "ret"]
+
+
+@pytest.mark.parametrize("identity", [
+    "add {v}, 0", "add 0, {v}", "or {v}, 0", "xor 0, {v}", "sub {v}, 0",
+    "mul {v}, 1", "mul 1, {v}", "shl {v}, 0", "lshr {v}, 0",
+    "and {v}, {m}", "and {m}, {v}",
+])
+def test_identity_forwarding_respects_width(identity):
+    op, rest = identity.split(" ", 1)
+
+    def at(width, v):
+        return f"{op}.{width} " + rest.format(v=v, m=(1 << width) - 1)
+
+    # r wraps a u32 at width 8 (1000 -> 232); s (a u8) and t (a width-16
+    # value at width 16) already fit, so only those two are forwarded.
+    src = f"""
+func f(public x: u32 = 1000, public y: u8 = 200) {{
+bb0:
+  n = and.16 x, 65535
+  r = {at(8, "x")}
+  s = {at(8, "y")}
+  t = {at(16, "n")}
+  u = add r, s
+  v = add u, t
+  ret v
+}}
+"""
+    prog = parse_ir(src)
+    args = {"x": 1000, "y": 200}
+    assert execute(prog, args).result == 232 + 200 + 1000
+    out, _ = pipe(prog, instcombine=True)
+    assert execute(out, args).result == 232 + 200 + 1000
+    assert [i.opcode for i in out.function().instructions()] == \
+        ["and", op, "add", "add", "ret"]
+
+
+def _fold_cases(op, width):
+    values = (0, 1, 7, 300, (1 << width) - 1, 1 << width, (3 << width) + 5)
+    if op == "neg":
+        return [(a,) for a in values]
+    return [(a, b) for a in values for b in values]
+
+
+@pytest.mark.parametrize("width", (8, 16, 32, 64))
+@pytest.mark.parametrize("op", sorted(BINARY_OPS) + ["neg"]
+                         + [f"icmp.{p}" for p in CMP_PREDS])
+def test_folding_matches_execution(op, width):
+    cases = _fold_cases(op, width)
+    body = "".join(
+        f"  r{k} = {op}.{width} {', '.join(map(str, args))}\n"
+        f"  store out, {k}, r{k}\n" for k, args in enumerate(cases))
+    prog = parse_ir(f"func f() {{\nbb0:\n{body}  ret 0\n}}\n"
+                    f"global out: arr<u64,{len(cases)}> = zeros\n")
+    folded, _ = pipe(prog, instcombine=True)
+    assert {i.opcode for i in folded.function().instructions()} == \
+        {"const", "store", "ret"}
+    want = execute(prog, {}).memory["out"]
+    got = execute(folded, {}).memory["out"]
+    assert [(args, w, g) for args, w, g in zip(cases, want, got) if w != g] \
+        == []
 
 
 # ----------------------------------------------------------------------
