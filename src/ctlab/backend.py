@@ -111,7 +111,7 @@ def _split_to_diamond(func: Function, bidx: int, iidx: int, cond: object,
                            (true_val, false_val), ins.loc, ins.width,
                            labels=(t_l, f_l))
     rest = block.instrs[iidx + 1:]
-    _fix_phi_arm_labels(func, block.label, j_l)
+    _fix_phi_arm_labels(func, {block.label: j_l})
     block.instrs = block.instrs[:iidx] + [condbr]
     func.blocks[bidx + 1:bidx + 1] = [
         BasicBlock(t_l, t_blk),

@@ -635,13 +635,13 @@ def predecessors(func: Function) -> dict[str, list[str]]:
 def reachable(func: Function) -> set[str]:
     seen: set[str] = set()
     stack = [func.entry]
-    labels = {b.label for b in func.blocks}
+    by_label = {b.label: b for b in func.blocks}
     while stack:
         l = stack.pop()
-        if l in seen or l not in labels:
+        if l in seen or l not in by_label:
             continue
         seen.add(l)
-        stack.extend(successors(func.block(l)))
+        stack.extend(successors(by_label[l]))
     return seen
 
 

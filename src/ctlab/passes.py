@@ -3,9 +3,10 @@
 Each pass is a small, deterministic model of the real transformation's
 observable effect: it fires on the documented pattern and leaves everything
 else untouched.  Passes are pure (function in, new function out); the
-runner applies the enabled ones in a fixed order, runs a cleanup sweep
-after each, validates the result, and logs created/deleted instruction ids
-so leak findings can be attributed to the pass that introduced them.
+runner applies the enabled ones in a fixed order, runs cleanup to its
+fixpoint after each, validates the result, and logs created/deleted
+instruction ids so leak findings can be attributed to the pass that
+introduced them.
 """
 
 from __future__ import annotations
@@ -214,10 +215,11 @@ def _relabel(ins: Instruction, old: str, new: str) -> None:
     ins.labels = tuple(new if l == old else l for l in ins.labels)
 
 
-def _fix_phi_arm_labels(func: Function, old: str, new: str) -> None:
+def _fix_phi_arm_labels(func: Function, renames: dict[str, str]) -> None:
+    """Rename phi arm labels: each key of ``renames`` becomes its value."""
     for block in func.blocks:
         for ins in block.phis():
-            _relabel(ins, old, new)
+            ins.labels = tuple(renames.get(l, l) for l in ins.labels)
 
 
 def _defined_in(func: Function, labels) -> set[str]:
@@ -411,36 +413,63 @@ def _remove_redundant_stores(func: Function) -> bool:
 
 
 def _merge_blocks(func: Function) -> bool:
+    """Fold every chain of blocks joined by `br` into the chain's head.  A
+    block joins its predecessor's chain when that predecessor is its only
+    one, it has no phis and it is not the entry."""
     preds = predecessors(func)
+    by_label = {b.label: b for b in func.blocks}
+    merged: dict[str, str] = {}         # folded label -> block it joined
     for b in func.blocks:
-        term = b.terminator
-        if term is None or term.opcode != "br":
+        if b.label in merged:
             continue
-        target = term.labels[0]
-        if target == b.label or target == func.entry:
-            continue
-        if preds.get(target) != [b.label]:
-            continue
-        tblock = func.block(target)
-        if tblock.phis():
-            continue
-        b.instrs = b.instrs[:-1] + tblock.instrs
-        func.blocks.remove(tblock)
-        _fix_phi_arm_labels(func, target, b.label)
-        return True
-    return False
+        while True:
+            term = b.terminator
+            if term is None or term.opcode != "br":
+                break
+            target = term.labels[0]
+            if target == b.label or target == func.entry \
+                    or preds.get(target) != [b.label]:
+                break
+            tblock = by_label[target]
+            if tblock.phis():
+                break
+            b.instrs = b.instrs[:-1] + tblock.instrs
+            merged[target] = b.label
+            for succ in successors(tblock):
+                preds[succ] = [b.label if p == target else p
+                               for p in preds.get(succ, ())]
+    if not merged:
+        return False
+    func.blocks = [b for b in func.blocks if b.label not in merged]
+    for label in merged:                # a head may itself have been folded
+        head = merged[label]
+        while head in merged:
+            head = merged[head]
+        merged[label] = head
+    _fix_phi_arm_labels(func, merged)
+    return True
+
+
+# Sweeps after which cleanup gives up.  Each sweep merges every block chain,
+# so the corpus settles within a handful; a function still changing here
+# cycles between its subpasses.
+_CLEANUP_SWEEPS = 200
 
 
 def cleanup(func: Function) -> Function:
-    """Folding, copy propagation, DCE, and CFG tidying, to a fixpoint."""
+    """Folding, copy propagation, DCE, and CFG tidying, to a fixpoint.
+    Raises InternalPassError when the fixpoint is not reached within
+    ``_CLEANUP_SWEEPS`` sweeps."""
     f = copy_function(func)
-    for _ in range(200):
+    for _ in range(_CLEANUP_SWEEPS):
         changed = (_fold_constants(f) | _apply_copies(f) | _remove_dead_code(f)
                    | _tidy_cfg(f) | _remove_redundant_stores(f)
                    | _merge_blocks(f))
         if not changed:
-            break
-    return f
+            return f
+    raise InternalPassError(
+        f"cleanup of {func.name} did not reach a fixpoint in "
+        f"{_CLEANUP_SWEEPS} sweeps", [])
 
 
 # ======================================================================
@@ -655,7 +684,7 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
                         (arm_t, arm_ft, arm_ff), s2.loc, s2.width,
                         labels=(bt, bft, bff))] + post
 
-    _fix_phi_arm_labels(f, block.label, bj)
+    _fix_phi_arm_labels(f, {block.label: bj})
     at = f.block_index(block.label)
     block.instrs = head
     f.blocks[at + 1:at + 1] = [
@@ -1022,7 +1051,7 @@ def _unroll_full(f: Function, loop, info, trip: int, pre: str) -> bool:
     insert_at = sum(1 for b in f.blocks[:at] if b.label not in loop.blocks)
     f.blocks = [b for b in f.blocks if b.label not in loop.blocks]
     f.blocks[insert_at:insert_at] = new_blocks
-    _fix_phi_arm_labels(f, header_label, h_labels[trip])
+    _fix_phi_arm_labels(f, {header_label: h_labels[trip]})
 
     mapping = {}
     for name in loop_defined:
@@ -1595,8 +1624,8 @@ def run_pipeline(prog: Program,
     """Apply the enabled passes in their fixed order, cleaning up and
     validating after each.  With every toggle off the program comes back
     unchanged (modulo copying).  Raises IRError when the input program is
-    malformed, and InternalPassError when a pass leaves it malformed,
-    carrying the log of passes applied so far.
+    malformed, and InternalPassError when a pass leaves it malformed or its
+    cleanup does not settle, carrying the log of passes applied so far.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
@@ -1609,7 +1638,10 @@ def run_pipeline(prog: Program,
         for fname in list(out.functions):
             func = out.functions[fname]
             before = {i.iid for i in func.instructions()}
-            new = cleanup(_PASSES[name](func, spec))
+            try:
+                new = cleanup(_PASSES[name](func, spec))
+            except InternalPassError as e:
+                raise InternalPassError(f"pass {name}: {e}", log) from e
             after = {i.iid for i in new.instructions()}
             created = tuple(sorted(after - before))
             deleted = tuple(sorted(before - after))

@@ -74,8 +74,8 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
     ``args`` maps every parameter name to a value: ints for scalars (masked
     to the declared width), tuples of ints for array parameters.  Execution
     is fully deterministic.  Raises TraceError on missing arguments, fuel
-    exhaustion, out-of-bounds memory access, or a ``select``/``vselect``
-    surviving into a lowered program.
+    exhaustion, out-of-bounds memory access, a branch to an unknown block,
+    or a ``select``/``vselect`` surviving into a lowered program.
     """
     func = prog.function(func_name)
     memory: dict[str, list[int]] = {}
@@ -120,11 +120,15 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
 
     events: list[BranchDir | MemAccess] = []
     steps = 0
+    blocks = {b.label: b for b in func.blocks}
     label = func.entry
     prev_label: str | None = None
 
     while True:
-        block = func.block(label)
+        block = blocks.get(label)
+        if block is None:
+            raise TraceError(
+                f"block {prev_label} branches to unknown block {label!r}")
         # Parallel phi evaluation on block entry.
         phi_updates = {}
         for phi in block.phis():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from ctlab.corpus import load_program
+from ctlab import passes
+from ctlab.corpus import load_program, names
 from ctlab.ir import BINARY_OPS, CMP_PREDS, parse_ir, print_ir, validate
+from ctlab.mitigations import PRESETS
 from ctlab.passes import (
     PASS_ORDER,
     InternalPassError,
@@ -170,6 +172,78 @@ bb1:
     func = cleanup(parse_ir(src).function())
     assert len(func.blocks) == 1
     assert [i.opcode for i in func.instructions()] == ["add", "add", "ret"]
+
+
+def test_cleanup_merges_a_long_chain_in_one_call():
+    body = "".join(f"bb{k}:\n  x{k + 1} = add x{k}, 1\n  br bb{k + 1}\n"
+                   for k in range(250))
+    prog = parse_ir(f"func f(public x0: u32 = 3) {{\n{body}"
+                    f"bb250:\n  ret x250\n}}")
+    func = cleanup(prog.function())
+    assert len(func.blocks) == 1
+    assert cleanup(func) == func
+    prog.functions["f"] = func
+    assert execute(prog, {"x0": 3}).result == 253
+
+
+@pytest.mark.parametrize("order", ["a b c", "c b a"])
+def test_cleanup_retargets_phi_arms_to_the_chain_head(order):
+    # a -> b -> c merges into a, whichever of them comes first in the
+    # function, so the phi's arm from c must name a.
+    chain = {"a": "  x = add n, 1\n  br b\n",
+             "b": "  y = add x, 2\n  br c\n",
+             "c": "  z = add y, 3\n  br join\n"}
+    blocks = "".join(f"{l}:\n{chain[l]}" for l in order.split())
+    src = f"""
+func f(secret s: u1, public n: u32 = 1) {{
+bb0:
+  condbr s, a, other
+other:
+  br join
+{blocks}join:
+  r = phi [c: z], [other: n]
+  ret r
+}}
+"""
+    func = cleanup(parse_ir(src).function())
+    assert [b.label for b in func.blocks] == ["bb0", "other", "a", "join"]
+    phi = func.block("join").instrs[0]
+    assert phi.labels == ("a", "other") and phi.operands == ("z", "n")
+
+
+def test_cleanup_that_does_not_settle_raises(monkeypatch):
+    # The block merger claims a change on every sweep of g, so g's cleanup
+    # never settles; f's cleanup finishes first and is in the log.
+    real = passes._merge_blocks
+    monkeypatch.setattr(passes, "_merge_blocks",
+                        lambda func: real(func) or func.name == "g")
+    src = "func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n" \
+          "func g(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
+    prog = parse_ir(src)
+    with pytest.raises(InternalPassError, match="did not reach a fixpoint"):
+        cleanup(prog.function("g"))
+    with pytest.raises(InternalPassError,
+                       match="pass instcombine: cleanup of g") as err:
+        pipe(prog, instcombine=True)
+    assert [(e.pass_name, e.function) for e in err.value.log] == \
+        [("instcombine", "f")]
+
+
+@pytest.mark.parametrize("preset_name", list(PRESETS))
+def test_cleanup_output_is_a_fixpoint(monkeypatch, preset_name):
+    real = passes.cleanup
+    unsettled = []
+
+    def checked(func):
+        out = real(func)
+        if real(out) != out:
+            unsettled.append(func.name)
+        return out
+
+    monkeypatch.setattr(passes, "cleanup", checked)
+    for name in names():
+        run_pipeline(load_program(name), PRESETS[preset_name].spec)
+        assert unsettled == [], name
 
 
 @pytest.mark.parametrize("identity", [
@@ -559,7 +633,6 @@ def test_log_records_every_enabled_pass():
 
 
 def test_all_passes_on_all_corpus_entries_stay_valid():
-    from ctlab.corpus import names
     spec = PipelineSpec(toggles={k: True for k in PASS_ORDER})
     for name in names():
         out, _ = run_pipeline(load_program(name), spec)

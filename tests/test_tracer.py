@@ -169,6 +169,20 @@ def test_out_of_bounds_and_missing_args_raise():
         run(MEMORY)  # no binding for s
 
 
+def test_branch_to_unknown_block_raises():
+    src = """
+func f(secret s: u1) {
+bb0:
+  condbr s, bb1, bbX
+bb1:
+  ret 0
+}
+"""
+    assert execute(parse_ir(src), {"s": 1}).result == 0
+    with pytest.raises(TraceError, match="bb0 branches to unknown block 'bbX'"):
+        execute(parse_ir(src), {"s": 0})
+
+
 def test_fuel_limit():
     src = """
 func f(secret s: u1) {
