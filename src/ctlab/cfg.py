@@ -20,13 +20,18 @@ class Loop:
     latches: list[str]
     blocks: set[str] = field(default_factory=set)
     parent: "Loop | None" = None
+    # The header's single predecessor outside the loop, or None when there
+    # is not exactly one.  Like every field, a snapshot of the function when
+    # natural_loops ran: a Loop built by hand has none.
+    preheader: str | None = None
 
 
 def natural_loops(func: Function) -> list[Loop]:
     """All natural loops, via back edges (tail dominated by head).
 
     Loops sharing a header are merged.  Result is sorted outermost-first
-    (by block-set size, descending) with parent links filled in.
+    (by block-set size, descending) with parent links and preheaders filled
+    in.
     """
     dom = dominators(func)
     by_header: dict[str, Loop] = {}
@@ -50,6 +55,10 @@ def natural_loops(func: Function) -> list[Loop]:
                     stack.extend(p for p in preds.get(l, []) if p in dom)
 
     loops = sorted(by_header.values(), key=lambda l: -len(l.blocks))
+    for loop in loops:
+        outside = [p for p in preds[loop.header] if p not in loop.blocks]
+        if len(outside) == 1:
+            loop.preheader = outside[0]
     for i, inner in enumerate(loops):
         for outer in loops[:i]:
             if inner.header in outer.blocks and outer is not inner:
@@ -104,7 +113,9 @@ def _resolve_const(defs: dict[str, Instruction], op: object) -> object:
 
 
 def counted_loop_info(func: Function, loop: Loop) -> CountedLoop | None:
-    """Recognize the canonical counted-loop shape, else None."""
+    """Recognize the canonical counted-loop shape, else None.  ``loop``
+    must come from ``natural_loops(func)``, with its blocks and preheader
+    unchanged since: the preheader is taken from it, not recomputed."""
     header = func.block(loop.header)
     term = header.terminator
     if term is None or term.opcode != "condbr":
@@ -136,9 +147,7 @@ def counted_loop_info(func: Function, loop: Loop) -> CountedLoop | None:
 
     init = None
     step_name = None
-    preds = predecessors(func)
-    outside = [p for p in preds[loop.header] if p not in loop.blocks]
-    if len(outside) != 1:
+    if loop.preheader is None:
         return None
     for label, op in zip(iv_phi.labels, iv_phi.operands):
         if label == latch:

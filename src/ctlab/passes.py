@@ -2,11 +2,12 @@
 
 Each pass is a small, deterministic model of the real transformation's
 observable effect: it fires on the documented pattern and leaves everything
-else untouched.  Passes are pure (function in, new function out); the
-runner applies the enabled ones in a fixed order, runs cleanup to its
-fixpoint after each, validates the result, and logs created/deleted
-instruction ids so leak findings can be attributed to the pass that
-introduced them.
+else untouched.  Each pass is a step that rewrites a function in place and
+returns whether it changed anything.  The runner copies each function once
+per pass application, runs the pass's step and then cleanup, each to its
+fixpoint, validates the result, and logs created/deleted instruction ids so
+leak findings can be attributed to the pass that introduced them.  A step
+or cleanup that does not settle raises an error that names it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .ir import (
     value_operands,
 )
 
-# The pass table, in pipeline order: each entry applies one pass with its
-# knobs from the spec.  Passes are looked up as module globals at call
-# time, so a wrapper installed on the module sees every application.
+# The pass table, in pipeline order: each entry takes one step of a pass
+# with its knobs from the spec.  Steps are looked up as module globals at
+# call time, so a wrapper installed on the module sees every step.
 _PASSES = {
     "instcombine": lambda f, s: instcombine_lite(f),
     "jump_thread": lambda f, s: jump_thread(f),
@@ -57,7 +58,8 @@ _PURE_OPS = EVAL_OPS | {"const", "select"}
 
 
 class InternalPassError(Exception):
-    """A pass produced an invalid function; carries the partial pass log."""
+    """A pass produced an invalid function or did not settle; carries the
+    partial pass log."""
 
     def __init__(self, message: str, log: list["PassLogEntry"]):
         super().__init__(message)
@@ -246,6 +248,38 @@ def _loop_values_escape(func: Function, blocks: set[str]) -> bool:
 def _loops_inner_first(func: Function):
     return sorted(natural_loops(func),
                   key=lambda l: (len(l.blocks), func.block_index(l.header)))
+
+
+def _rewrite_loops(loops, rewrite) -> bool:
+    """Offer each loop to ``rewrite(loop)``, which returns whether it
+    rewrote it; a loop sharing a block or preheader with one rewritten
+    before it may be stale, so it waits for the next step."""
+    touched: set[str] = set()
+    for loop in loops:
+        span = loop.blocks | {loop.preheader} if loop.preheader \
+            else loop.blocks
+        if touched.isdisjoint(span) and rewrite(loop):
+            touched |= span
+    return bool(touched)
+
+
+# Steps after which a rewrite is taken not to settle.  A step rewrites every
+# match it finds, so no step needs more than a handful on the corpus.
+_FIXPOINT_STEPS = 200
+
+
+def _to_fixpoint(step, f: Function, what: str) -> bool:
+    """Call ``step(f)`` until it reports no change; True when anything
+    changed.  Raises InternalPassError, naming ``what`` and the function,
+    when ``f`` still changes after ``_FIXPOINT_STEPS`` steps."""
+    changed = False
+    for _ in range(_FIXPOINT_STEPS):
+        if not step(f):
+            return changed
+        changed = True
+    raise InternalPassError(
+        f"{what} of {f.name} did not reach a fixpoint in "
+        f"{_FIXPOINT_STEPS} steps", [])
 
 
 # ======================================================================
@@ -450,43 +484,37 @@ def _merge_blocks(func: Function) -> bool:
     return True
 
 
-# Sweeps after which cleanup gives up.  Each sweep merges every block chain,
-# so the corpus settles within a handful; a function still changing here
-# cycles between its subpasses.
-_CLEANUP_SWEEPS = 200
+def _cleanup_sweep(f: Function) -> bool:
+    return (_fold_constants(f) | _apply_copies(f) | _remove_dead_code(f)
+            | _tidy_cfg(f) | _remove_redundant_stores(f) | _merge_blocks(f))
 
 
-def cleanup(func: Function) -> Function:
-    """Folding, copy propagation, DCE, and CFG tidying, to a fixpoint.
-    Raises InternalPassError when the fixpoint is not reached within
-    ``_CLEANUP_SWEEPS`` sweeps."""
-    f = copy_function(func)
-    for _ in range(_CLEANUP_SWEEPS):
-        changed = (_fold_constants(f) | _apply_copies(f) | _remove_dead_code(f)
-                   | _tidy_cfg(f) | _remove_redundant_stores(f)
-                   | _merge_blocks(f))
-        if not changed:
-            return f
-    raise InternalPassError(
-        f"cleanup of {func.name} did not reach a fixpoint in "
-        f"{_CLEANUP_SWEEPS} sweeps", [])
+def cleanup(f: Function) -> bool:
+    """Folding, copy propagation, DCE, and CFG tidying, in place, to a
+    fixpoint; True when anything changed.  Each sweep merges every block
+    chain, so the corpus settles within a handful."""
+    return _to_fixpoint(_cleanup_sweep, f, "cleanup")
 
 
 # ======================================================================
 # instcombine
 # ======================================================================
 
-def instcombine_lite(func: Function) -> Function:
+def instcombine_lite(f: Function) -> bool:
     """Rewrite bit-mask selection arithmetic into selects.
 
     (i)  b ^ ((0 - c) & (a ^ b))  ->  select c, a, b
     (ii) (0 - c) & a              ->  select c, a, 0
 
     with c provably 0/1.  The select takes the root instruction's place,
-    keeping its result name and source location under a fresh id.
+    keeping its result name and source location under a fresh id.  Roots
+    whose result has no users are skipped, so a repeated step does not
+    re-match the `and` an earlier one consumed.  An inner `and` of (i) that
+    has users besides the blend outlives its rewrite, and the next step
+    rewrites it by (ii) like any other mask.
     """
-    f = copy_function(func)
     defs = f.defs()
+    used = _uses(f)
     consumed: set[int] = set()
     rewrites: list[tuple[int, tuple]] = []
 
@@ -517,7 +545,7 @@ def instcombine_lite(func: Function) -> Function:
 
     # Whole-tree matches first so the inner `and` is not claimed by (ii).
     for root in f.instructions():
-        if root.opcode != "xor":
+        if root.opcode != "xor" or root.result not in used:
             continue
         m = match_masked_blend(root)
         if m is not None:
@@ -525,7 +553,8 @@ def instcombine_lite(func: Function) -> Function:
             consumed.add(m[1])
 
     for root in f.instructions():
-        if root.opcode != "and" or root.iid in consumed:
+        if root.opcode != "and" or root.iid in consumed \
+                or root.result not in used:
             continue
         for m_op, a_op in ((root.operands[0], root.operands[1]),
                            (root.operands[1], root.operands[0])):
@@ -541,7 +570,7 @@ def instcombine_lite(func: Function) -> Function:
                 block.instrs[idx] = Instruction(
                     f.fresh_id(), "select", ins.result, table[ins.iid],
                     ins.loc, ins.width)
-    return f
+    return bool(table)
 
 
 # ======================================================================
@@ -561,22 +590,6 @@ def _ranges_disjoint(r1, r2) -> bool:
                for a_lo, a_hi in r1 for b_lo, b_hi in r2)
 
 
-def jump_thread(func: Function) -> Function:
-    """Thread correlated conditions through a pair of selects.
-
-    When a block computes `r1 = select c1, A1, B1` and later
-    `r2 = select c2, A2, r1`, with c1 and c2 comparing the same value
-    against constants whose true-ranges cannot both hold, the block is
-    rewritten into explicit branches where the c1-true path skips the c2
-    test entirely.
-    """
-    f = copy_function(func)
-    for _ in range(4):
-        if not _thread_once(f):
-            break
-    return f
-
-
 def _cmp_against_const(defs, op):
     if not isinstance(op, str) or op not in defs:
         return None
@@ -587,17 +600,31 @@ def _cmp_against_const(defs, op):
     return None
 
 
-def _thread_once(f: Function) -> bool:
-    defs = f.defs()
-    uses = _uses(f)
-    for block in f.blocks:
+def jump_thread(f: Function) -> bool:
+    """Thread correlated conditions through a pair of selects.
+
+    When a block computes `r1 = select c1, A1, B1` and later
+    `r2 = select c2, A2, r1`, with c1 and c2 comparing the same value
+    against constants whose true-ranges cannot both hold, the block is
+    rewritten into explicit branches where the c1-true path skips the c2
+    test entirely.  A step threads every such pair, block by block, looking
+    again at a block after threading it and then at the blocks it split
+    into; each threading turns two selects into branches, so the scan ends.
+    """
+    changed = False
+    defs, uses = f.defs(), _uses(f)
+    at = 0
+    while at < len(f.blocks):
+        block = f.blocks[at]
         sel_idx = [i for i, ins in enumerate(block.instrs)
                    if ins.opcode == "select"]
-        for i1 in sel_idx:
-            for i2 in sel_idx:
-                if i2 > i1 and _thread_pair(f, block, i1, i2, defs, uses):
-                    return True
-    return False
+        if any(_thread_pair(f, block, i1, i2, defs, uses)
+               for i1 in sel_idx for i2 in sel_idx if i2 > i1):
+            changed = True
+            defs, uses = f.defs(), _uses(f)
+        else:
+            at += 1
+    return changed
 
 
 def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
@@ -704,259 +731,252 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
 # path splitting
 # ======================================================================
 
-def path_split(func: Function) -> Function:
+def path_split(f: Function) -> bool:
     """Duplicate a loop latch tail below a select into two explicit paths.
 
     A latch `...; r = select c, a, b; tail...; br header` becomes a
     conditional branch into two tail copies, one with r bound to a and one
-    with r bound to b, both branching back to the header.
+    with r bound to b, both branching back to the header.  A step splits
+    every such latch.
     """
-    f = copy_function(func)
-    for _ in range(4):
-        if not _split_once(f):
-            break
-    return f
+    return _rewrite_loops(_loops_inner_first(f),
+                          lambda loop: _split_latch(f, loop))
 
 
-def _split_once(f: Function) -> bool:
+def _split_latch(f: Function, loop) -> bool:
+    if len(loop.latches) != 1:
+        return False
+    latch_label = loop.latches[0]
+    latch = f.block(latch_label)
+    term = latch.terminator
+    if term is None or term.opcode != "br" or term.labels != (loop.header,):
+        return False
+    sel_at = next((i for i, ins in enumerate(latch.instrs)
+                   if ins.opcode == "select"), None)
+    if sel_at is None:
+        return False
+    sel = latch.instrs[sel_at]
+    tail = latch.instrs[sel_at + 1:]
+    tail_set = {id(t) for t in tail}
+    if any(ins.opcode == "phi" for ins in tail):
+        return False
+    header_phis = f.block(loop.header).phis()
     uses = _uses(f)
-    for loop in _loops_inner_first(f):
-        if len(loop.latches) != 1:
-            continue
-        latch_label = loop.latches[0]
-        latch = f.block(latch_label)
-        term = latch.terminator
-        if term is None or term.opcode != "br" \
-                or term.labels != (loop.header,):
-            continue
-        sel_at = next((i for i, ins in enumerate(latch.instrs)
-                       if ins.opcode == "select"), None)
-        if sel_at is None:
-            continue
-        sel = latch.instrs[sel_at]
-        tail = latch.instrs[sel_at + 1:]
-        tail_set = {id(t) for t in tail}
-        if any(ins.opcode == "phi" for ins in tail):
-            continue
-        header_phis = f.block(loop.header).phis()
 
-        def used_locally(name: str) -> bool:
-            for user in uses.get(name, []):
-                if id(user) in tail_set or user in header_phis:
-                    continue
-                return False
-            return True
-
-        tail_names = {ins.result for ins in tail if ins.result}
-        if not all(used_locally(n) for n in tail_names | {sel.result}):
-            continue
-
-        labels = _labels(f)
-        lt = _fresh_name(labels, f"{latch_label}.t")
-        lf = _fresh_name(labels, f"{latch_label}.f")
-        names = _all_names(f)
-
-        def clone_tail(suffix: str, r_val):
-            vmap: dict[str, object] = {sel.result: r_val}
-            out = []
-            for ins in tail:
-                nm = _fresh_name(names, f"{ins.result}{suffix}") \
-                    if ins.result else None
-                out.append(clone_instruction(ins, f.fresh_id(), vmap, None,
-                                             result=nm))
-                if ins.result:
-                    vmap[ins.result] = nm
-            return out, vmap
-
-        t_instrs, t_map = clone_tail(".t", sel.operands[1])
-        f_instrs, f_map = clone_tail(".f", sel.operands[2])
-
-        latch.instrs = latch.instrs[:sel_at] + [Instruction(
-            f.fresh_id(), "condbr", None, (sel.operands[0],), sel.loc,
-            labels=(lt, lf))]
-        at = f.block_index(latch_label)
-        f.blocks[at + 1:at + 1] = [BasicBlock(lt, t_instrs),
-                                   BasicBlock(lf, f_instrs)]
-
-        for phi in header_phis:
-            if latch_label not in phi.labels:
+    def used_locally(name: str) -> bool:
+        for user in uses.get(name, []):
+            if id(user) in tail_set or user in header_phis:
                 continue
-            new_arms = []
-            for l, v in zip(phi.labels, phi.operands):
-                if l != latch_label:
-                    new_arms.append((l, v))
-                    continue
-                vt = t_map.get(v, v) if isinstance(v, str) else v
-                vf = f_map.get(v, v) if isinstance(v, str) else v
-                new_arms.append((lt, vt))
-                new_arms.append((lf, vf))
-            phi.labels = tuple(l for l, _ in new_arms)
-            phi.operands = tuple(v for _, v in new_arms)
+            return False
         return True
-    return False
+
+    tail_names = {ins.result for ins in tail if ins.result}
+    if not all(used_locally(n) for n in tail_names | {sel.result}):
+        return False
+
+    labels = _labels(f)
+    lt = _fresh_name(labels, f"{latch_label}.t")
+    lf = _fresh_name(labels, f"{latch_label}.f")
+    names = _all_names(f)
+
+    def clone_tail(suffix: str, r_val):
+        vmap: dict[str, object] = {sel.result: r_val}
+        out = []
+        for ins in tail:
+            nm = _fresh_name(names, f"{ins.result}{suffix}") \
+                if ins.result else None
+            out.append(clone_instruction(ins, f.fresh_id(), vmap, None,
+                                         result=nm))
+            if ins.result:
+                vmap[ins.result] = nm
+        return out, vmap
+
+    t_instrs, t_map = clone_tail(".t", sel.operands[1])
+    f_instrs, f_map = clone_tail(".f", sel.operands[2])
+
+    latch.instrs = latch.instrs[:sel_at] + [Instruction(
+        f.fresh_id(), "condbr", None, (sel.operands[0],), sel.loc,
+        labels=(lt, lf))]
+    at = f.block_index(latch_label)
+    f.blocks[at + 1:at + 1] = [BasicBlock(lt, t_instrs),
+                               BasicBlock(lf, f_instrs)]
+
+    for phi in header_phis:
+        if latch_label not in phi.labels:
+            continue
+        new_arms = []
+        for l, v in zip(phi.labels, phi.operands):
+            if l != latch_label:
+                new_arms.append((l, v))
+                continue
+            vt = t_map.get(v, v) if isinstance(v, str) else v
+            vf = f_map.get(v, v) if isinstance(v, str) else v
+            new_arms.append((lt, vt))
+            new_arms.append((lf, vf))
+        phi.labels = tuple(l for l, _ in new_arms)
+        phi.operands = tuple(v for _, v in new_arms)
+    return True
 
 
 # ======================================================================
 # loop unswitching
 # ======================================================================
 
-def loop_unswitch(func: Function, threshold: int = 32) -> Function:
+# Unswitching clones whole loops, so k invariant conditions in one loop ask
+# for 2**k copies.  The loops entered from its guard blocks (labelled
+# _GUARD) may hold at most _UNSWITCH_GROWTH times the unswitch threshold in
+# instructions; conditions past that budget stay in their loops.
+_GUARD = "unsw.guard"
+_UNSWITCH_GROWTH = 8
+
+
+def loop_unswitch(f: Function, threshold: int = 32) -> bool:
     """Hoist loop-invariant conditions out of loops by duplication.
 
     The loop is cloned under a new guard branch on the invariant condition;
     in each copy the select (or loop-internal condbr) collapses to one
     side.  Loops whose instruction count exceeds `threshold` are left
-    alone.
+    alone.  A step unswitches every loop it can, on one condition each, and
+    stops cloning once the loops entered from unswitch guards would hold
+    more than `_UNSWITCH_GROWTH` times `threshold` instructions.
     """
-    f = copy_function(func)
-    for _ in range(8):
-        if not _unswitch_once(f, threshold):
-            break
-    return f
+    loops = _loops_inner_first(f)
+    size = {l.header: sum(len(f.block(b).instrs) for b in l.blocks)
+            for l in loops}
+    guarded = {l.header for l in loops
+               if (l.preheader or "").startswith(_GUARD)}
+    budget = _UNSWITCH_GROWTH * threshold - sum(size[h] for h in guarded)
 
-
-def _unswitch_once(f: Function, threshold: int) -> bool:
-    preds = predecessors(f)
-    for loop in _loops_inner_first(f):
-        outside = [p for p in preds[loop.header] if p not in loop.blocks]
-        if len(outside) != 1:
-            continue
-        if sum(len(f.block(l).instrs) for l in loop.blocks) > threshold:
-            continue
-        if _loop_values_escape(f, loop.blocks):
-            continue
-        exits = {s for l in loop.blocks for s in successors(f.block(l))
-                 if s not in loop.blocks}
-        if any(f.block(e).phis() for e in exits):
-            continue
-
-        loop_defs = _defined_in(f, loop.blocks)
-
-        def invariant(op) -> bool:
-            return isinstance(op, str) and op not in loop_defs
-
-        ordered = [b.label for b in f.blocks if b.label in loop.blocks]
-        candidate = None
-        for l in ordered:
-            for ins in f.block(l).instrs:
-                if ins.opcode == "select" and invariant(ins.operands[0]):
-                    candidate = ("select", l, ins)
-                    break
-            if candidate:
-                break
-        if candidate is None:
-            for l in ordered:
-                term = f.block(l).terminator
-                if term is not None and term.opcode == "condbr" \
-                        and invariant(term.operands[0]) \
-                        and all(t in loop.blocks for t in term.labels):
-                    candidate = ("condbr", l, term)
-                    break
-        if candidate is None:
-            continue
-
-        kind, cand_label, cand = candidate
-        cond = cand.operands[0]
-        pre = outside[0]
-        names = _all_names(f)
-        labels = _labels(f)
-        label_map = {l: _fresh_name(labels, f"{l}.us") for l in ordered}
-        value_map: dict[str, str] = {}
-        for l in ordered:
-            for ins in f.block(l).instrs:
-                if ins.result is not None:
-                    value_map[ins.result] = _fresh_name(names,
-                                                        f"{ins.result}.us")
-        clones = []
-        for l in ordered:
-            nb = BasicBlock(label_map[l])
-            for ins in f.block(l).instrs:
-                nb.instrs.append(clone_instruction(
-                    ins, f.fresh_id(), value_map, label_map,
-                    result=value_map.get(ins.result) if ins.result else None))
-            clones.append(nb)
-
-        # Original copy takes the condition-true side, the clone the false.
-        if kind == "select":
-            block = f.block(cand_label)
-            block.instrs.remove(cand)
-            for l in ordered:
-                for ins in f.block(l).instrs:
-                    ins.operands = substitute(
-                        ins, {cand.result: cand.operands[1]})
-            cblock = next(b for b in clones
-                          if b.label == label_map[cand_label])
-            csel = next(i for i in cblock.instrs
-                        if i.result == value_map[cand.result])
-            cblock.instrs.remove(csel)
-            for cb in clones:
-                for ins in cb.instrs:
-                    ins.operands = substitute(
-                        ins, {csel.result: csel.operands[2]})
-        else:
-            block = f.block(cand_label)
-            idx = block.instrs.index(cand)
-            block.instrs[idx] = replace(cand, opcode="br", operands=(),
-                                        labels=(cand.labels[0],))
-            cblock = next(b for b in clones
-                          if b.label == label_map[cand_label])
-            cterm = cblock.instrs[-1]
-            cblock.instrs[-1] = replace(cterm, opcode="br", operands=(),
-                                        labels=(cterm.labels[1],))
-
-        guard_label = _fresh_name(labels, "unsw.guard")
-        guard = BasicBlock(guard_label, [Instruction(
-            f.fresh_id(), "condbr", None, (cond,), cand.loc,
-            labels=(loop.header, label_map[loop.header]))])
-
-        _relabel(f.block(pre).terminator, loop.header, guard_label)
-        for b in [f.block(loop.header)] + clones:
-            for ins in b.phis():
-                _relabel(ins, pre, guard_label)
-
-        at = f.block_index(loop.header)
-        f.blocks[at:at] = [guard]
-        f.blocks.extend(clones)
+    def unswitch(loop) -> bool:
+        nonlocal budget
+        # The clone is new growth, and so is the loop itself the first time.
+        cost = size[loop.header] * (1 if loop.header in guarded else 2)
+        if size[loop.header] > threshold or cost > budget \
+                or not _unswitch_loop(f, loop):
+            return False
+        budget -= cost
         return True
-    return False
+
+    return _rewrite_loops(loops, unswitch)
+
+
+def _unswitch_loop(f: Function, loop) -> bool:
+    if loop.preheader is None:
+        return False
+    if _loop_values_escape(f, loop.blocks):
+        return False
+    exits = {s for l in loop.blocks for s in successors(f.block(l))
+             if s not in loop.blocks}
+    if any(f.block(e).phis() for e in exits):
+        return False
+
+    loop_defs = _defined_in(f, loop.blocks)
+
+    def invariant(op) -> bool:
+        return isinstance(op, str) and op not in loop_defs
+
+    ordered = [b.label for b in f.blocks if b.label in loop.blocks]
+    # The first invariant select, else the first loop-internal condbr on an
+    # invariant condition.
+    candidate = next(
+        (("select", l, ins) for l in ordered for ins in f.block(l).instrs
+         if ins.opcode == "select" and invariant(ins.operands[0])), None) \
+        or next((("condbr", l, t) for l in ordered
+                 for t in [f.block(l).terminator]
+                 if t is not None and t.opcode == "condbr"
+                 and invariant(t.operands[0])
+                 and all(x in loop.blocks for x in t.labels)), None)
+    if candidate is None:
+        return False
+
+    kind, cand_label, cand = candidate
+    cond = cand.operands[0]
+    pre = loop.preheader
+    names = _all_names(f)
+    labels = _labels(f)
+    label_map = {l: _fresh_name(labels, f"{l}.us") for l in ordered}
+    value_map: dict[str, str] = {}
+    for l in ordered:
+        for ins in f.block(l).instrs:
+            if ins.result is not None:
+                value_map[ins.result] = _fresh_name(names,
+                                                    f"{ins.result}.us")
+    clones = []
+    for l in ordered:
+        nb = BasicBlock(label_map[l])
+        for ins in f.block(l).instrs:
+            nb.instrs.append(clone_instruction(
+                ins, f.fresh_id(), value_map, label_map,
+                result=value_map.get(ins.result) if ins.result else None))
+        clones.append(nb)
+
+    # Original copy takes the condition-true side, the clone the false.
+    if kind == "select":
+        block = f.block(cand_label)
+        block.instrs.remove(cand)
+        for l in ordered:
+            for ins in f.block(l).instrs:
+                ins.operands = substitute(
+                    ins, {cand.result: cand.operands[1]})
+        cblock = next(b for b in clones
+                      if b.label == label_map[cand_label])
+        csel = next(i for i in cblock.instrs
+                    if i.result == value_map[cand.result])
+        cblock.instrs.remove(csel)
+        for cb in clones:
+            for ins in cb.instrs:
+                ins.operands = substitute(
+                    ins, {csel.result: csel.operands[2]})
+    else:
+        block = f.block(cand_label)
+        idx = block.instrs.index(cand)
+        block.instrs[idx] = replace(cand, opcode="br", operands=(),
+                                    labels=(cand.labels[0],))
+        cblock = next(b for b in clones
+                      if b.label == label_map[cand_label])
+        cterm = cblock.instrs[-1]
+        cblock.instrs[-1] = replace(cterm, opcode="br", operands=(),
+                                    labels=(cterm.labels[1],))
+
+    guard_label = _fresh_name(labels, _GUARD)
+    guard = BasicBlock(guard_label, [Instruction(
+        f.fresh_id(), "condbr", None, (cond,), cand.loc,
+        labels=(loop.header, label_map[loop.header]))])
+
+    _relabel(f.block(pre).terminator, loop.header, guard_label)
+    for b in [f.block(loop.header)] + clones:
+        for ins in b.phis():
+            _relabel(ins, pre, guard_label)
+
+    at = f.block_index(loop.header)
+    f.blocks[at:at] = [guard]
+    f.blocks.extend(clones)
+    return True
 
 
 # ======================================================================
 # loop unrolling
 # ======================================================================
 
-def loop_unroll(func: Function, full_limit: int = 16) -> Function:
+def loop_unroll(f: Function, full_limit: int = 16) -> bool:
     """Fully unroll counted loops whose trip count is a known constant at
-    most `full_limit`.  Innermost loops first; duplicated instructions keep
-    their source locations under fresh ids.  Runtime-bound loops are left
-    alone.
+    most `full_limit`.  Innermost loops first, every such loop per step;
+    duplicated instructions keep their source locations under fresh ids.
+    Runtime-bound loops are left alone.
     """
-    f = copy_function(func)
-    for _ in range(16):
-        if not _unroll_once(f, full_limit):
-            break
-    return f
+    return _rewrite_loops(_loops_inner_first(f),
+                          lambda loop: _unroll_full(f, loop, full_limit))
 
 
-def _unroll_once(f: Function, full_limit: int) -> bool:
-    preds = predecessors(f)
-    for loop in _loops_inner_first(f):
-        info = counted_loop_info(f, loop)
-        if info is None:
-            continue
-        trip = info.trip_count
-        if trip is None or trip > full_limit:
-            continue
-        outside = [p for p in preds[loop.header] if p not in loop.blocks]
-        if len(outside) != 1:
-            continue
-        if _unroll_full(f, loop, info, trip, outside[0]):
-            return True
-    return False
-
-
-def _unroll_full(f: Function, loop, info, trip: int, pre: str) -> bool:
+def _unroll_full(f: Function, loop, full_limit: int) -> bool:
+    info = counted_loop_info(f, loop)
+    if info is None:
+        return False
+    trip = info.trip_count
+    if trip is None or trip > full_limit:
+        return False
     header_label = loop.header
+    pre = loop.preheader
     header = f.block(header_label)
     phis = header.phis()
     header_rest = [i for i in header.instrs
@@ -1070,35 +1090,26 @@ def _unroll_full(f: Function, loop, info, trip: int, pre: str) -> bool:
 # loop vectorization
 # ======================================================================
 
-def loop_vectorize(func: Function, width: int = 4) -> Function:
+def loop_vectorize(f: Function, width: int = 4) -> bool:
     """Turn simple counted loops into a vector loop plus scalar epilogue.
 
     Fires on two-block loops whose body is iv-affine loads/stores and
     lanewise arithmetic; selects on loop-invariant conditions become
     vselects on a splatted mask.  The original loop remains as the
-    remainder epilogue and keeps its instruction ids.
+    remainder epilogue and keeps its instruction ids.  One step vectorizes
+    every eligible innermost loop; a vectorized loop's header then has two
+    outside predecessors, so it is not vectorized again.
     """
-    f = copy_function(func)
-    done: set[str] = set()
-    for _ in range(8):
-        if not _vectorize_once(f, width, done):
-            break
-    return f
-
-
-def _vectorize_once(f: Function, width: int, done: set[str]) -> bool:
     loops = _loops_inner_first(f)
+    changed = False
     for loop in loops:
-        if loop.header in done:
-            continue
         if any(o is not loop and o.header in loop.blocks for o in loops):
             continue
         plan = _vector_plan(f, loop, width)
         if plan is not None:
             _apply_vector_plan(f, plan)
-            done.add(loop.header)
-            return True
-    return False
+            changed = True
+    return changed
 
 
 @dataclass
@@ -1120,9 +1131,6 @@ def _vector_plan(f: Function, loop, width: int) -> _VecPlan | None:
     if len(header.phis()) != 1 or len(header.instrs) != 3:
         return None
     if _loop_values_escape(f, loop.blocks):
-        return None
-    preds = predecessors(f)
-    if len([p for p in preds[loop.header] if p not in loop.blocks]) != 1:
         return None
     iv = info.iv_phi.result
     loop_defs = _defined_in(f, loop.blocks)
@@ -1281,38 +1289,30 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
 
     vb = BasicBlock(vb_l)
     for ins in plan.body:
+        # Every body instruction but a store gets a vector twin named .v.
+        nm = None
+        if ins.result is not None:
+            nm = vecname[ins.result] = _fresh_name(names, f"{ins.result}.v")
         if ins.result in plan.offadds:
-            nm = _fresh_name(names, f"{ins.result}.v")
             vb.instrs.append(clone_instruction(ins, f.fresh_id(), {iv: viv},
                                                None, result=nm))
-            vecname[ins.result] = nm
-        elif ins.opcode == "load":
-            nm = _fresh_name(names, f"{ins.result}.v")
+        elif ins.opcode in ("load", "store"):
             off = viv if ins.operands[1] == iv else vecname[ins.operands[1]]
-            vb.instrs.append(Instruction(f.fresh_id(), "vload", nm,
-                                         (ins.operands[0], off), ins.loc,
-                                         width))
-            vecname[ins.result] = nm
-        elif ins.opcode == "store":
-            off = viv if ins.operands[1] == iv else vecname[ins.operands[1]]
-            vb.instrs.append(Instruction(f.fresh_id(), "vstore", None,
-                                         (ins.operands[0], off,
-                                          vec_operand(ins.operands[2])),
-                                         ins.loc, width))
+            vb.instrs.append(Instruction(
+                f.fresh_id(), "v" + ins.opcode, nm,
+                (ins.operands[0], off)
+                + tuple(vec_operand(op) for op in ins.operands[2:]),
+                ins.loc, width))
         elif ins.opcode == "select":
-            nm = _fresh_name(names, f"{ins.result}.v")
             vb.instrs.append(Instruction(
                 f.fresh_id(), "vselect", nm,
                 (splats[ins.operands[0]], vec_operand(ins.operands[1]),
                  vec_operand(ins.operands[2])), ins.loc, width))
-            vecname[ins.result] = nm
         else:
-            nm = _fresh_name(names, f"{ins.result}.v")
             vb.instrs.append(Instruction(
                 f.fresh_id(), _VECTOR_FORM[ins.opcode], nm,
                 (vec_operand(ins.operands[0]), vec_operand(ins.operands[1])),
                 ins.loc, width))
-            vecname[ins.result] = nm
     vb.instrs.append(Instruction(f.fresh_id(), "add", vnext, (viv, width),
                                  info.step_instr.loc, w))
     vb.instrs.append(Instruction(f.fresh_id(), "br", None, (),
@@ -1321,9 +1321,7 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
     # Route the preheader through the new blocks; the original loop becomes
     # the remainder, entered straight from vpre when the trip count is too
     # small or after the vector loop with the iv advanced to viv.
-    preds = predecessors(f)
-    outside = [p for p in preds[loop.header] if p not in loop.blocks]
-    pre = outside[0]
+    pre = loop.preheader
     _relabel(f.block(pre).terminator, loop.header, vpre_l)
     phi = info.iv_phi
     arms = [(vpre_l if l == pre else l, v)
@@ -1340,21 +1338,6 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
 # superword-level parallelism
 # ======================================================================
 
-def slp_lite(func: Function, width: int = 4) -> Function:
-    """Pack runs of adjacent stores fed by isomorphic trees into vectors.
-
-    A run of `width` stores to consecutive constant offsets whose values
-    are same-shaped trees of lanewise arithmetic over adjacent loads is
-    replaced by vloads, vector ops, and one vstore.  Selects sharing one
-    0/1 condition become branchless mask blends.
-    """
-    f = copy_function(func)
-    for _ in range(32):
-        if not _slp_once(f, width):
-            break
-    return f
-
-
 class _SlpSplat:
     def __init__(self, value):
         self.value = value
@@ -1366,34 +1349,46 @@ class _SlpLeaf:
 
 
 class _SlpNode:
+    """Lanewise `opcode` over the lanes' `instrs`; a select is a blend."""
+
     def __init__(self, opcode, instrs, children):
         self.opcode = opcode
         self.instrs = instrs
         self.children = children
 
 
-class _SlpBlend:
-    def __init__(self, cond, instrs, children):
-        self.cond = cond
-        self.instrs = instrs
-        self.children = children
+def slp_lite(f: Function, width: int = 4) -> bool:
+    """Pack runs of adjacent stores fed by isomorphic trees into vectors.
 
-
-def _slp_once(f: Function, width: int) -> bool:
+    A run of `width` stores to consecutive constant offsets whose values
+    are same-shaped trees of lanewise arithmetic over adjacent loads is
+    replaced by vloads, vector ops, and one vstore.  Selects sharing one
+    0/1 condition become branchless mask blends.  A step packs every such
+    run, block by block, looking again at a block after each packing; each
+    packing turns `width` scalar stores into one vector store, so the scan
+    ends.
+    """
+    changed = False
     for block in f.blocks:
-        stores_by_global: dict[str, list[int]] = {}
-        for idx, ins in enumerate(block.instrs):
-            if ins.opcode == "store" and isinstance(ins.operands[1], int):
-                stores_by_global.setdefault(ins.operands[0], []).append(idx)
-        for g, idxs in sorted(stores_by_global.items()):
-            for w0 in range(len(idxs) - width + 1):
-                window = idxs[w0:w0 + width]
-                offs = [block.instrs[i].operands[1] for i in window]
-                if offs != list(range(offs[0], offs[0] + width)):
-                    continue
-                if _slp_try_group(f, block, g, window, width):
-                    return True
-    return False
+        while any(_slp_try_group(f, block, g, window, width)
+                  for g, window in _store_runs(block, width)):
+            changed = True
+    return changed
+
+
+def _store_runs(block: BasicBlock, width: int):
+    """Each run of `width` stores to one global at consecutive constant
+    offsets, as (global, instruction indices)."""
+    stores_by_global: dict[str, list[int]] = {}
+    for idx, ins in enumerate(block.instrs):
+        if ins.opcode == "store" and isinstance(ins.operands[1], int):
+            stores_by_global.setdefault(ins.operands[0], []).append(idx)
+    for g, idxs in sorted(stores_by_global.items()):
+        for w0 in range(len(idxs) - width + 1):
+            window = idxs[w0:w0 + width]
+            offs = [block.instrs[i].operands[1] for i in window]
+            if offs == list(range(offs[0], offs[0] + width)):
+                yield g, window
 
 
 def _slp_try_group(f: Function, block: BasicBlock, g: str,
@@ -1433,30 +1428,22 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
         if oc in _VECTOR_FORM:
             if any(i.width != 32 for i in ins):
                 return None
-            kids = []
-            for pos in range(2):
-                kid = build([i.operands[pos] for i in ins])
-                if kid is None:
-                    return None
-                kids.append(kid)
-            members.extend(ins)
-            return _SlpNode(oc, ins, kids)
-        if oc == "select":
+            slots = (0, 1)
+        elif oc == "select":
             conds = {i.operands[0] for i in ins}
-            if len(conds) != 1:
+            if len(conds) != 1 or not _known01(f, next(iter(conds))):
                 return None
-            cond = conds.pop()
-            if not _known01(f, cond):
+            slots = (1, 2)
+        else:
+            return None
+        kids = []
+        for pos in slots:
+            kid = build([i.operands[pos] for i in ins])
+            if kid is None:
                 return None
-            kids = []
-            for pos in (1, 2):
-                kid = build([i.operands[pos] for i in ins])
-                if kid is None:
-                    return None
-                kids.append(kid)
-            members.extend(ins)
-            return _SlpBlend(cond, ins, kids)
-        return None
+            kids.append(kid)
+        members.extend(ins)
+        return _SlpNode(oc, ins, kids)
 
     roots = [s.operands[2] for s in stores]
     if len(set(roots)) != width:
@@ -1510,25 +1497,24 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
                                        (first.operands[0], first.operands[1]),
                                        first.loc, width))
             return nm
-        if isinstance(node, _SlpNode):
-            a = emit(node.children[0])
-            b = emit(node.children[1])
-            nm = _fresh_name(names, "slp.v")
-            emitted.append(Instruction(f.fresh_id(),
-                                       _VECTOR_FORM[node.opcode], nm, (a, b),
-                                       node.instrs[0].loc, width))
-            return nm
-        # Blend: b ^ (splat(0 - c) & (a ^ b)), all lanes at once.
         a = emit(node.children[0])
         b = emit(node.children[1])
         loc = node.instrs[0].loc
+        if node.opcode != "select":
+            nm = _fresh_name(names, "slp.v")
+            emitted.append(Instruction(f.fresh_id(),
+                                       _VECTOR_FORM[node.opcode], nm, (a, b),
+                                       loc, width))
+            return nm
+        # Blend: b ^ (splat(0 - c) & (a ^ b)), all lanes at once.
         ws = _fresh_name(names, "slp.m")
         wv = _fresh_name(names, "slp.mv")
         x1 = _fresh_name(names, "slp.x")
         x2 = _fresh_name(names, "slp.y")
         nm = _fresh_name(names, "slp.b")
         emitted.extend([
-            Instruction(f.fresh_id(), "neg", ws, (node.cond,), loc),
+            Instruction(f.fresh_id(), "neg", ws, node.instrs[0].operands[:1],
+                        loc),
             Instruction(f.fresh_id(), "splat", wv, (ws,), loc, width),
             Instruction(f.fresh_id(), "vxor", x1, (a, b), loc, width),
             Instruction(f.fresh_id(), "vand", x2, (wv, x1), loc, width),
@@ -1555,24 +1541,18 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
 # if-conversion
 # ======================================================================
 
-def if_convert(func: Function) -> Function:
+def if_convert(f: Function) -> bool:
     """Collapse branchy diamonds into straight-line selects.
 
     Both arms must be single side-effect-free blocks (no loads either;
     speculated loads could fault) joining at a block whose only
     predecessors they are.  Arm instructions are hoisted and each join phi
-    becomes a select on the diamond's condition.
+    becomes a select on the diamond's condition.  A step converts every
+    diamond, in block order.
     """
-    f = copy_function(func)
-    for _ in range(len(f.blocks) + 8):
-        if not _if_convert_once(f):
-            break
-    return f
-
-
-def _if_convert_once(f: Function) -> bool:
+    changed = False
     preds = predecessors(f)
-    for block in f.blocks:
+    for block in list(f.blocks):
         term = block.terminator
         if term is None or term.opcode != "condbr":
             continue
@@ -1611,8 +1591,9 @@ def _if_convert_once(f: Function) -> bool:
                 f.fresh_id(), "select", phi.result,
                 (cond, by_label[t_l], by_label[f_l]), phi.loc, phi.width)
         f.blocks = [b for b in f.blocks if b.label not in (t_l, f_l)]
-        return True
-    return False
+        preds = predecessors(f)
+        changed = True
+    return changed
 
 
 # ======================================================================
@@ -1624,8 +1605,9 @@ def run_pipeline(prog: Program,
     """Apply the enabled passes in their fixed order, cleaning up and
     validating after each.  With every toggle off the program comes back
     unchanged (modulo copying).  Raises IRError when the input program is
-    malformed, and InternalPassError when a pass leaves it malformed or its
-    cleanup does not settle, carrying the log of passes applied so far.
+    malformed, and InternalPassError when a pass leaves it malformed or
+    when the pass or its cleanup does not settle within
+    ``_FIXPOINT_STEPS`` steps, carrying the log of passes applied so far.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
@@ -1635,11 +1617,14 @@ def run_pipeline(prog: Program,
     out = copy_program(prog)
     log: list[PassLogEntry] = []
     for name in spec.order:
+        step = _PASSES[name]
         for fname in list(out.functions):
             func = out.functions[fname]
             before = {i.iid for i in func.instructions()}
+            new = copy_function(func)
             try:
-                new = cleanup(_PASSES[name](func, spec))
+                _to_fixpoint(lambda f: step(f, spec), new, name)
+                cleanup(new)
             except InternalPassError as e:
                 raise InternalPassError(f"pass {name}: {e}", log) from e
             after = {i.iid for i in new.instructions()}

@@ -62,6 +62,7 @@ def test_analyze_matches_hand_written_pipeline():
 
 
 @pytest.mark.parametrize("demo", ["01_break_a_ct_select",
+                                  "02_pass_interactions",
                                   "03_mitigation_flags"])
 def test_demo_output_is_unchanged(demo, capsys):
     runpy.run_path(str(ROOT / "demos" / f"{demo}.py"), run_name="__main__")

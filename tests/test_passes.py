@@ -1,10 +1,21 @@
-"""Pass pipeline: spec handling, cleanup, and each transform's shape."""
+"""Pass pipeline: spec handling, cleanup, and each transform's shape.
+
+``tests/golden/pipelines.txt`` pins what every corpus program becomes under
+every preset.  After a deliberate change to what the passes produce,
+regenerate it with ``PYTHONPATH=src python tests/test_passes.py`` and say
+which lines changed and why.
+"""
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from ctlab import passes
+from ctlab import analyze, passes
+from ctlab.backend import PROFILES, lower
+from ctlab.cfg import natural_loops
 from ctlab.corpus import load_program, names
 from ctlab.ir import BINARY_OPS, CMP_PREDS, parse_ir, print_ir, validate
 from ctlab.mitigations import PRESETS
@@ -106,7 +117,8 @@ bb0:
   ret t
 }
 """
-    func = cleanup(parse_ir(src).function())
+    func = parse_ir(src).function()
+    cleanup(func)
     assert [i.opcode for i in func.instructions()] == ["ret"]
     assert func.blocks[0].instrs[0].operands == ("n",)
 
@@ -123,7 +135,8 @@ bbF:
   ret 2
 }
 """
-    func = cleanup(parse_ir(src).function())
+    func = parse_ir(src).function()
+    cleanup(func)
     assert [i.opcode for i in func.instructions()] == ["ret"]
     assert func.blocks[0].instrs[0].operands == (1,)
 
@@ -138,8 +151,8 @@ bb0:
 }
 global g: arr<u32,1> = zeros
 """
-    prog = parse_ir(src)
-    func = cleanup(prog.function())
+    func = parse_ir(src).function()
+    cleanup(func)
     kept = [i.opcode for i in func.instructions()]
     assert kept == ["store", "ret"]
 
@@ -154,7 +167,8 @@ bb0:
 }
 global g: arr<u32,4> = zeros
 """
-    func = cleanup(parse_ir(src).function())
+    func = parse_ir(src).function()
+    cleanup(func)
     assert [i.opcode for i in func.instructions()] == ["load", "ret"]
 
 
@@ -169,7 +183,8 @@ bb1:
   ret b
 }
 """
-    func = cleanup(parse_ir(src).function())
+    func = parse_ir(src).function()
+    cleanup(func)
     assert len(func.blocks) == 1
     assert [i.opcode for i in func.instructions()] == ["add", "add", "ret"]
 
@@ -179,10 +194,10 @@ def test_cleanup_merges_a_long_chain_in_one_call():
                    for k in range(250))
     prog = parse_ir(f"func f(public x0: u32 = 3) {{\n{body}"
                     f"bb250:\n  ret x250\n}}")
-    func = cleanup(prog.function())
+    func = prog.function()
+    cleanup(func)
     assert len(func.blocks) == 1
-    assert cleanup(func) == func
-    prog.functions["f"] = func
+    assert not cleanup(func)
     assert execute(prog, {"x0": 3}).result == 253
 
 
@@ -205,7 +220,8 @@ other:
   ret r
 }}
 """
-    func = cleanup(parse_ir(src).function())
+    func = parse_ir(src).function()
+    cleanup(func)
     assert [b.label for b in func.blocks] == ["bb0", "other", "a", "join"]
     phi = func.block("join").instrs[0]
     assert phi.labels == ("a", "other") and phi.operands == ("z", "n")
@@ -229,16 +245,32 @@ def test_cleanup_that_does_not_settle_raises(monkeypatch):
         [("instcombine", "f")]
 
 
+def test_pass_that_does_not_settle_raises(monkeypatch):
+    # if_convert claims a change on every step of g, so its application to
+    # g never settles; everything applied before it is in the log.
+    real = passes.if_convert
+    monkeypatch.setattr(passes, "if_convert",
+                        lambda func: real(func) or func.name == "g")
+    src = "func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n" \
+          "func g(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
+    with pytest.raises(InternalPassError,
+                       match="pass if_convert: if_convert of g did not "
+                             "reach a fixpoint") as err:
+        pipe(parse_ir(src), instcombine=True, if_convert=True)
+    assert [(e.pass_name, e.function) for e in err.value.log] == \
+        [("instcombine", "f"), ("instcombine", "g"), ("if_convert", "f")]
+
+
 @pytest.mark.parametrize("preset_name", list(PRESETS))
 def test_cleanup_output_is_a_fixpoint(monkeypatch, preset_name):
     real = passes.cleanup
     unsettled = []
 
     def checked(func):
-        out = real(func)
-        if real(out) != out:
+        changed = real(func)
+        if real(func):
             unsettled.append(func.name)
-        return out
+        return changed
 
     monkeypatch.setattr(passes, "cleanup", checked)
     for name in names():
@@ -338,6 +370,41 @@ bb0:
         assert execute(prog, {"s": s, "a": 9}).result == (9 if s else 0)
 
 
+@pytest.mark.parametrize("name", names())
+def test_instcombine_step_is_idempotent(name):
+    # A second step must not re-match what the first consumed, nor spend ids.
+    for func in load_program(name).functions.values():
+        passes.instcombine_lite(func)
+        next_id = func.next_id
+        assert not passes.instcombine_lite(func)
+        assert func.next_id == next_id
+
+
+def test_instcombine_rewrites_a_shared_mask_after_the_blend():
+    # t feeds the blend and u; the blend becomes a select in the first
+    # step, and t, no longer part of a blend, becomes one in the next.
+    src = """
+func f(secret s: u1, public a: u32 = 9, public b: u32 = 4) {
+bb0:
+  m = neg s
+  d = xor a, b
+  t = and m, d
+  r = xor b, t
+  u = add r, t
+  ret u
+}
+"""
+    prog = parse_ir(src)
+    out, _ = pipe(prog, instcombine=True)
+    func = out.function()
+    assert [(i.result, i.operands) for i in func.instructions()
+            if i.opcode == "select"] == [("t", ("s", "d", 0)),
+                                         ("r", ("s", "a", "b"))]
+    for s in (0, 1):
+        args = {"s": s, "a": 9, "b": 4}
+        assert execute(out, args).result == execute(prog, args).result
+
+
 def test_instcombine_requires_boolean_condition():
     # the mask source must be provably 0/1; a u32 secret is not
     src = """
@@ -435,6 +502,63 @@ def test_unswitch_hoists_invariant_select():
         assert t.memory["y"] == want_y
 
 
+def unswitch_src(conds: str) -> str:
+    """A counted loop whose body chains one select per secret condition."""
+    params = ", ".join(f"secret {c}: u1" for c in conds)
+    sels = "".join(f"  x{k + 1} = select {c}, x{k}, {k + 1}\n"
+                   for k, c in enumerate(conds))
+    return f"""
+func f({params}) {{
+bb0:
+  br loopH
+loopH:
+  i = phi [bb0: 0], [loopB: inext]
+  k = icmp.lt i, 8
+  condbr k, loopB, done
+loopB:
+  x0 = load src, i
+{sels}  store dst, i, x{len(conds)}
+  inext = add i, 1
+  br loopH
+done:
+  ret 0
+}}
+global src: arr<u32,8> = counting
+global dst: arr<u32,8> = zeros
+"""
+
+
+def test_unswitch_runs_to_its_fixpoint():
+    # Four invariant selects take 1 + 2 + 4 + 8 = 15 unswitchings, four
+    # steps, and leave one loop per combination of the four conditions.
+    prog = parse_ir(unswitch_src("abcd"))
+    out, _ = pipe(prog, loop_unswitch=True)
+    func = out.function()
+    loops = natural_loops(func)
+    assert len(loops) == 16
+    assert [i for loop in loops for l in loop.blocks
+            for i in func.block(l).instrs if i.opcode == "select"] == []
+    for bits in range(16):
+        args = {s: (bits >> k) & 1 for k, s in enumerate("abcd")}
+        assert execute(out, args).memory == execute(prog, args).memory
+
+
+def test_unswitch_growth_is_bounded():
+    # Eight invariant selects would ask for 256 copies of the loop.  The
+    # growth budget stops cloning long before; the rest stay selects.
+    conds = "abcdefgh"
+    prog = parse_ir(unswitch_src(conds))
+    out, _ = pipe(prog, loop_unswitch=True)
+    func = out.function()
+    loops = natural_loops(func)
+    assert 16 < len(loops) < 256
+    assert sum(len(func.block(l).instrs) for loop in loops
+               for l in loop.blocks) <= passes._UNSWITCH_GROWTH * 32
+    for bits in (0, 0b10110010, 255):
+        args = {s: (bits >> k) & 1 for k, s in enumerate(conds)}
+        assert execute(out, args).memory == execute(prog, args).memory
+
+
 def test_unswitch_respects_threshold():
     prog = load_program("loop_unswitch_toy")
     _, log = pipe(prog, loop_unswitch=True, unswitch_threshold=1)
@@ -482,6 +606,25 @@ def test_unroll_flattens_constant_trip_loop():
         assert execute(prog, {"s": s}).result == (s if s < 3 else 0)
 
 
+def test_unroll_takes_every_loop_in_one_step():
+    # One counted loop more than the step bound, in a row.
+    n = passes._FIXPOINT_STEPS + 1
+    lines = ["func f(public a: u32 = 3) {", "e:", "  br h0"]
+    for k in range(n):
+        prev = "e" if k == 0 else f"e{k - 1}"
+        lines += [f"h{k}:", f"  i{k} = phi [{prev}: 0], [b{k}: n{k}]",
+                  f"  c{k} = icmp.lt i{k}, 2", f"  condbr c{k}, b{k}, e{k}",
+                  f"b{k}:", f"  o{k} = add i{k}, {2 * k}",
+                  f"  store dst, o{k}, a", f"  n{k} = add i{k}, 1",
+                  f"  br h{k}", f"e{k}:", f"  br h{k + 1}"]
+    lines[-1] = "  ret 0"
+    lines += ["}", f"global dst: arr<u32,{2 * n}> = zeros"]
+    prog = parse_ir("\n".join(lines))
+    out, _ = pipe(prog, loop_unroll=True)
+    assert natural_loops(out.function()) == []
+    assert execute(out, {"a": 3}).memory["dst"] == (3,) * (2 * n)
+
+
 def test_unroll_respects_full_limit():
     _, log = pipe(parse_ir(UNROLL_SRC), loop_unroll=True, unroll_full_limit=2)
     assert [e.summary for e in log] == ["no change"]
@@ -523,6 +666,18 @@ def test_vectorize_rsa_inner_loop():
     t = execute(prog, {"bits": 5, "mwlen": 8})
     base = execute(load_program("rsa_bearssl_lookup"), {"bits": 5, "mwlen": 8})
     assert t.result == base.result and t.memory == base.memory
+
+
+def test_vectorize_reaches_every_inner_loop_of_rsa():
+    # Unrolling the outer loop leaves 15 copies of the inner loop; each is
+    # vectorized, and each vector loop branches on the secret mask.
+    prog = load_program("rsa_bearssl_lookup")
+    mid, _ = run_pipeline(prog, PRESETS["llvm18-O3"].spec)
+    assert sum(b.label.endswith(".vh") for b in mid.function().blocks) == 15
+    report = analyze(prog, PRESETS["llvm18-O3-mitig+vect"].spec).report
+    assert len(report.findings) == 15
+    assert {(f.kind, f.loc.file, f.loc.line) for f in report.findings} == \
+        {("control-flow", "rsa.c", 6)}
 
 
 def test_vectorize_skips_reductions():
@@ -569,6 +724,23 @@ def test_slp_packs_consecutive_stores():
     assert vstore.operands[1] == 0 and vstore.width == 4
 
 
+def test_slp_packs_every_run_in_one_step():
+    # One packable run more than the step bound, in one block.
+    n = passes._FIXPOINT_STEPS + 1
+    lines = ["func f(public a: u32 = 3) {", "bb0:"]
+    for r in range(n):
+        for k in range(4 * r, 4 * r + 4):
+            lines += [f"  x{k} = load src, {k}", f"  y{k} = add x{k}, a",
+                      f"  store dst, {k}, y{k}"]
+    lines += ["  ret 0", "}", f"global src: arr<u32,{4 * n}> = counting",
+              f"global dst: arr<u32,{4 * n}> = zeros"]
+    prog = parse_ir("\n".join(lines))
+    out, _ = pipe(prog, slp=True)
+    assert sum(i.opcode == "vstore" for i in out.function().instructions()) \
+        == n
+    assert execute(out, {"a": 3}).memory == execute(prog, {"a": 3}).memory
+
+
 def test_slp_skips_when_a_member_escapes():
     escaped = SLP_SRC.replace("ret 0", "ret y1")
     _, log = pipe(parse_ir(escaped), slp=True)
@@ -613,6 +785,28 @@ def test_if_convert_flattens_pure_diamond():
     assert execute(prog, {"s": 0, "a": 5}).result == 7
 
 
+def test_if_convert_takes_every_diamond_in_one_step():
+    # 250 diamonds in a row, more than the 200-step bound: one step
+    # converts them all, so the bound counts rounds, not diamonds.
+    n = 250
+    lines = ["func f(secret s: u1, public a: u32 = 5) {", "j:"]
+    v = "a"
+    for k in range(n):
+        lines += [f"  condbr s, t{k}, f{k}",
+                  f"t{k}:", f"  x{k} = add {v}, 1", f"  br j{k}",
+                  f"f{k}:", f"  y{k} = add {v}, 2", f"  br j{k}",
+                  f"j{k}:", f"  v{k} = phi [t{k}: x{k}], [f{k}: y{k}]"]
+        v = f"v{k}"
+    lines += [f"  ret {v}", "}"]
+    prog = parse_ir("\n".join(lines))
+    out, _ = pipe(prog, if_convert=True)
+    func = out.function()
+    assert len(func.blocks) == 1
+    assert sum(i.opcode == "select" for i in func.instructions()) == n
+    assert execute(out, {"s": 1, "a": 5}).result == 5 + n
+    assert execute(out, {"s": 0, "a": 5}).result == 5 + 2 * n
+
+
 def test_if_convert_barred_by_memory_ops():
     barred = DIAMOND.replace("t = add a, 1", "t = add a, 1\n  store g, 0, t")
     barred += "global g: arr<u32,1> = zeros\n"
@@ -637,3 +831,38 @@ def test_all_passes_on_all_corpus_entries_stay_valid():
     for name in names():
         out, _ = run_pipeline(load_program(name), spec)
         assert validate(out) == [], name
+
+
+# ----------------------------------------------------------------------
+# what the passes produce, pinned
+
+
+GOLDEN_PIPELINES = Path(__file__).resolve().parent / "golden" / "pipelines.txt"
+
+
+def pipeline_digests() -> str:
+    """One line per corpus program x preset: sha256 prefixes of the midend
+    IR, the lowered IR, and the pass log followed by the lowering log."""
+    lines = []
+    for name in names():
+        for preset in PRESETS.values():
+            spec = preset.spec
+            mid, log = run_pipeline(load_program(name), spec)
+            low, lower_log = lower(mid, PROFILES[spec.backend],
+                                   spec.cmov_conversion)
+            texts = {"mid": print_ir(mid), "low": print_ir(low),
+                     "log": render_pass_log(log + lower_log)}
+            digests = " ".join(
+                f"{k}={hashlib.sha256(t.encode()).hexdigest()[:16]}"
+                for k, t in texts.items())
+            lines.append(f"{name} {preset.name} {digests}")
+    return "\n".join(lines) + "\n"
+
+
+def test_pipelines_match_golden():
+    assert pipeline_digests().splitlines() == \
+        GOLDEN_PIPELINES.read_text(encoding="utf-8").splitlines()
+
+
+if __name__ == "__main__":
+    GOLDEN_PIPELINES.write_text(pipeline_digests(), encoding="utf-8")
