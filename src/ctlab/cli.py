@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .analysis import analyze
 from .backend import LoweringError
 from .corpus import CorpusError, entries, load_program
-from .ir import IRError
+from .ir import IRError, Program
 from .leaks import LeakError, LeakReport, diff_reports
 from .mitigations import emit_real_flags, preset
 from .passes import InternalPassError, PipelineSpec
@@ -52,9 +52,9 @@ class MatrixRow:
     report: LeakReport
 
 
-def _analyze(program: str, spec: PipelineSpec, preset_name: str,
+def _analyze(prog: Program, spec: PipelineSpec, preset_name: str,
              inputs: int, seed: int) -> LeakReport:
-    report = analyze(load_program(program), spec, inputs, seed).report
+    report = analyze(prog, spec, inputs, seed).report
     report.preset = preset_name
     return report
 
@@ -105,7 +105,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     spec = preset(args.preset).spec
-    report = _analyze(args.program, spec, args.preset, args.inputs, args.seed)
+    report = _analyze(load_program(args.program), spec, args.preset,
+                      args.inputs, args.seed)
     if args.json:
         _emit(json.dumps(_report_json(report), indent=2), args.out)
     else:
@@ -126,10 +127,11 @@ def _cmd_matrix(args) -> int:
     rows = (_CANONICAL_ROWS if canonical
             else itertools.product((True, False), repeat=len(vary)))
 
+    prog = load_program(args.program)
     results = []
     for values in rows:
         toggles = dict(zip(order, values))
-        report = _analyze(args.program, base.with_toggles(**toggles),
+        report = _analyze(prog, base.with_toggles(**toggles),
                           args.preset, args.inputs, args.seed)
         results.append(MatrixRow(toggles, report))
 
@@ -163,10 +165,9 @@ def _cmd_matrix(args) -> int:
 def _cmd_diff(args) -> int:
     spec_a = preset(args.preset_a).spec
     spec_b = preset(args.preset_b).spec
-    rep_a = _analyze(args.program, spec_a, args.preset_a,
-                     args.inputs, args.seed)
-    rep_b = _analyze(args.program, spec_b, args.preset_b,
-                     args.inputs, args.seed)
+    prog = load_program(args.program)
+    rep_a = _analyze(prog, spec_a, args.preset_a, args.inputs, args.seed)
+    rep_b = _analyze(prog, spec_b, args.preset_b, args.inputs, args.seed)
     diff = diff_reports(rep_a, rep_b)
     if args.json:
         payload = {
@@ -196,8 +197,6 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.action != "list":
-        raise ValueError(f"unknown corpus action {args.action!r}")
     rows = []
     for e in entries():
         ct = "ct" if e.ct_expected else "not-ct"

@@ -46,12 +46,17 @@ _PASSES = {
     "jump_thread": lambda f, s: jump_thread(f),
     "path_split": lambda f, s: path_split(f),
     "loop_unswitch": lambda f, s: loop_unswitch(f, s.unswitch_threshold),
-    "loop_unroll": lambda f, s: loop_unroll(f, s.unroll_full_limit),
-    "loop_vectorize": lambda f, s: loop_vectorize(f, s.vector_width),
-    "slp": lambda f, s: slp_lite(f, s.vector_width),
+    "loop_unroll": lambda f, s: loop_unroll(f),
+    "loop_vectorize": lambda f, s: loop_vectorize(f),
+    "slp": lambda f, s: slp_lite(f),
     "if_convert": lambda f, s: if_convert(f),
 }
 PASS_ORDER = tuple(_PASSES)
+
+# Every preset fully unrolls loops of at most 16 trips and vectorizes 4
+# lanes wide.
+_UNROLL_LIMIT = 16
+_VECTOR_WIDTH = 4
 
 _VECTOR_FORM = {scalar: vector for vector, scalar in LANEWISE_OPS.items()}
 _PURE_OPS = EVAL_OPS | {"const", "select"}
@@ -72,8 +77,6 @@ class PipelineSpec:
 
     toggles: dict[str, bool] = field(default_factory=dict)
     unswitch_threshold: int = 32
-    unroll_full_limit: int = 16
-    vector_width: int = 4
     backend: str = "x86-64"
     cmov_conversion: bool = False
 
@@ -81,9 +84,6 @@ class PipelineSpec:
         unknown = set(self.toggles) - set(PASS_ORDER)
         if unknown:
             raise ValueError(f"unknown pass toggles: {sorted(unknown)}")
-        if self.vector_width not in (2, 4, 8):
-            raise ValueError(
-                f"vector_width must be 2, 4 or 8, got {self.vector_width}")
         self.toggles = {name: bool(self.toggles.get(name, False))
                         for name in PASS_ORDER}
 
@@ -93,22 +93,18 @@ class PipelineSpec:
 
     def with_toggles(self, **changes: bool) -> "PipelineSpec":
         """New spec with some pass toggles (or cmov_conversion) flipped."""
-        toggles = dict(self.toggles)
-        conversion = self.cmov_conversion
-        for name, value in changes.items():
-            if name == "cmov_conversion":
-                conversion = bool(value)
-            elif name in PASS_ORDER:
-                toggles[name] = bool(value)
-            else:
+        for name in changes:
+            if name not in PASS_ORDER and name != "cmov_conversion":
                 raise ValueError(f"unknown toggle {name!r}")
-        return PipelineSpec(toggles, self.unswitch_threshold,
-                            self.unroll_full_limit, self.vector_width,
-                            self.backend, conversion)
+        conversion = bool(changes.pop("cmov_conversion", self.cmov_conversion))
+        return replace(self, toggles={**self.toggles, **changes},
+                       cmov_conversion=conversion)
 
     def digest(self) -> str:
+        # The constants keep the places of the settings they replaced, so
+        # report, known-answer and benchmark keys stay valid.
         text = repr((sorted(self.toggles.items()), self.unswitch_threshold,
-                     self.unroll_full_limit, self.vector_width, self.backend,
+                     _UNROLL_LIMIT, _VECTOR_WIDTH, self.backend,
                      self.cmov_conversion))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -162,10 +158,36 @@ def _labels(func: Function) -> set[str]:
     return {b.label for b in func.blocks}
 
 
-def _subst_everywhere(func: Function, mapping: dict[str, object]) -> None:
-    for block in func.blocks:
+def _subst(blocks: list[BasicBlock], mapping: dict[str, object]) -> None:
+    """Rename, in place, every value operand in ``blocks`` that ``mapping``
+    names."""
+    for block in blocks:
         for ins in block.instrs:
             ins.operands = substitute(ins, mapping)
+
+
+def _copy(f: Function, blocks: list[BasicBlock], vmap: dict[str, object],
+          names: set[str], suffix: str,
+          lmap: dict[str, str] | None = None) -> list[BasicBlock]:
+    """Clone ``blocks`` under fresh ids, keeping each source location.
+
+    Every result in ``blocks`` is first bound in ``vmap`` to a fresh
+    ``<result><suffix>`` taken from ``names``; then each instruction is
+    cloned with its operands renamed through ``vmap`` and its labels, and
+    each block's own label, through ``lmap``.  Names are bound before any
+    clone because a copy may use a value defined later in the region, as a
+    nested loop's header phi does.
+    """
+    for block in blocks:
+        for ins in block.instrs:
+            if ins.result is not None:
+                vmap[ins.result] = _fresh_name(names, ins.result + suffix)
+    lmap = lmap or {}
+    return [BasicBlock(lmap.get(block.label, block.label),
+                       [clone_instruction(ins, f.fresh_id(), vmap, lmap,
+                                          result=vmap.get(ins.result))
+                        for ins in block.instrs])
+            for block in blocks]
 
 
 def _uses(func: Function) -> dict[str, list[Instruction]]:
@@ -316,7 +338,7 @@ def _apply_copies(func: Function) -> bool:
         d = defs.get(op)
         return d.operands[0] if d is not None and d.opcode == "const" else None
 
-    def fits(op, width):
+    def value_fits(op, width):
         if isinstance(op, int):
             return op < (1 << width)
         if op in defs:
@@ -324,6 +346,22 @@ def _apply_copies(func: Function) -> bool:
         param = func.param(op)
         return param is not None and isinstance(param.type, ScalarType) \
             and param.type.width <= width
+
+    def fits(op, width):
+        # Execution passes a select or phi arm through unwrapped, so those
+        # fit when all their arms do.  A name already being checked counts
+        # as fitting, so loop phis end the search.
+        todo, seen = [op], {op}
+        while todo:
+            op = todo.pop()
+            d = defs.get(op) if isinstance(op, str) else None
+            if d is not None and d.opcode in ("select", "phi"):
+                arms = d.operands[1:] if d.opcode == "select" else d.operands
+                todo += [a for a in arms if a not in seen]
+                seen.update(arms)
+            elif not value_fits(op, width):
+                return False
+        return True
 
     copies: dict[str, object] = {}
     for ins in func.instructions():
@@ -374,7 +412,7 @@ def _apply_copies(func: Function) -> bool:
             seen.add(val)
             val = copies[val]
         copies[name] = val
-    _subst_everywhere(func, copies)
+    _subst(func.blocks, copies)
     for block in func.blocks:
         block.instrs = [i for i in block.instrs if i.result not in copies]
     return True
@@ -674,29 +712,13 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
     bft = _fresh_name(labels, f"{block.label}.ft")
     bff = _fresh_name(labels, f"{block.label}.ff")
     bj = _fresh_name(labels, f"{block.label}.join")
-    names = _all_names(f)
 
     # False path recomputes the mids with r1 bound to its false value.
     fmap: dict[str, object] = {r1: b1}
-    f_instrs: list[Instruction] = []
-    for m in mids:
-        nm = _fresh_name(names, f"{m.result}.jt") if m.result else None
-        f_instrs.append(clone_instruction(m, f.fresh_id(), fmap, None,
-                                          result=nm))
-        if m.result:
-            fmap[m.result] = nm
-    mid_map = {k: v for k, v in fmap.items() if k != r1}
-
-    def resolved(op, r1_val, mapping):
-        if op == r1:
-            return r1_val
-        if isinstance(op, str) and op in mapping:
-            return mapping[op]
-        return op
-
-    arm_t = resolved(b2, s1.operands[1], {})
-    arm_ft = resolved(a2, b1, mid_map)
-    arm_ff = resolved(b2, b1, mid_map)
+    false_block, = _copy(f, [BasicBlock(bf, mids)], fmap, _all_names(f),
+                         ".jt")
+    arm_t = s1.operands[1] if b2 == r1 else b2
+    arm_ft, arm_ff = fmap.get(a2, a2), fmap.get(b2, b2)
 
     head = [ins for ins in block.instrs[:i1]]
     if c2 in segment:
@@ -705,8 +727,9 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
 
     head.append(Instruction(f.fresh_id(), "condbr", None,
                             (s1.operands[0],), s1.loc, labels=(bt, bf)))
-    f_instrs.append(Instruction(f.fresh_id(), "condbr", None,
-                                (s2.operands[0],), s2.loc, labels=(bft, bff)))
+    false_block.instrs.append(Instruction(f.fresh_id(), "condbr", None,
+                                          (s2.operands[0],), s2.loc,
+                                          labels=(bft, bff)))
     join = [Instruction(f.fresh_id(), "phi", s2.result,
                         (arm_t, arm_ft, arm_ff), s2.loc, s2.width,
                         labels=(bt, bft, bff))] + post
@@ -717,7 +740,7 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
     f.blocks[at + 1:at + 1] = [
         BasicBlock(bt, [Instruction(f.fresh_id(), "br", None, (), s1.loc,
                                     labels=(bj,))]),
-        BasicBlock(bf, f_instrs),
+        false_block,
         BasicBlock(bft, [Instruction(f.fresh_id(), "br", None, (), s2.loc,
                                      labels=(bj,))]),
         BasicBlock(bff, [Instruction(f.fresh_id(), "br", None, (), s2.loc,
@@ -778,28 +801,16 @@ def _split_latch(f: Function, loop) -> bool:
     lt = _fresh_name(labels, f"{latch_label}.t")
     lf = _fresh_name(labels, f"{latch_label}.f")
     names = _all_names(f)
-
-    def clone_tail(suffix: str, r_val):
-        vmap: dict[str, object] = {sel.result: r_val}
-        out = []
-        for ins in tail:
-            nm = _fresh_name(names, f"{ins.result}{suffix}") \
-                if ins.result else None
-            out.append(clone_instruction(ins, f.fresh_id(), vmap, None,
-                                         result=nm))
-            if ins.result:
-                vmap[ins.result] = nm
-        return out, vmap
-
-    t_instrs, t_map = clone_tail(".t", sel.operands[1])
-    f_instrs, f_map = clone_tail(".f", sel.operands[2])
+    t_map: dict[str, object] = {sel.result: sel.operands[1]}
+    f_map: dict[str, object] = {sel.result: sel.operands[2]}
+    copies = (_copy(f, [BasicBlock(lt, tail)], t_map, names, ".t")
+              + _copy(f, [BasicBlock(lf, tail)], f_map, names, ".f"))
 
     latch.instrs = latch.instrs[:sel_at] + [Instruction(
         f.fresh_id(), "condbr", None, (sel.operands[0],), sel.loc,
         labels=(lt, lf))]
     at = f.block_index(latch_label)
-    f.blocks[at + 1:at + 1] = [BasicBlock(lt, t_instrs),
-                               BasicBlock(lf, f_instrs)]
+    f.blocks[at + 1:at + 1] = copies
 
     for phi in header_phis:
         if latch_label not in phi.labels:
@@ -809,10 +820,7 @@ def _split_latch(f: Function, loop) -> bool:
             if l != latch_label:
                 new_arms.append((l, v))
                 continue
-            vt = t_map.get(v, v) if isinstance(v, str) else v
-            vf = f_map.get(v, v) if isinstance(v, str) else v
-            new_arms.append((lt, vt))
-            new_arms.append((lf, vf))
+            new_arms += [(lt, t_map.get(v, v)), (lf, f_map.get(v, v))]
         phi.labels = tuple(l for l, _ in new_arms)
         phi.operands = tuple(v for _, v in new_arms)
     return True
@@ -892,41 +900,23 @@ def _unswitch_loop(f: Function, loop) -> bool:
     kind, cand_label, cand = candidate
     cond = cand.operands[0]
     pre = loop.preheader
-    names = _all_names(f)
     labels = _labels(f)
     label_map = {l: _fresh_name(labels, f"{l}.us") for l in ordered}
-    value_map: dict[str, str] = {}
-    for l in ordered:
-        for ins in f.block(l).instrs:
-            if ins.result is not None:
-                value_map[ins.result] = _fresh_name(names,
-                                                    f"{ins.result}.us")
-    clones = []
-    for l in ordered:
-        nb = BasicBlock(label_map[l])
-        for ins in f.block(l).instrs:
-            nb.instrs.append(clone_instruction(
-                ins, f.fresh_id(), value_map, label_map,
-                result=value_map.get(ins.result) if ins.result else None))
-        clones.append(nb)
+    value_map: dict[str, object] = {}
+    originals = [f.block(l) for l in ordered]
+    clones = _copy(f, originals, value_map, _all_names(f), ".us", label_map)
 
     # Original copy takes the condition-true side, the clone the false.
     if kind == "select":
         block = f.block(cand_label)
         block.instrs.remove(cand)
-        for l in ordered:
-            for ins in f.block(l).instrs:
-                ins.operands = substitute(
-                    ins, {cand.result: cand.operands[1]})
+        _subst(originals, {cand.result: cand.operands[1]})
         cblock = next(b for b in clones
                       if b.label == label_map[cand_label])
         csel = next(i for i in cblock.instrs
                     if i.result == value_map[cand.result])
         cblock.instrs.remove(csel)
-        for cb in clones:
-            for ins in cb.instrs:
-                ins.operands = substitute(
-                    ins, {csel.result: csel.operands[2]})
+        _subst(clones, {csel.result: csel.operands[2]})
     else:
         block = f.block(cand_label)
         idx = block.instrs.index(cand)
@@ -958,22 +948,22 @@ def _unswitch_loop(f: Function, loop) -> bool:
 # loop unrolling
 # ======================================================================
 
-def loop_unroll(f: Function, full_limit: int = 16) -> bool:
+def loop_unroll(f: Function) -> bool:
     """Fully unroll counted loops whose trip count is a known constant at
-    most `full_limit`.  Innermost loops first, every such loop per step;
+    most `_UNROLL_LIMIT`.  Innermost loops first, every such loop per step;
     duplicated instructions keep their source locations under fresh ids.
     Runtime-bound loops are left alone.
     """
     return _rewrite_loops(_loops_inner_first(f),
-                          lambda loop: _unroll_full(f, loop, full_limit))
+                          lambda loop: _unroll_full(f, loop))
 
 
-def _unroll_full(f: Function, loop, full_limit: int) -> bool:
+def _unroll_full(f: Function, loop) -> bool:
     info = counted_loop_info(f, loop)
     if info is None:
         return False
     trip = info.trip_count
-    if trip is None or trip > full_limit:
+    if trip is None or trip > _UNROLL_LIMIT:
         return False
     header_label = loop.header
     pre = loop.preheader
@@ -1015,32 +1005,18 @@ def _unroll_full(f: Function, loop, full_limit: int) -> bool:
     cur = dict(entry_val)
     cur[iv] = info.init
     new_blocks: list[BasicBlock] = []
-    final_map: dict[str, object] = {}
+    body = [f.block(l) for l in body_labels]
     for k in range(trip + 1):
-        last = k == trip
+        # Header phis become the tracked per-peel values in cur; phis of
+        # nested loop headers are ordinary defs and get fresh names.
         vmap: dict[str, object] = dict(cur)
-        src_labels = [header_label] + ([] if last else body_labels)
-        for l in src_labels:
-            for ins in f.block(l).instrs:
-                if ins.result is None:
-                    continue
-                # Header phis become the tracked per-peel values; phis of
-                # nested loop headers are ordinary defs and need fresh names.
-                if ins.opcode == "phi" and l == header_label:
-                    continue
-                vmap[ins.result] = _fresh_name(names, f"{ins.result}.it{k}")
-
-        hb = BasicBlock(h_labels[k])
-        for ins in header_rest:
-            hb.instrs.append(clone_instruction(
-                ins, f.fresh_id(), vmap, None,
-                result=vmap.get(ins.result) if ins.result else None))
-        if last:
+        hb, = _copy(f, [BasicBlock(h_labels[k], header_rest)], vmap, names,
+                    f".it{k}")
+        if k == trip:
             hb.instrs.append(Instruction(f.fresh_id(), "br", None, (),
                                          info.cond_br.loc,
                                          labels=(info.exit,)))
             new_blocks.append(hb)
-            final_map = vmap
             break
 
         lmap = dict(b_label_maps[k])
@@ -1049,18 +1025,9 @@ def _unroll_full(f: Function, loop, full_limit: int) -> bool:
                                      info.cond_br.loc,
                                      labels=(lmap[body_entry],)))
         new_blocks.append(hb)
-        for l in body_labels:
-            nb = BasicBlock(lmap[l])
-            for ins in f.block(l).instrs:
-                nb.instrs.append(clone_instruction(
-                    ins, f.fresh_id(), vmap, lmap,
-                    result=vmap.get(ins.result) if ins.result else None))
-            new_blocks.append(nb)
+        new_blocks += _copy(f, body, vmap, names, f".it{k}", lmap)
 
-        nxt: dict[str, object] = {}
-        for phi in phis:
-            op = latch_val[phi.result]
-            nxt[phi.result] = vmap.get(op, op) if isinstance(op, str) else op
+        nxt = {r: vmap.get(op, op) for r, op in latch_val.items()}
         nxt[iv] = evaluate(info.step_instr, cur[iv], 1)
         cur = nxt
 
@@ -1073,16 +1040,10 @@ def _unroll_full(f: Function, loop, full_limit: int) -> bool:
     f.blocks[insert_at:insert_at] = new_blocks
     _fix_phi_arm_labels(f, {header_label: h_labels[trip]})
 
-    mapping = {}
-    for name in loop_defined:
-        if name in final_map and final_map[name] != name:
-            mapping[name] = final_map[name]
+    # Outside users read the last peel's values.
+    mapping = {n: vmap[n] for n in loop_defined if vmap.get(n, n) != n}
     new_set = {b.label for b in new_blocks}
-    for b in f.blocks:
-        if b.label in new_set:
-            continue
-        for ins in b.instrs:
-            ins.operands = substitute(ins, mapping)
+    _subst([b for b in f.blocks if b.label not in new_set], mapping)
     return True
 
 
@@ -1090,7 +1051,7 @@ def _unroll_full(f: Function, loop, full_limit: int) -> bool:
 # loop vectorization
 # ======================================================================
 
-def loop_vectorize(f: Function, width: int = 4) -> bool:
+def loop_vectorize(f: Function) -> bool:
     """Turn simple counted loops into a vector loop plus scalar epilogue.
 
     Fires on two-block loops whose body is iv-affine loads/stores and
@@ -1105,7 +1066,7 @@ def loop_vectorize(f: Function, width: int = 4) -> bool:
     for loop in loops:
         if any(o is not loop and o.header in loop.blocks for o in loops):
             continue
-        plan = _vector_plan(f, loop, width)
+        plan = _vector_plan(f, loop)
         if plan is not None:
             _apply_vector_plan(f, plan)
             changed = True
@@ -1116,13 +1077,12 @@ def loop_vectorize(f: Function, width: int = 4) -> bool:
 class _VecPlan:
     loop: object
     info: object
-    width: int
     body: list[Instruction]
     offadds: set[str]
     invariants: list[object]
 
 
-def _vector_plan(f: Function, loop, width: int) -> _VecPlan | None:
+def _vector_plan(f: Function, loop) -> _VecPlan | None:
     info = counted_loop_info(f, loop)
     if info is None or len(loop.blocks) != 2:
         return None
@@ -1234,11 +1194,11 @@ def _vector_plan(f: Function, loop, width: int) -> _VecPlan | None:
     for g in stored:
         if len(access_keys[g]) != 1:
             return None
-    return _VecPlan(loop, info, width, body, set(offadds), invariants)
+    return _VecPlan(loop, info, body, set(offadds), invariants)
 
 
 def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
-    loop, info, width = plan.loop, plan.info, plan.width
+    loop, info = plan.loop, plan.info
     iv = info.iv_phi.result
     names = _all_names(f)
     labels = _labels(f)
@@ -1255,9 +1215,9 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
 
     bound = info.cmp_instr.operands[1]
     vpre = BasicBlock(vpre_l, [
-        Instruction(f.fresh_id(), "sub", vlimit, (bound, width - 1),
+        Instruction(f.fresh_id(), "sub", vlimit, (bound, _VECTOR_WIDTH - 1),
                     info.cmp_instr.loc, w),
-        Instruction(f.fresh_id(), "icmp", vguard, (width - 1, bound),
+        Instruction(f.fresh_id(), "icmp", vguard, (_VECTOR_WIDTH - 1, bound),
                     info.cmp_instr.loc, w, pred="lt"),
     ])
     splats: dict[object, str] = {}
@@ -1265,7 +1225,7 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
         base = f"vs.{op}" if isinstance(op, str) else f"vs.c{op}"
         sname = _fresh_name(names, base)
         vpre.instrs.append(Instruction(f.fresh_id(), "splat", sname, (op,),
-                                       info.cond_br.loc, width))
+                                       info.cond_br.loc, _VECTOR_WIDTH))
         splats[op] = sname
     vpre.instrs.append(Instruction(f.fresh_id(), "condbr", None, (vguard,),
                                    info.cond_br.loc,
@@ -1302,19 +1262,20 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
                 f.fresh_id(), "v" + ins.opcode, nm,
                 (ins.operands[0], off)
                 + tuple(vec_operand(op) for op in ins.operands[2:]),
-                ins.loc, width))
+                ins.loc, _VECTOR_WIDTH))
         elif ins.opcode == "select":
             vb.instrs.append(Instruction(
                 f.fresh_id(), "vselect", nm,
                 (splats[ins.operands[0]], vec_operand(ins.operands[1]),
-                 vec_operand(ins.operands[2])), ins.loc, width))
+                 vec_operand(ins.operands[2])), ins.loc, _VECTOR_WIDTH))
         else:
             vb.instrs.append(Instruction(
                 f.fresh_id(), _VECTOR_FORM[ins.opcode], nm,
                 (vec_operand(ins.operands[0]), vec_operand(ins.operands[1])),
-                ins.loc, width))
-    vb.instrs.append(Instruction(f.fresh_id(), "add", vnext, (viv, width),
-                                 info.step_instr.loc, w))
+                ins.loc, _VECTOR_WIDTH))
+    vb.instrs.append(Instruction(f.fresh_id(), "add", vnext,
+                                 (viv, _VECTOR_WIDTH), info.step_instr.loc,
+                                 w))
     vb.instrs.append(Instruction(f.fresh_id(), "br", None, (),
                                  info.cond_br.loc, labels=(vh_l,)))
 
@@ -1357,42 +1318,42 @@ class _SlpNode:
         self.children = children
 
 
-def slp_lite(f: Function, width: int = 4) -> bool:
+def slp_lite(f: Function) -> bool:
     """Pack runs of adjacent stores fed by isomorphic trees into vectors.
 
-    A run of `width` stores to consecutive constant offsets whose values
-    are same-shaped trees of lanewise arithmetic over adjacent loads is
-    replaced by vloads, vector ops, and one vstore.  Selects sharing one
+    A run of `_VECTOR_WIDTH` stores to consecutive constant offsets whose
+    values are same-shaped trees of lanewise arithmetic over adjacent loads
+    is replaced by vloads, vector ops, and one vstore.  Selects sharing one
     0/1 condition become branchless mask blends.  A step packs every such
     run, block by block, looking again at a block after each packing; each
-    packing turns `width` scalar stores into one vector store, so the scan
-    ends.
+    packing turns `_VECTOR_WIDTH` scalar stores into one vector store, so
+    the scan ends.
     """
     changed = False
     for block in f.blocks:
-        while any(_slp_try_group(f, block, g, window, width)
-                  for g, window in _store_runs(block, width)):
+        while any(_slp_try_group(f, block, g, window)
+                  for g, window in _store_runs(block)):
             changed = True
     return changed
 
 
-def _store_runs(block: BasicBlock, width: int):
-    """Each run of `width` stores to one global at consecutive constant
-    offsets, as (global, instruction indices)."""
+def _store_runs(block: BasicBlock):
+    """Each run of `_VECTOR_WIDTH` stores to one global at consecutive
+    constant offsets, as (global, instruction indices)."""
     stores_by_global: dict[str, list[int]] = {}
     for idx, ins in enumerate(block.instrs):
         if ins.opcode == "store" and isinstance(ins.operands[1], int):
             stores_by_global.setdefault(ins.operands[0], []).append(idx)
     for g, idxs in sorted(stores_by_global.items()):
-        for w0 in range(len(idxs) - width + 1):
-            window = idxs[w0:w0 + width]
+        for w0 in range(len(idxs) - _VECTOR_WIDTH + 1):
+            window = idxs[w0:w0 + _VECTOR_WIDTH]
             offs = [block.instrs[i].operands[1] for i in window]
-            if offs == list(range(offs[0], offs[0] + width)):
+            if offs == list(range(offs[0], offs[0] + _VECTOR_WIDTH)):
                 yield g, window
 
 
 def _slp_try_group(f: Function, block: BasicBlock, g: str,
-                   store_idx: list[int], width: int) -> bool:
+                   store_idx: list[int]) -> bool:
     stores = [block.instrs[i] for i in store_idx]
     offs = [s.operands[1] for s in stores]
     defs_in_block = {ins.result: ins for ins in block.instrs
@@ -1407,7 +1368,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
         if not all(isinstance(o, str) and o in defs_in_block for o in ops):
             return None
         ins = [defs_in_block[o] for o in ops]
-        if len({i.iid for i in ins}) != width:
+        if len({i.iid for i in ins}) != _VECTOR_WIDTH:
             return None
         ocs = {i.opcode for i in ins}
         if len(ocs) != 1:
@@ -1419,7 +1380,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
             loffs = [i.operands[1] for i in ins]
             if not all(isinstance(o, int) for o in loffs):
                 return None
-            if loffs != list(range(loffs[0], loffs[0] + width)):
+            if loffs != list(range(loffs[0], loffs[0] + _VECTOR_WIDTH)):
                 return None
             if ins[0].operands[0] == g and loffs != offs:
                 return None
@@ -1446,7 +1407,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
         return _SlpNode(oc, ins, kids)
 
     roots = [s.operands[2] for s in stores]
-    if len(set(roots)) != width:
+    if len(set(roots)) != _VECTOR_WIDTH:
         return False
     tree = build(roots)
     if tree is None or isinstance(tree, _SlpSplat):
@@ -1487,7 +1448,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
                 nm = _fresh_name(names, "slp.s")
                 emitted.append(Instruction(f.fresh_id(), "splat", nm,
                                            (node.value,), stores[-1].loc,
-                                           width))
+                                           _VECTOR_WIDTH))
                 splat_cache[node.value] = nm
             return splat_cache[node.value]
         if isinstance(node, _SlpLeaf):
@@ -1495,7 +1456,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
             first = node.instrs[0]
             emitted.append(Instruction(f.fresh_id(), "vload", nm,
                                        (first.operands[0], first.operands[1]),
-                                       first.loc, width))
+                                       first.loc, _VECTOR_WIDTH))
             return nm
         a = emit(node.children[0])
         b = emit(node.children[1])
@@ -1504,7 +1465,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
             nm = _fresh_name(names, "slp.v")
             emitted.append(Instruction(f.fresh_id(),
                                        _VECTOR_FORM[node.opcode], nm, (a, b),
-                                       loc, width))
+                                       loc, _VECTOR_WIDTH))
             return nm
         # Blend: b ^ (splat(0 - c) & (a ^ b)), all lanes at once.
         ws = _fresh_name(names, "slp.m")
@@ -1512,19 +1473,18 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
         x1 = _fresh_name(names, "slp.x")
         x2 = _fresh_name(names, "slp.y")
         nm = _fresh_name(names, "slp.b")
-        emitted.extend([
-            Instruction(f.fresh_id(), "neg", ws, node.instrs[0].operands[:1],
-                        loc),
-            Instruction(f.fresh_id(), "splat", wv, (ws,), loc, width),
-            Instruction(f.fresh_id(), "vxor", x1, (a, b), loc, width),
-            Instruction(f.fresh_id(), "vand", x2, (wv, x1), loc, width),
-            Instruction(f.fresh_id(), "vxor", nm, (b, x2), loc, width),
-        ])
+        emitted.append(Instruction(f.fresh_id(), "neg", ws,
+                                   node.instrs[0].operands[:1], loc))
+        for op, res, args in (("splat", wv, (ws,)), ("vxor", x1, (a, b)),
+                              ("vand", x2, (wv, x1)), ("vxor", nm, (b, x2))):
+            emitted.append(Instruction(f.fresh_id(), op, res, args, loc,
+                                       _VECTOR_WIDTH))
         return nm
 
     root_vec = emit(tree)
     emitted.append(Instruction(f.fresh_id(), "vstore", None,
-                               (g, offs[0], root_vec), stores[-1].loc, width))
+                               (g, offs[0], root_vec), stores[-1].loc,
+                               _VECTOR_WIDTH))
 
     out: list[Instruction] = []
     for i, ins in enumerate(block.instrs):

@@ -160,10 +160,7 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
             elif op in ("select", "vselect") and prog.stage == "lowered":
                 raise TraceError(
                     f"id {ins.iid}: {op} executed in a lowered program")
-            elif op == "select":
-                c = _as_scalar(val(ins.operands[0], ins), ins)
-                env[ins.result] = val(ins.operands[1 if c else 2], ins)
-            elif op == "cmov":
+            elif op in ("select", "cmov"):
                 c = _as_scalar(val(ins.operands[0], ins), ins)
                 env[ins.result] = val(ins.operands[1 if c else 2], ins)
             elif op == "vselect":

@@ -37,7 +37,7 @@ def ops(func, label):
 
 def pipe(prog, **toggles):
     knobs = {k: toggles.pop(k) for k in list(toggles)
-             if k in ("unswitch_threshold", "unroll_full_limit", "vector_width")}
+             if k == "unswitch_threshold"}
     spec = PipelineSpec(toggles={k: True for k in toggles}, **knobs)
     return run_pipeline(prog, spec)
 
@@ -57,8 +57,8 @@ def test_spec_normalizes_toggles():
 def test_spec_rejects_unknown_toggle_and_width():
     with pytest.raises(ValueError):
         PipelineSpec(toggles={"gvn": True})
-    with pytest.raises(ValueError):
-        PipelineSpec(vector_width=3)
+    with pytest.raises(TypeError):              # fixed at 4 lanes
+        PipelineSpec(vector_width=4)
 
 
 def test_with_toggles():
@@ -79,6 +79,27 @@ def test_digest_tracks_configuration():
     assert a.digest() != c.digest()
     assert len(a.digest()) == 12
     int(a.digest(), 16)
+
+
+# Report `pipeline` fields, known-answer keys and benchmark digests are
+# built on these, so a change to what digest() hashes must not move them.
+PRESET_DIGESTS = {
+    "llvm18-O3": "03bc15baa116",
+    "llvm18-Os": "b828cd05c0ed",
+    "llvm18-O3-mitig": "063367b77169",
+    "llvm18-O3-mitig+vect": "9afa3759ee4e",
+    "gcc13-O3": "6b494996b4d0",
+    "gcc13-Os": "fd7984102c82",
+    "gcc13-O3-mitig": "5d4f9d68bf76",
+    "baseline-off": "26c68ea2aaf2",
+    "i386-O3": "eae1f0fb3d61",
+    "toy-novec-nounroll": "7d1bbb6caf7c",
+}
+
+
+def test_preset_digests_are_stable():
+    assert {name: p.spec.digest() for name, p in PRESETS.items()} \
+        == PRESET_DIGESTS
 
 
 def test_render_pass_log():
@@ -310,6 +331,52 @@ bb0:
     assert execute(out, args).result == 232 + 200 + 1000
     assert [i.opcode for i in out.function().instructions()] == \
         ["and", op, "add", "add", "ret"]
+
+
+WIDE_ARM_SRC = {
+    "select": """
+  r = select s, x, 0
+  t = add r, 0
+  ret t""",
+    "phi": """
+  condbr s, bbT, bbF
+bbT:
+  br bbJ
+bbF:
+  br bbJ
+bbJ:
+  r = phi [bbT: x], [bbF: 0]
+  t = add r, 0
+  ret t""",
+    "loop phi": """
+  br h
+h:
+  r = phi [bb0: x], [b: q]
+  i = phi [bb0: 0], [b: i2]
+  c = icmp.lt i, 2
+  condbr c, b, done
+b:
+  q = select s, r, 0
+  i2 = add i, 1
+  br h
+done:
+  t = add r, 0
+  ret t""",
+}
+
+
+@pytest.mark.parametrize("form", WIDE_ARM_SRC)
+def test_identity_forwarding_follows_select_and_phi_arms(form):
+    # A select or phi passes its u64 arm through unwrapped, so the width-32
+    # `t = add r, 0` still wraps it (4294967301 -> 5) and must stay.
+    src = ("func f(public x: u64 = 4294967301, secret s: u1) {\nbb0:"
+           + WIDE_ARM_SRC[form] + "\n}")
+    prog = parse_ir(src)
+    out, _ = pipe(prog, instcombine=True)
+    for s in (0, 1):
+        args = {"x": 4294967301, "s": s}
+        assert execute(prog, args).result == 5 * s
+        assert execute(out, args).result == 5 * s
 
 
 def _fold_cases(op, width):
@@ -626,8 +693,16 @@ def test_unroll_takes_every_loop_in_one_step():
 
 
 def test_unroll_respects_full_limit():
-    _, log = pipe(parse_ir(UNROLL_SRC), loop_unroll=True, unroll_full_limit=2)
+    def unroll(trips):
+        src = UNROLL_SRC.replace("icmp.lt i, 3", f"icmp.lt i, {trips}") \
+            .replace("arr<u32,4>", f"arr<u32,{trips}>")
+        return pipe(parse_ir(src), loop_unroll=True)
+
+    _, log = unroll(17)
     assert [e.summary for e in log] == ["no change"]
+    prog, log = unroll(16)
+    assert log[0].summary != "no change"
+    assert natural_loops(prog.function()) == []
 
 
 def test_unroll_skips_unknown_trip_counts():
