@@ -73,15 +73,12 @@ class CountedLoop:
 
     * header holds the iv phi, the bound compare, and a condbr whose taken
       edge enters the body and whose other edge exits.
-    * body_labels lists the in-loop blocks other than the header, in
-      function order; the latch ends with `br header`.
+    * the latch ends with `br header`.
     * bound is an int when it could be resolved through const definitions,
       else the operand name.
     """
 
-    loop: Loop
     header: str
-    body_labels: list[str]
     latch: str
     exit: str
     iv_phi: Instruction
@@ -160,13 +157,11 @@ def counted_loop_info(func: Function, loop: Loop) -> CountedLoop | None:
     if step.opcode != "add" or step.operands[0] != iv_phi.result or step.operands[1] != 1:
         return None
 
-    body_labels = [b.label for b in func.blocks
-                   if b.label in loop.blocks and b.label != loop.header]
     latch_term = func.block(latch).terminator
     if latch_term is None or latch_term.opcode != "br":
         return None
 
     bound = _resolve_const(defs, cmp_ins.operands[1])
     init_res = _resolve_const(defs, init)
-    return CountedLoop(loop, loop.header, body_labels, latch, not_taken,
-                       iv_phi, init_res, step, cmp_ins, term, bound)
+    return CountedLoop(loop.header, latch, not_taken, iv_phi, init_res, step,
+                       cmp_ins, term, bound)

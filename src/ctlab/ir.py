@@ -41,6 +41,21 @@ Conventions:
   scalar op to each pair of 32-bit lanes.
 * Memory ops name their region (a global or an array parameter) in their
   first operand; ``value_operands`` gives the operands that are values.
+* Every value has a type, which ``validate`` checks against each operand
+  role: a scalar, an n-lane vector, or an array region.  An array
+  parameter is only ever a region.  Lanewise ops and ``vselect`` take
+  vectors of their own lane count, ``vstore`` stores one; every other
+  value operand (arithmetic, ``select``/``cmov``, offsets, ``splat``,
+  ``condbr``, ``ret``) is a scalar, and so is every immediate.  A ``phi``
+  has its arms' type, and the arms must agree.  Every name used, even in
+  an unreachable block, is defined.
+* Width rule (``value_bits``): an arithmetic result or a ``load`` wraps
+  to the instruction width (so a load narrower than its region's elements
+  changes the value, and only a 32-bit load matches a ``vload`` lane); an
+  ``and`` is as narrow as its narrowest
+  operand; an ``icmp`` is 1 bit and a ``const`` as wide as its immediate;
+  ``select``/``cmov``/``phi`` pass an arm through, so they are as wide as
+  their widest arm.
 * ``!loc file:line`` attaches the originating source line.  If omitted the
   parser falls back to the textual line number, but every instruction always
   carries a location.
@@ -671,10 +686,20 @@ def dominators(func: Function) -> dict[str, set[str]]:
     return dom
 
 
+_SCALAR = "a scalar"
+_REGION = "an array region"
+
+
+def _vector(lanes: int) -> str:
+    return f"a {lanes}-lane vector"
+
+
 def validate(prog: Program) -> list[str]:
     """Return violation strings; empty means the program is well formed.
 
-    Each violation names the function, block, and instruction id involved.
+    Checks structure, dominance and the type of every value operand (see
+    the module conventions).  Each violation names the function, block,
+    and instruction id involved.
     """
     errs: list[str] = []
 
@@ -686,6 +711,15 @@ def validate(prog: Program) -> list[str]:
             where += f"/id{ins.iid}"
         errs.append(f"{where}: {msg}")
 
+    def type_of(op, seen=frozenset()):
+        # A phi's entry holds its arms until it is resolved to the first
+        # arm type found.
+        t = _SCALAR if isinstance(op, int) else types.get(op)
+        if isinstance(t, tuple) and op not in seen:
+            return next(filter(None, (type_of(a, seen | {op}) for a in t)),
+                        None)
+        return t if isinstance(t, str) else None
+
     for func in prog.functions.values():
         labels = [b.label for b in func.blocks]
         if len(set(labels)) != len(labels):
@@ -695,61 +729,79 @@ def validate(prog: Program) -> list[str]:
 
         seen_ids: set[int] = set()
         defs: dict[str, tuple[str, int]] = {}  # name -> (block, index)
-        names = {p.name for p in func.params}
+        types: dict[str, object] = {
+            p.name: _REGION if isinstance(p.type, ArrayType) else _SCALAR
+            for p in func.params}
         for block in func.blocks:
             for idx, ins in enumerate(block.instrs):
                 if ins.iid in seen_ids:
                     err(func, block, ins, "duplicate instruction id")
                 seen_ids.add(ins.iid)
                 if ins.result is not None:
-                    if ins.result in defs or ins.result in names:
+                    if ins.result in types:
                         err(func, block, ins, f"redefinition of {ins.result!r}")
                     defs[ins.result] = (block.label, idx)
-                    names.add(ins.result)
+                    types[ins.result] = (
+                        ins.operands if ins.opcode == "phi"
+                        else _vector(ins.width) if ins.opcode in VECTOR_OPS
+                        else _SCALAR)
+        for name in [n for n, t in types.items() if isinstance(t, tuple)]:
+            types[name] = type_of(name)
 
         for block in func.blocks:
             term = block.terminator
             if term is None:
                 err(func, block, None, "block lacks a terminator")
             for idx, ins in enumerate(block.instrs):
+                if ins.opcode not in ALL_OPS:
+                    err(func, block, ins, f"unknown opcode {ins.opcode!r}")
+                    continue
                 if ins.is_terminator and idx != len(block.instrs) - 1:
                     err(func, block, ins, "terminator not at block end")
+                if ins.opcode == "phi" and block is func.blocks[0]:
+                    err(func, block, ins, "phi in the entry block")
                 if ins.opcode == "phi" and any(
                         prev.opcode != "phi" for prev in block.instrs[:idx]):
                     err(func, block, ins, "phi after non-phi instruction")
+                want = (types[ins.result] if ins.opcode == "phi"
+                        else _vector(ins.width) if ins.opcode in LANEWISE_OPS
+                        or ins.opcode == "vselect" else _SCALAR)
+                for k, op in enumerate(value_operands(ins)):
+                    need = _vector(ins.width) if ins.opcode == "vstore" \
+                        and k == 1 else want
+                    got = _SCALAR if isinstance(op, int) else types.get(op)
+                    if op not in types and not isinstance(op, int):
+                        err(func, block, ins, f"use of undefined {op!r}")
+                    elif got is not None and got != need:
+                        err(func, block, ins,
+                            f"operand {op!r} is {got}; {ins.opcode} needs {need}")
                 for l in ins.labels:
                     if l not in label_set:
                         err(func, block, ins, f"unknown target block {l!r}")
-                if ins.opcode in MEMORY_OPS:
-                    gname = ins.operands[0]
-                    param = func.param(gname) if isinstance(gname, str) else None
-                    is_array_param = param is not None and isinstance(param.type, ArrayType)
-                    if gname not in prog.globals and not is_array_param:
-                        err(func, block, ins, f"unknown memory name {gname!r}")
+                if ins.opcode in MEMORY_OPS and ins.operands[0] not in \
+                        prog.globals and types.get(ins.operands[0]) != _REGION:
+                    err(func, block, ins,
+                        f"unknown memory name {ins.operands[0]!r}")
                 if prog.stage == "lowered" and ins.opcode in ("select", "vselect"):
                     err(func, block, ins, f"{ins.opcode} present in lowered program")
                 if prog.stage == "midend" and ins.opcode == "cmov":
                     err(func, block, ins, "cmov before backend lowering")
 
-        # Use-def: every used name is a param or dominated definition.
+        # Dominance: every use of a definition (params and undefined names
+        # were settled above) is dominated by it.
         dom = dominators(func)
         preds = predecessors(func)
-        param_names = {p.name for p in func.params}
         for block in func.blocks:
             if block.label not in dom:
                 continue  # unreachable; skip dominance checks
             for idx, ins in enumerate(block.instrs):
-                uses = [op for op in value_operands(ins) if isinstance(op, str)]
                 if ins.opcode == "phi":
                     for label, op in zip(ins.labels, ins.operands):
                         if label not in preds.get(block.label, []):
                             err(func, block, ins,
                                 f"phi arm from non-predecessor {label!r}")
-                        if not isinstance(op, str) or op in param_names:
-                            continue
-                        if op not in defs:
-                            err(func, block, ins, f"use of undefined {op!r}")
-                        elif label in dom and defs[op][0] not in dom[label]:
+                        if op in defs and label in dom \
+                                and defs[op][0] not in dom[label]:
                             err(func, block, ins,
                                 f"phi value {op!r} does not dominate edge {label}")
                     arm_labels = set(ins.labels)
@@ -757,11 +809,8 @@ def validate(prog: Program) -> list[str]:
                                          if p in dom):
                         err(func, block, ins, "phi arms do not match predecessors")
                     continue
-                for op in uses:
-                    if op in param_names:
-                        continue
+                for op in value_operands(ins):
                     if op not in defs:
-                        err(func, block, ins, f"use of undefined {op!r}")
                         continue
                     dblock, didx = defs[op]
                     if dblock == block.label:
@@ -785,6 +834,42 @@ def evaluate(ins: Instruction, *args: int) -> int:
         return int(_COMPARISONS[ins.pred](*args))
     op = BINARY_OPS.get(ins.opcode) or _UNARY_OPS[ins.opcode]
     return op(*args, ins.width)
+
+
+def value_bits(func: Function, op: object,
+               defs: dict[str, Instruction] | None = None) -> int:
+    """The most bits the scalar value ``op`` of a valid ``func`` can
+    occupy, by the width rule of the module conventions.  An arm that leads
+    back to a value still being measured adds nothing, so loop phis end."""
+    defs = func.defs() if defs is None else defs
+
+    def bits(op, open_ands):
+        most, todo, seen = 0, [op], {op}
+        while todo:
+            op = todo.pop()
+            ins = defs.get(op) if isinstance(op, str) else None
+            if isinstance(op, int):
+                b = op.bit_length()
+            elif ins is None:
+                b = func.param(op).type.width
+            elif ins.opcode in ("select", "cmov", "phi"):
+                arms = ins.operands if ins.opcode == "phi" else ins.operands[1:]
+                todo += [a for a in arms if a not in seen]
+                seen.update(arms)
+                continue
+            elif ins.opcode == "icmp":
+                b = 1
+            elif ins.opcode == "const":
+                b = ins.operands[0].bit_length()
+            elif ins.opcode == "and":
+                b = 0 if op in open_ands else min(
+                    ins.width, *(bits(a, open_ands | {op}) for a in ins.operands))
+            else:
+                b = ins.width
+            most = max(most, b)
+        return most
+
+    return bits(op, frozenset())
 
 
 def value_operands(ins: Instruction) -> tuple[object, ...]:

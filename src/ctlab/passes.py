@@ -5,9 +5,10 @@ observable effect: it fires on the documented pattern and leaves everything
 else untouched.  Each pass is a step that rewrites a function in place and
 returns whether it changed anything.  The runner copies each function once
 per pass application, runs the pass's step and then cleanup, each to its
-fixpoint, validates the result, and logs created/deleted instruction ids so
-leak findings can be attributed to the pass that introduced them.  A step
-or cleanup that does not settle raises an error that names it.
+fixpoint, validates the result when either reports a change, and logs
+created/deleted instruction ids so leak findings can be attributed to the
+pass that introduced them.  A step or cleanup that does not settle raises
+an error that names it.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .ir import (
     LANEWISE_OPS,
     BasicBlock,
     Function,
+    GlobalArray,
     Instruction,
     IRError,
     Program,
-    ScalarType,
     clone_instruction,
     copy_function,
     copy_program,
@@ -35,6 +36,7 @@ from .ir import (
     substitute,
     successors,
     validate,
+    value_bits,
     value_operands,
 )
 
@@ -199,30 +201,6 @@ def _uses(func: Function) -> dict[str, list[Instruction]]:
     return out
 
 
-def _known01(func: Function, op: object,
-             defs: dict[str, Instruction] | None = None) -> bool:
-    """True when the value is provably 0 or 1: an icmp result, a u1
-    parameter, a literal 0/1, or a masking `and x, 1`."""
-    if isinstance(op, int):
-        return op in (0, 1)
-    param = func.param(op)
-    if param is not None:
-        return getattr(param.type, "width", 0) == 1
-    defs = defs if defs is not None else func.defs()
-    ins = defs.get(op)
-    if ins is None:
-        return False
-    if ins.opcode == "icmp":
-        return True
-    if ins.opcode == "const":
-        return ins.operands[0] in (0, 1)
-    if ins.opcode == "and" and 1 in ins.operands:
-        return True
-    if ins.opcode == "select":
-        return all(_known01(func, a, defs) for a in ins.operands[1:])
-    return False
-
-
 def _match_neg(defs: dict[str, Instruction], op: object) -> object | None:
     """Return c when op is defined as `neg c` or `sub 0, c`, else None."""
     if not isinstance(op, str) or op not in defs:
@@ -338,31 +316,6 @@ def _apply_copies(func: Function) -> bool:
         d = defs.get(op)
         return d.operands[0] if d is not None and d.opcode == "const" else None
 
-    def value_fits(op, width):
-        if isinstance(op, int):
-            return op < (1 << width)
-        if op in defs:
-            return defs[op].width <= width
-        param = func.param(op)
-        return param is not None and isinstance(param.type, ScalarType) \
-            and param.type.width <= width
-
-    def fits(op, width):
-        # Execution passes a select or phi arm through unwrapped, so those
-        # fit when all their arms do.  A name already being checked counts
-        # as fitting, so loop phis end the search.
-        todo, seen = [op], {op}
-        while todo:
-            op = todo.pop()
-            d = defs.get(op) if isinstance(op, str) else None
-            if d is not None and d.opcode in ("select", "phi"):
-                arms = d.operands[1:] if d.opcode == "select" else d.operands
-                todo += [a for a in arms if a not in seen]
-                seen.update(arms)
-            elif not value_fits(op, width):
-                return False
-        return True
-
     copies: dict[str, object] = {}
     for ins in func.instructions():
         if ins.result is None:
@@ -400,7 +353,7 @@ def _apply_copies(func: Function) -> bool:
                 tgt = 0
         if tgt is None or tgt == ins.result:
             continue
-        if ins.opcode in BINARY_OPS and not fits(tgt, ins.width):
+        if ins.opcode in BINARY_OPS and value_bits(func, tgt, defs) > ins.width:
             continue            # the identity still wraps tgt to the width
         copies[ins.result] = tgt
     if not copies:
@@ -458,9 +411,10 @@ def _tidy_cfg(func: Function) -> bool:
     return changed
 
 
-def _remove_redundant_stores(func: Function) -> bool:
-    """Drop `store g, i, v` when v was loaded from g[i] earlier in the same
-    block with no intervening store to g."""
+def _remove_redundant_stores(func: Function,
+                             globals_: dict[str, GlobalArray]) -> bool:
+    """Drop `store g, i, v` when v was loaded from g[i], at least as wide as
+    g's elements, earlier in the same block with no intervening store to g."""
     changed = False
     for block in func.blocks:
         drop = set()
@@ -471,8 +425,9 @@ def _remove_redundant_stores(func: Function) -> bool:
             for j in range(idx - 1, -1, -1):
                 prev = block.instrs[j]
                 if prev.result == v:
-                    if prev.opcode == "load" and prev.operands[0] == g \
-                            and prev.operands[1] == off:
+                    region = globals_.get(g) or func.param(g).type
+                    if prev.opcode == "load" and prev.operands == (g, off) \
+                            and prev.width >= region.elem_width:
                         drop.add(idx)
                     break
                 if prev.opcode in ("store", "vstore") and prev.operands[0] == g:
@@ -522,16 +477,14 @@ def _merge_blocks(func: Function) -> bool:
     return True
 
 
-def _cleanup_sweep(f: Function) -> bool:
-    return (_fold_constants(f) | _apply_copies(f) | _remove_dead_code(f)
-            | _tidy_cfg(f) | _remove_redundant_stores(f) | _merge_blocks(f))
-
-
-def cleanup(f: Function) -> bool:
+def cleanup(f: Function, globals_: dict[str, GlobalArray]) -> bool:
     """Folding, copy propagation, DCE, and CFG tidying, in place, to a
     fixpoint; True when anything changed.  Each sweep merges every block
     chain, so the corpus settles within a handful."""
-    return _to_fixpoint(_cleanup_sweep, f, "cleanup")
+    return _to_fixpoint(
+        lambda f: (_fold_constants(f) | _apply_copies(f) | _remove_dead_code(f)
+                   | _tidy_cfg(f) | _remove_redundant_stores(f, globals_)
+                   | _merge_blocks(f)), f, "cleanup")
 
 
 # ======================================================================
@@ -568,7 +521,7 @@ def instcombine_lite(f: Function) -> bool:
             for m_op, t0_op in ((and_ins.operands[0], and_ins.operands[1]),
                                 (and_ins.operands[1], and_ins.operands[0])):
                 c = _match_neg(defs, m_op)
-                if c is None or not _known01(f, c, defs):
+                if c is None or value_bits(f, c, defs) > 1:
                     continue
                 if not isinstance(t0_op, str) or t0_op not in defs:
                     continue
@@ -597,7 +550,7 @@ def instcombine_lite(f: Function) -> bool:
         for m_op, a_op in ((root.operands[0], root.operands[1]),
                            (root.operands[1], root.operands[0])):
             c = _match_neg(defs, m_op)
-            if c is not None and _known01(f, c, defs):
+            if c is not None and value_bits(f, c, defs) <= 1:
                 rewrites.append((root.iid, (c, a_op, 0)))
                 break
 
@@ -1160,7 +1113,7 @@ def _vector_plan(f: Function, loop) -> _VecPlan | None:
             continue
         if ins.opcode == "load":
             key = off_key(ins.operands[1])
-            if key is None:
+            if key is None or ins.width != 32:
                 return None
             access_keys.setdefault(ins.operands[0], set()).add(key)
         elif ins.opcode == "store":
@@ -1374,6 +1327,9 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
         if len(ocs) != 1:
             return None
         oc = ocs.pop()
+        # A lane is 32 bits, so only 32-bit loads and arithmetic pack.
+        if oc in ("load", *_VECTOR_FORM) and any(i.width != 32 for i in ins):
+            return None
         if oc == "load":
             if len({i.operands[0] for i in ins}) != 1:
                 return None
@@ -1387,12 +1343,10 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
             members.extend(ins)
             return _SlpLeaf(ins)
         if oc in _VECTOR_FORM:
-            if any(i.width != 32 for i in ins):
-                return None
             slots = (0, 1)
         elif oc == "select":
             conds = {i.operands[0] for i in ins}
-            if len(conds) != 1 or not _known01(f, next(iter(conds))):
+            if len(conds) != 1 or value_bits(f, next(iter(conds))) > 1:
                 return None
             slots = (1, 2)
         else:
@@ -1562,12 +1516,14 @@ def if_convert(f: Function) -> bool:
 
 def run_pipeline(prog: Program,
                  spec: PipelineSpec) -> tuple[Program, list[PassLogEntry]]:
-    """Apply the enabled passes in their fixed order, cleaning up and
-    validating after each.  With every toggle off the program comes back
-    unchanged (modulo copying).  Raises IRError when the input program is
-    malformed, and InternalPassError when a pass leaves it malformed or
-    when the pass or its cleanup does not settle within
-    ``_FIXPOINT_STEPS`` steps, carrying the log of passes applied so far.
+    """Apply the enabled passes in their fixed order, cleaning up after
+    each, and validating the program after a pass whose step or cleanup
+    reports a change; a function reported unchanged keeps its previous
+    copy.  With every toggle off the program comes back unchanged (modulo
+    copying).  Raises IRError when the input program is malformed, and
+    InternalPassError when a pass leaves it malformed or when the pass or
+    its cleanup does not settle within ``_FIXPOINT_STEPS`` steps, carrying
+    the log of passes applied so far.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
@@ -1578,23 +1534,28 @@ def run_pipeline(prog: Program,
     log: list[PassLogEntry] = []
     for name in spec.order:
         step = _PASSES[name]
+        changed = False
         for fname in list(out.functions):
             func = out.functions[fname]
-            before = {i.iid for i in func.instructions()}
             new = copy_function(func)
             try:
-                _to_fixpoint(lambda f: step(f, spec), new, name)
-                cleanup(new)
+                # Both run: cleanup may change what the pass left alone.
+                if not (_to_fixpoint(lambda f: step(f, spec), new, name)
+                        | cleanup(new, out.globals)):
+                    log.append(PassLogEntry(name, fname, "no change"))
+                    continue
             except InternalPassError as e:
                 raise InternalPassError(f"pass {name}: {e}", log) from e
+            changed = True
+            before = {i.iid for i in func.instructions()}
             after = {i.iid for i in new.instructions()}
             created = tuple(sorted(after - before))
             deleted = tuple(sorted(before - after))
-            summary = ("no change" if new == func else
-                       f"+{len(created)}/-{len(deleted)} instructions")
             out.functions[fname] = new
-            log.append(PassLogEntry(name, fname, summary, created, deleted))
-        errors = validate(out)
+            log.append(PassLogEntry(
+                name, fname, f"+{len(created)}/-{len(deleted)} instructions",
+                created, deleted))
+        errors = validate(out) if changed else []
         if errors:
             raise InternalPassError(
                 f"pass {name} broke the program: {errors[0]}", log)

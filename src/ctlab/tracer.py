@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS, ArrayType,
-                 Instruction, Program, ScalarType, evaluate)
+                 Program, ScalarType, evaluate)
 
 DEFAULT_FUEL = 1_000_000
 _LANE_MASK = (1 << LANE_WIDTH) - 1
@@ -55,27 +55,18 @@ class Trace:
     memory: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
-def _as_scalar(v, ins: Instruction):
-    if not isinstance(v, int):
-        raise TraceError(f"id {ins.iid}: expected scalar operand, got vector")
-    return v
-
-
-def _as_vector(v, ins: Instruction, lanes: int):
-    if not isinstance(v, tuple) or len(v) != lanes:
-        raise TraceError(f"id {ins.iid}: expected {lanes}-lane vector operand")
-    return v
-
-
 def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
             func_name: str | None = None, fuel: int = DEFAULT_FUEL) -> Trace:
     """Run one function to completion and return its trace.
 
-    ``args`` maps every parameter name to a value: ints for scalars (masked
-    to the declared width), tuples of ints for array parameters.  Execution
-    is fully deterministic.  Raises TraceError on missing arguments, fuel
-    exhaustion, out-of-bounds memory access, a branch to an unknown block,
-    or a ``select``/``vselect`` surviving into a lowered program.
+    ``prog`` must pass ``validate`` (``lower`` returns such a program):
+    every operand then has the type its opcode takes and every value is
+    set before it is read, so nothing is checked again here.  ``args``
+    maps every parameter name to a value: ints for scalars (masked to the
+    declared width), tuples of ints for array parameters.  Execution is
+    fully deterministic.  Raises TraceError only on a missing argument or
+    an array argument of the wrong length, an out-of-bounds memory access,
+    or fuel exhaustion.
     """
     func = prog.function(func_name)
     memory: dict[str, list[int]] = {}
@@ -99,25 +90,15 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
         else:
             env[p.name] = int(v) & ((1 << p.type.width) - 1)
 
-    def val(op, ins):
-        if isinstance(op, int):
-            return op
-        if op in env:
-            return env[op]
-        raise TraceError(f"id {ins.iid}: use of unset value {op!r}")
-
-    def region(ins):
-        name = ins.operands[0]
-        if name not in memory:
-            raise TraceError(f"id {ins.iid}: unknown memory region {name!r}")
-        return name
-
     def check_bounds(ins, name, offset):
         if not 0 <= offset < len(memory[name]):
             raise TraceError(
                 f"id {ins.iid}: {name}[{offset}] out of bounds "
                 f"(length {len(memory[name])})")
 
+    # ``get(op, op)`` is an operand's value: an immediate is an int, which
+    # no value name equals.
+    get = env.get
     events: list[BranchDir | MemAccess] = []
     steps = 0
     blocks = {b.label: b for b in func.blocks}
@@ -125,20 +106,12 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
     prev_label: str | None = None
 
     while True:
-        block = blocks.get(label)
-        if block is None:
-            raise TraceError(
-                f"block {prev_label} branches to unknown block {label!r}")
+        block = blocks[label]
         # Parallel phi evaluation on block entry.
         phi_updates = {}
         for phi in block.phis():
-            for l, op in zip(phi.labels, phi.operands):
-                if l == prev_label:
-                    phi_updates[phi.result] = val(op, phi)
-                    break
-            else:
-                raise TraceError(
-                    f"id {phi.iid}: no phi arm for predecessor {prev_label!r}")
+            op = phi.operands[phi.labels.index(prev_label)]
+            phi_updates[phi.result] = get(op, op)
         env.update(phi_updates)
 
         for ins in block.instrs:
@@ -149,51 +122,42 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
             if op == "phi":
                 continue
             if op in BINARY_OPS:
-                a = _as_scalar(val(ins.operands[0], ins), ins)
-                b = _as_scalar(val(ins.operands[1], ins), ins)
-                env[ins.result] = BINARY_OPS[op](a, b, ins.width)
+                a, b = ins.operands
+                env[ins.result] = BINARY_OPS[op](get(a, a), get(b, b), ins.width)
             elif op in EVAL_OPS:
-                env[ins.result] = evaluate(
-                    ins, *[_as_scalar(val(o, ins), ins) for o in ins.operands])
+                env[ins.result] = evaluate(ins, *[get(o, o) for o in ins.operands])
             elif op == "const":
                 env[ins.result] = ins.operands[0] & ((1 << ins.width) - 1)
-            elif op in ("select", "vselect") and prog.stage == "lowered":
-                raise TraceError(
-                    f"id {ins.iid}: {op} executed in a lowered program")
             elif op in ("select", "cmov"):
-                c = _as_scalar(val(ins.operands[0], ins), ins)
-                env[ins.result] = val(ins.operands[1 if c else 2], ins)
+                c, a, b = ins.operands
+                v = a if get(c, c) else b
+                env[ins.result] = get(v, v)
             elif op == "vselect":
-                m = _as_vector(val(ins.operands[0], ins), ins, ins.width)
-                a = _as_vector(val(ins.operands[1], ins), ins, ins.width)
-                b = _as_vector(val(ins.operands[2], ins), ins, ins.width)
-                env[ins.result] = tuple(
-                    a[i] if m[i] else b[i] for i in range(ins.width))
+                m, a, b = (env[o] for o in ins.operands)
+                env[ins.result] = tuple(x if k else y for k, x, y in zip(m, a, b))
             elif op == "splat":
-                x = _as_scalar(val(ins.operands[0], ins), ins)
-                env[ins.result] = (x & _LANE_MASK,) * ins.width
+                x = ins.operands[0]
+                env[ins.result] = (get(x, x) & _LANE_MASK,) * ins.width
             elif op in LANEWISE_OPS:
-                a = _as_vector(val(ins.operands[0], ins), ins, ins.width)
-                b = _as_vector(val(ins.operands[1], ins), ins, ins.width)
+                a, b = ins.operands
                 lane_op = BINARY_OPS[LANEWISE_OPS[op]]
                 env[ins.result] = tuple(lane_op(x, y, LANE_WIDTH)
-                                        for x, y in zip(a, b))
+                                        for x, y in zip(env[a], env[b]))
             elif op == "load":
-                name = region(ins)
-                off = _as_scalar(val(ins.operands[1], ins), ins)
+                name, off = ins.operands
+                off = get(off, off)
                 check_bounds(ins, name, off)
                 events.append(MemAccess(ins.iid, "load", name, off))
-                env[ins.result] = memory[name][off]
+                env[ins.result] = memory[name][off] & ((1 << ins.width) - 1)
             elif op == "store":
-                name = region(ins)
-                off = _as_scalar(val(ins.operands[1], ins), ins)
-                v = _as_scalar(val(ins.operands[2], ins), ins)
+                name, off, v = ins.operands
+                off = get(off, off)
                 check_bounds(ins, name, off)
                 events.append(MemAccess(ins.iid, "store", name, off))
-                memory[name][off] = v & ((1 << widths[name]) - 1)
+                memory[name][off] = get(v, v) & ((1 << widths[name]) - 1)
             elif op == "vload":
-                name = region(ins)
-                off = _as_scalar(val(ins.operands[1], ins), ins)
+                name, off = ins.operands
+                off = get(off, off)
                 lanes = []
                 for i in range(ins.width):
                     check_bounds(ins, name, off + i)
@@ -201,9 +165,8 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
                     lanes.append(memory[name][off + i] & _LANE_MASK)
                 env[ins.result] = tuple(lanes)
             elif op == "vstore":
-                name = region(ins)
-                off = _as_scalar(val(ins.operands[1], ins), ins)
-                vec = _as_vector(val(ins.operands[2], ins), ins, ins.width)
+                name, off, vec = ins.operands
+                off, vec = get(off, off), env[vec]
                 emask = (1 << widths[name]) - 1
                 for i in range(ins.width):
                     check_bounds(ins, name, off + i)
@@ -213,21 +176,15 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
                 prev_label, label = label, ins.labels[0]
                 break
             elif op == "condbr":
-                c = _as_scalar(val(ins.operands[0], ins), ins)
-                taken = bool(c)
+                c = ins.operands[0]
+                taken = bool(get(c, c))
                 events.append(BranchDir(ins.iid, taken))
                 prev_label, label = label, ins.labels[0 if taken else 1]
                 break
-            elif op == "ret":
-                result = val(ins.operands[0], ins) if ins.operands else None
-                if isinstance(result, tuple):
-                    raise TraceError(f"id {ins.iid}: ret of a vector value")
-                return Trace(func.name, events, result, steps,
+            else:                       # ret
+                r = ins.operands[0] if ins.operands else None
+                return Trace(func.name, events, get(r, r), steps,
                              {n: tuple(v) for n, v in memory.items()})
-            else:
-                raise TraceError(f"id {ins.iid}: cannot execute {op!r}")
-        else:
-            raise TraceError(f"block {block.label} fell through without terminator")
 
 
 # ======================================================================

@@ -130,6 +130,19 @@ def test_validate_catches_broken_programs():
     prog = parse_ir("stage lowered\nfunc f(public n: u32 = 1) {\nbb0:\n"
                     "  r = select n, n, n\n  ret r\n}")
     assert any("lowered" in e for e in validate(prog))
+    # the entry block is first entered from no predecessor
+    prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  i = phi [bb1: n]\n"
+                    "  br bb1\nbb1:\n  br bb0\n}")
+    assert validate(prog) == ["f/bb0/id0: phi in the entry block"]
+    # an opcode the parser would not have produced
+    prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  a = add n, 1\n"
+                    "  ret a\n}")
+    prog.function().blocks[0].instrs[0].opcode = "frob"
+    assert validate(prog) == ["f/bb0/id0: unknown opcode 'frob'"]
+    # an undefined name, even in an unreachable block
+    prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\ndead:\n"
+                    "  m = sub 0, zz\n  r = and m, n\n  ret r\n}")
+    assert validate(prog) == ["f/dead/id1: use of undefined 'zz'"]
 
 
 def test_validate_phi_arms_match_predecessors():
@@ -148,3 +161,63 @@ bbJ:
     assert validate(parse_ir(src)) == []
     bad = src.replace("[bbX: n]", "[bb0: n]")
     assert any("phi arms" in e for e in validate(parse_ir(bad)))
+
+
+TYPED = """
+func f(secret m: arr<u32,8>, public n: u32 = 1) {{
+bb0:
+  v = vload.4 m, 0
+  s = splat.4 n
+{body}
+}}
+"""
+
+TYPE_ERRORS = {
+    "vector as scalar": (
+        "  r = add v, 1\n  ret r",
+        "f/bb0/id2: operand 'v' is a 4-lane vector; add needs a scalar"),
+    "vector as offset": (
+        "  r = load m, v\n  ret r",
+        "f/bb0/id2: operand 'v' is a 4-lane vector; load needs a scalar"),
+    "immediate in lanewise op": (
+        "  w = vadd.4 v, 1\n  ret n",
+        "f/bb0/id2: operand 1 is a scalar; vadd needs a 4-lane vector"),
+    "scalar in lanewise op": (
+        "  w = vxor.4 n, s\n  ret n",
+        "f/bb0/id2: operand 'n' is a scalar; vxor needs a 4-lane vector"),
+    "lane count mismatch": (
+        "  x = vload.2 m, 4\n  w = vadd.4 v, x\n  ret n",
+        "f/bb0/id3: operand 'x' is a 2-lane vector; vadd needs a 4-lane "
+        "vector"),
+    "vstore lane mismatch": (
+        "  vstore.2 m, 0, v\n  ret n",
+        "f/bb0/id2: operand 'v' is a 4-lane vector; vstore needs a 2-lane "
+        "vector"),
+    "array parameter as value": (
+        "  r = add m, 1\n  ret r",
+        "f/bb0/id2: operand 'm' is an array region; add needs a scalar"),
+    "ret of a vector": (
+        "  ret v",
+        "f/bb0/id2: operand 'v' is a 4-lane vector; ret needs a scalar"),
+    "condbr on a vector": (
+        "  condbr v, bb1, bb1\nbb1:\n  ret n",
+        "f/bb0/id2: operand 'v' is a 4-lane vector; condbr needs a scalar"),
+    "phi arms of mixed type": (
+        "  condbr n, bbA, bbB\nbbA:\n  br bbJ\nbbB:\n  br bbJ\nbbJ:\n"
+        "  r = phi [bbA: v], [bbB: n]\n  ret n",
+        "f/bbJ/id5: operand 'n' is a scalar; phi needs a 4-lane vector"),
+}
+
+
+@pytest.mark.parametrize("case", TYPE_ERRORS)
+def test_validate_checks_operand_types(case):
+    body, message = TYPE_ERRORS[case]
+    assert validate(parse_ir(TYPED.format(body=body))) == [message]
+
+
+def test_validate_accepts_vector_phis():
+    # Lowering joins the arms of a vselect with a phi.
+    body = ("  condbr n, bbA, bbB\nbbA:\n  br bbJ\nbbB:\n  br bbJ\nbbJ:\n"
+            "  r = phi [bbA: v], [bbB: s]\n  w = vadd.4 r, s\n"
+            "  vstore.4 m, 4, w\n  ret n")
+    assert validate(parse_ir(TYPED.format(body=body))) == []

@@ -138,8 +138,9 @@ bb0:
   ret t
 }
 """
-    func = parse_ir(src).function()
-    cleanup(func)
+    prog = parse_ir(src)
+    func = prog.function()
+    cleanup(func, prog.globals)
     assert [i.opcode for i in func.instructions()] == ["ret"]
     assert func.blocks[0].instrs[0].operands == ("n",)
 
@@ -156,8 +157,9 @@ bbF:
   ret 2
 }
 """
-    func = parse_ir(src).function()
-    cleanup(func)
+    prog = parse_ir(src)
+    func = prog.function()
+    cleanup(func, prog.globals)
     assert [i.opcode for i in func.instructions()] == ["ret"]
     assert func.blocks[0].instrs[0].operands == (1,)
 
@@ -172,8 +174,9 @@ bb0:
 }
 global g: arr<u32,1> = zeros
 """
-    func = parse_ir(src).function()
-    cleanup(func)
+    prog = parse_ir(src)
+    func = prog.function()
+    cleanup(func, prog.globals)
     kept = [i.opcode for i in func.instructions()]
     assert kept == ["store", "ret"]
 
@@ -188,9 +191,32 @@ bb0:
 }
 global g: arr<u32,4> = zeros
 """
-    func = parse_ir(src).function()
-    cleanup(func)
+    prog = parse_ir(src)
+    func = prog.function()
+    cleanup(func, prog.globals)
     assert [i.opcode for i in func.instructions()] == ["load", "ret"]
+
+
+@pytest.mark.parametrize("load, region", [("load", "u64"), ("load.8", "u32")])
+def test_cleanup_keeps_store_of_a_narrowed_load(load, region):
+    # The load wraps 4294967301 to its width, so storing it back is a write.
+    src = f"""
+func f(secret s: u1) {{
+bb0:
+  v = {load} g, 0
+  store g, 0, v
+  ret v
+}}
+global g: arr<{region},1> = [4294967301]
+"""
+    prog = parse_ir(src)
+    func = parse_ir(src).function()
+    cleanup(func, prog.globals)
+    assert [i.opcode for i in func.instructions()] == ["load", "store", "ret"]
+    out, _ = pipe(prog, instcombine=True)
+    for s in (0, 1):
+        base, t = execute(prog, {"s": s}), execute(out, {"s": s})
+        assert (t.result, t.memory) == (base.result, base.memory)
 
 
 def test_cleanup_merges_straight_line_blocks():
@@ -204,8 +230,9 @@ bb1:
   ret b
 }
 """
-    func = parse_ir(src).function()
-    cleanup(func)
+    prog = parse_ir(src)
+    func = prog.function()
+    cleanup(func, prog.globals)
     assert len(func.blocks) == 1
     assert [i.opcode for i in func.instructions()] == ["add", "add", "ret"]
 
@@ -216,9 +243,9 @@ def test_cleanup_merges_a_long_chain_in_one_call():
     prog = parse_ir(f"func f(public x0: u32 = 3) {{\n{body}"
                     f"bb250:\n  ret x250\n}}")
     func = prog.function()
-    cleanup(func)
+    cleanup(func, prog.globals)
     assert len(func.blocks) == 1
-    assert not cleanup(func)
+    assert not cleanup(func, prog.globals)
     assert execute(prog, {"x0": 3}).result == 253
 
 
@@ -241,8 +268,9 @@ other:
   ret r
 }}
 """
-    func = parse_ir(src).function()
-    cleanup(func)
+    prog = parse_ir(src)
+    func = prog.function()
+    cleanup(func, prog.globals)
     assert [b.label for b in func.blocks] == ["bb0", "other", "a", "join"]
     phi = func.block("join").instrs[0]
     assert phi.labels == ("a", "other") and phi.operands == ("z", "n")
@@ -258,7 +286,7 @@ def test_cleanup_that_does_not_settle_raises(monkeypatch):
           "func g(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
     prog = parse_ir(src)
     with pytest.raises(InternalPassError, match="did not reach a fixpoint"):
-        cleanup(prog.function("g"))
+        cleanup(prog.function("g"), prog.globals)
     with pytest.raises(InternalPassError,
                        match="pass instcombine: cleanup of g") as err:
         pipe(prog, instcombine=True)
@@ -282,14 +310,32 @@ def test_pass_that_does_not_settle_raises(monkeypatch):
         [("instcombine", "f"), ("instcombine", "g"), ("if_convert", "f")]
 
 
+def test_pass_that_breaks_the_program_is_named(monkeypatch):
+    # Only a pass application that reports no change skips validation, so
+    # a step that reports its change is checked.
+    def retarget(func):
+        term = func.blocks[0].terminator
+        if term.labels == ("nowhere",):
+            return False
+        term.labels = ("nowhere",)
+        return True
+
+    monkeypatch.setattr(passes, "if_convert", retarget)
+    src = "func f(public n: u32 = 1) {\nbb0:\n  br bb1\nbb1:\n  ret n\n}"
+    with pytest.raises(InternalPassError,
+                       match="pass if_convert broke the program: "
+                             "f/bb0/id0: unknown target block 'nowhere'"):
+        pipe(parse_ir(src), if_convert=True)
+
+
 @pytest.mark.parametrize("preset_name", list(PRESETS))
 def test_cleanup_output_is_a_fixpoint(monkeypatch, preset_name):
     real = passes.cleanup
     unsettled = []
 
-    def checked(func):
-        changed = real(func)
-        if real(func):
+    def checked(func, globals_):
+        changed = real(func, globals_)
+        if real(func, globals_):
             unsettled.append(func.name)
         return changed
 
@@ -377,6 +423,25 @@ def test_identity_forwarding_follows_select_and_phi_arms(form):
         args = {"x": 4294967301, "s": s}
         assert execute(prog, args).result == 5 * s
         assert execute(out, args).result == 5 * s
+
+
+def test_identity_forwarding_over_a_load_keeps_its_wrap():
+    # A load wraps its u64 element to its width 32 (4294967301 -> 5), so
+    # `r = add v, 0` adds nothing and may be forwarded.
+    src = """
+func f(secret s: u1) {
+bb0:
+  v = load g, 0
+  r = add v, 0
+  ret r
+}
+global g: arr<u64,1> = [4294967301]
+"""
+    prog = parse_ir(src)
+    out, _ = pipe(prog, instcombine=True)
+    for s in (0, 1):
+        assert execute(prog, {"s": s}).result == 5
+        assert execute(out, {"s": s}).result == 5
 
 
 def _fold_cases(op, width):
@@ -484,6 +549,35 @@ bb0:
 """
     prog, log = pipe(parse_ir(src), instcombine=True)
     assert all(i.opcode != "select" for i in prog.function().instructions())
+
+
+def test_instcombine_takes_a_phi_of_comparisons_as_boolean():
+    # c is 0 or 1 on either path, so the mask becomes a select.
+    src = """
+func f(secret s: u32, public a: u32 = 9) {
+bb0:
+  p = icmp.eq s, 0
+  condbr p, bbT, bbF
+bbT:
+  x = icmp.lt s, 5
+  br bbJ
+bbF:
+  y = icmp.gt s, 7
+  br bbJ
+bbJ:
+  c = phi [bbT: x], [bbF: y]
+  m = sub 0, c
+  r = and m, a
+  ret r
+}
+"""
+    prog = parse_ir(src)
+    out, _ = pipe(prog, instcombine=True)
+    assert [i.operands for i in out.function().instructions()
+            if i.opcode == "select"] == [("c", "a", 0)]
+    for s in (0, 3, 8):
+        args = {"s": s, "a": 9}
+        assert execute(out, args).result == execute(prog, args).result
 
 
 # ----------------------------------------------------------------------
@@ -760,6 +854,37 @@ def test_vectorize_skips_reductions():
     assert [e.summary for e in log] == ["no change"]
 
 
+def test_vectorize_skips_narrow_loads():
+    # A vload's lanes are 32 bits; load.8 keeps only the low byte.
+    src = """
+func f(public n: u32 = 8) {
+bb0:
+  br loop
+loop:
+  i = phi [bb0: 0], [body: i1]
+  c = icmp.lt i, n
+  condbr c, body, exit
+body:
+  x = load.8 src, i
+  y = add x, 1
+  store dst, i, y
+  i1 = add i, 1
+  br loop
+exit:
+  ret 0
+}
+global src: arr<u32,8> = [256, 257, 258, 259, 260, 261, 262, 263]
+global dst: arr<u32,8> = zeros
+"""
+    prog = parse_ir(src)
+    out, log = pipe(prog, loop_vectorize=True)
+    assert [e.summary for e in log] == ["no change"]
+    assert execute(out, {"n": 8}).memory == execute(prog, {"n": 8}).memory
+    _, log = pipe(parse_ir(src.replace("load.8", "load")),
+                     loop_vectorize=True)
+    assert log[0].summary != "no change"
+
+
 # ----------------------------------------------------------------------
 # slp
 
@@ -813,6 +938,15 @@ def test_slp_packs_every_run_in_one_step():
     out, _ = pipe(prog, slp=True)
     assert sum(i.opcode == "vstore" for i in out.function().instructions()) \
         == n
+    assert execute(out, {"a": 3}).memory == execute(prog, {"a": 3}).memory
+
+
+def test_slp_skips_narrow_loads():
+    narrow = SLP_SRC.replace("load src", "load.8 src").replace(
+        "counting", "[256, 257, 258, 259, 260, 261, 262, 263]")
+    prog = parse_ir(narrow)
+    out, log = pipe(prog, slp=True)
+    assert [e.summary for e in log] == ["no change"]
     assert execute(out, {"a": 3}).memory == execute(prog, {"a": 3}).memory
 
 

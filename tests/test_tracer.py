@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ctlab.ir import parse_ir
+from ctlab.ir import parse_ir, validate
 from ctlab.tracer import BranchDir, MemAccess, TraceError, execute, gen_inputs
 
 
@@ -62,8 +62,9 @@ def test_cmov_needs_lowered_stage_and_is_silent():
 
 
 def test_select_rejected_in_lowered_stage():
-    with pytest.raises(TraceError):
-        run("stage lowered\n" + SELECT_TRACE, s=1)
+    # execute takes a validated program; validate is what rejects it.
+    assert validate(parse_ir("stage lowered\n" + SELECT_TRACE)) == [
+        "f/bb0/id0: select present in lowered program"]
 
 
 BRANCHY = """
@@ -178,9 +179,9 @@ bb1:
   ret 0
 }
 """
-    assert execute(parse_ir(src), {"s": 1}).result == 0
-    with pytest.raises(TraceError, match="bb0 branches to unknown block 'bbX'"):
-        execute(parse_ir(src), {"s": 0})
+    # execute takes a validated program; validate is what rejects it.
+    assert validate(parse_ir(src)) == [
+        "f/bb0/id0: unknown target block 'bbX'"]
 
 
 def test_fuel_limit():
