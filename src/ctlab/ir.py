@@ -30,13 +30,15 @@ Conventions:
 * Scalar opcodes take an optional width suffix (``add.16``); ``icmp`` takes a
   predicate suffix (``icmp.lt``); vector opcodes take a lane-count suffix
   (``vload.4``).
-* This module is where opcode semantics are defined: one table each for the
-  binary ops (``BINARY_OPS``), ``neg``, the ``icmp`` predicates and the
-  lanewise vector ops (``LANEWISE_OPS``).  The interpreter and every
-  constant folder compute through them, so folding and execution cannot
-  disagree.  Arithmetic operands are read at the instruction's width: the
-  result wraps to it, shift amounts are masked by width-1, and ``lshr``
-  masks its left operand before shifting (``lshr.8 300, 1`` is 22).
+* This module is where opcode semantics are defined: one expression each
+  for the binary ops (``BINARY_EXPRS``), ``neg`` and the ``icmp``
+  predicates, and one table for the lanewise vector ops
+  (``LANEWISE_OPS``).  Every constant folder computes through functions
+  made from those expressions, and the tracer's generated code is written
+  from them, so folding and execution cannot disagree.  Arithmetic
+  operands are read at the instruction's width: the result wraps to it,
+  shift amounts are masked by width-1, and ``lshr`` masks its left operand
+  before shifting (``lshr.8 300, 1`` is 22).
   ``icmp`` compares its operand values as given.  A vector op applies its
   scalar op to each pair of 32-bit lanes.
 * Memory ops name their region (a global or an array parameter) in their
@@ -75,25 +77,35 @@ from dataclasses import dataclass, field, replace
 SECRET = "secret"
 PUBLIC = "public"
 
-# Opcode semantics.  A binary op maps (a, b, width) to its result at that
-# width; so does ``neg`` with (a, width).
-BINARY_OPS = {
-    "add": lambda a, b, w: (a + b) & ((1 << w) - 1),
-    "sub": lambda a, b, w: (a - b) & ((1 << w) - 1),
-    "mul": lambda a, b, w: (a * b) & ((1 << w) - 1),
-    "and": lambda a, b, w: a & b & ((1 << w) - 1),
-    "or": lambda a, b, w: (a | b) & ((1 << w) - 1),
-    "xor": lambda a, b, w: (a ^ b) & ((1 << w) - 1),
-    "shl": lambda a, b, w: (a << (b & (w - 1))) & ((1 << w) - 1),
-    "lshr": lambda a, b, w: (a & ((1 << w) - 1)) >> (b & (w - 1)),
+# Opcode semantics, written once as Python expressions over the operands
+# ``{a}`` and ``{b}``, the width mask ``{m}`` (``(1 << width) - 1``) and the
+# shift-amount mask ``{k}`` (``width - 1``).  The functions below are these
+# expressions; ``tracer`` writes them into the code it generates.
+BINARY_EXPRS = {
+    "add": "({a} + {b}) & {m}",
+    "sub": "({a} - {b}) & {m}",
+    "mul": "({a} * {b}) & {m}",
+    "and": "{a} & {b} & {m}",
+    "or": "({a} | {b}) & {m}",
+    "xor": "({a} ^ {b}) & {m}",
+    "shl": "({a} << ({b} & {k})) & {m}",
+    "lshr": "({a} & {m}) >> ({b} & {k})",
 }
-_UNARY_OPS = {"neg": lambda a, w: -a & ((1 << w) - 1)}
-_COMPARISONS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "gt": lambda a, b: a > b,
-}
+NEG_EXPR = "-{a} & {m}"
+COMPARE_EXPRS = {"eq": "{a} == {b}", "ne": "{a} != {b}", "lt": "{a} < {b}",
+                 "gt": "{a} > {b}"}
+
+
+def _op_function(params: str, expr: str):
+    return eval(f"lambda {params}: " + expr.format(
+        a="a", b="b", m="((1 << w) - 1)", k="(w - 1)"))
+
+
+# A binary op maps (a, b, width) to its result at that width; so does
+# ``neg`` with (a, width).
+BINARY_OPS = {op: _op_function("a, b, w", e) for op, e in BINARY_EXPRS.items()}
+_UNARY_OPS = {"neg": _op_function("a, w", NEG_EXPR)}
+_COMPARISONS = {p: _op_function("a, b", e) for p, e in COMPARE_EXPRS.items()}
 # Vector op -> the scalar op it applies to each pair of 32-bit lanes.
 LANEWISE_OPS = {"vadd": "add", "vand": "and", "vxor": "xor", "vor": "or"}
 LANE_WIDTH = 32

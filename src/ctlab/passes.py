@@ -20,6 +20,7 @@ from .cfg import counted_loop_info, natural_loops
 from .ir import (
     BINARY_OPS,
     EVAL_OPS,
+    LANE_WIDTH,
     LANEWISE_OPS,
     BasicBlock,
     Function,
@@ -1093,16 +1094,19 @@ def _vector_plan(f: Function, loop) -> _VecPlan | None:
     vec_results = {ins.result for ins in body
                    if ins.result is not None and ins.result not in offadds}
 
-    def need_splat(op):
+    def need_splat(op) -> bool:
+        # A lane is 32 bits: a wider scalar would lose its high bits.
+        if value_bits(f, op) > LANE_WIDTH:
+            return False
         if op not in invariants:
             invariants.append(op)
+        return True
 
     def data_operand_ok(op) -> bool:
         if op == iv or (isinstance(op, str) and op in offadds):
             return False
         if invariant(op):
-            need_splat(op)
-            return True
+            return need_splat(op)
         # Loop-defined scalars (step, compare) have no vector counterpart.
         return op in vec_results
 
@@ -1134,9 +1138,8 @@ def _vector_plan(f: Function, loop) -> _VecPlan | None:
             if ins.width != 32:
                 return None
             cond = ins.operands[0]
-            if not invariant(cond):
+            if not invariant(cond) or not need_splat(cond):
                 return None
-            need_splat(cond)
             if not all(data_operand_ok(op) for op in ins.operands[1:]):
                 return None
         else:
@@ -1314,9 +1317,10 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
     members: list[Instruction] = list(stores)
 
     def build(ops: list[object]):
-        if all(isinstance(o, int) for o in ops) and len(set(ops)) == 1:
-            return _SlpSplat(ops[0])
-        if len(set(ops)) == 1 and isinstance(ops[0], str):
+        if len(set(ops)) == 1:
+            # A lane is 32 bits: a wider scalar would lose its high bits.
+            if value_bits(f, ops[0]) > LANE_WIDTH:
+                return None
             return _SlpSplat(ops[0])
         if not all(isinstance(o, str) and o in defs_in_block for o in ops):
             return None

@@ -885,6 +885,34 @@ global dst: arr<u32,8> = zeros
     assert log[0].summary != "no change"
 
 
+def test_vectorize_skips_splats_wider_than_a_lane():
+    # A splat's lanes are 32 bits; a u64 stored as written keeps all 64.
+    src = """
+func f(public a: u64 = 4294967301, public n: u32 = 8) {
+bb0:
+  br loop
+loop:
+  i = phi [bb0: 0], [body: i1]
+  c = icmp.lt i, n
+  condbr c, body, exit
+body:
+  store dst, i, a
+  i1 = add i, 1
+  br loop
+exit:
+  ret 0
+}
+global dst: arr<u64,8> = zeros
+"""
+    prog = parse_ir(src)
+    out, _ = pipe(prog, loop_vectorize=True)
+    args = {"a": 4294967301, "n": 8}
+    assert execute(prog, args).memory["dst"] == (4294967301,) * 8
+    assert execute(out, args).memory == execute(prog, args).memory
+    _, log = pipe(parse_ir(src.replace("u64 =", "u32 =")), loop_vectorize=True)
+    assert log[0].summary != "no change"
+
+
 # ----------------------------------------------------------------------
 # slp
 
@@ -948,6 +976,37 @@ def test_slp_skips_narrow_loads():
     out, log = pipe(prog, slp=True)
     assert [e.summary for e in log] == ["no change"]
     assert execute(out, {"a": 3}).memory == execute(prog, {"a": 3}).memory
+
+
+def test_slp_skips_splats_wider_than_a_lane():
+    # The blend splats a; a u64 selected as written keeps all 64 bits.
+    src = """
+func f(secret s: u1, public a: u64 = 4294967301) {
+bb0:
+  x0 = load src, 0
+  x1 = load src, 1
+  x2 = load src, 2
+  x3 = load src, 3
+  y0 = select s, a, x0
+  y1 = select s, a, x1
+  y2 = select s, a, x2
+  y3 = select s, a, x3
+  store dst, 0, y0
+  store dst, 1, y1
+  store dst, 2, y2
+  store dst, 3, y3
+  ret 0
+}
+global src: arr<u32,8> = counting
+global dst: arr<u64,8> = zeros
+"""
+    prog = parse_ir(src)
+    out, _ = pipe(prog, slp=True)
+    args = {"a": 4294967301, "s": 1}
+    assert execute(prog, args).memory["dst"][:4] == (4294967301,) * 4
+    assert execute(out, args).memory == execute(prog, args).memory
+    _, log = pipe(parse_ir(src.replace("a: u64", "a: u32")), slp=True)
+    assert log[0].summary != "no change"
 
 
 def test_slp_skips_when_a_member_escapes():

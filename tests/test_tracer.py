@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from ctlab.backend import PROFILES, lower
+from ctlab.corpus import load_program, names
 from ctlab.ir import parse_ir, validate
+from ctlab.mitigations import PRESETS
+from ctlab.passes import run_pipeline
 from ctlab.tracer import BranchDir, MemAccess, TraceError, execute, gen_inputs
 
 
@@ -193,6 +199,163 @@ bb0:
 """
     with pytest.raises(TraceError):
         execute(parse_ir(src), {"s": 0}, fuel=100)
+
+
+# A loop whose body is longer than a generated chunk: the load at
+# position 50 of the body reads t[4] in the fifth iteration, at step
+# 1 + 4 * (3 + 53) + 3 + 51 = 279.
+LONG_BODY = "\n".join(f"  p{k} = add i, {k}" for k in range(50))
+LOAD_OOB = f"""
+func f(public n: u32 = 6) {{
+bb0:
+  br loop
+loop:
+  i = phi [bb0: 0], [body: i1]
+  c = icmp.lt i, n
+  condbr c, body, done
+body:
+{LONG_BODY}
+  v = load t, i
+  i1 = add i, 1
+  br loop
+done:
+  ret i
+}}
+global t: arr<u32,4> = counting
+"""
+VLOAD_OOB = """
+func f(public o: u32 = 2) {
+bb0:
+  a = add o, 1
+  w = vload.4 t, OFF
+  b = add a, 1
+  ret b
+}
+global t: arr<u32,4> = counting
+"""
+
+
+def outcome(prog, args, fuel):
+    try:
+        return execute(prog, args, fuel=fuel).steps
+    except TraceError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("src, args, step, error", [
+    (LOAD_OOB, {"n": 6}, 279, "id 54: t[4] out of bounds (length 4)"),
+    # lanes t[2], t[3], t[4], t[5]: the third is the first out of bounds
+    (VLOAD_OOB.replace("OFF", "o"), {"o": 2}, 2,
+     "id 1: t[4] out of bounds (length 4)"),
+    (VLOAD_OOB.replace("OFF", "2"), {"o": 2}, 2,
+     "id 1: t[4] out of bounds (length 4)"),
+    (VLOAD_OOB.replace("OFF", "o"), {"o": 5}, 2,
+     "id 1: t[5] out of bounds (length 4)"),
+], ids=["load", "vload-lane-2", "vload-lane-2-imm", "vload-lane-0"])
+def test_fuel_and_bounds_errors_switch_at_the_failing_step(src, args, step,
+                                                           error):
+    # Counting step by step, the access at `step` raises its bounds error
+    # only when the fuel reaches it; with less, fuel runs out first.
+    prog = parse_ir(src)
+    for fuel in range(step + 2):
+        want = error if fuel >= step else f"fuel exhausted after {fuel} steps"
+        assert outcome(prog, args, fuel) == want, fuel
+
+
+def test_fuel_bounds_every_step():
+    prog = parse_ir(LOAD_OOB)
+    assert execute(prog, {"n": 4}).steps == 229
+    for fuel in range(230):
+        want = 229 if fuel == 229 else f"fuel exhausted after {fuel} steps"
+        assert outcome(prog, {"n": 4}, fuel) == want
+
+
+# Names that the generated code also uses, or that are not identifiers:
+# parameters, values, labels and regions named like its locals, its
+# helpers and its chunks.  The m0/a.b phis swap on every iteration, and
+# the loop body reads neither, so only a parallel copy swaps them.
+NAME_CLASHES = """
+func f(secret s: u4, public env: u32 = 3, public fuel: u32 = 2) {
+env:
+  br M
+M:
+  x = phi [env: 0], [c1: v0]
+  m0 = phi [env: s], [c1: a.b]
+  a.b = phi [env: env], [c1: m0]
+  E = icmp.lt x, fuel
+  condbr E, c1, K3
+c1:
+  v0 = add x, 1
+  _oob = load m0, x
+  env.1 = add _oob, x
+  store a.b, x, env.1
+  br M
+K3:
+  r = xor m0, a.b
+  w = vload.2 m0, 1
+  vstore.2 a.b, 2, w
+  ret r
+}
+global m0: arr<u32,4> = [7, 8, 9, 10]
+global a.b: arr<u32,4> = zeros
+"""
+
+
+def test_names_cannot_clash_with_generated_code():
+    prog = parse_ir(NAME_CLASHES)
+    assert validate(prog) == []
+    t = execute(prog, {"s": 5, "env": 3, "fuel": 2})
+    load, store = (lambda i, o: MemAccess(i, "load", "m0", o),
+                   lambda i, o: MemAccess(i, "store", "a.b", o))
+    assert t.events == [
+        BranchDir(5, True), load(7, 0), store(9, 0),
+        BranchDir(5, True), load(7, 1), store(9, 1),
+        BranchDir(5, False), load(12, 1), load(12, 2), store(13, 2),
+        store(13, 3)]
+    assert (t.result, t.steps) == (6, 30)
+    assert t.memory == {"m0": (7, 8, 9, 10), "a.b": (7, 9, 8, 9)}
+    assert execute(prog, {"s": 12, "env": 3, "fuel": 2}).result == 15
+
+
+def corpus_trace_digest(name: str) -> str:
+    """sha256 over (events, result, steps, memory) of the program as
+    written, after run_pipeline and lowered, under every preset, on the
+    16 inputs of seed 0."""
+    h = hashlib.sha256()
+    source = load_program(name)
+    args = gen_inputs(source, seed=0).arg_dicts()
+    progs = [source]
+    for p in PRESETS.values():
+        mid, _ = run_pipeline(source, p.spec)
+        low, _ = lower(mid, PROFILES[p.spec.backend], p.spec.cmov_conversion)
+        progs += [mid, low]
+    for prog in progs:
+        for a in args:
+            t = execute(prog, a)
+            h.update(repr((t.events, t.result, t.steps,
+                           list(t.memory.items()))).encode())
+    return h.hexdigest()
+
+
+# Taken with the step-by-step interpreter that the translation replaced.
+CORPUS_TRACE_DIGESTS = {
+    "fig1a_branch": "d67f040c1c190f5ee26bc5b88f4e5f08126ef2ef8bb7f43198567f93d32b66aa",
+    "fig1b_load": "051bffeb1d11fed547c7b3f612562b8d1c4986179e529af62124e7824a1e1bcb",
+    "fig1c_ctselect": "974ff5f0107281f9360e258b303b80004e956e9ef69a010a8f5aa66e25da27b5",
+    "fig1d_ctlookup": "74d00899d69666647b41330f3bf5bb0db2ef8a1937baaae01860071dbe18addc",
+    "rsa_bearssl_lookup": "a870b3c4bb854c3e8ca8d9056f0c225251cafaf4cf07e6cd8068a65e27ebe6a8",
+    "ecdsa_bearssl_lookup": "3bb6745b76a060fddb7760c0ae8d43f68720d6401ef0961c8c8658b4b4b743c2",
+    "poly_frommsg": "a4e48b1c17134c5e55f6f51657183c10b6728af2bf80f03cc21ee081501521bc",
+    "loop_unswitch_toy": "5951298ce698f510f8282546103a5636eabe5eef9ef95f462b8b0d8186eddd8d",
+    "jump_threading_toy": "31c06888afd3dd1f44e7c8bf13871a849411c61d6d9add22c88f3196c9a5a4ea",
+    "path_splitting_toy": "dd27886f0d0ed5b7cfefca4e8a923f802f6037ef7070949bdf844db2900dfef6",
+}
+
+
+def test_corpus_traces_match_the_step_by_step_interpreter():
+    assert sorted(CORPUS_TRACE_DIGESTS) == sorted(names())
+    for name, digest in CORPUS_TRACE_DIGESTS.items():
+        assert corpus_trace_digest(name) == digest, name
 
 
 def test_gen_inputs_deterministic_and_distinct():
