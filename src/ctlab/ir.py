@@ -910,12 +910,15 @@ def clone_instruction(ins: Instruction, new_id: int,
     labels = ins.labels
     if label_map:
         labels = tuple(label_map.get(l, l) for l in labels)
-    return replace(ins, iid=new_id, operands=operands, labels=labels,
-                   result=result if result is not None else ins.result)
+    return Instruction(new_id, ins.opcode,
+                       result if result is not None else ins.result,
+                       operands, ins.loc, ins.width, ins.pred, labels)
 
 
 def copy_function(func: Function) -> Function:
-    blocks = [BasicBlock(b.label, [replace(i) for i in b.instrs]) for b in func.blocks]
+    blocks = [BasicBlock(b.label, [
+        Instruction(i.iid, i.opcode, i.result, i.operands, i.loc, i.width,
+                    i.pred, i.labels) for i in b.instrs]) for b in func.blocks]
     return Function(func.name, [replace(p) for p in func.params], blocks,
                     next_id=func.next_id)
 

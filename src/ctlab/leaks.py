@@ -4,28 +4,41 @@ Two traces of the same function on the same public inputs should be
 identical when the code is constant-time.  Traces are first split into
 classes of identical event sequences, each represented by its smallest
 index; identical traces cannot diverge from each other, and they diverge
-from any third trace in the same way.  One pair of representatives is then
-compared per pair of classes, in one scan over the two event streams that
-stops at the first misaligned event.  Divergences are classified:
+from any third trace in the same way.  Two representatives are walked in
+step, skipping equal events, and their divergences are classified:
 
 * control-flow: the first aligned position where a conditional branch went
-  different ways.  The scan stops there; later events are unaligned and
+  different ways.  The pair stops there; later events are unaligned and
   would only produce noise.
 * memory-access: an aligned load/store before that point (same id, kind
   and region) whose element offset differs.  Inside the aligned prefix
   each id's offsets line up position by position, so this is the same as
   comparing each id's ordered offset sequence.
 
+A pair also stops at its first misaligned event, or where one trace ends.
+
+The representatives are not compared pair by pair but refined together,
+as a partition: a group holds representatives no pair of which has
+stopped.  It walks forward while its members' events line up, noting
+memory events met at different offsets, and at the first position where
+they stop lining up it splits by aligned structure; pairs that land in
+different parts stop, each part goes on alone, and a part of two is one
+pair, walked to its end.  Each pair is
+so walked exactly as far as a scan of its two traces would go, and the
+work grows with the number of classes rather than of their pairs.
+
 Findings are attributed to instruction ids and source locations, and
 deduplicated by (instr, kind) so each culprit appears once per report.
-Class pairs are visited in representative order, so a finding's witness is
-the first diverging input pair in index order, as if every pair had been
-scanned.
+A finding's witness is the first diverging input pair in index order, as
+if every pair had been scanned.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import compress, count, islice
+from operator import ne
 
 from .ir import SourceLoc
 from .tracer import BranchDir, Trace
@@ -98,7 +111,7 @@ def first_divergence(a: Trace, b: Trace) -> tuple[int, int] | None:
     return n, longer.events[n].instr
 
 
-def _scan(a: tuple, b: tuple) -> tuple[int | None, set[int]]:
+def _scan(a: Iterable, b: Iterable) -> tuple[int | None, set[int]]:
     """(diverging condbr id or None, ids of offset-diverging memory events).
 
     Walks both event streams in step.  Equal events are skipped.  The scan
@@ -122,16 +135,105 @@ def _scan(a: tuple, b: tuple) -> tuple[int | None, set[int]]:
     return None, mem
 
 
+# A group's members are first walked against its lowest member over this
+# many events, then over windows twice as long: a member misaligned late in
+# a window wastes the walks of the members before it, and doubling keeps
+# that waste within the work already done.
+_WINDOW = 16
+
+_Note = Callable[[int, str, tuple[int, int]], None]
+_Group = tuple[int, list[int], list[tuple]]
+
+
+def _refine(pos: int, idx: list[int], seqs: list[tuple], note: _Note,
+            groups: list[_Group]) -> None:
+    """Walk one group of representatives from event ``pos`` until it
+    splits or a member ends, noting the first diverging pair in the group
+    for every divergence on the way.
+
+    ``idx`` (ascending) are the members' trace indices and ``seqs`` their
+    events; no pair of members has stopped before ``pos``.  The parts the
+    group splits into go onto ``groups``.  An event's aligned structure is
+    ``e[:3]``: (instr, kind, region) of a memory event, the whole
+    (instr, taken) of a branch; the lengths differ, so the two never match.
+    """
+    if len(seqs) == 2:
+        cf_id, mem_ids = _scan(islice(seqs[0], pos, None),
+                               islice(seqs[1], pos, None))
+        pair = (idx[0], idx[1])
+        if cf_id is not None:
+            note(cf_id, CONTROL_FLOW, pair)
+        for iid in mem_ids:
+            note(iid, MEMORY_ACCESS, pair)
+        return
+    # While every member is aligned with the first, two members that differ
+    # cannot both equal the first, so the first paired with the lowest
+    # member that differs from it is the first pair to show a memory
+    # divergence.  Each member is walked against the first, skipping equal
+    # events, up to the first misaligned event of any member (``split``)
+    # or the end of the shortest.  A member walked before ``split`` was
+    # found may have gone past it, but only together with the first, so
+    # what it found there is a divergence of that pair all the same.
+    first = seqs[0]
+    split = end = min(map(len, seqs))
+    lowest: dict[int, int] = {}     # memory id -> lowest member differing
+    lo, width = pos, _WINDOW
+    while lo < split:
+        hi = min(lo + width, split)
+        for m in range(1, len(seqs)):
+            s = seqs[m]
+            for q in compress(count(lo), map(ne, first[lo:hi], s[lo:hi])):
+                a = first[q]
+                if a[:3] != s[q][:3]:
+                    hi = split = q
+                    break
+                if m < lowest.get(a[0], len(seqs)):
+                    lowest[a[0]] = m
+        lo, width = hi, 2 * width
+    for iid, m in lowest.items():
+        note(iid, MEMORY_ACCESS, (idx[0], idx[m]))
+
+    if split == end:
+        # The shortest members ended: their pairs stop, the rest go on.
+        rest = [m for m, s in enumerate(seqs) if len(s) > end]
+        if len(rest) > 1:
+            groups.append((end, [idx[m] for m in rest],
+                           [seqs[m] for m in rest]))
+        return
+    # Split by aligned structure; pairs across buckets stop here, and a
+    # branch taken both ways is a control-flow divergence.
+    buckets: dict[tuple, list[int]] = {}
+    for m, s in enumerate(seqs):
+        buckets.setdefault(s[split][:3], []).append(m)
+    for head, ms in buckets.items():
+        if len(head) == 2:
+            other = buckets.get((head[0], False)) if head[1] else None
+            if other:
+                i, j = idx[ms[0]], idx[other[0]]
+                note(head[0], CONTROL_FLOW, (min(i, j), max(i, j)))
+        else:
+            e = seqs[ms[0]][split]
+            for m in ms:
+                if seqs[m][split] != e:
+                    note(head[0], MEMORY_ACCESS, (idx[ms[0]], idx[m]))
+                    break
+        if len(ms) > 1:
+            groups.append((split + 1, [idx[m] for m in ms],
+                           [seqs[m] for m in ms]))
+
+
 def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
                    pipeline: str = "") -> LeakReport:
-    """Compare every pair of distinct traces and attribute each divergence.
+    """Find every divergence between distinct traces and attribute it.
 
-    Identical traces form one class, represented by its smallest index;
-    each pair of classes is scanned once, through its representatives, in
-    index order.  Findings are deduplicated by (instr, kind), keeping the
-    witness from the first diverging pair in index order, which is always
-    a pair of representatives.  The finding set is independent of trace
-    order.
+    Identical traces form one class, represented by its smallest index.
+    The representatives are refined in groups (``_refine``), never
+    compared pair by pair; a group of two is one pair and is scanned to
+    its end.  Findings are deduplicated by (instr, kind), keeping the witness
+    from the first diverging pair in index order, which is always a pair
+    of representatives.  An instruction id without a source location is
+    an error, for the finding that pair order reaches first.  The finding
+    set is independent of trace order.
     """
     if len(traces) < 2:
         raise LeakError("need at least 2 traces to compare")
@@ -139,32 +241,30 @@ def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
     if len(names) != 1:
         raise LeakError(f"traces from different functions: {sorted(names)}")
 
-    found: dict[tuple[int, str], LeakFinding] = {}
+    witness: dict[tuple[int, str], tuple[int, int]] = {}
 
-    def add(instr: int, kind: str, witness: tuple[int, int]):
-        key = (instr, kind)
-        if key in found:
-            return
-        loc = id_to_loc.get(instr)
-        if loc is None:
-            raise LeakError(f"no source location for instruction id {instr}")
-        found[key] = LeakFinding(instr, kind, loc, witness)
+    def note(instr: int, kind: str, pair: tuple[int, int]):
+        old = witness.get((instr, kind))
+        if old is None or pair < old:
+            witness[instr, kind] = pair
 
     # Insertion order keeps the representatives ascending.
     classes: dict[tuple, int] = {}
     for i, t in enumerate(traces):
         classes.setdefault(tuple(t.events), i)
-    reps = list(classes.items())
+    groups: list[_Group] = []
+    if len(classes) > 1:
+        groups.append((0, list(classes.values()), list(classes)))
+    while groups:
+        _refine(*groups.pop(), note, groups)
 
-    for x, (a, i) in enumerate(reps):
-        for b, j in reps[x + 1:]:
-            cf_id, mem_ids = _scan(a, b)
-            if cf_id is not None:
-                add(cf_id, CONTROL_FLOW, (i, j))
-            for iid in sorted(mem_ids):
-                add(iid, MEMORY_ACCESS, (i, j))
-
-    findings = [found[k] for k in sorted(found)]
+    unlocated = [(pair, kind, instr) for (instr, kind), pair in witness.items()
+                 if instr not in id_to_loc]
+    if unlocated:
+        instr = min(unlocated)[2]
+        raise LeakError(f"no source location for instruction id {instr}")
+    findings = [LeakFinding(instr, kind, id_to_loc[instr], witness[instr, kind])
+                for instr, kind in sorted(witness)]
     return LeakReport(next(iter(names)), pipeline, findings)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ctlab.analysis import analyze
+from ctlab.corpus import load_program
 from ctlab.ir import SourceLoc, parse_ir
 from ctlab.leaks import (
     CONTROL_FLOW,
@@ -16,7 +18,8 @@ from ctlab.leaks import (
     diff_reports,
     first_divergence,
 )
-from ctlab.tracer import BranchDir, MemAccess, Trace, execute
+from ctlab.mitigations import preset
+from ctlab.tracer import BranchDir, MemAccess, Trace, execute, gen_inputs
 
 SECRET_BRANCH = """
 func f(secret s: u1) {
@@ -246,23 +249,46 @@ EVENTS = st.one_of(
               st.sampled_from(["t", "u"]), st.integers(0, 2)),
 )
 STREAMS = st.lists(EVENTS, max_size=8)
+STEMS = st.lists(EVENTS, max_size=40)
+TAILS = st.lists(EVENTS, max_size=2)
 
 
-def tweak(e, flip: bool):
-    """The same event with another branch direction or offset: still
-    aligned with ``e``, but not equal to it."""
-    if not flip:
+def tweak(e, shift: int):
+    """The same event with another branch direction or with its offset
+    moved by ``shift``: still aligned with ``e``, and equal to it only when
+    ``shift`` is 0."""
+    if not shift:
         return e
     if isinstance(e, BranchDir):
         return e._replace(taken=not e.taken)
-    return e._replace(offset=e.offset + 1)
+    return e._replace(offset=e.offset + shift)
 
 
 @st.composite
 def trace_lists(draw):
-    """2-7 traces, each fresh or derived from an earlier one: a duplicate,
-    a strict prefix, a reordering, a copy with one event replaced, or a
-    copy with some events tweaked in place."""
+    """Traces of one of two shapes.
+
+    Either 2-7 traces, each fresh or derived from an earlier one: a
+    duplicate, a strict prefix, a reordering, a copy with one event
+    replaced, or a copy with some events tweaked in place.
+
+    Or 3-24 traces grown from one shared stem: each a copy of the stem with
+    a few events tweaked, maybe cut short, then given a fresh tail.  Groups
+    of three or more then part at branches, carry offset differences
+    forward, and lose members whose trace ends.
+    """
+    if draw(st.booleans()):
+        stem = draw(STEMS)
+        streams = []
+        for _ in range(draw(st.integers(3, 24))):
+            s = list(stem)
+            for p in draw(st.sets(st.integers(0, len(s) - 1), max_size=3)
+                          if s else st.just(())):
+                s[p] = tweak(s[p], draw(st.integers(1, 3)))
+            if draw(st.booleans()):
+                s = s[:draw(st.integers(0, len(s)))]
+            streams.append(s + draw(TAILS))
+        return [mk_trace(s) for s in streams]
     streams = [draw(STREAMS)]
     for _ in range(draw(st.integers(1, 6))):
         base = list(draw(st.sampled_from(streams)))
@@ -277,9 +303,9 @@ def trace_lists(draw):
         elif how == "replace" and base:
             base[draw(st.integers(0, len(base) - 1))] = draw(EVENTS)
         elif how == "tweak":
-            flips = draw(st.lists(st.booleans(), min_size=len(base),
-                                  max_size=len(base)))
-            base = [tweak(e, f) for e, f in zip(base, flips)]
+            shifts = draw(st.lists(st.integers(0, 1), min_size=len(base),
+                                   max_size=len(base)))
+            base = [tweak(e, d) for e, d in zip(base, shifts)]
         streams.append(base)
     return [mk_trace(s) for s in streams]
 
@@ -289,6 +315,14 @@ def trace_lists(draw):
 @example(  # two unlocated ids part in one pair: the error names the lower
     [mk_trace([MemAccess(0, "load", "t", o), MemAccess(1, "load", "t", o)])
      for o in (0, 1)], {0, 1})
+@example(  # pair (0, 1) parts at memory id 1 before pair (0, 2) parts at
+           # branch 0: the error names the memory id, not the lower id
+    [mk_trace([MemAccess(1, "load", "t", o), BranchDir(0, taken)])
+     for o, taken in ((0, True), (1, True), (0, False))], {0, 1})
+@example(  # trace 1 parts from trace 0 only after a long shared stretch,
+           # trace 2 at once: the witness is still (0, 1)
+    [mk_trace([MemAccess(1, "load", "t", int(p == at)) for p in range(40)])
+     for at in (-1, 39, 0)], set())
 def test_compare_traces_matches_all_pairs_reference(traces, missing):
     id_to_loc = {i: SourceLoc("r.c", 10 + i) for i in IDS if i not in missing}
     assert (outcome(compare_traces, traces, id_to_loc)
@@ -306,3 +340,22 @@ def test_witness_is_first_pair_in_index_order_with_duplicates():
     assert witnesses == {(0, CONTROL_FLOW): (0, 2),      # A/B
                          (1, MEMORY_ACCESS): (2, 3)}     # only B/C
     assert rep.findings == reference_compare_traces(traces, id_to_loc).findings
+
+
+@pytest.mark.parametrize("program, preset_name, inputs", [
+    ("fig1b_load", "baseline-off", 256),
+    ("poly_frommsg", "llvm18-O3", 128),
+])
+def test_compare_traces_matches_reference_on_corpus(program, preset_name,
+                                                    inputs):
+    # Every input its own trace class, parting within a few events: the
+    # shapes where refining the classes replaces the most pair scans.
+    low = analyze(load_program(program), preset(preset_name).spec,
+                  inputs=inputs, seed=0).lowered
+    traces = [execute(low, args) for args in
+              gen_inputs(low, count=inputs, seed=0).arg_dicts()]
+    assert len({tuple(t.events) for t in traces}) == inputs
+    id_to_loc = low.function().id_to_loc()
+    report = compare_traces(traces, id_to_loc)
+    assert report.findings
+    assert report == reference_compare_traces(traces, id_to_loc)
