@@ -109,10 +109,13 @@ def _resolve_const(defs: dict[str, Instruction], op: object) -> object:
     return op
 
 
-def counted_loop_info(func: Function, loop: Loop) -> CountedLoop | None:
+def counted_loop_info(func: Function, loop: Loop,
+                      defs: dict[str, Instruction] | None = None
+                      ) -> CountedLoop | None:
     """Recognize the canonical counted-loop shape, else None.  ``loop``
     must come from ``natural_loops(func)``, with its blocks and preheader
-    unchanged since: the preheader is taken from it, not recomputed."""
+    unchanged since: the preheader is taken from it, not recomputed.
+    ``defs``, when given, is ``func.defs()``."""
     header = func.block(loop.header)
     term = header.terminator
     if term is None or term.opcode != "condbr":
@@ -122,7 +125,7 @@ def counted_loop_info(func: Function, loop: Loop) -> CountedLoop | None:
         return None
 
     # bound compare: icmp.lt iv, bound feeding the condbr
-    defs = func.defs()
+    defs = func.defs() if defs is None else defs
     cond = term.operands[0]
     if not isinstance(cond, str) or cond not in defs:
         return None

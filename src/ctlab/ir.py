@@ -673,28 +673,59 @@ def reachable(func: Function) -> set[str]:
 
 
 def dominators(func: Function) -> dict[str, set[str]]:
-    """Classic iterative dominator sets over reachable blocks."""
-    reach = reachable(func)
-    order = [b.label for b in func.blocks if b.label in reach]
+    """The set of blocks dominating each reachable block, itself included.
+
+    Immediate dominators come from Cooper, Harvey & Kennedy's "A Simple,
+    Fast Dominance Algorithm" (2001): iterate over the reachable blocks in
+    reverse postorder, intersecting the dominator-tree paths of each
+    block's processed predecessors, until nothing changes.  Each set is
+    then the block's chain of immediate dominators.  An unreachable block
+    has no entry, and as a predecessor it is ignored.
+    """
+    by_label = {b.label: b for b in func.blocks}
+    postorder: list[str] = []
+    seen = {func.entry}
+    stack = [(func.entry, iter(successors(by_label[func.entry])))]
+    while stack:
+        label, succs = stack[-1]
+        for s in succs:
+            if s not in seen and s in by_label:
+                seen.add(s)
+                stack.append((s, iter(successors(by_label[s]))))
+                break
+        else:
+            stack.pop()
+            postorder.append(label)
+    # Blocks are numbered in reverse postorder, where every dominator comes
+    # before the blocks it dominates.
+    order = postorder[::-1]
+    index = {l: i for i, l in enumerate(order)}
     preds = predecessors(func)
-    dom: dict[str, set[str]] = {l: set(order) for l in order}
-    dom[func.entry] = {func.entry}
+    pred_index = [[index[p] for p in preds[l] if p in index] for l in order]
+    idom: list[int | None] = [None] * len(order)
+    idom[0] = 0
     changed = True
     while changed:
         changed = False
-        for l in order:
-            if l == func.entry:
-                continue
-            ps = [p for p in preds[l] if p in reach]
-            new = set(order)
-            for p in ps:
-                new &= dom[p]
-            new.add(l)
-            if not ps:
-                new = {l}
-            if new != dom[l]:
-                dom[l] = new
+        for i in range(1, len(order)):
+            new = None
+            for p in pred_index[i]:
+                if idom[p] is None:
+                    continue
+                if new is None:
+                    new = p
+                    continue
+                while p != new:         # up to the nearest common one
+                    while p > new:
+                        p = idom[p]
+                    while new > p:
+                        new = idom[new]
+            if idom[i] != new:
+                idom[i] = new
                 changed = True
+    dom = {order[0]: {order[0]}}
+    for i in range(1, len(order)):
+        dom[order[i]] = dom[order[idom[i]]] | {order[i]}
     return dom
 
 

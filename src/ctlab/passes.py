@@ -3,12 +3,12 @@
 Each pass is a small, deterministic model of the real transformation's
 observable effect: it fires on the documented pattern and leaves everything
 else untouched.  Each pass is a step that rewrites a function in place and
-returns whether it changed anything.  The runner copies each function once
-per pass application, runs the pass's step and then cleanup, each to its
-fixpoint, validates the result when either reports a change, and logs
-created/deleted instruction ids so leak findings can be attributed to the
-pass that introduced them.  A step or cleanup that does not settle raises
-an error that names it.
+returns whether it changed anything; one that returns False has changed
+nothing.  The runner copies the program once, runs each pass's step and
+then cleanup on each function, each to its fixpoint, validates the result
+when either reports a change, and logs created/deleted instruction ids so
+leak findings can be attributed to the pass that introduced them.  A step
+or cleanup that does not settle raises an error that names it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .ir import (
     IRError,
     Program,
     clone_instruction,
-    copy_function,
     copy_program,
     evaluate,
     predecessors,
@@ -166,7 +165,8 @@ def _subst(blocks: list[BasicBlock], mapping: dict[str, object]) -> None:
     names."""
     for block in blocks:
         for ins in block.instrs:
-            ins.operands = substitute(ins, mapping)
+            if not mapping.keys().isdisjoint(ins.operands):
+                ins.operands = substitute(ins, mapping)
 
 
 def _copy(f: Function, blocks: list[BasicBlock], vmap: dict[str, object],
@@ -234,16 +234,14 @@ def _defined_in(func: Function, labels) -> set[str]:
     return out
 
 
-def _loop_values_escape(func: Function, blocks: set[str]) -> bool:
-    inside = _defined_in(func, blocks)
-    for b in func.blocks:
-        if b.label in blocks:
-            continue
-        for ins in b.instrs:
-            if any(isinstance(op, str) and op in inside
-                   for op in value_operands(ins)):
-                return True
-    return False
+def _loop_values_escape(func: Function, blocks: set[str],
+                        uses: dict[str, list[Instruction]]) -> bool:
+    """Does an instruction outside ``blocks`` read a value defined in
+    them?  ``uses`` is ``_uses(func)``."""
+    inside = [ins for l in blocks for ins in func.block(l).instrs]
+    iids = {ins.iid for ins in inside}
+    return any(user.iid not in iids for ins in inside
+               for user in uses.get(ins.result, ()))
 
 
 def _loops_inner_first(func: Function):
@@ -808,24 +806,26 @@ def loop_unswitch(f: Function, threshold: int = 32) -> bool:
     guarded = {l.header for l in loops
                if (l.preheader or "").startswith(_GUARD)}
     budget = _UNSWITCH_GROWTH * threshold - sum(size[h] for h in guarded)
+    uses = _uses(f)
 
     def unswitch(loop) -> bool:
-        nonlocal budget
+        nonlocal budget, uses
         # The clone is new growth, and so is the loop itself the first time.
         cost = size[loop.header] * (1 if loop.header in guarded else 2)
         if size[loop.header] > threshold or cost > budget \
-                or not _unswitch_loop(f, loop):
+                or not _unswitch_loop(f, loop, uses):
             return False
         budget -= cost
+        uses = _uses(f)
         return True
 
     return _rewrite_loops(loops, unswitch)
 
 
-def _unswitch_loop(f: Function, loop) -> bool:
+def _unswitch_loop(f: Function, loop, uses) -> bool:
     if loop.preheader is None:
         return False
-    if _loop_values_escape(f, loop.blocks):
+    if _loop_values_escape(f, loop.blocks, uses):
         return False
     exits = {s for l in loop.blocks for s in successors(f.block(l))
              if s not in loop.blocks}
@@ -908,12 +908,20 @@ def loop_unroll(f: Function) -> bool:
     duplicated instructions keep their source locations under fresh ids.
     Runtime-bound loops are left alone.
     """
-    return _rewrite_loops(_loops_inner_first(f),
-                          lambda loop: _unroll_full(f, loop))
+    defs = f.defs()
+
+    def unroll(loop) -> bool:
+        nonlocal defs
+        if not _unroll_full(f, loop, defs):
+            return False
+        defs = f.defs()
+        return True
+
+    return _rewrite_loops(_loops_inner_first(f), unroll)
 
 
-def _unroll_full(f: Function, loop) -> bool:
-    info = counted_loop_info(f, loop)
+def _unroll_full(f: Function, loop, defs) -> bool:
+    info = counted_loop_info(f, loop, defs)
     if info is None:
         return False
     trip = info.trip_count
@@ -1016,13 +1024,15 @@ def loop_vectorize(f: Function) -> bool:
     outside predecessors, so it is not vectorized again.
     """
     loops = _loops_inner_first(f)
+    defs, uses = f.defs(), _uses(f)
     changed = False
     for loop in loops:
         if any(o is not loop and o.header in loop.blocks for o in loops):
             continue
-        plan = _vector_plan(f, loop)
+        plan = _vector_plan(f, loop, defs, uses)
         if plan is not None:
             _apply_vector_plan(f, plan)
+            defs, uses = f.defs(), _uses(f)
             changed = True
     return changed
 
@@ -1036,15 +1046,17 @@ class _VecPlan:
     invariants: list[object]
 
 
-def _vector_plan(f: Function, loop) -> _VecPlan | None:
-    info = counted_loop_info(f, loop)
+def _vector_plan(f: Function, loop, defs, uses) -> _VecPlan | None:
+    """What vectorizing ``loop`` takes, or None when it does not fit;
+    ``defs`` and ``uses`` are ``f.defs()`` and ``_uses(f)``."""
+    info = counted_loop_info(f, loop, defs)
     if info is None or len(loop.blocks) != 2:
         return None
     header = f.block(loop.header)
     latch = f.block(info.latch)
     if len(header.phis()) != 1 or len(header.instrs) != 3:
         return None
-    if _loop_values_escape(f, loop.blocks):
+    if _loop_values_escape(f, loop.blocks, uses):
         return None
     iv = info.iv_phi.result
     loop_defs = _defined_in(f, loop.blocks)
@@ -1065,7 +1077,6 @@ def _vector_plan(f: Function, loop) -> _VecPlan | None:
                 offadds[ins.result] = b
             elif b == iv and invariant(a):
                 offadds[ins.result] = a
-    uses = _uses(f)
     for name in list(offadds):
         if not all(u.opcode in ("load", "store") and u.operands[1] == name
                    for u in uses.get(name, [])):
@@ -1096,7 +1107,7 @@ def _vector_plan(f: Function, loop) -> _VecPlan | None:
 
     def need_splat(op) -> bool:
         # A lane is 32 bits: a wider scalar would lose its high bits.
-        if value_bits(f, op) > LANE_WIDTH:
+        if value_bits(f, op, defs) > LANE_WIDTH:
             return False
         if op not in invariants:
             invariants.append(op)
@@ -1522,12 +1533,12 @@ def run_pipeline(prog: Program,
                  spec: PipelineSpec) -> tuple[Program, list[PassLogEntry]]:
     """Apply the enabled passes in their fixed order, cleaning up after
     each, and validating the program after a pass whose step or cleanup
-    reports a change; a function reported unchanged keeps its previous
-    copy.  With every toggle off the program comes back unchanged (modulo
-    copying).  Raises IRError when the input program is malformed, and
-    InternalPassError when a pass leaves it malformed or when the pass or
-    its cleanup does not settle within ``_FIXPOINT_STEPS`` steps, carrying
-    the log of passes applied so far.
+    reports a change.  The passes rewrite one private copy of the program
+    in place.  With every toggle off the program comes back unchanged
+    (modulo copying).  Raises IRError when the input program is malformed,
+    and InternalPassError when a pass leaves it malformed or when the pass
+    or its cleanup does not settle within ``_FIXPOINT_STEPS`` steps,
+    carrying the log of passes applied so far.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
@@ -1539,23 +1550,20 @@ def run_pipeline(prog: Program,
     for name in spec.order:
         step = _PASSES[name]
         changed = False
-        for fname in list(out.functions):
-            func = out.functions[fname]
-            new = copy_function(func)
+        for fname, func in out.functions.items():
+            before = {i.iid for i in func.instructions()}
             try:
                 # Both run: cleanup may change what the pass left alone.
-                if not (_to_fixpoint(lambda f: step(f, spec), new, name)
-                        | cleanup(new, out.globals)):
+                if not (_to_fixpoint(lambda f: step(f, spec), func, name)
+                        | cleanup(func, out.globals)):
                     log.append(PassLogEntry(name, fname, "no change"))
                     continue
             except InternalPassError as e:
                 raise InternalPassError(f"pass {name}: {e}", log) from e
             changed = True
-            before = {i.iid for i in func.instructions()}
-            after = {i.iid for i in new.instructions()}
+            after = {i.iid for i in func.instructions()}
             created = tuple(sorted(after - before))
             deleted = tuple(sorted(before - after))
-            out.functions[fname] = new
             log.append(PassLogEntry(
                 name, fname, f"+{len(created)}/-{len(deleted)} instructions",
                 created, deleted))

@@ -58,10 +58,14 @@ _M64 = (1 << 64) - 1
 # a 523-instruction function in one call peaks at 8.5 MB of allocations
 # (tracemalloc, CPython 3.11); in batches of this size, at 1.2 MB.
 _CHUNK = 48
-# A translation retains 25-300 KB for a corpus program, 1.4 MB for all 34
-# distinct lowered functions of the corpus under every preset, so the
-# cache holds a few MB at most.
-_CACHE_SIZE = 32
+# A study of every corpus program under every preset meets 34 distinct
+# lowered functions; checking them against the 10 source functions adds 3
+# more (the other 7 read the same as one of their lowerings).  The cache
+# holds that whole working set with room to spare, so a repeated study
+# translates nothing, where a smaller cache would evict in a cycle and
+# re-translate on every round.  A translation retains 25-300 KB for a
+# corpus program, 1.4 MB for the 34 lowered functions together.
+_CACHE_SIZE = 64
 
 
 class TraceError(Exception):

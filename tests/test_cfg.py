@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+
+from ctlab import cfg, ir
+from ctlab.backend import PROFILES, lower
 from ctlab.cfg import counted_loop_info, natural_loops
-from ctlab.corpus import load_program
-from ctlab.ir import parse_ir
+from ctlab.corpus import load_program, names
+from ctlab.ir import dominators, parse_ir, predecessors, reachable
+from ctlab.mitigations import PRESETS
+from ctlab.passes import run_pipeline
 
 STRAIGHT = """
 func f(public n: u32 = 4) {
@@ -82,3 +88,114 @@ done:
     func = parse_ir(src).function()
     (loop,) = natural_loops(func)
     assert counted_loop_info(func, loop) is None
+
+
+# ----------------------------------------------------------------------
+# dominators against the iterative set-intersection form
+
+
+def reference_dominators(func):
+    """Dominator sets by intersecting predecessors' sets to a fixpoint,
+    over the reachable blocks only."""
+    reach = reachable(func)
+    order = [b.label for b in func.blocks if b.label in reach]
+    preds = predecessors(func)
+    dom = {l: set(order) for l in order}
+    dom[func.entry] = {func.entry}
+    changed = True
+    while changed:
+        changed = False
+        for l in order:
+            if l == func.entry:
+                continue
+            ps = [p for p in preds[l] if p in reach]
+            new = set(order)
+            for p in ps:
+                new &= dom[p]
+            new.add(l)
+            if not ps:
+                new = {l}
+            if new != dom[l]:
+                dom[l] = new
+                changed = True
+    return dom
+
+
+def test_dominators_match_the_reference_on_every_pipeline_function(
+        monkeypatch):
+    # Every function the passes and the lowering return or ask about, the
+    # ones in the middle of a pass's fixpoint included.
+    sizes = []
+
+    def checked(func):
+        got = dominators(func)
+        assert got == reference_dominators(func), func.name
+        sizes.append(len(func.blocks))
+        return got
+
+    monkeypatch.setattr(cfg, "dominators", checked)
+    monkeypatch.setattr(ir, "dominators", checked)
+    for name in names():
+        source = load_program(name)
+        checked(source.function())
+        for p in PRESETS.values():
+            mid, _ = run_pipeline(source, p.spec)
+            low, _ = lower(mid, PROFILES[p.spec.backend],
+                           p.spec.cmov_conversion)
+            checked(mid.function())
+            checked(low.function())
+    assert max(sizes) >= 318            # ecdsa, just unrolled
+
+
+@pytest.mark.parametrize("src, want", [
+    # a diamond: the join's dominators are what both arms share
+    ("""
+e:
+  condbr c, l, r
+l:
+  br j
+r:
+  br j
+j:
+  ret 0
+""", {"e": "e", "l": "e l", "r": "e r", "j": "e j"}),
+    # an irreducible loop entered at both a and b
+    ("""
+e:
+  condbr c, a, b
+a:
+  br b
+b:
+  condbr c, a, x
+x:
+  ret 0
+""", {"e": "e", "a": "e a", "b": "e b", "x": "e b x"}),
+    # unreachable blocks, one of them the only predecessor of another
+    ("""
+e:
+  br x
+u:
+  br x
+v:
+  br w
+w:
+  ret 1
+x:
+  ret 0
+""", {"e": "e", "x": "e x"}),
+    # a self-loop, and a back edge into the entry block
+    ("""
+e:
+  br s
+s:
+  condbr c, s, t
+t:
+  condbr c, e, x
+x:
+  ret 0
+""", {"e": "e", "s": "e s", "t": "e s t", "x": "e s t x"}),
+], ids=["diamond", "irreducible", "unreachable", "self-loop"])
+def test_dominators_of_hand_written_shapes(src, want):
+    func = parse_ir("func f(public c: u32 = 1) {" + src + "}").function()
+    assert dominators(func) == reference_dominators(func) == \
+        {l: set(d.split()) for l, d in want.items()}

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from ctlab import analyze, passes
+from ctlab import analyze, ir, passes
 from ctlab.backend import PROFILES, lower
 from ctlab.cfg import natural_loops
 from ctlab.corpus import load_program, names
-from ctlab.ir import BINARY_OPS, CMP_PREDS, parse_ir, print_ir, validate
+from ctlab.ir import (BINARY_OPS, CMP_PREDS, Program, parse_ir, print_ir,
+                      validate)
 from ctlab.mitigations import PRESETS
 from ctlab.passes import (
     PASS_ORDER,
@@ -343,6 +344,38 @@ def test_cleanup_output_is_a_fixpoint(monkeypatch, preset_name):
     for name in names():
         run_pipeline(load_program(name), PRESETS[preset_name].spec)
         assert unsettled == [], name
+
+
+# The step function of each pass, as the pass table calls it.
+STEPS = ("instcombine_lite", "jump_thread", "path_split", "loop_unswitch",
+         "loop_unroll", "loop_vectorize", "slp_lite", "if_convert")
+
+
+@pytest.mark.parametrize("spec", [p.spec for p in PRESETS.values()] + [
+    PipelineSpec(toggles={k: True for k in PASS_ORDER})],
+    ids=list(PRESETS) + ["every-pass"])
+def test_a_step_that_reports_no_change_changed_nothing(monkeypatch, spec):
+    # run_pipeline runs steps and cleanup in place on its own copy, so one
+    # that returns False must leave the function exactly as it found it,
+    # down to the next fresh id.
+    assert len(STEPS) == len(PASS_ORDER)
+    broken = []
+
+    def checked(fn):
+        def run(func, *rest):
+            before = print_ir(Program({func.name: func})), func.next_id
+            if fn(func, *rest):
+                return True
+            if (print_ir(Program({func.name: func})), func.next_id) != before:
+                broken.append((fn.__name__, func.name))
+            return False
+        return run
+
+    for name in STEPS + ("cleanup",):
+        monkeypatch.setattr(passes, name, checked(getattr(passes, name)))
+    for name in names():
+        run_pipeline(load_program(name), spec)
+        assert broken == [], name
 
 
 @pytest.mark.parametrize("identity", [
@@ -767,9 +800,8 @@ def test_unroll_flattens_constant_trip_loop():
         assert execute(prog, {"s": s}).result == (s if s < 3 else 0)
 
 
-def test_unroll_takes_every_loop_in_one_step():
-    # One counted loop more than the step bound, in a row.
-    n = passes._FIXPOINT_STEPS + 1
+def loop_chain(n: int):
+    """``n`` two-trip counted loops in a row, each storing ``a`` twice."""
     lines = ["func f(public a: u32 = 3) {", "e:", "  br h0"]
     for k in range(n):
         prev = "e" if k == 0 else f"e{k - 1}"
@@ -780,10 +812,38 @@ def test_unroll_takes_every_loop_in_one_step():
                   f"  br h{k}", f"e{k}:", f"  br h{k + 1}"]
     lines[-1] = "  ret 0"
     lines += ["}", f"global dst: arr<u32,{2 * n}> = zeros"]
-    prog = parse_ir("\n".join(lines))
-    out, _ = pipe(prog, loop_unroll=True)
+    return parse_ir("\n".join(lines))
+
+
+def test_unroll_takes_every_loop_in_one_step():
+    # One counted loop more than the step bound, in a row.
+    n = passes._FIXPOINT_STEPS + 1
+    out, _ = pipe(loop_chain(n), loop_unroll=True)
     assert natural_loops(out.function()) == []
     assert execute(out, {"a": 3}).memory["dst"] == (3,) * (2 * n)
+
+
+def test_unroll_renames_only_the_readers_of_loop_values(monkeypatch):
+    # Only the readers of an unrolled loop's values are renamed, not every
+    # instruction once per loop: the substitutions, clones included, stay
+    # within a small multiple of the function's size.
+    calls = 0
+    real = ir.substitute
+
+    def counted(ins, mapping):
+        nonlocal calls
+        calls += 1
+        return real(ins, mapping)
+
+    monkeypatch.setattr(ir, "substitute", counted)
+    monkeypatch.setattr(passes, "substitute", counted)
+    prog = loop_chain(250)
+    size = sum(1 for _ in prog.function().instructions())
+    out, _ = pipe(prog, loop_unroll=True)
+    assert natural_loops(out.function()) == []
+    assert calls <= 2 * size, (calls, size)
+    want, got = execute(prog, {"a": 3}), execute(out, {"a": 3})
+    assert (got.result, got.memory) == (want.result, want.memory)
 
 
 def test_unroll_respects_full_limit():

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from ctlab import tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import parse_ir, validate
@@ -406,3 +407,25 @@ bb0:
         m = row["m"]
         assert isinstance(m, tuple) and len(m) == 2
         assert all(0 <= x <= 255 for x in m)
+
+
+def test_a_corpus_by_presets_study_fits_the_translation_cache():
+    # A study meets every corpus program lowered under every preset, and
+    # checking the results meets each source program.  Run it twice: the
+    # second round must translate nothing, or a study that outgrew the
+    # cache would re-translate on every round.
+    def study():
+        for name in names():
+            source = load_program(name)
+            args = gen_inputs(source, count=1, seed=0).arg_dicts()[0]
+            execute(source, args)
+            for p in PRESETS.values():
+                mid, _ = run_pipeline(source, p.spec)
+                low, _ = lower(mid, PROFILES[p.spec.backend],
+                               p.spec.cmov_conversion)
+                execute(low, args)
+
+    study()
+    misses = tracer._translate.cache_info().misses
+    study()
+    assert tracer._translate.cache_info().misses == misses
