@@ -215,9 +215,21 @@ def _cmd_flags(args) -> int:
     return 0
 
 
+def _input_count(text: str) -> int:
+    """An ``--inputs`` value: a comparison needs a pair of traces."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 2, got {text!r}")
+    return n
+
+
 def _add_common(sub, with_inputs: bool = True) -> None:
     if with_inputs:
-        sub.add_argument("--inputs", type=int, default=16,
+        sub.add_argument("--inputs", type=_input_count, default=16,
                          help="number of secret assignments (default 16)")
         sub.add_argument("--seed", type=int, default=0,
                          help="input generator seed (default 0)")

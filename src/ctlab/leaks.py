@@ -1,11 +1,8 @@
 """Trace comparison, leak classification, and report diffing.
 
 Two traces of the same function on the same public inputs should be
-identical when the code is constant-time.  Traces are first split into
-classes of identical event sequences, each represented by its smallest
-index; identical traces cannot diverge from each other, and they diverge
-from any third trace in the same way.  Two representatives are walked in
-step, skipping equal events, and their divergences are classified:
+identical when the code is constant-time.  Each pair of traces is walked
+in step, skipping equal events, and its divergences are classified:
 
 * control-flow: the first aligned position where a conditional branch went
   different ways.  The pair stops there; later events are unaligned and
@@ -17,15 +14,15 @@ step, skipping equal events, and their divergences are classified:
 
 A pair also stops at its first misaligned event, or where one trace ends.
 
-The representatives are not compared pair by pair but refined together,
-as a partition: a group holds representatives no pair of which has
-stopped.  It walks forward while its members' events line up, noting
-memory events met at different offsets, and at the first position where
-they stop lining up it splits by aligned structure; pairs that land in
-different parts stop, each part goes on alone, and a part of two is one
-pair, walked to its end.  Each pair is
-so walked exactly as far as a scan of its two traces would go, and the
-work grows with the number of classes rather than of their pairs.
+The pairs are not walked one by one but refined together, as a
+partition: a group holds traces no pair of which has stopped.  It walks
+forward while its members' events line up, noting memory events met at
+different offsets, and at the first position where they stop lining up
+it splits by aligned structure; pairs that land in different parts stop,
+and each part of two or more goes on alone.  Identical traces never stop,
+so they stay in one part.  Each pair is so walked exactly as far as a
+scan of its two traces would go, and the work grows with the number of
+traces rather than of their pairs.
 
 Findings are attributed to instruction ids and source locations, and
 deduplicated by (instr, kind) so each culprit appears once per report.
@@ -35,13 +32,13 @@ if every pair had been scanned.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
+from itertools import compress, count
 from operator import ne
 
 from .ir import SourceLoc
-from .tracer import BranchDir, Trace
+from .tracer import Trace
 
 CONTROL_FLOW = "control-flow"
 MEMORY_ACCESS = "memory-access"
@@ -111,30 +108,6 @@ def first_divergence(a: Trace, b: Trace) -> tuple[int, int] | None:
     return n, longer.events[n].instr
 
 
-def _scan(a: Iterable, b: Iterable) -> tuple[int | None, set[int]]:
-    """(diverging condbr id or None, ids of offset-diverging memory events).
-
-    Walks both event streams in step.  Equal events are skipped.  The scan
-    stops at the first aligned branch pair with opposite directions (a
-    control-flow leak) or at the first structurally misaligned event
-    (defensive; deterministic programs only reach this through an earlier
-    divergence).  Aligned memory events that differ only in offset are
-    recorded and do not stop the scan.
-    """
-    mem: set[int] = set()
-    for ea, eb in zip(a, b):
-        if ea == eb:
-            continue
-        if type(ea) is not type(eb) or ea.instr != eb.instr:
-            break
-        if type(ea) is BranchDir:
-            return ea.instr, mem
-        if ea.kind != eb.kind or ea.region != eb.region:
-            break
-        mem.add(ea.instr)
-    return None, mem
-
-
 # A group's members are first walked against its lowest member over this
 # many events, then over windows twice as long: a member misaligned late in
 # a window wastes the walks of the members before it, and doubling keeps
@@ -142,30 +115,22 @@ def _scan(a: Iterable, b: Iterable) -> tuple[int | None, set[int]]:
 _WINDOW = 16
 
 _Note = Callable[[int, str, tuple[int, int]], None]
-_Group = tuple[int, list[int], list[tuple]]
+_Group = tuple[int, list[int], list[list[tuple]]]
 
 
-def _refine(pos: int, idx: list[int], seqs: list[tuple], note: _Note,
+def _refine(pos: int, idx: list[int], seqs: list[list[tuple]], note: _Note,
             groups: list[_Group]) -> None:
-    """Walk one group of representatives from event ``pos`` until it
-    splits or a member ends, noting the first diverging pair in the group
-    for every divergence on the way.
+    """Walk one group of traces from event ``pos`` until it splits or a
+    member ends, noting the first diverging pair in the group for every
+    divergence on the way.
 
     ``idx`` (ascending) are the members' trace indices and ``seqs`` their
-    events; no pair of members has stopped before ``pos``.  The parts the
-    group splits into go onto ``groups``.  An event's aligned structure is
-    ``e[:3]``: (instr, kind, region) of a memory event, the whole
-    (instr, taken) of a branch; the lengths differ, so the two never match.
+    event lists; no pair of members has stopped before ``pos``.  The parts
+    of two or more members that the group splits into go onto ``groups``.
+    An event's aligned structure is ``e[:3]``: (instr, kind, region) of a
+    memory event, the whole (instr, taken) of a branch; the lengths
+    differ, so the two never match.
     """
-    if len(seqs) == 2:
-        cf_id, mem_ids = _scan(islice(seqs[0], pos, None),
-                               islice(seqs[1], pos, None))
-        pair = (idx[0], idx[1])
-        if cf_id is not None:
-            note(cf_id, CONTROL_FLOW, pair)
-        for iid in mem_ids:
-            note(iid, MEMORY_ACCESS, pair)
-        return
     # While every member is aligned with the first, two members that differ
     # cannot both equal the first, so the first paired with the lowest
     # member that differs from it is the first pair to show a memory
@@ -224,16 +189,15 @@ def _refine(pos: int, idx: list[int], seqs: list[tuple], note: _Note,
 
 def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
                    pipeline: str = "") -> LeakReport:
-    """Find every divergence between distinct traces and attribute it.
+    """Find every divergence between traces and attribute it.
 
-    Identical traces form one class, represented by its smallest index.
-    The representatives are refined in groups (``_refine``), never
-    compared pair by pair; a group of two is one pair and is scanned to
-    its end.  Findings are deduplicated by (instr, kind), keeping the witness
-    from the first diverging pair in index order, which is always a pair
-    of representatives.  An instruction id without a source location is
-    an error, for the finding that pair order reaches first.  The finding
-    set is independent of trace order.
+    Traces equal to trace 0 are dropped first: such a trace parts from
+    every other trace as trace 0 does, in a later pair.  The rest are
+    refined together in groups (``_refine``), never compared pair by pair.
+    Findings are deduplicated by (instr, kind), keeping the witness from
+    the first diverging pair in index order.  An instruction id without a
+    source location is an error, for the finding that pair order reaches
+    first.  The finding set is independent of trace order.
     """
     if len(traces) < 2:
         raise LeakError("need at least 2 traces to compare")
@@ -248,13 +212,12 @@ def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
         if old is None or pair < old:
             witness[instr, kind] = pair
 
-    # Insertion order keeps the representatives ascending.
-    classes: dict[tuple, int] = {}
-    for i, t in enumerate(traces):
-        classes.setdefault(tuple(t.events), i)
+    first = traces[0].events
+    idx = [0] + [i for i in range(1, len(traces))
+                 if traces[i].events != first]
     groups: list[_Group] = []
-    if len(classes) > 1:
-        groups.append((0, list(classes.values()), list(classes)))
+    if len(idx) > 1:
+        groups.append((0, idx, [traces[i].events for i in idx]))
     while groups:
         _refine(*groups.pop(), note, groups)
 

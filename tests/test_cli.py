@@ -171,6 +171,17 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "unknown preset" in err
 
 
+def test_too_few_inputs_is_a_usage_error_naming_the_flag(capsys):
+    for cmd in (["analyze", "fig1a_branch"], ["matrix", "fig1a_branch"],
+                ["diff", "fig1a_branch", "baseline-off", "gcc13-O3"]):
+        for n in ("1", "0", "-3", "x"):
+            code, out, err = run(capsys, *cmd, "--inputs", n)
+            assert code == 1, (cmd, n)
+            assert out == ""
+            assert "--inputs" in err, (cmd, n)
+    assert run(capsys, "analyze", "fig1a_branch", "--inputs", "2")[0] == 2
+
+
 def test_malformed_ir_is_blamed_on_the_input(tmp_path, capsys):
     from ctlab.corpus import get
     from ctlab.mitigations import PRESETS

@@ -323,6 +323,19 @@ def trace_lists(draw):
            # trace 2 at once: the witness is still (0, 1)
     [mk_trace([MemAccess(1, "load", "t", int(p == at)) for p in range(40)])
      for at in (-1, 39, 0)], set())
+@example(  # four identical traces of branches and memory events: clean
+    [mk_trace([BranchDir(0, True), MemAccess(1, "store", "t", 2),
+               BranchDir(2, False), MemAccess(3, "load", "u", 1)])
+     for _ in range(4)], set())
+@example(  # one pair walked over several window doublings: offsets part on
+           # id 1 at event 150, branch 0 at event 250, and id 2's offsets
+           # only after that, so the findings are memory id 1 and branch 0,
+           # both witnessed by (0, 1), and none for id 2
+    [mk_trace([MemAccess(1, "load", "t", k) if p == 150
+               else BranchDir(0, k == 1) if p == 250
+               else MemAccess(2, "load", "t", p + k) if p > 250
+               else MemAccess(3, "store", "u", p) for p in range(300)])
+     for k in (0, 1)], set())
 def test_compare_traces_matches_all_pairs_reference(traces, missing):
     id_to_loc = {i: SourceLoc("r.c", 10 + i) for i in IDS if i not in missing}
     assert (outcome(compare_traces, traces, id_to_loc)
@@ -348,8 +361,9 @@ def test_witness_is_first_pair_in_index_order_with_duplicates():
 ])
 def test_compare_traces_matches_reference_on_corpus(program, preset_name,
                                                     inputs):
-    # Every input its own trace class, parting within a few events: the
-    # shapes where refining the classes replaces the most pair scans.
+    # Every trace distinct from every other, parting within a few events:
+    # the shapes where walking the traces as one group saves the most over
+    # walking each pair alone.
     low = analyze(load_program(program), preset(preset_name).spec,
                   inputs=inputs, seed=0).lowered
     traces = [execute(low, args) for args in
