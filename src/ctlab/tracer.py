@@ -17,31 +17,44 @@ inputs should therefore produce identical event streams when the code is
 constant-time.
 
 ``execute`` translates a function into Python once and runs every input
-through the translation:
+through the translation.  Each generated function runs one *region* of
+the control-flow graph, written as structured Python:
 
-* Each reachable basic block becomes straight-line Python, cut into
-  chunks of at most ``_CHUNK`` instructions; each chunk is one generated
-  function, and chunks are compiled in batches of at most ``_CHUNK``
-  instructions.  Opcode semantics (the ``ir`` expressions), widths,
-  masks, immediates, operand roles, region lengths and branch targets are
-  resolved while translating.
-* A value read only in the chunk that defines it is a local variable.  A
-  parameter, a phi result and a value read in another chunk live in a dict
-  between chunks.  A phi is a parallel copy written on each edge into its
-  block.
+* A block longer than ``_CHUNK`` instructions is cut into pieces of at
+  most that many; a piece falls through to the next.  Below, a block is
+  such a piece.
+* A region starts at a *head* block (region 0 at the entry) and holds
+  every block with exactly one incoming edge, nested under the branch arm
+  that enters it; a join, once every incoming edge of the join leaves the
+  two arms of one ``condbr`` in the region, written after that
+  ``if``/``else``; and the branches back to its head, each a ``continue``
+  of a ``while True:`` around the region.  Every other edge returns the
+  index of the region its target heads to a driver loop.  A region holds
+  at most ``_CHUNK`` instructions, which also bounds how deep its
+  branches nest.
+* Regions are planned before any source is written: the plan places
+  every block, classifies every edge and so knows which values another
+  region reads.  Only those live in a dict between regions, with the
+  parameters; every other value is a local variable of its region.  A
+  phi is a parallel copy on each edge into its block: into ``env`` on an
+  edge that leaves the region, into locals on any other.
+* Opcode semantics (the ``ir`` expressions), widths, masks, immediates,
+  operand roles, memory region lengths, branch targets and block sizes
+  are resolved while translating.  A region adds its blocks' sizes to the
+  step count as constants along each path.
 * Value and region names enter the generated source only through ``repr``;
   every identifier in it is generated, so no name can collide with one.
-* A driver loop calls the chunks by index and counts fuel per chunk.
 
 Translations are kept in an LRU cache of ``_CACHE_SIZE`` entries keyed by
-everything a translation reads: each region's name, element width and
-length, and each block's label and instructions (id, opcode, result,
+everything a translation reads: each memory region's name, element width
+and length, and each block's label and instructions (id, opcode, result,
 operands, width, predicate, labels).  The key is never an object's
 identity, because passes change instructions in place.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
@@ -54,8 +67,8 @@ from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
 DEFAULT_FUEL = 1_000_000
 _LANE_MASK = (1 << LANE_WIDTH) - 1
 _M64 = (1 << 64) - 1
-# Instructions per generated function and per compile() call.  Compiling
-# a 523-instruction function in one call peaks at 8.5 MB of allocations
+# Instructions per region and per compile() call.  Compiling a
+# 523-instruction function in one call peaks at 8.5 MB of allocations
 # (tracemalloc, CPython 3.11); in batches of this size, at 1.2 MB.
 _CHUNK = 48
 # A study of every corpus program under every preset meets 34 distinct
@@ -63,8 +76,9 @@ _CHUNK = 48
 # more (the other 7 read the same as one of their lowerings).  The cache
 # holds that whole working set with room to spare, so a repeated study
 # translates nothing, where a smaller cache would evict in a cycle and
-# re-translate on every round.  A translation retains 25-300 KB for a
-# corpus program, 1.4 MB for the 34 lowered functions together.
+# re-translate on every round.  A translation and its key retain 2-240 KB
+# for a corpus program, 1.1 MB for the 34 lowered functions together
+# (tracemalloc).
 _CACHE_SIZE = 64
 
 
@@ -100,26 +114,28 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
     ``prog`` must pass ``validate`` (``lower`` returns such a program):
     every operand then has the type its opcode takes and every value is
     set before it is read, so nothing is checked again here.  ``args``
-    maps every parameter name to a value: ints for scalars (masked to the
-    declared width), tuples of ints for array parameters.  Execution is
-    fully deterministic.  Raises TraceError only on a missing argument or
-    an array argument of the wrong length, an out-of-bounds memory access,
-    or fuel exhaustion.
+    maps every parameter name to a value: an int for a scalar (masked to
+    the declared width), a tuple (or list) of as many ints as its length
+    for an array parameter.  Execution is fully deterministic.  Raises
+    TraceError only on a missing or ill-formed argument, an out-of-bounds
+    memory access, or fuel exhaustion.
 
     The function runs through its cached translation (see the module
     docstring).  ``steps`` counts every instruction executed, phis and the
     terminator included, and ``fuel`` bounds it with the same outcome as
-    counting step by step: entering a block of n instructions adds n to
-    the step total s; an out-of-bounds access at position p of the block
-    is reported as fuel exhaustion instead when step s - n + p + 1 exceeds
-    the fuel; otherwise fuel runs out before the terminator when s does.
+    counting step by step: an out-of-bounds access at step k raises its
+    bounds error when k is at most the fuel and reports fuel exhaustion
+    otherwise; without one, fuel runs out when the step count exceeds it.
+    A region counts its steps as constants, passes every bounds check its
+    absolute step, and checks the fuel on each branch back to its head;
+    the driver checks it after every region.
     """
     func = prog.function(func_name)
     memory: dict[str, list[int]] = {}
-    regions: dict[str, tuple[int, int]] = {}    # element width, length
+    shapes: dict[str, tuple[int, int]] = {}     # element width, length
     for g in prog.globals.values():
         memory[g.name] = list(g.init)
-        regions[g.name] = (g.elem_width, len(g.init))
+        shapes[g.name] = (g.elem_width, len(g.init))
 
     env: dict[str, int | tuple[int, ...]] = {}
     for p in func.params:
@@ -127,33 +143,35 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
             raise TraceError(f"missing argument {p.name!r}")
         v = args[p.name]
         if isinstance(p.type, ArrayType):
-            vals = tuple(int(x) & ((1 << p.type.elem_width) - 1) for x in v)
-            if len(vals) != p.type.length:
+            n = p.type.length
+            if not (isinstance(v, (tuple, list)) and len(v) == n
+                    and all(isinstance(x, int) for x in v)):
                 raise TraceError(
-                    f"argument {p.name!r}: need {p.type.length} elements")
-            memory[p.name] = list(vals)
-            regions[p.name] = (p.type.elem_width, p.type.length)
+                    f"argument {p.name!r}: need a tuple of {n} integers")
+            emask = (1 << p.type.elem_width) - 1
+            memory[p.name] = [x & emask for x in v]
+            shapes[p.name] = (p.type.elem_width, n)
+        elif isinstance(v, int):
+            env[p.name] = v & ((1 << p.type.width) - 1)
         else:
-            env[p.name] = int(v) & ((1 << p.type.width) - 1)
+            raise TraceError(f"argument {p.name!r}: need an integer")
 
-    chunks, sizes, used = _translate(
-        (tuple(regions.items()),
+    regions, used = _translate(
+        (tuple(shapes.items()),
          tuple((b.label, tuple(map(_FIELDS, b.instrs))) for b in func.blocks)))
     events: list[BranchDir | MemAccess] = []
     append, mem = events.append, [memory[r] for r in used]
-    steps = i = 0
+    nxt = steps = 0
     try:
         while True:
-            nxt = chunks[i](env, append, mem)
-            steps += sizes[i]
+            nxt, steps = regions[nxt](env, append, mem, steps, fuel)
             if steps > fuel:
                 break
             if nxt.__class__ is tuple:
                 return Trace(func.name, events, nxt[0], steps,
                              {n: tuple(v) for n, v in memory.items()})
-            i = nxt
     except _OutOfBounds as e:
-        if steps + e.position + 1 <= fuel:
+        if e.step <= fuel:
             raise TraceError(str(e)) from None
     raise TraceError(f"fuel exhausted after {fuel} steps")
 
@@ -168,29 +186,30 @@ _FIELDS = attrgetter(*_FIELD_NAMES)
 
 
 class _OutOfBounds(Exception):
-    def __init__(self, position: int, message: str):
+    def __init__(self, step: int, message: str):
         super().__init__(message)
-        self.position = position        # of the instruction in its chunk
+        self.step = step                # absolute step of the access
 
 
-def _oob(position, iid, region, offset, length):
+def _oob(step, iid, region, offset, length):
     """Raise the bounds error of an access at ``offset`` and up: the first
     lane outside ``[0, length)`` is ``offset`` itself or ``length``."""
     if 0 <= offset < length:
         offset = length
-    raise _OutOfBounds(position, f"id {iid}: {region}[{offset}] out of "
-                                 f"bounds (length {length})")
+    raise _OutOfBounds(step, f"id {iid}: {region}[{offset}] out of "
+                             f"bounds (length {length})")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _translate(key):
-    """``(chunks, sizes, regions)`` for a function's content ``key``.
+    """``(regions, arrays)`` for a function's content ``key``.
 
-    ``chunks[i](env, append, mem)`` runs chunk i with ``env`` holding the
-    values that live between chunks, ``append`` taking each event and
-    ``mem[j]`` the list of ``regions[j]``.  It returns the index of the
-    next chunk, or a 1-tuple holding the function's result.  ``sizes[i]``
-    is chunk i's instruction count.  Chunk 0 starts the entry block.
+    ``regions[k](env, E, M, s, F)`` runs region k from its head, with
+    ``env`` holding the values that live between regions, ``E`` taking
+    each event, ``M[j]`` the list of memory region ``arrays[j]``, ``s`` the
+    steps taken so far and ``F`` the fuel.  It returns the index of the
+    next region, or a 1-tuple holding the function's result, and the step
+    count.  Region 0 starts at the entry block.
     """
     return _Translator(*key).translate()
 
@@ -204,88 +223,192 @@ def _tuple(items) -> str:
 
 
 class _Translator:
-    """Writes the Python source of one function's chunks and compiles it."""
+    """Plans one function's regions, then writes and compiles their
+    source.
 
-    def __init__(self, region_shapes, block_fields):
-        self.shapes = dict(region_shapes)   # region -> (elem width, length)
+    The graph's nodes are blocks, a block longer than ``_CHUNK``
+    instructions cut into pieces; node n's arms enter ``succ[n]``.  The
+    plan files each edge, keyed by its node and arm, under one of four
+    kinds: "nest" (its target is nested under it), "join" (it falls
+    through to the join after an ``if``/``else``), "back" (to the head of
+    its own region) or "exit" (to the head of another region).
+    """
+
+    def __init__(self, shapes, block_fields):
+        self.shapes = dict(shapes)      # memory region -> (elem width, length)
         func = Function("", [], [
             BasicBlock(label, [Instruction(loc=None,
                                            **dict(zip(_FIELD_NAMES, f)))
                                for f in fields])
             for label, fields in block_fields])
-        self.blocks = {b.label: b for b in func.blocks}
         live = reachable(func)
-        self.pieces = []                # (block, its instructions in a chunk)
-        self.first = {}                 # block label -> its first chunk
+        self.nodes = []                 # (block, its instructions in a node)
+        first = {}                      # block label -> its first node
         for b in func.blocks:
             if b.label in live:
-                self.first[b.label] = len(self.pieces)
-                self.pieces += [(b, b.instrs[i:i + _CHUNK])
-                                for i in range(0, len(b.instrs), _CHUNK)]
-        # A value lives in ``env`` when a chunk other than its own reads it;
-        # phi results and parameters have no chunk of their own.
-        home = {ins.result: k for k, (_, instrs) in enumerate(self.pieces)
-                for ins in instrs
-                if ins.result is not None and ins.opcode != "phi"}
-        self.shared = {op for k, (b, instrs) in enumerate(self.pieces)
-                       for op in self.reads(b, instrs)
-                       if isinstance(op, str) and home.get(op) != k}
+                first[b.label] = len(self.nodes)
+                self.nodes += [(b, b.instrs[i:i + _CHUNK])
+                               for i in range(0, len(b.instrs), _CHUNK)]
+        self.succ = [[first[l] for l in instrs[-1].labels]
+                     if instrs[-1].is_terminator else [n + 1]
+                     for n, (_, instrs) in enumerate(self.nodes)]
+        self.indeg = [0] * len(self.nodes)
+        self.indeg[0] = 1               # the call enters the entry block
+        for targets in self.succ:
+            for t in targets:
+                self.indeg[t] += 1
         self.names: dict[str, str] = {}     # value -> generated identifier
-        self.regions: dict[str, str] = {}   # region -> generated identifier
+        self.arrays: dict[str, str] = {}    # memory region -> identifier
         self.namespace = {"_new": tuple.__new__, "MA": MemAccess, "_oob": _oob}
         self.consts = 0
 
-    def arms(self, b, target):
-        """The phi copies on the edge from block ``b`` into ``target``."""
+    def copies(self, n, t):
+        """The phi copies on the edge from node n into node t."""
+        b, instrs = self.nodes[n]
+        if not instrs[-1].is_terminator:
+            return []
         return [(phi.result, phi.operands[phi.labels.index(b.label)])
-                for phi in self.blocks[target].phis()]
+                for phi in self.nodes[t][0].phis()]
 
-    def reads(self, b, instrs):
-        """The operands that ``instrs`` of block b read, the phi arms on
-        the block's out-edges included."""
+    # -- Plan -------------------------------------------------------------
+
+    def plan(self):
+        """Place every node in a region and file every edge; no source is
+        written here."""
+        self.region = {0: 0}            # node -> its region
+        self.heads = [0]                # region -> its head node
+        self.kind = {}                  # (node, arm) -> kind of the edge
+        self.join = {}                  # condbr node -> its join node
+        self.flush = set()              # joins whose arms add their steps
+        self.enter = {}                 # node -> steps pending on entry
+        self.loops = set()              # regions with a back edge
+        self.lengths = []               # region -> its instruction count
+        self.reads = []                 # region -> values read, in order
+        self.home = {}                  # value -> region that defines it
+        for k, h in enumerate(self.heads):      # exits append heads
+            self.k, self.size, self.read = k, 0, {}
+            self.place(h, 0)
+            for n, a, t, _ in self.walk(h):
+                self.exit(n, a, t)
+            self.lengths.append(self.size)
+            self.reads.append(self.read)
+
+    def place(self, n, pend):
+        """Put node n in the current region, ``pend`` steps after the
+        region last added to its step count."""
+        self.region[n], self.enter[n] = self.k, pend
+        b, instrs = self.nodes[n]
+        self.size += len(instrs)
+        if instrs[0] is b.instrs[0]:
+            for phi in b.phis():
+                self.home[phi.result] = self.k
         for ins in instrs:
-            if ins.opcode != "phi":
-                yield from value_operands(ins)
-            if ins.is_terminator:
-                for target in ins.labels:
-                    yield from (op for _, op in self.arms(b, target))
+            if ins.opcode == "phi":
+                continue
+            if ins.result is not None:
+                self.home[ins.result] = self.k
+            self.read.update(dict.fromkeys(
+                op for op in value_operands(ins) if isinstance(op, str)))
+        for t in self.succ[n]:
+            self.read.update(dict.fromkeys(
+                op for _, op in self.copies(n, t) if isinstance(op, str)))
+
+    def fits(self, t):
+        return self.size + len(self.nodes[t][1]) <= _CHUNK
+
+    def walk(self, n):
+        """Place in the current region what node n leads to; returns the
+        edges left open at the tail of n's code, as (node, arm, target,
+        pending steps)."""
+        pend = self.enter[n] + len(self.nodes[n][1])
+        open_edges = []
+        for a, t in enumerate(self.succ[n]):
+            if t == self.heads[self.k]:
+                self.kind[n, a] = "back"
+                self.loops.add(self.k)
+            elif self.indeg[t] == 1 and t not in self.region and self.fits(t):
+                self.kind[n, a] = "nest"
+                self.place(t, pend)
+                open_edges += self.walk(t)
+            else:
+                open_edges.append((n, a, t, pend))
+        if len(self.succ[n]) < 2 or not open_edges:
+            return open_edges
+        # A condbr: its join is a target that only these open edges enter.
+        # The other open edges would run on into the join, so they exit.
+        count = Counter(t for _, _, t, _ in open_edges)
+        j = next((t for t, c in count.items() if c == self.indeg[t]
+                  and t not in self.region and self.fits(t)), None)
+        if j is None:
+            return open_edges
+        pends = set()
+        for m, a, t, p in open_edges:
+            if t == j:
+                self.kind[m, a] = "join"
+                pends.add(p)
+            else:
+                self.exit(m, a, t)
+        if len(pends) > 1:
+            self.flush.add(j)
+        self.join[n] = j
+        self.place(j, pends.pop() if len(pends) == 1 else 0)
+        return self.walk(j)
+
+    def exit(self, n, a, t):
+        self.kind[n, a] = "exit"
+        if t not in self.region:
+            self.region[t] = len(self.heads)
+            self.heads.append(t)
+
+    # -- Source -----------------------------------------------------------
 
     def translate(self):
-        # Chunks are compiled in batches of at most _CHUNK instructions.
+        self.plan()
+        # A value lives in ``env`` when a region other than its own reads
+        # it; parameters have no region.  A region loads what it reads
+        # from ``env`` on entry, its head's phis included.
+        self.shared = {v for k, read in enumerate(self.reads) for v in read
+                       if self.home.get(v) != k}
+        # Regions are compiled in batches of at most _CHUNK instructions.
         batch: list[str] = []
         size = 0
-        for k, (b, instrs) in enumerate(self.pieces):
-            lines = self.chunk(k, b, instrs)
-            if size + len(instrs) > _CHUNK:
+        for k, length in enumerate(self.lengths):
+            lines = self.source(k)
+            if size + length > _CHUNK:
                 self.compile(batch)
                 batch, size = [], 0
             batch += lines
-            size += len(instrs)
+            size += length
         self.compile(batch)
-        return (tuple(self.namespace[f"c{k}"]
-                      for k in range(len(self.pieces))),
-                tuple(len(instrs) for _, instrs in self.pieces),
-                tuple(self.regions))
+        return (tuple(self.namespace[f"r{k}"] for k in range(len(self.heads))),
+                tuple(self.arrays))
 
     def compile(self, lines):
         exec(compile("\n".join(lines), "<ctlab translation>", "exec"),
              self.namespace)
 
-    def chunk(self, k, b, instrs) -> list[str]:
-        """The source of chunk ``k``, which holds ``instrs`` of block b."""
-        self.block = b
+    def source(self, k) -> list[str]:
+        """The source of region k."""
+        h = self.heads[k]
+        b, instrs = self.nodes[h]
+        entering = ({phi.result for phi in b.phis()}
+                    if instrs[0] is b.instrs[0] else set())
+        loads = [f"{self.val(v)} = env[{v!r}]" for v in self.reads[k]
+                 if self.home.get(v) != k or v in entering]
         self.body: list[str] = []
-        self.bound: set[str] = set()        # values in locals here
-        self.touched: set[str] = set()      # regions accessed here
-        for pos, ins in enumerate(instrs):
-            self.instruction(pos, ins)
-        if not instrs[-1].is_terminator:
-            self.body.append(f"return {k + 1}")
+        self.touched: set[str] = set()      # memory regions accessed here
+        self.indent = "        " if k in self.loops else "    "
+        self.node(h)
         prologue = [f"{m} = M[{j}]"
-                    for j, (r, m) in enumerate(self.regions.items())
-                    if r in self.touched]
-        return [f"def c{k}(env, E, M):",
-                *("    " + line for line in prologue + self.body)]
+                    for j, (r, m) in enumerate(self.arrays.items())
+                    if r in self.touched] + loads
+        if k in self.loops:
+            prologue.append("while True:")
+        return [f"def r{k}(env, E, M, s, F):",
+                *("    " + line for line in prologue), *self.body]
+
+    def emit(self, line):
+        self.body.append(self.indent + line)
 
     def const(self, obj) -> str:
         name = f"K{self.consts}"
@@ -297,51 +420,76 @@ class _Translator:
         """The expression for operand ``op``."""
         if isinstance(op, int):
             return f"({op})" if op < 0 else str(op)
-        v = self.names.setdefault(op, f"v{len(self.names)}")
-        if op not in self.bound:
-            self.body.append(f"{v} = env[{op!r}]")
-            self.bound.add(op)
-        return v
+        return self.names.setdefault(op, f"v{len(self.names)}")
 
     def define(self, result, expr):
-        v = self.names.setdefault(result, f"v{len(self.names)}")
-        self.body.append(f"{v} = {expr}")
-        self.bound.add(result)
+        v = self.val(result)
+        self.emit(f"{v} = {expr}")
         if result in self.shared:
-            self.body.append(f"env[{result!r}] = {v}")
+            self.emit(f"env[{result!r}] = {v}")
 
-    def region(self, name) -> str:
+    def array(self, name) -> str:
         self.touched.add(name)
-        return self.regions.setdefault(name, f"m{len(self.regions)}")
+        return self.arrays.setdefault(name, f"m{len(self.arrays)}")
 
-    def access(self, pos, ins, kind, lanes) -> str:
+    def node(self, n):
+        """Write node n and what the plan placed after it."""
+        b, instrs = self.nodes[n]
+        self.block = b
+        for step, ins in enumerate(instrs, self.enter[n] + 1):
+            self.instruction(n, step, ins)
+        if not instrs[-1].is_terminator:
+            self.edge(n, 0)
+
+    def edge(self, n, a):
+        """Write arm a of node n: its phi copies, then its kind's code."""
+        t = self.succ[n][a]
+        kind = self.kind[n, a]
+        pend = self.enter[n] + len(self.nodes[n][1])
+        copies = self.copies(n, t)
+        if kind == "exit":
+            if copies:
+                self.emit(", ".join(f"env[{r!r}]" for r, _ in copies)
+                          + " = " + ", ".join(self.val(op) for _, op in copies))
+            self.emit(f"return {self.region[t]}, s + {pend}")
+            return
+        if copies:
+            self.emit(", ".join(self.val(r) for r, _ in copies)
+                      + " = " + ", ".join(self.val(op) for _, op in copies))
+            for r, _ in copies:
+                if r in self.shared:
+                    self.emit(f"env[{r!r}] = {self.val(r)}")
+        if kind == "nest":
+            self.node(t)
+        elif kind == "back":
+            self.emit(f"s += {pend}")
+            self.emit("if s > F: return None, s")
+            self.emit("continue")
+        elif t in self.flush:
+            self.emit(f"s += {pend}")
+
+    def access(self, step, ins, kind, lanes) -> str:
         """Check the bounds of ``lanes`` elements at ``ins``'s offset and
         record their events; returns the offset expression."""
         name, off = ins.operands[:2]
         length = self.shapes[name][1]
         o = self.val(off)
-        fail = f"_oob({pos}, {ins.iid}, {name!r}, {o}, {length})"
+        fail = f"_oob(s + {step}, {ins.iid}, {name!r}, {o}, {length})"
         if isinstance(off, int):
             if not 0 <= off <= length - lanes:
-                self.body.append(fail)
-            self.body += [
-                f"E({self.const(MemAccess(ins.iid, kind, name, off + i))})"
-                for i in range(lanes)]
+                self.emit(fail)
+            for i in range(lanes):
+                self.emit(
+                    f"E({self.const(MemAccess(ins.iid, kind, name, off + i))})")
         else:
-            self.body.append(f"if not 0 <= {o} <= {length - lanes}: {fail}")
-            self.body += [f"E(_new(MA, ({ins.iid}, {kind!r}, {name!r}, "
-                          f"{_lane(o, i)})))" for i in range(lanes)]
+            self.emit(f"if not 0 <= {o} <= {length - lanes}: {fail}")
+            for i in range(lanes):
+                self.emit(f"E(_new(MA, ({ins.iid}, {kind!r}, {name!r}, "
+                          f"{_lane(o, i)})))")
         return o
 
-    def edge(self, target):
-        copies = self.arms(self.block, target)
-        if copies:
-            self.body.append(", ".join(f"env[{r!r}]" for r, _ in copies)
-                             + " = " + ", ".join(self.val(op)
-                                                 for _, op in copies))
-        self.body.append(f"return {self.first[target]}")
-
-    def instruction(self, pos, ins):
+    def instruction(self, n, step, ins):
+        """Write ``ins`` of node n, the ``step``-th step pending there."""
         op, w, val = ins.opcode, ins.width, self.val
         mask = (1 << w) - 1
         if op == "phi":
@@ -376,45 +524,49 @@ class _Translator:
                 expr.format(a=f"{a}[{i}]", b=f"{b}[{i}]", m=_LANE_MASK,
                             k=LANE_WIDTH - 1) for i in range(w)))
         elif op == "load":
-            o = self.access(pos, ins, "load", 1)
+            o = self.access(step, ins, "load", 1)
             self.define(ins.result,
-                        f"{self.region(ins.operands[0])}[{o}] & {mask}")
+                        f"{self.array(ins.operands[0])}[{o}] & {mask}")
         elif op == "vload":
-            o = self.access(pos, ins, "load", w)
-            m = self.region(ins.operands[0])
+            o = self.access(step, ins, "load", w)
+            m = self.array(ins.operands[0])
             self.define(ins.result, _tuple(
                 f"{m}[{_lane(o, i)}] & {_LANE_MASK}" for i in range(w)))
         elif op in ("store", "vstore"):
             lanes = w if op == "vstore" else 1
-            o = self.access(pos, ins, "store", lanes)
+            o = self.access(step, ins, "store", lanes)
             name = ins.operands[0]
-            m, v = self.region(name), val(ins.operands[2])
+            m, v = self.array(name), val(ins.operands[2])
             emask = (1 << self.shapes[name][0]) - 1
             if op == "store":
-                self.body.append(f"{m}[{o}] = {v} & {emask}")
+                self.emit(f"{m}[{o}] = {v} & {emask}")
             else:
-                self.body += [f"{m}[{_lane(o, i)}] = {v}[{i}] & {emask}"
-                              for i in range(lanes)]
+                for i in range(lanes):
+                    self.emit(f"{m}[{_lane(o, i)}] = {v}[{i}] & {emask}")
         elif op == "br":
-            self.edge(ins.labels[0])
+            self.edge(n, 0)
         elif op == "condbr":
-            self.branch(ins)
+            self.branch(n, ins)
         else:                           # ret
             r = ins.operands[0] if ins.operands else None
-            self.body.append(f"return ({'None' if r is None else val(r)},)")
+            self.emit(f"return ({'None' if r is None else val(r)},), "
+                      f"s + {step}")
 
-    def branch(self, ins):
-        # Bind what either edge copies before the lines split.
-        for target in ins.labels:
-            for _, op in self.arms(self.block, target):
-                self.val(op)
-        self.body.append(f"if {self.val(ins.operands[0])}:")
-        mark = len(self.body)
-        self.body.append(f"E({self.const(BranchDir(ins.iid, True))})")
-        self.edge(ins.labels[0])
-        self.body[mark:] = ["    " + line for line in self.body[mark:]]
-        self.body.append(f"E({self.const(BranchDir(ins.iid, False))})")
-        self.edge(ins.labels[1])
+    def branch(self, n, ins):
+        """An ``if``/``else`` over the two arms, then the join, if any."""
+        self.emit(f"if {self.val(ins.operands[0])}:")
+        self.arm(n, 0, BranchDir(ins.iid, True))
+        self.emit("else:")
+        self.arm(n, 1, BranchDir(ins.iid, False))
+        if n in self.join:
+            self.node(self.join[n])
+
+    def arm(self, n, a, event):
+        outer = self.indent
+        self.indent += "    "
+        self.emit(f"E({self.const(event)})")
+        self.edge(n, a)
+        self.indent = outer
 
 
 # ======================================================================

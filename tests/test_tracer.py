@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
 from ctlab import tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
-from ctlab.ir import parse_ir, validate
+from ctlab.ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS,
+                      MEMORY_OPS, ArrayType, dominators, evaluate, parse_ir,
+                      predecessors, validate)
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import BranchDir, MemAccess, TraceError, execute, gen_inputs
@@ -429,3 +432,361 @@ def test_a_corpus_by_presets_study_fits_the_translation_cache():
     misses = tracer._translate.cache_info().misses
     study()
     assert tracer._translate.cache_info().misses == misses
+
+
+# ----------------------------------------------------------------------
+# Arguments
+# ----------------------------------------------------------------------
+
+ARGS = """
+func f(secret s: u8, secret m: arr<u8,2>) {
+bb0:
+  v = load m, 1
+  r = add v, s
+  ret r
+}
+"""
+
+
+@pytest.mark.parametrize("args, error", [
+    ({"s": 1, "m": 5}, "argument 'm': need a tuple of 2 integers"),
+    ({"s": 1, "m": (1, 2, 3)}, "argument 'm': need a tuple of 2 integers"),
+    ({"s": 1, "m": (1, "2")}, "argument 'm': need a tuple of 2 integers"),
+    ({"s": 1, "m": (1, 2.0)}, "argument 'm': need a tuple of 2 integers"),
+    ({"s": (1,), "m": (1, 2)}, "argument 's': need an integer"),
+    ({"s": "7", "m": (1, 2)}, "argument 's': need an integer"),
+    ({"s": 1.9, "m": (1, 2)}, "argument 's': need an integer"),
+], ids=["scalar-for-array", "wrong-length", "str-element", "float-element",
+        "tuple-for-scalar", "str-scalar", "float-scalar"])
+def test_wrong_kind_arguments_raise_trace_error(args, error):
+    with pytest.raises(TraceError) as e:
+        execute(parse_ir(ARGS), args)
+    assert str(e.value) == error
+
+
+def test_well_formed_arguments_are_masked():
+    t = execute(parse_ir(ARGS), {"s": 0x101, "m": [7, 0x1FF]})
+    assert t.result == 0xFF + 1 and t.memory["m"] == (7, 0xFF)
+
+
+# ----------------------------------------------------------------------
+# A step-by-step reference, and random control-flow graphs to check the
+# translation against it
+# ----------------------------------------------------------------------
+
+def reference(prog, args, fuel=tracer.DEFAULT_FUEL):
+    """Run ``prog``'s function one instruction at a time, as ``execute``
+    documents it.  Returns ``(outcome, steps)``: the outcome is
+    ``(events, result, steps, memory)`` or the ``TraceError`` message, and
+    ``steps`` counts the instructions started, the failing one included."""
+    func = prog.function()
+    memory = {g.name: list(g.init) for g in prog.globals.values()}
+    elem = {g.name: g.elem_width for g in prog.globals.values()}
+    env = {}
+    for p in func.params:
+        if isinstance(p.type, ArrayType):
+            memory[p.name] = [x & mask(p.type.elem_width) for x in args[p.name]]
+            elem[p.name] = p.type.elem_width
+        else:
+            env[p.name] = args[p.name] & mask(p.type.width)
+    blocks = {b.label: b for b in func.blocks}
+    events, steps, prev, block = [], 0, None, func.blocks[0]
+
+    def v(op):
+        return op if isinstance(op, int) else env[op]
+
+    while True:
+        env.update([(phi.result, v(phi.operands[phi.labels.index(prev)]))
+                    for phi in block.phis()])
+        for ins in block.instrs:
+            steps += 1
+            if steps > fuel:
+                return f"fuel exhausted after {fuel} steps", steps
+            op, w, ops = ins.opcode, ins.width, ins.operands
+            if op in MEMORY_OPS:
+                name, off = ops[0], v(ops[1])
+                cells = memory[name]
+                lanes = w if op in ("vload", "vstore") else 1
+                kind = "load" if op in ("load", "vload") else "store"
+                for i in range(lanes):
+                    if not 0 <= off + i < len(cells):
+                        return (f"id {ins.iid}: {name}[{off + i}] out of bounds"
+                                f" (length {len(cells)})"), steps
+                    events.append(MemAccess(ins.iid, kind, name, off + i))
+                if op == "load":
+                    env[ins.result] = cells[off] & mask(w)
+                elif op == "vload":
+                    env[ins.result] = tuple(cells[off + i] & mask(LANE_WIDTH)
+                                            for i in range(lanes))
+                else:
+                    x = v(ops[2])
+                    for i in range(lanes):
+                        cells[off + i] = (x[i] if op == "vstore"
+                                          else x) & mask(elem[name])
+            elif op in EVAL_OPS:
+                env[ins.result] = evaluate(ins, *map(v, ops))
+            elif op == "const":
+                env[ins.result] = ops[0] & mask(w)
+            elif op in ("select", "cmov"):
+                env[ins.result] = v(ops[1]) if v(ops[0]) else v(ops[2])
+            elif op == "vselect":
+                c, a, b = map(v, ops)
+                env[ins.result] = tuple(a[i] if c[i] else b[i]
+                                        for i in range(w))
+            elif op == "splat":
+                env[ins.result] = (v(ops[0]) & mask(LANE_WIDTH),) * w
+            elif op in LANEWISE_OPS:
+                a, b = map(v, ops)
+                f = BINARY_OPS[LANEWISE_OPS[op]]
+                env[ins.result] = tuple(f(a[i], b[i], LANE_WIDTH)
+                                        for i in range(w))
+            elif op == "br":
+                prev, block = block.label, blocks[ins.labels[0]]
+            elif op == "condbr":
+                taken = bool(v(ops[0]))
+                events.append(BranchDir(ins.iid, taken))
+                prev, block = block.label, blocks[ins.labels[not taken]]
+            elif op == "ret":
+                result = v(ops[0]) if ops else None
+                return (events, result, steps,
+                        {n: tuple(c) for n, c in memory.items()}), steps
+
+
+def mask(width):
+    return (1 << width) - 1
+
+
+def observe(prog, args, fuel=tracer.DEFAULT_FUEL):
+    """``execute``'s outcome in the shape of ``reference``'s."""
+    try:
+        t = execute(prog, args, fuel=fuel)
+    except TraceError as e:
+        return str(e)
+    return t.events, t.result, t.steps, t.memory
+
+
+def random_cfg(rng):
+    """IR text of a random function over blocks b0..b{n-1}.
+
+    Arms go anywhere, so loops may be irreducible (some are made so), a
+    condbr's two arms may be one block and a join may also be entered from
+    outside its ``if``.  Every block counts its visits in ``ctr[0]``; once
+    the count reaches the limit, every branch takes its forward arm, so
+    every run ends.  A block reads the parameters, its own values and
+    those of the blocks that dominate it; a phi's arms come from exactly
+    the reachable predecessors, each reading a value that dominates its
+    edge.  A secret-indexed load may leave its region, and some blocks are
+    longer than a region."""
+    n = rng.randint(1, 12)
+    limit = rng.randint(0, 12)
+
+    def ahead(i):                   # mostly a near block, for diamonds
+        return min(n - 1, i + rng.choice([1, 1, 2, 2, 3, rng.randint(1, n)]))
+
+    flip = [rng.random() < 0.5 for _ in range(n)]
+    terms = []                      # per block: () or its arms' targets
+    for i in range(n):
+        r = rng.random()
+        if i == n - 1 or r < 0.08:
+            terms.append(())
+        elif r < 0.3:
+            terms.append((ahead(i),))
+        else:                       # the other arm, then the forward one
+            terms.append((rng.choice([i + 1, ahead(i), ahead(i),
+                                      rng.randrange(n),
+                                      max(0, i - rng.randint(0, 2))]),
+                          ahead(i)))
+    if n > 3 and rng.random() < 0.3:
+        # An irreducible loop: j enters both j + 1 and j + 2, which branch
+        # to each other.
+        j = rng.randrange(n - 3)
+        terms[j:j + 3] = [(j + 1, j + 2), (j + 2, ahead(j + 1)),
+                          (j + 1, ahead(j + 2))]
+    skeleton = parse_ir("func f(secret c: u1) {\n" + "\n".join(
+        f"b{i}:\n  " + ("ret 0" if not t else f"br b{t[0]}" if len(t) == 1
+                        else f"condbr c, b{t[0]}, b{t[1]}")
+        for i, t in enumerate(terms)) + "\n}").function()
+    dom = dominators(skeleton)
+    preds = predecessors(skeleton)
+    pools, phis, bodies = {}, {}, {}
+    # Dominators first, so that a block extends the values of its own.
+    for i in sorted(range(n), key=lambda i: len(dom.get(f"b{i}", ()))):
+        up = [int(d[1:]) for d in dom.get(f"b{i}", ()) if d != f"b{i}"]
+        pool = list(pools[max(up, key=lambda d: len(dom[f"b{d}"]))]
+                    if up else ["s", "p"])
+        arms = sorted({p for p in preds[f"b{i}"] if p in dom})
+        phis[i] = [] if not (i and arms) else [
+            (f"b{i}_phi{k}", arms) for k in range(rng.randint(0, 2))]
+        pool += [name for name, _ in phis[i]]
+        lines = [f"  b{i}_k = load ctr, 0", f"  b{i}_k1 = add b{i}_k, 1",
+                 f"  store ctr, 0, b{i}_k1"]
+        pool.append(f"b{i}_k")
+        long = rng.random() < 0.2
+        for k in range(rng.randint(50, 60) if long else rng.randint(0, 4)):
+            op = rng.choice(["add", "xor", "mul", "lshr", "and", "sub.8",
+                             "icmp.lt"] + ["load", "store"] * (not long))
+            a, b = rng.choice(pool), rng.choice(pool)
+            name = f"b{i}_x{k}"
+            if op == "load":
+                region = rng.choice(["tbl", "a"])
+                lines += [f"  {name}i = and {a}, 7",
+                          f"  {name} = load {region}, {name}i"]
+            elif op == "store":
+                lines += [f"  {name} = and {a}, 3",
+                          f"  store out, {name}, {b}"]
+            else:
+                lines.append(f"  {name} = {op} {a}, {b}")
+            pool.append(name)
+        t = terms[i]
+        if not t:
+            lines.append(f"  ret {rng.choice(pool)}")
+        elif len(t) == 1:
+            lines.append(f"  br b{t[0]}")
+        else:
+            lines += [f"  b{i}_go = icmp.lt b{i}_k, {limit}",
+                      f"  b{i}_d = and {rng.choice(pool)}, 1",
+                      f"  b{i}_g = and b{i}_go, b{i}_d"]
+            if flip[i]:
+                lines += [f"  b{i}_ng = xor b{i}_g, 1",
+                          f"  condbr b{i}_ng, b{t[1]}, b{t[0]}"]
+            else:
+                lines.append(f"  condbr b{i}_g, b{t[0]}, b{t[1]}")
+        pools[i], bodies[i] = pool, lines
+    blocks = []
+    for i in range(n):
+        heads = [f"  {name} = phi " + ", ".join(
+                     f"[{a}: {rng.choice(pools[int(a[1:])] + [rng.randrange(9)])}]"
+                     for a in arms) for name, arms in phis[i]]
+        blocks.append(f"b{i}:\n" + "\n".join(heads + bodies[i]))
+    return ("func f(secret s: u8, secret a: arr<u8,5>, public p: u32 = "
+            f"{rng.randrange(1 << 32)}) {{\n" + "\n".join(blocks) + "\n}\n"
+            "global ctr: arr<u32,1> = zeros\n"
+            "global tbl: arr<u32,6> = counting\n"
+            "global out: arr<u16,4> = zeros\n")
+
+
+def test_random_cfgs_match_the_reference():
+    rng = random.Random(7)
+    for case in range(200):
+        src = random_cfg(rng)
+        prog = parse_ir(src)
+        assert validate(prog) == [], src
+        args = {"s": rng.randrange(256), "p": prog.function().param("p").default,
+                "a": tuple(rng.randrange(256) for _ in range(5))}
+        _, steps = reference(prog, args)
+        fuels = {0, rng.randint(0, steps), steps - 1, steps}
+        for fuel in sorted(f for f in fuels if f >= 0):
+            want = reference(prog, args, fuel)[0]
+            assert observe(prog, args, fuel) == want, (case, fuel, src)
+
+
+def test_corpus_matches_the_reference():
+    # Every corpus program as written and lowered under every preset: the
+    # corpus holds the vector ops, cmovs and long blocks the random graphs
+    # lack.
+    for name in names():
+        source = load_program(name)
+        progs = [source]
+        for p in PRESETS.values():
+            mid, _ = run_pipeline(source, p.spec)
+            progs.append(lower(mid, PROFILES[p.spec.backend],
+                               p.spec.cmov_conversion)[0])
+        for args in gen_inputs(source, count=2, seed=3).arg_dicts():
+            for prog in progs:
+                assert observe(prog, args) == reference(prog, args)[0], name
+
+
+# ----------------------------------------------------------------------
+# The regions' structure
+# ----------------------------------------------------------------------
+
+# A counted loop whose body holds a secret diamond with arms of 3 and 1
+# instructions; t[i] is out of bounds from i = 4 on.
+LOOP_DIAMOND = """
+func f(secret s: u8, public n: u32 = 4) {
+bb0:
+  br loop
+loop:
+  i = phi [bb0: 0], [join: i1]
+  acc = phi [bb0: 0], [join: acc1]
+  c = icmp.lt i, n
+  condbr c, body, done
+body:
+  b = lshr s, i
+  bit = and b, 1
+  condbr bit, long, short
+long:
+  x = add acc, 3
+  y = mul x, 5
+  br join
+short:
+  br join
+join:
+  v = phi [long: y], [short: acc]
+  w = load t, i
+  acc1 = add v, w
+  i1 = add i, 1
+  br loop
+done:
+  ret acc
+}
+global t: arr<u32,4> = counting
+"""
+
+
+def test_a_loop_with_a_diamond_is_two_generated_functions(monkeypatch):
+    # The entry block, then the loop: its body, both arms, the join and
+    # the exit all sit under the loop header's region.
+    translations = []
+    real = tracer._translate
+    monkeypatch.setattr(tracer, "_translate",
+                        lambda key: translations.append(real(key))
+                        or translations[-1])
+    execute(parse_ir(LOOP_DIAMOND), {"s": 5, "n": 4})
+    regions, _ = translations[0]
+    assert len(regions) == 2
+
+
+def test_fuel_bounds_every_step_through_a_diamond():
+    # Each iteration takes 4 + 3 + 5 steps and 3 or 1 in the arm, and s = 5
+    # takes the long arm at i = 0 and 2; with n = 6, t[4] is read at step
+    # 1 + 56 + 4 + 3 + 1 + 2 = 67.
+    prog = parse_ir(LOOP_DIAMOND)
+    ok = {"s": 5, "n": 4}
+    assert execute(prog, ok).steps == 1 + 15 + 13 + 15 + 13 + 4 + 1 == 62
+    oob = {"s": 5, "n": 6}
+    assert reference(prog, oob)[1] == 67
+    for args, last in ((ok, 62), (oob, 67)):
+        for fuel in range(last + 2):
+            assert observe(prog, args, fuel) == \
+                reference(prog, args, fuel)[0], (args, fuel)
+    assert observe(prog, oob, 67) == "id 13: t[4] out of bounds (length 4)"
+    assert observe(prog, oob, 66) == "fuel exhausted after 66 steps"
+
+
+def nested_conditionals(depth):
+    """``if s > 0 { if s > 1 { ... } }`` to ``depth`` levels: the result
+    is min(s, depth), each level's join picking its own depth."""
+    lines = ["func f(secret s: u32) {"]
+    for i in range(depth):
+        lines += [f"b{i}:", f"  c{i} = icmp.gt s, {i}",
+                  f"  condbr c{i}, b{i + 1}, j{i}"]
+    lines += [f"b{depth}:", f"  br j{depth - 1}"]
+    for i in reversed(range(depth)):
+        inner, r = ((f"b{depth}", depth) if i == depth - 1
+                    else (f"j{i + 1}", f"r{i + 1}"))
+        lines += [f"j{i}:", f"  r{i} = phi [b{i}: {i}], [{inner}: {r}]",
+                  f"  br j{i - 1}" if i else "  ret r0"]
+    return parse_ir("\n".join(lines + ["}"]))
+
+
+def test_a_400_deep_chain_of_conditionals():
+    prog = nested_conditionals(400)
+    for s in (0, 7, 399, 400, 1000):
+        t = execute(prog, {"s": s})
+        level = min(s, 400)
+        assert t.result == level
+        assert t.steps == (4 * (s + 1) if s < 400 else 4 * 400 + 1)
+        assert t.events == [BranchDir(2 * i + 1, i < s)
+                            for i in range(level + (s < 400))]
+    assert observe(prog, {"s": 7}) == reference(prog, {"s": 7})[0]
