@@ -1,11 +1,12 @@
 """Constant-time compiler laboratory.
 
-A small SSA IR, a tracing interpreter whose traces expose branch directions
-and memory addresses, a set of optimization passes modeled after the ones
-that break constant-time code, two backend profiles, a leak checker that
-diffs traces across secret inputs, a benchmark corpus, and named presets
-tying it all to real compiler flag sets.  ``analyze`` runs one program
-through one pipeline end to end.
+A small SSA IR, a tracer that runs each function as generated Python
+written from the IR's opcode expressions and whose traces expose branch
+directions and memory addresses, a set of optimization passes modeled
+after the ones that break constant-time code, two backend profiles, a leak
+checker that diffs traces across secret inputs, a benchmark corpus, and
+named presets tying it all to real compiler flag sets.  ``analyze`` runs
+one program through one pipeline end to end.
 """
 
 from .analysis import Analysis, analyze

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cfg import natural_loops
+from .cfg import innermost, natural_loops
 from .ir import (
     BasicBlock,
     Function,
@@ -21,7 +21,8 @@ from .ir import (
     validate,
     value_operands,
 )
-from .passes import PassLogEntry, _fix_phi_arm_labels, _fresh_name, _labels
+from .passes import (PassLogEntry, _br, _condbr, _fix_phi_arm_labels,
+                     _fresh_name, _labels, _log_entry)
 
 __all__ = ["BackendProfile", "LoweringError", "PROFILES", "lower"]
 
@@ -48,16 +49,6 @@ PROFILES: dict[str, BackendProfile] = {
 # cmov-conversion heuristic
 # ----------------------------------------------------------------------
 
-def _leaf_loop_labels(func: Function) -> set[str]:
-    loops = natural_loops(func)
-    parents = {id(l.parent) for l in loops if l.parent is not None}
-    labels: set[str] = set()
-    for loop in loops:
-        if id(loop) not in parents:
-            labels |= loop.blocks
-    return labels
-
-
 def _conversion_marks(func: Function) -> set[int]:
     """Ids of selects that the converter turns back into branches.
 
@@ -67,7 +58,7 @@ def _conversion_marks(func: Function) -> set[int]:
     the load, mirroring the behaviour of real if-converter tuning.
     """
     marked: set[int] = set()
-    hot = _leaf_loop_labels(func)
+    hot = {l for loop in innermost(natural_loops(func)) for l in loop.blocks}
     for block in func.blocks:
         if block.label not in hot:
             continue
@@ -101,12 +92,9 @@ def _split_to_diamond(func: Function, bidx: int, iidx: int, cond: object,
     t_l = _fresh_name(taken, f"{block.label}.t")
     f_l = _fresh_name(taken, f"{block.label}.f")
     j_l = _fresh_name(taken, f"{block.label}.j")
-    condbr = Instruction(func.fresh_id(), "condbr", None, (cond,), ins.loc,
-                         labels=(t_l, f_l))
-    t_blk = [Instruction(func.fresh_id(), "br", None, (), ins.loc,
-                         labels=(j_l,))]
-    f_blk = [Instruction(func.fresh_id(), "br", None, (), ins.loc,
-                         labels=(j_l,))]
+    condbr = _condbr(func, ins.loc, cond, t_l, f_l)
+    t_blk = [_br(func, ins.loc, j_l)]
+    f_blk = [_br(func, ins.loc, j_l)]
     join_phi = Instruction(func.fresh_id(), "phi", ins.result,
                            (true_val, false_val), ins.loc, ins.width,
                            labels=(t_l, f_l))
@@ -121,9 +109,7 @@ def _split_to_diamond(func: Function, bidx: int, iidx: int, cond: object,
 
 
 def _lower_function(func: Function, profile: BackendProfile,
-                    cmov_conversion: bool) -> tuple[set[int], set[int]]:
-    created: set[int] = set()
-    deleted: set[int] = set()
+                    cmov_conversion: bool) -> None:
     marks = (_conversion_marks(func)
              if profile.has_cmov and cmov_conversion else set())
     defs = func.defs()
@@ -148,31 +134,22 @@ def _lower_function(func: Function, profile: BackendProfile,
                 cond = mask_def.operands[0]
             else:
                 continue
-            deleted.add(ins.iid)
-            top = func.next_id
             _split_to_diamond(func, bidx, iidx, cond, a, b, ins)
-            created |= set(range(top, func.next_id))
             break
         bidx += 1
-    return created, deleted
 
 
 def lower(prog: Program, profile: BackendProfile,
           cmov_conversion: bool = False) -> tuple[Program, list[PassLogEntry]]:
     """Lower every select/vselect for ``profile``; returns a lowered copy."""
+    if prog.stage != "midend":
+        raise LoweringError(f"cannot lower a {prog.stage!r}-stage program")
     out = copy_program(prog)
-    if out.stage != "midend":
-        raise LoweringError(f"cannot lower a {out.stage!r}-stage program")
     log: list[PassLogEntry] = []
     for func in out.functions.values():
-        created, deleted = _lower_function(func, profile, cmov_conversion)
-        if created or deleted:
-            summary = f"+{len(created)}/-{len(deleted)} instructions"
-        else:
-            summary = "no change"
-        log.append(PassLogEntry("lower", func.name, summary,
-                                tuple(sorted(created)),
-                                tuple(sorted(deleted))))
+        before = {i.iid for i in func.instructions()}
+        _lower_function(func, profile, cmov_conversion)
+        log.append(_log_entry("lower", func, before))
     out.stage = "lowered"
     errors = validate(out)
     if errors:

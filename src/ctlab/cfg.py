@@ -1,4 +1,4 @@
-"""Control-flow analysis: natural loops, nesting, counted-loop recognition.
+"""Control-flow analysis: natural and innermost loops, counted loops.
 
 Loop transforms only handle the shape the toolchain's own frontends produce:
 a header block that tests the bound and conditionally exits, a body that
@@ -19,7 +19,6 @@ class Loop:
     header: str
     latches: list[str]
     blocks: set[str] = field(default_factory=set)
-    parent: "Loop | None" = None
     # The header's single predecessor outside the loop, or None when there
     # is not exactly one.  Like every field, a snapshot of the function when
     # natural_loops ran: a Loop built by hand has none.
@@ -30,8 +29,7 @@ def natural_loops(func: Function) -> list[Loop]:
     """All natural loops, via back edges (tail dominated by head).
 
     Loops sharing a header are merged.  Result is sorted outermost-first
-    (by block-set size, descending) with parent links and preheaders filled
-    in.
+    (by block-set size, descending) with preheaders filled in.
     """
     dom = dominators(func)
     by_header: dict[str, Loop] = {}
@@ -59,12 +57,13 @@ def natural_loops(func: Function) -> list[Loop]:
         outside = [p for p in preds[loop.header] if p not in loop.blocks]
         if len(outside) == 1:
             loop.preheader = outside[0]
-    for i, inner in enumerate(loops):
-        for outer in loops[:i]:
-            if inner.header in outer.blocks and outer is not inner:
-                if inner.parent is None or len(outer.blocks) < len(inner.parent.blocks):
-                    inner.parent = outer
     return loops
+
+
+def innermost(loops: list[Loop]) -> list[Loop]:
+    """The loops that hold no other loop's header, in their given order."""
+    headers = {l.header for l in loops}
+    return [l for l in loops if headers & l.blocks <= {l.header}]
 
 
 @dataclass
@@ -96,17 +95,28 @@ class CountedLoop:
 
 
 def _resolve_const(defs: dict[str, Instruction], op: object) -> object:
-    """Follow const definitions and shl/add/sub over resolved constants."""
-    ins = defs.get(op) if isinstance(op, str) else None
-    if ins is None:
-        return op
-    if ins.opcode == "const":
-        return ins.operands[0]
-    if ins.opcode in ("shl", "add", "sub"):
-        args = [_resolve_const(defs, a) for a in ins.operands]
-        if all(isinstance(a, int) for a in args):
-            return evaluate(ins, *args)
-    return op
+    """Follow const definitions and shl/add/sub over resolved constants.
+    The walk keeps its own stack, so a long chain of definitions does not
+    exhaust Python's."""
+    value: dict[object, object] = {}
+    todo = [op]
+    while todo:
+        name = todo[-1]
+        ins = defs.get(name) if isinstance(name, str) else None
+        if ins is None or ins.opcode not in ("const", "shl", "add", "sub"):
+            value[name] = name
+        elif ins.opcode == "const":
+            value[name] = ins.operands[0]
+        elif name not in value:
+            value[name] = name          # until its operands are resolved
+            todo += [a for a in ins.operands if a not in value]
+            continue
+        else:
+            args = [value[a] for a in ins.operands]
+            if all(isinstance(a, int) for a in args):
+                value[name] = evaluate(ins, *args)
+        todo.pop()
+    return value[op]
 
 
 def counted_loop_info(func: Function, loop: Loop,

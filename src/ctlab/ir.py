@@ -506,7 +506,8 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
             line = line[: lm.start()].strip()
 
         result = None
-        if "=" in line and not line.startswith(("store", "vstore", "br", "condbr", "ret")):
+        if "=" in line and line.split(None, 1)[0].split(".")[0] \
+                not in NO_RESULT_OPS:
             lhs, line = line.split("=", 1)
             result = lhs.strip()
             line = line.strip()
@@ -754,14 +755,23 @@ def validate(prog: Program) -> list[str]:
             where += f"/id{ins.iid}"
         errs.append(f"{where}: {msg}")
 
-    def type_of(op, seen=frozenset()):
+    def type_of(op):
         # A phi's entry holds its arms until it is resolved to the first
-        # arm type found.
-        t = _SCALAR if isinstance(op, int) else types.get(op)
-        if isinstance(t, tuple) and op not in seen:
-            return next(filter(None, (type_of(a, seen | {op}) for a in t)),
-                        None)
-        return t if isinstance(t, str) else None
+        # arm type found, depth first.  The walk keeps its own stack, so a
+        # long chain of phis does not exhaust Python's.
+        walks, seen = [iter((op,))], set()
+        while walks:
+            a = next(walks[-1], None)
+            if a is None:
+                walks.pop()
+                continue
+            t = _SCALAR if isinstance(a, int) else types.get(a)
+            if isinstance(t, str):
+                return t
+            if isinstance(t, tuple) and a not in seen:
+                seen.add(a)
+                walks.append(iter(t))
+        return None
 
     for func in prog.functions.values():
         labels = [b.label for b in func.blocks]
@@ -886,6 +896,9 @@ def value_bits(func: Function, op: object,
     back to a value still being measured adds nothing, so loop phis end."""
     defs = func.defs() if defs is None else defs
 
+    # A walk yields (operand, open ands) for each `and` operand it needs
+    # measured and is sent the answer, so a long chain of ands grows the
+    # list of walks rather than Python's stack.
     def bits(op, open_ands):
         most, todo, seen = 0, [op], {op}
         while todo:
@@ -904,15 +917,27 @@ def value_bits(func: Function, op: object,
                 b = 1
             elif ins.opcode == "const":
                 b = ins.operands[0].bit_length()
+            elif ins.opcode == "and" and op in open_ands:
+                b = 0
             elif ins.opcode == "and":
-                b = 0 if op in open_ands else min(
-                    ins.width, *(bits(a, open_ands | {op}) for a in ins.operands))
+                b = ins.width
+                for a in ins.operands:
+                    b = min(b, (yield a, open_ands | {op}))
             else:
                 b = ins.width
             most = max(most, b)
         return most
 
-    return bits(op, frozenset())
+    walks, answer = [bits(op, frozenset())], None
+    while True:
+        try:
+            walks.append(bits(*walks[-1].send(answer)))
+            answer = None
+        except StopIteration as done:
+            walks.pop()
+            if not walks:
+                return done.value
+            answer = done.value
 
 
 def value_operands(ins: Instruction) -> tuple[object, ...]:

@@ -73,8 +73,6 @@ _LLVM_O3 = ("instcombine", "loop_unswitch", "loop_unroll",
             "loop_vectorize", "slp")
 _LLVM_OS = ("instcombine", "loop_unroll", "loop_vectorize", "slp")
 _LLVM_MITIG = ("instcombine", "loop_unswitch", "loop_unroll", "slp")
-_LLVM_MITIG_VECT = ("instcombine", "loop_unswitch", "loop_unroll",
-                    "loop_vectorize", "slp")
 _GCC_O3 = ("jump_thread", "path_split", "loop_unswitch", "if_convert")
 _GCC_OS = ("jump_thread", "if_convert")
 _TOY = ("instcombine", "loop_unswitch", "slp")
@@ -98,7 +96,7 @@ _PRESET_LIST = [
     FlagPreset(
         "llvm18-O3-mitig+vect", "clang-18",
         ("-O3",) + _LLVM_MITIG_FLAGS,
-        _spec(_LLVM_MITIG_VECT, unswitch_threshold=1),
+        _spec(_LLVM_O3, unswitch_threshold=1),
         "The mitigation set but keeping the loop vectorizer; vector "
         "selects on runtime-bound loops can still branch."),
     FlagPreset(

@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .cfg import counted_loop_info, natural_loops
+from .cfg import counted_loop_info, innermost, natural_loops
 from .ir import (
     BINARY_OPS,
     EVAL_OPS,
     LANE_WIDTH,
     LANEWISE_OPS,
+    NO_RESULT_OPS,
     BasicBlock,
     Function,
     GlobalArray,
@@ -132,6 +133,19 @@ def render_pass_log(log: list[PassLogEntry]) -> str:
     return "\n".join(lines)
 
 
+def _log_entry(name: str, func: Function, before: set[int]) -> PassLogEntry:
+    """The log line for one application of ``name`` to ``func``, whose
+    instruction ids were ``before``: "no change" when no id came or went."""
+    after = {i.iid for i in func.instructions()}
+    created = tuple(sorted(after - before))
+    deleted = tuple(sorted(before - after))
+    if not (created or deleted):
+        return PassLogEntry(name, func.name, "no change")
+    return PassLogEntry(name, func.name,
+                        f"+{len(created)}/-{len(deleted)} instructions",
+                        created, deleted)
+
+
 # ======================================================================
 # Shared helpers
 # ======================================================================
@@ -234,14 +248,44 @@ def _defined_in(func: Function, labels) -> set[str]:
     return out
 
 
+def _read_only_by(uses: dict[str, list[Instruction]], instrs,
+                  reader_ids: set[int]) -> bool:
+    """Is every value that ``instrs`` define read only by instructions
+    whose ids are in ``reader_ids``?  ``uses`` is ``_uses(func)``."""
+    return all(user.iid in reader_ids for ins in instrs
+               for user in uses.get(ins.result, ()))
+
+
 def _loop_values_escape(func: Function, blocks: set[str],
                         uses: dict[str, list[Instruction]]) -> bool:
     """Does an instruction outside ``blocks`` read a value defined in
     them?  ``uses`` is ``_uses(func)``."""
     inside = [ins for l in blocks for ins in func.block(l).instrs]
-    iids = {ins.iid for ins in inside}
-    return any(user.iid not in iids for ins in inside
-               for user in uses.get(ins.result, ()))
+    return not _read_only_by(uses, inside, {ins.iid for ins in inside})
+
+
+def _br(f: Function, loc, target: str) -> Instruction:
+    return Instruction(f.fresh_id(), "br", None, (), loc, labels=(target,))
+
+
+def _condbr(f: Function, loc, cond: object, taken: str,
+            other: str) -> Instruction:
+    return Instruction(f.fresh_id(), "condbr", None, (cond,), loc,
+                       labels=(taken, other))
+
+
+def _jump(ins: Instruction, target: str, iid: int | None = None
+          ) -> Instruction:
+    """``ins`` (a condbr) as a `br` to ``target``, under id ``iid`` when
+    given, else its own."""
+    return replace(ins, iid=ins.iid if iid is None else iid, opcode="br",
+                   operands=(), labels=(target,))
+
+
+def _set_arms(phi: Instruction, arms) -> None:
+    """Make ``phi``'s arms the (label, value) pairs ``arms``, in order."""
+    phi.labels = tuple(l for l, _ in arms)
+    phi.operands = tuple(v for _, v in arms)
 
 
 def _loops_inner_first(func: Function):
@@ -297,9 +341,8 @@ def _fold_constants(func: Function) -> bool:
                                             operands=(evaluate(ins, *ops),))
                 changed = True
             elif ins.opcode == "condbr" and isinstance(ops[0], int):
-                target = ins.labels[0] if ops[0] else ins.labels[1]
-                block.instrs[idx] = replace(ins, opcode="br", operands=(),
-                                            labels=(target,))
+                block.instrs[idx] = _jump(
+                    ins, ins.labels[0] if ops[0] else ins.labels[1])
                 changed = True
     return changed
 
@@ -377,10 +420,9 @@ def _remove_dead_code(func: Function) -> bool:
             if isinstance(op, str):
                 used.add(op)
     changed = False
-    keep_always = {"store", "vstore", "br", "condbr", "ret"}
     for block in func.blocks:
         kept = [i for i in block.instrs
-                if i.opcode in keep_always or i.result in used]
+                if i.opcode in NO_RESULT_OPS or i.result in used]
         if len(kept) != len(block.instrs):
             block.instrs = kept
             changed = True
@@ -397,15 +439,10 @@ def _tidy_cfg(func: Function) -> bool:
     preds = predecessors(func)
     for block in func.blocks:
         here = set(preds.get(block.label, []))
-        for idx, ins in enumerate(block.instrs):
-            if ins.opcode != "phi":
-                break
+        for ins in block.phis():
             if not set(ins.labels) <= here:
-                pairs = [(l, v) for l, v in zip(ins.labels, ins.operands)
-                         if l in here]
-                block.instrs[idx] = replace(
-                    ins, labels=tuple(l for l, _ in pairs),
-                    operands=tuple(v for _, v in pairs))
+                _set_arms(ins, [a for a in zip(ins.labels, ins.operands)
+                                if a[0] in here])
                 changed = True
     return changed
 
@@ -645,12 +682,9 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
     if c2 in segment and not available_early(c2.operands[0]):
         return False
 
+    if not _read_only_by(uses, mids + [s1], {m.iid for m in mids + [s2]}):
+        return False
     mid_names = {m.result for m in mids if m.result}
-    for name in mid_names | {r1}:
-        for user in uses.get(name, []):
-            if user is s2 or user.result in mid_names:
-                continue
-            return False
     # The c1-true arm never computes the mids, so s2's false side must be
     # r1 or available before the split; the true side may also be a mid.
     if b2 != r1 and not available_early(b2):
@@ -677,11 +711,8 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
         head.append(c2)
     post = block.instrs[i2 + 1:]
 
-    head.append(Instruction(f.fresh_id(), "condbr", None,
-                            (s1.operands[0],), s1.loc, labels=(bt, bf)))
-    false_block.instrs.append(Instruction(f.fresh_id(), "condbr", None,
-                                          (s2.operands[0],), s2.loc,
-                                          labels=(bft, bff)))
+    head.append(_condbr(f, s1.loc, s1.operands[0], bt, bf))
+    false_block.instrs.append(_condbr(f, s2.loc, s2.operands[0], bft, bff))
     join = [Instruction(f.fresh_id(), "phi", s2.result,
                         (arm_t, arm_ft, arm_ff), s2.loc, s2.width,
                         labels=(bt, bft, bff))] + post
@@ -690,13 +721,10 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
     at = f.block_index(block.label)
     block.instrs = head
     f.blocks[at + 1:at + 1] = [
-        BasicBlock(bt, [Instruction(f.fresh_id(), "br", None, (), s1.loc,
-                                    labels=(bj,))]),
+        BasicBlock(bt, [_br(f, s1.loc, bj)]),
         false_block,
-        BasicBlock(bft, [Instruction(f.fresh_id(), "br", None, (), s2.loc,
-                                     labels=(bj,))]),
-        BasicBlock(bff, [Instruction(f.fresh_id(), "br", None, (), s2.loc,
-                                     labels=(bj,))]),
+        BasicBlock(bft, [_br(f, s2.loc, bj)]),
+        BasicBlock(bff, [_br(f, s2.loc, bj)]),
         BasicBlock(bj, join),
     ]
     return True
@@ -732,21 +760,11 @@ def _split_latch(f: Function, loop) -> bool:
         return False
     sel = latch.instrs[sel_at]
     tail = latch.instrs[sel_at + 1:]
-    tail_set = {id(t) for t in tail}
     if any(ins.opcode == "phi" for ins in tail):
         return False
     header_phis = f.block(loop.header).phis()
-    uses = _uses(f)
-
-    def used_locally(name: str) -> bool:
-        for user in uses.get(name, []):
-            if id(user) in tail_set or user in header_phis:
-                continue
-            return False
-        return True
-
-    tail_names = {ins.result for ins in tail if ins.result}
-    if not all(used_locally(n) for n in tail_names | {sel.result}):
+    if not _read_only_by(_uses(f), [sel] + tail,
+                         {i.iid for i in tail + header_phis}):
         return False
 
     labels = _labels(f)
@@ -758,9 +776,8 @@ def _split_latch(f: Function, loop) -> bool:
     copies = (_copy(f, [BasicBlock(lt, tail)], t_map, names, ".t")
               + _copy(f, [BasicBlock(lf, tail)], f_map, names, ".f"))
 
-    latch.instrs = latch.instrs[:sel_at] + [Instruction(
-        f.fresh_id(), "condbr", None, (sel.operands[0],), sel.loc,
-        labels=(lt, lf))]
+    latch.instrs = latch.instrs[:sel_at] + [
+        _condbr(f, sel.loc, sel.operands[0], lt, lf)]
     at = f.block_index(latch_label)
     f.blocks[at + 1:at + 1] = copies
 
@@ -773,8 +790,7 @@ def _split_latch(f: Function, loop) -> bool:
                 new_arms.append((l, v))
                 continue
             new_arms += [(lt, t_map.get(v, v)), (lf, f_map.get(v, v))]
-        phi.labels = tuple(l for l, _ in new_arms)
-        phi.operands = tuple(v for _, v in new_arms)
+        _set_arms(phi, new_arms)
     return True
 
 
@@ -874,18 +890,15 @@ def _unswitch_loop(f: Function, loop, uses) -> bool:
     else:
         block = f.block(cand_label)
         idx = block.instrs.index(cand)
-        block.instrs[idx] = replace(cand, opcode="br", operands=(),
-                                    labels=(cand.labels[0],))
+        block.instrs[idx] = _jump(cand, cand.labels[0])
         cblock = next(b for b in clones
                       if b.label == label_map[cand_label])
-        cterm = cblock.instrs[-1]
-        cblock.instrs[-1] = replace(cterm, opcode="br", operands=(),
-                                    labels=(cterm.labels[1],))
+        cblock.instrs[-1] = _jump(cblock.instrs[-1],
+                                  cblock.instrs[-1].labels[1])
 
     guard_label = _fresh_name(labels, _GUARD)
-    guard = BasicBlock(guard_label, [Instruction(
-        f.fresh_id(), "condbr", None, (cond,), cand.loc,
-        labels=(loop.header, label_map[loop.header]))])
+    guard = BasicBlock(guard_label, [
+        _condbr(f, cand.loc, cond, loop.header, label_map[loop.header])])
 
     _relabel(f.block(pre).terminator, loop.header, guard_label)
     for b in [f.block(loop.header)] + clones:
@@ -975,17 +988,13 @@ def _unroll_full(f: Function, loop, defs) -> bool:
         hb, = _copy(f, [BasicBlock(h_labels[k], header_rest)], vmap, names,
                     f".it{k}")
         if k == trip:
-            hb.instrs.append(Instruction(f.fresh_id(), "br", None, (),
-                                         info.cond_br.loc,
-                                         labels=(info.exit,)))
+            hb.instrs.append(_br(f, info.cond_br.loc, info.exit))
             new_blocks.append(hb)
             break
 
         lmap = dict(b_label_maps[k])
         lmap[header_label] = h_labels[k + 1]
-        hb.instrs.append(Instruction(f.fresh_id(), "br", None, (),
-                                     info.cond_br.loc,
-                                     labels=(lmap[body_entry],)))
+        hb.instrs.append(_br(f, info.cond_br.loc, lmap[body_entry]))
         new_blocks.append(hb)
         new_blocks += _copy(f, body, vmap, names, f".it{k}", lmap)
 
@@ -1026,9 +1035,7 @@ def loop_vectorize(f: Function) -> bool:
     loops = _loops_inner_first(f)
     defs, uses = f.defs(), _uses(f)
     changed = False
-    for loop in loops:
-        if any(o is not loop and o.header in loop.blocks for o in loops):
-            continue
+    for loop in innermost(loops):
         plan = _vector_plan(f, loop, defs, uses)
         if plan is not None:
             _apply_vector_plan(f, plan)
@@ -1194,17 +1201,15 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
         vpre.instrs.append(Instruction(f.fresh_id(), "splat", sname, (op,),
                                        info.cond_br.loc, _VECTOR_WIDTH))
         splats[op] = sname
-    vpre.instrs.append(Instruction(f.fresh_id(), "condbr", None, (vguard,),
-                                   info.cond_br.loc,
-                                   labels=(vh_l, loop.header)))
+    vpre.instrs.append(_condbr(f, info.cond_br.loc, vguard, vh_l,
+                               loop.header))
 
     vh = BasicBlock(vh_l, [
         Instruction(f.fresh_id(), "phi", viv, (info.init, vnext),
                     info.iv_phi.loc, w, labels=(vpre_l, vb_l)),
         Instruction(f.fresh_id(), "icmp", vcmp, (viv, vlimit),
                     info.cmp_instr.loc, w, pred="lt"),
-        Instruction(f.fresh_id(), "condbr", None, (vcmp,), info.cond_br.loc,
-                    labels=(vb_l, loop.header)),
+        _condbr(f, info.cond_br.loc, vcmp, vb_l, loop.header),
     ])
 
     vecname: dict[str, str] = {}
@@ -1243,8 +1248,7 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
     vb.instrs.append(Instruction(f.fresh_id(), "add", vnext,
                                  (viv, _VECTOR_WIDTH), info.step_instr.loc,
                                  w))
-    vb.instrs.append(Instruction(f.fresh_id(), "br", None, (),
-                                 info.cond_br.loc, labels=(vh_l,)))
+    vb.instrs.append(_br(f, info.cond_br.loc, vh_l))
 
     # Route the preheader through the new blocks; the original loop becomes
     # the remainder, entered straight from vpre when the trip count is too
@@ -1252,11 +1256,9 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
     pre = loop.preheader
     _relabel(f.block(pre).terminator, loop.header, vpre_l)
     phi = info.iv_phi
-    arms = [(vpre_l if l == pre else l, v)
-            for l, v in zip(phi.labels, phi.operands)]
-    arms.append((vh_l, viv))
-    phi.labels = tuple(l for l, _ in arms)
-    phi.operands = tuple(v for _, v in arms)
+    _set_arms(phi, [(vpre_l if l == pre else l, v)
+                    for l, v in zip(phi.labels, phi.operands)]
+              + [(vh_l, viv)])
 
     at = f.block_index(loop.header)
     f.blocks[at:at] = [vpre, vh, vb]
@@ -1383,13 +1385,8 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
         return False
 
     member_ids = {m.iid for m in members}
-    uses = _uses(f)
-    for m in members:
-        if m.result is None:
-            continue
-        for user in uses.get(m.result, []):
-            if user.iid not in member_ids:
-                return False
+    if not _read_only_by(_uses(f), members, member_ids):
+        return False
 
     # Nothing inside the group's span may write the regions the group
     # touches, and no outside read of g may sit between the moved stores.
@@ -1510,8 +1507,7 @@ def if_convert(f: Function) -> bool:
 
         cond = term.operands[0]
         block.instrs = block.instrs[:-1] + arms + [
-            replace(term, iid=f.fresh_id(), opcode="br", operands=(),
-                    labels=(join,))]
+            _jump(term, join, f.fresh_id())]
         for idx, phi in enumerate(jb.instrs):
             if phi.opcode != "phi":
                 break
@@ -1550,23 +1546,15 @@ def run_pipeline(prog: Program,
     for name in spec.order:
         step = _PASSES[name]
         changed = False
-        for fname, func in out.functions.items():
+        for func in out.functions.values():
             before = {i.iid for i in func.instructions()}
             try:
                 # Both run: cleanup may change what the pass left alone.
-                if not (_to_fixpoint(lambda f: step(f, spec), func, name)
-                        | cleanup(func, out.globals)):
-                    log.append(PassLogEntry(name, fname, "no change"))
-                    continue
+                changed |= (_to_fixpoint(lambda f: step(f, spec), func, name)
+                            | cleanup(func, out.globals))
             except InternalPassError as e:
                 raise InternalPassError(f"pass {name}: {e}", log) from e
-            changed = True
-            after = {i.iid for i in func.instructions()}
-            created = tuple(sorted(after - before))
-            deleted = tuple(sorted(before - after))
-            log.append(PassLogEntry(
-                name, fname, f"+{len(created)}/-{len(deleted)} instructions",
-                created, deleted))
+            log.append(_log_entry(name, func, before))
         errors = validate(out) if changed else []
         if errors:
             raise InternalPassError(

@@ -6,7 +6,7 @@ import pytest
 
 from ctlab import cfg, ir
 from ctlab.backend import PROFILES, lower
-from ctlab.cfg import counted_loop_info, natural_loops
+from ctlab.cfg import counted_loop_info, innermost, natural_loops
 from ctlab.corpus import load_program, names
 from ctlab.ir import dominators, parse_ir, predecessors, reachable
 from ctlab.mitigations import PRESETS
@@ -31,9 +31,50 @@ def test_nested_loops_rsa():
     loops = natural_loops(func)
     assert len(loops) == 2
     outer, inner = loops                     # outermost first
-    assert inner.parent is outer
-    assert outer.parent is None
+    assert innermost(loops) == [inner]
     assert inner.blocks < outer.blocks
+
+
+# An outer loop holding two sibling loops, the second of which holds a
+# third: only the first sibling and the third loop are innermost.
+NESTED = """
+func f(public n: u32 = 2) {
+bb0:
+  br oh
+oh:
+  i = phi [bb0: 0], [ol: i1]
+  c = icmp.lt i, n
+  condbr c, ah, done
+ah:
+  j = phi [oh: 0], [ah: j1]
+  j1 = add j, 1
+  cj = icmp.lt j1, n
+  condbr cj, ah, bh
+bh:
+  k = phi [ah: 0], [bl: k1]
+  ck = icmp.lt k, n
+  condbr ck, ch, ol
+ch:
+  m = phi [bh: 0], [ch: m1]
+  m1 = add m, 1
+  cm = icmp.lt m1, n
+  condbr cm, ch, bl
+bl:
+  k1 = add k, 1
+  br bh
+ol:
+  i1 = add i, 1
+  br oh
+done:
+  ret i
+}
+"""
+
+
+def test_innermost_keeps_only_leaf_loops_in_order():
+    loops = natural_loops(parse_ir(NESTED).function())
+    assert [l.header for l in loops] == ["oh", "bh", "ah", "ch"]
+    assert [l.header for l in innermost(loops)] == ["ah", "ch"]
 
 
 def test_counted_loop_fields_simple():

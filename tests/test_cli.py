@@ -200,3 +200,48 @@ def test_malformed_ir_is_blamed_on_the_input(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "analyze", "--help")[0] == 0
+
+
+def _phi_chain(n=1200):
+    """p_i = phi [b_{i-1}: p_{i-1}], blocks written last first."""
+    lines = ["func phis(secret s: u32) {", "bb0:", "  br b1"]
+    for i in range(n, 0, -1):
+        arm = "[bb0: s]" if i == 1 else f"[b{i - 1}: p{i - 1}]"
+        lines += [f"b{i}:", f"  p{i} = phi {arm}",
+                  f"  ret p{i}" if i == n else f"  br b{i + 1}"]
+    return "\n".join(lines + ["}"])
+
+
+def _and_chain(n=1500):
+    """x_i = and x_{i-1}, 65535, then an identity `and` over the last."""
+    lines = ["func ands(secret s: u32) {", "bb0:", "  x0 = and s, 65535"]
+    lines += [f"  x{i} = and x{i - 1}, 65535" for i in range(1, n)]
+    lines += [f"  y = and x{n - 1}, 4294967295", "  ret y", "}"]
+    return "\n".join(lines)
+
+
+def _bound_chain(n=1500):
+    """A counted loop whose bound is the end of a chain of adds."""
+    lines = ["func bound(secret s: u1, public a: u32 = 5) {", "bb0:",
+             "  b0 = const 2"]
+    lines += [f"  b{i} = add b{i - 1}, 1" for i in range(1, n)]
+    lines += ["  br h", "h:", "  i = phi [bb0: 0], [body: inext]",
+              f"  c = icmp.lt i, b{n - 1}", "  condbr c, body, done",
+              "body:", "  v = select s, a, 0", "  store g, 0, v",
+              "  inext = add i, 1", "  br h", "done:", "  ret 0", "}", "",
+              "global g: arr<u32,1> = zeros"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("build", [_phi_chain, _and_chain, _bound_chain])
+def test_long_def_chains_end_without_a_traceback(build, tmp_path, capsys):
+    # Phi types in validate, value_bits through `and`, and loop bounds
+    # each walk a chain of definitions; one Python frame per link would
+    # exceed the interpreter's recursion limit on these.
+    from ctlab.mitigations import PRESETS
+    p = tmp_path / "chain.ir"
+    p.write_text(build() + "\n", encoding="utf-8")
+    for name in PRESETS:
+        code, _, err = run(capsys, "analyze", str(p), "--preset", name)
+        assert code in (0, 2), (name, err)
+        assert "Traceback" not in err, name

@@ -114,6 +114,18 @@ def test_parse_errors():
         parse_ir("func f(public n: u32 = 1) {\nbb0:\n  c = icmp.ge n, 1\n  ret c\n}")
 
 
+def test_result_names_may_begin_with_an_opcode():
+    # Only the opcode word decides whether a line has no result.
+    func = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  retval = add n, 1\n"
+                    "  brk = add retval, 1\n  stored = add brk, 1\n"
+                    "  ret stored\n}").function()
+    assert [i.result for i in func.instructions()] == \
+        ["retval", "brk", "stored", None]
+    with pytest.raises(IRParseError, match="store takes no result"):
+        parse_ir("func f(public n: u32 = 1) {\nbb0:\n  x = store g, 0, n\n"
+                 "  ret n\n}\nglobal g: arr<u32,1> = zeros")
+
+
 def test_validate_catches_broken_programs():
     # unknown branch target
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  br nowhere\n}")

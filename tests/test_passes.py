@@ -329,6 +329,20 @@ def test_pass_that_breaks_the_program_is_named(monkeypatch):
         pipe(parse_ir(src), if_convert=True)
 
 
+def test_an_in_place_fold_logs_no_change_and_is_validated(monkeypatch):
+    # Cleanup folds `x = add 1, 2` into a const under the same id.  The
+    # application reports a change, so the program is validated; no id
+    # came or went, so the log says "no change", as lowering's does.
+    checked = []
+    monkeypatch.setattr(passes, "validate",
+                        lambda prog: checked.append(prog) or validate(prog))
+    src = "func f(public n: u32 = 1) {\nbb0:\n  x = add 1, 2\n  ret x\n}"
+    out, log = pipe(parse_ir(src), instcombine=True)
+    assert ops(out.function(), "bb0") == ["const", "ret"]
+    assert [e.summary for e in log] == ["no change"]
+    assert len(checked) == 2            # the input, then after instcombine
+
+
 @pytest.mark.parametrize("preset_name", list(PRESETS))
 def test_cleanup_output_is_a_fixpoint(monkeypatch, preset_name):
     real = passes.cleanup
