@@ -401,6 +401,7 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
     func: Function | None = None
     block: BasicBlock | None = None
     seen_explicit_id = False
+    count = 0                   # instructions of ``func`` parsed so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -471,6 +472,7 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
             func = Function(fname, params, [])
             block = None
             seen_explicit_id = False
+            count = 0
             continue
 
         if line == "}":
@@ -570,9 +572,10 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
             if seen_explicit_id:
                 raise IRParseError("mixing explicit # id comments with implicit ids",
                                    lineno)
-            iid = sum(len(b.instrs) for b in func.blocks)
+            iid = count
         block.instrs.append(Instruction(iid, base, result, operands, loc,
                                         width, pred, labels))
+        count += 1
 
     if func is not None:
         raise IRParseError(f"unterminated func {func.name}", len(text.splitlines()))

@@ -400,17 +400,41 @@ def _apply_copies(func: Function) -> bool:
         copies[ins.result] = tgt
     if not copies:
         return False
-    for name in list(copies):
-        seen = {name}
-        val = copies[name]
-        while isinstance(val, str) and val in copies and val not in seen:
-            seen.add(val)
-            val = copies[val]
-        copies[name] = val
+    _resolve_copies(copies)
     _subst(func.blocks, copies)
     for block in func.blocks:
         block.instrs = [i for i in block.instrs if i.result not in copies]
     return True
+
+
+def _resolve_copies(copies: dict[str, object]) -> None:
+    """Point each copy at the end of its chain of copies, in place.
+
+    A chain ends at the first value that is not itself a copy.  A chain
+    that runs into a cycle of copies ends where it enters the cycle when
+    it is resolved before every member of the cycle, and at the cycle's
+    first member in ``copies`` order otherwise: the answer of resolving
+    one name at a time, in that order, by walking to the end or to the
+    first repeat.  Each name is walked once.
+    """
+    order = {name: i for i, name in enumerate(copies)}
+    end: dict[str, tuple[object, str | None]] = {}  # -> (entry, cycle root)
+    for start in copies:
+        path: dict[str, int] = {}       # name -> its place on this walk
+        v = start
+        while v in copies and v not in end and v not in path:
+            path[v] = len(path)
+            v = copies[v]
+        walk = list(path)
+        if v in path:                   # the walk closed a new cycle
+            cycle, walk = walk[path[v]:], walk[:path[v]]
+            root = min(cycle, key=order.__getitem__)
+            end.update((c, (c, root)) for c in cycle)
+        fate = end.get(v, (v, None))
+        end.update((p, fate) for p in walk)
+    for name, (entry, root) in end.items():
+        copies[name] = (entry if root is None or order[name] < order[root]
+                        else root)
 
 
 def _remove_dead_code(func: Function) -> bool:
@@ -1329,7 +1353,10 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
                      if ins.result is not None}
     members: list[Instruction] = list(stores)
 
-    def build(ops: list[object]):
+    # `build` and `emit` take themselves as an argument: a closure that
+    # named itself would hold its own cell, a reference cycle that keeps `f`
+    # alive until the garbage collector next runs.
+    def build(ops: list[object], build):
         if len(set(ops)) == 1:
             # A lane is 32 bits: a wider scalar would lose its high bits.
             if value_bits(f, ops[0]) > LANE_WIDTH:
@@ -1370,7 +1397,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
             return None
         kids = []
         for pos in slots:
-            kid = build([i.operands[pos] for i in ins])
+            kid = build([i.operands[pos] for i in ins], build)
             if kid is None:
                 return None
             kids.append(kid)
@@ -1380,7 +1407,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
     roots = [s.operands[2] for s in stores]
     if len(set(roots)) != _VECTOR_WIDTH:
         return False
-    tree = build(roots)
+    tree = build(roots, build)
     if tree is None or isinstance(tree, _SlpSplat):
         return False
 
@@ -1408,7 +1435,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
     emitted: list[Instruction] = []
     splat_cache: dict[object, str] = {}
 
-    def emit(node) -> str:
+    def emit(node, emit) -> str:
         if isinstance(node, _SlpSplat):
             if node.value not in splat_cache:
                 nm = _fresh_name(names, "slp.s")
@@ -1424,8 +1451,8 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
                                        (first.operands[0], first.operands[1]),
                                        first.loc, _VECTOR_WIDTH))
             return nm
-        a = emit(node.children[0])
-        b = emit(node.children[1])
+        a = emit(node.children[0], emit)
+        b = emit(node.children[1], emit)
         loc = node.instrs[0].loc
         if node.opcode != "select":
             nm = _fresh_name(names, "slp.v")
@@ -1447,7 +1474,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
                                        _VECTOR_WIDTH))
         return nm
 
-    root_vec = emit(tree)
+    root_vec = emit(tree, emit)
     emitted.append(Instruction(f.fresh_id(), "vstore", None,
                                (g, offs[0], root_vec), stores[-1].loc,
                                _VECTOR_WIDTH))

@@ -16,6 +16,14 @@ branch-free instruction sequences.  Two runs that differ only in secret
 inputs should therefore produce identical event streams when the code is
 constant-time.
 
+A trace holds events that its translation built, not fresh ones.  Branch
+events and accesses at constant offsets are built while translating.  An
+access at a computed offset looks its event up in its instruction's table
+of events by offset: the event is built the first time any input reaches
+that offset, and every later trace of every input shares it.  A warm pass
+therefore allocates almost nothing per access, and the traces it keeps
+give the cyclic garbage collector little to walk.
+
 ``execute`` translates a function into Python once and runs every input
 through the translation.  Each generated function runs one *region* of
 the control-flow graph, written as structured Python:
@@ -45,18 +53,21 @@ the control-flow graph, written as structured Python:
 * Value and region names enter the generated source only through ``repr``;
   every identifier in it is generated, so no name can collide with one.
 
-Translations are kept in an LRU cache of ``_CACHE_SIZE`` entries keyed by
-everything a translation reads: each memory region's name, element width
-and length, and each block's label and instructions (id, opcode, result,
-operands, width, predicate, labels).  The key is never an object's
-identity, because passes change instructions in place.
+Translations, with their event tables, are kept in an LRU cache of
+``_CACHE_SIZE`` entries keyed by everything a translation reads: each
+memory region's name, element width and length, each block's label and
+size, and every instruction's id, opcode, result, operands, width,
+predicate and labels.  The key is never an object's identity, because
+passes change instructions in place.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -76,9 +87,10 @@ _CHUNK = 48
 # more (the other 7 read the same as one of their lowerings).  The cache
 # holds that whole working set with room to spare, so a repeated study
 # translates nothing, where a smaller cache would evict in a cycle and
-# re-translate on every round.  A translation and its key retain 2-240 KB
-# for a corpus program, 1.1 MB for the 34 lowered functions together
-# (tracemalloc).
+# re-translate on every round.  A translation, its key and its event
+# tables retain 2-240 KB for a corpus program, 1.34 MB for the 34 lowered
+# functions together after 16 inputs each, 3.5k events in 507 tables of
+# it (tracemalloc, CPython 3.11).
 _CACHE_SIZE = 64
 
 
@@ -156,9 +168,7 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
         else:
             raise TraceError(f"argument {p.name!r}: need an integer")
 
-    regions, used = _translate(
-        (tuple(shapes.items()),
-         tuple((b.label, tuple(map(_FIELDS, b.instrs))) for b in func.blocks)))
+    regions, used = _translate(_key(shapes, func.blocks))
     events: list[BranchDir | MemAccess] = []
     append, mem = events.append, [memory[r] for r in used]
     nxt = steps = 0
@@ -183,12 +193,44 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
 _FIELD_NAMES = ("iid", "opcode", "result", "operands", "width", "pred",
                 "labels")
 _FIELDS = attrgetter(*_FIELD_NAMES)
+_LABEL, _INSTRS = attrgetter("label"), attrgetter("instrs")
+
+
+def _key(shapes, blocks):
+    """The cache key of a function's translation: the memory shapes, the
+    block labels, the block sizes, then one column per instruction field
+    over every instruction in order.
+
+    Columns keep no tuple per instruction, so a cached key is about half
+    the size of rows of fields.  Every tuple here is allocated at its
+    final size: one made from an iterator of unknown length, such as
+    ``tuple(map(...))``, grows by resizing, and the resized tuples pile up
+    in CPython's per-size free lists until the next full collection."""
+    rows = [*map(_FIELDS, chain.from_iterable(map(_INSTRS, blocks)))]
+    return (tuple(shapes.items()), (*map(_LABEL, blocks),),
+            (*map(len, map(_INSTRS, blocks)),), *zip(*rows))
 
 
 class _OutOfBounds(Exception):
     def __init__(self, step: int, message: str):
         super().__init__(message)
         self.step = step                # absolute step of the access
+
+
+class _Events(dict):
+    """The events of one memory instruction at dynamic offsets, by element
+    offset: each is built on first use and shared by every later trace."""
+
+    __slots__ = ("iid", "kind", "region")
+
+    def __init__(self, iid, kind, region):
+        super().__init__()
+        self.iid, self.kind, self.region = iid, kind, region
+
+    def __missing__(self, offset):
+        event = self[offset] = MemAccess(self.iid, self.kind, self.region,
+                                         offset)
+        return event
 
 
 def _oob(step, iid, region, offset, length):
@@ -234,13 +276,14 @@ class _Translator:
     its own region) or "exit" (to the head of another region).
     """
 
-    def __init__(self, shapes, block_fields):
+    def __init__(self, shapes, labels, sizes, *columns):
         self.shapes = dict(shapes)      # memory region -> (elem width, length)
+        rows = zip(*columns)
         func = Function("", [], [
             BasicBlock(label, [Instruction(loc=None,
                                            **dict(zip(_FIELD_NAMES, f)))
-                               for f in fields])
-            for label, fields in block_fields])
+                               for f in islice(rows, size)])
+            for label, size in zip(labels, sizes)])
         live = reachable(func)
         self.nodes = []                 # (block, its instructions in a node)
         first = {}                      # block label -> its first node
@@ -259,7 +302,7 @@ class _Translator:
                 self.indeg[t] += 1
         self.names: dict[str, str] = {}     # value -> generated identifier
         self.arrays: dict[str, str] = {}    # memory region -> identifier
-        self.namespace = {"_new": tuple.__new__, "MA": MemAccess, "_oob": _oob}
+        self.namespace = {"_oob": _oob}
         self.consts = 0
 
     def copies(self, n, t):
@@ -411,7 +454,8 @@ class _Translator:
         self.body.append(self.indent + line)
 
     def const(self, obj) -> str:
-        name = f"K{self.consts}"
+        # Interned: one string for this name in every namespace and code.
+        name = sys.intern(f"K{self.consts}")
         self.consts += 1
         self.namespace[name] = obj
         return name
@@ -483,9 +527,9 @@ class _Translator:
                     f"E({self.const(MemAccess(ins.iid, kind, name, off + i))})")
         else:
             self.emit(f"if not 0 <= {o} <= {length - lanes}: {fail}")
+            table = self.const(_Events(ins.iid, kind, name))
             for i in range(lanes):
-                self.emit(f"E(_new(MA, ({ins.iid}, {kind!r}, {name!r}, "
-                          f"{_lane(o, i)})))")
+                self.emit(f"E({table}[{_lane(o, i)}])")
         return o
 
     def instruction(self, n, step, ins):

@@ -59,6 +59,42 @@ def test_ids_assigned_in_textual_order():
     assert ids == list(range(len(ids)))
 
 
+MIXED_IDS = """
+func first(secret s: u8) {
+bb0:
+  c = icmp.lt s, 4
+  condbr c, small, big
+small:
+  v = load t, s
+  br join
+big:
+  store t, 0, s
+  br join
+join:
+  r = phi [small: v], [big: 0]
+  x = add r, 1   # id 40
+  ret x          # id 41
+}
+func second(secret s: u8) {
+entry:
+  ret s
+}
+global t: arr<u32,4> = counting
+"""
+
+
+def test_implicit_ids_count_the_instructions_before_them():
+    # Across blocks, implicit ids number the instructions of their own
+    # function so far; explicit ids may follow them, and the next
+    # function starts again at 0.
+    prog = parse_ir(MIXED_IDS)
+    first, second = prog.functions.values()
+    assert [[i.iid for i in b.instrs] for b in first.blocks] == \
+        [[0, 1], [2, 3], [4, 5], [6, 40, 41]]
+    assert first.next_id == 42
+    assert [i.iid for i in second.instructions()] == [0]
+
+
 def test_print_parse_round_trip_preserves_ids_and_text():
     prog = parse_ir(BASIC)
     text = print_ir(prog)

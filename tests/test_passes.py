@@ -8,7 +8,9 @@ which lines changed and why.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -275,6 +277,53 @@ other:
     assert [b.label for b in func.blocks] == ["bb0", "other", "a", "join"]
     phi = func.block("join").instrs[0]
     assert phi.labels == ("a", "other") and phi.operands == ("z", "n")
+
+
+def walk_copies(copies):
+    """Copy-chain resolution as ``_apply_copies`` first wrote it: each
+    name in turn walks to the end of its chain or to its first repeat."""
+    for name in list(copies):
+        seen = {name}
+        val = copies[name]
+        while isinstance(val, str) and val in copies and val not in seen:
+            seen.add(val)
+            val = copies[val]
+        copies[name] = val
+    return copies
+
+
+@pytest.mark.parametrize("copies", [
+    {"a": "b", "b": "c", "c": 7},                   # a chain to a constant
+    {"c": "d", "b": "c", "a": "b"},                 # ... to a value, reversed
+    {"a": "a"},                                     # a self-loop
+    {"a": "b", "b": "a"},                           # a cycle
+    {"x": "a", "b": "a", "a": "b"},                 # a tail resolved first
+    {"b": "a", "x": "a", "a": "b"},                 # ... after a member
+    {"t": "u", "u": "a", "a": "b", "b": "c", "c": "a", "d": "d", "e": 0},
+], ids=["chain", "reversed", "self-loop", "cycle", "tail-first",
+        "tail-after", "mixed"])
+def test_copy_chains_resolve_as_the_one_at_a_time_walk(copies):
+    got = dict(copies)
+    passes._resolve_copies(got)
+    assert got == walk_copies(dict(copies))
+
+
+def test_copy_chains_resolve_as_the_walk_on_random_maps():
+    rng = random.Random(5)
+    for _ in range(3000):
+        keys = rng.sample(range(9), rng.randint(1, 9))
+        copies = {f"n{k}": rng.choice([f"n{j}" for j in range(9)] + [0, 3])
+                  for k in keys}
+        got = dict(copies)
+        passes._resolve_copies(got)
+        assert got == walk_copies(dict(copies)), copies
+
+
+def test_a_long_chain_of_forwarding_phis_resolves_to_its_source():
+    n = 1200
+    copies = {f"p{i}": f"p{i - 1}" if i > 1 else "s" for i in range(n, 0, -1)}
+    passes._resolve_copies(copies)
+    assert set(copies.values()) == {"s"}
 
 
 def test_cleanup_that_does_not_settle_raises(monkeypatch):
@@ -1166,6 +1215,22 @@ def test_log_records_every_enabled_pass():
     out, log = run_pipeline(prog, spec)
     assert [e.pass_name for e in log] == list(PASS_ORDER)
     assert validate(out) == []
+
+
+def test_the_pipeline_leaves_no_cyclic_garbage():
+    # With the collector off, every object the passes drop must be freed
+    # by its reference count: a cycle would keep a whole function alive
+    # until the next collection.
+    programs = {name: load_program(name) for name in names()}
+    gc.collect()
+    gc.disable()
+    try:
+        for prog in programs.values():
+            for preset in PRESETS.values():
+                run_pipeline(prog, preset.spec)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 def test_all_passes_on_all_corpus_entries_stay_valid():

@@ -435,6 +435,106 @@ def test_a_corpus_by_presets_study_fits_the_translation_cache():
 
 
 # ----------------------------------------------------------------------
+# Events at dynamic offsets
+# ----------------------------------------------------------------------
+
+def event_tables(prog):
+    """The event tables of ``prog``'s translation, by instruction id."""
+    func = prog.function()
+    shapes = {g.name: (g.elem_width, len(g.init))
+              for g in prog.globals.values()}
+    regions, _ = tracer._translate(tracer._key(shapes, func.blocks))
+    return {t.iid: t for t in regions[0].__globals__.values()
+            if isinstance(t, tracer._Events)}
+
+
+def test_inputs_that_load_at_one_offset_share_its_event():
+    prog = parse_ir(MEMORY)
+    a, b, c = (execute(prog, {"s": s}) for s in (9, 9, 8))
+    assert a.events == b.events and a.events[0] is b.events[0]
+    assert c.events[0] == MemAccess(0, "load", "table", 8)
+    assert c.events[0] is not a.events[0]
+    # The store's offset is a constant: its event is built once, when the
+    # function is translated.
+    assert a.events[1] is b.events[1] is c.events[1]
+
+
+def test_an_event_table_holds_only_the_offsets_executed():
+    tracer._translate.cache_clear()
+    prog = parse_ir(MEMORY)
+    assert event_tables(prog) == {0: {}}
+    for s in (200, 3, 200):
+        execute(prog, {"s": s})
+    table = event_tables(prog)[0]
+    assert table == {200: MemAccess(0, "load", "table", 200),
+                     3: MemAccess(0, "load", "table", 3)}
+
+
+DYNAMIC_LANES = """
+func f(secret s: u2, public o: u32 = 1) {
+bb0:
+  v = vload.4 table, s
+  w = splat.4 o
+  x = vadd.4 v, w
+  vstore.4 out, o, x
+  ret 0
+}
+global table: arr<u32,8> = counting
+global out: arr<u32,5> = zeros
+"""
+
+
+def test_vector_ops_at_dynamic_offsets_emit_per_lane_events():
+    tracer._translate.cache_clear()
+    prog = parse_ir(DYNAMIC_LANES)
+    t = execute(prog, {"s": 3, "o": 1})
+    assert t.events == [MemAccess(0, "load", "table", o) for o in (3, 4, 5, 6)] \
+        + [MemAccess(3, "store", "out", o) for o in (1, 2, 3, 4)]
+    assert t.memory["out"] == (0, 4, 5, 6, 7)
+    # Lane i of each access is the event of offset + i in the one table of
+    # its instruction, shared with every trace that reaches that offset.
+    u = execute(prog, {"s": 2, "o": 0})
+    assert [e.offset for e in u.events] == [2, 3, 4, 5, 0, 1, 2, 3]
+    assert all(x is y for x, y in zip(t.events[:3], u.events[1:4]))
+    assert sorted(event_tables(prog)[3]) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("o, step, error", [
+    (2, 4, "id 3: out[5] out of bounds (length 5)"),
+    (7, 4, "id 3: out[7] out of bounds (length 5)"),
+])
+def test_bounds_errors_at_dynamic_offsets_name_the_first_bad_lane(o, step,
+                                                                  error):
+    prog = parse_ir(DYNAMIC_LANES)
+    for fuel in range(step + 2):
+        want = error if fuel >= step else f"fuel exhausted after {fuel} steps"
+        assert outcome(prog, {"s": 0, "o": o}, fuel) == want, fuel
+    assert 5 not in event_tables(prog)[3]
+
+
+def test_the_translation_key_tells_every_field_and_block_apart():
+    # Changing one field of one instruction, or moving an instruction to
+    # the next block, gives another key, so the function translates anew.
+    prog = parse_ir(LOOP_DIAMOND)
+    shapes = {"t": (32, 4)}
+    blocks = prog.function().blocks
+    base = tracer._key(shapes, blocks)
+    ins = blocks[1].instrs[2]
+    assert ins.opcode == "icmp"
+    for field, value in [("iid", 99), ("opcode", "add"), ("result", "c2"),
+                         ("operands", ("n", "i")), ("width", 16),
+                         ("pred", "le"), ("labels", ("body",))]:
+        assert getattr(ins, field) != value
+        old = getattr(ins, field)
+        setattr(ins, field, value)
+        assert tracer._key(shapes, blocks) != base, field
+        setattr(ins, field, old)
+    assert tracer._key(shapes, blocks) == base
+    blocks[2].instrs.insert(0, blocks[1].instrs.pop())
+    assert tracer._key(shapes, blocks) != base
+
+
+# ----------------------------------------------------------------------
 # Arguments
 # ----------------------------------------------------------------------
 
