@@ -21,8 +21,8 @@ events and accesses at constant offsets are built while translating.  An
 access at a computed offset looks its event up in its instruction's table
 of events by offset: the event is built the first time any input reaches
 that offset, and every later trace of every input shares it.  A warm pass
-therefore allocates almost nothing per access, and the traces it keeps
-give the cyclic garbage collector little to walk.
+therefore allocates almost nothing per access, and the cyclic garbage
+collector, which a surplus of new container objects starts, seldom runs.
 
 ``execute`` translates a function into Python once and runs every input
 through the translation.  Each generated function runs one *region* of
