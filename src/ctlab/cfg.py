@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import (Function, Instruction, dominators, evaluate, predecessors,
-                 successors)
+                 settle, successors)
 
 
 @dataclass
@@ -95,28 +95,20 @@ class CountedLoop:
 
 
 def _resolve_const(defs: dict[str, Instruction], op: object) -> object:
-    """Follow const definitions and shl/add/sub over resolved constants.
-    The walk keeps its own stack, so a long chain of definitions does not
-    exhaust Python's."""
-    value: dict[object, object] = {}
-    todo = [op]
-    while todo:
-        name = todo[-1]
-        ins = defs.get(name) if isinstance(name, str) else None
-        if ins is None or ins.opcode not in ("const", "shl", "add", "sub"):
-            value[name] = name
-        elif ins.opcode == "const":
-            value[name] = ins.operands[0]
-        elif name not in value:
-            value[name] = name          # until its operands are resolved
-            todo += [a for a in ins.operands if a not in value]
-            continue
-        else:
-            args = [value[a] for a in ins.operands]
-            if all(isinstance(a, int) for a in args):
-                value[name] = evaluate(ins, *args)
-        todo.pop()
-    return value[op]
+    """Follow const definitions and shl/add/sub over resolved constants."""
+    def reads(v):
+        ins = defs.get(v)
+        return ins.operands if ins and ins.opcode in ("shl", "add", "sub") \
+            else ()
+
+    def fold(v, value):
+        ins = defs.get(v)
+        args = [value[a] for a in reads(v)]
+        if args and all(isinstance(a, int) for a in args):
+            return evaluate(ins, *args)
+        return ins.operands[0] if ins and ins.opcode == "const" else v
+
+    return settle((op,), reads, fold, None)[op]
 
 
 def counted_loop_info(func: Function, loop: Loop,

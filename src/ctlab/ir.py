@@ -51,13 +51,13 @@ Conventions:
   ``condbr``, ``ret``) is a scalar, and so is every immediate.  A ``phi``
   has its arms' type, and the arms must agree.  Every name used, even in
   an unreachable block, is defined.
-* Width rule (``value_bits``): an arithmetic result or a ``load`` wraps
-  to the instruction width (so a load narrower than its region's elements
+* Width rule (``value_bits``): an arithmetic result or a ``load`` wraps to
+  the instruction width (so a load narrower than its region's elements
   changes the value, and only a 32-bit load matches a ``vload`` lane); an
-  ``and`` is as narrow as its narrowest
-  operand; an ``icmp`` is 1 bit and a ``const`` as wide as its immediate;
-  ``select``/``cmov``/``phi`` pass an arm through, so they are as wide as
-  their widest arm.
+  ``and`` is as narrow as its narrowest operand; an ``icmp`` is 1 bit and a
+  ``const`` as wide as its immediate; ``select``/``cmov``/``phi`` pass an
+  arm through, so they are as wide as their widest arm.  A value on a cycle
+  takes the least width that satisfies every rule.
 * ``!loc file:line`` attaches the originating source line.  If omitted the
   parser falls back to the textual line number, but every instruction always
   carries a location.
@@ -733,6 +733,44 @@ def dominators(func: Function) -> dict[str, set[str]]:
     return dom
 
 
+def settle(roots, inputs, rule, bottom) -> dict:
+    """The least fixpoint of ``rule`` over every value that ``roots`` reach.
+
+    ``rule(v, value)`` reads the values ``inputs(v)`` lists from ``value``,
+    where each starts at ``bottom``; it runs again when one of them changes,
+    until none does, so it must be monotone over a lattice of finite height.
+    Inputs go first, so an acyclic graph costs one rule call per value.
+    """
+    readers: dict = {}          # value -> the values that read it, in order
+    order = []                  # inputs before readers
+    for root in roots:
+        stack = [] if root in readers else [(root, iter(inputs(root)))]
+        readers.setdefault(root, {})
+        while stack:
+            v, reads = stack[-1]
+            for u in reads:
+                if u not in readers:
+                    readers[u] = {v: None}
+                    stack.append((u, iter(inputs(u))))
+                    break
+                readers[u][v] = None
+            else:
+                stack.pop()
+                order.append(v)
+    value = dict.fromkeys(order, bottom)
+    work, queued = order[::-1], set(order)
+    while work:
+        v = work.pop()
+        queued.discard(v)
+        new = rule(v, value)
+        if new != value[v]:
+            value[v] = new
+            stale = [r for r in readers[v] if r not in queued]
+            queued.update(stale)
+            work += stale
+    return value
+
+
 _SCALAR = "a scalar"
 _REGION = "an array region"
 
@@ -746,7 +784,9 @@ def validate(prog: Program) -> list[str]:
 
     Checks structure, dominance and the type of every value operand (see
     the module conventions).  Each violation names the function, block,
-    and instruction id involved.
+    and instruction id involved.  A phi takes its arms' type, counting
+    through the phis among them; with several, it takes the type of its
+    first arm with just one, else the least by name, and reports the rest.
     """
     errs: list[str] = []
 
@@ -757,24 +797,6 @@ def validate(prog: Program) -> list[str]:
         if ins is not None:
             where += f"/id{ins.iid}"
         errs.append(f"{where}: {msg}")
-
-    def type_of(op):
-        # A phi's entry holds its arms until it is resolved to the first
-        # arm type found, depth first.  The walk keeps its own stack, so a
-        # long chain of phis does not exhaust Python's.
-        walks, seen = [iter((op,))], set()
-        while walks:
-            a = next(walks[-1], None)
-            if a is None:
-                walks.pop()
-                continue
-            t = _SCALAR if isinstance(a, int) else types.get(a)
-            if isinstance(t, str):
-                return t
-            if isinstance(t, tuple) and a not in seen:
-                seen.add(a)
-                walks.append(iter(t))
-        return None
 
     for func in prog.functions.values():
         labels = [b.label for b in func.blocks]
@@ -801,8 +823,18 @@ def validate(prog: Program) -> list[str]:
                         ins.operands if ins.opcode == "phi"
                         else _vector(ins.width) if ins.opcode in VECTOR_OPS
                         else _SCALAR)
-        for name in [n for n, t in types.items() if isinstance(t, tuple)]:
-            types[name] = type_of(name)
+        phis = {n: t for n, t in types.items() if isinstance(t, tuple)}
+        if phis:
+            def arm(a, reach):          # the types that arm `a` can have
+                return reach[a] if a in phis else {
+                    _SCALAR if isinstance(a, int) else types.get(a)} - {None}
+
+            reach = settle(phis, lambda p: [a for a in phis[p] if a in phis],
+                           lambda p, reach: set().union(
+                               *(arm(a, reach) for a in phis[p])), set())
+            for p, ts in reach.items():
+                one = [t for a in phis[p] if len(t := arm(a, reach)) == 1]
+                types[p] = min(one[0] if one else ts, default=None)
 
         for block in func.blocks:
             term = block.terminator
@@ -893,54 +925,29 @@ def evaluate(ins: Instruction, *args: int) -> int:
 
 
 def value_bits(func: Function, op: object,
-               defs: dict[str, Instruction] | None = None) -> int:
-    """The most bits the scalar value ``op`` of a valid ``func`` can
-    occupy, by the width rule of the module conventions.  An arm that leads
-    back to a value still being measured adds nothing, so loop phis end."""
-    defs = func.defs() if defs is None else defs
+               defs: dict[str, Instruction]) -> int:
+    """The most bits the scalar value ``op`` of a valid ``func``, whose
+    ``defs()`` is ``defs``, can occupy, by the module's width rule."""
+    def reads(v):
+        ins = defs.get(v)
+        oc = ins.opcode if ins else None
+        return ins.operands[1:] if oc in ("select", "cmov") \
+            else ins.operands if oc in ("phi", "and") else ()
 
-    # A walk yields (operand, open ands) for each `and` operand it needs
-    # measured and is sent the answer, so a long chain of ands grows the
-    # list of walks rather than Python's stack.
-    def bits(op, open_ands):
-        most, todo, seen = 0, [op], {op}
-        while todo:
-            op = todo.pop()
-            ins = defs.get(op) if isinstance(op, str) else None
-            if isinstance(op, int):
-                b = op.bit_length()
-            elif ins is None:
-                b = func.param(op).type.width
-            elif ins.opcode in ("select", "cmov", "phi"):
-                arms = ins.operands if ins.opcode == "phi" else ins.operands[1:]
-                todo += [a for a in arms if a not in seen]
-                seen.update(arms)
-                continue
-            elif ins.opcode == "icmp":
-                b = 1
-            elif ins.opcode == "const":
-                b = ins.operands[0].bit_length()
-            elif ins.opcode == "and" and op in open_ands:
-                b = 0
-            elif ins.opcode == "and":
-                b = ins.width
-                for a in ins.operands:
-                    b = min(b, (yield a, open_ands | {op}))
-            else:
-                b = ins.width
-            most = max(most, b)
-        return most
+    def bits(v, width):
+        ins = defs.get(v)
+        if ins is None:
+            return v.bit_length() if isinstance(v, int) \
+                else func.param(v).type.width
+        if ins.opcode in ("select", "cmov", "phi"):
+            return max(width[a] for a in reads(v))
+        if ins.opcode == "and":
+            return min(ins.width, *(width[a] for a in ins.operands))
+        if ins.opcode == "const":
+            return ins.operands[0].bit_length()
+        return 1 if ins.opcode == "icmp" else ins.width
 
-    walks, answer = [bits(op, frozenset())], None
-    while True:
-        try:
-            walks.append(bits(*walks[-1].send(answer)))
-            answer = None
-        except StopIteration as done:
-            walks.pop()
-            if not walks:
-                return done.value
-            answer = done.value
+    return settle((op,), reads, bits, 0)[op]
 
 
 def value_operands(ins: Instruction) -> tuple[object, ...]:
@@ -954,7 +961,7 @@ def substitute(ins: Instruction, mapping: dict[str, object]) -> tuple[object, ..
     """``ins.operands`` with every value name in ``mapping`` replaced."""
     values = value_operands(ins)
     region = ins.operands[:len(ins.operands) - len(values)]
-    return region + tuple(mapping.get(op, op) for op in values)
+    return region + tuple([mapping.get(op, op) for op in values])
 
 
 # ======================================================================

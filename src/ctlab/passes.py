@@ -1359,7 +1359,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
     def build(ops: list[object], build):
         if len(set(ops)) == 1:
             # A lane is 32 bits: a wider scalar would lose its high bits.
-            if value_bits(f, ops[0]) > LANE_WIDTH:
+            if value_bits(f, ops[0], defs) > LANE_WIDTH:
                 return None
             return _SlpSplat(ops[0])
         if not all(isinstance(o, str) and o in defs_in_block for o in ops):
@@ -1390,7 +1390,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
             slots = (0, 1)
         elif oc == "select":
             conds = {i.operands[0] for i in ins}
-            if len(conds) != 1 or value_bits(f, next(iter(conds))) > 1:
+            if len(conds) != 1 or value_bits(f, next(iter(conds)), defs) > 1:
                 return None
             slots = (1, 2)
         else:
@@ -1407,6 +1407,7 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
     roots = [s.operands[2] for s in stores]
     if len(set(roots)) != _VECTOR_WIDTH:
         return False
+    defs = f.defs()             # f is not changed until `build` returns
     tree = build(roots, build)
     if tree is None or isinstance(tree, _SlpSplat):
         return False

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ctlab import cfg, ir
 from ctlab.cli import main
 
 
@@ -236,8 +237,9 @@ def _bound_chain(n=1500):
 @pytest.mark.parametrize("build", [_phi_chain, _and_chain, _bound_chain])
 def test_long_def_chains_end_without_a_traceback(build, tmp_path, capsys):
     # Phi types in validate, value_bits through `and`, and loop bounds
-    # each walk a chain of definitions; one Python frame per link would
-    # exceed the interpreter's recursion limit on these.
+    # each settle a chain of definitions with ir.settle's worklist, which
+    # needs no Python frame per link; recursion would exceed the
+    # interpreter's limit on these.
     from ctlab.mitigations import PRESETS
     p = tmp_path / "chain.ir"
     p.write_text(build() + "\n", encoding="utf-8")
@@ -245,3 +247,42 @@ def test_long_def_chains_end_without_a_traceback(build, tmp_path, capsys):
         code, _, err = run(capsys, "analyze", str(p), "--preset", name)
         assert code in (0, 2), (name, err)
         assert "Traceback" not in err, name
+
+
+def _validate(prog, n):
+    assert ir.validate(prog) == []
+
+
+def _widest(prog, n):
+    f = prog.function()
+    assert ir.value_bits(f, "y", f.defs()) == 16
+
+
+def _loop_bound(prog, n):
+    f = prog.function()
+    info = cfg.counted_loop_info(f, cfg.natural_loops(f)[0], f.defs())
+    assert info.bound == 2 + (n - 1)
+
+
+@pytest.mark.parametrize("n", [300, 1200])
+@pytest.mark.parametrize("build, measure", [
+    (_phi_chain, _validate), (_and_chain, _widest),
+    (_bound_chain, _loop_bound)], ids=["phi", "and", "bound"])
+def test_def_chains_settle_in_linear_work(build, measure, n, monkeypatch):
+    # Counting rule calls, not time: each analysis of a chain of n links
+    # may evaluate each link's rule a bounded number of times.
+    prog = ir.parse_ir(build(n))
+    calls = 0
+    real = ir.settle
+
+    def counting(roots, inputs, rule, bottom):
+        def counted(v, value):
+            nonlocal calls
+            calls += 1
+            return rule(v, value)
+        return real(roots, inputs, counted, bottom)
+
+    monkeypatch.setattr(ir, "settle", counting)
+    monkeypatch.setattr(cfg, "settle", counting)  # imported by name there
+    measure(prog, n)
+    assert n <= calls <= 3 * n

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ctlab.ir import (
+    INSTR_WIDTHS,
+    PARAM_WIDTHS,
     ArrayType,
+    BasicBlock,
+    Function,
+    Instruction,
     IRParseError,
+    Param,
     ScalarType,
+    SourceLoc,
     parse_ir,
     print_ir,
     validate,
+    value_bits,
 )
 
 BASIC = """
@@ -254,6 +264,13 @@ TYPE_ERRORS = {
         "  condbr n, bbA, bbB\nbbA:\n  br bbJ\nbbB:\n  br bbJ\nbbJ:\n"
         "  r = phi [bbA: v], [bbB: n]\n  ret n",
         "f/bbJ/id5: operand 'n' is a scalar; phi needs a 4-lane vector"),
+    # Through q, r's arms have both types: q takes its first arm with one
+    # type (v), and so does r, skipping q.
+    "phi cycle of mixed type": (
+        "  br bbH\nbbH:\n  r = phi [bbH: q], [bb0: v], [bbL: n]\n"
+        "  q = phi [bbH: r], [bb0: v], [bbL: v]\n  condbr n, bbH, bbL\n"
+        "bbL:\n  condbr n, bbH, bbX\nbbX:\n  ret n",
+        "f/bbH/id3: operand 'n' is a scalar; phi needs a 4-lane vector"),
 }
 
 
@@ -269,3 +286,116 @@ def test_validate_accepts_vector_phis():
             "  r = phi [bbA: v], [bbB: s]\n  w = vadd.4 r, s\n"
             "  vstore.4 m, 4, w\n  ret n")
     assert validate(parse_ir(TYPED.format(body=body))) == []
+
+
+@pytest.mark.parametrize("order", [("r", "q"), ("q", "r")])
+def test_each_phi_of_an_ill_typed_cycle_is_blamed_by_its_own_arms(order):
+    # r and q both reach a vector and a scalar; each takes the type of its
+    # one arm from outside the cycle, wherever the cycle is entered.
+    phis = {"r": "  r = phi [bbH: q], [bb0: v]\n",
+            "q": "  q = phi [bbH: r], [bb0: n]\n"}
+    body = ("  br bbH\nbbH:\n" + "".join(phis[p] for p in order)
+            + "  condbr n, bbH, bbX\nbbX:\n  ret n")
+    iid = {p: 3 + k for k, p in enumerate(order)}
+    assert sorted(validate(parse_ir(TYPED.format(body=body)))) == sorted([
+        f"f/bbH/id{iid['r']}: operand 'q' is a scalar; phi needs a 4-lane "
+        "vector",
+        f"f/bbH/id{iid['q']}: operand 'r' is a 4-lane vector; phi needs a "
+        "scalar"])
+
+
+LOOP_MASK = """
+func f(public p: u32 = 1) {
+a:
+  c8 = const 200
+  br b
+b:
+  x = phi [a: c8], [b: y]
+  y = and x, p
+  c = icmp.lt y, p
+  condbr c, b, e
+e:
+  ret y
+}
+"""
+
+
+def test_a_loop_carried_mask_is_as_wide_as_its_entry_value():
+    prog = parse_ir(LOOP_MASK)
+    assert validate(prog) == []
+    f = prog.function()
+    defs = f.defs()
+    assert [value_bits(f, v, defs) for v in ("c8", "x", "y", "c")] == \
+        [8, 8, 8, 1]
+
+
+def widths_by_rounds(func):
+    """Every value's width by whole-function rounds in program order, each
+    starting at 0, until a round changes nothing: the least fixpoint of the
+    width rule."""
+    width = {ins.result: 0 for ins in func.instructions()}
+
+    def of(a):
+        if isinstance(a, int):
+            return a.bit_length()
+        return width[a] if a in width else func.param(a).type.width
+
+    changed = True
+    while changed:
+        changed = False
+        for ins in func.instructions():
+            if ins.opcode in ("select", "cmov"):
+                new = max(map(of, ins.operands[1:]))
+            elif ins.opcode == "phi":
+                new = max(map(of, ins.operands))
+            elif ins.opcode == "and":
+                new = min(ins.width, *map(of, ins.operands))
+            elif ins.opcode == "icmp":
+                new = 1
+            elif ins.opcode == "const":
+                new = ins.operands[0].bit_length()
+            else:
+                new = ins.width
+            changed |= new != width[ins.result]
+            width[ins.result] = new
+    return {**{p.name: p.type.width for p in func.params}, **width}
+
+
+def random_definitions(rng):
+    """Definitions shaped like SSA: only a phi reads a later value, so
+    every cycle runs through a phi, and many through selects and ands."""
+    params = [Param(f"p{i}", ScalarType(rng.choice(PARAM_WIDTHS)), "secret")
+              for i in range(rng.randint(1, 3))]
+    names = [p.name for p in params]
+    n = rng.randint(1, 10)
+    instrs = []
+    for i in range(n):
+        opcode = rng.choice(["phi", "phi", "select", "cmov", "and", "and",
+                             "icmp", "const", "add", "load"])
+        pool = names + [f"x{j}" for j in range(n)] if opcode == "phi" \
+            else names
+
+        arity = {"phi": rng.randint(1, 3), "select": 3, "cmov": 3,
+                 "load": 1}.get(opcode, 2)
+        operands = [rng.choice(pool) if rng.random() < 0.8 else
+                    rng.choice([0, 1, 5, 255, 65535, 2 ** 40])
+                    for _ in range(arity)]
+        if opcode == "const":
+            operands = [rng.choice([0, 3, 300, 2 ** 33])]
+        elif opcode == "load":
+            operands = ["g", *operands]
+        instrs.append(Instruction(i, opcode, f"x{i}", tuple(operands),
+                                  SourceLoc("t", 1), rng.choice(INSTR_WIDTHS),
+                                  "eq" if opcode == "icmp" else None))
+        names.append(f"x{i}")
+    return Function("f", params, [BasicBlock("bb0", instrs)])
+
+
+def test_value_bits_is_the_least_fixpoint_of_the_width_rule():
+    rng = random.Random(11)
+    for _ in range(3000):
+        f = random_definitions(rng)
+        defs = f.defs()
+        want = widths_by_rounds(f)
+        assert {v: value_bits(f, v, defs) for v in want} == want, \
+            [str(i) for i in f.instructions()]

@@ -319,6 +319,13 @@ def test_copy_chains_resolve_as_the_walk_on_random_maps():
         assert got == walk_copies(dict(copies)), copies
 
 
+def test_a_long_chain_of_forwarding_phis_resolves_to_its_source():
+    n = 1200
+    copies = {f"p{i}": f"p{i - 1}" if i > 1 else "s" for i in range(n, 0, -1)}
+    passes._resolve_copies(copies)
+    assert set(copies.values()) == {"s"}
+
+
 def test_cleanup_that_does_not_settle_raises(monkeypatch):
     # The block merger claims a change on every sweep of g, so g's cleanup
     # never settles; f's cleanup finishes first and is in the log.
