@@ -108,6 +108,8 @@ def _resolve_const(defs: dict[str, Instruction], op: object) -> object:
             return evaluate(ins, *args)
         return ins.operands[0] if ins and ins.opcode == "const" else v
 
+    if not reads(op):               # nothing to follow
+        return fold(op, {})
     return settle((op,), reads, fold, None)[op]
 
 

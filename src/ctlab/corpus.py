@@ -1,8 +1,9 @@
 """Bundled benchmark programs with constant-time ground truth.
 
 Each entry ships as an ``.ir`` file under ``corpus_ir/`` plus a flag saying
-whether the source is constant-time as written.  ``get``/``load_program``
-parse a fresh copy every call, so callers may mutate freely.  The first
+whether the source is constant-time as written.  Each entry is parsed once;
+``CorpusEntry.load`` and ``load_program`` return a fresh copy of that parse
+on every call, so callers may mutate freely.  The first
 access to an entry also self-checks the ground truth: with every pass
 disabled and branchless lowering, the leak checker must agree with the
 stored flag, otherwise the corpus itself is broken and ``CorpusError``
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from .analysis import analyze
-from .ir import Program, parse_ir
+from .ir import Program, copy_program, parse_ir
 from .passes import PipelineSpec
 
 __all__ = ["CorpusEntry", "CorpusError", "entries", "get", "load_program",
@@ -38,7 +40,7 @@ class CorpusEntry:
         return _read_ir(self.name)
 
     def load(self) -> Program:
-        return parse_ir(self.source)
+        return copy_program(_parsed(self.name))
 
 
 _ENTRIES: list[CorpusEntry] = [
@@ -91,6 +93,12 @@ _CHECKED: set[str] = set()
 def _read_ir(name: str) -> str:
     path = resources.files(__package__) / "corpus_ir" / f"{name}.ir"
     return path.read_text(encoding="utf-8")
+
+
+@lru_cache(maxsize=None)
+def _parsed(name: str) -> Program:
+    """The one parse of an entry; callers get copies of it."""
+    return parse_ir(_read_ir(name))
 
 
 def _baseline_check(entry: CorpusEntry) -> None:

@@ -35,10 +35,12 @@ Conventions:
   predicates, and one table for the lanewise vector ops
   (``LANEWISE_OPS``).  Every constant folder computes through functions
   made from those expressions, and the tracer's generated code is written
-  from them, so folding and execution cannot disagree.  Arithmetic
-  operands are read at the instruction's width: the result wraps to it,
-  shift amounts are masked by width-1, and ``lshr`` masks its left operand
-  before shifting (``lshr.8 300, 1`` is 22).
+  from them, so folding and execution cannot disagree.  Each wrap to the
+  width is a term `` & {m}`` and each shift-amount mask a term `` & {k}``,
+  so a code generator can leave out one that it proves does nothing.
+  Arithmetic operands are read at the instruction's width: the result
+  wraps to it, shift amounts are masked by width-1, and ``lshr`` masks its
+  left operand before shifting (``lshr.8 300, 1`` is 22).
   ``icmp`` compares its operand values as given.  A vector op applies its
   scalar op to each pair of 32-bit lanes.
 * Memory ops name their region (a global or an array parameter) in their
@@ -51,20 +53,23 @@ Conventions:
   ``condbr``, ``ret``) is a scalar, and so is every immediate.  A ``phi``
   has its arms' type, and the arms must agree.  Every name used, even in
   an unreachable block, is defined.
-* Width rule (``value_bits``): an arithmetic result or a ``load`` wraps to
-  the instruction width (so a load narrower than its region's elements
-  changes the value, and only a 32-bit load matches a ``vload`` lane); an
-  ``and`` is as narrow as its narrowest operand; an ``icmp`` is 1 bit and a
-  ``const`` as wide as its immediate; ``select``/``cmov``/``phi`` pass an
-  arm through, so they are as wide as their widest arm.  A value on a cycle
-  takes the least width that satisfies every rule.
+* Width rule (``width_rule``, answered by ``value_bits``): an arithmetic
+  result or a ``load`` wraps to the instruction width (so a load narrower
+  than its region's elements changes the value, and only a 32-bit load
+  matches a ``vload`` lane); an ``and`` is as narrow as its narrowest
+  operand; an ``icmp`` is 1 bit and a ``const`` as wide as its immediate;
+  ``select``/``cmov``/``phi`` pass an arm through, so they are as wide as
+  their widest arm; a vector's lanes are 32 bits.  A negative immediate
+  is wider than any instruction.  A value on a cycle takes the least width
+  that satisfies every rule.
 * ``!loc file:line`` attaches the originating source line.  If omitted the
   parser falls back to the textual line number, but every instruction always
   carries a location.
 * Instruction ids are assigned in textual order by the parser and printed
   back as ``# id N`` comments, so print -> parse round-trips preserve ids.
 * Global initializers: ``zeros``, ``counting`` (element i holds i, wrapped),
-  or an explicit ``[1, 2, 3]`` list.
+  or an explicit ``[1, 2, 3]`` list, wrapped to the element width.  Every
+  element of a valid program's global fits its element width.
 * A leading ``stage lowered`` line marks backend output; ``cmov`` may only
   appear in lowered programs, ``select``/``vselect`` only before lowering.
 """
@@ -782,13 +787,21 @@ def _vector(lanes: int) -> str:
 def validate(prog: Program) -> list[str]:
     """Return violation strings; empty means the program is well formed.
 
-    Checks structure, dominance and the type of every value operand (see
-    the module conventions).  Each violation names the function, block,
-    and instruction id involved.  A phi takes its arms' type, counting
-    through the phis among them; with several, it takes the type of its
-    first arm with just one, else the least by name, and reports the rest.
+    Checks that every global's elements fit its element width, and
+    structure, dominance and the type of every value operand (see the
+    module conventions).  Each violation names the global and element, or
+    the function, block, and instruction id involved.  A phi takes its
+    arms' type, counting through the phis among them; with several, it
+    takes the type of its first arm with just one, else the least by name,
+    and reports the rest.
     """
     errs: list[str] = []
+    for g in prog.globals.values():
+        for i, x in enumerate(g.init):
+            if not 0 <= x < 1 << g.elem_width:
+                errs.append(f"global {g.name}: element {i} is {x}, which "
+                            f"does not fit u{g.elem_width}")
+                break
 
     def err(func, block, ins, msg):
         where = func.name
@@ -924,30 +937,54 @@ def evaluate(ins: Instruction, *args: int) -> int:
     return op(*args, ins.width)
 
 
-def value_bits(func: Function, op: object,
-               defs: dict[str, Instruction]) -> int:
-    """The most bits the scalar value ``op`` of a valid ``func``, whose
-    ``defs()`` is ``defs``, can occupy, by the module's width rule."""
-    def reads(v):
+# The width of a negative immediate, which a program built in Python can
+# hold (the parser masks them): wider than any instruction, so it never
+# counts as fitting one.
+_NEGATIVE_BITS = max(INSTR_WIDTHS) + 1
+
+
+def _immediate_bits(v: int) -> int:
+    return v.bit_length() if v >= 0 else _NEGATIVE_BITS
+
+
+def width_rule(defs: dict[str, Instruction], param_width):
+    """The module's width rule as ``settle``'s ``(inputs, rule)``, over
+    the values of a valid function whose ``defs()`` is ``defs``;
+    ``param_width(name)`` is a scalar parameter's width.  The width of a
+    vector value is that of its lanes."""
+    def inputs(v):
         ins = defs.get(v)
         oc = ins.opcode if ins else None
         return ins.operands[1:] if oc in ("select", "cmov") \
             else ins.operands if oc in ("phi", "and") else ()
 
-    def bits(v, width):
+    def rule(v, width):
         ins = defs.get(v)
         if ins is None:
-            return v.bit_length() if isinstance(v, int) \
-                else func.param(v).type.width
-        if ins.opcode in ("select", "cmov", "phi"):
-            return max(width[a] for a in reads(v))
-        if ins.opcode == "and":
+            return _immediate_bits(v) if isinstance(v, int) \
+                else param_width(v)
+        oc = ins.opcode
+        if oc in ("select", "cmov", "phi"):
+            return max(width[a] for a in inputs(v))
+        if oc == "and":
             return min(ins.width, *(width[a] for a in ins.operands))
-        if ins.opcode == "const":
-            return ins.operands[0].bit_length()
-        return 1 if ins.opcode == "icmp" else ins.width
+        if oc == "const":
+            return _immediate_bits(ins.operands[0])
+        if oc in VECTOR_OPS:
+            return LANE_WIDTH
+        return 1 if oc == "icmp" else ins.width
 
-    return settle((op,), reads, bits, 0)[op]
+    return inputs, rule
+
+
+def value_bits(func: Function, op: object,
+               defs: dict[str, Instruction]) -> int:
+    """The most bits the scalar value ``op`` of a valid ``func``, whose
+    ``defs()`` is ``defs``, can occupy, by the module's width rule."""
+    inputs, rule = width_rule(defs, lambda p: func.param(p).type.width)
+    if not inputs(op):              # nothing to settle
+        return rule(op, {})
+    return settle((op,), inputs, rule, 0)[op]
 
 
 def value_operands(ins: Instruction) -> tuple[object, ...]:

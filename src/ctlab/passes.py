@@ -1563,6 +1563,13 @@ def run_pipeline(prog: Program,
     and InternalPassError when a pass leaves it malformed or when the pass
     or its cleanup does not settle within ``_FIXPOINT_STEPS`` steps,
     carrying the log of passes applied so far.
+
+    Cleanup is skipped after a step that reports no change on a function
+    that cleanup left at its fixpoint: such a step changed nothing (the
+    step contract), cleanup is deterministic and reads only the function
+    and the globals, which no step changes, so it would stop after one
+    sweep that finds nothing.  The log and the program are the same either
+    way.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
@@ -1571,15 +1578,19 @@ def run_pipeline(prog: Program,
         raise IRError(f"invalid input program: {errors[0]}")
     out = copy_program(prog)
     log: list[PassLogEntry] = []
+    clean: set[str] = set()         # functions at cleanup's fixpoint
     for name in spec.order:
         step = _PASSES[name]
         changed = False
         for func in out.functions.values():
             before = {i.iid for i in func.instructions()}
             try:
-                # Both run: cleanup may change what the pass left alone.
-                changed |= (_to_fixpoint(lambda f: step(f, spec), func, name)
-                            | cleanup(func, out.globals))
+                moved = _to_fixpoint(lambda f: step(f, spec), func, name)
+                if moved or func.name not in clean:
+                    # Cleanup may change what the pass left alone.
+                    moved |= cleanup(func, out.globals)
+                    clean.add(func.name)
+                changed |= moved
             except InternalPassError as e:
                 raise InternalPassError(f"pass {name}: {e}", log) from e
             log.append(_log_entry(name, func, before))

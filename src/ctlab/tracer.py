@@ -53,12 +53,41 @@ the control-flow graph, written as structured Python:
 * Value and region names enter the generated source only through ``repr``;
   every identifier in it is generated, so no name can collide with one.
 
+Translation leaves out work that it proves does nothing; the values,
+events, steps and errors stay those of the ``ir`` semantics.
+
+* Masks.  Each value's bit width comes from one ``ir.settle`` of the
+  width rule (``ir.width_rule``) over the function.  The rule bounds
+  every value the generated code computes: by induction over the steps
+  of a run, each operand already fits its width when an op reads it, and
+  a mask that is left out is one that could not clear a bit.  So an
+  ``or``/``xor`` of two operands that fit the instruction width, or an
+  ``and`` with one, is written without its wrap; ``lshr`` without the
+  mask of a left operand that fits; a shift by an immediate with the
+  amount masked while translating; a ``load`` (or ``vload`` lane) without
+  its wrap when the elements are no wider than the load; and a ``store``
+  (or ``vstore`` lane) without its wrap when the value fits the element.
+  The last two rely on every memory cell fitting its element width:
+  ``validate`` checks the globals' initializers, ``execute`` masks array
+  arguments, and a store wraps any value that may not fit.  A negative
+  immediate, which a program built in Python may hold, never fits.
+* Bounds checks.  An access at a computed offset is checked only when no
+  earlier check of the same offset value, against a bound at least as
+  tight, always runs before it in the region's structured code.  An arm
+  of an ``if`` starts from the checks before the ``if``; a join after it,
+  and the other arm, from those alone, since the checks of an arm hold
+  only where that arm ran.  The earlier check raised if the offset was
+  out of bounds, so the dropped one could never fail.
+* Compares.  When an ``icmp``'s only reader is a ``condbr`` in the
+  compare's own region, the branch tests the comparison itself
+  (``if a < b:``) and the 0/1 value is never built.
+
 Translations, with their event tables, are kept in an LRU cache of
 ``_CACHE_SIZE`` entries keyed by everything a translation reads: each
-memory region's name, element width and length, each block's label and
-size, and every instruction's id, opcode, result, operands, width,
-predicate and labels.  The key is never an object's identity, because
-passes change instructions in place.
+memory region's name, element width and length, each scalar parameter's
+width, each block's label and size, and every instruction's id, opcode,
+result, operands, width, predicate and labels.  The key is never an
+object's identity, because passes change instructions in place.
 """
 
 from __future__ import annotations
@@ -73,24 +102,28 @@ from typing import NamedTuple
 
 from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
                  NEG_EXPR, ArrayType, BasicBlock, Function, Instruction,
-                 Program, ScalarType, reachable, value_operands)
+                 Program, ScalarType, reachable, settle, value_operands,
+                 width_rule)
 
 DEFAULT_FUEL = 1_000_000
 _LANE_MASK = (1 << LANE_WIDTH) - 1
 _M64 = (1 << 64) - 1
-# Instructions per region and per compile() call.  Compiling a
-# 523-instruction function in one call peaks at 8.5 MB of allocations
-# (tracemalloc, CPython 3.11); in batches of this size, at 1.2 MB.
-_CHUNK = 48
+# Instructions per region and per compile() call.  Compiling the largest
+# lowered corpus function (rsa under llvm18-Os, 523 instructions) in one
+# call peaks at 5.7 MB of allocations (tracemalloc, CPython 3.11); in
+# batches of this size at 1.45 MB (0.85 MB at 48).  96 holds the
+# 79-instruction unrolled poly_frommsg loop of five presets in one
+# ``while True:`` region, where 48 split it into 3-4 regions and no loop.
+_CHUNK = 96
 # A study of every corpus program under every preset meets 34 distinct
 # lowered functions; checking them against the 10 source functions adds 3
 # more (the other 7 read the same as one of their lowerings).  The cache
 # holds that whole working set with room to spare, so a repeated study
 # translates nothing, where a smaller cache would evict in a cycle and
 # re-translate on every round.  A translation, its key and its event
-# tables retain 2-240 KB for a corpus program, 1.34 MB for the 34 lowered
+# tables retain 3-540 KB for a corpus program, 1.32 MB for the 34 lowered
 # functions together after 16 inputs each, 3.5k events in 507 tables of
-# it (tracemalloc, CPython 3.11).
+# it (tracemalloc after a collection, CPython 3.11).
 _CACHE_SIZE = 64
 
 
@@ -168,7 +201,7 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
         else:
             raise TraceError(f"argument {p.name!r}: need an integer")
 
-    regions, used = _translate(_key(shapes, func.blocks))
+    regions, used = _translate(_key(shapes, func.params, func.blocks))
     events: list[BranchDir | MemAccess] = []
     append, mem = events.append, [memory[r] for r in used]
     nxt = steps = 0
@@ -196,10 +229,10 @@ _FIELDS = attrgetter(*_FIELD_NAMES)
 _LABEL, _INSTRS = attrgetter("label"), attrgetter("instrs")
 
 
-def _key(shapes, blocks):
+def _key(shapes, params, blocks):
     """The cache key of a function's translation: the memory shapes, the
-    block labels, the block sizes, then one column per instruction field
-    over every instruction in order.
+    scalar parameters' widths, the block labels, the block sizes, then one
+    column per instruction field over every instruction in order.
 
     Columns keep no tuple per instruction, so a cached key is about half
     the size of rows of fields.  Every tuple here is allocated at its
@@ -207,7 +240,9 @@ def _key(shapes, blocks):
     ``tuple(map(...))``, grows by resizing, and the resized tuples pile up
     in CPython's per-size free lists until the next full collection."""
     rows = [*map(_FIELDS, chain.from_iterable(map(_INSTRS, blocks)))]
-    return (tuple(shapes.items()), (*map(_LABEL, blocks),),
+    widths = [(p.name, p.type.width) for p in params
+              if isinstance(p.type, ScalarType)]
+    return (tuple(shapes.items()), tuple(widths), (*map(_LABEL, blocks),),
             (*map(len, map(_INSTRS, blocks)),), *zip(*rows))
 
 
@@ -276,7 +311,7 @@ class _Translator:
     its own region) or "exit" (to the head of another region).
     """
 
-    def __init__(self, shapes, labels, sizes, *columns):
+    def __init__(self, shapes, params, labels, sizes, *columns):
         self.shapes = dict(shapes)      # memory region -> (elem width, length)
         rows = zip(*columns)
         func = Function("", [], [
@@ -284,6 +319,17 @@ class _Translator:
                                            **dict(zip(_FIELD_NAMES, f)))
                                for f in islice(rows, size)])
             for label, size in zip(labels, sizes)])
+        # Every value's width, by the width rule (see ``ir``).
+        defs = func.defs()
+        inputs, self.rule = width_rule(defs, dict(params).__getitem__)
+        self.widths = settle(defs, inputs, self.rule, 0)
+        # Compares that only a condbr reads.
+        reads = Counter(op for ins in func.instructions()
+                        for op in value_operands(ins) if isinstance(op, str))
+        self.tested = {
+            c for ins in func.instructions() if ins.opcode == "condbr"
+            and reads[c := ins.operands[0]] == 1 and c in defs
+            and defs[c].opcode == "icmp"}
         live = reachable(func)
         self.nodes = []                 # (block, its instructions in a node)
         first = {}                      # block label -> its first node
@@ -440,6 +486,8 @@ class _Translator:
                  if self.home.get(v) != k or v in entering]
         self.body: list[str] = []
         self.touched: set[str] = set()      # memory regions accessed here
+        self.tests: dict[str, str] = {}     # compare -> its test, unwritten
+        self.checked: dict[str, int] = {}   # offset -> bound proved on it
         self.indent = "        " if k in self.loops else "    "
         self.node(h)
         prologue = [f"{m} = M[{j}]"
@@ -471,6 +519,11 @@ class _Translator:
         self.emit(f"{v} = {expr}")
         if result in self.shared:
             self.emit(f"env[{result!r}] = {v}")
+
+    def within(self, op, width) -> bool:
+        """Does the value ``op`` always fit in ``width`` bits?"""
+        w = self.widths.get(op)
+        return (self.rule(op, self.widths) if w is None else w) <= width
 
     def array(self, name) -> str:
         self.touched.add(name)
@@ -526,7 +579,11 @@ class _Translator:
                 self.emit(
                     f"E({self.const(MemAccess(ins.iid, kind, name, off + i))})")
         else:
-            self.emit(f"if not 0 <= {o} <= {length - lanes}: {fail}")
+            # An earlier check that this code always follows, of the same
+            # offset against a bound at least as tight, has proved it.
+            if self.checked.get(off, length) > length - lanes:
+                self.emit(f"if not 0 <= {o} <= {length - lanes}: {fail}")
+                self.checked[off] = length - lanes
             table = self.const(_Events(ins.iid, kind, name))
             for i in range(lanes):
                 self.emit(f"E({table}[{_lane(o, i)}])")
@@ -539,16 +596,17 @@ class _Translator:
         if op == "phi":
             return
         if op in BINARY_EXPRS:
-            a, b = map(val, ins.operands)
-            self.define(ins.result, BINARY_EXPRS[op].format(a=a, b=b, m=mask,
-                                                            k=w - 1))
+            self.define(ins.result, self.binary(op, w, *ins.operands))
         elif op == "neg":
             self.define(ins.result, NEG_EXPR.format(a=val(ins.operands[0]),
                                                     m=mask))
         elif op == "icmp":
             a, b = map(val, ins.operands)
-            self.define(ins.result, f"1 if "
-                        f"{COMPARE_EXPRS[ins.pred].format(a=a, b=b)} else 0")
+            test = COMPARE_EXPRS[ins.pred].format(a=a, b=b)
+            if ins.result in self.tested and ins.result not in self.shared:
+                self.tests[ins.result] = test   # the condbr writes it
+            else:
+                self.define(ins.result, f"1 if {test} else 0")
         elif op == "const":
             self.define(ins.result, str(ins.operands[0] & mask))
         elif op in ("select", "cmov"):
@@ -562,31 +620,31 @@ class _Translator:
             self.define(ins.result,
                         f"({val(ins.operands[0])} & {_LANE_MASK},) * {w}")
         elif op in LANEWISE_OPS:
-            a, b = map(val, ins.operands)
-            expr = BINARY_EXPRS[LANEWISE_OPS[op]]
             self.define(ins.result, _tuple(
-                expr.format(a=f"{a}[{i}]", b=f"{b}[{i}]", m=_LANE_MASK,
-                            k=LANE_WIDTH - 1) for i in range(w)))
-        elif op == "load":
-            o = self.access(step, ins, "load", 1)
+                self.binary(LANEWISE_OPS[op], LANE_WIDTH, *ins.operands, i)
+                for i in range(w)))
+        elif op in ("load", "vload"):
+            # A cell fits its element width (see ``mask_unless``).
+            name = ins.operands[0]
+            lanes, width = (1, w) if op == "load" else (w, LANE_WIDTH)
+            o = self.access(step, ins, "load", lanes)
+            wrap = self.mask_unless(self.shapes[name][0] <= width, width)
+            loads = [f"{self.array(name)}[{_lane(o, i)}]{wrap}"
+                     for i in range(lanes)]
             self.define(ins.result,
-                        f"{self.array(ins.operands[0])}[{o}] & {mask}")
-        elif op == "vload":
-            o = self.access(step, ins, "load", w)
-            m = self.array(ins.operands[0])
-            self.define(ins.result, _tuple(
-                f"{m}[{_lane(o, i)}] & {_LANE_MASK}" for i in range(w)))
+                        loads[0] if op == "load" else _tuple(loads))
         elif op in ("store", "vstore"):
             lanes = w if op == "vstore" else 1
             o = self.access(step, ins, "store", lanes)
-            name = ins.operands[0]
-            m, v = self.array(name), val(ins.operands[2])
-            emask = (1 << self.shapes[name][0]) - 1
+            name, _, value = ins.operands
+            m, v = self.array(name), val(value)
+            ew = self.shapes[name][0]
+            wrap = self.mask_unless(self.within(value, ew), ew)
             if op == "store":
-                self.emit(f"{m}[{o}] = {v} & {emask}")
+                self.emit(f"{m}[{o}] = {v}{wrap}")
             else:
                 for i in range(lanes):
-                    self.emit(f"{m}[{_lane(o, i)}] = {v}[{i}] & {emask}")
+                    self.emit(f"{m}[{_lane(o, i)}] = {v}[{i}]{wrap}")
         elif op == "br":
             self.edge(n, 0)
         elif op == "condbr":
@@ -596,9 +654,37 @@ class _Translator:
             self.emit(f"return ({'None' if r is None else val(r)},), "
                       f"s + {step}")
 
+    def binary(self, op, w, a, b, lane=None) -> str:
+        """``BINARY_EXPRS[op]`` at width ``w`` over operands ``a`` and
+        ``b`` (their lane ``lane`` of vectors), leaving out each mask term
+        that the operands' fit makes a no-op: the wrap of an ``or``/``xor``
+        of two fitting operands or of an ``and`` with one, and ``lshr``'s
+        mask of a fitting left operand.  An immediate shift amount is
+        masked here."""
+        fit_a, fit_b = self.within(a, w), self.within(b, w)
+        expr = BINARY_EXPRS[op]
+        if fit_a and (fit_b and op in ("or", "xor") or op == "lshr") \
+                or (fit_a or fit_b) and op == "and":
+            expr = expr.replace(" & {m}", "")
+        if isinstance(b, int) and op in ("shl", "lshr"):
+            expr, b = expr.replace(" & {k}", ""), b & (w - 1)
+        a, b = self.val(a), self.val(b)
+        if lane is not None:
+            a, b = f"{a}[{lane}]", f"{b}[{lane}]"
+        return expr.format(a=a, b=b, m=(1 << w) - 1, k=w - 1)
+
+    @staticmethod
+    def mask_unless(fits, width) -> str:
+        """The wrap of a value to ``width`` bits, empty when it ``fits``.
+        Every memory cell fits its element width: ``validate`` checks the
+        globals, ``execute`` masks array arguments and a store wraps what
+        does not fit."""
+        return "" if fits else f" & {(1 << width) - 1}"
+
     def branch(self, n, ins):
         """An ``if``/``else`` over the two arms, then the join, if any."""
-        self.emit(f"if {self.val(ins.operands[0])}:")
+        c = ins.operands[0]
+        self.emit(f"if {self.tests.get(c) or self.val(c)}:")
         self.arm(n, 0, BranchDir(ins.iid, True))
         self.emit("else:")
         self.arm(n, 1, BranchDir(ins.iid, False))
@@ -606,11 +692,13 @@ class _Translator:
             self.node(self.join[n])
 
     def arm(self, n, a, event):
-        outer = self.indent
-        self.indent += "    "
+        # An arm starts from the checks before its ``if``; what it checks
+        # itself does not hold after the ``if``.
+        outer, checked = self.indent, self.checked
+        self.indent, self.checked = outer + "    ", dict(checked)
         self.emit(f"E({self.const(event)})")
         self.edge(n, a)
-        self.indent = outer
+        self.indent, self.checked = outer, checked
 
 
 # ======================================================================

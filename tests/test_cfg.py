@@ -109,6 +109,30 @@ def test_trip_counts_corpus():
     assert iinfo.bound == "mwlen" and iinfo.trip_count is None
 
 
+def test_a_bound_and_start_defined_by_consts_resolve_to_them():
+    # A const, a parameter and an immediate have nothing to follow.
+    src = """
+func f(public n: u32 = 4) {
+bb0:
+  lo = const 2
+  hi = const 7
+  br h
+h:
+  i = phi [bb0: lo], [b: i1]
+  c = icmp.lt i, hi
+  condbr c, b, done
+b:
+  i1 = add i, 1
+  br h
+done:
+  ret i
+}
+"""
+    func = parse_ir(src).function()
+    info = counted_loop_info(func, natural_loops(func)[0])
+    assert (info.init, info.bound, info.trip_count) == (2, 7, 5)
+
+
 def test_not_counted_when_shape_is_off():
     # decrement step: the recognizer wants `add iv, 1`
     src = """

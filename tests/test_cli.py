@@ -24,6 +24,22 @@ def test_analyze_clean_exits_zero(capsys):
     assert err == ""
 
 
+def test_a_global_that_does_not_fit_exits_one(capsys, monkeypatch):
+    # Only a program built in Python can hold one: the parser wraps
+    # initializers to the element width.
+    from ctlab import cli
+    from ctlab.ir import GlobalArray, parse_ir
+    prog = parse_ir("func f(secret s: u8) {\nbb0:\n  v = load g, 0\n"
+                    "  ret v\n}\nglobal g: arr<u8,1> = zeros")
+    prog.globals["g"] = GlobalArray("g", 8, 1, (256,))
+    monkeypatch.setattr(cli, "load_program", lambda name: prog)
+    code, out, err = run(capsys, "analyze", "built", "--preset",
+                         "baseline-off")
+    assert code == 1 and out == ""
+    assert "global g: element 0 is 256, which does not fit u8" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_leak_exits_two(capsys):
     code, out, _ = run(capsys, "analyze", "fig1a_branch",
                        "--preset", "baseline-off")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ctlab.corpus import CorpusError, entries, get, load_program, names
-from ctlab.ir import validate
+from ctlab.ir import parse_ir, print_ir, validate
 from ctlab.tracer import gen_inputs
 
 EXPECTED = {
@@ -58,3 +58,26 @@ def test_unknown_entry_errors():
 def test_entries_returns_copies():
     entries().clear()
     assert len(entries()) == len(EXPECTED)
+
+
+def test_each_load_is_a_private_copy_of_one_parse():
+    for name in names():
+        fresh = parse_ir(get(name).source)
+        first, second = load_program(name), load_program(name)
+        for prog in (first, second):
+            assert print_ir(prog) == print_ir(fresh), name
+            assert prog.stage == fresh.stage
+            assert [f.next_id for f in prog.functions.values()] == \
+                [f.next_id for f in fresh.functions.values()]
+            assert [g.init_kind for g in prog.globals.values()] == \
+                [g.init_kind for g in fresh.globals.values()]
+        # Mutating one copy leaves the next load as parsed.
+        func = first.function()
+        func.blocks[0].instrs.clear()
+        func.params.clear()
+        func.fresh_id()
+        for g in first.globals.values():
+            g.init = ()
+        assert print_ir(load_program(name)) == print_ir(fresh), name
+        assert load_program(name).function().next_id == \
+            fresh.function().next_id

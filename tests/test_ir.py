@@ -12,6 +12,7 @@ from ctlab.ir import (
     ArrayType,
     BasicBlock,
     Function,
+    GlobalArray,
     Instruction,
     IRParseError,
     Param,
@@ -147,6 +148,19 @@ def test_global_initializers():
     listed = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
                       "global g: arr<u8,3> = [1, 2, 300]")
     assert listed.globals["g"].init == (1, 2, 300 & 0xFF)  # masked to u8
+
+
+def test_validate_rejects_a_global_element_that_does_not_fit():
+    # The parser wraps initializers to the element width; a program built
+    # in Python may not, and the tracer reads every cell as fitting.
+    prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
+                    "global g: arr<u8,3> = [1, 2, 255]")
+    assert validate(prog) == []
+    prog.globals["g"] = GlobalArray("g", 8, 3, (1, 2 ** 40, -1))
+    prog.globals["h"] = GlobalArray("h", 16, 2, (65535, -1))
+    assert validate(prog) == [
+        "global g: element 1 is 1099511627776, which does not fit u8",
+        "global h: element 1 is -1, which does not fit u16"]
 
 
 def test_parse_errors():

@@ -409,6 +409,38 @@ def test_cleanup_output_is_a_fixpoint(monkeypatch, preset_name):
         assert unsettled == [], name
 
 
+def test_skipping_cleanup_on_clean_functions_changes_nothing(monkeypatch):
+    # run_pipeline skips cleanup after a step that reports no change on a
+    # function that cleanup already settled.  Running cleanup after every
+    # step instead gives the same program and log on every corpus program
+    # under every preset.
+    def every_time(prog, spec):
+        out, log = passes.copy_program(prog), []
+        for name in spec.order:
+            for func in out.functions.values():
+                before = {i.iid for i in func.instructions()}
+                passes._to_fixpoint(lambda f: passes._PASSES[name](f, spec),
+                                    func, name)
+                cleanup(func, out.globals)
+                log.append(passes._log_entry(name, func, before))
+        return out, log
+
+    calls = []
+    real = passes.cleanup
+    monkeypatch.setattr(passes, "cleanup",
+                        lambda *a: calls.append(1) or real(*a))
+    applications = 0
+    for name in names():
+        for preset in PRESETS.values():
+            out, log = run_pipeline(load_program(name), preset.spec)
+            want, want_log = every_time(load_program(name), preset.spec)
+            assert print_ir(out) == print_ir(want), (name, preset.name)
+            assert [(e.pass_name, e.function, e.summary) for e in log] == \
+                [(e.pass_name, e.function, e.summary) for e in want_log]
+            applications += len(log)
+    assert len(calls) < applications      # some were skipped
+
+
 # The step function of each pass, as the pass table calls it.
 STEPS = ("instcombine_lite", "jump_thread", "path_split", "loop_unswitch",
          "loop_unroll", "loop_vectorize", "slp_lite", "if_convert")

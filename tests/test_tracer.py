@@ -11,8 +11,8 @@ from ctlab import tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS,
-                      MEMORY_OPS, ArrayType, dominators, evaluate, parse_ir,
-                      predecessors, validate)
+                      MEMORY_OPS, ArrayType, ScalarType, dominators,
+                      evaluate, parse_ir, predecessors, validate)
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import BranchDir, MemAccess, TraceError, execute, gen_inputs
@@ -205,10 +205,11 @@ bb0:
         execute(parse_ir(src), {"s": 0}, fuel=100)
 
 
-# A loop whose body is longer than a generated chunk: the load at
-# position 50 of the body reads t[4] in the fifth iteration, at step
-# 1 + 4 * (3 + 53) + 3 + 51 = 279.
-LONG_BODY = "\n".join(f"  p{k} = add i, {k}" for k in range(50))
+# A loop whose body is longer than a generated chunk: the load after the
+# N adds of the body reads t[4] in the fifth iteration, at step
+# 1 + 4 * (3 + N + 3) + 3 + N + 1 = 5N + 29.
+N_ADDS = tracer._CHUNK + 2
+LONG_BODY = "\n".join(f"  p{k} = add i, {k}" for k in range(N_ADDS))
 LOAD_OOB = f"""
 func f(public n: u32 = 6) {{
 bb0:
@@ -247,7 +248,8 @@ def outcome(prog, args, fuel):
 
 
 @pytest.mark.parametrize("src, args, step, error", [
-    (LOAD_OOB, {"n": 6}, 279, "id 54: t[4] out of bounds (length 4)"),
+    (LOAD_OOB, {"n": 6}, 5 * N_ADDS + 29,
+     f"id {N_ADDS + 4}: t[4] out of bounds (length 4)"),
     # lanes t[2], t[3], t[4], t[5]: the third is the first out of bounds
     (VLOAD_OOB.replace("OFF", "o"), {"o": 2}, 2,
      "id 1: t[4] out of bounds (length 4)"),
@@ -267,10 +269,12 @@ def test_fuel_and_bounds_errors_switch_at_the_failing_step(src, args, step,
 
 
 def test_fuel_bounds_every_step():
+    # Four iterations of 3 + N + 3 steps, the entry's and the exit's.
     prog = parse_ir(LOAD_OOB)
-    assert execute(prog, {"n": 4}).steps == 229
-    for fuel in range(230):
-        want = 229 if fuel == 229 else f"fuel exhausted after {fuel} steps"
+    last = 4 * N_ADDS + 29
+    assert execute(prog, {"n": 4}).steps == last
+    for fuel in range(last + 1):
+        want = last if fuel == last else f"fuel exhausted after {fuel} steps"
         assert outcome(prog, {"n": 4}, fuel) == want
 
 
@@ -443,7 +447,8 @@ def event_tables(prog):
     func = prog.function()
     shapes = {g.name: (g.elem_width, len(g.init))
               for g in prog.globals.values()}
-    regions, _ = tracer._translate(tracer._key(shapes, func.blocks))
+    regions, _ = tracer._translate(tracer._key(shapes, func.params,
+                                               func.blocks))
     return {t.iid: t for t in regions[0].__globals__.values()
             if isinstance(t, tracer._Events)}
 
@@ -513,12 +518,13 @@ def test_bounds_errors_at_dynamic_offsets_name_the_first_bad_lane(o, step,
 
 
 def test_the_translation_key_tells_every_field_and_block_apart():
-    # Changing one field of one instruction, or moving an instruction to
-    # the next block, gives another key, so the function translates anew.
+    # Changing one field of one instruction, a parameter's width, or
+    # moving an instruction to the next block, gives another key, so the
+    # function translates anew.
     prog = parse_ir(LOOP_DIAMOND)
     shapes = {"t": (32, 4)}
-    blocks = prog.function().blocks
-    base = tracer._key(shapes, blocks)
+    params, blocks = prog.function().params, prog.function().blocks
+    base = tracer._key(shapes, params, blocks)
     ins = blocks[1].instrs[2]
     assert ins.opcode == "icmp"
     for field, value in [("iid", 99), ("opcode", "add"), ("result", "c2"),
@@ -527,11 +533,15 @@ def test_the_translation_key_tells_every_field_and_block_apart():
         assert getattr(ins, field) != value
         old = getattr(ins, field)
         setattr(ins, field, value)
-        assert tracer._key(shapes, blocks) != base, field
+        assert tracer._key(shapes, params, blocks) != base, field
         setattr(ins, field, old)
-    assert tracer._key(shapes, blocks) == base
+    assert tracer._key(shapes, params, blocks) == base
+    params[0].type = ScalarType(64)
+    assert tracer._key(shapes, params, blocks) != base
+    params[0].type = ScalarType(8)
+    assert tracer._key(shapes, params, blocks) == base
     blocks[2].instrs.insert(0, blocks[1].instrs.pop())
-    assert tracer._key(shapes, blocks) != base
+    assert tracer._key(shapes, params, blocks) != base
 
 
 # ----------------------------------------------------------------------
@@ -676,7 +686,15 @@ def random_cfg(rng):
     those of the blocks that dominate it; a phi's arms come from exactly
     the reachable predecessors, each reading a value that dominates its
     edge.  A secret-indexed load may leave its region, and some blocks are
-    longer than a region."""
+    longer than a region.
+
+    Values of every width meet ops of every width, so a mask that the
+    translation drops or keeps is tested both ways: a u64 parameter feeds
+    32-bit ops, shift amounts reach past the width, loads and ``vload``s
+    read elements wider and narrower than themselves, stores write values
+    wider than their elements.  An access may reuse an offset checked by
+    a dominating block or by an earlier access in its own, so a region
+    meets offsets checked in only one arm of an ``if``."""
     n = rng.randint(1, 12)
     limit = rng.randint(0, 12)
 
@@ -708,61 +726,99 @@ def random_cfg(rng):
         for i, t in enumerate(terms)) + "\n}").function()
     dom = dominators(skeleton)
     preds = predecessors(skeleton)
-    pools, phis, bodies = {}, {}, {}
+    pools, offsets, phis, bodies = {}, {}, {}, {}
     # Dominators first, so that a block extends the values of its own.
     for i in sorted(range(n), key=lambda i: len(dom.get(f"b{i}", ()))):
         up = [int(d[1:]) for d in dom.get(f"b{i}", ()) if d != f"b{i}"]
-        pool = list(pools[max(up, key=lambda d: len(dom[f"b{d}"]))]
-                    if up else ["s", "p"])
+        idom = max(up, key=lambda d: len(dom[f"b{d}"])) if up else None
+        pool = list(pools[idom] if up else ["s", "p", "q"])
+        offs = list(offsets[idom] if up else [])
         arms = sorted({p for p in preds[f"b{i}"] if p in dom})
         phis[i] = [] if not (i and arms) else [
             (f"b{i}_phi{k}", arms) for k in range(rng.randint(0, 2))]
         pool += [name for name, _ in phis[i]]
         lines = [f"  b{i}_k = load ctr, 0", f"  b{i}_k1 = add b{i}_k, 1",
-                 f"  store ctr, 0, b{i}_k1"]
+                 f"  store ctr, 0, b{i}_k1",
+                 f"  b{i}_o = and {rng.choice(pool)}, 7"]
         pool.append(f"b{i}_k")
+        offs.append(f"b{i}_o")          # defined with no access of its own
+        t = terms[i]
+        if len(t) == 2:
+            # The branch condition, written first: in a long block its
+            # compare and the condbr fall in different regions.
+            lines.append(f"  b{i}_d = and {rng.choice(pool)}, 1")
+            if rng.random() < 0.5:      # branch on a compare directly
+                lines += [f"  b{i}_m = add b{i}_k, b{i}_d",
+                          f"  b{i}_g = icmp.lt b{i}_m, {limit}"]
+            else:
+                lines += [f"  b{i}_go = icmp.lt b{i}_k, {limit}",
+                          f"  b{i}_g = and b{i}_go, b{i}_d"]
+            if rng.random() < 0.3:      # a condition read by others too
+                pool.append(f"b{i}_g")
         long = rng.random() < 0.2
-        for k in range(rng.randint(50, 60) if long else rng.randint(0, 4)):
-            op = rng.choice(["add", "xor", "mul", "lshr", "and", "sub.8",
-                             "icmp.lt"] + ["load", "store"] * (not long))
+        for k in range(rng.randint(tracer._CHUNK + 2, tracer._CHUNK + 12)
+                       if long else rng.randint(0, 4)):
+            op = rng.choice(
+                ["add", "xor", "mul", "lshr", "and", "sub.8", "icmp.lt", "or",
+                 "shl", "lshr.8", "and.16", "or.8", "xor.64", "lshr.64"]
+                + ["load", "store", "vector"] * 3 * (not long))
             a, b = rng.choice(pool), rng.choice(pool)
+            if rng.random() < 0.25:     # an immediate, some too wide
+                b = rng.choice([0, 1, 7, 8, 31, 32, 33, 63, 64, 65, 255,
+                                1 << 40])
             name = f"b{i}_x{k}"
+            if op in ("load", "store", "vector"):
+                if offs and rng.random() < 0.6:
+                    off = rng.choice(offs)
+                else:
+                    off = f"{name}i"
+                    lines.append(f"  {off} = and {a}, 7")
+                    offs.append(off)
             if op == "load":
-                region = rng.choice(["tbl", "a"])
-                lines += [f"  {name}i = and {a}, 7",
-                          f"  {name} = load {region}, {name}i"]
+                lines.append(f"  {name} = " + rng.choice(
+                    ["load", "load.8", "load.16", "load.64"]) + " "
+                    + rng.choice(["tbl", "a", "wide"]) + f", {off}")
+                pool.append(name)
             elif op == "store":
-                lines += [f"  {name} = and {a}, 3",
-                          f"  store out, {name}, {b}"]
+                region = rng.choice(["out", "wide", "a"])
+                lines.append(f"  store {region}, {off}, {b}")
+            elif op == "vector":
+                src_, dst = (rng.choice(["tbl", "a", "wide"]),
+                             rng.choice(["out", "wide"]))
+                lines += [f"  {name}v = vload.2 {src_}, {off}",
+                          f"  {name}s = splat.2 {b}",
+                          f"  {name}w = " + rng.choice(["vxor", "vor", "vand",
+                                                        "vadd"])
+                          + f".2 {name}v, {name}s",
+                          f"  vstore.2 {dst}, {off}, {name}w"]
             else:
                 lines.append(f"  {name} = {op} {a}, {b}")
-            pool.append(name)
-        t = terms[i]
+                pool.append(name)
         if not t:
             lines.append(f"  ret {rng.choice(pool)}")
         elif len(t) == 1:
             lines.append(f"  br b{t[0]}")
         else:
-            lines += [f"  b{i}_go = icmp.lt b{i}_k, {limit}",
-                      f"  b{i}_d = and {rng.choice(pool)}, 1",
-                      f"  b{i}_g = and b{i}_go, b{i}_d"]
             if flip[i]:
                 lines += [f"  b{i}_ng = xor b{i}_g, 1",
                           f"  condbr b{i}_ng, b{t[1]}, b{t[0]}"]
             else:
                 lines.append(f"  condbr b{i}_g, b{t[0]}, b{t[1]}")
-        pools[i], bodies[i] = pool, lines
+        pools[i], offsets[i], bodies[i] = pool, offs, lines
     blocks = []
     for i in range(n):
         heads = [f"  {name} = phi " + ", ".join(
                      f"[{a}: {rng.choice(pools[int(a[1:])] + [rng.randrange(9)])}]"
                      for a in arms) for name, arms in phis[i]]
         blocks.append(f"b{i}:\n" + "\n".join(heads + bodies[i]))
-    return ("func f(secret s: u8, secret a: arr<u8,5>, public p: u32 = "
-            f"{rng.randrange(1 << 32)}) {{\n" + "\n".join(blocks) + "\n}\n"
+    return ("func f(secret s: u8, secret a: arr<u8,5>, secret q: u64, "
+            f"public p: u32 = {rng.randrange(1 << 32)}) {{\n"
+            + "\n".join(blocks) + "\n}\n"
             "global ctr: arr<u32,1> = zeros\n"
             "global tbl: arr<u32,6> = counting\n"
-            "global out: arr<u16,4> = zeros\n")
+            "global out: arr<u16,4> = zeros\n"
+            "global wide: arr<u64,6> = [" + ", ".join(
+                str(rng.randrange(1 << 64)) for _ in range(6)) + "]\n")
 
 
 def test_random_cfgs_match_the_reference():
@@ -772,7 +828,8 @@ def test_random_cfgs_match_the_reference():
         prog = parse_ir(src)
         assert validate(prog) == [], src
         args = {"s": rng.randrange(256), "p": prog.function().param("p").default,
-                "a": tuple(rng.randrange(256) for _ in range(5))}
+                "a": tuple(rng.randrange(256) for _ in range(5)),
+                "q": rng.randrange(1 << 64)}
         _, steps = reference(prog, args)
         fuels = {0, rng.randint(0, steps), steps - 1, steps}
         for fuel in sorted(f for f in fuels if f >= 0):
@@ -890,3 +947,172 @@ def test_a_400_deep_chain_of_conditionals():
         assert t.events == [BranchDir(2 * i + 1, i < s)
                             for i in range(level + (s < 400))]
     assert observe(prog, {"s": 7}) == reference(prog, {"s": 7})[0]
+
+
+# ----------------------------------------------------------------------
+# What translation leaves out
+# ----------------------------------------------------------------------
+
+# Two u8 loads at one offset, or'ed together, and a branch on a compare
+# that nothing else reads.  i is out of bounds for s & 7 >= 4.
+TWO_LOADS = """
+func f(secret s: u8, secret m: arr<u8,4>) {
+bb0:
+  i = and s, 7
+  x = load m, i
+  y = load m, i
+  r = or x, y
+  c = icmp.lt r, 9
+  condbr c, small, big
+small:
+  ret r
+big:
+  ret 9
+}
+"""
+
+
+def translated_source(monkeypatch, prog):
+    """The source that ``execute`` compiles for ``prog``."""
+    tracer._translate.cache_clear()
+    lines = []
+    real = tracer._Translator.compile
+    monkeypatch.setattr(tracer._Translator, "compile",
+                        lambda self, batch: lines.extend(batch)
+                        or real(self, batch))
+    execute(prog, {p.name: 0 if isinstance(p.type, ScalarType)
+                   else (0,) * p.type.length for p in prog.function().params})
+    return lines
+
+
+def test_fitting_operands_and_a_checked_offset_need_no_second_look(
+        monkeypatch):
+    prog = parse_ir(TWO_LOADS)
+    source = translated_source(monkeypatch, prog)
+    # The loads of u8 cells and the `or` of the two carry no mask, and the
+    # first load's bounds check covers the second.
+    ors = [line for line in source if "|" in line]
+    assert len(ors) == 1 and "&" not in ors[0], source
+    assert not [line for line in source if "= m" in line and "&" in line]
+    assert len([line for line in source if "if not 0 <=" in line]) == 1
+    # The branch tests the compare itself.
+    assert any(line.strip().startswith("if") and " < 9:" in line
+               for line in source), source
+    for s in (3, 6, 0x85):
+        args = {"s": s, "m": (1, 8, 0xFF, 4)}
+        _, steps = reference(prog, args)
+        for fuel in range(steps + 2):
+            assert observe(prog, args, fuel) == \
+                reference(prog, args, fuel)[0], (s, fuel)
+
+
+NEGATIVE = """
+func f(secret s: u8, secret c: u1) {
+bb0:
+  x = select c, 0, s
+  y = or x, 1
+  z = xor s, 1
+  w = and.16 s, 1
+  store g, 0, z
+  ret y
+}
+global g: arr<u8,1> = zeros
+"""
+
+
+def test_a_negative_immediate_never_counts_as_fitting():
+    # The parser masks negative immediates; a program built in Python may
+    # hold them, and they stand for every bit of the width.
+    prog = parse_ir(NEGATIVE)
+    x, y, z, w, store, _ = prog.function().blocks[0].instrs
+    x.operands = ("c", -3, "s")
+    y.operands = ("x", -2)
+    z.operands = ("s", -1)
+    w.operands = ("s", -1)
+    store.operands = ("g", 0, -5)
+    assert validate(prog) == []
+    for s, c in ((0x81, 0), (0x81, 1), (0, 1)):
+        args = {"s": s, "c": c}
+        assert observe(prog, args) == reference(prog, args)[0], args
+
+
+def every_mask_rule():
+    """One function that stores, at its own cell of a u64 region, each
+    bitwise op and shift at each width over operands that fit and do not,
+    each load and lane of a vload at each element width, and that stores
+    a u64 value into each narrower element."""
+    widths = (8, 16, 32, 64)
+    operands = ("q", "s", 1, 255, 300, 1 << 40)
+    lines, k = [], 0
+
+    def keep(value):
+        nonlocal k
+        lines.append(f"  store out, {k}, {value}")
+        k += 1
+
+    for op in ("or", "xor", "and", "lshr", "shl"):
+        for w in widths:
+            for a in ("q", "s"):
+                for b in operands:
+                    lines.append(f"  r{k} = {op}.{w} {a}, {b}")
+                    keep(f"r{k}")
+    for g in ("g8", "g16", "g32", "g64"):
+        for w in widths:
+            lines.append(f"  r{k} = load.{w} {g}, 1")
+            keep(f"r{k}")
+        lines += [f"  v{g} = vload.2 {g}, 0", f"  vstore.2 wide, {k}, v{g}",
+                  f"  vstore.2 {g}, 2, v{g}", f"  store {g}, 0, q"]
+        k += 2
+    return "\n".join(
+        ["func f(secret q: u64, secret s: u8) {", "bb0:", *lines, "  ret 0",
+         "}", f"global out: arr<u64,{k}> = zeros",
+         f"global wide: arr<u64,{k + 2}> = zeros"]
+        + [f"global g{w}: arr<u{w},4> = [{', '.join([str((1 << w) - 3)] * 4)}]"
+           for w in widths])
+
+
+def test_every_mask_rule_matches_the_reference():
+    prog = parse_ir(every_mask_rule())
+    assert validate(prog) == []
+    for q, s in ((2 ** 64 - 1, 0xFF), (0x8000_0001_8000_0081, 0x81),
+                 (0x1_0000_0005, 3), (0, 0)):
+        args = {"q": q, "s": s}
+        assert observe(prog, args) == reference(prog, args)[0], args
+
+
+# A secret diamond whose then-arm checks offset o against a tighter bound
+# than the check before the `if`; the join reads m at o too.
+ARM_CHECKS = """
+func f(secret s: u8, secret c: u1, secret m: arr<u8,4>) {
+bb0:
+  o = and s, 7
+  x = load t, o
+  condbr c, then, else
+then:
+  y = load m, o
+  br join
+else:
+  z = load t, o
+  br join
+join:
+  v = phi [then: y], [else: z]
+  w = load m, o
+  ret w
+}
+global t: arr<u32,8> = counting
+"""
+
+
+def test_a_check_in_one_arm_covers_nothing_outside_it(monkeypatch):
+    prog = parse_ir(ARM_CHECKS)
+    source = translated_source(monkeypatch, prog)
+    # t's check covers the else-arm's load; the then-arm's check of m
+    # covers nothing after the `if`, so the join checks m again.
+    assert len([line for line in source if "if not 0 <=" in line]) == 3
+    for s in (2, 5):
+        for c in (0, 1):
+            args = {"s": s, "c": c, "m": (1, 2, 3, 4)}
+            _, steps = reference(prog, args)
+            for fuel in range(steps + 2):
+                assert observe(prog, args, fuel) == \
+                    reference(prog, args, fuel)[0], (args, fuel)
