@@ -9,7 +9,7 @@ vselect instructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cfg import innermost, natural_loops
 from .ir import (
@@ -99,7 +99,7 @@ def _split_to_diamond(func: Function, bidx: int, iidx: int, cond: object,
                            (true_val, false_val), ins.loc, ins.width,
                            labels=(t_l, f_l))
     rest = block.instrs[iidx + 1:]
-    _fix_phi_arm_labels(func, {block.label: j_l})
+    _fix_phi_arm_labels(func.blocks, {block.label: j_l})
     block.instrs = block.instrs[:iidx] + [condbr]
     func.blocks[bidx + 1:bidx + 1] = [
         BasicBlock(t_l, t_blk),
@@ -122,7 +122,7 @@ def _lower_function(func: Function, profile: BackendProfile,
         for iidx, ins in enumerate(block.instrs):
             if ins.opcode == "select":
                 if profile.has_cmov and ins.iid not in marks:
-                    block.instrs[iidx] = replace(ins, opcode="cmov")
+                    block.instrs[iidx] = ins._replace(opcode="cmov")
                     continue
                 cond, a, b = ins.operands
             elif ins.opcode == "vselect":

@@ -4,11 +4,16 @@ Each pass is a small, deterministic model of the real transformation's
 observable effect: it fires on the documented pattern and leaves everything
 else untouched.  Each pass is a step that rewrites a function in place and
 returns whether it changed anything; one that returns False has changed
-nothing.  The runner copies the program once, runs each pass's step and
-then cleanup on each function, each to its fixpoint, validates the result
-when either reports a change, and logs created/deleted instruction ids so
-leak findings can be attributed to the pass that introduced them.  A step
-or cleanup that does not settle raises an error that names it.
+nothing.  In place means in the function's block lists: instructions are
+immutable values (see ``ir``), so a rewrite puts a new instruction where
+the old one stood, and anything else that holds the old one, such as a
+``defs()`` map, is stale until it is rebuilt or patched.
+
+The runner copies the program once, runs each pass's step and then
+cleanup on each function, each to its fixpoint, validates the result when
+either reports a change, and logs created/deleted instruction ids so leak
+findings can be attributed to the pass that introduced them.  A step or
+cleanup that does not settle raises an error that names it.
 """
 
 from __future__ import annotations
@@ -175,12 +180,13 @@ def _labels(func: Function) -> set[str]:
 
 
 def _subst(blocks: list[BasicBlock], mapping: dict[str, object]) -> None:
-    """Rename, in place, every value operand in ``blocks`` that ``mapping``
-    names."""
+    """Rename every value operand in ``blocks`` that ``mapping`` names: each
+    instruction that reads one is replaced in its block."""
     for block in blocks:
-        for ins in block.instrs:
+        instrs = block.instrs
+        for idx, ins in enumerate(instrs):
             if not mapping.keys().isdisjoint(ins.operands):
-                ins.operands = substitute(ins, mapping)
+                instrs[idx] = ins._replace(operands=substitute(ins, mapping))
 
 
 def _copy(f: Function, blocks: list[BasicBlock], vmap: dict[str, object],
@@ -228,15 +234,22 @@ def _match_neg(defs: dict[str, Instruction], op: object) -> object | None:
     return None
 
 
-def _relabel(ins: Instruction, old: str, new: str) -> None:
-    ins.labels = tuple(new if l == old else l for l in ins.labels)
+def _relabel(block: BasicBlock, old: str, new: str) -> None:
+    """Point ``block``'s terminator at ``new`` where it named ``old``."""
+    term = block.instrs[-1]
+    block.instrs[-1] = term._replace(
+        labels=tuple(new if l == old else l for l in term.labels))
 
 
-def _fix_phi_arm_labels(func: Function, renames: dict[str, str]) -> None:
-    """Rename phi arm labels: each key of ``renames`` becomes its value."""
-    for block in func.blocks:
-        for ins in block.phis():
-            ins.labels = tuple(renames.get(l, l) for l in ins.labels)
+def _fix_phi_arm_labels(blocks: list[BasicBlock],
+                        renames: dict[str, str]) -> None:
+    """Rename the phi arm labels of ``blocks``: each key of ``renames``
+    becomes its value.  Only the phis whose labels change are replaced."""
+    for block in blocks:
+        for idx, ins in enumerate(block.phis()):
+            if not renames.keys().isdisjoint(ins.labels):
+                block.instrs[idx] = ins._replace(
+                    labels=tuple(renames.get(l, l) for l in ins.labels))
 
 
 def _defined_in(func: Function, labels) -> set[str]:
@@ -278,14 +291,15 @@ def _jump(ins: Instruction, target: str, iid: int | None = None
           ) -> Instruction:
     """``ins`` (a condbr) as a `br` to ``target``, under id ``iid`` when
     given, else its own."""
-    return replace(ins, iid=ins.iid if iid is None else iid, opcode="br",
-                   operands=(), labels=(target,))
+    return ins._replace(iid=ins.iid if iid is None else iid, opcode="br",
+                        operands=(), labels=(target,))
 
 
-def _set_arms(phi: Instruction, arms) -> None:
-    """Make ``phi``'s arms the (label, value) pairs ``arms``, in order."""
-    phi.labels = tuple(l for l, _ in arms)
-    phi.operands = tuple(v for _, v in arms)
+def _set_arms(block: BasicBlock, idx: int, arms) -> None:
+    """Make the arms of the phi ``block.instrs[idx]`` the (label, value)
+    pairs ``arms``, in order."""
+    block.instrs[idx] = block.instrs[idx]._replace(
+        labels=tuple(l for l, _ in arms), operands=tuple(v for _, v in arms))
 
 
 def _loops_inner_first(func: Function):
@@ -337,8 +351,8 @@ def _fold_constants(func: Function) -> bool:
             # EVAL_OPS take at most two operands: the first and last are all.
             if ins.opcode in EVAL_OPS and isinstance(ops[0], int) \
                     and isinstance(ops[-1], int):
-                block.instrs[idx] = replace(ins, opcode="const", pred=None,
-                                            operands=(evaluate(ins, *ops),))
+                block.instrs[idx] = ins._replace(
+                    opcode="const", pred=None, operands=(evaluate(ins, *ops),))
                 changed = True
             elif ins.opcode == "condbr" and isinstance(ops[0], int):
                 block.instrs[idx] = _jump(
@@ -463,10 +477,10 @@ def _tidy_cfg(func: Function) -> bool:
     preds = predecessors(func)
     for block in func.blocks:
         here = set(preds.get(block.label, []))
-        for ins in block.phis():
+        for idx, ins in enumerate(block.phis()):
             if not set(ins.labels) <= here:
-                _set_arms(ins, [a for a in zip(ins.labels, ins.operands)
-                                if a[0] in here])
+                _set_arms(block, idx, [a for a in zip(ins.labels, ins.operands)
+                                       if a[0] in here])
                 changed = True
     return changed
 
@@ -533,7 +547,7 @@ def _merge_blocks(func: Function) -> bool:
         while head in merged:
             head = merged[head]
         merged[label] = head
-    _fix_phi_arm_labels(func, merged)
+    _fix_phi_arm_labels(func.blocks, merged)
     return True
 
 
@@ -730,7 +744,8 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
     arm_t = s1.operands[1] if b2 == r1 else b2
     arm_ft, arm_ff = fmap.get(a2, a2), fmap.get(b2, b2)
 
-    head = [ins for ins in block.instrs[:i1]]
+    _fix_phi_arm_labels(f.blocks, {block.label: bj})
+    head = block.instrs[:i1]
     if c2 in segment:
         head.append(c2)
     post = block.instrs[i2 + 1:]
@@ -741,7 +756,6 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
                         (arm_t, arm_ft, arm_ff), s2.loc, s2.width,
                         labels=(bt, bft, bff))] + post
 
-    _fix_phi_arm_labels(f, {block.label: bj})
     at = f.block_index(block.label)
     block.instrs = head
     f.blocks[at + 1:at + 1] = [
@@ -805,7 +819,8 @@ def _split_latch(f: Function, loop) -> bool:
     at = f.block_index(latch_label)
     f.blocks[at + 1:at + 1] = copies
 
-    for phi in header_phis:
+    header = f.block(loop.header)       # the latch itself when one block
+    for idx, phi in enumerate(header.phis()):
         if latch_label not in phi.labels:
             continue
         new_arms = []
@@ -814,7 +829,7 @@ def _split_latch(f: Function, loop) -> bool:
                 new_arms.append((l, v))
                 continue
             new_arms += [(lt, t_map.get(v, v)), (lf, f_map.get(v, v))]
-        _set_arms(phi, new_arms)
+        _set_arms(header, idx, new_arms)
     return True
 
 
@@ -924,10 +939,8 @@ def _unswitch_loop(f: Function, loop, uses) -> bool:
     guard = BasicBlock(guard_label, [
         _condbr(f, cand.loc, cond, loop.header, label_map[loop.header])])
 
-    _relabel(f.block(pre).terminator, loop.header, guard_label)
-    for b in [f.block(loop.header)] + clones:
-        for ins in b.phis():
-            _relabel(ins, pre, guard_label)
+    _relabel(f.block(pre), loop.header, guard_label)
+    _fix_phi_arm_labels([f.block(loop.header)] + clones, {pre: guard_label})
 
     at = f.block_index(loop.header)
     f.blocks[at:at] = [guard]
@@ -1026,14 +1039,14 @@ def _unroll_full(f: Function, loop, defs) -> bool:
         nxt[iv] = evaluate(info.step_instr, cur[iv], 1)
         cur = nxt
 
-    _relabel(f.block(pre).terminator, header_label, h_labels[0])
+    _relabel(f.block(pre), header_label, h_labels[0])
 
     loop_defined = _defined_in(f, loop.blocks)
     at = f.block_index(header_label)
     insert_at = sum(1 for b in f.blocks[:at] if b.label not in loop.blocks)
     f.blocks = [b for b in f.blocks if b.label not in loop.blocks]
     f.blocks[insert_at:insert_at] = new_blocks
-    _fix_phi_arm_labels(f, {header_label: h_labels[trip]})
+    _fix_phi_arm_labels(f.blocks, {header_label: h_labels[trip]})
 
     # Outside users read the last peel's values.
     mapping = {n: vmap[n] for n in loop_defined if vmap.get(n, n) != n}
@@ -1055,17 +1068,40 @@ def loop_vectorize(f: Function) -> bool:
     remainder epilogue and keeps its instruction ids.  One step vectorizes
     every eligible innermost loop; a vectorized loop's header then has two
     outside predecessors, so it is not vectorized again.
+
+    The step builds ``defs``, the use map and the name and label sets once;
+    each rewrite extends them with what it adds and replaces.
     """
     loops = _loops_inner_first(f)
     defs, uses = f.defs(), _uses(f)
+    names, labels = _all_names(f), _labels(f)
     changed = False
     for loop in innermost(loops):
         plan = _vector_plan(f, loop, defs, uses)
         if plan is not None:
-            _apply_vector_plan(f, plan)
-            defs, uses = f.defs(), _uses(f)
+            _apply_vector_plan(f, plan, defs, uses, names, labels)
             changed = True
     return changed
+
+
+def _track(defs: dict[str, Instruction], uses: dict[str, list[Instruction]],
+           gone, new) -> None:
+    """Update ``defs`` and ``uses`` (``f.defs()`` and ``_uses(f)``) after
+    the instructions ``gone`` left ``f`` and ``new`` joined it.  A reader
+    joins the end of its use lists, whose order no pass relies on."""
+    for ins in gone:
+        for op in value_operands(ins):
+            if isinstance(op, str):
+                readers = uses[op]
+                readers.remove(ins)
+                if not readers:
+                    del uses[op]
+    for ins in new:
+        if ins.result is not None:
+            defs[ins.result] = ins
+        for op in value_operands(ins):
+            if isinstance(op, str):
+                uses.setdefault(op, []).append(ins)
 
 
 @dataclass
@@ -1195,11 +1231,13 @@ def _vector_plan(f: Function, loop, defs, uses) -> _VecPlan | None:
     return _VecPlan(loop, info, body, set(offadds), invariants)
 
 
-def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
+def _apply_vector_plan(f: Function, plan: _VecPlan, defs, uses,
+                       names: set[str], labels: set[str]) -> None:
+    """Add the vector loop of ``plan`` to ``f``, keeping ``defs`` and
+    ``uses`` (``f.defs()`` and ``_uses(f)``) and the sets of value
+    ``names`` and block ``labels`` up to date."""
     loop, info = plan.loop, plan.info
     iv = info.iv_phi.result
-    names = _all_names(f)
-    labels = _labels(f)
     vpre_l = _fresh_name(labels, f"{loop.header}.vpre")
     vh_l = _fresh_name(labels, f"{loop.header}.vh")
     vb_l = _fresh_name(labels, f"{loop.header}.vb")
@@ -1277,12 +1315,16 @@ def _apply_vector_plan(f: Function, plan: _VecPlan) -> None:
     # Route the preheader through the new blocks; the original loop becomes
     # the remainder, entered straight from vpre when the trip count is too
     # small or after the vector loop with the iv advanced to viv.
-    pre = loop.preheader
-    _relabel(f.block(pre).terminator, loop.header, vpre_l)
+    pre, header = f.block(loop.preheader), f.block(loop.header)
     phi = info.iv_phi
-    _set_arms(phi, [(vpre_l if l == pre else l, v)
-                    for l, v in zip(phi.labels, phi.operands)]
+    k = header.instrs.index(phi)
+    gone = [pre.instrs[-1], phi]
+    _relabel(pre, loop.header, vpre_l)
+    _set_arms(header, k, [(vpre_l if l == pre.label else l, v)
+                          for l, v in zip(phi.labels, phi.operands)]
               + [(vh_l, viv)])
+    _track(defs, uses, gone, [pre.instrs[-1], header.instrs[k],
+                              *vpre.instrs, *vh.instrs, *vb.instrs])
 
     at = f.block_index(loop.header)
     f.blocks[at:at] = [vpre, vh, vb]

@@ -78,16 +78,33 @@ events, steps and errors stay those of the ``ir`` semantics.
   and the other arm, from those alone, since the checks of an arm hold
   only where that arm ran.  The earlier check raised if the offset was
   out of bounds, so the dropped one could never fail.
-* Compares.  When an ``icmp``'s only reader is a ``condbr`` in the
-  compare's own region, the branch tests the comparison itself
-  (``if a < b:``) and the 0/1 value is never built.
+* Compares.  When an ``icmp``'s only reader is the test of a ``condbr``,
+  ``select`` or ``cmov`` in the compare's own region, that reader tests
+  the comparison itself (``if a < b:``, ``x if a < b else y``) and the 0/1
+  value is never built.  The compare's operands still hold their values
+  there: the compare dominates its reader, and no path from one to the
+  other inside a region re-enters the block that defines an operand.
 
 Translations, with their event tables, are kept in an LRU cache of
 ``_CACHE_SIZE`` entries keyed by everything a translation reads: each
 memory region's name, element width and length, each scalar parameter's
 width, each block's label and size, and every instruction's id, opcode,
-result, operands, width, predicate and labels.  The key is never an
-object's identity, because passes change instructions in place.
+result, operands, width, predicate and labels.
+
+Building that key costs more than running a short function, and an
+analysis runs one function over many inputs, so ``execute`` first checks
+a one-entry memo of the function it ran last: the memory shapes, the
+scalar parameter widths and the block labels, compared by value, and
+each block's instructions in order (so also its size), compared by
+identity.  On a hit it takes the memo's translation and builds no key.
+The memo is sound because instructions are immutable
+(``ir.Instruction``): an object the memo holds still has every field it
+had when the memo stored it, and the memo keeps its own tuple of each
+block's instructions, so a block list changed since shows as a miss.
+Sequence equality tries identity first and then value, and two
+instructions equal by value agree on every field the key holds, so a
+value-equal function may hit too.  The memo is refreshed on every call,
+so the calls after such a hit compare identities only.
 """
 
 from __future__ import annotations
@@ -183,6 +200,7 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
         shapes[g.name] = (g.elem_width, len(g.init))
 
     env: dict[str, int | tuple[int, ...]] = {}
+    widths = []                                 # scalar parameter widths
     for p in func.params:
         if p.name not in args:
             raise TraceError(f"missing argument {p.name!r}")
@@ -198,10 +216,19 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
             shapes[p.name] = (p.type.elem_width, n)
         elif isinstance(v, int):
             env[p.name] = v & ((1 << p.type.width) - 1)
+            widths.append((p.name, p.type.width))
         else:
             raise TraceError(f"argument {p.name!r}: need an integer")
 
-    regions, used = _translate(_key(shapes, func.params, func.blocks))
+    global _last
+    blocks = func.blocks
+    seen = (shapes, widths, [*map(_LABEL, blocks)],
+            [*map(tuple, map(_INSTRS, blocks))])
+    last = _last
+    translation = last[1] if seen == last[0] \
+        else _translate(_key(shapes, func.params, blocks))
+    _last = seen, translation
+    regions, used = translation
     events: list[BranchDir | MemAccess] = []
     append, mem = events.append, [memory[r] for r in used]
     nxt = steps = 0
@@ -222,6 +249,11 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
 # ======================================================================
 # Translation
 # ======================================================================
+
+# The function that ``execute`` ran last, as what its memo compares, and
+# its translation.  Each call reads it once and replaces it whole, so
+# calls from several threads can only cost each other a miss.
+_last: tuple = (None, None)
 
 _FIELD_NAMES = ("iid", "opcode", "result", "operands", "width", "pred",
                 "labels")
@@ -323,11 +355,12 @@ class _Translator:
         defs = func.defs()
         inputs, self.rule = width_rule(defs, dict(params).__getitem__)
         self.widths = settle(defs, inputs, self.rule, 0)
-        # Compares that only a condbr reads.
+        # Compares that only the test of a condbr, select or cmov reads.
         reads = Counter(op for ins in func.instructions()
                         for op in value_operands(ins) if isinstance(op, str))
         self.tested = {
-            c for ins in func.instructions() if ins.opcode == "condbr"
+            c for ins in func.instructions()
+            if ins.opcode in ("condbr", "select", "cmov")
             and reads[c := ins.operands[0]] == 1 and c in defs
             and defs[c].opcode == "icmp"}
         live = reachable(func)
@@ -604,13 +637,14 @@ class _Translator:
             a, b = map(val, ins.operands)
             test = COMPARE_EXPRS[ins.pred].format(a=a, b=b)
             if ins.result in self.tested and ins.result not in self.shared:
-                self.tests[ins.result] = test   # the condbr writes it
+                self.tests[ins.result] = test   # its one reader writes it
             else:
                 self.define(ins.result, f"1 if {test} else 0")
         elif op == "const":
             self.define(ins.result, str(ins.operands[0] & mask))
         elif op in ("select", "cmov"):
-            c, a, b = map(val, ins.operands)
+            c, a, b = ins.operands
+            c, a, b = self.test(c), val(a), val(b)
             self.define(ins.result, f"{a} if {c} else {b}")
         elif op == "vselect":
             c, a, b = map(val, ins.operands)
@@ -681,10 +715,14 @@ class _Translator:
         does not fit."""
         return "" if fits else f" & {(1 << width) - 1}"
 
+    def test(self, c) -> str:
+        """The expression a condbr, select or cmov tests for condition
+        ``c``: the comparison itself when the compare was left unwritten."""
+        return self.tests.get(c) or self.val(c)
+
     def branch(self, n, ins):
         """An ``if``/``else`` over the two arms, then the join, if any."""
-        c = ins.operands[0]
-        self.emit(f"if {self.tests.get(c) or self.val(c)}:")
+        self.emit(f"if {self.test(ins.operands[0])}:")
         self.arm(n, 0, BranchDir(ins.iid, True))
         self.emit("else:")
         self.arm(n, 1, BranchDir(ins.iid, False))

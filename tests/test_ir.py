@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -18,6 +20,7 @@ from ctlab.ir import (
     Param,
     ScalarType,
     SourceLoc,
+    copy_program,
     parse_ir,
     print_ir,
     validate,
@@ -163,6 +166,40 @@ def test_validate_rejects_a_global_element_that_does_not_fit():
         "global h: element 1 is -1, which does not fit u16"]
 
 
+def test_validate_rejects_a_global_whose_initializers_miss_its_length():
+    # The tracer sizes a region by its initializers, and the printed
+    # program would not parse back.
+    prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\n}")
+    prog.globals["g"] = GlobalArray("g", 8, 4, (1, 2))
+    assert validate(prog) == ["global g: 2 initializers for length 4"]
+    with pytest.raises(IRParseError,
+                       match="global g: 2 initializers for length 4"):
+        parse_ir(print_ir(prog))
+
+
+def test_instructions_are_immutable_values():
+    ins = parse_ir(BASIC).function().blocks[0].instrs[0]
+    for f in fields(Instruction):
+        with pytest.raises(AttributeError):
+            setattr(ins, f.name, getattr(ins, f.name))
+    narrow = ins._replace(width=8)
+    assert narrow != ins and narrow.iid == ins.iid and ins.width == 32
+    assert copy.deepcopy(ins) == ins
+
+
+def test_a_program_copy_shares_instructions_but_not_lists():
+    prog = parse_ir(BASIC)
+    text = print_ir(prog)
+    copy = copy_program(prog)
+    f, g = prog.function(), copy.function()
+    assert all(a is b for a, b in zip(f.instructions(), g.instructions()))
+    assert all(a.instrs is not b.instrs for a, b in zip(f.blocks, g.blocks))
+    g.blocks[1].instrs[0] = g.blocks[1].instrs[0]._replace(operands=("n", 4))
+    g.blocks[3].instrs.pop(0)
+    g.blocks.pop(2)
+    assert print_ir(prog) == text
+
+
 def test_parse_errors():
     with pytest.raises(IRParseError):
         parse_ir("func f(secret s: u1 = 1) {\nbb0:\n  ret 0\n}")  # secret default
@@ -209,7 +246,8 @@ def test_validate_catches_broken_programs():
     # an opcode the parser would not have produced
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  a = add n, 1\n"
                     "  ret a\n}")
-    prog.function().blocks[0].instrs[0].opcode = "frob"
+    instrs = prog.function().blocks[0].instrs
+    instrs[0] = instrs[0]._replace(opcode="frob")
     assert validate(prog) == ["f/bb0/id0: unknown opcode 'frob'"]
     # an undefined name, even in an unreachable block
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\ndead:\n"

@@ -34,6 +34,15 @@ def sites(func: Function) -> dict[str, list]:
             "lanes": [i for i in instrs if i.opcode in VECTOR_OPS]}
 
 
+def put(func: Function, old, new) -> None:
+    """Put instruction ``new`` where ``old`` stands in ``func``."""
+    for block in func.blocks:
+        for k, ins in enumerate(block.instrs):
+            if ins is old:
+                block.instrs[k] = new
+                return
+
+
 def mutate(text: str, kind: str, rng: random.Random) -> str:
     """``text`` with one change of ``kind``: a value operand swapped for
     another name (a scalar, a vector, an array parameter or an undefined
@@ -43,7 +52,8 @@ def mutate(text: str, kind: str, rng: random.Random) -> str:
     func = prog.function()
     ins = rng.choice(sites(func)[kind])
     if kind == "lanes":
-        ins.width = rng.choice([n for n in LANE_COUNTS if n != ins.width])
+        put(func, ins, ins._replace(
+            width=rng.choice([n for n in LANE_COUNTS if n != ins.width])))
         return print_ir(prog)
     if kind == "operand":
         field, pool = "operands", [p.name for p in func.params] + [
@@ -57,7 +67,7 @@ def mutate(text: str, kind: str, rng: random.Random) -> str:
         k = rng.randrange(len(ins.labels))
     old = getattr(ins, field)
     new = rng.choice([x for x in pool if x != old[k]])
-    setattr(ins, field, old[:k] + (new,) + old[k + 1:])
+    put(func, ins, ins._replace(**{field: old[:k] + (new,) + old[k + 1:]}))
     return print_ir(prog)
 
 

@@ -367,7 +367,7 @@ def test_pass_that_breaks_the_program_is_named(monkeypatch):
         term = func.blocks[0].terminator
         if term.labels == ("nowhere",):
             return False
-        term.labels = ("nowhere",)
+        func.blocks[0].instrs[-1] = term._replace(labels=("nowhere",))
         return True
 
     monkeypatch.setattr(passes, "if_convert", retarget)
@@ -1002,6 +1002,42 @@ def test_vectorize_reaches_every_inner_loop_of_rsa():
     assert len(report.findings) == 15
     assert {(f.kind, f.loc.file, f.loc.line) for f in report.findings} == \
         {("control-flow", "rsa.c", 6)}
+
+
+def test_vectorize_builds_its_maps_once_and_keeps_them_exact(monkeypatch):
+    # One step over the 15 inner loops of unrolled rsa builds the use map
+    # once; after every loop it vectorizes, the maps, names and labels it
+    # carries equal ones built afresh.
+    real_uses, real_step, real_apply = (passes._uses, passes.loop_vectorize,
+                                        passes._apply_vector_plan)
+    builds, steps, applied = [], [], []
+
+    def step(f):
+        before = len(builds)
+        changed = real_step(f)
+        steps.append((changed, len(builds) - before))
+        return changed
+
+    def apply(f, plan, defs, uses, names, labels):
+        real_apply(f, plan, defs, uses, names, labels)
+
+        def by_iid(uses):
+            return {v: sorted(readers, key=lambda i: i.iid)
+                    for v, readers in uses.items()}
+
+        assert defs == f.defs()
+        assert by_iid(uses) == by_iid(real_uses(f))
+        assert names == passes._all_names(f)
+        assert labels == passes._labels(f)
+        applied.append(plan.loop.header)
+
+    monkeypatch.setattr(passes, "_uses",
+                        lambda f: builds.append(f) or real_uses(f))
+    monkeypatch.setattr(passes, "loop_vectorize", step)
+    monkeypatch.setattr(passes, "_apply_vector_plan", apply)
+    run_pipeline(load_program("rsa_bearssl_lookup"), PRESETS["llvm18-O3"].spec)
+    assert len(applied) == 15
+    assert steps == [(True, 1), (False, 1)]
 
 
 def test_vectorize_skips_reductions():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -439,8 +440,56 @@ def test_a_corpus_by_presets_study_fits_the_translation_cache():
 
 
 # ----------------------------------------------------------------------
+# The memo of the function run last
+# ----------------------------------------------------------------------
+
+def lowered(name, preset):
+    spec = PRESETS[preset].spec
+    mid, _ = run_pipeline(load_program(name), spec)
+    return lower(mid, PROFILES[spec.backend], spec.cmov_conversion)[0]
+
+
+def test_an_analysis_builds_its_translation_key_once(monkeypatch):
+    low = lowered("rsa_bearssl_lookup", "llvm18-O3")
+    args = gen_inputs(low, count=16, seed=0).arg_dicts()
+    fresh = []
+    for x in args:                  # each from a translation of its own
+        forget_translations()
+        fresh.append(execute(low, x))
+    keys = []
+    real = tracer._key
+    monkeypatch.setattr(tracer, "_key",
+                        lambda *a: keys.append(a) or real(*a))
+    forget_translations()
+    assert [execute(low, x) for x in args] == fresh
+    assert len(keys) == 1
+
+
+def test_an_instruction_replaced_between_calls_is_translated_anew(
+        monkeypatch):
+    prog = parse_ir("func f(secret s: u8) {\nbb0:\n  r = add s, 1\n"
+                    "  ret r\n}")
+    keys = []
+    real = tracer._translate
+    monkeypatch.setattr(tracer, "_translate",
+                        lambda key: keys.append(key) or real(key))
+    assert [execute(prog, {"s": 5}).result for _ in range(2)] == [6, 6]
+    assert len(keys) == 1
+    instrs = prog.function().blocks[0].instrs
+    instrs[0] = instrs[0]._replace(operands=("s", 2))    # the same id
+    assert execute(prog, {"s": 5}).result == 7
+    assert len(keys) == 2 and keys[1] != keys[0]
+
+
+# ----------------------------------------------------------------------
 # Events at dynamic offsets
 # ----------------------------------------------------------------------
+
+def forget_translations():
+    """Drop every kept translation: the cache and ``execute``'s memo."""
+    tracer._translate.cache_clear()
+    tracer._last = (None, None)
+
 
 def event_tables(prog):
     """The event tables of ``prog``'s translation, by instruction id."""
@@ -465,7 +514,7 @@ def test_inputs_that_load_at_one_offset_share_its_event():
 
 
 def test_an_event_table_holds_only_the_offsets_executed():
-    tracer._translate.cache_clear()
+    forget_translations()
     prog = parse_ir(MEMORY)
     assert event_tables(prog) == {0: {}}
     for s in (200, 3, 200):
@@ -490,7 +539,7 @@ global out: arr<u32,5> = zeros
 
 
 def test_vector_ops_at_dynamic_offsets_emit_per_lane_events():
-    tracer._translate.cache_clear()
+    forget_translations()
     prog = parse_ir(DYNAMIC_LANES)
     t = execute(prog, {"s": 3, "o": 1})
     assert t.events == [MemAccess(0, "load", "table", o) for o in (3, 4, 5, 6)] \
@@ -531,10 +580,9 @@ def test_the_translation_key_tells_every_field_and_block_apart():
                          ("operands", ("n", "i")), ("width", 16),
                          ("pred", "le"), ("labels", ("body",))]:
         assert getattr(ins, field) != value
-        old = getattr(ins, field)
-        setattr(ins, field, value)
+        blocks[1].instrs[2] = ins._replace(**{field: value})
         assert tracer._key(shapes, params, blocks) != base, field
-        setattr(ins, field, old)
+        blocks[1].instrs[2] = ins
     assert tracer._key(shapes, params, blocks) == base
     params[0].type = ScalarType(64)
     assert tracer._key(shapes, params, blocks) != base
@@ -974,7 +1022,7 @@ big:
 
 def translated_source(monkeypatch, prog):
     """The source that ``execute`` compiles for ``prog``."""
-    tracer._translate.cache_clear()
+    forget_translations()
     lines = []
     real = tracer._Translator.compile
     monkeypatch.setattr(tracer._Translator, "compile",
@@ -1006,6 +1054,19 @@ def test_fitting_operands_and_a_checked_offset_need_no_second_look(
                 reference(prog, args, fuel)[0], (s, fuel)
 
 
+def test_a_compare_only_a_select_or_cmov_tests_is_never_built(monkeypatch):
+    # path_splitting_toy's loop picks its step with a select on a compare;
+    # baseline-off lowers the select to a cmov.
+    source = load_program("path_splitting_toy")
+    for prog in (source, lowered("path_splitting_toy", "baseline-off")):
+        lines = translated_source(monkeypatch, prog)
+        assert not [line for line in lines if line.endswith(" else 0")], lines
+        assert [line for line in lines
+                if re.search(r"= 1 if v\d+ == 0 else 4294967295$", line)]
+        for args in gen_inputs(source, count=8, seed=1).arg_dicts():
+            assert observe(prog, args) == reference(prog, args)[0], args
+
+
 NEGATIVE = """
 func f(secret s: u8, secret c: u1) {
 bb0:
@@ -1024,12 +1085,10 @@ def test_a_negative_immediate_never_counts_as_fitting():
     # The parser masks negative immediates; a program built in Python may
     # hold them, and they stand for every bit of the width.
     prog = parse_ir(NEGATIVE)
-    x, y, z, w, store, _ = prog.function().blocks[0].instrs
-    x.operands = ("c", -3, "s")
-    y.operands = ("x", -2)
-    z.operands = ("s", -1)
-    w.operands = ("s", -1)
-    store.operands = ("g", 0, -5)
+    instrs = prog.function().blocks[0].instrs
+    for k, operands in enumerate([("c", -3, "s"), ("x", -2), ("s", -1),
+                                  ("s", -1), ("g", 0, -5)]):
+        instrs[k] = instrs[k]._replace(operands=operands)
     assert validate(prog) == []
     for s, c in ((0x81, 0), (0x81, 1), (0, 1)):
         args = {"s": s, "c": c}
