@@ -1,6 +1,6 @@
 """Constant-time compiler laboratory.
 
-A small SSA IR, a tracer that runs each function as generated Python
+A small SSA IR, a tracer that runs a program as generated Python
 written from the IR's opcode expressions and whose traces expose branch
 directions and memory addresses, a set of optimization passes modeled
 after the ones that break constant-time code, two backend profiles, a leak
@@ -34,14 +34,12 @@ from .leaks import (
     ReportDiff,
     compare_traces,
     diff_reports,
-    first_divergence,
 )
 from .mitigations import FlagPreset, PRESETS, emit_real_flags, preset
 from .passes import (
     InternalPassError,
     PassLogEntry,
     PipelineSpec,
-    render_pass_log,
     run_pipeline,
 )
 from .tracer import InputSet, Trace, TraceError, execute, gen_inputs
@@ -56,8 +54,7 @@ __all__ = [
     "PRESETS", "Param", "PassLogEntry", "PipelineSpec", "Program",
     "ReportDiff", "SourceLoc", "Trace", "TraceError", "analyze",
     "compare_traces", "copy_program", "counted_loop_info", "diff_reports",
-    "emit_real_flags", "entries", "execute", "first_divergence",
-    "gen_inputs", "get", "load_program", "lower", "natural_loops",
-    "parse_ir", "preset", "print_ir", "render_pass_log", "run_pipeline",
-    "validate", "__version__",
+    "emit_real_flags", "entries", "execute", "gen_inputs", "get",
+    "load_program", "lower", "natural_loops", "parse_ir", "preset",
+    "print_ir", "run_pipeline", "validate", "__version__",
 ]

@@ -141,17 +141,16 @@ def _lower_function(func: Function, profile: BackendProfile,
 
 def lower(prog: Program, profile: BackendProfile,
           cmov_conversion: bool = False) -> tuple[Program, list[PassLogEntry]]:
-    """Lower every select/vselect for ``profile``; returns a lowered copy."""
+    """Lower every select/vselect of the program's function for
+    ``profile``; returns a lowered copy and its one-entry log."""
     if prog.stage != "midend":
         raise LoweringError(f"cannot lower a {prog.stage!r}-stage program")
     out = copy_program(prog)
-    log: list[PassLogEntry] = []
-    for func in out.functions.values():
-        before = {i.iid for i in func.instructions()}
-        _lower_function(func, profile, cmov_conversion)
-        log.append(_log_entry("lower", func, before))
+    func = out.function()
+    before = {i.iid for i in func.instructions()}
+    _lower_function(func, profile, cmov_conversion)
     out.stage = "lowered"
     errors = validate(out)
     if errors:
         raise LoweringError(f"lowering broke the program: {errors[0]}")
-    return out, log
+    return out, [_log_entry("lower", func, before)]

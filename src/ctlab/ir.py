@@ -1,9 +1,10 @@
 """SSA intermediate representation: types, parsing, printing, validation.
 
-Programs are small pre-inlined functions over fixed-width unsigned integers
-plus named global arrays.  There are no calls, floats, or raw pointers; memory
-is addressed as (global, element offset).  The textual format is line based,
-one instruction per line:
+A program is one small pre-inlined function over fixed-width unsigned
+integers plus named global arrays: the parser rejects a second ``func`` at
+its line.  There are no calls, floats, or raw pointers; memory is addressed
+as (global, element offset).  The textual format is line based, one
+instruction per line:
 
     func demo(secret sec: u1, public n: u32 = 8) {
     bb0:
@@ -85,7 +86,6 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 SECRET = "secret"
-PUBLIC = "public"
 
 # Opcode semantics, written once as Python expressions over the operands
 # ``{a}`` and ``{b}``, the width mask ``{m}`` (``(1 << width) - 1``) and the
@@ -346,16 +346,16 @@ class GlobalArray:
 
 @dataclass
 class Program:
-    functions: dict[str, Function] = field(default_factory=dict)
+    functions: dict[str, Function] = field(default_factory=dict)  # one entry
     globals: dict[str, GlobalArray] = field(default_factory=dict)
     stage: str = "midend"           # "midend" or "lowered"
 
-    def function(self, name: str | None = None) -> Function:
-        if name is None:
-            if len(self.functions) != 1:
-                raise IRError("program has multiple functions; name one")
-            return next(iter(self.functions.values()))
-        return self.functions[name]
+    def function(self) -> Function:
+        """The program's one function."""
+        if len(self.functions) != 1:
+            raise IRError(f"program has {len(self.functions)} functions; "
+                          "a program is one function")
+        return next(iter(self.functions.values()))
 
 
 # ======================================================================
@@ -408,11 +408,8 @@ def _split_opcode(tok: str, lineno: int) -> tuple[str, str | None, int]:
     pred = None
     width = DEFAULT_WIDTH
     rest = parts[1:]
-    if base == "icmp":
-        if not rest or rest[0] not in CMP_PREDS:
-            raise IRParseError("icmp needs a predicate: icmp.eq/.ne/.lt/.gt", lineno)
-        pred = rest[0]
-        rest = rest[1:]
+    if base == "icmp" and rest:         # _shape_error checks it
+        pred, rest = rest[0], rest[1:]
     if rest:
         if len(rest) > 1 or not rest[0].isdigit():
             raise IRParseError(f"bad opcode suffix on {tok!r}", lineno)
@@ -428,7 +425,7 @@ def _split_opcode(tok: str, lineno: int) -> tuple[str, str | None, int]:
     return base, pred, width
 
 
-# Operand arity by opcode (phi/ret handled specially).
+# Operand count by opcode; phi and the terminators have none fixed.
 _ARITY = {
     **dict.fromkeys(BINARY_OPS, 2), **dict.fromkeys(LANEWISE_OPS, 2),
     "const": 1, "neg": 1, "splat": 1, "icmp": 2,
@@ -437,18 +434,46 @@ _ARITY = {
 }
 
 
-def parse_ir(text: str, source_name: str = "<ir>") -> Program:
-    """Parse the textual format into a Program.
+def _shape_error(ins: Instruction) -> str | None:
+    """What is wrong with the shape of ``ins``, or None: its result,
+    operand count, width or lane count, ``icmp`` predicate, a memory op's
+    region, or a ``const`` of a name.  ``parse_ir`` and ``validate`` both
+    check it."""
+    oc = ins.opcode
+    if (ins.result is None) is not (oc in NO_RESULT_OPS):
+        return f"{oc} needs a result name" if ins.result is None \
+            else f"{oc} takes no result"
+    arity = _ARITY.get(oc)
+    if arity is None:                   # phi and the terminators
+        return None
+    if len(ins.operands) != arity:
+        return f"{oc} takes {arity} operand(s), got {len(ins.operands)}"
+    if oc in VECTOR_OPS:
+        if ins.width not in LANE_COUNTS:
+            return f"bad lane count {ins.width}"
+    elif ins.width not in INSTR_WIDTHS:
+        return f"bad width {ins.width}"
+    if oc == "icmp" and ins.pred not in CMP_PREDS:
+        return "icmp needs a predicate: icmp.eq/.ne/.lt/.gt"
+    if oc in MEMORY_OPS and not isinstance(ins.operands[0], str):
+        return f"{oc} needs a global name first"
+    if oc == "const" and not isinstance(ins.operands[0], int):
+        return "const takes an immediate"
+    return None
 
-    Errors carry the 1-based source line.  Instruction ids restart at 0 for
-    every function and follow textual order unless an explicit ``# id N``
-    comment pins them (the printer emits those).
+
+def parse_ir(text: str) -> Program:
+    """Parse the textual format into a Program of one function.
+
+    Errors carry the 1-based source line; a second ``func`` is an error at
+    its line.  Instruction ids start at 0 and follow textual order unless
+    an explicit ``# id N`` comment pins them (the printer emits those).
     """
     prog = Program()
     func: Function | None = None
     block: BasicBlock | None = None
     seen_explicit_id = False
-    count = 0                   # instructions of ``func`` parsed so far
+    count = 0                   # instructions parsed so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -496,6 +521,10 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
             if func is not None:
                 raise IRParseError("nested func", lineno)
             fname, params_text = m.group(1), m.group(2).strip()
+            if prog.functions:
+                raise IRParseError(
+                    f"second func {fname!r}: a program is one function",
+                    lineno)
             params = []
             if params_text:
                 # Split on commas outside arr<...> brackets.
@@ -518,8 +547,6 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
                     params.append(Param(pname, ty, secrecy, default))
             func = Function(fname, params, [])
             block = None
-            seen_explicit_id = False
-            count = 0
             continue
 
         if line == "}":
@@ -527,8 +554,6 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
                 raise IRParseError("stray '}'", lineno)
             if not func.blocks:
                 raise IRParseError(f"function {func.name} has no blocks", lineno)
-            if func.name in prog.functions:
-                raise IRParseError(f"duplicate function {func.name!r}", lineno)
             ids = [ins.iid for ins in func.instructions()]
             func.next_id = max(ids, default=-1) + 1
             prog.functions[func.name] = func
@@ -548,7 +573,7 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
             raise IRParseError("instruction before first block label", lineno)
 
         # instruction line
-        loc = SourceLoc(source_name, lineno)
+        loc = SourceLoc("<ir>", lineno)
         lm = _RE_LOC.search(line)
         if lm:
             loc = SourceLoc(lm.group(1), int(lm.group(2)))
@@ -567,11 +592,6 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
         opname = toks[0]
         rest = toks[1].strip() if len(toks) > 1 else ""
         base, pred, width = _split_opcode(opname, lineno)
-
-        if base in NO_RESULT_OPS and result is not None:
-            raise IRParseError(f"{base} takes no result", lineno)
-        if base not in NO_RESULT_OPS and result is None:
-            raise IRParseError(f"{base} needs a result name", lineno)
 
         operands: tuple = ()
         labels: tuple = ()
@@ -594,22 +614,14 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
         elif base == "ret":
             operands = (_parse_operand(rest, lineno),) if rest else ()
         else:
-            parts = [t for t in (p.strip() for p in rest.split(",")) if t]
-            if len(parts) != _ARITY[base]:
-                raise IRParseError(
-                    f"{base} takes {_ARITY[base]} operand(s), got {len(parts)}", lineno)
-            operands = tuple(_parse_operand(t, lineno) for t in parts)
-            if base in MEMORY_OPS and not isinstance(operands[0], str):
-                raise IRParseError(f"{base} needs a global name first", lineno)
-            if base == "const":
-                if not isinstance(operands[0], int):
-                    raise IRParseError("const takes an immediate", lineno)
-                operands = (operands[0] & ((1 << width) - 1),)
+            operands = tuple(_parse_operand(t, lineno)
+                             for t in rest.split(",") if t.strip())
 
-        # Canonicalize negative immediates at instruction width (vector ops
-        # at lane width).
+        # Canonicalize a const's immediate and every negative one at the
+        # instruction width (vector ops at lane width).
         mask = (1 << (width if base not in VECTOR_OPS else LANE_WIDTH)) - 1
-        operands = tuple(op & mask if isinstance(op, int) and op < 0 else op
+        operands = tuple(op & mask if isinstance(op, int)
+                         and (op < 0 or base == "const") else op
                          for op in operands)
 
         if explicit_id is not None:
@@ -620,8 +632,11 @@ def parse_ir(text: str, source_name: str = "<ir>") -> Program:
                 raise IRParseError("mixing explicit # id comments with implicit ids",
                                    lineno)
             iid = count
-        block.instrs.append(Instruction(iid, base, result, operands, loc,
-                                        width, pred, labels))
+        ins = Instruction(iid, base, result, operands, loc, width, pred, labels)
+        problem = _shape_error(ins)
+        if problem is not None:
+            raise IRParseError(problem, lineno)
+        block.instrs.append(ins)
         count += 1
 
     if func is not None:
@@ -669,18 +684,18 @@ def print_ir(prog: Program) -> str:
     if prog.stage == "lowered":
         lines.append("stage lowered")
         lines.append("")
-    for func in prog.functions.values():
-        params = ", ".join(
-            f"{p.secrecy} {p.name}: {p.type}"
-            + (f" = {p.default}" if p.default is not None else "")
-            for p in func.params)
-        lines.append(f"func {func.name}({params}) {{")
-        for block in func.blocks:
-            lines.append(f"{block.label}:")
-            for ins in block.instrs:
-                lines.append(f"  {print_instruction(ins, with_id=True)}")
-        lines.append("}")
-        lines.append("")
+    func = prog.function()
+    params = ", ".join(
+        f"{p.secrecy} {p.name}: {p.type}"
+        + (f" = {p.default}" if p.default is not None else "")
+        for p in func.params)
+    lines.append(f"func {func.name}({params}) {{")
+    for block in func.blocks:
+        lines.append(f"{block.label}:")
+        for ins in block.instrs:
+            lines.append(f"  {print_instruction(ins, with_id=True)}")
+    lines.append("}")
+    lines.append("")
     for g in prog.globals.values():
         if g.init_kind in ("zeros", "counting"):
             init = g.init_kind
@@ -833,7 +848,8 @@ def validate(prog: Program) -> list[str]:
     they fit its element width, and structure, dominance and the type of
     every value operand (see the module conventions).  Each violation
     names the global and element, or the function, block, and instruction
-    id involved.  A phi takes its
+    id involved; a program of other than one function, or an instruction
+    of a shape the parser rejects, is checked no further.  A phi takes its
     arms' type, counting through the phis among them; with several, it
     takes the type of its first arm with just one, else the least by name,
     and reports the rest.
@@ -849,7 +865,12 @@ def validate(prog: Program) -> list[str]:
                             f"does not fit u{g.elem_width}")
                 break
 
-    def err(func, block, ins, msg):
+    try:
+        func = prog.function()
+    except IRError as e:
+        return errs + [str(e)]
+
+    def err(block, ins, msg):
         where = func.name
         if block is not None:
             where += f"/{block.label}"
@@ -857,115 +878,118 @@ def validate(prog: Program) -> list[str]:
             where += f"/id{ins.iid}"
         errs.append(f"{where}: {msg}")
 
-    for func in prog.functions.values():
-        labels = [b.label for b in func.blocks]
-        if len(set(labels)) != len(labels):
-            err(func, None, None, "duplicate block labels")
-            continue
-        label_set = set(labels)
+    labels = [b.label for b in func.blocks]
+    if len(set(labels)) != len(labels):
+        err(None, None, "duplicate block labels")
+        return errs
+    label_set = set(labels)
 
-        seen_ids: set[int] = set()
-        defs: dict[str, tuple[str, int]] = {}  # name -> (block, index)
-        types: dict[str, object] = {
-            p.name: _REGION if isinstance(p.type, ArrayType) else _SCALAR
-            for p in func.params}
-        for block in func.blocks:
-            for idx, ins in enumerate(block.instrs):
-                if ins.iid in seen_ids:
-                    err(func, block, ins, "duplicate instruction id")
-                seen_ids.add(ins.iid)
-                if ins.result is not None:
-                    if ins.result in types:
-                        err(func, block, ins, f"redefinition of {ins.result!r}")
-                    defs[ins.result] = (block.label, idx)
-                    types[ins.result] = (
-                        ins.operands if ins.opcode == "phi"
-                        else _vector(ins.width) if ins.opcode in VECTOR_OPS
-                        else _SCALAR)
-        phis = {n: t for n, t in types.items() if isinstance(t, tuple)}
-        if phis:
-            def arm(a, reach):          # the types that arm `a` can have
-                return reach[a] if a in phis else {
-                    _SCALAR if isinstance(a, int) else types.get(a)} - {None}
+    seen_ids: set[int] = set()
+    defs: dict[str, tuple[str, int]] = {}  # name -> (block, index)
+    types: dict[str, object] = {
+        p.name: _REGION if isinstance(p.type, ArrayType) else _SCALAR
+        for p in func.params}
+    for block in func.blocks:
+        for idx, ins in enumerate(block.instrs):
+            if ins.iid in seen_ids:
+                err(block, ins, "duplicate instruction id")
+            seen_ids.add(ins.iid)
+            if ins.result is not None:
+                if ins.result in types:
+                    err(block, ins, f"redefinition of {ins.result!r}")
+                defs[ins.result] = (block.label, idx)
+                types[ins.result] = (
+                    ins.operands if ins.opcode == "phi"
+                    else _vector(ins.width) if ins.opcode in VECTOR_OPS
+                    else _SCALAR)
+    phis = {n: t for n, t in types.items() if isinstance(t, tuple)}
+    if phis:
+        def arm(a, reach):          # the types that arm `a` can have
+            return reach[a] if a in phis else {
+                _SCALAR if isinstance(a, int) else types.get(a)} - {None}
 
-            reach = settle(phis, lambda p: [a for a in phis[p] if a in phis],
-                           lambda p, reach: set().union(
-                               *(arm(a, reach) for a in phis[p])), set())
-            for p, ts in reach.items():
-                one = [t for a in phis[p] if len(t := arm(a, reach)) == 1]
-                types[p] = min(one[0] if one else ts, default=None)
+        reach = settle(phis, lambda p: [a for a in phis[p] if a in phis],
+                       lambda p, reach: set().union(
+                           *(arm(a, reach) for a in phis[p])), set())
+        for p, ts in reach.items():
+            one = [t for a in phis[p] if len(t := arm(a, reach)) == 1]
+            types[p] = min(one[0] if one else ts, default=None)
 
-        for block in func.blocks:
-            term = block.terminator
-            if term is None:
-                err(func, block, None, "block lacks a terminator")
-            for idx, ins in enumerate(block.instrs):
-                if ins.opcode not in ALL_OPS:
-                    err(func, block, ins, f"unknown opcode {ins.opcode!r}")
+    for block in func.blocks:
+        term = block.terminator
+        if term is None:
+            err(block, None, "block lacks a terminator")
+        for idx, ins in enumerate(block.instrs):
+            if ins.opcode not in ALL_OPS:
+                err(block, ins, f"unknown opcode {ins.opcode!r}")
+                continue
+            shape = _shape_error(ins)
+            if shape is not None:
+                err(block, ins, shape)
+                continue
+            if ins.is_terminator and idx != len(block.instrs) - 1:
+                err(block, ins, "terminator not at block end")
+            if ins.opcode == "phi" and block is func.blocks[0]:
+                err(block, ins, "phi in the entry block")
+            if ins.opcode == "phi" and any(
+                    prev.opcode != "phi" for prev in block.instrs[:idx]):
+                err(block, ins, "phi after non-phi instruction")
+            want = (types[ins.result] if ins.opcode == "phi"
+                    else _vector(ins.width) if ins.opcode in LANEWISE_OPS
+                    or ins.opcode == "vselect" else _SCALAR)
+            for k, op in enumerate(value_operands(ins)):
+                need = _vector(ins.width) if ins.opcode == "vstore" \
+                    and k == 1 else want
+                got = _SCALAR if isinstance(op, int) else types.get(op)
+                if op not in types and not isinstance(op, int):
+                    err(block, ins, f"use of undefined {op!r}")
+                elif got is not None and got != need:
+                    err(block, ins,
+                        f"operand {op!r} is {got}; {ins.opcode} needs {need}")
+            for l in ins.labels:
+                if l not in label_set:
+                    err(block, ins, f"unknown target block {l!r}")
+            if ins.opcode in MEMORY_OPS and ins.operands[0] not in \
+                    prog.globals and types.get(ins.operands[0]) != _REGION:
+                err(block, ins,
+                    f"unknown memory name {ins.operands[0]!r}")
+            if prog.stage == "lowered" and ins.opcode in ("select", "vselect"):
+                err(block, ins, f"{ins.opcode} present in lowered program")
+            if prog.stage == "midend" and ins.opcode == "cmov":
+                err(block, ins, "cmov before backend lowering")
+
+    # Dominance: every use of a definition (params and undefined names
+    # were settled above) is dominated by it.
+    dom = dominators(func)
+    preds = predecessors(func)
+    for block in func.blocks:
+        if block.label not in dom:
+            continue  # unreachable; skip dominance checks
+        for idx, ins in enumerate(block.instrs):
+            if ins.opcode == "phi":
+                for label, op in zip(ins.labels, ins.operands):
+                    if label not in preds.get(block.label, []):
+                        err(block, ins,
+                            f"phi arm from non-predecessor {label!r}")
+                    if op in defs and label in dom \
+                            and defs[op][0] not in dom[label]:
+                        err(block, ins,
+                            f"phi value {op!r} does not dominate edge {label}")
+                arm_labels = set(ins.labels)
+                if arm_labels != set(p for p in preds.get(block.label, [])
+                                     if p in dom):
+                    err(block, ins, "phi arms do not match predecessors")
+                continue
+            for op in value_operands(ins):
+                if op not in defs:
                     continue
-                if ins.is_terminator and idx != len(block.instrs) - 1:
-                    err(func, block, ins, "terminator not at block end")
-                if ins.opcode == "phi" and block is func.blocks[0]:
-                    err(func, block, ins, "phi in the entry block")
-                if ins.opcode == "phi" and any(
-                        prev.opcode != "phi" for prev in block.instrs[:idx]):
-                    err(func, block, ins, "phi after non-phi instruction")
-                want = (types[ins.result] if ins.opcode == "phi"
-                        else _vector(ins.width) if ins.opcode in LANEWISE_OPS
-                        or ins.opcode == "vselect" else _SCALAR)
-                for k, op in enumerate(value_operands(ins)):
-                    need = _vector(ins.width) if ins.opcode == "vstore" \
-                        and k == 1 else want
-                    got = _SCALAR if isinstance(op, int) else types.get(op)
-                    if op not in types and not isinstance(op, int):
-                        err(func, block, ins, f"use of undefined {op!r}")
-                    elif got is not None and got != need:
-                        err(func, block, ins,
-                            f"operand {op!r} is {got}; {ins.opcode} needs {need}")
-                for l in ins.labels:
-                    if l not in label_set:
-                        err(func, block, ins, f"unknown target block {l!r}")
-                if ins.opcode in MEMORY_OPS and ins.operands[0] not in \
-                        prog.globals and types.get(ins.operands[0]) != _REGION:
-                    err(func, block, ins,
-                        f"unknown memory name {ins.operands[0]!r}")
-                if prog.stage == "lowered" and ins.opcode in ("select", "vselect"):
-                    err(func, block, ins, f"{ins.opcode} present in lowered program")
-                if prog.stage == "midend" and ins.opcode == "cmov":
-                    err(func, block, ins, "cmov before backend lowering")
-
-        # Dominance: every use of a definition (params and undefined names
-        # were settled above) is dominated by it.
-        dom = dominators(func)
-        preds = predecessors(func)
-        for block in func.blocks:
-            if block.label not in dom:
-                continue  # unreachable; skip dominance checks
-            for idx, ins in enumerate(block.instrs):
-                if ins.opcode == "phi":
-                    for label, op in zip(ins.labels, ins.operands):
-                        if label not in preds.get(block.label, []):
-                            err(func, block, ins,
-                                f"phi arm from non-predecessor {label!r}")
-                        if op in defs and label in dom \
-                                and defs[op][0] not in dom[label]:
-                            err(func, block, ins,
-                                f"phi value {op!r} does not dominate edge {label}")
-                    arm_labels = set(ins.labels)
-                    if arm_labels != set(p for p in preds.get(block.label, [])
-                                         if p in dom):
-                        err(func, block, ins, "phi arms do not match predecessors")
-                    continue
-                for op in value_operands(ins):
-                    if op not in defs:
-                        continue
-                    dblock, didx = defs[op]
-                    if dblock == block.label:
-                        if didx >= idx:
-                            err(func, block, ins, f"use of {op!r} before definition")
-                    elif dblock not in dom[block.label]:
-                        err(func, block, ins,
-                            f"definition of {op!r} does not dominate use")
+                dblock, didx = defs[op]
+                if dblock == block.label:
+                    if didx >= idx:
+                        err(block, ins, f"use of {op!r} before definition")
+                elif dblock not in dom[block.label]:
+                    err(block, ins,
+                        f"definition of {op!r} does not dominate use")
 
     return errs
 

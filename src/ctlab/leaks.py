@@ -92,22 +92,6 @@ class ReportDiff:
         return not self.added_lines and not self.removed_lines
 
 
-def first_divergence(a: Trace, b: Trace) -> tuple[int, int] | None:
-    """Earliest event index where the traces differ, with a's instruction id
-    there.  If one trace is a strict prefix of the other, the position is the
-    shorter length and the id comes from the longer trace's next event.
-    Identical traces give None.
-    """
-    n = min(len(a.events), len(b.events))
-    for pos in range(n):
-        if a.events[pos] != b.events[pos]:
-            return pos, a.events[pos].instr
-    if len(a.events) == len(b.events):
-        return None
-    longer = b if len(b.events) > len(a.events) else a
-    return n, longer.events[n].instr
-
-
 # A group's members are first walked against its lowest member over this
 # many events, then over windows twice as long: a member misaligned late in
 # a window wastes the walks of the members before it, and doubling keeps

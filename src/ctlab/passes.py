@@ -9,11 +9,12 @@ immutable values (see ``ir``), so a rewrite puts a new instruction where
 the old one stood, and anything else that holds the old one, such as a
 ``defs()`` map, is stale until it is rebuilt or patched.
 
-The runner copies the program once, runs each pass's step and then
-cleanup on each function, each to its fixpoint, validates the result when
-either reports a change, and logs created/deleted instruction ids so leak
-findings can be attributed to the pass that introduced them.  A step or
-cleanup that does not settle raises an error that names it.
+The runner copies the program, whose one function is the unit every pass
+rewrites, runs each pass's step and then cleanup on it, each to its
+fixpoint, validates the result when either reports a change, and logs
+created/deleted instruction ids so leak findings can be attributed to the
+pass that introduced them.  A step or cleanup that does not settle raises
+an error that names it.
 """
 
 from __future__ import annotations
@@ -124,18 +125,6 @@ class PassLogEntry:
     summary: str
     created: tuple[int, ...] = ()
     deleted: tuple[int, ...] = ()
-
-
-def render_pass_log(log: list[PassLogEntry]) -> str:
-    """One line per pass application, with id churn indented below."""
-    lines = []
-    for e in log:
-        lines.append(f"{e.pass_name:<14} {e.function:<20} {e.summary}")
-        if e.created:
-            lines.append(f"{'':14} created ids: {', '.join(map(str, e.created))}")
-        if e.deleted:
-            lines.append(f"{'':14} deleted ids: {', '.join(map(str, e.deleted))}")
-    return "\n".join(lines)
 
 
 def _log_entry(name: str, func: Function, before: set[int]) -> PassLogEntry:
@@ -361,6 +350,18 @@ def _fold_constants(func: Function) -> bool:
     return changed
 
 
+# Binary op -> (its identity operand, whether the identity also works on
+# the left, its absorbing operand or None).  An identity of -1 is all ones
+# at the instruction's width.  ``x op identity`` is x and ``x op absorbing``
+# is absorbing; a right identity is tried first, then a left one.
+_IDENTITIES = {
+    **dict.fromkeys(("add", "or", "xor"), (0, True, None)),
+    **dict.fromkeys(("sub", "shl", "lshr"), (0, False, None)),
+    "and": (-1, True, 0),
+    "mul": (1, True, 0),
+}
+
+
 def _apply_copies(func: Function) -> bool:
     """Forward const-condition selects, trivial phis, and identities whose
     forwarded operand already fits the instruction's width."""
@@ -385,28 +386,15 @@ def _apply_copies(func: Function) -> bool:
         elif ins.opcode == "phi":
             if len(ops) >= 1 and len(set(ops)) == 1 and ops[0] != ins.result:
                 tgt = ops[0]
-        elif ins.opcode in ("add", "or", "xor"):
-            if ops[1] == 0:
+        elif ins.opcode in _IDENTITIES:
+            identity, commutes, absorbing = _IDENTITIES[ins.opcode]
+            identity &= (1 << ins.width) - 1
+            if ops[1] == identity:
                 tgt = ops[0]
-            elif ops[0] == 0:
+            elif commutes and ops[0] == identity:
                 tgt = ops[1]
-        elif ins.opcode in ("sub", "shl", "lshr") and ops[1] == 0:
-            tgt = ops[0]
-        elif ins.opcode == "and":
-            mask = (1 << ins.width) - 1
-            if ops[1] == mask:
-                tgt = ops[0]
-            elif ops[0] == mask:
-                tgt = ops[1]
-            elif 0 in ops:
-                tgt = 0
-        elif ins.opcode == "mul":
-            if ops[1] == 1:
-                tgt = ops[0]
-            elif ops[0] == 1:
-                tgt = ops[1]
-            elif 0 in ops:
-                tgt = 0
+            elif absorbing in ops:
+                tgt = absorbing
         if tgt is None or tgt == ins.result:
             continue
         if ins.opcode in BINARY_OPS and value_bits(func, tgt, defs) > ins.width:
@@ -1619,23 +1607,21 @@ def run_pipeline(prog: Program,
     if errors:
         raise IRError(f"invalid input program: {errors[0]}")
     out = copy_program(prog)
+    func = out.function()
     log: list[PassLogEntry] = []
-    clean: set[str] = set()         # functions at cleanup's fixpoint
+    clean = False                   # is func at cleanup's fixpoint?
     for name in spec.order:
         step = _PASSES[name]
-        changed = False
-        for func in out.functions.values():
-            before = {i.iid for i in func.instructions()}
-            try:
-                moved = _to_fixpoint(lambda f: step(f, spec), func, name)
-                if moved or func.name not in clean:
-                    # Cleanup may change what the pass left alone.
-                    moved |= cleanup(func, out.globals)
-                    clean.add(func.name)
-                changed |= moved
-            except InternalPassError as e:
-                raise InternalPassError(f"pass {name}: {e}", log) from e
-            log.append(_log_entry(name, func, before))
+        before = {i.iid for i in func.instructions()}
+        try:
+            changed = _to_fixpoint(lambda f: step(f, spec), func, name)
+            if changed or not clean:
+                # Cleanup may change what the pass left alone.
+                changed |= cleanup(func, out.globals)
+                clean = True
+        except InternalPassError as e:
+            raise InternalPassError(f"pass {name}: {e}", log) from e
+        log.append(_log_entry(name, func, before))
         errors = validate(out) if changed else []
         if errors:
             raise InternalPassError(

@@ -169,9 +169,9 @@ class Trace:
     memory: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
-def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
-            func_name: str | None = None, fuel: int = DEFAULT_FUEL) -> Trace:
-    """Run one function to completion and return its trace.
+def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
+            fuel: int = DEFAULT_FUEL) -> Trace:
+    """Run the program's function to completion and return its trace.
 
     ``prog`` must pass ``validate`` (``lower`` returns such a program):
     every operand then has the type its opcode takes and every value is
@@ -192,7 +192,7 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]],
     absolute step, and checks the fuel on each branch back to its head;
     the driver checks it after every region.
     """
-    func = prog.function(func_name)
+    func = prog.function()
     memory: dict[str, list[int]] = {}
     shapes: dict[str, tuple[int, int]] = {}     # element width, length
     for g in prog.globals.values():
@@ -766,8 +766,7 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def gen_inputs(prog: Program, func_name: str | None = None,
-               count: int = 16, seed: int = 0) -> InputSet:
+def gen_inputs(prog: Program, *, count: int = 16, seed: int = 0) -> InputSet:
     """Deterministic secret assignments for differential runs.
 
     Publics take their declared defaults (missing default is an error).
@@ -776,7 +775,7 @@ def gen_inputs(prog: Program, func_name: str | None = None,
     assignments are re-drawn until pairwise distinct.  ``count`` is capped
     at the size of the secret domain so distinctness is always achievable.
     """
-    func = prog.function(func_name)
+    func = prog.function()
     secrets = [p for p in func.params if p.is_secret]
     if not secrets:
         raise TraceError(f"{func.name} has no secret parameters")

@@ -214,6 +214,22 @@ def test_malformed_ir_is_blamed_on_the_input(tmp_path, capsys):
         assert "broke the program" not in err, name
 
 
+def test_a_second_function_is_a_located_error(tmp_path, capsys,
+                                              monkeypatch):
+    from ctlab import analysis
+    from ctlab.corpus import get
+    src = get("fig1a_branch").source
+    monkeypatch.setattr(analysis, "run_pipeline", None)   # no pass may run
+    p = tmp_path / "two.ir"
+    p.write_text(src + "func g(secret s: u8) {\nbb0:\n  ret s\n}\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(p))
+    line = src.count("\n") + 1
+    assert (code, out) == (1, "")
+    assert err == f"error: line {line}: second func 'g': a program is " \
+        "one function\n"
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "analyze", "--help")[0] == 0

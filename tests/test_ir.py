@@ -16,6 +16,7 @@ from ctlab.ir import (
     Function,
     GlobalArray,
     Instruction,
+    IRError,
     IRParseError,
     Param,
     ScalarType,
@@ -26,6 +27,7 @@ from ctlab.ir import (
     validate,
     value_bits,
 )
+from ctlab.passes import PipelineSpec, run_pipeline
 
 BASIC = """
 func demo(secret sec: u1, public n: u32 = 8) {
@@ -89,24 +91,35 @@ join:
   x = add r, 1   # id 40
   ret x          # id 41
 }
-func second(secret s: u8) {
-entry:
-  ret s
-}
 global t: arr<u32,4> = counting
 """
 
 
 def test_implicit_ids_count_the_instructions_before_them():
-    # Across blocks, implicit ids number the instructions of their own
-    # function so far; explicit ids may follow them, and the next
-    # function starts again at 0.
-    prog = parse_ir(MIXED_IDS)
-    first, second = prog.functions.values()
+    # Across blocks, implicit ids number the instructions so far; explicit
+    # ids may follow them.
+    first = parse_ir(MIXED_IDS).function()
     assert [[i.iid for i in b.instrs] for b in first.blocks] == \
         [[0, 1], [2, 3], [4, 5], [6, 40, 41]]
     assert first.next_id == 42
-    assert [i.iid for i in second.instructions()] == [0]
+
+
+def test_a_program_is_one_function():
+    second = "func second(secret s: u8) {\nentry:\n  ret s\n}\n"
+    lines = MIXED_IDS.count("\n")
+    with pytest.raises(IRParseError,
+                       match=f"line {lines}: second func 'second': a "
+                             "program is one function"):
+        parse_ir(MIXED_IDS.replace("global t", second + "global t"))
+    prog = parse_ir(MIXED_IDS)
+    func = prog.function()
+    for functions in ({}, {"a": func, "b": func}):
+        prog.functions = functions
+        want = f"program has {len(functions)} functions; a program is " \
+            "one function"
+        assert validate(prog) == [want]
+        with pytest.raises(IRError, match=want):
+            prog.function()
 
 
 def test_print_parse_round_trip_preserves_ids_and_text():
@@ -253,6 +266,31 @@ def test_validate_catches_broken_programs():
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\ndead:\n"
                     "  m = sub 0, zz\n  r = and m, n\n  ret r\n}")
     assert validate(prog) == ["f/dead/id1: use of undefined 'zz'"]
+
+
+def test_validate_checks_the_shapes_the_parser_checks():
+    # Each would pass the other checks and then crash execute.
+    prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  a = icmp.eq n, 1\n"
+                    "  b = add n, 1\n  c = add n, 1\n  d = const 5\n"
+                    "  e = add n, 1\n  ret n\n}")
+    instrs = prog.function().blocks[0].instrs
+    instrs[0] = instrs[0]._replace(pred="le")
+    instrs[1] = instrs[1]._replace(operands=("n",))
+    instrs[2] = instrs[2]._replace(operands=("n", 1, 2))
+    instrs[3] = instrs[3]._replace(operands=("n",))
+    instrs[4] = instrs[4]._replace(width=7)
+    instrs[5] = instrs[5]._replace(result="r")
+    assert validate(prog) == [
+        "f/bb0/id0: icmp needs a predicate: icmp.eq/.ne/.lt/.gt",
+        "f/bb0/id1: add takes 2 operand(s), got 1",
+        "f/bb0/id2: add takes 2 operand(s), got 3",
+        "f/bb0/id3: const takes an immediate",
+        "f/bb0/id4: bad width 7",
+        "f/bb0/id5: ret takes no result",
+    ]
+    with pytest.raises(IRError, match="invalid input program: f/bb0/id0: "
+                                      "icmp needs a predicate"):
+        run_pipeline(prog, PipelineSpec())
 
 
 def test_validate_phi_arms_match_predecessors():

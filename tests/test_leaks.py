@@ -16,7 +16,6 @@ from ctlab.leaks import (
     LeakFinding,
     compare_traces,
     diff_reports,
-    first_divergence,
 )
 from ctlab.mitigations import preset
 from ctlab.tracer import BranchDir, MemAccess, Trace, execute, gen_inputs
@@ -51,23 +50,6 @@ global table: arr<u32,256> = counting
 def traces_for(src: str, rows: list[dict]):
     prog = parse_ir(src)
     return prog, [execute(prog, r) for r in rows]
-
-
-def test_first_divergence():
-    prog, (t0, t1) = traces_for(SECRET_BRANCH, [{"s": 0}, {"s": 1}])
-    pos, instr = first_divergence(t0, t1)
-    assert pos == 0 and instr == 0
-    same0 = execute(prog, {"s": 0})
-    assert first_divergence(t0, same0) is None
-
-
-def test_first_divergence_prefix_case():
-    # one trace strictly longer: position is the shorter length
-    prog, (t0, t1) = traces_for(SECRET_INDEX, [{"s": 1}, {"s": 2}])
-    t_short = execute(prog, {"s": 1})
-    t_short.events = t_short.events[:0]
-    pos, instr = first_divergence(t_short, t1)
-    assert pos == 0 and instr == t1.events[0].instr
 
 
 def test_control_flow_finding():

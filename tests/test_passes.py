@@ -28,10 +28,9 @@ from ctlab.passes import (
     PassLogEntry,
     PipelineSpec,
     cleanup,
-    render_pass_log,
     run_pipeline,
 )
-from ctlab.tracer import execute
+from ctlab.tracer import execute, gen_inputs
 
 
 def ops(func, label):
@@ -103,14 +102,6 @@ PRESET_DIGESTS = {
 def test_preset_digests_are_stable():
     assert {name: p.spec.digest() for name, p in PRESETS.items()} \
         == PRESET_DIGESTS
-
-
-def test_render_pass_log():
-    log = [PassLogEntry("slp", "f", "+2/-8 instructions", (9, 10), (0, 1))]
-    text = render_pass_log(log)
-    assert "slp" in text and "+2/-8 instructions" in text
-    assert "created ids: 9, 10" in text
-    assert "deleted ids: 0, 1" in text
 
 
 def test_pipeline_requires_midend_stage():
@@ -327,37 +318,37 @@ def test_a_long_chain_of_forwarding_phis_resolves_to_its_source():
 
 
 def test_cleanup_that_does_not_settle_raises(monkeypatch):
-    # The block merger claims a change on every sweep of g, so g's cleanup
-    # never settles; f's cleanup finishes first and is in the log.
+    # The first if_convert step arms the block merger, which then claims a
+    # change on every sweep, so the cleanup after it never settles; the
+    # passes applied before it are in the log.
     real = passes._merge_blocks
+    armed = []
     monkeypatch.setattr(passes, "_merge_blocks",
-                        lambda func: real(func) or func.name == "g")
-    src = "func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n" \
-          "func g(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
-    prog = parse_ir(src)
-    with pytest.raises(InternalPassError, match="did not reach a fixpoint"):
-        cleanup(prog.function("g"), prog.globals)
+                        lambda func: real(func) or bool(armed))
+    monkeypatch.setattr(passes, "if_convert",
+                        lambda func: not armed and not armed.append(True))
+    prog = parse_ir("func g(public n: u32 = 1) {\nbb0:\n  ret n\n}\n")
     with pytest.raises(InternalPassError,
-                       match="pass instcombine: cleanup of g") as err:
-        pipe(prog, instcombine=True)
+                       match="pass if_convert: cleanup of g") as err:
+        pipe(prog, instcombine=True, if_convert=True)
     assert [(e.pass_name, e.function) for e in err.value.log] == \
-        [("instcombine", "f")]
+        [("instcombine", "g")]
+    with pytest.raises(InternalPassError, match="did not reach a fixpoint"):
+        cleanup(prog.function(), prog.globals)
 
 
 def test_pass_that_does_not_settle_raises(monkeypatch):
-    # if_convert claims a change on every step of g, so its application to
-    # g never settles; everything applied before it is in the log.
+    # if_convert claims a change on every step, so its application never
+    # settles; everything applied before it is in the log.
     real = passes.if_convert
-    monkeypatch.setattr(passes, "if_convert",
-                        lambda func: real(func) or func.name == "g")
-    src = "func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n" \
-          "func g(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
+    monkeypatch.setattr(passes, "if_convert", lambda func: real(func) or True)
+    src = "func g(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
     with pytest.raises(InternalPassError,
                        match="pass if_convert: if_convert of g did not "
                              "reach a fixpoint") as err:
-        pipe(parse_ir(src), instcombine=True, if_convert=True)
+        pipe(parse_ir(src), instcombine=True, slp=True, if_convert=True)
     assert [(e.pass_name, e.function) for e in err.value.log] == \
-        [("instcombine", "f"), ("instcombine", "g"), ("if_convert", "f")]
+        [("instcombine", "g"), ("slp", "g")]
 
 
 def test_pass_that_breaks_the_program_is_named(monkeypatch):
@@ -416,13 +407,13 @@ def test_skipping_cleanup_on_clean_functions_changes_nothing(monkeypatch):
     # under every preset.
     def every_time(prog, spec):
         out, log = passes.copy_program(prog), []
+        func = out.function()
         for name in spec.order:
-            for func in out.functions.values():
-                before = {i.iid for i in func.instructions()}
-                passes._to_fixpoint(lambda f: passes._PASSES[name](f, spec),
-                                    func, name)
-                cleanup(func, out.globals)
-                log.append(passes._log_entry(name, func, before))
+            before = {i.iid for i in func.instructions()}
+            passes._to_fixpoint(lambda f: passes._PASSES[name](f, spec),
+                                func, name)
+            cleanup(func, out.globals)
+            log.append(passes._log_entry(name, func, before))
         return out, log
 
     calls = []
@@ -1213,6 +1204,132 @@ def test_slp_skips_non_consecutive_offsets():
 
 
 # ----------------------------------------------------------------------
+# guards: each program meets one check that refuses a rewrite, so the
+# step reports no change and changes nothing
+
+
+GUARDED = {
+    # r1 is read after the pair of selects that threading would remove.
+    "jump_thread": """
+func f(secret a: u4) {
+bb0:
+  c1 = icmp.lt a, 10
+  r1 = select c1, 16, 0
+  c2 = icmp.gt a, 12
+  t = or r1, 4
+  r = select c2, t, r1
+  u = add r, r1
+  ret u
+}
+""",
+    # A block that no edge reaches reads s2 from the tail: only such a
+    # block can, since the latch dominates no block but itself.
+    "path_split": """
+func f(secret p: arr<u8,4>, public n: u32 = 4) {
+bb0:
+  br loopH
+loopH:
+  i = phi [bb0: 0], [loopB: inext]
+  s = phi [bb0: 0], [loopB: s2]
+  c = icmp.lt i, n
+  condbr c, loopB, done
+loopB:
+  pv = load p, i
+  cc = icmp.lt pv, 128
+  t = select cc, 1, 2
+  s2 = add s, t
+  inext = add i, 1
+  br loopH
+done:
+  ret s
+dead:
+  u = add s2, 1
+  ret u
+}
+""",
+    # loopA leaves the loop, and `found` reads its load.
+    "loop_unroll": """
+func f(secret s: u2) {
+bb0:
+  br loopH
+loopH:
+  i = phi [bb0: 0], [loopB: inext]
+  c = icmp.lt i, 4
+  condbr c, loopA, done
+loopA:
+  v = load tbl, i
+  e = icmp.eq v, s
+  condbr e, found, loopB
+loopB:
+  inext = add i, 1
+  br loopH
+found:
+  ret v
+done:
+  ret 0
+}
+global tbl: arr<u32,4> = [1, 2, 3, 9]
+""",
+    # The exit reads the loop's compare, which no other check looks at.
+    "loop_vectorize": """
+func f(secret k: u8, public n: u32 = 8) {
+bb0:
+  br loop
+loop:
+  i = phi [bb0: 0], [body: i1]
+  c = icmp.lt i, n
+  condbr c, body, exit
+body:
+  x = load src, i
+  y = add x, k
+  store dst, i, y
+  i1 = add i, 1
+  br loop
+exit:
+  ret c
+}
+global src: arr<u32,8> = counting
+global dst: arr<u32,8> = zeros
+""",
+    # z reads dst[0] between the stores that packing would move past it.
+    "slp": """
+func f(secret a: u8) {
+bb0:
+  x0 = load src, 0
+  x1 = load src, 1
+  x2 = load src, 2
+  x3 = load src, 3
+  y0 = add x0, a
+  y1 = add x1, a
+  y2 = add x2, a
+  y3 = add x3, a
+  store dst, 0, y0
+  z = load dst, 0
+  store dst, 1, y1
+  store dst, 2, y2
+  store dst, 3, y3
+  ret z
+}
+global src: arr<u32,8> = counting
+global dst: arr<u32,8> = zeros
+""",
+}
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_a_guard_refuses_a_rewrite_that_would_break_the_program(name):
+    prog = parse_ir(GUARDED[name])
+    func = ir.copy_program(prog).function()
+    assert passes._PASSES[name](func, PipelineSpec()) is False
+    assert func == prog.function()
+    out, _ = pipe(prog, **{name: True})
+    low, _ = lower(out, PROFILES["x86-64"])
+    for args in gen_inputs(prog).arg_dicts():
+        want, got = execute(prog, args), execute(low, args)
+        assert (got.result, got.memory) == (want.result, want.memory), args
+
+
+# ----------------------------------------------------------------------
 # if conversion
 
 
@@ -1315,6 +1432,18 @@ def test_all_passes_on_all_corpus_entries_stay_valid():
 GOLDEN_PIPELINES = Path(__file__).resolve().parent / "golden" / "pipelines.txt"
 
 
+def render_log(log: list[PassLogEntry]) -> str:
+    """One line per pass application, with id churn indented below."""
+    lines = []
+    for e in log:
+        lines.append(f"{e.pass_name:<14} {e.function:<20} {e.summary}")
+        if e.created:
+            lines.append(f"{'':14} created ids: {', '.join(map(str, e.created))}")
+        if e.deleted:
+            lines.append(f"{'':14} deleted ids: {', '.join(map(str, e.deleted))}")
+    return "\n".join(lines)
+
+
 def pipeline_digests() -> str:
     """One line per corpus program x preset: sha256 prefixes of the midend
     IR, the lowered IR, and the pass log followed by the lowering log."""
@@ -1326,7 +1455,7 @@ def pipeline_digests() -> str:
             low, lower_log = lower(mid, PROFILES[spec.backend],
                                    spec.cmov_conversion)
             texts = {"mid": print_ir(mid), "low": print_ir(low),
-                     "log": render_pass_log(log + lower_log)}
+                     "log": render_log(log + lower_log)}
             digests = " ".join(
                 f"{k}={hashlib.sha256(t.encode()).hexdigest()[:16]}"
                 for k, t in texts.items())
