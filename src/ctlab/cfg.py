@@ -8,20 +8,20 @@ defined by a header phi.  Anything else is left alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ir import (Function, Instruction, dominators, evaluate, predecessors,
-                 settle, successors)
+from .ir import (BasicBlock, ControlFlow, Function, Instruction,
+                 control_flow, evaluate, settle)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Loop:
     header: str
-    latches: list[str]
-    blocks: set[str] = field(default_factory=set)
+    latches: tuple[str, ...]
+    blocks: frozenset[str]
     # The header's single predecessor outside the loop, or None when there
-    # is not exactly one.  Like every field, a snapshot of the function when
-    # natural_loops ran: a Loop built by hand has none.
+    # is not exactly one.  Like every field, a fact of the function's shape
+    # when natural_loops ran: a Loop built by hand has none.
     preheader: str | None = None
 
 
@@ -29,35 +29,43 @@ def natural_loops(func: Function) -> list[Loop]:
     """All natural loops, via back edges (tail dominated by head).
 
     Loops sharing a header are merged.  Result is sorted outermost-first
-    (by block-set size, descending) with preheaders filled in.
+    (by block-set size, descending) with preheaders filled in.  The loops
+    are found once per shape of the control-flow graph (see
+    ``ir.control_flow``) and are frozen, so every function of that shape
+    shares them.
     """
-    dom = dominators(func)
-    by_header: dict[str, Loop] = {}
-    preds = predecessors(func)
+    flow = control_flow(func)
+    if flow.loops is None:
+        flow.loops = _find_loops(flow)
+    return list(flow.loops)
 
-    for block in func.blocks:
-        if block.label not in dom:
+
+def _find_loops(flow: ControlFlow) -> tuple[Loop, ...]:
+    reach = flow.reachable
+    by_header: dict[str, tuple[list[str], set[str]]] = {}
+    for label, targets in zip(flow.labels, flow.successors):
+        if label not in reach:
             continue
-        for succ in successors(block):
-            if succ in dom.get(block.label, set()):
-                # back edge block -> succ
-                loop = by_header.setdefault(succ, Loop(succ, []))
-                loop.latches.append(block.label)
-                loop.blocks.add(succ)
-                stack = [block.label]
+        for succ in targets:
+            if flow.dominates(succ, label):
+                # back edge label -> succ
+                latches, blocks = by_header.setdefault(succ, ([], {succ}))
+                latches.append(label)
+                stack = [label]
                 while stack:
                     l = stack.pop()
-                    if l in loop.blocks:
+                    if l in blocks:
                         continue
-                    loop.blocks.add(l)
-                    stack.extend(p for p in preds.get(l, []) if p in dom)
+                    blocks.add(l)
+                    stack.extend(p for p in flow.preds(l) if p in reach)
 
-    loops = sorted(by_header.values(), key=lambda l: -len(l.blocks))
-    for loop in loops:
-        outside = [p for p in preds[loop.header] if p not in loop.blocks]
-        if len(outside) == 1:
-            loop.preheader = outside[0]
-    return loops
+    loops = []
+    for header, (latches, blocks) in sorted(by_header.items(),
+                                            key=lambda h: -len(h[1][1])):
+        outside = [p for p in flow.preds(header) if p not in blocks]
+        loops.append(Loop(header, tuple(latches), frozenset(blocks),
+                          outside[0] if len(outside) == 1 else None))
+    return tuple(loops)
 
 
 def innermost(loops: list[Loop]) -> list[Loop]:
@@ -114,13 +122,17 @@ def _resolve_const(defs: dict[str, Instruction], op: object) -> object:
 
 
 def counted_loop_info(func: Function, loop: Loop,
-                      defs: dict[str, Instruction] | None = None
+                      defs: dict[str, Instruction] | None = None,
+                      blocks: dict[str, BasicBlock] | None = None
                       ) -> CountedLoop | None:
     """Recognize the canonical counted-loop shape, else None.  ``loop``
     must come from ``natural_loops(func)``, with its blocks and preheader
     unchanged since: the preheader is taken from it, not recomputed.
-    ``defs``, when given, is ``func.defs()``."""
-    header = func.block(loop.header)
+    ``defs``, when given, is ``func.defs()``; ``blocks``, when given, maps
+    each of the loop's labels to its block in ``func``."""
+    if blocks is None:
+        blocks = {b.label: b for b in func.blocks}
+    header = blocks[loop.header]
     term = header.terminator
     if term is None or term.opcode != "condbr":
         return None
@@ -164,7 +176,7 @@ def counted_loop_info(func: Function, loop: Loop,
     if step.opcode != "add" or step.operands[0] != iv_phi.result or step.operands[1] != 1:
         return None
 
-    latch_term = func.block(latch).terminator
+    latch_term = blocks[latch].terminator
     if latch_term is None or latch_term.opcode != "br":
         return None
 

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import attrgetter
 
 SECRET = "secret"
@@ -392,6 +393,8 @@ def _parse_type(text: str, lineno: int) -> ScalarType | ArrayType:
 
 def _parse_operand(tok: str, lineno: int):
     tok = tok.strip()
+    if not tok:
+        raise IRParseError("empty operand", lineno)
     if _RE_INT.match(tok):
         return int(tok)
     if re.match(rf"^{_NAME}$", tok):
@@ -615,7 +618,7 @@ def parse_ir(text: str) -> Program:
             operands = (_parse_operand(rest, lineno),) if rest else ()
         else:
             operands = tuple(_parse_operand(t, lineno)
-                             for t in rest.split(",") if t.strip())
+                             for t in rest.split(",")) if rest else ()
 
         # Canonicalize a const's immediate and every negative one at the
         # instruction width (vector ops at lane width).
@@ -710,10 +713,10 @@ def print_ir(prog: Program) -> str:
 # ======================================================================
 
 def successors(block: BasicBlock) -> tuple[str, ...]:
-    term = block.terminator
-    if term is None:
-        return ()
-    return term.labels
+    instrs = block.instrs
+    if instrs and instrs[-1].opcode in TERMINATOR_OPS:
+        return instrs[-1].labels
+    return ()
 
 
 def predecessors(func: Function) -> dict[str, list[str]]:
@@ -725,51 +728,129 @@ def predecessors(func: Function) -> dict[str, list[str]]:
     return preds
 
 
-def reachable(func: Function) -> set[str]:
-    seen: set[str] = set()
-    stack = [func.entry]
-    by_label = {b.label: b for b in func.blocks}
-    while stack:
-        l = stack.pop()
-        if l in seen or l not in by_label:
-            continue
-        seen.add(l)
-        stack.extend(successors(by_label[l]))
-    return seen
+# Shapes kept by ``control_flow``: like the tracer's translation cache, enough
+# for a whole study, which meets 40 distinct graphs (every corpus program
+# under every preset, checked against its source).
+_FLOW_CACHE_SIZE = 64
 
 
-def dominators(func: Function) -> dict[str, set[str]]:
-    """The set of blocks dominating each reachable block, itself included.
+class ControlFlow:
+    """What a function's control-flow graph alone decides.
 
-    Immediate dominators come from Cooper, Harvey & Kennedy's "A Simple,
-    Fast Dominance Algorithm" (2001): iterate over the reachable blocks in
-    reverse postorder, intersecting the dominator-tree paths of each
-    block's processed predecessors, until nothing changes.  Each set is
-    then the block's chain of immediate dominators.  An unreachable block
-    has no entry, and as a predecessor it is ignored.
+    The graph's shape is its block labels in order, each with its
+    terminator's target labels (``labels`` and ``successors``).
+    ``control_flow`` builds one of these per shape and hands the same one
+    to every function of that shape, so nothing in it changes.
+    ``reachable`` holds the labels of the blocks reachable from the entry;
+    the methods answer for those blocks only.  The dominator tree comes
+    from Cooper, Harvey & Kennedy's "A Simple, Fast Dominance Algorithm"
+    (2001): iterate over the reachable blocks in reverse postorder,
+    intersecting the tree paths of each block's processed predecessors,
+    until nothing changes.  An unreachable block is in no tree, and as a
+    predecessor it is ignored.  ``loops`` holds ``cfg.natural_loops``'s
+    loops, which it sets the first time it is asked for them; it is None
+    until then.
+
+    The facts are kept in tuples indexed by a block's entry number in a
+    depth-first walk of the dominator tree, so a cached graph costs a few
+    words per block: a block's subtree takes the numbers from its own up
+    to its ``_end``, and ``a`` dominates ``b`` exactly when ``b``'s number
+    falls in ``a``'s range.
     """
-    by_label = {b.label: b for b in func.blocks}
+
+    __slots__ = ("labels", "successors", "reachable", "_enter", "_end",
+                 "_idom", "_position", "_pred_start", "_preds", "loops")
+
+    def __init__(self, labels: tuple[str, ...],
+                 successors: tuple[tuple[str, ...], ...]):
+        self.labels, self.successors = labels, successors
+        preds: dict[str, list[str]] = {l: [] for l in labels}
+        for l, targets in zip(labels, successors):
+            for s in targets:
+                if s in preds:
+                    preds[s].append(l)
+        order = _reverse_postorder(labels, successors)
+        idom = _immediate_dominators(order, preds)
+        # A dominator comes before the blocks it dominates in ``order``, so
+        # children are sized before their parents and numbered after them.
+        n = len(order)
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[idom[i]] += size[i]
+        enter = [0] * n
+        free = [1] * n                  # the next number a child may take
+        for i in range(1, n):
+            enter[i] = free[idom[i]]
+            free[idom[i]] += size[i]
+            free[i] = enter[i] + 1
+        by_number = [0] * n
+        for i, e in enumerate(enter):
+            by_number[e] = i
+        position = {l: i for i, l in enumerate(labels)}
+        self._enter = dict(zip(order, enter))
+        self.reachable = self._enter.keys()
+        self._end = tuple(enter[i] + size[i] for i in by_number)
+        self._idom = tuple(order[idom[i]] if i else None for i in by_number)
+        self._position = tuple(position[order[i]] for i in by_number)
+        starts = [0]
+        for i in by_number:
+            starts.append(starts[-1] + len(preds[order[i]]))
+        self._pred_start = tuple(starts)
+        self._preds = tuple(p for i in by_number for p in preds[order[i]])
+        self.loops = None
+
+    def dominates(self, a: str, b: str) -> bool:
+        """Does block ``a`` dominate block ``b``?  A block dominates
+        itself; an unreachable block dominates nothing and is dominated by
+        nothing."""
+        i = self._enter.get(a)
+        return i is not None and i <= self._enter.get(b, -1) < self._end[i]
+
+    def idom(self, label: str) -> str | None:
+        """The immediate dominator of ``label``; None for the entry."""
+        return self._idom[self._enter[label]]
+
+    def position(self, label: str) -> int:
+        """The index of ``label`` in the function's blocks."""
+        return self._position[self._enter[label]]
+
+    def preds(self, label: str) -> tuple[str, ...]:
+        """The predecessors of ``label``, one per edge, in block order;
+        unreachable ones included."""
+        i = self._enter[label]
+        return self._preds[self._pred_start[i]:self._pred_start[i + 1]]
+
+
+def _reverse_postorder(labels, successors) -> list[str]:
+    """The labels reachable from the first in reverse postorder of a
+    depth-first walk; empty when there are none."""
+    if not labels:
+        return []
+    succ = dict(zip(labels, successors))
     postorder: list[str] = []
-    seen = {func.entry}
-    stack = [(func.entry, iter(successors(by_label[func.entry])))]
+    seen = {labels[0]}
+    stack = [(labels[0], iter(succ[labels[0]]))]
     while stack:
-        label, succs = stack[-1]
-        for s in succs:
-            if s not in seen and s in by_label:
+        label, targets = stack[-1]
+        for s in targets:
+            if s not in seen and s in succ:
                 seen.add(s)
-                stack.append((s, iter(successors(by_label[s]))))
+                stack.append((s, iter(succ[s])))
                 break
         else:
             stack.pop()
             postorder.append(label)
-    # Blocks are numbered in reverse postorder, where every dominator comes
-    # before the blocks it dominates.
-    order = postorder[::-1]
+    return postorder[::-1]
+
+
+def _immediate_dominators(order: list[str], preds) -> list[int]:
+    """Each block's immediate dominator as an index into ``order``, the
+    reverse postorder; the entry (index 0) is its own."""
     index = {l: i for i, l in enumerate(order)}
-    preds = predecessors(func)
     pred_index = [[index[p] for p in preds[l] if p in index] for l in order]
     idom: list[int | None] = [None] * len(order)
-    idom[0] = 0
+    if order:
+        idom[0] = 0
     changed = True
     while changed:
         changed = False
@@ -789,10 +870,21 @@ def dominators(func: Function) -> dict[str, set[str]]:
             if idom[i] != new:
                 idom[i] = new
                 changed = True
-    dom = {order[0]: {order[0]}}
-    for i in range(1, len(order)):
-        dom[order[i]] = dom[order[idom[i]]] | {order[i]}
-    return dom
+    return idom
+
+
+def control_flow(func: Function) -> ControlFlow:
+    """The ``ControlFlow`` of ``func``'s current shape, from a memo of the
+    last ``_FLOW_CACHE_SIZE`` shapes: a function whose blocks or branch
+    targets change gets the facts of its new shape."""
+    blocks = func.blocks
+    return _control_flow(tuple([b.label for b in blocks]),
+                         tuple([successors(b) for b in blocks]))
+
+
+@lru_cache(maxsize=_FLOW_CACHE_SIZE)
+def _control_flow(labels, successors) -> ControlFlow:
+    return ControlFlow(labels, successors)
 
 
 def settle(roots, inputs, rule, bottom) -> dict:
@@ -848,11 +940,11 @@ def validate(prog: Program) -> list[str]:
     they fit its element width, and structure, dominance and the type of
     every value operand (see the module conventions).  Each violation
     names the global and element, or the function, block, and instruction
-    id involved; a program of other than one function, or an instruction
-    of a shape the parser rejects, is checked no further.  A phi takes its
-    arms' type, counting through the phis among them; with several, it
-    takes the type of its first arm with just one, else the least by name,
-    and reports the rest.
+    id involved; a program of other than one function, a function with no
+    blocks or duplicate labels, or an instruction of a shape the parser
+    rejects, is checked no further.  A phi takes its arms' type, counting
+    through the phis among them; with several, it takes the type of its
+    first arm with just one, else the least by name, and reports the rest.
     """
     errs: list[str] = []
     for g in prog.globals.values():
@@ -879,6 +971,9 @@ def validate(prog: Program) -> list[str]:
         errs.append(f"{where}: {msg}")
 
     labels = [b.label for b in func.blocks]
+    if not labels:                      # the parser's wording
+        err(None, None, f"function {func.name} has no blocks")
+        return errs
     if len(set(labels)) != len(labels):
         err(None, None, "duplicate block labels")
         return errs
@@ -960,24 +1055,24 @@ def validate(prog: Program) -> list[str]:
 
     # Dominance: every use of a definition (params and undefined names
     # were settled above) is dominated by it.
-    dom = dominators(func)
-    preds = predecessors(func)
+    flow = control_flow(func)
+    reach = flow.reachable
     for block in func.blocks:
-        if block.label not in dom:
+        if block.label not in reach:
             continue  # unreachable; skip dominance checks
         for idx, ins in enumerate(block.instrs):
             if ins.opcode == "phi":
+                preds = flow.preds(block.label)
                 for label, op in zip(ins.labels, ins.operands):
-                    if label not in preds.get(block.label, []):
+                    if label not in preds:
                         err(block, ins,
                             f"phi arm from non-predecessor {label!r}")
-                    if op in defs and label in dom \
-                            and defs[op][0] not in dom[label]:
+                    if op in defs and label in reach \
+                            and not flow.dominates(defs[op][0], label):
                         err(block, ins,
                             f"phi value {op!r} does not dominate edge {label}")
                 arm_labels = set(ins.labels)
-                if arm_labels != set(p for p in preds.get(block.label, [])
-                                     if p in dom):
+                if arm_labels != set(p for p in preds if p in reach):
                     err(block, ins, "phi arms do not match predecessors")
                 continue
             for op in value_operands(ins):
@@ -987,7 +1082,7 @@ def validate(prog: Program) -> list[str]:
                 if dblock == block.label:
                     if didx >= idx:
                         err(block, ins, f"use of {op!r} before definition")
-                elif dblock not in dom[block.label]:
+                elif not flow.dominates(dblock, block.label):
                     err(block, ins,
                         f"definition of {op!r} does not dominate use")
 

@@ -36,10 +36,10 @@ from .ir import (
     IRError,
     Program,
     clone_instruction,
+    control_flow,
     copy_program,
     evaluate,
     predecessors,
-    reachable,
     substitute,
     successors,
     validate,
@@ -292,8 +292,9 @@ def _set_arms(block: BasicBlock, idx: int, arms) -> None:
 
 
 def _loops_inner_first(func: Function):
+    position = control_flow(func).position
     return sorted(natural_loops(func),
-                  key=lambda l: (len(l.blocks), func.block_index(l.header)))
+                  key=lambda l: (len(l.blocks), position(l.header)))
 
 
 def _rewrite_loops(loops, rewrite) -> bool:
@@ -458,15 +459,15 @@ def _remove_dead_code(func: Function) -> bool:
 def _tidy_cfg(func: Function) -> bool:
     """Drop unreachable blocks and phi arms from vanished predecessors."""
     changed = False
-    reach = reachable(func)
-    if len(reach) != len(func.blocks):
-        func.blocks = [b for b in func.blocks if b.label in reach]
+    flow = control_flow(func)
+    if len(flow.reachable) != len(func.blocks):
+        func.blocks = [b for b in func.blocks if b.label in flow.reachable]
+        flow = control_flow(func)
         changed = True
-    preds = predecessors(func)
     for block in func.blocks:
-        here = set(preds.get(block.label, []))
         for idx, ins in enumerate(block.phis()):
-            if not set(ins.labels) <= here:
+            here = flow.preds(block.label)
+            if not set(ins.labels).issubset(here):
                 _set_arms(block, idx, [a for a in zip(ins.labels, ins.operands)
                                        if a[0] in here])
                 changed = True
@@ -947,10 +948,13 @@ def loop_unroll(f: Function) -> bool:
     Runtime-bound loops are left alone.
     """
     defs = f.defs()
+    # A rewrite keeps every block object it does not add, so this map
+    # stays right for the labels of the loops found before the step.
+    blocks = {b.label: b for b in f.blocks}
 
     def unroll(loop) -> bool:
         nonlocal defs
-        if not _unroll_full(f, loop, defs):
+        if not _unroll_full(f, loop, defs, blocks):
             return False
         defs = f.defs()
         return True
@@ -958,8 +962,8 @@ def loop_unroll(f: Function) -> bool:
     return _rewrite_loops(_loops_inner_first(f), unroll)
 
 
-def _unroll_full(f: Function, loop, defs) -> bool:
-    info = counted_loop_info(f, loop, defs)
+def _unroll_full(f: Function, loop, defs, blocks) -> bool:
+    info = counted_loop_info(f, loop, defs, blocks)
     if info is None:
         return False
     trip = info.trip_count
@@ -967,7 +971,7 @@ def _unroll_full(f: Function, loop, defs) -> bool:
         return False
     header_label = loop.header
     pre = loop.preheader
-    header = f.block(header_label)
+    header = blocks[header_label]
     phis = header.phis()
     header_rest = [i for i in header.instrs
                    if i.opcode != "phi" and not i.is_terminator]
@@ -978,9 +982,9 @@ def _unroll_full(f: Function, loop, defs) -> bool:
     # The only way out must be the header exit, and no body phi may draw
     # a value from the header directly.
     for l in body_labels:
-        if any(s not in loop.blocks for s in successors(f.block(l))):
+        if any(s not in loop.blocks for s in successors(blocks[l])):
             return False
-        if any(header_label in phi.labels for phi in f.block(l).phis()):
+        if any(header_label in phi.labels for phi in blocks[l].phis()):
             return False
 
     names = _all_names(f)
@@ -1005,7 +1009,7 @@ def _unroll_full(f: Function, loop, defs) -> bool:
     cur = dict(entry_val)
     cur[iv] = info.init
     new_blocks: list[BasicBlock] = []
-    body = [f.block(l) for l in body_labels]
+    body = [blocks[l] for l in body_labels]
     for k in range(trip + 1):
         # Header phis become the tracked per-peel values in cur; phis of
         # nested loop headers are ordinary defs and get fresh names.
@@ -1027,7 +1031,7 @@ def _unroll_full(f: Function, loop, defs) -> bool:
         nxt[iv] = evaluate(info.step_instr, cur[iv], 1)
         cur = nxt
 
-    _relabel(f.block(pre), header_label, h_labels[0])
+    _relabel(blocks[pre], header_label, h_labels[0])
 
     loop_defined = _defined_in(f, loop.blocks)
     at = f.block_index(header_label)
@@ -1058,14 +1062,17 @@ def loop_vectorize(f: Function) -> bool:
     outside predecessors, so it is not vectorized again.
 
     The step builds ``defs``, the use map and the name and label sets once;
-    each rewrite extends them with what it adds and replaces.
+    each rewrite extends them with what it adds and replaces.  Its map
+    from label to block stays right for the loops' own labels as it is:
+    a rewrite keeps every block object it does not add.
     """
     loops = _loops_inner_first(f)
     defs, uses = f.defs(), _uses(f)
     names, labels = _all_names(f), _labels(f)
+    blocks = {b.label: b for b in f.blocks}
     changed = False
     for loop in innermost(loops):
-        plan = _vector_plan(f, loop, defs, uses)
+        plan = _vector_plan(f, loop, defs, uses, blocks)
         if plan is not None:
             _apply_vector_plan(f, plan, defs, uses, names, labels)
             changed = True
@@ -1101,14 +1108,15 @@ class _VecPlan:
     invariants: list[object]
 
 
-def _vector_plan(f: Function, loop, defs, uses) -> _VecPlan | None:
+def _vector_plan(f: Function, loop, defs, uses, blocks) -> _VecPlan | None:
     """What vectorizing ``loop`` takes, or None when it does not fit;
-    ``defs`` and ``uses`` are ``f.defs()`` and ``_uses(f)``."""
-    info = counted_loop_info(f, loop, defs)
+    ``defs`` and ``uses`` are ``f.defs()`` and ``_uses(f)``, and ``blocks``
+    maps the loop's labels to their blocks."""
+    info = counted_loop_info(f, loop, defs, blocks)
     if info is None or len(loop.blocks) != 2:
         return None
-    header = f.block(loop.header)
-    latch = f.block(info.latch)
+    header = blocks[loop.header]
+    latch = blocks[info.latch]
     if len(header.phis()) != 1 or len(header.instrs) != 3:
         return None
     if _loop_values_escape(f, loop.blocks, uses):

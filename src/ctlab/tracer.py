@@ -119,7 +119,7 @@ from typing import NamedTuple
 
 from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
                  NEG_EXPR, ArrayType, BasicBlock, Function, Instruction,
-                 Program, ScalarType, reachable, settle, value_operands,
+                 Program, ScalarType, control_flow, settle, value_operands,
                  width_rule)
 
 DEFAULT_FUEL = 1_000_000
@@ -363,7 +363,7 @@ class _Translator:
             if ins.opcode in ("condbr", "select", "cmov")
             and reads[c := ins.operands[0]] == 1 and c in defs
             and defs[c].opcode == "icmp"}
-        live = reachable(func)
+        live = control_flow(func).reachable
         self.nodes = []                 # (block, its instructions in a node)
         first = {}                      # block label -> its first node
         for b in func.blocks:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from ctlab import cfg, ir
+from ctlab import cfg, ir, passes, tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.cfg import counted_loop_info, innermost, natural_loops
 from ctlab.corpus import load_program, names
-from ctlab.ir import dominators, parse_ir, predecessors, reachable
+from ctlab.ir import control_flow, parse_ir, predecessors, successors
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
+from ctlab.tracer import execute, gen_inputs
 
 STRAIGHT = """
 func f(public n: u32 = 4) {
@@ -162,7 +165,13 @@ done:
 def reference_dominators(func):
     """Dominator sets by intersecting predecessors' sets to a fixpoint,
     over the reachable blocks only."""
-    reach = reachable(func)
+    succs = {b.label: successors(b) for b in func.blocks}
+    reach, stack = set(), [func.entry]
+    while stack:
+        l = stack.pop()
+        if l in succs and l not in reach:
+            reach.add(l)
+            stack.extend(succs[l])
     order = [b.label for b in func.blocks if b.label in reach]
     preds = predecessors(func)
     dom = {l: set(order) for l in order}
@@ -186,20 +195,44 @@ def reference_dominators(func):
     return dom
 
 
+def dominator_sets(func):
+    """Each reachable block's dominators, itself included, read off the
+    dominator tree of ``func``; the tree's O(1) test must agree with them
+    on every pair of labels."""
+    flow = control_flow(func)
+    dom = {}
+    for l in flow.reachable:
+        dom[l] = {l}
+        d = l
+        while flow.idom(d) is not None:
+            d = flow.idom(d)
+            dom[l].add(d)
+    labels = [b.label for b in func.blocks]
+    assert [(a, b) for a in labels for b in labels
+            if flow.dominates(a, b) != (a in dom.get(b, ()))] == []
+    return dom
+
+
 def test_dominators_match_the_reference_on_every_pipeline_function(
         monkeypatch):
     # Every function the passes and the lowering return or ask about, the
     # ones in the middle of a pass's fixpoint included.
     sizes = []
+    real = ir.control_flow
+    seen = {}           # id -> facts, each held so that no id is reused
 
     def checked(func):
-        got = dominators(func)
-        assert got == reference_dominators(func), func.name
-        sizes.append(len(func.blocks))
-        return got
+        # Functions of one shape share their facts: check them once.
+        flow = real(func)
+        if id(flow) not in seen:
+            seen[id(flow)] = flow
+            assert dominator_sets(func) == reference_dominators(func), \
+                func.name
+            sizes.append(len(func.blocks))
+        return flow
 
-    monkeypatch.setattr(cfg, "dominators", checked)
-    monkeypatch.setattr(ir, "dominators", checked)
+    for module in (ir, cfg, passes, tracer):
+        monkeypatch.setattr(module, "control_flow", checked)
     for name in names():
         source = load_program(name)
         checked(source.function())
@@ -262,5 +295,72 @@ x:
 ], ids=["diamond", "irreducible", "unreachable", "self-loop"])
 def test_dominators_of_hand_written_shapes(src, want):
     func = parse_ir("func f(public c: u32 = 1) {" + src + "}").function()
-    assert dominators(func) == reference_dominators(func) == \
+    assert dominator_sets(func) == reference_dominators(func) == \
         {l: set(d.split()) for l, d in want.items()}
+
+
+# ----------------------------------------------------------------------
+# Facts built once per shape of the control-flow graph
+
+
+def test_a_study_builds_each_graphs_facts_once(monkeypatch):
+    # A study meets every corpus program under every preset, and checking
+    # the results meets each source program.  Each distinct graph builds
+    # its dominator tree and its loops at most once, and a second round
+    # builds none: a study that outgrew the memo would rebuild on every
+    # round.
+    trees, loops = Counter(), Counter()
+    real_flow, real_loops = ir.ControlFlow, cfg._find_loops
+
+    def flow(labels, successors):
+        trees[labels, successors] += 1
+        return real_flow(labels, successors)
+
+    def find_loops(flow):
+        loops[flow.labels, flow.successors] += 1
+        return real_loops(flow)
+
+    monkeypatch.setattr(ir, "ControlFlow", flow)
+    monkeypatch.setattr(cfg, "_find_loops", find_loops)
+
+    def study():
+        for name in names():
+            source = load_program(name)
+            args = gen_inputs(source, count=1, seed=0).arg_dicts()[0]
+            execute(source, args)
+            for p in PRESETS.values():
+                mid, _ = run_pipeline(source, p.spec)
+                low, _ = lower(mid, PROFILES[p.spec.backend],
+                               p.spec.cmov_conversion)
+                execute(low, args)
+
+    ir._control_flow.cache_clear()
+    study()
+    assert max(trees.values()) == max(loops.values()) == 1
+    built = (sum(trees.values()), sum(loops.values()))
+    study()
+    assert (sum(trees.values()), sum(loops.values())) == built
+
+
+def test_cached_loops_are_frozen():
+    func = load_program("rsa_bearssl_lookup").function()
+    outer, inner = natural_loops(func)
+    with pytest.raises(AttributeError):
+        outer.preheader = None
+    with pytest.raises(AttributeError):
+        inner.blocks.add("bb0")
+    assert natural_loops(func) == [outer, inner]
+
+
+def test_a_retargeted_branch_gets_fresh_facts():
+    func = parse_ir(NESTED).function()
+    flow = control_flow(func)
+    assert [l.header for l in natural_loops(func)] == ["oh", "bh", "ah", "ch"]
+    # `ol` leaves for `done` instead of going back to `oh`: no outer loop.
+    ol = func.block("ol")
+    ol.instrs[-1] = ol.instrs[-1]._replace(labels=("done",))
+    fresh = control_flow(func)
+    assert fresh is not flow
+    assert (flow.preds("done"), fresh.preds("done")) == (("oh",),
+                                                         ("oh", "ol"))
+    assert [l.header for l in natural_loops(func)] == ["bh", "ah", "ch"]

@@ -214,6 +214,14 @@ def test_malformed_ir_is_blamed_on_the_input(tmp_path, capsys):
         assert "broke the program" not in err, name
 
 
+def test_an_empty_operand_exits_one(tmp_path, capsys):
+    p = tmp_path / "empty.ir"
+    p.write_text("func f(secret k: u8) {\nbb0:\n  a = add k, , 1\n"
+                 "  ret a\n}\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert (code, out, err) == (1, "", "error: line 3: empty operand\n")
+
+
 def test_a_second_function_is_a_located_error(tmp_path, capsys,
                                               monkeypatch):
     from ctlab import analysis

@@ -224,6 +224,14 @@ def test_parse_errors():
         parse_ir("func f(public n: u32 = 1) {\nbb0:\n  c = icmp.ge n, 1\n  ret c\n}")
 
 
+@pytest.mark.parametrize("line", ["a = add k, , 1", "a = add k, 1,",
+                                  "a = select k, k, , k"])
+def test_an_empty_operand_is_a_located_error(line):
+    # Dropping it would check a different instruction.
+    with pytest.raises(IRParseError, match="^line 3: empty operand$"):
+        parse_ir(f"func f(secret k: u1) {{\nbb0:\n  {line}\n  ret a\n}}")
+
+
 def test_result_names_may_begin_with_an_opcode():
     # Only the opcode word decides whether a line has no result.
     func = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  retval = add n, 1\n"
@@ -266,6 +274,9 @@ def test_validate_catches_broken_programs():
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\ndead:\n"
                     "  m = sub 0, zz\n  r = and m, n\n  ret r\n}")
     assert validate(prog) == ["f/dead/id1: use of undefined 'zz'"]
+    # no blocks at all: nothing to enter
+    prog.function().blocks.clear()
+    assert validate(prog) == ["f: function f has no blocks"]
 
 
 def test_validate_checks_the_shapes_the_parser_checks():

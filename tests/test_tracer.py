@@ -12,7 +12,7 @@ from ctlab import tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS,
-                      MEMORY_OPS, ArrayType, ScalarType, dominators,
+                      MEMORY_OPS, ArrayType, ScalarType, control_flow,
                       evaluate, parse_ir, predecessors, validate)
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
@@ -772,7 +772,14 @@ def random_cfg(rng):
         f"b{i}:\n  " + ("ret 0" if not t else f"br b{t[0]}" if len(t) == 1
                         else f"condbr c, b{t[0]}, b{t[1]}")
         for i, t in enumerate(terms)) + "\n}").function()
-    dom = dominators(skeleton)
+    flow = control_flow(skeleton)
+    dom = {}                        # each reachable block's dominators
+    for l in flow.reachable:
+        dom[l] = {l}
+        d = l
+        while flow.idom(d) is not None:
+            d = flow.idom(d)
+            dom[l].add(d)
     preds = predecessors(skeleton)
     pools, offsets, phis, bodies = {}, {}, {}, {}
     # Dominators first, so that a block extends the values of its own.
