@@ -26,8 +26,9 @@ Conventions:
 
 * Parameters carry a secrecy tag (``secret``/``public``); public parameters
   may declare a default value used by the input generator.  Scalar parameter
-  widths come from {1, 2, 4, 8, 16, 32, 64}; instruction widths from
-  {8, 16, 32, 64} (default 32).
+  widths come from {1, 2, 4, 8, 16, 32, 64}; instruction widths, and the
+  element widths of array parameters and globals, from {8, 16, 32, 64}
+  (default 32).
 * Scalar opcodes take an optional width suffix (``add.16``); ``icmp`` takes a
   predicate suffix (``icmp.lt``); vector opcodes take a lane-count suffix
   (``vload.4``).
@@ -73,7 +74,8 @@ Conventions:
   instruction, often ``ins._replace(...)``, where the old one stood.  So
   ``copy_function`` copies the lists and shares the instructions.
 * Global initializers: ``zeros``, ``counting`` (element i holds i, wrapped),
-  or an explicit ``[1, 2, 3]`` list, wrapped to the element width.  Every
+  or an explicit ``[1, 2, 3]`` list of integers, wrapped to the element
+  width, with no empty item (``[]`` has none).  Every
   element of a valid program's global fits its element width.
 * A leading ``stage lowered`` line marks backend output; ``cmov`` may only
   appear in lowered programs, ``select``/``vselect`` only before lowering.
@@ -377,18 +379,24 @@ _RE_PARAM = re.compile(
 _RE_INT = re.compile(r"^-?\d+$")
 
 
+def _element_width(digits: str, lineno: int) -> int:
+    """An array's element width: one an instruction can load."""
+    width = int(digits)
+    if width not in INSTR_WIDTHS:
+        raise IRParseError(f"bad element width u{width}", lineno)
+    return width
+
+
 def _parse_type(text: str, lineno: int) -> ScalarType | ArrayType:
-    text = text.strip()
+    """A parameter's type, which ``_RE_PARAM`` has matched: ``u<width>``
+    or ``arr<u<width>,<length>>``."""
     m = re.match(r"^arr<u(\d+)\s*,\s*(\d+)>$", text)
     if m:
-        return ArrayType(int(m.group(1)), int(m.group(2)))
-    m = re.match(r"^u(\d+)$", text)
-    if m:
-        width = int(m.group(1))
-        if width not in PARAM_WIDTHS:
-            raise IRParseError(f"unsupported scalar width u{width}", lineno)
-        return ScalarType(width)
-    raise IRParseError(f"bad type {text!r}", lineno)
+        return ArrayType(_element_width(m.group(1), lineno), int(m.group(2)))
+    width = int(text[1:])
+    if width not in PARAM_WIDTHS:
+        raise IRParseError(f"unsupported scalar width u{width}", lineno)
+    return ScalarType(width)
 
 
 def _parse_operand(tok: str, lineno: int):
@@ -400,6 +408,16 @@ def _parse_operand(tok: str, lineno: int):
     if re.match(rf"^{_NAME}$", tok):
         return tok
     raise IRParseError(f"bad operand {tok!r}", lineno)
+
+
+def _initializer(tok: str, width: int, lineno: int) -> int:
+    """One item of a global's initializer list, wrapped to ``width``."""
+    tok = tok.strip()
+    if not tok:
+        raise IRParseError("empty initializer element", lineno)
+    if not _RE_INT.match(tok):
+        raise IRParseError(f"bad initializer element {tok!r}", lineno)
+    return int(tok) & ((1 << width) - 1)
 
 
 def _split_opcode(tok: str, lineno: int) -> tuple[str, str | None, int]:
@@ -496,9 +514,8 @@ def parse_ir(text: str) -> Program:
 
         m = _RE_GLOBAL.match(line)
         if m:
-            name, ew, length, init = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4).strip()
-            if ew not in INSTR_WIDTHS:
-                raise IRParseError(f"bad element width u{ew}", lineno)
+            name, length, init = m.group(1), int(m.group(3)), m.group(4).strip()
+            ew = _element_width(m.group(2), lineno)
             if name in prog.globals:
                 raise IRParseError(f"duplicate global {name!r}", lineno)
             if init == "zeros":
@@ -506,9 +523,8 @@ def parse_ir(text: str) -> Program:
             elif init == "counting":
                 g = GlobalArray.counting(name, ew, length)
             elif init.startswith("[") and init.endswith("]"):
-                mask = (1 << ew) - 1
-                items = [t for t in init[1:-1].split(",") if t.strip()]
-                vals = tuple(int(t) & mask for t in items)
+                items = init[1:-1].split(",") if init[1:-1].strip() else []
+                vals = tuple(_initializer(t, ew, lineno) for t in items)
                 if len(vals) != length:
                     raise IRParseError(
                         f"global {name}: {len(vals)} initializers for length {length}",

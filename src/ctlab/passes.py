@@ -9,6 +9,12 @@ immutable values (see ``ir``), so a rewrite puts a new instruction where
 the old one stood, and anything else that holds the old one, such as a
 ``defs()`` map, is stale until it is rebuilt or patched.
 
+A step of a loop pass (path splitting, unswitching, unrolling) reads the
+function's facts once, splices the block list once and renames the readers
+of the values its rewrites dropped in one sweep (``_rewrite_loops``).  This
+is sound because the loops it rewrites share no block or preheader, so each
+rewrite reads the function as the step found it.
+
 The runner copies the program, whose one function is the unit every pass
 rewrites, runs each pass's step and then cleanup on it, each to its
 fixpoint, validates the result when either reports a change, and logs
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .cfg import counted_loop_info, innermost, natural_loops
 from .ir import (
@@ -145,11 +152,7 @@ def _log_entry(name: str, func: Function, before: set[int]) -> PassLogEntry:
 # ======================================================================
 
 def _all_names(func: Function) -> set[str]:
-    names = {p.name for p in func.params}
-    for ins in func.instructions():
-        if ins.result is not None:
-            names.add(ins.result)
-    return names
+    return {p.name for p in func.params} | _defined_in(func.blocks)
 
 
 def _fresh_name(taken: set[str], base: str) -> str:
@@ -241,13 +244,9 @@ def _fix_phi_arm_labels(blocks: list[BasicBlock],
                     labels=tuple(renames.get(l, l) for l in ins.labels))
 
 
-def _defined_in(func: Function, labels) -> set[str]:
-    out = set()
-    for l in labels:
-        for ins in func.block(l).instrs:
-            if ins.result is not None:
-                out.add(ins.result)
-    return out
+def _defined_in(blocks) -> set[str]:
+    return {ins.result for b in blocks for ins in b.instrs
+            if ins.result is not None}
 
 
 def _read_only_by(uses: dict[str, list[Instruction]], instrs,
@@ -258,11 +257,10 @@ def _read_only_by(uses: dict[str, list[Instruction]], instrs,
                for user in uses.get(ins.result, ()))
 
 
-def _loop_values_escape(func: Function, blocks: set[str],
-                        uses: dict[str, list[Instruction]]) -> bool:
+def _loop_values_escape(blocks, uses: dict[str, list[Instruction]]) -> bool:
     """Does an instruction outside ``blocks`` read a value defined in
-    them?  ``uses`` is ``_uses(func)``."""
-    inside = [ins for l in blocks for ins in func.block(l).instrs]
+    them?  ``uses`` is ``_uses`` of their function."""
+    inside = [ins for b in blocks for ins in b.instrs]
     return not _read_only_by(uses, inside, {ins.iid for ins in inside})
 
 
@@ -291,23 +289,60 @@ def _set_arms(block: BasicBlock, idx: int, arms) -> None:
         labels=tuple(l for l, _ in arms), operands=tuple(v for _, v in arms))
 
 
-def _loops_inner_first(func: Function):
-    position = control_flow(func).position
-    return sorted(natural_loops(func),
-                  key=lambda l: (len(l.blocks), position(l.header)))
+class _LoopStep:
+    """One step of a loop pass over ``f``: the facts of ``f`` as the step
+    found it, and what its rewrites add to it.
+
+    ``defs``, ``uses``, and the sets of value ``names`` and block
+    ``labels`` are built at their first read, which comes before the
+    step's first edit: a rewrite reads what it needs before it edits.  A
+    name or label that a rewrite drops stays taken for the step.  A
+    rewrite puts blocks in ``replaced`` to take the place of a label's
+    block, or ``appended`` at the end, and ``renames`` each value it drops;
+    unrolling also keeps ``defs`` current (see ``_unroll_full``).
+    """
+
+    def __init__(self, f: Function):
+        self.f = f
+        self.blocks = {b.label: b for b in f.blocks}
+        self.position = control_flow(f).position    # orders labels
+        self.loops = sorted(natural_loops(f), key=lambda l: (
+            len(l.blocks), self.position(l.header)))    # innermost first
+        self.replaced: dict[str, list[BasicBlock]] = {}
+        self.appended: list[BasicBlock] = []
+        self.renames: dict[str, object] = {}
+
+    defs = cached_property(lambda self: self.f.defs())
+    uses = cached_property(lambda self: _uses(self.f))
+    names = cached_property(lambda self: _all_names(self.f))
+    labels = cached_property(lambda self: set(self.blocks))
 
 
-def _rewrite_loops(loops, rewrite) -> bool:
-    """Offer each loop to ``rewrite(loop)``, which returns whether it
-    rewrote it; a loop sharing a block or preheader with one rewritten
-    before it may be stale, so it waits for the next step."""
+def _rewrite_loops(step: _LoopStep, rewrite) -> bool:
+    """Offer each loop, innermost first, to ``rewrite(step, loop)``, which
+    returns whether it rewrote it; then splice the rewrites' blocks in at
+    once, and rename the readers of the values they dropped in one sweep.
+
+    A loop sharing a block or preheader with one rewritten before it waits
+    for the next step, so each rewrite reads the function as the step found
+    it.  A dropped value can be renamed to another loop's, so the renames
+    are first resolved to the ends of their chains.
+    """
     touched: set[str] = set()
-    for loop in loops:
+    for loop in step.loops:
         span = loop.blocks | {loop.preheader} if loop.preheader \
             else loop.blocks
-        if touched.isdisjoint(span) and rewrite(loop):
+        if touched.isdisjoint(span) and rewrite(step, loop):
             touched |= span
-    return bool(touched)
+    if not touched:
+        return False
+    f = step.f
+    f.blocks = [new for b in f.blocks
+                for new in step.replaced.get(b.label, (b,))] + step.appended
+    if step.renames:
+        _resolve_copies(step.renames)
+        _subst(f.blocks, step.renames)
+    return True
 
 
 # Steps after which a rewrite is taken not to settle.  A step rewrites every
@@ -523,7 +558,7 @@ def _merge_blocks(func: Function) -> bool:
             tblock = by_label[target]
             if tblock.phis():
                 break
-            b.instrs = b.instrs[:-1] + tblock.instrs
+            b.instrs[-1:] = tblock.instrs
             merged[target] = b.label
             for succ in successors(tblock):
                 preds[succ] = [b.label if p == target else p
@@ -769,15 +804,14 @@ def path_split(f: Function) -> bool:
     with r bound to b, both branching back to the header.  A step splits
     every such latch.
     """
-    return _rewrite_loops(_loops_inner_first(f),
-                          lambda loop: _split_latch(f, loop))
+    return _rewrite_loops(_LoopStep(f), _split_latch)
 
 
-def _split_latch(f: Function, loop) -> bool:
+def _split_latch(step: _LoopStep, loop) -> bool:
     if len(loop.latches) != 1:
         return False
     latch_label = loop.latches[0]
-    latch = f.block(latch_label)
+    latch = step.blocks[latch_label]
     term = latch.terminator
     if term is None or term.opcode != "br" or term.labels != (loop.header,):
         return False
@@ -786,39 +820,29 @@ def _split_latch(f: Function, loop) -> bool:
     if sel_at is None:
         return False
     sel = latch.instrs[sel_at]
-    tail = latch.instrs[sel_at + 1:]
-    if any(ins.opcode == "phi" for ins in tail):
-        return False
-    header_phis = f.block(loop.header).phis()
-    if not _read_only_by(_uses(f), [sel] + tail,
-                         {i.iid for i in tail + header_phis}):
+    tail = latch.instrs[sel_at + 1:]        # no phi follows a select
+    header = step.blocks[loop.header]   # the latch itself when one block
+    if not _read_only_by(step.uses, [sel] + tail,
+                         {i.iid for i in tail + header.phis()}):
         return False
 
-    labels = _labels(f)
-    lt = _fresh_name(labels, f"{latch_label}.t")
-    lf = _fresh_name(labels, f"{latch_label}.f")
-    names = _all_names(f)
+    f = step.f
+    lt = _fresh_name(step.labels, f"{latch_label}.t")
+    lf = _fresh_name(step.labels, f"{latch_label}.f")
     t_map: dict[str, object] = {sel.result: sel.operands[1]}
     f_map: dict[str, object] = {sel.result: sel.operands[2]}
-    copies = (_copy(f, [BasicBlock(lt, tail)], t_map, names, ".t")
-              + _copy(f, [BasicBlock(lf, tail)], f_map, names, ".f"))
+    step.replaced[latch_label] = [
+        latch, *_copy(f, [BasicBlock(lt, tail)], t_map, step.names, ".t"),
+        *_copy(f, [BasicBlock(lf, tail)], f_map, step.names, ".f")]
 
     latch.instrs = latch.instrs[:sel_at] + [
         _condbr(f, sel.loc, sel.operands[0], lt, lf)]
-    at = f.block_index(latch_label)
-    f.blocks[at + 1:at + 1] = copies
-
-    header = f.block(loop.header)       # the latch itself when one block
-    for idx, phi in enumerate(header.phis()):
-        if latch_label not in phi.labels:
-            continue
-        new_arms = []
+    for idx, phi in enumerate(header.phis()):   # each has a latch arm
+        arms = []
         for l, v in zip(phi.labels, phi.operands):
-            if l != latch_label:
-                new_arms.append((l, v))
-                continue
-            new_arms += [(lt, t_map.get(v, v)), (lf, f_map.get(v, v))]
-        _set_arms(header, idx, new_arms)
+            arms += [(lt, t_map.get(v, v)), (lf, f_map.get(v, v))] \
+                if l == latch_label else [(l, v)]
+        _set_arms(header, idx, arms)
     return True
 
 
@@ -844,96 +868,86 @@ def loop_unswitch(f: Function, threshold: int = 32) -> bool:
     stops cloning once the loops entered from unswitch guards would hold
     more than `_UNSWITCH_GROWTH` times `threshold` instructions.
     """
-    loops = _loops_inner_first(f)
-    size = {l.header: sum(len(f.block(b).instrs) for b in l.blocks)
-            for l in loops}
-    guarded = {l.header for l in loops
+    step = _LoopStep(f)
+    size = {l.header: sum(len(step.blocks[b].instrs) for b in l.blocks)
+            for l in step.loops}
+    guarded = {l.header for l in step.loops
                if (l.preheader or "").startswith(_GUARD)}
     budget = _UNSWITCH_GROWTH * threshold - sum(size[h] for h in guarded)
-    uses = _uses(f)
 
-    def unswitch(loop) -> bool:
-        nonlocal budget, uses
+    def unswitch(step: _LoopStep, loop) -> bool:
+        nonlocal budget
         # The clone is new growth, and so is the loop itself the first time.
         cost = size[loop.header] * (1 if loop.header in guarded else 2)
         if size[loop.header] > threshold or cost > budget \
-                or not _unswitch_loop(f, loop, uses):
+                or not _unswitch_loop(step, loop):
             return False
         budget -= cost
-        uses = _uses(f)
         return True
 
-    return _rewrite_loops(loops, unswitch)
+    return _rewrite_loops(step, unswitch)
 
 
-def _unswitch_loop(f: Function, loop, uses) -> bool:
+def _unswitch_loop(step: _LoopStep, loop) -> bool:
     if loop.preheader is None:
         return False
-    if _loop_values_escape(f, loop.blocks, uses):
+    blocks = step.blocks
+    inside = [blocks[l] for l in loop.blocks]
+    if _loop_values_escape(inside, step.uses):
         return False
-    exits = {s for l in loop.blocks for s in successors(f.block(l))
-             if s not in loop.blocks}
-    if any(f.block(e).phis() for e in exits):
+    if any(blocks[e].phis() for b in inside for e in successors(b)
+           if e not in loop.blocks):
         return False
 
-    loop_defs = _defined_in(f, loop.blocks)
+    loop_defs = _defined_in(inside)
 
     def invariant(op) -> bool:
         return isinstance(op, str) and op not in loop_defs
 
-    ordered = [b.label for b in f.blocks if b.label in loop.blocks]
+    ordered = sorted(loop.blocks, key=step.position)
     # The first invariant select, else the first loop-internal condbr on an
     # invariant condition.
     candidate = next(
-        (("select", l, ins) for l in ordered for ins in f.block(l).instrs
+        (("select", l, ins) for l in ordered for ins in blocks[l].instrs
          if ins.opcode == "select" and invariant(ins.operands[0])), None) \
         or next((("condbr", l, t) for l in ordered
-                 for t in [f.block(l).terminator]
+                 for t in [blocks[l].terminator]
                  if t is not None and t.opcode == "condbr"
                  and invariant(t.operands[0])
                  and all(x in loop.blocks for x in t.labels)), None)
     if candidate is None:
         return False
 
+    f = step.f
     kind, cand_label, cand = candidate
-    cond = cand.operands[0]
     pre = loop.preheader
-    labels = _labels(f)
-    label_map = {l: _fresh_name(labels, f"{l}.us") for l in ordered}
-    value_map: dict[str, object] = {}
-    originals = [f.block(l) for l in ordered]
-    clones = _copy(f, originals, value_map, _all_names(f), ".us", label_map)
+    label_map = {l: _fresh_name(step.labels, f"{l}.us") for l in ordered}
+    originals = [blocks[l] for l in ordered]
+    clones = _copy(f, originals, {}, step.names, ".us", label_map)
 
     # Original copy takes the condition-true side, the clone the false.
+    block = blocks[cand_label]
+    cblock = clones[ordered.index(cand_label)]
+    at = block.instrs.index(cand)       # in the clone too
     if kind == "select":
-        block = f.block(cand_label)
-        block.instrs.remove(cand)
+        del block.instrs[at]
+        csel = cblock.instrs.pop(at)
         _subst(originals, {cand.result: cand.operands[1]})
-        cblock = next(b for b in clones
-                      if b.label == label_map[cand_label])
-        csel = next(i for i in cblock.instrs
-                    if i.result == value_map[cand.result])
-        cblock.instrs.remove(csel)
         _subst(clones, {csel.result: csel.operands[2]})
     else:
-        block = f.block(cand_label)
-        idx = block.instrs.index(cand)
-        block.instrs[idx] = _jump(cand, cand.labels[0])
-        cblock = next(b for b in clones
-                      if b.label == label_map[cand_label])
-        cblock.instrs[-1] = _jump(cblock.instrs[-1],
-                                  cblock.instrs[-1].labels[1])
+        block.instrs[at] = _jump(cand, cand.labels[0])
+        cblock.instrs[at] = _jump(cblock.instrs[at],
+                                  cblock.instrs[at].labels[1])
 
-    guard_label = _fresh_name(labels, _GUARD)
+    guard_label = _fresh_name(step.labels, _GUARD)
     guard = BasicBlock(guard_label, [
-        _condbr(f, cand.loc, cond, loop.header, label_map[loop.header])])
+        _condbr(f, cand.loc, cand.operands[0], loop.header,
+                label_map[loop.header])])
 
-    _relabel(f.block(pre), loop.header, guard_label)
-    _fix_phi_arm_labels([f.block(loop.header)] + clones, {pre: guard_label})
-
-    at = f.block_index(loop.header)
-    f.blocks[at:at] = [guard]
-    f.blocks.extend(clones)
+    _relabel(blocks[pre], loop.header, guard_label)
+    _fix_phi_arm_labels([blocks[loop.header]] + clones, {pre: guard_label})
+    step.replaced[loop.header] = [guard, blocks[loop.header]]
+    step.appended += clones
     return True
 
 
@@ -947,23 +961,12 @@ def loop_unroll(f: Function) -> bool:
     duplicated instructions keep their source locations under fresh ids.
     Runtime-bound loops are left alone.
     """
-    defs = f.defs()
-    # A rewrite keeps every block object it does not add, so this map
-    # stays right for the labels of the loops found before the step.
-    blocks = {b.label: b for b in f.blocks}
-
-    def unroll(loop) -> bool:
-        nonlocal defs
-        if not _unroll_full(f, loop, defs, blocks):
-            return False
-        defs = f.defs()
-        return True
-
-    return _rewrite_loops(_loops_inner_first(f), unroll)
+    return _rewrite_loops(_LoopStep(f), _unroll_full)
 
 
-def _unroll_full(f: Function, loop, defs, blocks) -> bool:
-    info = counted_loop_info(f, loop, defs, blocks)
+def _unroll_full(step: _LoopStep, loop) -> bool:
+    f, blocks = step.f, step.blocks
+    info = counted_loop_info(f, loop, step.defs, blocks)
     if info is None:
         return False
     trip = info.trip_count
@@ -972,50 +975,39 @@ def _unroll_full(f: Function, loop, defs, blocks) -> bool:
     header_label = loop.header
     pre = loop.preheader
     header = blocks[header_label]
-    phis = header.phis()
     header_rest = [i for i in header.instrs
                    if i.opcode != "phi" and not i.is_terminator]
-    body_labels = [b.label for b in f.blocks
-                   if b.label in loop.blocks and b.label != header_label]
+    body_labels = sorted(loop.blocks - {header_label}, key=step.position)
+    body = [blocks[l] for l in body_labels]
     body_entry = info.cond_br.labels[0]
 
     # The only way out must be the header exit, and no body phi may draw
     # a value from the header directly.
-    for l in body_labels:
-        if any(s not in loop.blocks for s in successors(blocks[l])):
-            return False
-        if any(header_label in phi.labels for phi in blocks[l].phis()):
-            return False
+    if any(s not in loop.blocks for b in body for s in successors(b)) or any(
+            header_label in phi.labels for b in body for phi in b.phis()):
+        return False
 
-    names = _all_names(f)
-    labels = _labels(f)
-    h_labels = [_fresh_name(labels, f"{header_label}.it{k}")
+    h_labels = [_fresh_name(step.labels, f"{header_label}.it{k}")
                 for k in range(trip + 1)]
     b_label_maps = [
-        {l: _fresh_name(labels, f"{l}.it{k}") for l in body_labels}
+        {l: _fresh_name(step.labels, f"{l}.it{k}") for l in body_labels}
         for k in range(trip)
     ]
 
-    entry_val: dict[str, object] = {}
-    latch_val: dict[str, object] = {}
-    for phi in phis:
-        for l, v in zip(phi.labels, phi.operands):
-            if l == info.latch:
-                latch_val[phi.result] = v
-            elif l == pre:
-                entry_val[phi.result] = v
-    iv = info.iv_phi.result
+    def arms_from(label):       # header phi -> its value on the edge
+        return {phi.result: v for phi in header.phis()
+                for l, v in zip(phi.labels, phi.operands) if l == label}
 
-    cur = dict(entry_val)
-    cur[iv] = info.init
+    latch_val = arms_from(info.latch)
+    iv = info.iv_phi.result
+    cur = {**arms_from(pre), iv: info.init}
     new_blocks: list[BasicBlock] = []
-    body = [blocks[l] for l in body_labels]
     for k in range(trip + 1):
         # Header phis become the tracked per-peel values in cur; phis of
         # nested loop headers are ordinary defs and get fresh names.
         vmap: dict[str, object] = dict(cur)
-        hb, = _copy(f, [BasicBlock(h_labels[k], header_rest)], vmap, names,
-                    f".it{k}")
+        hb, = _copy(f, [BasicBlock(h_labels[k], header_rest)], vmap,
+                    step.names, f".it{k}")
         if k == trip:
             hb.instrs.append(_br(f, info.cond_br.loc, info.exit))
             new_blocks.append(hb)
@@ -1025,25 +1017,33 @@ def _unroll_full(f: Function, loop, defs, blocks) -> bool:
         lmap[header_label] = h_labels[k + 1]
         hb.instrs.append(_br(f, info.cond_br.loc, lmap[body_entry]))
         new_blocks.append(hb)
-        new_blocks += _copy(f, body, vmap, names, f".it{k}", lmap)
+        new_blocks += _copy(f, body, vmap, step.names, f".it{k}", lmap)
 
         nxt = {r: vmap.get(op, op) for r, op in latch_val.items()}
         nxt[iv] = evaluate(info.step_instr, cur[iv], 1)
         cur = nxt
 
+    # The new blocks take the loop's place.  The header's only successor
+    # outside the loop is the exit, so only the exit's phis name it, and
+    # outside readers read the last peel's values.
     _relabel(blocks[pre], header_label, h_labels[0])
-
-    loop_defined = _defined_in(f, loop.blocks)
-    at = f.block_index(header_label)
-    insert_at = sum(1 for b in f.blocks[:at] if b.label not in loop.blocks)
-    f.blocks = [b for b in f.blocks if b.label not in loop.blocks]
-    f.blocks[insert_at:insert_at] = new_blocks
-    _fix_phi_arm_labels(f.blocks, {header_label: h_labels[trip]})
-
-    # Outside users read the last peel's values.
-    mapping = {n: vmap[n] for n in loop_defined if vmap.get(n, n) != n}
-    new_set = {b.label for b in new_blocks}
-    _subst([b for b in f.blocks if b.label not in new_set], mapping)
+    _fix_phi_arm_labels([blocks[info.exit]], {header_label: h_labels[trip]})
+    step.replaced.update(dict.fromkeys(loop.blocks, []))
+    step.replaced[header_label] = new_blocks
+    renames = {n: vmap[n] for n in _defined_in([header] + body)
+               if vmap.get(n, n) != n}
+    step.renames.update(renames)
+    # A later loop of the step may count its trips from these values, so
+    # ``defs`` gains the new ones and defines each dropped one as its last
+    # peel's.  A parameter has no definition, and n's phi folds no more.
+    defs = step.defs
+    defs.update((i.result, i) for b in new_blocks for i in b.instrs
+                if i.result is not None)
+    for n, v in renames.items():
+        if isinstance(v, int):
+            defs[n] = Instruction(-1, "const", n, (v,), info.cond_br.loc)
+        elif v in defs:
+            defs[n] = defs[v]
     return True
 
 
@@ -1061,18 +1061,17 @@ def loop_vectorize(f: Function) -> bool:
     every eligible innermost loop; a vectorized loop's header then has two
     outside predecessors, so it is not vectorized again.
 
-    The step builds ``defs``, the use map and the name and label sets once;
-    each rewrite extends them with what it adds and replaces.  Its map
-    from label to block stays right for the loops' own labels as it is:
-    a rewrite keeps every block object it does not add.
+    The step reads every fact of a ``_LoopStep`` before it edits anything.
+    It splices each rewrite in at once, and extends ``defs``, the use map
+    and the name and label sets with what the rewrite adds and replaces.
+    Its map from label to block stays right for the loops' own labels as
+    it is: a rewrite keeps every block object it does not add.
     """
-    loops = _loops_inner_first(f)
-    defs, uses = f.defs(), _uses(f)
-    names, labels = _all_names(f), _labels(f)
-    blocks = {b.label: b for b in f.blocks}
+    step = _LoopStep(f)
+    defs, uses, names, labels = step.defs, step.uses, step.names, step.labels
     changed = False
-    for loop in innermost(loops):
-        plan = _vector_plan(f, loop, defs, uses, blocks)
+    for loop in innermost(step.loops):
+        plan = _vector_plan(f, loop, defs, uses, step.blocks)
         if plan is not None:
             _apply_vector_plan(f, plan, defs, uses, names, labels)
             changed = True
@@ -1119,10 +1118,11 @@ def _vector_plan(f: Function, loop, defs, uses, blocks) -> _VecPlan | None:
     latch = blocks[info.latch]
     if len(header.phis()) != 1 or len(header.instrs) != 3:
         return None
-    if _loop_values_escape(f, loop.blocks, uses):
+    inside = [blocks[l] for l in loop.blocks]
+    if _loop_values_escape(inside, uses):
         return None
     iv = info.iv_phi.result
-    loop_defs = _defined_in(f, loop.blocks)
+    loop_defs = _defined_in(inside)
     body = [ins for ins in latch.instrs[:-1] if ins is not info.step_instr]
     if not any(ins.opcode in ("load", "store") for ins in body):
         return None

@@ -186,6 +186,8 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "analyze", "fig1a_branch",
                        "--preset", "nope")
     assert code == 1 and "unknown preset" in err
+    code, _, err = run(capsys, "matrix", "fig1a_branch", "--vary", " , ")
+    assert (code, err) == (1, "error: --vary needs at least one toggle name\n")
 
 
 def test_too_few_inputs_is_a_usage_error_naming_the_flag(capsys):
@@ -220,6 +222,23 @@ def test_an_empty_operand_exits_one(tmp_path, capsys):
                  "  ret a\n}\n", encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(p))
     assert (code, out, err) == (1, "", "error: line 3: empty operand\n")
+
+
+@pytest.mark.parametrize("params, table, message", [
+    ("secret k: u8", "[1, , 2, 3]", "line 5: empty initializer element"),
+    ("secret k: u8", "[1, 2, 3,]", "line 5: empty initializer element"),
+    ("secret k: arr<u0,4>", "[1, 2, 3]", "line 1: bad element width u0"),
+    ("public k: u8 = 1", "[1, 2, 3]", "f has no secret parameters"),
+])
+def test_a_malformed_declaration_exits_one(tmp_path, capsys, params, table,
+                                           message):
+    # Read as written, the table would silently be another one, and the
+    # array parameter would end in an unlocated error from the tracer.
+    p = tmp_path / "bad.ir"
+    p.write_text(f"func f({params}) {{\nbb0:\n  ret 0\n}}\n"
+                 f"global g: arr<u32,3> = {table}\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_a_second_function_is_a_located_error(tmp_path, capsys,

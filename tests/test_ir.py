@@ -19,6 +19,7 @@ from ctlab.ir import (
     IRError,
     IRParseError,
     Param,
+    Program,
     ScalarType,
     SourceLoc,
     copy_program,
@@ -164,6 +165,9 @@ def test_global_initializers():
     listed = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
                       "global g: arr<u8,3> = [1, 2, 300]")
     assert listed.globals["g"].init == (1, 2, 300 & 0xFF)  # masked to u8
+    empty = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
+                     "global g: arr<u8,0> = [ ]")
+    assert empty.globals["g"].init == () and validate(empty) == []
 
 
 def test_validate_rejects_a_global_element_that_does_not_fit():
@@ -230,6 +234,92 @@ def test_an_empty_operand_is_a_located_error(line):
     # Dropping it would check a different instruction.
     with pytest.raises(IRParseError, match="^line 3: empty operand$"):
         parse_ir(f"func f(secret k: u1) {{\nbb0:\n  {line}\n  ret a\n}}")
+
+
+def _in_func(body: str) -> str:
+    """``body`` as line 3 on, in a function whose parameter is ``k``."""
+    return f"func f(secret k: u8) {{\nbb0:\n{body}\n  ret k\n}}"
+
+
+def _built(*blocks) -> Program:
+    """A program of ``f(secret k: u8)`` built without the parser: each
+    block is its label and its instructions' (id, opcode, result,
+    operands, labels) fields."""
+    loc = SourceLoc("t.c", 1)
+    return Program({"f": Function(
+        "f", [Param("k", ScalarType(8), "secret")],
+        [BasicBlock(label, [Instruction(iid, op, result, operands, loc,
+                                        labels=labels)
+                            for iid, op, result, operands, labels in instrs])
+         for label, instrs in blocks])})
+
+
+_RET_K = (9, "ret", None, ("k",), ())
+
+# Each error message of the parser and the validator, with an input that
+# gets it: a parse error names its line, a validate error its place.
+ERRORS = [
+    ("}", "line 1: stray '}'"),
+    ("func f(secret k: u8) {\nfunc g(secret k: u8) {", "line 2: nested func"),
+    ("func f(secret k: u8) {\nbb0:\n  ret k", "line 3: unterminated func f"),
+    ("func f(secret k: u8) {\n}", "line 2: function f has no blocks"),
+    ("ret 0", "line 1: unexpected line outside func: 'ret 0'"),
+    ("func f(secret k: u8) {\n  ret k\n}",
+     "line 2: instruction before first block label"),
+    ("func f(k) {", "line 1: bad parameter 'k'"),
+    ("func f(public p: arr<u8,4> = 1) {",
+     "line 1: array parameter defaults are not supported"),
+    ("func f(secret p: arr<u3,4>) {", "line 1: bad element width u3"),
+    ("func f(secret p: arr<u0,4>) {", "line 1: bad element width u0"),
+    ("global g: arr<u3,1> = zeros", "line 1: bad element width u3"),
+    ("global g: arr<u8,1> = zeros\nglobal g: arr<u8,1> = zeros",
+     "line 2: duplicate global 'g'"),
+    ("global g: arr<u8,1> = ones", "line 1: bad global initializer 'ones'"),
+    ("global g: arr<u8,3> = [1, , 2, 3]",
+     "line 1: empty initializer element"),
+    ("global g: arr<u8,3> = [1, 2, 3,]", "line 1: empty initializer element"),
+    ("global g: arr<u8,3> = [1, x, 3]",
+     "line 1: bad initializer element 'x'"),
+    (_in_func("  1x = add k, 1"), "line 3: bad result name '1x'"),
+    (_in_func("  a = add k, $"), "line 3: bad operand '$'"),
+    (_in_func("  a = phi k"), "line 3: bad phi arms"),
+    (_in_func("  br bb1, bb2"), "line 3: br needs one target label"),
+    (_in_func("  condbr k, bb1"),
+     "line 3: condbr needs: cond, taken, fallthrough"),
+    (_in_func("  a = add k, 1  # id 4"),
+     "line 4: mixing explicit # id comments with implicit ids"),
+    (_in_func("  a = add.x k, 1"), "line 3: bad opcode suffix on 'add.x'"),
+    (_in_func("  a = add.7 k, 1"), "line 3: bad width 7"),
+    (_in_func("  a = splat.3 k"), "line 3: bad lane count 3"),
+    (_built(("b", [_RET_K]), ("b", [_RET_K])), "f: duplicate block labels"),
+    (_built(("b", [(0, "add", "a", ("k", 1), ()), (0, "ret", None, ("a",),
+                                                   ())])),
+     "f/b/id0: duplicate instruction id"),
+    (_built(("b", [(0, "add", "a", ("k", 1), ()),
+                   (1, "add", "a", ("k", 2), ()), _RET_K])),
+     "f/b/id1: redefinition of 'a'"),
+    (_built(("b", [(0, "add", "a", ("k", 1), ())])),
+     "f/b: block lacks a terminator"),
+    (_built(("b", [_RET_K, (1, "add", "a", ("k", 1), ()),
+                   (2, "ret", None, ("a",), ())])),
+     "f/b/id9: terminator not at block end"),
+    (_built(("b", [(0, "br", None, (), ("c",))]),
+            ("c", [(1, "add", "a", ("k", 1), ()),
+                   (2, "phi", "p", ("k",), ("b",)), _RET_K])),
+     "f/c/id2: phi after non-phi instruction"),
+    (_built(("b", [(0, "load", "a", ("nope", 0), ()), _RET_K])),
+     "f/b/id0: unknown memory name 'nope'"),
+]
+
+
+@pytest.mark.parametrize("source, message", ERRORS)
+def test_every_error_message_is_reachable(source, message):
+    if isinstance(source, str):
+        with pytest.raises(IRParseError) as caught:
+            parse_ir(source)
+        assert str(caught.value) == message
+    else:
+        assert validate(source) == [message]
 
 
 def test_result_names_may_begin_with_an_opcode():

@@ -932,6 +932,132 @@ def test_unroll_renames_only_the_readers_of_loop_values(monkeypatch):
     assert (got.result, got.memory) == (want.result, want.memory)
 
 
+def select_chain(n: int):
+    """``n`` loops in a row whose latches step by a select on the secret
+    ``s``: path splitting splits each latch, and unswitching unswitches
+    loops while its budget lasts."""
+    lines = ["func f(secret s: u1) {", "e:", "  br h0"]
+    for k in range(n):
+        prev = "e" if k == 0 else f"e{k - 1}"
+        lines += [f"h{k}:", f"  i{k} = phi [{prev}: 0], [b{k}: n{k}]",
+                  f"  c{k} = icmp.lt i{k}, 4", f"  condbr c{k}, b{k}, e{k}",
+                  f"b{k}:", f"  v{k} = select s, 1, 2",
+                  f"  n{k} = add i{k}, v{k}", f"  br h{k}",
+                  f"e{k}:", f"  br h{k + 1}"]
+    lines[-1] = f"  ret i{n - 1}"
+    return parse_ir("\n".join(lines + ["}"]))
+
+
+@pytest.mark.parametrize("build", [loop_chain, select_chain])
+@pytest.mark.parametrize("name", ["path_split", "loop_unswitch",
+                                  "loop_unroll"])
+def test_a_loop_step_reads_the_function_once(monkeypatch, build, name):
+    # Each step of a loop pass builds each whole-function fact at most
+    # once and rebuilds the block list at most once, however many loops
+    # it rewrites: the counts per step are the same at n and 4n loops.
+    counts: dict[str, int] = {}
+
+    def count(key):
+        counts[key] = counts.get(key, 0) + 1
+
+    def counted(key, real):
+        return lambda *args: count(key) or real(*args)
+
+    for key in ("_all_names", "_labels", "_uses"):
+        monkeypatch.setattr(passes, key, counted(key, getattr(passes, key)))
+    monkeypatch.setattr(ir.Function, "defs",
+                        counted("defs", ir.Function.defs))
+
+    class Spliced(list):                # counts splices into the list
+        def __setitem__(self, at, value):
+            if isinstance(at, slice):
+                count("rebuilds")
+            super().__setitem__(at, value)
+
+        def extend(self, items):
+            count("rebuilds")
+            super().extend(items)
+
+        def insert(self, at, item):
+            count("rebuilds")
+            super().insert(at, item)
+
+    class Watched(ir.Function):         # counts new block lists
+        def __setattr__(self, attr, value):
+            if attr == "blocks":
+                count("rebuilds")
+                value = Spliced(value)
+            super().__setattr__(attr, value)
+
+    def steps(n):
+        """Whether each step changed the function, and its counts."""
+        func = build(n).function()
+        func.__class__ = Watched
+        func.blocks = func.blocks
+        out = []
+        while True:
+            counts.clear()
+            changed = getattr(passes, name)(func)
+            out.append((changed, frozenset(counts.items())))
+            if not changed:
+                return out
+
+    # Unswitching's budget, not n, decides how many steps it takes.
+    small, large = steps(25), steps(100)
+    assert set(small) == set(large)
+    for changed, step_counts in small:
+        assert all(n <= 1 for _, n in step_counts), small
+        assert dict(step_counts).get("rebuilds", 0) == changed
+    # Unrolling rewrites the counted loops, the other two the selects.
+    assert small[0][0] is ((name == "loop_unroll") is (build is loop_chain))
+
+
+def test_one_unroll_step_renames_across_loops():
+    # The second loop's entry values and body read the first loop's
+    # accumulated value, and its `keep` ends as that value: the renames
+    # chain from `keep` to `acc` to the first loop's last peel.  It runs
+    # until the first loop's last index, which the step reads from the
+    # first loop's rewrite.
+    src = """
+func f(secret a: u4) {
+e:
+  br h0
+h0:
+  i = phi [e: 0], [b0: i2]
+  acc = phi [e: a], [b0: acc2]
+  c = icmp.lt i, 3
+  condbr c, b0, x0
+b0:
+  acc2 = add acc, i
+  i2 = add i, 1
+  br h0
+x0:
+  br h1
+h1:
+  j = phi [x0: 0], [b1: j2]
+  s = phi [x0: acc], [b1: s2]
+  keep = phi [x0: acc], [b1: keep]
+  c1 = icmp.lt j, i
+  condbr c1, b1, x1
+b1:
+  t = mul s, acc
+  s2 = add t, j
+  j2 = add j, 1
+  br h1
+x1:
+  r = xor s, keep
+  ret r
+}
+"""
+    prog = parse_ir(src)
+    out = ir.copy_program(prog)
+    assert passes.loop_unroll(out.function())
+    assert natural_loops(out.function()) == []
+    assert validate(out) == []
+    for a in range(16):
+        assert execute(out, {"a": a}).result == execute(prog, {"a": a}).result
+
+
 def test_unroll_respects_full_limit():
     def unroll(trips):
         src = UNROLL_SRC.replace("icmp.lt i, 3", f"icmp.lt i, {trips}") \
