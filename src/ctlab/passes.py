@@ -289,7 +289,18 @@ def _set_arms(block: BasicBlock, idx: int, arms) -> None:
         labels=tuple(l for l, _ in arms), operands=tuple(v for _, v in arms))
 
 
-class _LoopStep:
+class _Facts:
+    """Whole-function facts of ``f``, ``defs`` and ``uses``, each built at
+    its first read.  They hold until ``f`` changes."""
+
+    def __init__(self, f: Function):
+        self.f = f
+
+    defs = cached_property(lambda self: self.f.defs())
+    uses = cached_property(lambda self: _uses(self.f))
+
+
+class _LoopStep(_Facts):
     """One step of a loop pass over ``f``: the facts of ``f`` as the step
     found it, and what its rewrites add to it.
 
@@ -303,7 +314,7 @@ class _LoopStep:
     """
 
     def __init__(self, f: Function):
-        self.f = f
+        super().__init__(f)
         self.blocks = {b.label: b for b in f.blocks}
         self.position = control_flow(f).position    # orders labels
         self.loops = sorted(natural_loops(f), key=lambda l: (
@@ -312,8 +323,6 @@ class _LoopStep:
         self.appended: list[BasicBlock] = []
         self.renames: dict[str, object] = {}
 
-    defs = cached_property(lambda self: self.f.defs())
-    uses = cached_property(lambda self: _uses(self.f))
     names = cached_property(lambda self: _all_names(self.f))
     labels = cached_property(lambda self: set(self.blocks))
 
@@ -1361,10 +1370,12 @@ def slp_lite(f: Function) -> bool:
     the scan ends.
     """
     changed = False
+    facts = _Facts(f)
     for block in f.blocks:
-        while any(_slp_try_group(f, block, g, window)
+        while any(_slp_try_group(f, block, g, window, facts)
                   for g, window in _store_runs(block)):
             changed = True
+            facts = _Facts(f)           # the packing changed f
     return changed
 
 
@@ -1384,7 +1395,7 @@ def _store_runs(block: BasicBlock):
 
 
 def _slp_try_group(f: Function, block: BasicBlock, g: str,
-                   store_idx: list[int]) -> bool:
+                   store_idx: list[int], facts: _Facts) -> bool:
     stores = [block.instrs[i] for i in store_idx]
     offs = [s.operands[1] for s in stores]
     defs_in_block = {ins.result: ins for ins in block.instrs
@@ -1445,13 +1456,13 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
     roots = [s.operands[2] for s in stores]
     if len(set(roots)) != _VECTOR_WIDTH:
         return False
-    defs = f.defs()             # f is not changed until `build` returns
+    defs = facts.defs
     tree = build(roots, build)
     if tree is None or isinstance(tree, _SlpSplat):
         return False
 
     member_ids = {m.iid for m in members}
-    if not _read_only_by(_uses(f), members, member_ids):
+    if not _read_only_by(facts.uses, members, member_ids):
         return False
 
     # Nothing inside the group's span may write the regions the group
@@ -1542,16 +1553,17 @@ def if_convert(f: Function) -> bool:
     becomes a select on the diamond's condition.  A step converts every
     diamond, in block order.
     """
-    changed = False
     preds = predecessors(f)
-    for block in list(f.blocks):
+    blocks = {b.label: b for b in f.blocks}
+    gone: set[str] = set()              # the arms of converted diamonds
+    for block in f.blocks:
         term = block.terminator
         if term is None or term.opcode != "condbr":
             continue
         t_l, f_l = term.labels
         if t_l == f_l:
             continue
-        tb, fb = f.block(t_l), f.block(f_l)
+        tb, fb = blocks[t_l], blocks[f_l]
         if preds.get(t_l) != [block.label] or preds.get(f_l) != [block.label]:
             continue
         t_term, f_term = tb.terminator, fb.terminator
@@ -1567,7 +1579,7 @@ def if_convert(f: Function) -> bool:
         arms = tb.instrs[:-1] + fb.instrs[:-1]
         if any(ins.opcode not in _PURE_OPS for ins in arms):
             continue
-        jb = f.block(join)
+        jb = blocks[join]
         if any(set(p.labels) != {t_l, f_l} for p in jb.phis()):
             continue
 
@@ -1581,10 +1593,12 @@ def if_convert(f: Function) -> bool:
             jb.instrs[idx] = Instruction(
                 f.fresh_id(), "select", phi.result,
                 (cond, by_label[t_l], by_label[f_l]), phi.loc, phi.width)
-        f.blocks = [b for b in f.blocks if b.label not in (t_l, f_l)]
-        preds = predecessors(f)
-        changed = True
-    return changed
+        # The head now enters the join alone; nothing enters the arms.
+        preds[join] = [block.label]
+        gone.update((t_l, f_l))
+    if gone:
+        f.blocks = [b for b in f.blocks if b.label not in gone]
+    return bool(gone)
 
 
 # ======================================================================

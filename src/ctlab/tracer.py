@@ -56,28 +56,52 @@ the control-flow graph, written as structured Python:
 Translation leaves out work that it proves does nothing; the values,
 events, steps and errors stay those of the ``ir`` semantics.
 
-* Masks.  Each value's bit width comes from one ``ir.settle`` of the
-  width rule (``ir.width_rule``) over the function.  The rule bounds
-  every value the generated code computes: by induction over the steps
-  of a run, each operand already fits its width when an op reads it, and
-  a mask that is left out is one that could not clear a bit.  So an
-  ``or``/``xor`` of two operands that fit the instruction width, or an
-  ``and`` with one, is written without its wrap; ``lshr`` without the
-  mask of a left operand that fits; a shift by an immediate with the
-  amount masked while translating; a ``load`` (or ``vload`` lane) without
-  its wrap when the elements are no wider than the load; and a ``store``
-  (or ``vstore`` lane) without its wrap when the value fits the element.
-  The last two rely on every memory cell fitting its element width:
-  ``validate`` checks the globals' initializers, ``execute`` masks array
-  arguments, and a store wraps any value that may not fit.  A negative
-  immediate, which a program built in Python may hold, never fits.
-* Bounds checks.  An access at a computed offset is checked only when no
-  earlier check of the same offset value, against a bound at least as
-  tight, always runs before it in the region's structured code.  An arm
-  of an ``if`` starts from the checks before the ``if``; a join after it,
-  and the other arm, from those alone, since the checks of an arm hold
-  only where that arm ran.  The earlier check raised if the offset was
-  out of bounds, so the dropped one could never fail.
+* Ranges.  Translation bounds every value from above with two facts,
+  computed once per translation (``_Translator.ranges``).  First, each
+  value's bound at its definition, from one walk over the reachable
+  blocks in dominator-tree order: a parameter's and a phi's is the cap of
+  its width by the width rule (``ir.width_rule``, settled once over the
+  phis); a ``select`` or ``cmov`` takes its widest arm's, since it passes
+  an arm through unwrapped; any other op takes what its operands' bounds
+  give, within its width's mask (a sum's is the sum of theirs, an
+  ``and``'s the smaller, a ``load``'s the narrower of its width and its
+  region's elements).  Second, for each block, the bounds that a compare
+  proves there: when a block other than the entry has a single
+  predecessor, which ends in a ``condbr`` on an ``icmp.lt``/``gt``/``eq``
+  /``ne``, the compare's outcome on that edge bounds one operand by the
+  other (``a < b`` taken: ``a`` is at most the bound of ``b`` less one),
+  and the block keeps what its immediate dominator proves.  A use reads
+  the smaller of the two.  The second is the e-SSA argument of ABCD
+  (Bodík, Gupta & Sarkar, PLDI 2000), sound because a value is defined
+  once, and every path to a block that the edge's target dominates
+  crosses that edge after the value's latest definition, so the tested
+  relation still holds in that block.  A compare narrows only a value
+  bounded by at most 64 bits, and such a value is never negative: a
+  negative immediate, which a program built in Python may hold (the
+  parser masks them), is bounded above every mask, as is anything that
+  passes it through.
+* Masks.  The bounds hold for every value the generated code computes:
+  by induction over the steps of a run, each operand is within its bound
+  when an op reads it, and a mask that is left out is one that could not
+  clear a bit.  So an op's wrap `` & {m}`` is left out when the bound of
+  what it masks fits the width: an ``or``/``xor`` of two fitting
+  operands, an ``and`` with one, an ``add``, a ``mul`` or a ``shl`` by an
+  immediate whose unwrapped result fits; ``lshr`` without the mask of a
+  left operand that fits; a shift by an immediate with the amount masked
+  while translating; a ``load`` (or ``vload`` lane) without its wrap when
+  the elements are no wider than the load; and a ``store`` (or ``vstore``
+  lane) without its wrap when the value fits the element.  The last two
+  rely on every memory cell fitting its element width: ``validate``
+  checks the globals' initializers, ``execute`` masks array arguments,
+  and a store wraps any value that may not fit.
+* Bounds checks.  An access at a computed offset is checked only when
+  the offset's bound is above the last offset that leaves room for its
+  lanes, and no earlier check of the same offset value, against a bound
+  at least as tight, always runs before it in the region's structured
+  code.  An arm of an ``if`` starts from the checks before the ``if``; a
+  join after it, and the other arm, from those alone, since the checks of
+  an arm hold only where that arm ran.  The earlier check raised if the
+  offset was out of bounds, so the dropped one could never fail.
 * Compares.  When an ``icmp``'s only reader is the test of a ``condbr``,
   ``select`` or ``cmov`` in the compare's own region, that reader tests
   the comparison itself (``if a < b:``, ``x if a < b else y``) and the 0/1
@@ -118,9 +142,9 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
-                 NEG_EXPR, ArrayType, BasicBlock, Function, Instruction,
-                 Program, ScalarType, control_flow, settle, value_operands,
-                 width_rule)
+                 NEG_EXPR, VECTOR_OPS, ArrayType, BasicBlock, Function,
+                 Instruction, Program, ScalarType, control_flow, settle,
+                 value_operands, width_rule)
 
 DEFAULT_FUEL = 1_000_000
 _LANE_MASK = (1 << LANE_WIDTH) - 1
@@ -142,6 +166,15 @@ _CHUNK = 96
 # functions together after 16 inputs each, 3.5k events in 507 tables of
 # it (tracemalloc after a collection, CPython 3.11).
 _CACHE_SIZE = 64
+# The bound of a negative immediate: above every mask and ``_M64``.
+_UNBOUNDED = 1 << 65
+# What the outcome of an ``icmp`` on an edge proves of its operands
+# (a, b), by predicate and outcome: each (i, j, d) reads "operand i is at
+# most operand j minus d".
+_PROVES = {("lt", True): ((0, 1, 1),), ("lt", False): ((1, 0, 0),),
+           ("gt", True): ((1, 0, 1),), ("gt", False): ((0, 1, 0),),
+           ("eq", True): ((0, 1, 0), (1, 0, 0)), ("eq", False): (),
+           ("ne", True): (), ("ne", False): ((0, 1, 0), (1, 0, 0))}
 
 
 class TraceError(Exception):
@@ -351,10 +384,11 @@ class _Translator:
                                            **dict(zip(_FIELD_NAMES, f)))
                                for f in islice(rows, size)])
             for label, size in zip(labels, sizes)])
-        # Every value's width, by the width rule (see ``ir``).
+        # Every phi's width, by the width rule (see ``ir``).
         defs = func.defs()
-        inputs, self.rule = width_rule(defs, dict(params).__getitem__)
-        self.widths = settle(defs, inputs, self.rule, 0)
+        inputs, rule = width_rule(defs, dict(params).__getitem__)
+        self.widths = settle([v for v, ins in defs.items()
+                              if ins.opcode == "phi"], inputs, rule, 0)
         # Compares that only the test of a condbr, select or cmov reads.
         reads = Counter(op for ins in func.instructions()
                         for op in value_operands(ins) if isinstance(op, str))
@@ -363,7 +397,8 @@ class _Translator:
             if ins.opcode in ("condbr", "select", "cmov")
             and reads[c := ins.operands[0]] == 1 and c in defs
             and defs[c].opcode == "icmp"}
-        live = control_flow(func).reachable
+        flow = control_flow(func)
+        live = flow.reachable
         self.nodes = []                 # (block, its instructions in a node)
         first = {}                      # block label -> its first node
         for b in func.blocks:
@@ -379,6 +414,7 @@ class _Translator:
         for targets in self.succ:
             for t in targets:
                 self.indeg[t] += 1
+        self.ranges(func, flow, defs, params)
         self.names: dict[str, str] = {}     # value -> generated identifier
         self.arrays: dict[str, str] = {}    # memory region -> identifier
         self.namespace = {"_oob": _oob}
@@ -391,6 +427,94 @@ class _Translator:
             return []
         return [(phi.result, phi.operands[phi.labels.index(b.label)])
                 for phi in self.nodes[t][0].phis()]
+
+    # -- Ranges -----------------------------------------------------------
+
+    def ranges(self, func, flow, defs, params):
+        """Bound every value from above (see Ranges in the module
+        docstring): ``top`` holds each value's bound at its definition,
+        ``facts[label]`` the tighter ones that compares prove in a block."""
+        self.top = {name: (1 << w) - 1 for name, w in params}
+        self.facts: dict[str, dict[str, int]] = {}
+        blocks = {b.label: b for b in func.blocks}
+        kids: dict[str | None, list[str]] = {}
+        for label in flow.reachable:
+            kids.setdefault(flow.idom(label), []).append(label)
+        todo = list(kids[None])
+        while todo:
+            label = todo.pop()
+            todo += kids.get(label, ())
+            up = flow.idom(label)
+            facts = self.facts.get(up, {})
+            if up is not None and len(flow.preds(label)) == 1:
+                facts = self.proved(blocks[up].instrs[-1], label, defs, facts)
+            self.scope = self.facts[label] = facts
+            for ins in blocks[label].instrs:
+                if ins.result is not None:
+                    self.top[ins.result] = self.result(ins)
+
+    def proved(self, term, label, defs, facts):
+        """``facts``, the bounds proved in ``term``'s block, with what the
+        compare that ``term`` tests proves on its edge into ``label``."""
+        cmp = defs.get(term.operands[0]) if term.opcode == "condbr" else None
+        if cmp is None or cmp.opcode != "icmp":
+            return facts
+        self.scope = facts
+        for i, j, d in _PROVES[cmp.pred, term.labels[0] == label]:
+            x, y = cmp.operands[i], cmp.operands[j]
+            new = self.bound(y) - d
+            if isinstance(x, str) and new < self.bound(x) <= _M64:
+                facts = {**facts, x: new}
+        return facts
+
+    def result(self, ins) -> int:
+        """The bound of ``ins``'s result from its operands' bounds."""
+        op, w = ins.opcode, ins.width
+        if op == "phi":
+            return (1 << self.widths[ins.result]) - 1
+        if op in BINARY_EXPRS:
+            return self.arith(op, w, *ins.operands)[1]
+        if op in ("select", "cmov"):
+            return max(map(self.bound, ins.operands[1:]))
+        if op == "load":
+            return (1 << min(w, self.shapes[ins.operands[0]][0])) - 1
+        if op == "const":
+            return ins.operands[0] & ((1 << w) - 1)
+        if op in VECTOR_OPS:
+            return _LANE_MASK
+        return 1 if op == "icmp" else (1 << w) - 1
+
+    def arith(self, op, w, a, b) -> tuple[int, int]:
+        """Bounds of binary op ``op`` at width ``w`` over ``a`` and ``b``:
+        one on the term that its wrap `` & {m}`` masks (``lshr``'s left
+        operand, the whole result of any other op), and one on the
+        result.  A ``sub`` may go below zero, and a shift by a value may
+        reach any bit, so their wraps always stay."""
+        m = (1 << w) - 1
+        x, y = self.bound(a), self.bound(b)
+        k = b & (w - 1) if isinstance(b, int) else None
+        if op == "lshr":
+            return x, min(x, m) >> (k or 0)
+        if op == "add":
+            term = x + y
+        elif op == "mul":
+            term = x * y
+        elif op == "and":
+            term = min(x, y)
+        elif op in ("or", "xor"):
+            term = (1 << max(x, y).bit_length()) - 1
+        elif op == "shl" and k is not None:
+            term = x << k
+        else:
+            term = _UNBOUNDED
+        return term, min(term, m)
+
+    def bound(self, op) -> int:
+        """The least upper bound known of ``op`` in the current block."""
+        if isinstance(op, int):
+            return op if op >= 0 else _UNBOUNDED
+        top = self.top[op]
+        return min(top, self.scope.get(op, top))
 
     # -- Plan -------------------------------------------------------------
 
@@ -554,9 +678,8 @@ class _Translator:
             self.emit(f"env[{result!r}] = {v}")
 
     def within(self, op, width) -> bool:
-        """Does the value ``op`` always fit in ``width`` bits?"""
-        w = self.widths.get(op)
-        return (self.rule(op, self.widths) if w is None else w) <= width
+        """Does the value ``op`` always fit in ``width`` bits here?"""
+        return self.bound(op) <= (1 << width) - 1
 
     def array(self, name) -> str:
         self.touched.add(name)
@@ -565,7 +688,7 @@ class _Translator:
     def node(self, n):
         """Write node n and what the plan placed after it."""
         b, instrs = self.nodes[n]
-        self.block = b
+        self.scope = self.facts[b.label]
         for step, ins in enumerate(instrs, self.enter[n] + 1):
             self.instruction(n, step, ins)
         if not instrs[-1].is_terminator:
@@ -612,9 +735,11 @@ class _Translator:
                 self.emit(
                     f"E({self.const(MemAccess(ins.iid, kind, name, off + i))})")
         else:
-            # An earlier check that this code always follows, of the same
-            # offset against a bound at least as tight, has proved it.
-            if self.checked.get(off, length) > length - lanes:
+            # The offset's bound proves it, or an earlier check that this
+            # code always follows, of the same offset against a bound at
+            # least as tight, has.
+            if self.bound(off) > length - lanes \
+                    and self.checked.get(off, length) > length - lanes:
                 self.emit(f"if not 0 <= {o} <= {length - lanes}: {fail}")
                 self.checked[off] = length - lanes
             table = self.const(_Events(ins.iid, kind, name))
@@ -690,15 +815,11 @@ class _Translator:
 
     def binary(self, op, w, a, b, lane=None) -> str:
         """``BINARY_EXPRS[op]`` at width ``w`` over operands ``a`` and
-        ``b`` (their lane ``lane`` of vectors), leaving out each mask term
-        that the operands' fit makes a no-op: the wrap of an ``or``/``xor``
-        of two fitting operands or of an ``and`` with one, and ``lshr``'s
-        mask of a fitting left operand.  An immediate shift amount is
-        masked here."""
-        fit_a, fit_b = self.within(a, w), self.within(b, w)
+        ``b`` (their lane ``lane`` of vectors), leaving out the wrap
+        `` & {m}`` when the bound of the term it masks fits the width
+        (``arith``).  An immediate shift amount is masked here."""
         expr = BINARY_EXPRS[op]
-        if fit_a and (fit_b and op in ("or", "xor") or op == "lshr") \
-                or (fit_a or fit_b) and op == "and":
+        if self.arith(op, w, a, b)[0] <= (1 << w) - 1:
             expr = expr.replace(" & {m}", "")
         if isinstance(b, int) and op in ("shl", "lshr"):
             expr, b = expr.replace(" & {k}", ""), b & (w - 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -1260,21 +1261,56 @@ def test_slp_packs_consecutive_stores():
     assert vstore.operands[1] == 0 and vstore.width == 4
 
 
-def test_slp_packs_every_run_in_one_step():
-    # One packable run more than the step bound, in one block.
-    n = passes._FIXPOINT_STEPS + 1
+def store_runs(n: int, escape: bool):
+    """``n`` packable runs of stores in one block; with ``escape``, a chain
+    of xors outside the runs reads a lane of each, so none packs."""
     lines = ["func f(public a: u32 = 3) {", "bb0:"]
+    acc = 0
     for r in range(n):
         for k in range(4 * r, 4 * r + 4):
             lines += [f"  x{k} = load src, {k}", f"  y{k} = add x{k}, a",
                       f"  store dst, {k}, y{k}"]
-    lines += ["  ret 0", "}", f"global src: arr<u32,{4 * n}> = counting",
+        if escape:
+            lines.append(f"  e{r} = xor {acc}, y{4 * r + 1}")
+            acc = f"e{r}"
+    lines += [f"  ret {acc}", "}", f"global src: arr<u32,{4 * n}> = counting",
               f"global dst: arr<u32,{4 * n}> = zeros"]
-    prog = parse_ir("\n".join(lines))
+    return parse_ir("\n".join(lines))
+
+
+def test_slp_packs_every_run_in_one_step():
+    # One packable run more than the step bound, in one block.
+    n = passes._FIXPOINT_STEPS + 1
+    prog = store_runs(n, escape=False)
     out, _ = pipe(prog, slp=True)
     assert sum(i.opcode == "vstore" for i in out.function().instructions()) \
         == n
     assert execute(out, {"a": 3}).memory == execute(prog, {"a": 3}).memory
+
+
+@pytest.mark.parametrize("escape", [True, False])
+def test_slp_builds_its_facts_once_per_packing(monkeypatch, escape):
+    # A step builds the function's defs and use map at most once, and again
+    # after each packing, however many runs it tries: the builds less the
+    # packings are the same at n and 4n runs.
+    counts: dict[str, int] = {}
+    for key, obj in (("_uses", passes), ("defs", ir.Function)):
+        real = getattr(obj, key)
+        monkeypatch.setattr(obj, key, lambda *a, key=key, real=real: (
+            counts.__setitem__(key, counts.get(key, 0) + 1) or real(*a)))
+
+    def step(n):
+        func = store_runs(n, escape).function()
+        counts.clear()
+        assert passes.slp_lite(func) is not escape
+        packed = sum(i.opcode == "vstore" for i in func.instructions())
+        return packed, counts.get("defs", 0), counts.get("_uses", 0)
+
+    small, large = step(25), step(100)
+    assert [small[0], large[0]] == ([0, 0] if escape else [25, 100])
+    assert [small[1] - small[0], small[2] - small[0]] == \
+        [large[1] - large[0], large[2] - large[0]]
+    assert small[1] <= small[0] + 1 and small[2] <= small[0] + 1, small
 
 
 def test_slp_skips_narrow_loads():
@@ -1487,10 +1523,8 @@ def test_if_convert_flattens_pure_diamond():
     assert execute(prog, {"s": 0, "a": 5}).result == 7
 
 
-def test_if_convert_takes_every_diamond_in_one_step():
-    # 250 diamonds in a row, more than the 200-step bound: one step
-    # converts them all, so the bound counts rounds, not diamonds.
-    n = 250
+def diamond_chain(n: int):
+    """``n`` pure secret diamonds in a row, each join the next head."""
     lines = ["func f(secret s: u1, public a: u32 = 5) {", "j:"]
     v = "a"
     for k in range(n):
@@ -1500,13 +1534,60 @@ def test_if_convert_takes_every_diamond_in_one_step():
                   f"j{k}:", f"  v{k} = phi [t{k}: x{k}], [f{k}: y{k}]"]
         v = f"v{k}"
     lines += [f"  ret {v}", "}"]
-    prog = parse_ir("\n".join(lines))
+    return parse_ir("\n".join(lines))
+
+
+def test_if_convert_takes_every_diamond_in_one_step():
+    # 250 diamonds in a row, more than the 200-step bound: one step
+    # converts them all, so the bound counts rounds, not diamonds.
+    n = 250
+    prog = diamond_chain(n)
     out, _ = pipe(prog, if_convert=True)
     func = out.function()
     assert len(func.blocks) == 1
     assert sum(i.opcode == "select" for i in func.instructions()) == n
     assert execute(out, {"s": 1, "a": 5}).result == 5 + n
     assert execute(out, {"s": 0, "a": 5}).result == 5 + 2 * n
+
+
+def test_if_convert_reads_the_function_once_per_step(monkeypatch):
+    # A step builds the predecessor map once, looks up no block by a scan
+    # of the block list and rebuilds that list once, however many diamonds
+    # it converts; 4x the diamonds take at most 6x the time.
+    counts: dict[str, int] = {}
+    for key, obj in (("predecessors", passes), ("block", ir.Function)):
+        real = getattr(obj, key)
+        monkeypatch.setattr(obj, key, lambda *a, key=key, real=real: (
+            counts.__setitem__(key, counts.get(key, 0) + 1) or real(*a)))
+
+    class Watched(ir.Function):         # counts new block lists
+        def __setattr__(self, attr, value):
+            if attr == "blocks":
+                counts["rebuilds"] = counts.get("rebuilds", 0) + 1
+            super().__setattr__(attr, value)
+
+    def step(n):
+        """The step's counts, the blocks it leaves and its best time."""
+        best = float("inf")
+        for _ in range(5):
+            func = diamond_chain(n).function()
+            func.__class__ = Watched
+            counts.clear()
+            gc.collect()
+            gc.disable()                # time the step, not a collection
+            try:
+                start = time.perf_counter()
+                assert passes.if_convert(func)
+                best = min(best, time.perf_counter() - start)
+            finally:
+                gc.enable()
+        return dict(counts), len(func.blocks), best
+
+    (small, small_blocks, t_small), (large, large_blocks, t_large) = \
+        step(250), step(1000)
+    assert small == large == {"predecessors": 1, "rebuilds": 1}
+    assert (small_blocks, large_blocks) == (251, 1001)
+    assert t_large <= 6 * t_small, (t_small, t_large)
 
 
 def test_if_convert_barred_by_memory_ops():

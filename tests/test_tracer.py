@@ -13,7 +13,8 @@ from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS,
                       MEMORY_OPS, ArrayType, ScalarType, control_flow,
-                      evaluate, parse_ir, predecessors, validate)
+                      evaluate, parse_ir, predecessors, validate,
+                      value_operands)
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import BranchDir, MemAccess, TraceError, execute, gen_inputs
@@ -632,11 +633,13 @@ def test_well_formed_arguments_are_masked():
 # translation against it
 # ----------------------------------------------------------------------
 
-def reference(prog, args, fuel=tracer.DEFAULT_FUEL):
+def reference(prog, args, fuel=tracer.DEFAULT_FUEL, watch=None):
     """Run ``prog``'s function one instruction at a time, as ``execute``
     documents it.  Returns ``(outcome, steps)``: the outcome is
     ``(events, result, steps, memory)`` or the ``TraceError`` message, and
-    ``steps`` counts the instructions started, the failing one included."""
+    ``steps`` counts the instructions started, the failing one included.
+    ``watch(label, ins, env)``, when given, sees each instruction but a
+    phi before it runs, with the values set so far."""
     func = prog.function()
     memory = {g.name: list(g.init) for g in prog.globals.values()}
     elem = {g.name: g.elem_width for g in prog.globals.values()}
@@ -661,6 +664,8 @@ def reference(prog, args, fuel=tracer.DEFAULT_FUEL):
             if steps > fuel:
                 return f"fuel exhausted after {fuel} steps", steps
             op, w, ops = ins.opcode, ins.width, ins.operands
+            if watch and op != "phi":
+                watch(block.label, ins, env)
             if op in MEMORY_OPS:
                 name, off = ops[0], v(ops[1])
                 cells = memory[name]
@@ -742,7 +747,14 @@ def random_cfg(rng):
     read elements wider and narrower than themselves, stores write values
     wider than their elements.  An access may reuse an offset checked by
     a dominating block or by an earlier access in its own, so a region
-    meets offsets checked in only one arm of an ``if``."""
+    meets offsets checked in only one arm of an ``if``.
+
+    A branch whose arms both go forward may test a compare of two values,
+    or of a value and a bound one below, at or one above a region's
+    length, instead of the count.  An arm that only that branch enters
+    reads the compared values as offsets and through an ``add``, ``shl``
+    or ``mul``, so the bounds that the compare proves there leave out
+    checks and wraps."""
     n = rng.randint(1, 12)
     limit = rng.randint(0, 12)
 
@@ -782,6 +794,7 @@ def random_cfg(rng):
             dom[l].add(d)
     preds = predecessors(skeleton)
     pools, offsets, phis, bodies = {}, {}, {}, {}
+    compared = {}                   # block -> the values its branch compares
     # Dominators first, so that a block extends the values of its own.
     for i in sorted(range(n), key=lambda i: len(dom.get(f"b{i}", ()))):
         up = [int(d[1:]) for d in dom.get(f"b{i}", ()) if d != f"b{i}"]
@@ -797,8 +810,29 @@ def random_cfg(rng):
                  f"  b{i}_o = and {rng.choice(pool)}, 7"]
         pool.append(f"b{i}_k")
         offs.append(f"b{i}_o")          # defined with no access of its own
+        if up and preds[f"b{i}"] == [f"b{idom}"]:
+            for j, x in enumerate(compared.get(idom, ())):
+                op = rng.choice(["add", "shl", "mul"]) + ".8"
+                lines += [f"  b{i}_y{j} = {op} {x}, {rng.choice([0, 1, 2])}",
+                          f"  b{i}_z{j} = load {rng.choice(['tbl', 'a'])}, "
+                          f"{x}",
+                          f"  store {rng.choice(['out', 'wide'])}, "
+                          f"b{i}_y{j}, {x}"]
+                pool.append(f"b{i}_z{j}")
+                offs += [x, f"b{i}_y{j}"]
         t = terms[i]
-        if len(t) == 2:
+        forward = len(t) == 2 and min(t) > i and rng.random() < 0.8
+        if forward:
+            # A compare of data: either outcome may run, and the bound it
+            # proves in each arm is one below, at or one above a length.
+            x = rng.choice(offs + offs + pool)
+            y = rng.choice([rng.choice(offs + pool),
+                            rng.choice([4, 5, 6]) + rng.choice([-1, 0, 1])])
+            x, y = (x, y) if rng.random() < 0.7 else (y, x)
+            lines.append(f"  b{i}_g = icmp."
+                         + rng.choice(["lt", "gt", "eq", "ne"]) + f" {x}, {y}")
+            compared[i] = [v for v in (x, y) if isinstance(v, str)]
+        elif len(t) == 2:
             # The branch condition, written first: in a long block its
             # compare and the condbr fall in different regions.
             lines.append(f"  b{i}_d = and {rng.choice(pool)}, 1")
@@ -815,7 +849,8 @@ def random_cfg(rng):
                        if long else rng.randint(0, 4)):
             op = rng.choice(
                 ["add", "xor", "mul", "lshr", "and", "sub.8", "icmp.lt", "or",
-                 "shl", "lshr.8", "and.16", "or.8", "xor.64", "lshr.64"]
+                 "shl", "lshr.8", "and.16", "or.8", "xor.64", "lshr.64",
+                 "add.8", "mul.16", "const", "const.8", "select"]
                 + ["load", "store", "vector"] * 3 * (not long))
             a, b = rng.choice(pool), rng.choice(pool)
             if rng.random() < 0.25:     # an immediate, some too wide
@@ -846,6 +881,13 @@ def random_cfg(rng):
                                                         "vadd"])
                           + f".2 {name}v, {name}s",
                           f"  vstore.2 {dst}, {off}, {name}w"]
+            elif op.startswith("const"):
+                imm = rng.choice([5, 300, 1 << 40])
+                lines.append(f"  {name} = {op} {imm}")
+                pool.append(name)
+            elif op == "select":
+                lines.append(f"  {name} = select {rng.choice(pool)}, {a}, {b}")
+                pool.append(name)
             else:
                 lines.append(f"  {name} = {op} {a}, {b}")
                 pool.append(name)
@@ -854,7 +896,7 @@ def random_cfg(rng):
         elif len(t) == 1:
             lines.append(f"  br b{t[0]}")
         else:
-            if flip[i]:
+            if flip[i] and not forward:
                 lines += [f"  b{i}_ng = xor b{i}_g, 1",
                           f"  condbr b{i}_ng, b{t[1]}, b{t[0]}"]
             else:
@@ -890,6 +932,50 @@ def test_random_cfgs_match_the_reference():
         for fuel in sorted(f for f in fuels if f >= 0):
             want = reference(prog, args, fuel)[0]
             assert observe(prog, args, fuel) == want, (case, fuel, src)
+
+
+def bounds_hold(prog, args):
+    """Run ``prog`` by the reference, asserting that every value an
+    instruction reads is within the bound that translation gives it in the
+    reader's block: at most the bound, and not negative when the bound is
+    at most 64 bits."""
+    func = prog.function()
+    shapes = {g.name: (g.elem_width, len(g.init))
+              for g in prog.globals.values()}
+    shapes.update((p.name, (p.type.elem_width, p.type.length))
+                  for p in func.params if isinstance(p.type, ArrayType))
+    t = tracer._Translator(*tracer._key(shapes, func.params, func.blocks))
+
+    def watch(label, ins, env):
+        t.scope = t.facts[label]
+        for op in value_operands(ins):
+            if isinstance(op, str) and op in env:
+                bound = t.bound(op)
+                lanes = env[op] if isinstance(env[op], tuple) else (env[op],)
+                assert all((0 <= x or bound > mask(64)) and x <= bound
+                           for x in lanes), (ins, op, env[op], bound)
+
+    return reference(prog, args, watch=watch)
+
+
+def test_every_value_stays_within_its_bound():
+    # The bounds themselves, checked where each value is read, over the
+    # random graphs and the corpus as written and lowered.
+    rng = random.Random(11)
+    for case in range(150):
+        prog = parse_ir(random_cfg(rng))
+        p = prog.function().param("p").default
+        for _ in range(3):
+            bounds_hold(prog, {"s": rng.randrange(256), "p": p,
+                               "q": rng.randrange(1 << 64),
+                               "a": tuple(rng.randrange(256)
+                                          for _ in range(5))})
+    for name in names():
+        source = load_program(name)
+        inputs = gen_inputs(source, count=2, seed=5).arg_dicts()
+        for prog in [source] + [lowered(name, preset) for preset in PRESETS]:
+            for args in inputs:
+                bounds_hold(prog, args)
 
 
 def test_corpus_matches_the_reference():
@@ -1054,11 +1140,8 @@ def test_fitting_operands_and_a_checked_offset_need_no_second_look(
     assert any(line.strip().startswith("if") and " < 9:" in line
                for line in source), source
     for s in (3, 6, 0x85):
-        args = {"s": s, "m": (1, 8, 0xFF, 4)}
-        _, steps = reference(prog, args)
-        for fuel in range(steps + 2):
-            assert observe(prog, args, fuel) == \
-                reference(prog, args, fuel)[0], (s, fuel)
+        matches_the_reference_at_every_fuel(prog, {"s": s,
+                                                   "m": (1, 8, 0xFF, 4)})
 
 
 def test_a_compare_only_a_select_or_cmov_tests_is_never_built(monkeypatch):
@@ -1100,6 +1183,36 @@ def test_a_negative_immediate_never_counts_as_fitting():
     for s, c in ((0x81, 0), (0x81, 1), (0, 1)):
         args = {"s": s, "c": c}
         assert observe(prog, args) == reference(prog, args)[0], args
+
+
+# x is -3 for c = 1 once its select takes the negative immediate that a
+# program built in Python may hold; x < 4 then holds, and t[x] must fail.
+NEGATIVE_OFFSET = """
+func f(secret s: u8, secret c: u1) {
+bb0:
+  x = select c, 0, s
+  k = icmp.lt x, 4
+  condbr k, small, big
+small:
+  y = load t, x
+  z = add x, 1
+  ret z
+big:
+  ret 0
+}
+global t: arr<u32,4> = counting
+"""
+
+
+def test_a_compare_never_bounds_a_value_that_may_be_negative():
+    prog = parse_ir(NEGATIVE_OFFSET)
+    instrs = prog.function().blocks[0].instrs
+    instrs[0] = instrs[0]._replace(operands=("c", -3, "s"))
+    assert validate(prog) == []
+    assert observe(prog, {"s": 2, "c": 1}) == \
+        "id 3: t[-3] out of bounds (length 4)"
+    for s, c in ((2, 0), (9, 0), (2, 1)):
+        matches_the_reference_at_every_fuel(prog, {"s": s, "c": c})
 
 
 def every_mask_rule():
@@ -1169,16 +1282,108 @@ global t: arr<u32,8> = counting
 """
 
 
+def matches_the_reference_at_every_fuel(prog, args):
+    _, steps = reference(prog, args)
+    for fuel in range(steps + 2):
+        assert observe(prog, args, fuel) == reference(prog, args, fuel)[0], \
+            (args, fuel)
+
+
+def checks(source):
+    return len([line for line in source if "if not 0 <=" in line])
+
+
 def test_a_check_in_one_arm_covers_nothing_outside_it(monkeypatch):
     prog = parse_ir(ARM_CHECKS)
     source = translated_source(monkeypatch, prog)
-    # t's check covers the else-arm's load; the then-arm's check of m
-    # covers nothing after the `if`, so the join checks m again.
-    assert len([line for line in source if "if not 0 <=" in line]) == 3
+    # o = s & 7 is at most 7, which proves t's accesses without a check.
+    # The then-arm's check of m covers nothing after the `if`, so the join
+    # checks m again.
+    assert checks(source) == 2
     for s in (2, 5):
         for c in (0, 1):
-            args = {"s": s, "c": c, "m": (1, 2, 3, 4)}
-            _, steps = reference(prog, args)
-            for fuel in range(steps + 2):
-                assert observe(prog, args, fuel) == \
-                    reference(prog, args, fuel)[0], (args, fuel)
+            matches_the_reference_at_every_fuel(
+                prog, {"s": s, "c": c, "m": (1, 2, 3, 4)})
+
+
+def test_a_check_that_no_bound_proves_covers_its_arm_alone(monkeypatch):
+    # o = s & 15 may leave t, so t is checked before the `if`; that check
+    # covers the else-arm's load, and the then-arm's check of m covers
+    # nothing after the `if`, so the join checks m again.
+    prog = parse_ir(ARM_CHECKS.replace("and s, 7", "and s, 15"))
+    assert checks(translated_source(monkeypatch, prog)) == 3
+    for s in (2, 5, 12):
+        for c in (0, 1):
+            matches_the_reference_at_every_fuel(
+                prog, {"s": s, "c": c, "m": (1, 2, 3, 4)})
+
+
+# A load of t at o in the arm that only `o < {limit}` enters, an `add.8`
+# of o there, and the same load after the join, where no compare bounds o.
+COMPARE_BOUND = """
+func f(secret s: u8) {{
+bb0:
+  o = lshr s, 5
+  c = icmp.lt o, {limit}
+  condbr c, small, big
+small:
+  x = load t, o
+  y = add.8 o, 252
+  br join
+big:
+  br join
+join:
+  r = phi [small: x], [big: 9]
+  z = load t, o
+  ret r
+}}
+global t: arr<u32,4> = counting
+"""
+
+
+@pytest.mark.parametrize("limit, arm_checks", [(4, 0), (5, 1)])
+def test_a_compare_on_the_only_edge_into_an_arm_bounds_it(monkeypatch, limit,
+                                                          arm_checks):
+    # o < 4 proves o at most 3 in the arm: its load needs no check and
+    # o + 252 fits 8 bits.  o < 5 is one too loose: the arm's check stays,
+    # and s = 128 (o = 4) fails it at step 4.  The join's check stays in
+    # both.
+    prog = parse_ir(COMPARE_BOUND.format(limit=limit))
+    source = translated_source(monkeypatch, prog)
+    assert checks(source) == arm_checks + 1, source
+    wraps = [line for line in source if "+ 252" in line]
+    assert len(wraps) == 1 and ("& 255" in wraps[0]) == (limit == 5), wraps
+    for s in range(0, 256, 16):
+        matches_the_reference_at_every_fuel(prog, {"s": s})
+    if limit == 5:
+        assert reference(prog, {"s": 128}) == \
+            ("id 3: t[4] out of bounds (length 4)", 4)
+
+
+# Bounds checks and wrapped sums, products and shifts (``(a + b) & m``) in
+# the code generated for each corpus program lowered under llvm18-O3.
+LLVM18_O3_CHECKS_AND_WRAPS = {
+    "fig1a_branch": (0, 0),
+    "fig1b_load": (0, 0),
+    "fig1c_ctselect": (0, 0),
+    "fig1d_ctlookup": (0, 0),
+    "rsa_bearssl_lookup": (60, 56),     # its loops run to the public mwlen
+    "ecdsa_bearssl_lookup": (0, 0),
+    "poly_frommsg": (0, 0),
+    "loop_unswitch_toy": (0, 16),       # sums of two 32-bit cells
+    "jump_threading_toy": (0, 0),
+    "path_splitting_toy": (1, 1),
+}
+WRAPPED = re.compile(r"\((?:[^()]|\([^()]*\))* (?:\+|\*|<<) "
+                     r"(?:[^()]|\([^()]*\))*\) & \d+")
+
+
+def test_the_corpus_needs_few_checks_and_wraps(monkeypatch):
+    # What the bounds leave out of the corpus's code; a bound that stops
+    # proving shows here before it shows in a benchmark.
+    got = {}
+    for name in names():
+        source = translated_source(monkeypatch, lowered(name, "llvm18-O3"))
+        got[name] = (checks(source),
+                     sum(len(WRAPPED.findall(line)) for line in source))
+    assert got == LLVM18_O3_CHECKS_AND_WRAPS
