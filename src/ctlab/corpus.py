@@ -1,10 +1,11 @@
 """Bundled benchmark programs with constant-time ground truth.
 
 Each entry ships as an ``.ir`` file under ``corpus_ir/`` plus a flag saying
-whether the source is constant-time as written.  Each entry is parsed once;
-``CorpusEntry.load`` and ``load_program`` return a fresh copy of that parse
-on every call, so callers may mutate freely.  The first
-access to an entry also self-checks the ground truth: with every pass
+whether the source is constant-time as written.  Each entry is parsed and
+validated once; ``CorpusEntry.load`` and ``load_program`` return a fresh
+copy of that parse on every call, so callers may mutate freely.  An entry
+that does not parse or validate raises ``CorpusError`` naming it.  The
+first access to an entry also self-checks the ground truth: with every pass
 disabled and branchless lowering, the leak checker must agree with the
 stored flag, otherwise the corpus itself is broken and ``CorpusError``
 is raised.
@@ -18,7 +19,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .analysis import analyze
-from .ir import Program, copy_program, parse_ir
+from .ir import IRError, Program, copy_program, parse_ir, validate
 from .passes import PipelineSpec
 
 __all__ = ["CorpusEntry", "CorpusError", "entries", "get", "load_program",
@@ -97,8 +98,19 @@ def _read_ir(name: str) -> str:
 
 @lru_cache(maxsize=None)
 def _parsed(name: str) -> Program:
-    """The one parse of an entry; callers get copies of it."""
-    return parse_ir(_read_ir(name))
+    """The one parse of an entry, validated; callers get copies of it."""
+    try:
+        return _checked(parse_ir(_read_ir(name)))
+    except IRError as e:
+        raise CorpusError(f"corpus entry {name!r}: {e}") from e
+
+
+def _checked(prog: Program) -> Program:
+    """``prog``, if it is valid; else the pipeline's ``IRError``."""
+    errors = validate(prog)
+    if errors:
+        raise IRError(f"invalid input program: {errors[0]}")
+    return prog
 
 
 def _baseline_check(entry: CorpusEntry) -> None:
@@ -131,11 +143,12 @@ def get(name: str) -> CorpusEntry:
 
 
 def load_program(name_or_path: str) -> Program:
-    """A corpus entry by name, or any ``.ir`` file by path."""
+    """A corpus entry by name, or any ``.ir`` file by path; a file that
+    does not parse or validate raises ``IRError``."""
     if name_or_path in _BY_NAME:
         return get(name_or_path).load()
     if os.path.exists(name_or_path):
         with open(name_or_path, encoding="utf-8") as fh:
-            return parse_ir(fh.read())
+            return _checked(parse_ir(fh.read()))
     raise CorpusError(
         f"{name_or_path!r} is neither a corpus entry nor an existing file")

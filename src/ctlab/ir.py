@@ -84,8 +84,10 @@ Conventions:
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
 
 SECRET = "secret"
@@ -257,6 +259,28 @@ _FIELDS = Instruction.__slots__
 _ALL_FIELDS = attrgetter(*_FIELDS)
 (_PUT_IID, _PUT_OPCODE, _PUT_RESULT, _PUT_OPERANDS, _PUT_LOC, _PUT_WIDTH,
  _PUT_PRED, _PUT_LABELS) = (getattr(Instruction, f).__set__ for f in _FIELDS)
+
+# The instruction fields that ``validate`` and the tracer's translation
+# read: every field but ``loc``.
+KEY_FIELDS = ("iid", "opcode", "result", "operands", "width", "pred",
+              "labels")
+_KEY_ROW = attrgetter(*KEY_FIELDS)
+_LABEL, _INSTRS = attrgetter("label"), attrgetter("instrs")
+
+
+def content_key(blocks: list[BasicBlock]) -> tuple:
+    """The content of ``blocks`` as a key: the block labels, the block
+    sizes, then one column per field of ``KEY_FIELDS`` over every
+    instruction in order (no columns when there are no instructions).
+
+    Columns keep no tuple per instruction, so a kept key is about half the
+    size of rows of fields.  Every tuple here is allocated at its final
+    size: one made from an iterator of unknown length, such as
+    ``tuple(map(...))``, grows by resizing, and the resized tuples pile up
+    in CPython's per-size free lists until the next full collection."""
+    rows = [*map(_KEY_ROW, chain.from_iterable(map(_INSTRS, blocks)))]
+    return ((*map(_LABEL, blocks),), (*map(len, map(_INSTRS, blocks)),),
+            *zip(*rows))
 
 
 @dataclass
@@ -949,6 +973,19 @@ def _vector(lanes: int) -> str:
     return f"a {lanes}-lane vector"
 
 
+# Programs that ``validate`` found valid, by content key, least recently
+# checked first.  A study of every corpus program under every preset meets
+# 67 valid programs, the 20 of the corpus self-check (each source and its
+# do-nothing lowering) among them; the memo holds that working set with
+# room to spare, so a repeated study walks nothing, where a smaller memo
+# would evict in a cycle and walk on every round.  The 67 keys retain
+# about 0.4 MB (tracemalloc, CPython 3.11).  Each operation on the memo is
+# one call into ``OrderedDict``, so calls from several threads can only
+# cost each other a miss or an early eviction.
+_VALID_SIZE = 128
+_valid: OrderedDict = OrderedDict()
+
+
 def validate(prog: Program) -> list[str]:
     """Return violation strings; empty means the program is well formed.
 
@@ -961,7 +998,61 @@ def validate(prog: Program) -> list[str]:
     rejects, is checked no further.  A phi takes its arms' type, counting
     through the phis among them; with several, it takes the type of its
     first arm with just one, else the least by name, and reports the rest.
+
+    The content keys of the last ``_VALID_SIZE`` programs found valid are
+    kept, and a program whose key is among them is not walked again.  The
+    key holds everything the check reads and nothing else: the stage, the
+    function name, each global's dict key, name, element width, length and
+    elements, each parameter's name and type, and ``content_key`` of the
+    blocks.  Errors are never kept, so a program with errors is walked on
+    every call.  A program of other than one function, or one whose key
+    cannot be hashed or holds an operand, width or element width that is
+    neither an ``int`` nor a ``str`` (Python counts ``1.0`` equal to
+    ``1``, but the check does not), is walked without the memo.
     """
+    key = _valid_key(prog)
+    if key is not None:
+        try:
+            _valid.move_to_end(key)
+            return []
+        except KeyError:
+            pass
+        except TypeError:               # contents that cannot be hashed
+            key = None
+    errs = _check(prog)
+    if not errs and key is not None:
+        _valid[key] = None
+        if len(_valid) > _VALID_SIZE:
+            _valid.popitem(last=False)
+    return errs
+
+
+_PLAIN = {int, str}
+
+
+def _valid_key(prog: Program) -> tuple | None:
+    """``validate``'s memo key for ``prog``, or None when the memo cannot
+    speak for it (see ``validate``)."""
+    if len(prog.functions) != 1:
+        return None
+    func = next(iter(prog.functions.values()))
+    gs = prog.globals
+    if any(type(g.elem_width) is not int for g in gs.values()):
+        return None
+    blocks = content_key(func.blocks)
+    if len(blocks) > 2:                 # some instruction: check the columns
+        fields = dict(zip(KEY_FIELDS, blocks[2:]))
+        if not {*map(type, chain.from_iterable(fields["operands"])),
+                *map(type, fields["width"])} <= _PLAIN:
+            return None
+    return (prog.stage, func.name,
+            (*[(k, g.name, g.elem_width, g.length, g.init)
+               for k, g in gs.items()],),
+            (*[(p.name, p.type) for p in func.params],), *blocks)
+
+
+def _check(prog: Program) -> list[str]:
+    """``validate``'s walk, without its memo."""
     errs: list[str] = []
     for g in prog.globals.values():
         if len(g.init) != g.length:     # the parser's wording
@@ -1026,17 +1117,17 @@ def validate(prog: Program) -> list[str]:
             one = [t for a in phis[p] if len(t := arm(a, reach)) == 1]
             types[p] = min(one[0] if one else ts, default=None)
 
+    malformed: set[int] = set()         # id() of each, checked no further
     for block in func.blocks:
         term = block.terminator
         if term is None:
             err(block, None, "block lacks a terminator")
         for idx, ins in enumerate(block.instrs):
-            if ins.opcode not in ALL_OPS:
-                err(block, ins, f"unknown opcode {ins.opcode!r}")
-                continue
-            shape = _shape_error(ins)
+            shape = f"unknown opcode {ins.opcode!r}" \
+                if ins.opcode not in ALL_OPS else _shape_error(ins)
             if shape is not None:
                 err(block, ins, shape)
+                malformed.add(id(ins))
                 continue
             if ins.is_terminator and idx != len(block.instrs) - 1:
                 err(block, ins, "terminator not at block end")
@@ -1077,6 +1168,8 @@ def validate(prog: Program) -> list[str]:
         if block.label not in reach:
             continue  # unreachable; skip dominance checks
         for idx, ins in enumerate(block.instrs):
+            if id(ins) in malformed:
+                continue
             if ins.opcode == "phi":
                 preds = flow.preds(block.label)
                 for label, op in zip(ins.labels, ins.operands):

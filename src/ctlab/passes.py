@@ -155,15 +155,28 @@ def _all_names(func: Function) -> set[str]:
     return {p.name for p in func.params} | _defined_in(func.blocks)
 
 
+class _Taken(set):
+    """Names or labels taken, a set that only grows, with the counter of
+    the last name ``_fresh_name`` gave each base (-1 for the bare base)."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.ends: dict[str, int] = {}
+
+
 def _fresh_name(taken: set[str], base: str) -> str:
     """``base``, or ``base`` plus the smallest free counter; the result is
-    added to ``taken``.  Serves value names and block labels alike."""
-    name = base
-    n = 0
+    added to ``taken``.  Serves value names and block labels alike.  In a
+    ``_Taken`` the search resumes where the last one for ``base`` ended:
+    every name before that is still taken, since the set only grows."""
+    ends = taken.ends if isinstance(taken, _Taken) else {}
+    n = ends.get(base, -1)
+    name = base if n < 0 else f"{base}{n}"
     while name in taken:
-        name = f"{base}{n}"
         n += 1
+        name = f"{base}{n}"
     taken.add(name)
+    ends[base] = n
     return name
 
 
@@ -323,8 +336,14 @@ class _LoopStep(_Facts):
         self.appended: list[BasicBlock] = []
         self.renames: dict[str, object] = {}
 
-    names = cached_property(lambda self: _all_names(self.f))
-    labels = cached_property(lambda self: set(self.blocks))
+    names = cached_property(lambda self: _Taken(_all_names(self.f)))
+    labels = cached_property(lambda self: _Taken(self.blocks))
+
+    def splice(self) -> None:
+        """Put the rewrites' blocks in ``f``'s block list, at once."""
+        self.f.blocks = [new for b in self.f.blocks
+                         for new in self.replaced.get(b.label, (b,))] \
+            + self.appended
 
 
 def _rewrite_loops(step: _LoopStep, rewrite) -> bool:
@@ -345,12 +364,10 @@ def _rewrite_loops(step: _LoopStep, rewrite) -> bool:
             touched |= span
     if not touched:
         return False
-    f = step.f
-    f.blocks = [new for b in f.blocks
-                for new in step.replaced.get(b.label, (b,))] + step.appended
+    step.splice()
     if step.renames:
         _resolve_copies(step.renames)
-        _subst(f.blocks, step.renames)
+        _subst(step.f.blocks, step.renames)
     return True
 
 
@@ -708,32 +725,91 @@ def jump_thread(f: Function) -> bool:
     test entirely.  A step threads every such pair, block by block, looking
     again at a block after threading it and then at the blocks it split
     into; each threading turns two selects into branches, so the scan ends.
+    The step reads the function once (``_ThreadStep``) and sets its block
+    list once.
     """
+    step = _ThreadStep(f)
+    todo = f.blocks[::-1]               # the next block last
+    done: list[BasicBlock] = []
     changed = False
-    defs, uses = f.defs(), _uses(f)
-    at = 0
-    while at < len(f.blocks):
-        block = f.blocks[at]
-        sel_idx = [i for i, ins in enumerate(block.instrs)
-                   if ins.opcode == "select"]
-        if any(_thread_pair(f, block, i1, i2, defs, uses)
-               for i1 in sel_idx for i2 in sel_idx if i2 > i1):
-            changed = True
-            defs, uses = f.defs(), _uses(f)
+    while todo:
+        block = todo.pop()
+        split = next(filter(None, (
+            _thread_pair(step, block, i1, i2)
+            for i1, i2 in _select_pairs(block.instrs))), None)
+        if split is None:
+            done.append(block)
         else:
-            at += 1
+            todo += [*reversed(split), block]
+            changed = True
+    if changed:
+        f.blocks = done
     return changed
 
 
-def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
-                 defs, uses) -> bool:
+def _select_pairs(instrs: list[Instruction]):
+    """The positions ``(i1, i2)``, ``i1 < i2``, of every pair of selects in
+    ``instrs``, ordered by ``i1`` then ``i2``.  The list is read only as far
+    as the pairs taken need: the first pairs come without a scan of the
+    rest of a long block."""
+    found: list[int] = []
+    scan = (i for i, ins in enumerate(instrs) if ins.opcode == "select")
+
+    def has(k: int) -> bool:            # is there a k-th select?
+        while len(found) <= k:
+            nxt = next(scan, None)
+            if nxt is None:
+                return False
+            found.append(nxt)
+        return True
+
+    i1 = 0
+    while has(i1 + 1):
+        i2 = i1 + 1
+        while has(i2):
+            yield found[i1], found[i2]
+            i2 += 1
+        i1 += 1
+
+
+class _ThreadStep(_Facts):
+    """One step of jump threading over ``f``: the facts of ``f`` as the
+    step found it, kept current as it threads.
+
+    ``arms`` maps each label to the blocks holding a phi with an arm from
+    it.  It, ``defs``, ``uses`` and the value ``names`` and block
+    ``labels`` taken are each built at their first read, which comes
+    before the step's first edit (``_thread_pair`` reads them all before
+    it edits).  A name that a threading drops is free again, as in a
+    function read afresh.
+    """
+
+    @cached_property
+    def arms(self) -> dict[str, list[BasicBlock]]:
+        out: dict[str, list[BasicBlock]] = {}
+        for block in self.f.blocks:
+            for l in {l for ins in block.phis() for l in ins.labels}:
+                out.setdefault(l, []).append(block)
+        return out
+
+    names = cached_property(lambda self: _all_names(self.f))
+    labels = cached_property(lambda self: _Taken(_labels(self.f)))
+
+
+def _thread_pair(step: _ThreadStep, block: BasicBlock, i1: int,
+                 i2: int) -> list[BasicBlock] | None:
+    """Thread the selects ``block.instrs[i1]`` and ``[i2]``: ``block``
+    keeps the code before them, and the blocks returned, to follow it,
+    hold the two paths and the join.  None when the pair does not
+    qualify."""
+    f, defs = step.f, step.defs
     s1, s2 = block.instrs[i1], block.instrs[i2]
     c1 = _cmp_against_const(defs, s1.operands[0])
     c2 = _cmp_against_const(defs, s2.operands[0])
     if c1 is None or c2 is None or c1.operands[0] != c2.operands[0]:
-        return False
+        return None
     if not _ranges_disjoint(_true_range(c1), _true_range(c2)):
-        return False
+        return None
 
     r1 = s1.result
     b1 = s1.operands[2]
@@ -741,7 +817,7 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
     segment = block.instrs[i1 + 1:i2]
     mids = [ins for ins in segment if ins is not c2]
     if any(ins.opcode not in _PURE_OPS for ins in mids):
-        return False
+        return None
     before_s1 = {ins.result for ins in block.instrs[:i1] if ins.result}
 
     def available_early(op) -> bool:
@@ -751,19 +827,20 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
     # c2 is evaluated up front on the false path, so its compared value
     # must already exist there.
     if c2 in segment and not available_early(c2.operands[0]):
-        return False
+        return None
 
-    if not _read_only_by(uses, mids + [s1], {m.iid for m in mids + [s2]}):
-        return False
+    if not _read_only_by(step.uses, mids + [s1],
+                         {m.iid for m in mids + [s2]}):
+        return None
     mid_names = {m.result for m in mids if m.result}
     # The c1-true arm never computes the mids, so s2's false side must be
     # r1 or available before the split; the true side may also be a mid.
     if b2 != r1 and not available_early(b2):
-        return False
+        return None
     if a2 != r1 and a2 not in mid_names and not available_early(a2):
-        return False
+        return None
 
-    labels = _labels(f)
+    labels, names, arms = step.labels, step.names, step.arms
     bt = _fresh_name(labels, f"{block.label}.t")
     bf = _fresh_name(labels, f"{block.label}.f")
     bft = _fresh_name(labels, f"{block.label}.ft")
@@ -772,33 +849,37 @@ def _thread_pair(f: Function, block: BasicBlock, i1: int, i2: int,
 
     # False path recomputes the mids with r1 bound to its false value.
     fmap: dict[str, object] = {r1: b1}
-    false_block, = _copy(f, [BasicBlock(bf, mids)], fmap, _all_names(f),
-                         ".jt")
+    false_block, = _copy(f, [BasicBlock(bf, mids)], fmap, names, ".jt")
     arm_t = s1.operands[1] if b2 == r1 else b2
     arm_ft, arm_ff = fmap.get(a2, a2), fmap.get(b2, b2)
 
-    _fix_phi_arm_labels(f.blocks, {block.label: bj})
+    # The edges out of `block` now leave the join.
+    arms[bj] = arms.pop(block.label, [])
+    _fix_phi_arm_labels(arms[bj], {block.label: bj})
     head = block.instrs[:i1]
     if c2 in segment:
         head.append(c2)
     post = block.instrs[i2 + 1:]
 
-    head.append(_condbr(f, s1.loc, s1.operands[0], bt, bf))
+    branch = _condbr(f, s1.loc, s1.operands[0], bt, bf)
+    head.append(branch)
     false_block.instrs.append(_condbr(f, s2.loc, s2.operands[0], bft, bff))
-    join = [Instruction(f.fresh_id(), "phi", s2.result,
-                        (arm_t, arm_ft, arm_ff), s2.loc, s2.width,
-                        labels=(bt, bft, bff))] + post
-
-    at = f.block_index(block.label)
+    phi = Instruction(f.fresh_id(), "phi", s2.result, (arm_t, arm_ft, arm_ff),
+                      s2.loc, s2.width, labels=(bt, bft, bff))
+    join = BasicBlock(bj, [phi] + post)
+    split = [BasicBlock(bt, [_br(f, s1.loc, bj)]), false_block,
+             BasicBlock(bft, [_br(f, s2.loc, bj)]),
+             BasicBlock(bff, [_br(f, s2.loc, bj)]), join]
     block.instrs = head
-    f.blocks[at + 1:at + 1] = [
-        BasicBlock(bt, [_br(f, s1.loc, bj)]),
-        false_block,
-        BasicBlock(bft, [_br(f, s2.loc, bj)]),
-        BasicBlock(bff, [_br(f, s2.loc, bj)]),
-        BasicBlock(bj, join),
-    ]
-    return True
+    gone = [s1, s2, *mids]
+    for ins in gone:
+        del defs[ins.result]
+    _track(defs, step.uses, gone, [branch, *false_block.instrs, phi])
+    names -= {ins.result for ins in gone}
+    names.add(s2.result)
+    for label in (bt, bft, bff):
+        arms[label] = [join]
+    return split
 
 
 # ======================================================================
@@ -1071,20 +1152,23 @@ def loop_vectorize(f: Function) -> bool:
     outside predecessors, so it is not vectorized again.
 
     The step reads every fact of a ``_LoopStep`` before it edits anything.
-    It splices each rewrite in at once, and extends ``defs``, the use map
-    and the name and label sets with what the rewrite adds and replaces.
-    Its map from label to block stays right for the loops' own labels as
-    it is: a rewrite keeps every block object it does not add.
+    It extends ``defs``, the use map and the name and label sets with what
+    each rewrite adds and replaces, and splices every rewrite's blocks in
+    at once at its end.  Its map from label to block stays right for the
+    loops' own labels and preheaders as it is: a rewrite keeps every block
+    object it does not add.
     """
     step = _LoopStep(f)
-    defs, uses, names, labels = step.defs, step.uses, step.names, step.labels
-    changed = False
+    # Build the facts now: until the step splices, `f` lacks its rewrites.
+    step.defs, step.uses, step.names, step.labels
     for loop in innermost(step.loops):
-        plan = _vector_plan(f, loop, defs, uses, step.blocks)
+        plan = _vector_plan(f, loop, step.defs, step.uses, step.blocks)
         if plan is not None:
-            _apply_vector_plan(f, plan, defs, uses, names, labels)
-            changed = True
-    return changed
+            _apply_vector_plan(step, plan)
+    if not step.replaced:
+        return False
+    step.splice()
+    return True
 
 
 def _track(defs: dict[str, Instruction], uses: dict[str, list[Instruction]],
@@ -1236,11 +1320,12 @@ def _vector_plan(f: Function, loop, defs, uses, blocks) -> _VecPlan | None:
     return _VecPlan(loop, info, body, set(offadds), invariants)
 
 
-def _apply_vector_plan(f: Function, plan: _VecPlan, defs, uses,
-                       names: set[str], labels: set[str]) -> None:
-    """Add the vector loop of ``plan`` to ``f``, keeping ``defs`` and
-    ``uses`` (``f.defs()`` and ``_uses(f)``) and the sets of value
-    ``names`` and block ``labels`` up to date."""
+def _apply_vector_plan(step: _LoopStep, plan: _VecPlan) -> None:
+    """Add the vector loop of ``plan`` to ``step``'s function: its blocks
+    go before the loop's header when the step splices.  ``defs``,
+    ``uses``, ``names`` and ``labels`` of the step are kept up to date."""
+    f, defs, uses = step.f, step.defs, step.uses
+    names, labels = step.names, step.labels
     loop, info = plan.loop, plan.info
     iv = info.iv_phi.result
     vpre_l = _fresh_name(labels, f"{loop.header}.vpre")
@@ -1320,7 +1405,7 @@ def _apply_vector_plan(f: Function, plan: _VecPlan, defs, uses,
     # Route the preheader through the new blocks; the original loop becomes
     # the remainder, entered straight from vpre when the trip count is too
     # small or after the vector loop with the iv advanced to viv.
-    pre, header = f.block(loop.preheader), f.block(loop.header)
+    pre, header = step.blocks[loop.preheader], step.blocks[loop.header]
     phi = info.iv_phi
     k = header.instrs.index(phi)
     gone = [pre.instrs[-1], phi]
@@ -1330,9 +1415,7 @@ def _apply_vector_plan(f: Function, plan: _VecPlan, defs, uses,
               + [(vh_l, viv)])
     _track(defs, uses, gone, [pre.instrs[-1], header.instrs[k],
                               *vpre.instrs, *vh.instrs, *vb.instrs])
-
-    at = f.block_index(loop.header)
-    f.blocks[at:at] = [vpre, vh, vb]
+    step.replaced[loop.header] = [vpre, vh, vb, header]
 
 
 # ======================================================================

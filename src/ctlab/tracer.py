@@ -137,14 +137,14 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
-from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
-                 NEG_EXPR, VECTOR_OPS, ArrayType, BasicBlock, Function,
-                 Instruction, Program, ScalarType, control_flow, settle,
-                 value_operands, width_rule)
+from .ir import (BINARY_EXPRS, COMPARE_EXPRS, KEY_FIELDS, LANE_WIDTH,
+                 LANEWISE_OPS, NEG_EXPR, VECTOR_OPS, ArrayType, BasicBlock,
+                 Function, Instruction, Program, ScalarType, content_key,
+                 control_flow, settle, value_operands, width_rule)
 
 DEFAULT_FUEL = 1_000_000
 _LANE_MASK = (1 << LANE_WIDTH) - 1
@@ -288,27 +288,15 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
 # calls from several threads can only cost each other a miss.
 _last: tuple = (None, None)
 
-_FIELD_NAMES = ("iid", "opcode", "result", "operands", "width", "pred",
-                "labels")
-_FIELDS = attrgetter(*_FIELD_NAMES)
 _LABEL, _INSTRS = attrgetter("label"), attrgetter("instrs")
 
 
 def _key(shapes, params, blocks):
     """The cache key of a function's translation: the memory shapes, the
-    scalar parameters' widths, the block labels, the block sizes, then one
-    column per instruction field over every instruction in order.
-
-    Columns keep no tuple per instruction, so a cached key is about half
-    the size of rows of fields.  Every tuple here is allocated at its
-    final size: one made from an iterator of unknown length, such as
-    ``tuple(map(...))``, grows by resizing, and the resized tuples pile up
-    in CPython's per-size free lists until the next full collection."""
-    rows = [*map(_FIELDS, chain.from_iterable(map(_INSTRS, blocks)))]
+    scalar parameters' widths, then ``ir.content_key`` of the blocks."""
     widths = [(p.name, p.type.width) for p in params
               if isinstance(p.type, ScalarType)]
-    return (tuple(shapes.items()), tuple(widths), (*map(_LABEL, blocks),),
-            (*map(len, map(_INSTRS, blocks)),), *zip(*rows))
+    return (tuple(shapes.items()), tuple(widths), *content_key(blocks))
 
 
 class _OutOfBounds(Exception):
@@ -381,7 +369,7 @@ class _Translator:
         rows = zip(*columns)
         func = Function("", [], [
             BasicBlock(label, [Instruction(loc=None,
-                                           **dict(zip(_FIELD_NAMES, f)))
+                                           **dict(zip(KEY_FIELDS, f)))
                                for f in islice(rows, size)])
             for label, size in zip(labels, sizes)])
         # Every phi's width, by the width rule (see ``ir``).

@@ -303,6 +303,20 @@ def test_dominators_of_hand_written_shapes(src, want):
 # Facts built once per shape of the control-flow graph
 
 
+def study():
+    """Every corpus program under every preset, each lowered program run
+    on one input and checked against its source."""
+    for name in names():
+        source = load_program(name)
+        args = gen_inputs(source, count=1, seed=0).arg_dicts()[0]
+        execute(source, args)
+        for p in PRESETS.values():
+            mid, _ = run_pipeline(source, p.spec)
+            low, _ = lower(mid, PROFILES[p.spec.backend],
+                           p.spec.cmov_conversion)
+            execute(low, args)
+
+
 def test_a_study_builds_each_graphs_facts_once(monkeypatch):
     # A study meets every corpus program under every preset, and checking
     # the results meets each source program.  Each distinct graph builds
@@ -322,24 +336,40 @@ def test_a_study_builds_each_graphs_facts_once(monkeypatch):
 
     monkeypatch.setattr(ir, "ControlFlow", flow)
     monkeypatch.setattr(cfg, "_find_loops", find_loops)
-
-    def study():
-        for name in names():
-            source = load_program(name)
-            args = gen_inputs(source, count=1, seed=0).arg_dicts()[0]
-            execute(source, args)
-            for p in PRESETS.values():
-                mid, _ = run_pipeline(source, p.spec)
-                low, _ = lower(mid, PROFILES[p.spec.backend],
-                               p.spec.cmov_conversion)
-                execute(low, args)
-
     ir._control_flow.cache_clear()
     study()
     assert max(trees.values()) == max(loops.values()) == 1
     built = (sum(trees.values()), sum(loops.values()))
     study()
     assert (sum(trees.values()), sum(loops.values())) == built
+
+
+def test_a_study_checks_and_translates_each_program_once(monkeypatch):
+    # The same for the other per-process memos: each distinct program is
+    # walked by validate and translated by the tracer at most once, and a
+    # second round does neither.  A corpus or a preset list that outgrows
+    # ir._VALID_SIZE or tracer._CACHE_SIZE fails here.
+    walks, translations = Counter(), Counter()
+    real_check, real_translator = ir._check, tracer._Translator
+
+    def check(prog):
+        walks[ir._valid_key(prog)] += 1
+        return real_check(prog)
+
+    def translator(*key):
+        translations[key] += 1
+        return real_translator(*key)
+
+    monkeypatch.setattr(ir, "_check", check)
+    monkeypatch.setattr(tracer, "_Translator", translator)
+    ir._valid.clear()
+    tracer._translate.cache_clear()
+    tracer._last = (None, None)
+    study()
+    assert max(walks.values()) == max(translations.values()) == 1
+    done = (sum(walks.values()), sum(translations.values()))
+    study()
+    assert (sum(walks.values()), sum(translations.values())) == done
 
 
 def test_cached_loops_are_frozen():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from ctlab import corpus
+from ctlab.cli import main
 from ctlab.corpus import CorpusError, entries, get, load_program, names
-from ctlab.ir import parse_ir, print_ir, validate
+from ctlab.ir import IRError, parse_ir, print_ir, validate
 from ctlab.tracer import gen_inputs
 
 EXPECTED = {
@@ -46,6 +48,36 @@ def test_load_program_accepts_paths(tmp_path):
     path.write_text(src, encoding="utf-8")
     prog = load_program(str(path))
     assert prog.function().name == "fig1a_branch"
+
+
+def broken(name, read=corpus._read_ir):
+    """Entry ``name``'s source with its return reading an undefined name:
+    it parses but does not validate."""
+    return read(name).replace("ret r ", "ret q ")
+
+
+def test_a_malformed_entry_fails_on_load_before_its_self_check(monkeypatch):
+    monkeypatch.setattr(corpus, "_read_ir", broken)
+    monkeypatch.setattr(corpus, "_CHECKED", set())
+    monkeypatch.setattr(corpus, "analyze",
+                        lambda *a, **k: pytest.fail("self-checked it"))
+    corpus._parsed.cache_clear()        # parse the broken source
+    with pytest.raises(CorpusError, match=r"^corpus entry 'fig1a_branch': "
+                       r"invalid input program: fig1a_branch/bbJ/id6: use "
+                       r"of undefined 'q'$"):
+        get("fig1a_branch")
+
+
+def test_load_program_refuses_an_invalid_file(tmp_path, capsys):
+    path = tmp_path / "bad.ir"
+    path.write_text(broken("fig1a_branch"), encoding="utf-8")
+    message = "invalid input program: fig1a_branch/bbJ/id6: use of " \
+              "undefined 'q'"
+    with pytest.raises(IRError) as e:
+        load_program(str(path))
+    assert str(e.value) == message
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_entry_errors():

@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+from ctlab import ir
 from ctlab.ir import (
     INSTR_WIDTHS,
     PARAM_WIDTHS,
@@ -590,3 +591,164 @@ def test_value_bits_is_the_least_fixpoint_of_the_width_rule():
         want = widths_by_rounds(f)
         assert {v: value_bits(f, v, defs) for v in want} == want, \
             [str(i) for i in f.instructions()]
+
+
+# ----------------------------------------------------------------------
+# The memo of programs found valid
+
+
+def count_walks(monkeypatch):
+    """Empty the memo of valid programs; the list gets each program that
+    ``validate`` walks from then on."""
+    walks = []
+    real = ir._check
+    monkeypatch.setattr(ir, "_check",
+                        lambda prog: walks.append(prog) or real(prog))
+    ir._valid.clear()
+    return walks
+
+
+MEMO_BASE = """
+func f(secret s: u8, public n: u32 = 2, public a: arr<u32,2>) {
+bb0:
+  c = icmp.lt s, n
+  condbr c, bb1, bb2
+bb1:
+  x = load g, 0
+  br bb2
+bb2:
+  p = phi [bb0: 1], [bb1: x]
+  y = add.16 p, 3
+  v = select c, y, n
+  store a, 1, v
+  ret v
+}
+global g: arr<u32,2> = [300, 1]
+"""
+
+
+def _put(prog, label, k, **changes):
+    instrs = prog.function().block(label).instrs
+    instrs[k] = instrs[k]._replace(**changes)
+
+
+def _move_terminator(prog):
+    # The same instructions in the same order, with bb0's condbr first in
+    # bb1: only the block sizes change.
+    b0, b1 = prog.function().blocks[:2]
+    b1.instrs.insert(0, b0.instrs.pop())
+
+
+def _retype(prog):
+    prog.function().params[0].type = ArrayType(8, 2)
+
+
+def _rekey(prog):
+    prog.globals = {"h": prog.globals["g"]}
+
+
+def _set_global(**changes):
+    def change(prog):
+        for k, v in changes.items():
+            setattr(prog.globals["g"], k, v)
+    return change
+
+
+def _set(what, **changes):
+    def change(prog):
+        for k, v in changes.items():
+            setattr(what(prog), k, v)
+    return change
+
+
+# Each field the memo's key holds, changed in a valid program: the error
+# the change makes, or None where the field only names things in
+# messages, so the program stays valid.
+MEMO_CHANGES = {
+    "iid": (lambda p: _put(p, "bb2", 1, iid=4), "duplicate instruction id"),
+    "opcode": (lambda p: _put(p, "bb2", 1, opcode="bogus"),
+               "unknown opcode 'bogus'"),
+    "result": (lambda p: _put(p, "bb1", 0, result="x2"),
+               "use of undefined 'x'"),
+    "operands": (lambda p: _put(p, "bb2", 1, operands=("p", "q")),
+                 "use of undefined 'q'"),
+    "width": (lambda p: _put(p, "bb2", 1, width=7), "bad width 7"),
+    "pred": (lambda p: _put(p, "bb0", 0, pred="le"),
+             "icmp needs a predicate"),
+    "labels": (lambda p: _put(p, "bb0", 1, labels=("bb1", "bb9")),
+               "unknown target block 'bb9'"),
+    "block label": (_set(lambda p: p.function().blocks[1], label="bbX"),
+                    "unknown target block 'bb1'"),
+    "block boundary": (_move_terminator, "block lacks a terminator"),
+    "param name": (_set(lambda p: p.function().params[1], name="m"),
+                   "use of undefined 'n'"),
+    "param type": (_retype, "operand 's' is an array region"),
+    "global key": (_rekey, "unknown memory name 'g'"),
+    "global name": (_set_global(name="h"), None),
+    "global width": (_set_global(elem_width=8),
+                     "global g: element 0 is 300, which does not fit u8"),
+    "global length": (_set_global(length=3),
+                      "global g: 2 initializers for length 3"),
+    "global element": (_set_global(init=(300, 1 << 32)),
+                       "global g: element 1 is 4294967296"),
+    "stage": (_set(lambda p: p, stage="lowered"),
+              "select present in lowered program"),
+    "function name": (_set(lambda p: p.function(), name="g"), None),
+}
+
+
+@pytest.mark.parametrize("change, error", MEMO_CHANGES.values(),
+                         ids=list(MEMO_CHANGES))
+def test_a_change_to_any_field_of_the_key_is_checked(change, error,
+                                                     monkeypatch):
+    walks = count_walks(monkeypatch)
+    prog = parse_ir(MEMO_BASE)
+    assert validate(prog) == validate(copy_program(prog)) == []
+    assert len(walks) == 1              # the copy is a hit
+    change(prog)
+    errs = validate(prog)
+    assert len(walks) == 2
+    if error is None:
+        assert errs == []
+    else:
+        assert any(error in e for e in errs), errs
+
+
+def test_a_failed_check_is_never_remembered(monkeypatch):
+    walks = count_walks(monkeypatch)
+    prog = parse_ir(MEMO_BASE.replace("ret v", "ret q"))
+    first = validate(prog)
+    assert first == ["f/bb2/id8: use of undefined 'q'"]
+    assert validate(prog) == first and len(walks) == 2
+    assert not ir._valid
+
+
+def test_contents_the_memo_cannot_key_get_the_same_messages(monkeypatch):
+    walks = count_walks(monkeypatch)
+    prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  c = const 1\n"
+                    "  ret c\n}")
+    assert validate(prog) == validate(prog) == [] and len(walks) == 1
+    instrs = prog.function().blocks[0].instrs
+    # A list cannot be hashed, and 1.0 == 1 although only 1 is an int.
+    for bad in ([1], 1.0):
+        instrs[0] = instrs[0]._replace(operands=(bad,))
+        assert validate(prog) == ["f/bb0/id0: const takes an immediate"]
+    instrs[0] = instrs[0]._replace(operands=(1,), width=32.0)
+    assert validate(prog) == []
+    # A valid program that cannot be keyed is walked on every call.
+    prog.globals["g"] = GlobalArray("g", 8, 2, [1, 2])
+    assert validate(prog) == validate(prog) == []
+    assert len(walks) == 6 and len(ir._valid) == 1
+
+
+def test_the_memo_keeps_the_programs_checked_last(monkeypatch):
+    walks = count_walks(monkeypatch)
+    monkeypatch.setattr(ir, "_VALID_SIZE", 2)
+    a, b, c = (parse_ir(f"func f(public n: u32 = 1) {{\nbb0:\n  ret {k}\n}}")
+               for k in (1, 2, 3))
+    for prog in (a, b, a, c):           # c evicts b, the least recent
+        assert validate(prog) == []
+    assert walks == [a, b, c]
+    validate(a)
+    validate(b)
+    assert walks == [a, b, c, b]

@@ -737,6 +737,76 @@ bb0:
     assert [e.summary for e in log] == ["no change"]
 
 
+def select_pairs(n: int):
+    """``n`` correlated select pairs in a row in one block, each pair's
+    false arm the previous pair's result: a jump threading step threads
+    them one after another.  The block leaves along a phi's edge."""
+    lines = ["func f(secret a: u8, public b: u32 = 3) {", "bb0:"]
+    v = "b"
+    for k in range(n):
+        lines += [f"  c{k} = icmp.lt a, 10", f"  r{k} = select c{k}, 16, {v}",
+                  f"  d{k} = icmp.gt a, 12", f"  t{k} = or r{k}, 4",
+                  f"  s{k} = select d{k}, t{k}, r{k}"]
+        v = f"s{k}"
+    lines += ["  br done", "done:", f"  r = phi [bb0: {v}]", "  ret r", "}"]
+    return parse_ir("\n".join(lines))
+
+
+def test_jump_thread_threads_a_chain_of_pairs():
+    prog = select_pairs(6)
+    out, log = pipe(prog, jump_thread=True)
+    assert log[0].summary != "no change"
+    assert not any(i.opcode == "select" for i in out.function().instructions())
+    for a in (0, 9, 10, 11, 12, 13, 255):
+        args = {"a": a, "b": 3}
+        assert execute(out, args).result == execute(prog, args).result
+
+
+def test_a_jump_thread_step_reads_the_function_once(monkeypatch):
+    # A step builds each whole-function fact at most once, looks up no
+    # block by a scan of the block list, renames phi arms only in the
+    # blocks that hold them, and sets the block list once, however many
+    # pairs it threads: the counts are the same at n and 4n pairs.
+    counts: dict[str, int] = {}
+
+    def count(key, k=1):
+        counts[key] = counts.get(key, 0) + k
+
+    for key, obj in (("_all_names", passes), ("_labels", passes),
+                     ("_uses", passes), ("defs", ir.Function),
+                     ("instructions", ir.Function), ("block", ir.Function),
+                     ("block_index", ir.Function)):
+        monkeypatch.setattr(obj, key, lambda *a, key=key,
+                            real=getattr(obj, key): count(key) or real(*a))
+    real_fix = passes._fix_phi_arm_labels
+
+    def fix(blocks, renames):
+        counts["phi blocks"] = max(counts.get("phi blocks", 0), len(blocks))
+        return real_fix(blocks, renames)
+
+    monkeypatch.setattr(passes, "_fix_phi_arm_labels", fix)
+
+    class Watched(ir.Function):         # counts new block lists
+        def __setattr__(self, attr, value):
+            if attr == "blocks":
+                count("rebuilds")
+            super().__setattr__(attr, value)
+
+    def step(n):
+        """The step's counts and the blocks it leaves."""
+        func = select_pairs(n).function()
+        func.__class__ = Watched
+        counts.clear()
+        assert passes.jump_thread(func)
+        return dict(counts), len(func.blocks)
+
+    (small, small_blocks), (large, large_blocks) = step(25), step(100)
+    assert small == large == {"defs": 1, "_uses": 1, "instructions": 2,
+                              "_all_names": 1, "_labels": 1,
+                              "phi blocks": 1, "rebuilds": 1}
+    assert (small_blocks, large_blocks) == (2 + 5 * 25, 2 + 5 * 100)
+
+
 # ----------------------------------------------------------------------
 # path splitting
 
@@ -1125,7 +1195,8 @@ def test_vectorize_reaches_every_inner_loop_of_rsa():
 def test_vectorize_builds_its_maps_once_and_keeps_them_exact(monkeypatch):
     # One step over the 15 inner loops of unrolled rsa builds the use map
     # once; after every loop it vectorizes, the maps, names and labels it
-    # carries equal ones built afresh.
+    # carries equal ones built afresh from the function with the step's
+    # rewrites spliced in.
     real_uses, real_step, real_apply = (passes._uses, passes.loop_vectorize,
                                         passes._apply_vector_plan)
     builds, steps, applied = [], [], []
@@ -1136,8 +1207,13 @@ def test_vectorize_builds_its_maps_once_and_keeps_them_exact(monkeypatch):
         steps.append((changed, len(builds) - before))
         return changed
 
-    def apply(f, plan, defs, uses, names, labels):
-        real_apply(f, plan, defs, uses, names, labels)
+    def apply(step, plan):
+        real_apply(step, plan)
+        f = ir.Function(step.f.name, step.f.params, [
+            new for b in step.f.blocks
+            for new in step.replaced.get(b.label, (b,))])
+        defs, uses, names, labels = (step.defs, step.uses, step.names,
+                                     step.labels)
 
         def by_iid(uses):
             return {v: sorted(readers, key=lambda i: i.iid)
@@ -1156,6 +1232,76 @@ def test_vectorize_builds_its_maps_once_and_keeps_them_exact(monkeypatch):
     run_pipeline(load_program("rsa_bearssl_lookup"), PRESETS["llvm18-O3"].spec)
     assert len(applied) == 15
     assert steps == [(True, 1), (False, 1)]
+
+
+def vector_chain(n: int):
+    """``n`` eight-trip counted loops in a row, each storing ``a``: every
+    one vectorizes, and each splats ``a`` under the same base name."""
+    lines = ["func f(public a: u32 = 3) {", "e:", "  br h0"]
+    for k in range(n):
+        prev = "e" if k == 0 else f"e{k - 1}"
+        lines += [f"h{k}:", f"  i{k} = phi [{prev}: 0], [b{k}: n{k}]",
+                  f"  c{k} = icmp.lt i{k}, 8", f"  condbr c{k}, b{k}, e{k}",
+                  f"b{k}:", f"  o{k} = add i{k}, {8 * k}",
+                  f"  store dst, o{k}, a", f"  n{k} = add i{k}, 1",
+                  f"  br h{k}", f"e{k}:", f"  br h{k + 1}"]
+    lines[-1] = "  ret 0"
+    lines += ["}", f"global dst: arr<u32,{8 * n}> = zeros"]
+    return parse_ir("\n".join(lines))
+
+
+def test_a_vectorize_step_reads_the_function_once(monkeypatch):
+    # A step builds each whole-function fact once, looks up no block by a
+    # scan of the block list, sets that list once, and finds a fresh name
+    # in two probes on average, however many loops it vectorizes: the
+    # counts are the same at n and 4n loops.
+    counts: dict[str, int] = {}
+
+    def count(key):
+        counts[key] = counts.get(key, 0) + 1
+
+    for key, obj in (("_all_names", passes), ("_labels", passes),
+                     ("_uses", passes), ("defs", ir.Function),
+                     ("block", ir.Function), ("block_index", ir.Function)):
+        monkeypatch.setattr(obj, key, lambda *a, key=key,
+                            real=getattr(obj, key): count(key) or real(*a))
+    real_fresh = passes._fresh_name
+    monkeypatch.setattr(passes, "_fresh_name", lambda taken, base: count(
+        "fresh names") or real_fresh(taken, base))
+
+    class Probed(passes._Taken):        # the step's names and labels
+        def __contains__(self, name):
+            count("probes")
+            return super().__contains__(name)
+
+    monkeypatch.setattr(passes, "_Taken", Probed)
+
+    class Watched(ir.Function):         # counts new block lists
+        def __setattr__(self, attr, value):
+            if attr == "blocks":
+                count("rebuilds")
+            super().__setattr__(attr, value)
+
+    def step(n):
+        """The step's counts; the fresh names and probes per loop."""
+        prog = vector_chain(n)
+        func = prog.function()
+        func.__class__ = Watched
+        counts.clear()
+        assert passes.loop_vectorize(func)
+        seen = dict(counts)
+        per_loop = (seen.pop("fresh names") / n, seen.pop("probes") / n)
+        assert len(func.blocks) == 1 + 6 * n
+        args = {"a": 5}
+        assert execute(prog, args).memory == \
+            execute(vector_chain(n), args).memory
+        return seen, per_loop
+
+    (small, small_names), (large, large_names) = step(25), step(100)
+    assert small == large == {"defs": 1, "_uses": 1, "_all_names": 1,
+                              "rebuilds": 1}
+    for fresh_names, probes in (small_names, large_names):
+        assert fresh_names == 10 and probes <= 2 * fresh_names
 
 
 def test_vectorize_skips_reductions():

@@ -418,28 +418,6 @@ bb0:
         assert all(0 <= x <= 255 for x in m)
 
 
-def test_a_corpus_by_presets_study_fits_the_translation_cache():
-    # A study meets every corpus program lowered under every preset, and
-    # checking the results meets each source program.  Run it twice: the
-    # second round must translate nothing, or a study that outgrew the
-    # cache would re-translate on every round.
-    def study():
-        for name in names():
-            source = load_program(name)
-            args = gen_inputs(source, count=1, seed=0).arg_dicts()[0]
-            execute(source, args)
-            for p in PRESETS.values():
-                mid, _ = run_pipeline(source, p.spec)
-                low, _ = lower(mid, PROFILES[p.spec.backend],
-                               p.spec.cmov_conversion)
-                execute(low, args)
-
-    study()
-    misses = tracer._translate.cache_info().misses
-    study()
-    assert tracer._translate.cache_info().misses == misses
-
-
 # ----------------------------------------------------------------------
 # The memo of the function run last
 # ----------------------------------------------------------------------
