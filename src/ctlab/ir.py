@@ -84,10 +84,9 @@ Conventions:
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 
 SECRET = "secret"
@@ -320,12 +319,6 @@ class Function:
                 return b
         raise KeyError(f"no block {label!r} in {self.name}")
 
-    def block_index(self, label: str) -> int:
-        for i, b in enumerate(self.blocks):
-            if b.label == label:
-                return i
-        raise KeyError(label)
-
     def instructions(self):
         for b in self.blocks:
             yield from b.instrs
@@ -383,6 +376,50 @@ class Program:
             raise IRError(f"program has {len(self.functions)} functions; "
                           "a program is one function")
         return next(iter(self.functions.values()))
+
+
+_GLOBAL_ROW = attrgetter("name", "elem_width", "length", "init")
+_PARAM_ROW = attrgetter("name", "type", "secrecy", "default")
+
+
+def program_key(prog: Program) -> tuple:
+    """The content of ``prog`` as a key: the function name; each global's
+    dict key, name, element width, length and elements; each parameter's
+    name, type, secrecy and default; then ``content_key`` of the blocks.
+    It holds no stage.  ``keyed_program`` rebuilds a program from it, and
+    the memos of ``validate`` and the tracer's translations each keep a
+    pure function of it.  Raises ``IRError`` for a program of other than
+    one function."""
+    func = prog.function()
+    return (func.name,
+            (*[(k, *_GLOBAL_ROW(g)) for k, g in prog.globals.items()],),
+            (*map(_PARAM_ROW, func.params),), *content_key(func.blocks))
+
+
+def keyed_program(key: tuple, stage: str) -> Program:
+    """The program at ``stage`` whose ``program_key`` is ``key``.  Its
+    instructions carry no source location, and its globals the default
+    ``init_kind``: the key holds neither."""
+    name, globals_, params, labels, sizes, *columns = key
+    rows = zip(*columns)
+    blocks = [BasicBlock(label, [Instruction(i, op, r, ops, None, w, p, ls)
+                                 for i, op, r, ops, w, p, ls
+                                 in islice(rows, size)])
+              for label, size in zip(labels, sizes)]
+    func = Function(name, [Param(*p) for p in params], blocks)
+    return Program({name: func},
+                   {k: GlobalArray(*g) for k, *g in globals_}, stage)
+
+
+# The size of each memo keyed by content: ``validate``'s messages, the
+# tracer's translations and ``control_flow``'s graph facts.  A study of
+# every corpus program under every preset, checked against its sources,
+# checks 67 distinct programs, translates 37 and meets 40 graphs; each
+# memo holds its working set with room to spare, so a repeated study
+# computes nothing again, where a smaller memo would evict in a cycle.  A
+# translation with its event tables retains 3-540 KB for a corpus program
+# (tracemalloc, CPython 3.11).
+MEMO_SIZE = 128
 
 
 # ======================================================================
@@ -768,12 +805,6 @@ def predecessors(func: Function) -> dict[str, list[str]]:
     return preds
 
 
-# Shapes kept by ``control_flow``: like the tracer's translation cache, enough
-# for a whole study, which meets 40 distinct graphs (every corpus program
-# under every preset, checked against its source).
-_FLOW_CACHE_SIZE = 64
-
-
 class ControlFlow:
     """What a function's control-flow graph alone decides.
 
@@ -915,14 +946,14 @@ def _immediate_dominators(order: list[str], preds) -> list[int]:
 
 def control_flow(func: Function) -> ControlFlow:
     """The ``ControlFlow`` of ``func``'s current shape, from a memo of the
-    last ``_FLOW_CACHE_SIZE`` shapes: a function whose blocks or branch
+    last ``MEMO_SIZE`` shapes: a function whose blocks or branch
     targets change gets the facts of its new shape."""
     blocks = func.blocks
     return _control_flow(tuple([b.label for b in blocks]),
                          tuple([successors(b) for b in blocks]))
 
 
-@lru_cache(maxsize=_FLOW_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _control_flow(labels, successors) -> ControlFlow:
     return ControlFlow(labels, successors)
 
@@ -973,19 +1004,6 @@ def _vector(lanes: int) -> str:
     return f"a {lanes}-lane vector"
 
 
-# Programs that ``validate`` found valid, by content key, least recently
-# checked first.  A study of every corpus program under every preset meets
-# 67 valid programs, the 20 of the corpus self-check (each source and its
-# do-nothing lowering) among them; the memo holds that working set with
-# room to spare, so a repeated study walks nothing, where a smaller memo
-# would evict in a cycle and walk on every round.  The 67 keys retain
-# about 0.4 MB (tracemalloc, CPython 3.11).  Each operation on the memo is
-# one call into ``OrderedDict``, so calls from several threads can only
-# cost each other a miss or an early eviction.
-_VALID_SIZE = 128
-_valid: OrderedDict = OrderedDict()
-
-
 def validate(prog: Program) -> list[str]:
     """Return violation strings; empty means the program is well formed.
 
@@ -999,56 +1017,48 @@ def validate(prog: Program) -> list[str]:
     through the phis among them; with several, it takes the type of its
     first arm with just one, else the least by name, and reports the rest.
 
-    The content keys of the last ``_VALID_SIZE`` programs found valid are
-    kept, and a program whose key is among them is not walked again.  The
-    key holds everything the check reads and nothing else: the stage, the
-    function name, each global's dict key, name, element width, length and
-    elements, each parameter's name and type, and ``content_key`` of the
-    blocks.  Errors are never kept, so a program with errors is walked on
-    every call.  A program of other than one function, or one whose key
-    cannot be hashed or holds an operand, width or element width that is
-    neither an ``int`` nor a ``str`` (Python counts ``1.0`` equal to
-    ``1``, but the check does not), is walked without the memo.
+    The messages of the last ``MEMO_SIZE`` programs checked are kept by
+    stage and ``program_key``, and the check walks the program that
+    ``keyed_program`` rebuilds from the key, so what is kept is what a walk
+    gives.  A program that cannot be keyed is walked without the memo: one
+    of other than one function, one whose key cannot be hashed, and one
+    with an instruction id, operand, width, global element width, length
+    or element that is not an ``int`` (or a name, for an operand): Python
+    counts ``1.0`` equal to ``1``, but the check and its messages do not.
     """
-    key = _valid_key(prog)
-    if key is not None:
+    try:
+        key = program_key(prog)
+    except IRError:
+        return _check(prog)
+    if _plain(key):
         try:
-            _valid.move_to_end(key)
-            return []
-        except KeyError:
-            pass
+            return list(_errors(prog.stage, key))
         except TypeError:               # contents that cannot be hashed
-            key = None
-    errs = _check(prog)
-    if not errs and key is not None:
-        _valid[key] = None
-        if len(_valid) > _VALID_SIZE:
-            _valid.popitem(last=False)
-    return errs
+            pass
+    return _check(prog)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _errors(stage: str, key: tuple) -> tuple[str, ...]:
+    """``_check``'s messages for the program of ``key`` at ``stage``."""
+    return (*_check(keyed_program(key, stage)),)
 
 
 _PLAIN = {int, str}
 
 
-def _valid_key(prog: Program) -> tuple | None:
-    """``validate``'s memo key for ``prog``, or None when the memo cannot
-    speak for it (see ``validate``)."""
-    if len(prog.functions) != 1:
-        return None
-    func = next(iter(prog.functions.values()))
-    gs = prog.globals
-    if any(type(g.elem_width) is not int for g in gs.values()):
-        return None
-    blocks = content_key(func.blocks)
-    if len(blocks) > 2:                 # some instruction: check the columns
-        fields = dict(zip(KEY_FIELDS, blocks[2:]))
-        if not {*map(type, chain.from_iterable(fields["operands"])),
-                *map(type, fields["width"])} <= _PLAIN:
-            return None
-    return (prog.stage, func.name,
-            (*[(k, g.name, g.elem_width, g.length, g.init)
-               for k, g in gs.items()],),
-            (*[(p.name, p.type) for p in func.params],), *blocks)
+def _plain(key: tuple) -> bool:
+    """Is every number in ``key`` that the check reads or prints an
+    ``int``?"""
+    _, globals_, _, _, _, *columns = key
+    kinds = set()
+    for _, _, width, length, init in globals_:
+        kinds.update(map(type, init), (type(width), type(length)))
+    if columns:                         # some instruction
+        fields = dict(zip(KEY_FIELDS, columns))
+        kinds.update(map(type, fields["iid"]), map(type, fields["width"]),
+                     map(type, chain.from_iterable(fields["operands"])))
+    return kinds <= _PLAIN
 
 
 def _check(prog: Program) -> list[str]:

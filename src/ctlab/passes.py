@@ -912,9 +912,6 @@ def _split_latch(step: _LoopStep, loop) -> bool:
     sel = latch.instrs[sel_at]
     tail = latch.instrs[sel_at + 1:]        # no phi follows a select
     header = step.blocks[loop.header]   # the latch itself when one block
-    if not _read_only_by(step.uses, [sel] + tail,
-                         {i.iid for i in tail + header.phis()}):
-        return False
 
     f = step.f
     lt = _fresh_name(step.labels, f"{latch_label}.t")

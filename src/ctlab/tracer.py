@@ -110,17 +110,18 @@ events, steps and errors stay those of the ``ir`` semantics.
   other inside a region re-enters the block that defines an operand.
 
 Translations, with their event tables, are kept in an LRU cache of
-``_CACHE_SIZE`` entries keyed by everything a translation reads: each
-memory region's name, element width and length, each scalar parameter's
-width, each block's label and size, and every instruction's id, opcode,
-result, operands, width, predicate and labels.
+``ir.MEMO_SIZE`` entries keyed by ``ir.program_key``, and each is
+translated from the program that ``ir.keyed_program`` rebuilds from its
+key, so it reads nothing but the key.  The key holds no stage: a source
+and an identical lowering share one translation.
 
 Building that key costs more than running a short function, and an
 analysis runs one function over many inputs, so ``execute`` first checks
-a one-entry memo of the function it ran last: the memory shapes, the
-scalar parameter widths and the block labels, compared by value, and
-each block's instructions in order (so also its size), compared by
-identity.  On a hit it takes the memo's translation and builds no key.
+a one-entry memo of the function it ran last, by what a translation
+reads: the memory shapes, the scalar parameter widths and the block
+labels, compared by value, and each block's instructions in order (so
+also its size), compared by identity.  On a hit it takes the memo's
+translation and builds no key.
 The memo is sound because instructions are immutable
 (``ir.Instruction``): an object the memo holds still has every field it
 had when the memo stored it, and the memo keeps its own tuple of each
@@ -137,14 +138,13 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
-from .ir import (BINARY_EXPRS, COMPARE_EXPRS, KEY_FIELDS, LANE_WIDTH,
-                 LANEWISE_OPS, NEG_EXPR, VECTOR_OPS, ArrayType, BasicBlock,
-                 Function, Instruction, Program, ScalarType, content_key,
-                 control_flow, settle, value_operands, width_rule)
+from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
+                 MEMO_SIZE, NEG_EXPR, VECTOR_OPS, ArrayType, Program,
+                 ScalarType, control_flow, keyed_program, program_key,
+                 settle, value_operands, width_rule)
 
 DEFAULT_FUEL = 1_000_000
 _LANE_MASK = (1 << LANE_WIDTH) - 1
@@ -156,16 +156,6 @@ _M64 = (1 << 64) - 1
 # 79-instruction unrolled poly_frommsg loop of five presets in one
 # ``while True:`` region, where 48 split it into 3-4 regions and no loop.
 _CHUNK = 96
-# A study of every corpus program under every preset meets 34 distinct
-# lowered functions; checking them against the 10 source functions adds 3
-# more (the other 7 read the same as one of their lowerings).  The cache
-# holds that whole working set with room to spare, so a repeated study
-# translates nothing, where a smaller cache would evict in a cycle and
-# re-translate on every round.  A translation, its key and its event
-# tables retain 3-540 KB for a corpus program, 1.32 MB for the 34 lowered
-# functions together after 16 inputs each, 3.5k events in 507 tables of
-# it (tracemalloc after a collection, CPython 3.11).
-_CACHE_SIZE = 64
 # The bound of a negative immediate: above every mask and ``_M64``.
 _UNBOUNDED = 1 << 65
 # What the outcome of an ``icmp`` on an edge proves of its operands
@@ -259,7 +249,7 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
             [*map(tuple, map(_INSTRS, blocks))])
     last = _last
     translation = last[1] if seen == last[0] \
-        else _translate(_key(shapes, func.params, blocks))
+        else _translate(program_key(prog))
     _last = seen, translation
     regions, used = translation
     events: list[BranchDir | MemAccess] = []
@@ -289,14 +279,6 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
 _last: tuple = (None, None)
 
 _LABEL, _INSTRS = attrgetter("label"), attrgetter("instrs")
-
-
-def _key(shapes, params, blocks):
-    """The cache key of a function's translation: the memory shapes, the
-    scalar parameters' widths, then ``ir.content_key`` of the blocks."""
-    widths = [(p.name, p.type.width) for p in params
-              if isinstance(p.type, ScalarType)]
-    return (tuple(shapes.items()), tuple(widths), *content_key(blocks))
 
 
 class _OutOfBounds(Exception):
@@ -330,9 +312,9 @@ def _oob(step, iid, region, offset, length):
                              f"bounds (length {length})")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _translate(key):
-    """``(regions, arrays)`` for a function's content ``key``.
+    """``(regions, arrays)`` for the program of ``key`` (``program_key``).
 
     ``regions[k](env, E, M, s, F)`` runs region k from its head, with
     ``env`` holding the values that live between regions, ``E`` taking
@@ -341,7 +323,7 @@ def _translate(key):
     next region, or a 1-tuple holding the function's result, and the step
     count.  Region 0 starts at the entry block.
     """
-    return _Translator(*key).translate()
+    return _Translator(keyed_program(key, "midend")).translate()  # any stage
 
 
 def _lane(offset: str, i: int) -> str:
@@ -364,14 +346,17 @@ class _Translator:
     its own region) or "exit" (to the head of another region).
     """
 
-    def __init__(self, shapes, params, labels, sizes, *columns):
-        self.shapes = dict(shapes)      # memory region -> (elem width, length)
-        rows = zip(*columns)
-        func = Function("", [], [
-            BasicBlock(label, [Instruction(loc=None,
-                                           **dict(zip(KEY_FIELDS, f)))
-                               for f in islice(rows, size)])
-            for label, size in zip(labels, sizes)])
+    def __init__(self, prog):
+        func = prog.function()
+        # memory region -> (elem width, length), as ``execute`` lays it out
+        self.shapes = {g.name: (g.elem_width, len(g.init))
+                       for g in prog.globals.values()}
+        params = []                     # scalar parameter widths
+        for p in func.params:
+            if isinstance(p.type, ArrayType):
+                self.shapes[p.name] = (p.type.elem_width, p.type.length)
+            else:
+                params.append((p.name, p.type.width))
         # Every phi's width, by the width rule (see ``ir``).
         defs = func.defs()
         inputs, rule = width_rule(defs, dict(params).__getitem__)

@@ -348,25 +348,34 @@ def test_a_study_checks_and_translates_each_program_once(monkeypatch):
     # The same for the other per-process memos: each distinct program is
     # walked by validate and translated by the tracer at most once, and a
     # second round does neither.  A corpus or a preset list that outgrows
-    # ir._VALID_SIZE or tracer._CACHE_SIZE fails here.
-    walks, translations = Counter(), Counter()
+    # ir.MEMO_SIZE fails here: the one size holds the study's programs
+    # checked, its translations and its graphs.
+    walks, translations, graphs = Counter(), Counter(), Counter()
     real_check, real_translator = ir._check, tracer._Translator
+    real_flow = ir.ControlFlow
 
     def check(prog):
-        walks[ir._valid_key(prog)] += 1
+        walks[prog.stage, ir.program_key(prog)] += 1
         return real_check(prog)
 
-    def translator(*key):
-        translations[key] += 1
-        return real_translator(*key)
+    def translator(prog):
+        translations[ir.program_key(prog)] += 1
+        return real_translator(prog)
+
+    def flow(labels, successors):
+        graphs[labels, successors] += 1
+        return real_flow(labels, successors)
 
     monkeypatch.setattr(ir, "_check", check)
     monkeypatch.setattr(tracer, "_Translator", translator)
-    ir._valid.clear()
+    monkeypatch.setattr(ir, "ControlFlow", flow)
+    ir._errors.cache_clear()
+    ir._control_flow.cache_clear()
     tracer._translate.cache_clear()
     tracer._last = (None, None)
     study()
     assert max(walks.values()) == max(translations.values()) == 1
+    assert max(len(walks), len(translations), len(graphs)) <= ir.MEMO_SIZE
     done = (sum(walks.values()), sum(translations.values()))
     study()
     assert (sum(walks.values()), sum(translations.values())) == done

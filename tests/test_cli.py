@@ -309,7 +309,7 @@ def test_long_def_chains_end_without_a_traceback(build, tmp_path, capsys):
 
 
 def _validate(prog, n):
-    ir._valid.clear()       # count the walk: an earlier test checked this
+    ir._errors.cache_clear()    # count the walk: an earlier test checked this
     assert ir.validate(prog) == []
 
 

@@ -8,7 +8,9 @@ from dataclasses import fields
 
 import pytest
 
-from ctlab import ir
+from ctlab import ir, tracer
+from ctlab.backend import PROFILES, lower
+from ctlab.corpus import load_program, names
 from ctlab.ir import (
     INSTR_WIDTHS,
     PARAM_WIDTHS,
@@ -24,11 +26,14 @@ from ctlab.ir import (
     ScalarType,
     SourceLoc,
     copy_program,
+    keyed_program,
     parse_ir,
     print_ir,
+    program_key,
     validate,
     value_bits,
 )
+from ctlab.mitigations import PRESETS
 from ctlab.passes import PipelineSpec, run_pipeline
 
 BASIC = """
@@ -594,17 +599,17 @@ def test_value_bits_is_the_least_fixpoint_of_the_width_rule():
 
 
 # ----------------------------------------------------------------------
-# The memo of programs found valid
+# The memo of programs checked
 
 
 def count_walks(monkeypatch):
-    """Empty the memo of valid programs; the list gets each program that
+    """Empty the memo of programs checked; the list gets each program that
     ``validate`` walks from then on."""
     walks = []
     real = ir._check
     monkeypatch.setattr(ir, "_check",
                         lambda prog: walks.append(prog) or real(prog))
-    ir._valid.clear()
+    ir._errors.cache_clear()
     return walks
 
 
@@ -714,13 +719,15 @@ def test_a_change_to_any_field_of_the_key_is_checked(change, error,
         assert any(error in e for e in errs), errs
 
 
-def test_a_failed_check_is_never_remembered(monkeypatch):
+def test_a_failed_check_gives_the_same_messages_and_is_walked_once(
+        monkeypatch):
     walks = count_walks(monkeypatch)
     prog = parse_ir(MEMO_BASE.replace("ret v", "ret q"))
     first = validate(prog)
     assert first == ["f/bb2/id8: use of undefined 'q'"]
-    assert validate(prog) == first and len(walks) == 2
-    assert not ir._valid
+    first.append("a caller's own line")     # each call gets its own list
+    assert validate(prog) == ["f/bb2/id8: use of undefined 'q'"]
+    assert len(walks) == 1
 
 
 def test_contents_the_memo_cannot_key_get_the_same_messages(monkeypatch):
@@ -738,17 +745,60 @@ def test_contents_the_memo_cannot_key_get_the_same_messages(monkeypatch):
     # A valid program that cannot be keyed is walked on every call.
     prog.globals["g"] = GlobalArray("g", 8, 2, [1, 2])
     assert validate(prog) == validate(prog) == []
-    assert len(walks) == 6 and len(ir._valid) == 1
+    assert len(walks) == 6 and ir._errors.cache_info().currsize == 1
 
 
-def test_the_memo_keeps_the_programs_checked_last(monkeypatch):
-    walks = count_walks(monkeypatch)
-    monkeypatch.setattr(ir, "_VALID_SIZE", 2)
-    a, b, c = (parse_ir(f"func f(public n: u32 = 1) {{\nbb0:\n  ret {k}\n}}")
-               for k in (1, 2, 3))
-    for prog in (a, b, a, c):           # c evicts b, the least recent
-        assert validate(prog) == []
-    assert walks == [a, b, c]
-    validate(a)
-    validate(b)
-    assert walks == [a, b, c, b]
+def test_each_memo_is_an_lru_cache_of_memo_size():
+    for memo in (ir._errors, ir._control_flow, tracer._translate):
+        assert memo.cache_parameters() == {"maxsize": ir.MEMO_SIZE,
+                                           "typed": False}
+
+
+def test_a_number_of_another_type_gets_its_own_message():
+    # Messages are kept, and 1.0 == 1: a program with an id, a length or
+    # an element that is not an int is walked, so its message prints the
+    # number as it is, not as the equal int of a program checked before.
+    for change, n, message in [
+            (lambda p, x: _put(p, "bb2", 4, iid=x), 8,
+             "f/bb2/id{}: use of undefined 'q'"),
+            (lambda p, x: setattr(p.globals["g"], "length", x), 3,
+             "global g: 2 initializers for length {}"),
+            (lambda p, x: setattr(p.globals["g"], "init", (300, x)), -1,
+             "global g: element 1 is {}, which does not fit u32")]:
+        for x in (n, float(n)):
+            prog = parse_ir(MEMO_BASE.replace("ret v", "ret q"))
+            change(prog, x)
+            assert message.format(x) in validate(prog) == ir._check(prog)
+
+
+def memo_programs():
+    """Programs to check the memo against: every corpus program under
+    every preset, mid-end and lowered; the tracer tests' random graphs;
+    and every change of ``MEMO_CHANGES``."""
+    from test_tracer import random_cfg
+    for name in names():
+        for p in PRESETS.values():
+            mid, _ = run_pipeline(load_program(name), p.spec)
+            yield mid
+            yield lower(mid, PROFILES[p.spec.backend],
+                        p.spec.cmov_conversion)[0]
+    rng = random.Random(7)
+    for _ in range(100):
+        yield parse_ir(random_cfg(rng))
+    for change, _ in MEMO_CHANGES.values():
+        prog = parse_ir(MEMO_BASE)
+        change(prog)
+        yield prog
+
+
+def test_the_memo_gives_what_a_walk_gives():
+    # The soundness oracle: on a cold memo and a warm one, validate says
+    # what the walk of the program itself says; and the program rebuilt
+    # from a key has that key.
+    for prog in memo_programs():
+        ir._errors.cache_clear()
+        cold, warm = validate(prog), validate(prog)
+        assert cold == warm == ir._check(prog), print_ir(prog)
+        assert ir._errors.cache_info().hits == 1
+        key = program_key(prog)
+        assert program_key(keyed_program(key, prog.stage)) == key

@@ -1,9 +1,11 @@
-"""Every public module-level name of ``ctlab`` has a caller outside tests.
+"""Every public name of ``ctlab`` has a caller outside tests.
 
 A public function, class or constant of ``src/ctlab`` must be named by
 some file under ``src/ctlab/``, ``demos/`` or ``perfbench/`` outside its
-own definition, its imports and ``__all__``.  Names are matched as
-identifiers (a ``Name`` or an attribute), whatever they refer to.
+own definition, its imports and ``__all__``; so must each public method
+and property of a public class, outside its own definition.  Names are
+matched as identifiers (a ``Name`` or an attribute), whatever they refer
+to.
 """
 
 from __future__ import annotations
@@ -45,21 +47,50 @@ def named(stmt: ast.stmt) -> set[str]:
     return out
 
 
+def units(stmt: ast.stmt) -> list[tuple[int, list[ast.AST]]]:
+    """``stmt`` in parts that name things: a class body statement by
+    statement (its index with the statement), the rest of a class as one
+    part (index -1), any other statement whole (index -1)."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(-1, [stmt])]
+    return [(-1, [*stmt.decorator_list, *stmt.bases, *stmt.keywords]),
+            *enumerate([[s] for s in stmt.body])]
+
+
+def methods(stmt: ast.stmt) -> list[tuple[int, str]]:
+    """The public methods and properties that a public class ``stmt``
+    defines, each with its index in the class body."""
+    if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+        return []
+    return [(j, s.name) for j, s in enumerate(stmt.body)
+            if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not s.name.startswith("_")]
+
+
 def unused_public_names() -> list[str]:
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for root in CALLERS for path in sorted(root.rglob("*.py"))}
-    # (file, statement index) -> identifiers it names
-    uses = {(path, i): named(stmt) for path, tree in trees.items()
-            for i, stmt in enumerate(tree.body)}
+    # (file, statement index, class body index or -1) -> identifiers it
+    # names
+    uses = {(path, i, j): set().union(*map(named, part))
+            for path, tree in trees.items()
+            for i, stmt in enumerate(tree.body)
+            for j, part in units(stmt)}
+
+    def used(name, skip):
+        return any(name in names for where, names in uses.items()
+                   if not skip(where))
+
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for i, stmt in enumerate(trees[path].body):
             for name in defined_names(stmt):
-                if name.startswith("_"):
-                    continue
-                if not any(name in names for where, names in uses.items()
-                           if where != (path, i)):
+                if not name.startswith("_") and not used(
+                        name, lambda where: where[:2] == (path, i)):
                     unused.append(f"{path.stem}.{name}")
+            for j, name in methods(stmt):
+                if not used(name, lambda where: where == (path, i, j)):
+                    unused.append(f"{path.stem}.{stmt.name}.{name}")
     return unused
 
 

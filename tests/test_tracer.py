@@ -13,8 +13,8 @@ from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS,
                       MEMORY_OPS, ArrayType, ScalarType, control_flow,
-                      evaluate, parse_ir, predecessors, validate,
-                      value_operands)
+                      evaluate, keyed_program, parse_ir, predecessors,
+                      program_key, validate, value_operands)
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import BranchDir, MemAccess, TraceError, execute, gen_inputs
@@ -436,9 +436,9 @@ def test_an_analysis_builds_its_translation_key_once(monkeypatch):
         forget_translations()
         fresh.append(execute(low, x))
     keys = []
-    real = tracer._key
-    monkeypatch.setattr(tracer, "_key",
-                        lambda *a: keys.append(a) or real(*a))
+    real = tracer.program_key
+    monkeypatch.setattr(tracer, "program_key",
+                        lambda prog: keys.append(prog) or real(prog))
     forget_translations()
     assert [execute(low, x) for x in args] == fresh
     assert len(keys) == 1
@@ -472,11 +472,7 @@ def forget_translations():
 
 def event_tables(prog):
     """The event tables of ``prog``'s translation, by instruction id."""
-    func = prog.function()
-    shapes = {g.name: (g.elem_width, len(g.init))
-              for g in prog.globals.values()}
-    regions, _ = tracer._translate(tracer._key(shapes, func.params,
-                                               func.blocks))
+    regions, _ = tracer._translate(program_key(prog))
     return {t.iid: t for t in regions[0].__globals__.values()
             if isinstance(t, tracer._Events)}
 
@@ -550,9 +546,8 @@ def test_the_translation_key_tells_every_field_and_block_apart():
     # moving an instruction to the next block, gives another key, so the
     # function translates anew.
     prog = parse_ir(LOOP_DIAMOND)
-    shapes = {"t": (32, 4)}
     params, blocks = prog.function().params, prog.function().blocks
-    base = tracer._key(shapes, params, blocks)
+    base = program_key(prog)
     ins = blocks[1].instrs[2]
     assert ins.opcode == "icmp"
     for field, value in [("iid", 99), ("opcode", "add"), ("result", "c2"),
@@ -560,15 +555,15 @@ def test_the_translation_key_tells_every_field_and_block_apart():
                          ("pred", "le"), ("labels", ("body",))]:
         assert getattr(ins, field) != value
         blocks[1].instrs[2] = ins._replace(**{field: value})
-        assert tracer._key(shapes, params, blocks) != base, field
+        assert program_key(prog) != base, field
         blocks[1].instrs[2] = ins
-    assert tracer._key(shapes, params, blocks) == base
+    assert program_key(prog) == base
     params[0].type = ScalarType(64)
-    assert tracer._key(shapes, params, blocks) != base
+    assert program_key(prog) != base
     params[0].type = ScalarType(8)
-    assert tracer._key(shapes, params, blocks) == base
+    assert program_key(prog) == base
     blocks[2].instrs.insert(0, blocks[1].instrs.pop())
-    assert tracer._key(shapes, params, blocks) != base
+    assert program_key(prog) != base
 
 
 # ----------------------------------------------------------------------
@@ -917,12 +912,7 @@ def bounds_hold(prog, args):
     instruction reads is within the bound that translation gives it in the
     reader's block: at most the bound, and not negative when the bound is
     at most 64 bits."""
-    func = prog.function()
-    shapes = {g.name: (g.elem_width, len(g.init))
-              for g in prog.globals.values()}
-    shapes.update((p.name, (p.type.elem_width, p.type.length))
-                  for p in func.params if isinstance(p.type, ArrayType))
-    t = tracer._Translator(*tracer._key(shapes, func.params, func.blocks))
+    t = tracer._Translator(keyed_program(program_key(prog), prog.stage))
 
     def watch(label, ins, env):
         t.scope = t.facts[label]
