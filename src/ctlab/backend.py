@@ -18,11 +18,12 @@ from .ir import (
     Instruction,
     Program,
     copy_program,
+    successors,
     validate,
     value_operands,
 )
 from .passes import (PassLogEntry, _br, _condbr, _fix_phi_arm_labels,
-                     _fresh_name, _labels, _log_entry)
+                     _fresh_name, _labels, _log_entry, _Taken)
 
 __all__ = ["BackendProfile", "LoweringError", "PROFILES", "lower"]
 
@@ -80,18 +81,20 @@ def _conversion_marks(func: Function) -> set[int]:
 # ----------------------------------------------------------------------
 
 def _split_to_diamond(func: Function, bidx: int, iidx: int, cond: object,
-                      true_val: object, false_val: object,
-                      ins: Instruction) -> None:
+                      true_val: object, false_val: object, ins: Instruction,
+                      labels: _Taken, blocks: dict[str, BasicBlock]) -> None:
     """Replace instrs[iidx] of block bidx with a condbr diamond.
 
     The join block keeps the rest of the original block, so later selects
-    stay rewritable in place.
+    stay rewritable in place.  ``labels`` holds every label taken, and
+    gains the diamond's; ``blocks`` maps the label of each block of the
+    function being lowered to the block that keeps it.  No branch of that
+    function targets a diamond's blocks but the diamond's own.
     """
     block = func.blocks[bidx]
-    taken = _labels(func)
-    t_l = _fresh_name(taken, f"{block.label}.t")
-    f_l = _fresh_name(taken, f"{block.label}.f")
-    j_l = _fresh_name(taken, f"{block.label}.j")
+    t_l = _fresh_name(labels, f"{block.label}.t")
+    f_l = _fresh_name(labels, f"{block.label}.f")
+    j_l = _fresh_name(labels, f"{block.label}.j")
     condbr = _condbr(func, ins.loc, cond, t_l, f_l)
     t_blk = [_br(func, ins.loc, j_l)]
     f_blk = [_br(func, ins.loc, j_l)]
@@ -99,13 +102,17 @@ def _split_to_diamond(func: Function, bidx: int, iidx: int, cond: object,
                            (true_val, false_val), ins.loc, ins.width,
                            labels=(t_l, f_l))
     rest = block.instrs[iidx + 1:]
-    _fix_phi_arm_labels(func.blocks, {block.label: j_l})
     block.instrs = block.instrs[:iidx] + [condbr]
+    join = BasicBlock(j_l, [join_phi] + rest)
     func.blocks[bidx + 1:bidx + 1] = [
         BasicBlock(t_l, t_blk),
         BasicBlock(f_l, f_blk),
-        BasicBlock(j_l, [join_phi] + rest),
+        join,
     ]
+    # The edges out of the block now leave the join: only the phis of its
+    # successors name the block.
+    _fix_phi_arm_labels([blocks[l] for l in dict.fromkeys(successors(join))
+                         if l in blocks], {block.label: j_l})
 
 
 def _lower_function(func: Function, profile: BackendProfile,
@@ -113,6 +120,8 @@ def _lower_function(func: Function, profile: BackendProfile,
     marks = (_conversion_marks(func)
              if profile.has_cmov and cmov_conversion else set())
     defs = func.defs()
+    labels = _Taken(_labels(func))
+    blocks = {b.label: b for b in func.blocks}
 
     # A split moves the rest of the block into its join block, which comes
     # later, so one forward scan reaches every instruction.
@@ -134,7 +143,8 @@ def _lower_function(func: Function, profile: BackendProfile,
                 cond = mask_def.operands[0]
             else:
                 continue
-            _split_to_diamond(func, bidx, iidx, cond, a, b, ins)
+            _split_to_diamond(func, bidx, iidx, cond, a, b, ins, labels,
+                              blocks)
             break
         bidx += 1
 

@@ -412,14 +412,17 @@ def keyed_program(key: tuple, stage: str) -> Program:
 
 
 # The size of each memo keyed by content: ``validate``'s messages, the
-# tracer's translations and ``control_flow``'s graph facts.  A study of
-# every corpus program under every preset, checked against its sources,
-# checks 67 distinct programs, translates 37 and meets 40 graphs; each
+# tracer's translations, ``control_flow``'s graph facts and the pipeline
+# states of ``passes.run_pipeline``.  A study of every corpus program under
+# every preset, checked against its sources, checks 67 distinct programs,
+# translates 37, meets 40 graphs and reaches 200 pipeline states; each
 # memo holds its working set with room to spare, so a repeated study
 # computes nothing again, where a smaller memo would evict in a cycle.  A
 # translation with its event tables retains 3-540 KB for a corpus program
-# (tracemalloc, CPython 3.11).
-MEMO_SIZE = 128
+# (tracemalloc, CPython 3.11); a pipeline state has its own block lists
+# and shares its instructions with the states around it, and the study's
+# 200 states hold about 1.1 MB.
+MEMO_SIZE = 256
 
 
 # ======================================================================
@@ -1004,7 +1007,7 @@ def _vector(lanes: int) -> str:
     return f"a {lanes}-lane vector"
 
 
-def validate(prog: Program) -> list[str]:
+def validate(prog: Program, key: tuple | None = None) -> list[str]:
     """Return violation strings; empty means the program is well formed.
 
     Checks that every global has as many elements as its length and that
@@ -1018,24 +1021,35 @@ def validate(prog: Program) -> list[str]:
     first arm with just one, else the least by name, and reports the rest.
 
     The messages of the last ``MEMO_SIZE`` programs checked are kept by
-    stage and ``program_key``, and the check walks the program that
+    stage and ``memo_key``, and the check walks the program that
     ``keyed_program`` rebuilds from the key, so what is kept is what a walk
-    gives.  A program that cannot be keyed is walked without the memo: one
-    of other than one function, one whose key cannot be hashed, and one
-    with an instruction id, operand, width, global element width, length
-    or element that is not an ``int`` (or a name, for an operand): Python
-    counts ``1.0`` equal to ``1``, but the check and its messages do not.
+    gives.  A program without a ``memo_key``, or whose key cannot be
+    hashed, is walked without the memo.  A caller that has computed
+    ``memo_key(prog)`` passes it as ``key``.
     """
-    try:
-        key = program_key(prog)
-    except IRError:
-        return _check(prog)
-    if _plain(key):
+    if key is None:
+        key = memo_key(prog)
+    if key is not None:
         try:
             return list(_errors(prog.stage, key))
         except TypeError:               # contents that cannot be hashed
             pass
     return _check(prog)
+
+
+def memo_key(prog: Program) -> tuple | None:
+    """``program_key(prog)`` when a memo may stand in for work on ``prog``,
+    else None: for a program of other than one function, and for one with
+    an instruction id, operand, width, global element width, length or
+    element that is not an ``int`` (or a name, for an operand).  Python
+    counts ``1.0`` equal to ``1``, but the check, its messages and the
+    passes do not.  The key may still hold contents that cannot be
+    hashed."""
+    try:
+        key = program_key(prog)
+    except IRError:
+        return None
+    return key if _plain(key) else None
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -20,14 +20,19 @@ rewrites, runs each pass's step and then cleanup on it, each to its
 fixpoint, validates the result when either reports a change, and logs
 created/deleted instruction ids so leak findings can be attributed to the
 pass that introduced them.  A step or cleanup that does not settle raises
-an error that names it.
+an error that names it.  The runner keeps the state after each prefix of
+passes it ran on a program, and starts a later run of that program from
+the longest prefix it kept (see ``run_pipeline``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 
 from .cfg import counted_loop_info, innermost, natural_loops
 from .ir import (
@@ -35,6 +40,7 @@ from .ir import (
     EVAL_OPS,
     LANE_WIDTH,
     LANEWISE_OPS,
+    MEMO_SIZE,
     NO_RESULT_OPS,
     BasicBlock,
     Function,
@@ -44,8 +50,10 @@ from .ir import (
     Program,
     clone_instruction,
     control_flow,
+    copy_function,
     copy_program,
     evaluate,
+    memo_key,
     predecessors,
     substitute,
     successors,
@@ -56,7 +64,10 @@ from .ir import (
 
 # The pass table, in pipeline order: each entry takes one step of a pass
 # with its knobs from the spec.  Steps are looked up as module globals at
-# call time, so a wrapper installed on the module sees every step.
+# call time, so a wrapper installed on the module sees every step that
+# runs; a pass whose result ``run_pipeline`` takes from its memo of states
+# does not run.  Only ``loop_unswitch`` reads the spec, and only its
+# ``unswitch_threshold``: the states ``run_pipeline`` keeps rely on that.
 _PASSES = {
     "instcombine": lambda f, s: instcombine_lite(f),
     "jump_thread": lambda f, s: jump_thread(f),
@@ -796,6 +807,9 @@ class _ThreadStep(_Facts):
     labels = cached_property(lambda self: _Taken(_labels(self.f)))
 
 
+_JOIN_SUFFIX = re.compile(r"\.join[0-9]*\Z")
+
+
 def _thread_pair(step: _ThreadStep, block: BasicBlock, i1: int,
                  i2: int) -> list[BasicBlock] | None:
     """Thread the selects ``block.instrs[i1]`` and ``[i2]``: ``block``
@@ -841,11 +855,14 @@ def _thread_pair(step: _ThreadStep, block: BasicBlock, i1: int,
         return None
 
     labels, names, arms = step.labels, step.names, step.arms
-    bt = _fresh_name(labels, f"{block.label}.t")
-    bf = _fresh_name(labels, f"{block.label}.f")
-    bft = _fresh_name(labels, f"{block.label}.ft")
-    bff = _fresh_name(labels, f"{block.label}.ff")
-    bj = _fresh_name(labels, f"{block.label}.join")
+    # Named after the block with any `.join<k>` of an earlier threading
+    # dropped, so k threadings in a row make labels of O(log k) characters.
+    base = _JOIN_SUFFIX.sub("", block.label)
+    bt = _fresh_name(labels, f"{base}.t")
+    bf = _fresh_name(labels, f"{base}.f")
+    bft = _fresh_name(labels, f"{base}.ft")
+    bff = _fresh_name(labels, f"{base}.ff")
+    bj = _fresh_name(labels, f"{base}.join")
 
     # False path recomputes the mids with r1 bound to its false value.
     fmap: dict[str, object] = {r1: b1}
@@ -1685,6 +1702,31 @@ def if_convert(f: Function) -> bool:
 # Pipeline runner
 # ======================================================================
 
+# The pipeline states ``run_pipeline`` kept, least recently used first:
+# (input, pass prefix) -> (function, log, clean), at most ``MEMO_SIZE``.
+_states: OrderedDict = OrderedDict()
+
+_LOC_ROW = attrgetter("file", "line")
+
+
+def _input(prog: Program, key: tuple | None) -> tuple | None:
+    """``prog`` as ``_states`` keys it, from its ``memo_key``: that key,
+    each instruction's source file and line as two columns, and the
+    function's next id.  ``validate`` reads neither of the last two, but
+    the passes copy them into their output.  None when ``key`` is None or
+    the program's contents cannot be hashed."""
+    if key is None:
+        return None
+    func = prog.function()
+    try:
+        locs = [_LOC_ROW(ins.loc) for b in func.blocks for ins in b.instrs]
+        start = (key, (*zip(*locs),), func.next_id)
+        hash(start)
+    except (AttributeError, TypeError):     # no SourceLoc, or unhashable
+        return None
+    return start
+
+
 def run_pipeline(prog: Program,
                  spec: PipelineSpec) -> tuple[Program, list[PassLogEntry]]:
     """Apply the enabled passes in their fixed order, cleaning up after
@@ -1702,17 +1744,45 @@ def run_pipeline(prog: Program,
     and the globals, which no step changes, so it would stop after one
     sweep that finds nothing.  The log and the program are the same either
     way.
+
+    A pipeline is a pure function of its input and of the spec fields its
+    steps read, so after each pass the run keeps a copy of the function
+    (the copy it kept before, when neither the step nor cleanup reports a
+    change), the log so far and whether cleanup settled it, in
+    ``_states``: the last ``MEMO_SIZE`` states, keyed by the input
+    (``_input``) and the passes applied, ``loop_unswitch`` with its
+    threshold.  A run starts from the longest prefix of its passes kept
+    for its input and returns a fresh copy, so a program, its ids and its
+    log are the same as without the memo.  A pass that raises keeps
+    nothing, so a later run raises the same error with the same log.  A
+    program without a ``memo_key`` runs without the memo.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
-    errors = validate(prog)
+    key = memo_key(prog)
+    errors = validate(prog, key)
     if errors:
         raise IRError(f"invalid input program: {errors[0]}")
-    out = copy_program(prog)
-    func = out.function()
+    order, start = spec.order, _input(prog, key)
+    steps = [(name, spec.unswitch_threshold) if name == "loop_unswitch"
+             else name for name in order]
+    prefixes = [tuple(steps[:k]) for k in range(1, len(steps) + 1)]
+    done = len(order) if start is not None else 0   # passes already run
+    while done and (start, prefixes[done - 1]) not in _states:
+        done -= 1
     log: list[PassLogEntry] = []
     clean = False                   # is func at cleanup's fixpoint?
-    for name in spec.order:
+    kept = None                     # the memo's copy of func, if it has one
+    base = prog
+    if done:
+        _states.move_to_end((start, prefixes[done - 1]))
+        kept, kept_log, clean = _states[start, prefixes[done - 1]]
+        (slot,) = prog.functions
+        base = Program({slot: kept}, prog.globals, prog.stage)
+        log += kept_log
+    out = copy_program(base)
+    func = out.function()
+    for name, prefix in zip(order[done:], prefixes[done:]):
         step = _PASSES[name]
         before = {i.iid for i in func.instructions()}
         try:
@@ -1728,4 +1798,10 @@ def run_pipeline(prog: Program,
         if errors:
             raise InternalPassError(
                 f"pass {name} broke the program: {errors[0]}", log)
+        if start is not None:
+            if changed or kept is None:     # else func is still kept
+                kept = copy_function(func)
+            _states[start, prefix] = (kept, (*log,), clean)
+            if len(_states) > MEMO_SIZE:
+                _states.popitem(last=False)
     return out, log

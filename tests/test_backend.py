@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import time
+
 import pytest
 
+from ctlab import backend, passes
 from ctlab.backend import PROFILES, LoweringError, lower
 from ctlab.ir import parse_ir, validate
 from ctlab.tracer import BranchDir, execute
@@ -151,6 +155,61 @@ bb0:
         for u in (0, 1):
             want = ((1 if s else 0) + ((1 if s else 0) if u else 1)) & 0xFFFFFFFF
             assert execute(low, {"s": s, "u": u, "a": 1}).result == want
+
+
+def select_run(n: int):
+    """``n`` selects on the secret in a row in one block, each choosing
+    between the previous one and a constant; the block leaves along a
+    phi's edge."""
+    lines = ["func f(secret s: u1, public a: u32 = 3) {", "bb0:"]
+    v = "a"
+    for k in range(n):
+        lines.append(f"  x{k} = select s, {v}, {k}")
+        v = f"x{k}"
+    lines += ["  br done", "done:", f"  r = phi [bb0: {v}]", "  ret r", "}"]
+    return parse_ir("\n".join(lines))
+
+
+def test_lowering_is_linear_in_the_selects_it_branches(monkeypatch):
+    # A lowering takes the labels once and renames phi arms only in the
+    # successors of each block it splits, however many selects it
+    # branches; 4x the selects in one block take at most 6x the time.
+    counts = {"labels": 0, "phi blocks": 0}
+    real_labels, real_fix = passes._labels, passes._fix_phi_arm_labels
+
+    def labels(func):
+        counts["labels"] += 1
+        return real_labels(func)
+
+    def fix(blocks, renames):
+        counts["phi blocks"] = max(counts["phi blocks"], len(blocks))
+        return real_fix(blocks, renames)
+
+    monkeypatch.setattr(backend, "_labels", labels)
+    monkeypatch.setattr(backend, "_fix_phi_arm_labels", fix)
+
+    def run(n):
+        """The counts, the lowered program and the best time."""
+        best = float("inf")
+        for _ in range(5):
+            prog = select_run(n)
+            counts.update(dict.fromkeys(counts, 0))
+            gc.collect()
+            gc.disable()                # time the lowering, not a collection
+            try:
+                start = time.perf_counter()
+                low, _ = lower(prog, I386)
+                best = min(best, time.perf_counter() - start)
+            finally:
+                gc.enable()
+        return dict(counts), low, best
+
+    (small, _, t_small), (large, low, t_large) = run(100), run(400)
+    assert small == large == {"labels": 1, "phi blocks": 1}
+    assert len(low.function().blocks) == 2 + 3 * 400
+    assert t_large <= 6 * t_small, (t_small, t_large)
+    for s in (0, 1):
+        assert execute(low, {"s": s, "a": 3}).result == (3 if s else 399)
 
 
 VSELECT = """

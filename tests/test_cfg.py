@@ -233,6 +233,7 @@ def test_dominators_match_the_reference_on_every_pipeline_function(
 
     for module in (ir, cfg, passes, tracer):
         monkeypatch.setattr(module, "control_flow", checked)
+    passes._states.clear()              # run the passes, not the memo
     for name in names():
         source = load_program(name)
         checked(source.function())
@@ -337,6 +338,7 @@ def test_a_study_builds_each_graphs_facts_once(monkeypatch):
     monkeypatch.setattr(ir, "ControlFlow", flow)
     monkeypatch.setattr(cfg, "_find_loops", find_loops)
     ir._control_flow.cache_clear()
+    passes._states.clear()
     study()
     assert max(trees.values()) == max(loops.values()) == 1
     built = (sum(trees.values()), sum(loops.values()))
@@ -346,13 +348,20 @@ def test_a_study_builds_each_graphs_facts_once(monkeypatch):
 
 def test_a_study_checks_and_translates_each_program_once(monkeypatch):
     # The same for the other per-process memos: each distinct program is
-    # walked by validate and translated by the tracer at most once, and a
-    # second round does neither.  A corpus or a preset list that outgrows
+    # walked by validate and translated by the tracer at most once, each
+    # pipeline state is reached by one pass application, and a second
+    # round does none of these.  A corpus or a preset list that outgrows
     # ir.MEMO_SIZE fails here: the one size holds the study's programs
-    # checked, its translations and its graphs.
+    # checked, its translations, its graphs and its pipeline states.
     walks, translations, graphs = Counter(), Counter(), Counter()
     real_check, real_translator = ir._check, tracer._Translator
     real_flow = ir.ControlFlow
+    applications = []
+    real_entry = passes._log_entry
+
+    def entry(name, func, before):      # one per pass application
+        applications.append(name)
+        return real_entry(name, func, before)
 
     def check(prog):
         walks[prog.stage, ir.program_key(prog)] += 1
@@ -369,16 +378,20 @@ def test_a_study_checks_and_translates_each_program_once(monkeypatch):
     monkeypatch.setattr(ir, "_check", check)
     monkeypatch.setattr(tracer, "_Translator", translator)
     monkeypatch.setattr(ir, "ControlFlow", flow)
+    monkeypatch.setattr(passes, "_log_entry", entry)
     ir._errors.cache_clear()
     ir._control_flow.cache_clear()
     tracer._translate.cache_clear()
     tracer._last = (None, None)
+    passes._states.clear()
     study()
     assert max(walks.values()) == max(translations.values()) == 1
+    assert len(applications) == len(passes._states) == 200
     assert max(len(walks), len(translations), len(graphs)) <= ir.MEMO_SIZE
     done = (sum(walks.values()), sum(translations.values()))
     study()
     assert (sum(walks.values()), sum(translations.values())) == done
+    assert len(applications) == 200
 
 
 def test_cached_loops_are_frozen():

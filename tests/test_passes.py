@@ -12,6 +12,7 @@ import gc
 import hashlib
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from ctlab import analyze, ir, passes
 from ctlab.backend import PROFILES, lower
 from ctlab.cfg import natural_loops
 from ctlab.corpus import load_program, names
-from ctlab.ir import (BINARY_OPS, CMP_PREDS, Program, parse_ir, print_ir,
+from ctlab.ir import (BINARY_OPS, CMP_PREDS, IRError, Program, SourceLoc,
+                      copy_program, parse_ir, print_ir, program_key,
                       validate)
 from ctlab.mitigations import PRESETS
 from ctlab.passes import (
@@ -352,16 +354,18 @@ def test_pass_that_does_not_settle_raises(monkeypatch):
         [("instcombine", "g"), ("slp", "g")]
 
 
+def retarget(func):
+    """A step that points the entry's terminator at a missing block."""
+    term = func.blocks[0].terminator
+    if term.labels == ("nowhere",):
+        return False
+    func.blocks[0].instrs[-1] = term._replace(labels=("nowhere",))
+    return True
+
+
 def test_pass_that_breaks_the_program_is_named(monkeypatch):
     # Only a pass application that reports no change skips validation, so
     # a step that reports its change is checked.
-    def retarget(func):
-        term = func.blocks[0].terminator
-        if term.labels == ("nowhere",):
-            return False
-        func.blocks[0].instrs[-1] = term._replace(labels=("nowhere",))
-        return True
-
     monkeypatch.setattr(passes, "if_convert", retarget)
     src = "func f(public n: u32 = 1) {\nbb0:\n  br bb1\nbb1:\n  ret n\n}"
     with pytest.raises(InternalPassError,
@@ -370,13 +374,31 @@ def test_pass_that_breaks_the_program_is_named(monkeypatch):
         pipe(parse_ir(src), if_convert=True)
 
 
+def test_a_failing_pipeline_keeps_only_the_passes_before_it(monkeypatch):
+    # A pass that breaks the program keeps no state, so a second run runs
+    # it again and raises the same error with the same log.
+    monkeypatch.setattr(passes, "if_convert", retarget)
+    src = "func f(public n: u32 = 1) {\nbb0:\n  br bb1\nbb1:\n  ret n\n}"
+    passes._states.clear()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(InternalPassError, match="broke the program") \
+                as err:
+            pipe(parse_ir(src), instcombine=True, if_convert=True)
+        raised.append((str(err.value), err.value.log))
+    assert raised[0] == raised[1]
+    assert [e.pass_name for e in raised[0][1]] == ["instcombine", "if_convert"]
+    assert [prefix for _, prefix in passes._states] == [("instcombine",)]
+
+
 def test_an_in_place_fold_logs_no_change_and_is_validated(monkeypatch):
     # Cleanup folds `x = add 1, 2` into a const under the same id.  The
     # application reports a change, so the program is validated; no id
     # came or went, so the log says "no change", as lowering's does.
     checked = []
-    monkeypatch.setattr(passes, "validate",
-                        lambda prog: checked.append(prog) or validate(prog))
+    monkeypatch.setattr(passes, "validate", lambda prog, key=None: (
+        checked.append(prog) or validate(prog, key)))
+    passes._states.clear()              # run the passes, not the memo
     src = "func f(public n: u32 = 1) {\nbb0:\n  x = add 1, 2\n  ret x\n}"
     out, log = pipe(parse_ir(src), instcombine=True)
     assert ops(out.function(), "bb0") == ["const", "ret"]
@@ -396,6 +418,7 @@ def test_cleanup_output_is_a_fixpoint(monkeypatch, preset_name):
         return changed
 
     monkeypatch.setattr(passes, "cleanup", checked)
+    passes._states.clear()              # run the passes, not the memo
     for name in names():
         run_pipeline(load_program(name), PRESETS[preset_name].spec)
         assert unsettled == [], name
@@ -421,6 +444,7 @@ def test_skipping_cleanup_on_clean_functions_changes_nothing(monkeypatch):
     real = passes.cleanup
     monkeypatch.setattr(passes, "cleanup",
                         lambda *a: calls.append(1) or real(*a))
+    passes._states.clear()              # run the passes, not the memo
     applications = 0
     for name in names():
         for preset in PRESETS.values():
@@ -460,6 +484,7 @@ def test_a_step_that_reports_no_change_changed_nothing(monkeypatch, spec):
 
     for name in STEPS + ("cleanup",):
         monkeypatch.setattr(passes, name, checked(getattr(passes, name)))
+    passes._states.clear()              # run the passes, not the memo
     for name in names():
         run_pipeline(load_program(name), spec)
         assert broken == [], name
@@ -806,6 +831,24 @@ def test_a_jump_thread_step_reads_the_function_once(monkeypatch):
     assert (small_blocks, large_blocks) == (2 + 5 * 25, 2 + 5 * 100)
 
 
+def test_threadings_in_a_row_keep_labels_short():
+    # Each threading splits the join block of the one before it.  The new
+    # blocks are named after the first block, each with its own counter,
+    # not after the join, so k threadings make labels of O(log k)
+    # characters.
+    n = 400
+    prog = select_pairs(n)
+    out, _ = pipe(prog, jump_thread=True)
+    labels = [b.label for b in out.function().blocks]
+    assert len(labels) == 1 + 5 * n         # `done` joins the last join
+    assert labels[:8] == ["bb0", "bb0.t", "bb0.f", "bb0.ft", "bb0.ff",
+                          "bb0.join", "bb0.t0", "bb0.f0"]
+    assert max(map(len, labels)) == len(f"bb0.join{n - 2}")
+    for a in (0, 9, 11, 13, 255):
+        args = {"a": a, "b": 3}
+        assert execute(out, args).result == execute(prog, args).result
+
+
 # ----------------------------------------------------------------------
 # path splitting
 
@@ -993,6 +1036,7 @@ def test_unroll_renames_only_the_readers_of_loop_values(monkeypatch):
 
     monkeypatch.setattr(ir, "substitute", counted)
     monkeypatch.setattr(passes, "substitute", counted)
+    passes._states.clear()              # run the passes, not the memo
     prog = loop_chain(250)
     size = sum(1 for _ in prog.function().instructions())
     out, _ = pipe(prog, loop_unroll=True)
@@ -1228,6 +1272,7 @@ def test_vectorize_builds_its_maps_once_and_keeps_them_exact(monkeypatch):
                         lambda f: builds.append(f) or real_uses(f))
     monkeypatch.setattr(passes, "loop_vectorize", step)
     monkeypatch.setattr(passes, "_apply_vector_plan", apply)
+    passes._states.clear()              # run the passes, not the memo
     run_pipeline(load_program("rsa_bearssl_lookup"), PRESETS["llvm18-O3"].spec)
     assert len(applied) == 15
     assert steps == [(True, 1), (False, 1)]
@@ -1791,6 +1836,152 @@ def test_all_passes_on_all_corpus_entries_stay_valid():
     for name in names():
         out, _ = run_pipeline(load_program(name), spec)
         assert validate(out) == [], name
+
+
+class SpecReads:
+    """A spec that records the name of each field read from it."""
+
+    def __init__(self, spec: PipelineSpec, reads: set[str]):
+        self.spec, self.reads = spec, reads
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self.spec, name)
+
+
+def test_only_unswitching_reads_the_spec():
+    # run_pipeline keys the states it keeps by the passes applied, with
+    # the unswitch threshold for loop_unswitch: a step that read any other
+    # field of the spec would make two specs share a state they should
+    # not.  Every pass runs over every corpus program here.
+    spec = PipelineSpec(toggles={k: True for k in PASS_ORDER})
+    reads = {name: set() for name in PASS_ORDER}
+    for program in names():
+        prog = load_program(program)
+        func = prog.function()
+        for name in PASS_ORDER:
+            step = passes._PASSES[name]
+            passes._to_fixpoint(
+                lambda f: step(f, SpecReads(spec, reads[name])), func, name)
+            cleanup(func, prog.globals)
+    assert {k: v for k, v in reads.items() if v} == \
+        {"loop_unswitch": {"unswitch_threshold"}}
+
+
+# ----------------------------------------------------------------------
+# the memo of pipeline states
+
+
+def study_specs() -> list[PipelineSpec]:
+    """Every preset, then every canonical matrix row over llvm18-O3."""
+    from ctlab.cli import _CANONICAL_ROWS, _CANONICAL_VARY
+    base = PRESETS["llvm18-O3"].spec
+    return [p.spec for p in PRESETS.values()] + [
+        base.with_toggles(**dict(zip(_CANONICAL_VARY, row)))
+        for row in _CANONICAL_ROWS]
+
+
+def shown(result) -> tuple:
+    """A pipeline's result as text: its program with ids, its next fresh
+    id and its log."""
+    out, log = result
+    return print_ir(out), out.function().next_id, repr(log)
+
+
+def cold(prog, spec) -> tuple:
+    """``shown`` of a run that starts from an empty memo."""
+    passes._states.clear()
+    return shown(run_pipeline(prog, spec))
+
+
+def test_the_memo_gives_what_a_cold_run_gives():
+    # The oracle: every corpus program under every preset and every
+    # canonical matrix row, run forwards and then in reverse, each time
+    # from an empty memo, gives what each run gives on its own.
+    runs = [(load_program(name), spec) for name in names()
+            for spec in study_specs()]
+    want = [cold(prog, spec) for prog, spec in runs]
+    for step in (1, -1):
+        passes._states.clear()
+        got = [shown(run_pipeline(prog, spec)) for prog, spec in runs[::step]]
+        assert got == want[::step]
+
+
+def test_what_the_key_leaves_out_gets_its_own_state():
+    # program_key leaves out source locations and the next fresh id, but
+    # the passes copy both into their output; and the unswitch threshold
+    # changes what unswitching does.  Each such input gets its own output.
+    spec = PRESETS["gcc13-O3"].spec
+    source = load_program("loop_unswitch_toy")
+    moved = copy_program(source)
+    last = moved.function().blocks[-1].instrs
+    last[-1] = last[-1]._replace(loc=SourceLoc("moved.c", 99))
+    later = copy_program(source)
+    later.function().next_id += 5
+    assert program_key(moved) == program_key(later) == program_key(source)
+    runs = [(source, spec), (moved, spec), (later, spec),
+            (source, replace(spec, unswitch_threshold=2))]
+    want = [cold(prog, spec) for prog, spec in runs]
+    assert len(set(want)) == len(runs)
+    passes._states.clear()
+    assert [shown(run_pipeline(prog, spec)) for prog, spec in runs] == want
+
+
+def test_a_returned_program_is_the_callers_own():
+    # Neither changing what a run returned nor changing its input changes
+    # what a later run returns.
+    spec = PRESETS["llvm18-O3"].spec
+    source = load_program("rsa_bearssl_lookup")
+    want = cold(source, spec)
+    out, log = run_pipeline(source, spec)
+    for prog in (out, source):
+        func = prog.function()
+        func.blocks[-1].instrs.pop()
+        func.blocks.pop(0)
+        func.params[0].name = "renamed"
+        func.next_id = 0
+        prog.globals.clear()
+    log.clear()
+    assert shown(run_pipeline(load_program("rsa_bearssl_lookup"), spec)) == \
+        want
+
+
+def test_numbers_the_key_cannot_tell_apart_are_run_without_the_memo():
+    # 1.0 == 1, so a program that holds a number that is not an int is
+    # never answered from the state of the equal program of ints: as
+    # without the memo, a `const 1.0` is an invalid input, and a width of
+    # 32.0 fails in the passes.  Neither keeps a state.
+    src = "func f(public n: u32 = 1) {\nbb0:\n  c = const 1\n  x = add n, c\n  ret x\n}"
+    prog = parse_ir(src)
+    passes._states.clear()
+    pipe(prog, instcombine=True)
+    for k, change, error in [(0, {"operands": (1.0,)}, IRError),
+                             (1, {"width": 32.0}, TypeError)]:
+        bad = copy_program(prog)
+        instrs = bad.function().blocks[0].instrs
+        instrs[k] = instrs[k]._replace(**change)
+        assert program_key(bad) == program_key(prog)
+        with pytest.raises(error):
+            pipe(bad, instcombine=True)
+    assert len(passes._states) == 1
+
+
+def test_the_memo_keeps_the_last_memo_size_states(monkeypatch):
+    applied = []
+    real = passes._log_entry
+    monkeypatch.setattr(passes, "_log_entry", lambda *a: (
+        applied.append(a[0]) or real(*a)))
+    progs = [parse_ir(f"func f(public n: u32 = 1) {{\nbb0:\n  x = add n, {k}"
+                      "\n  ret x\n}") for k in range(ir.MEMO_SIZE + 1)]
+    passes._states.clear()
+    for prog in progs:
+        pipe(prog, instcombine=True)
+    assert len(applied) == ir.MEMO_SIZE + 1
+    assert len(passes._states) == ir.MEMO_SIZE
+    pipe(progs[-1], instcombine=True)   # kept
+    assert len(applied) == ir.MEMO_SIZE + 1
+    pipe(progs[0], instcombine=True)    # the least recently used went
+    assert len(applied) == ir.MEMO_SIZE + 2
 
 
 # ----------------------------------------------------------------------
