@@ -1951,7 +1951,8 @@ def test_numbers_the_key_cannot_tell_apart_are_run_without_the_memo():
     # never answered from the state of the equal program of ints: as
     # without the memo, a `const 1.0` is an invalid input, and a width of
     # 32.0 fails in the passes.  Neither keeps a state.
-    src = "func f(public n: u32 = 1) {\nbb0:\n  c = const 1\n  x = add n, c\n  ret x\n}"
+    src = ("func f(public n: u32 = 1) {\nbb0:\n  c = const 1\n"
+           "  x = add n, c\n  ret x\n}")
     prog = parse_ir(src)
     passes._states.clear()
     pipe(prog, instcombine=True)
