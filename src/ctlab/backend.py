@@ -16,8 +16,10 @@ from .ir import (
     BasicBlock,
     Function,
     Instruction,
+    Memo,
     Program,
     copy_program,
+    freeze,
     successors,
     validate,
     value_operands,
@@ -149,18 +151,37 @@ def _lower_function(func: Function, profile: BackendProfile,
         bidx += 1
 
 
+# The lowerings ``lower`` made, least recently used first: (input state,
+# profile, cmov conversion) -> (frozen lowered program, log).
+_lowered = Memo()
+
+
 def lower(prog: Program, profile: BackendProfile,
           cmov_conversion: bool = False) -> tuple[Program, list[PassLogEntry]]:
     """Lower every select/vselect of the program's function for
-    ``profile``; returns a lowered copy and its one-entry log."""
+    ``profile``; returns the frozen lowered program and its one-entry log.
+
+    Lowering is a pure function of the input's ``state``, the profile and
+    the cmov flag, so the last ``MEMO_SIZE`` lowerings are kept by those
+    and one met again returns the kept program.  An input whose ``state``
+    is None is lowered without the memo; a raise keeps nothing."""
     if prog.stage != "midend":
         raise LoweringError(f"cannot lower a {prog.stage!r}-stage program")
-    out = copy_program(prog)
-    func = out.function()
-    before = {i.iid for i in func.instructions()}
-    _lower_function(func, profile, cmov_conversion)
-    out.stage = "lowered"
-    errors = validate(out)
-    if errors:
-        raise LoweringError(f"lowering broke the program: {errors[0]}")
-    return out, [_log_entry("lower", func, before)]
+    prog = freeze(prog)
+
+    def lowering():
+        out = copy_program(prog)
+        func = out.function()
+        before = {i.iid for i in func.instructions()}
+        _lower_function(func, profile, cmov_conversion)
+        out.stage = "lowered"
+        out = freeze(out)
+        errors = validate(out)
+        if errors:
+            raise LoweringError(f"lowering broke the program: {errors[0]}")
+        return out, (_log_entry("lower", func, before),)
+
+    key = None if prog.state is None else (prog.state, profile,
+                                           cmov_conversion)
+    out, log = _lowered.get_or(key, lowering)
+    return out, [*log]

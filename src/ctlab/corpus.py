@@ -2,13 +2,13 @@
 
 Each entry ships as an ``.ir`` file under ``corpus_ir/`` plus a flag saying
 whether the source is constant-time as written.  Each entry is parsed and
-validated once; ``CorpusEntry.load`` and ``load_program`` return a fresh
-copy of that parse on every call, so callers may mutate freely.  An entry
-that does not parse or validate raises ``CorpusError`` naming it.  The
-first access to an entry also self-checks the ground truth: with every pass
-disabled and branchless lowering, the leak checker must agree with the
-stored flag, otherwise the corpus itself is broken and ``CorpusError``
-is raised.
+validated once; ``CorpusEntry.load`` and ``load_program`` return that
+parse, frozen (see ``ir.freeze``), on every call, and ``copy_program``
+makes a copy to edit.  An entry that does not parse or validate raises
+``CorpusError`` naming it.  The first access to an entry also self-checks
+the ground truth: with every pass disabled and branchless lowering, the
+leak checker must agree with the stored flag, otherwise the corpus itself
+is broken and ``CorpusError`` is raised.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .analysis import analyze
-from .ir import IRError, Program, copy_program, parse_ir, validate
+from .ir import IRError, Program, freeze, parse_ir, validate
 from .passes import PipelineSpec
 
 __all__ = ["CorpusEntry", "CorpusError", "entries", "get", "load_program",
@@ -41,7 +41,7 @@ class CorpusEntry:
         return _read_ir(self.name)
 
     def load(self) -> Program:
-        return copy_program(_parsed(self.name))
+        return _parsed(self.name)
 
 
 _ENTRIES: list[CorpusEntry] = [
@@ -98,7 +98,7 @@ def _read_ir(name: str) -> str:
 
 @lru_cache(maxsize=None)
 def _parsed(name: str) -> Program:
-    """The one parse of an entry, validated; callers get copies of it."""
+    """The one parse of an entry, frozen and validated."""
     try:
         return _checked(parse_ir(_read_ir(name)))
     except IRError as e:
@@ -106,7 +106,8 @@ def _parsed(name: str) -> Program:
 
 
 def _checked(prog: Program) -> Program:
-    """``prog``, if it is valid; else the pipeline's ``IRError``."""
+    """``prog`` frozen, if it is valid; else the pipeline's ``IRError``."""
+    prog = freeze(prog)
     errors = validate(prog)
     if errors:
         raise IRError(f"invalid input program: {errors[0]}")
@@ -143,8 +144,8 @@ def get(name: str) -> CorpusEntry:
 
 
 def load_program(name_or_path: str) -> Program:
-    """A corpus entry by name, or any ``.ir`` file by path; a file that
-    does not parse or validate raises ``IRError``."""
+    """A corpus entry by name, or any ``.ir`` file by path, frozen; a file
+    that does not parse or validate raises ``IRError``."""
     if name_or_path in _BY_NAME:
         return get(name_or_path).load()
     if os.path.exists(name_or_path):

@@ -73,6 +73,9 @@ Conventions:
   rewrites a function by rewriting its block lists: it puts a new
   instruction, often ``ins._replace(...)``, where the old one stood.  So
   ``copy_function`` copies the lists and shares the instructions.
+* A program that leaves a layer is frozen (``freeze``): its lists are
+  tuples and every write raises, so the memos key it once and meet it
+  again by identity.  A pass works on a mutable copy (``copy_program``).
 * Global initializers: ``zeros``, ``counting`` (element i holds i, wrapped),
   or an explicit ``[1, 2, 3]`` list of integers, wrapped to the element
   width, with no empty item (``[]`` has none).  Every
@@ -84,10 +87,13 @@ Conventions:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import chain, islice
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from operator import attrgetter
+from types import MappingProxyType
+from weakref import WeakValueDictionary
 
 SECRET = "secret"
 
@@ -380,13 +386,14 @@ class Program:
 
 _GLOBAL_ROW = attrgetter("name", "elem_width", "length", "init")
 _PARAM_ROW = attrgetter("name", "type", "secrecy", "default")
+_LOC_ROW = attrgetter("file", "line")
 
 
 def program_key(prog: Program) -> tuple:
     """The content of ``prog`` as a key: the function name; each global's
     dict key, name, element width, length and elements; each parameter's
     name, type, secrecy and default; then ``content_key`` of the blocks.
-    It holds no stage.  ``keyed_program`` rebuilds a program from it, and
+    It holds no stage.  A frozen program builds it once (``key``), and
     the memos of ``validate`` and the tracer's translations each keep a
     pure function of it.  Raises ``IRError`` for a program of other than
     one function."""
@@ -396,33 +403,155 @@ def program_key(prog: Program) -> tuple:
             (*map(_PARAM_ROW, func.params),), *content_key(func.blocks))
 
 
-def keyed_program(key: tuple, stage: str) -> Program:
-    """The program at ``stage`` whose ``program_key`` is ``key``.  Its
-    instructions carry no source location, and its globals the default
-    ``init_kind``: the key holds neither."""
-    name, globals_, params, labels, sizes, *columns = key
-    rows = zip(*columns)
-    blocks = [BasicBlock(label, [Instruction(i, op, r, ops, None, w, p, ls)
-                                 for i, op, r, ops, w, p, ls
-                                 in islice(rows, size)])
-              for label, size in zip(labels, sizes)]
-    func = Function(name, [Param(*p) for p in params], blocks)
-    return Program({name: func},
-                   {k: GlobalArray(*g) for k, *g in globals_}, stage)
-
-
 # The size of each memo keyed by content: ``validate``'s messages, the
-# tracer's translations, ``control_flow``'s graph facts and the pipeline
-# states of ``passes.run_pipeline``.  A study of every corpus program under
-# every preset, checked against its sources, checks 67 distinct programs,
-# translates 37, meets 40 graphs and reaches 200 pipeline states; each
-# memo holds its working set with room to spare, so a repeated study
+# tracer's translations, ``control_flow``'s graph facts, the pipeline
+# states of ``passes.run_pipeline`` and the lowerings of
+# ``backend.lower``.  A study of every corpus program under every preset,
+# checked against its sources, checks 67 distinct programs, translates 37,
+# meets 40 graphs, reaches 200 pipeline states and makes 48 lowerings;
+# each memo holds its working set with room to spare, so a repeated study
 # computes nothing again, where a smaller memo would evict in a cycle.  A
 # translation with its event tables retains 3-540 KB for a corpus program
-# (tracemalloc, CPython 3.11); a pipeline state has its own block lists
-# and shares its instructions with the states around it, and the study's
-# 200 states hold about 1.1 MB.
+# (tracemalloc, CPython 3.11).  A state or a lowering is a frozen program:
+# its own block tuples, sharing its instructions with the programs around
+# it; the study's states and lowerings hold about 1.1 MB, and with the
+# messages and translations the memos hold about 2.1 MB.
 MEMO_SIZE = 256
+
+
+class Memo(OrderedDict):
+    """An LRU map of at most ``MEMO_SIZE`` results, oldest first."""
+
+    def get_or(self, key, compute):
+        """The result kept under ``key``, else ``compute()`` kept under it;
+        nothing is kept for a ``key`` of None or a ``compute`` that
+        raises."""
+        if key is None:
+            return compute()
+        try:
+            self.move_to_end(key)
+            return self[key]
+        except KeyError:
+            pass
+        value = self[key] = compute()
+        if len(self) > MEMO_SIZE:
+            self.popitem(last=False)
+        return value
+
+
+class _Key:
+    """A memo key: the tuple ``items``, with its hash computed once."""
+
+    __slots__ = ("items", "hash", "__weakref__")
+
+    def __init__(self, items: tuple):
+        self.items, self.hash = items, hash(items)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Key) and self.items == other.items
+
+
+# Every live key, so that equal keys are one object (hash-consing, after
+# Filliâtre & Conchon 2006) and every memo meets a key by identity.
+_KEYS: WeakValueDictionary = WeakValueDictionary()
+
+
+def _interned(items: tuple) -> _Key | None:
+    """The live key of ``items``; None when they cannot be hashed."""
+    try:
+        key = _Key(items)
+    except TypeError:
+        return None
+    return _KEYS.setdefault(key, key)
+
+
+# ======================================================================
+# Frozen programs
+# ======================================================================
+
+class _ReadOnly:
+    """The parts of a frozen program: a write to an attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{name!r} of a frozen program is read-only")
+
+    __delattr__ = __setattr__
+
+
+_FrozenBlock, _FrozenFunction, _FrozenParam, _FrozenGlobal = (
+    type(f"_Frozen{c.__name__}", (_ReadOnly, c), {})
+    for c in (BasicBlock, Function, Param, GlobalArray))
+
+
+class _FrozenProgram(_ReadOnly, Program):
+    def __reduce__(self):               # copy and pickle, past the mappings
+        return freeze, (copy_program(self),)
+
+    @cached_property
+    def key(self) -> _Key | None:
+        """``program_key(self)``, or None when no memo may stand in for work
+        on the program: it has other than one function, contents that
+        cannot be hashed, or an instruction id, operand, width, or global
+        element width, length or element that is not an ``int`` (or a
+        name, for an operand): Python counts ``1.0`` equal to ``1``, but
+        the check, its messages and the passes do not."""
+        try:
+            key = program_key(self)
+        except IRError:
+            return None
+        return _interned(key) if _plain(key) else None
+
+    @cached_property
+    def state(self) -> _Key | None:
+        """``key`` with what the passes and the lowering copy into their
+        output beyond it: each instruction's source file and line as two
+        columns, the next id, the function's slot and each global's
+        ``init_kind``.  None when ``key`` is, or these cannot be
+        hashed."""
+        if self.key is None:
+            return None
+        (slot, func), = self.functions.items()
+        try:
+            locs = [_LOC_ROW(ins.loc) for ins in func.instructions()]
+        except AttributeError:          # a location that is no SourceLoc
+            return None
+        return _interned((self.key, (*zip(*locs),), func.next_id, slot,
+                          (*[g.init_kind for g in self.globals.values()],)))
+
+
+def _make(cls, **fields):
+    """A ``cls`` holding ``fields``, built past its ``__setattr__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def freeze(prog: Program) -> Program:
+    """``prog`` itself when it is frozen, else a frozen copy of it.
+
+    A frozen program's blocks, instruction lists and parameters are
+    tuples, its functions and globals read-only mappings, and a write to
+    an attribute of any of its parts raises.  It shares the (immutable)
+    instructions.  Its ``key`` and ``state`` are built once, on first use,
+    so a memo keyed by them meets it again by identity.  ``copy_program``
+    makes a mutable copy."""
+    if prog.__class__ is _FrozenProgram:
+        return prog
+    functions = {slot: _make(
+        _FrozenFunction, name=f.name, next_id=f.next_id,
+        params=tuple(_make(_FrozenParam, **vars(p)) for p in f.params),
+        blocks=tuple(_make(_FrozenBlock, label=b.label, instrs=(*b.instrs,))
+                     for b in f.blocks))
+        for slot, f in prog.functions.items()}
+    globals_ = {k: _make(_FrozenGlobal, **vars(g))
+                for k, g in prog.globals.items()}
+    return _make(_FrozenProgram, functions=MappingProxyType(functions),
+                 globals=MappingProxyType(globals_), stage=prog.stage)
 
 
 # ======================================================================
@@ -952,13 +1081,13 @@ def control_flow(func: Function) -> ControlFlow:
     last ``MEMO_SIZE`` shapes: a function whose blocks or branch
     targets change gets the facts of its new shape."""
     blocks = func.blocks
-    return _control_flow(tuple([b.label for b in blocks]),
-                         tuple([successors(b) for b in blocks]))
+    shape = (tuple([b.label for b in blocks]),
+             tuple([successors(b) for b in blocks]))
+    return _control_flow.get_or(shape, lambda: ControlFlow(*shape))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _control_flow(labels, successors) -> ControlFlow:
-    return ControlFlow(labels, successors)
+# The facts of the last graph shapes met, by shape.
+_control_flow = Memo()
 
 
 def settle(roots, inputs, rule, bottom) -> dict:
@@ -1007,7 +1136,7 @@ def _vector(lanes: int) -> str:
     return f"a {lanes}-lane vector"
 
 
-def validate(prog: Program, key: tuple | None = None) -> list[str]:
+def validate(prog: Program) -> list[str]:
     """Return violation strings; empty means the program is well formed.
 
     Checks that every global has as many elements as its length and that
@@ -1020,42 +1149,20 @@ def validate(prog: Program, key: tuple | None = None) -> list[str]:
     through the phis among them; with several, it takes the type of its
     first arm with just one, else the least by name, and reports the rest.
 
-    The messages of the last ``MEMO_SIZE`` programs checked are kept by
-    stage and ``memo_key``, and the check walks the program that
-    ``keyed_program`` rebuilds from the key, so what is kept is what a walk
-    gives.  A program without a ``memo_key``, or whose key cannot be
-    hashed, is walked without the memo.  A caller that has computed
-    ``memo_key(prog)`` passes it as ``key``.
+    The messages of the last ``MEMO_SIZE`` frozen programs checked are
+    kept by stage and ``key`` (see ``freeze``).  The walk reads nothing
+    the key leaves out, so what is kept is what a walk gives, and a
+    program checked before is met by identity.  A program that is not
+    frozen, or whose ``key`` is None, is walked without the memo.
     """
+    key = prog.key if prog.__class__ is _FrozenProgram else None
     if key is None:
-        key = memo_key(prog)
-    if key is not None:
-        try:
-            return list(_errors(prog.stage, key))
-        except TypeError:               # contents that cannot be hashed
-            pass
-    return _check(prog)
+        return _check(prog)
+    return list(_errors.get_or((prog.stage, key), lambda: (*_check(prog),)))
 
 
-def memo_key(prog: Program) -> tuple | None:
-    """``program_key(prog)`` when a memo may stand in for work on ``prog``,
-    else None: for a program of other than one function, and for one with
-    an instruction id, operand, width, global element width, length or
-    element that is not an ``int`` (or a name, for an operand).  Python
-    counts ``1.0`` equal to ``1``, but the check, its messages and the
-    passes do not.  The key may still hold contents that cannot be
-    hashed."""
-    try:
-        key = program_key(prog)
-    except IRError:
-        return None
-    return key if _plain(key) else None
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _errors(stage: str, key: tuple) -> tuple[str, ...]:
-    """``_check``'s messages for the program of ``key`` at ``stage``."""
-    return (*_check(keyed_program(key, stage)),)
+# ``_check``'s messages by (stage, key) of the frozen programs checked.
+_errors = Memo()
 
 
 _PLAIN = {int, str}
@@ -1317,14 +1424,16 @@ def clone_instruction(ins: Instruction, new_id: int,
 
 
 def copy_function(func: Function) -> Function:
-    """A copy with its own block lists, sharing the (immutable)
-    instructions."""
-    blocks = [BasicBlock(b.label, b.instrs[:]) for b in func.blocks]
-    return Function(func.name, [replace(p) for p in func.params], blocks,
-                    next_id=func.next_id)
+    """A mutable copy with its own block lists and parameters, sharing
+    the (immutable) instructions."""
+    blocks = [BasicBlock(b.label, [*b.instrs]) for b in func.blocks]
+    return Function(func.name, [Param(*_PARAM_ROW(p)) for p in func.params],
+                    blocks, next_id=func.next_id)
 
 
 def copy_program(prog: Program) -> Program:
+    """A mutable copy of ``prog``, frozen or not (see ``freeze``)."""
     return Program({n: copy_function(f) for n, f in prog.functions.items()},
-                   {n: replace(g) for n, g in prog.globals.items()},
+                   {n: GlobalArray(*_GLOBAL_ROW(g), g.init_kind)
+                    for n, g in prog.globals.items()},
                    prog.stage)

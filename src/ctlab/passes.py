@@ -15,24 +15,23 @@ of the values its rewrites dropped in one sweep (``_rewrite_loops``).  This
 is sound because the loops it rewrites share no block or preheader, so each
 rewrite reads the function as the step found it.
 
-The runner copies the program, whose one function is the unit every pass
-rewrites, runs each pass's step and then cleanup on it, each to its
-fixpoint, validates the result when either reports a change, and logs
-created/deleted instruction ids so leak findings can be attributed to the
-pass that introduced them.  A step or cleanup that does not settle raises
-an error that names it.  The runner keeps the state after each prefix of
-passes it ran on a program, and starts a later run of that program from
-the longest prefix it kept (see ``run_pipeline``).
+The runner thaws a mutable copy of the frozen program (see ``ir.freeze``),
+whose one function is the unit every pass rewrites, runs each pass's step
+and then cleanup on it, each to its fixpoint, freezes and validates the
+result when either reports a change, and logs created/deleted instruction
+ids so leak findings can be attributed to the pass that introduced them.
+A step or cleanup that does not settle raises an error that names it.
+The runner keeps the state after each prefix of passes it ran on a
+program, and starts a later run of that program from the longest prefix
+it kept (see ``run_pipeline``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 
 from .cfg import counted_loop_info, innermost, natural_loops
 from .ir import (
@@ -40,20 +39,19 @@ from .ir import (
     EVAL_OPS,
     LANE_WIDTH,
     LANEWISE_OPS,
-    MEMO_SIZE,
     NO_RESULT_OPS,
     BasicBlock,
     Function,
     GlobalArray,
     Instruction,
     IRError,
+    Memo,
     Program,
     clone_instruction,
     control_flow,
-    copy_function,
     copy_program,
     evaluate,
-    memo_key,
+    freeze,
     predecessors,
     substitute,
     successors,
@@ -314,14 +312,16 @@ def _set_arms(block: BasicBlock, idx: int, arms) -> None:
 
 
 class _Facts:
-    """Whole-function facts of ``f``, ``defs`` and ``uses``, each built at
-    its first read.  They hold until ``f`` changes."""
+    """Whole-function facts of ``f``, ``defs``, ``uses`` and the value
+    ``names`` taken, each built at its first read.  They hold until ``f``
+    changes."""
 
     def __init__(self, f: Function):
         self.f = f
 
     defs = cached_property(lambda self: self.f.defs())
     uses = cached_property(lambda self: _uses(self.f))
+    names = cached_property(lambda self: _Taken(_all_names(self.f)))
 
 
 class _LoopStep(_Facts):
@@ -347,7 +347,6 @@ class _LoopStep(_Facts):
         self.appended: list[BasicBlock] = []
         self.renames: dict[str, object] = {}
 
-    names = cached_property(lambda self: _Taken(_all_names(self.f)))
     labels = cached_property(lambda self: _Taken(self.blocks))
 
     def splice(self) -> None:
@@ -1462,41 +1461,77 @@ def slp_lite(f: Function) -> bool:
     values are same-shaped trees of lanewise arithmetic over adjacent loads
     is replaced by vloads, vector ops, and one vstore.  Selects sharing one
     0/1 condition become branchless mask blends.  A step packs every such
-    run, block by block, looking again at a block after each packing; each
-    packing turns `_VECTOR_WIDTH` scalar stores into one vector store, so
-    the scan ends.
+    run, block by block, each time the first run, by global name and then
+    position, that packs; each packing turns `_VECTOR_WIDTH` scalar stores
+    into one vector store, so the scan ends.
+
+    The step reads the function's facts once and updates them with each
+    packing (``_SlpBlock``).  A packing changes only the runs that share
+    its stores or whose span overlaps its own, so the scan goes on from
+    the first run it may have changed: k runs take O(k) tries.
     """
-    changed = False
-    facts = _Facts(f)
-    for block in f.blocks:
-        while any(_slp_try_group(f, block, g, window, facts)
-                  for g, window in _store_runs(block)):
-            changed = True
-            facts = _Facts(f)           # the packing changed f
-    return changed
+    step = _Facts(f)
+    return any([_SlpBlock(step, block).pack() for block in f.blocks])
 
 
-def _store_runs(block: BasicBlock):
-    """Each run of `_VECTOR_WIDTH` stores to one global at consecutive
-    constant offsets, as (global, instruction indices)."""
-    stores_by_global: dict[str, list[int]] = {}
-    for idx, ins in enumerate(block.instrs):
-        if ins.opcode == "store" and isinstance(ins.operands[1], int):
-            stores_by_global.setdefault(ins.operands[0], []).append(idx)
-    for g, idxs in sorted(stores_by_global.items()):
-        for w0 in range(len(idxs) - _VECTOR_WIDTH + 1):
-            window = idxs[w0:w0 + _VECTOR_WIDTH]
-            offs = [block.instrs[i].operands[1] for i in window]
-            if offs == list(range(offs[0], offs[0] + _VECTOR_WIDTH)):
-                yield g, window
+class _SlpBlock:
+    """The packings of one block, kept apart from it until ``pack`` ends:
+    the ids ``removed`` and the vector code ``inserted`` before the
+    position of each packing's last member."""
 
-
-def _slp_try_group(f: Function, block: BasicBlock, g: str,
-                   store_idx: list[int], facts: _Facts) -> bool:
-    stores = [block.instrs[i] for i in store_idx]
-    offs = [s.operands[1] for s in stores]
-    defs_in_block = {ins.result: ins for ins in block.instrs
+    def __init__(self, step: _Facts, block: BasicBlock):
+        self.step, self.block, self.instrs = step, block, block.instrs
+        self.index = {ins.iid: i for i, ins in enumerate(self.instrs)}
+        self.defs = {ins.result: ins for ins in self.instrs
                      if ins.result is not None}
+        self.removed: set[int] = set()
+        self.inserted: dict[int, list[Instruction]] = {}
+
+    def pack(self) -> bool:
+        runs: dict[str, list[Instruction]] = {}
+        for ins in self.instrs:
+            if ins.opcode == "store" and isinstance(ins.operands[1], int):
+                runs.setdefault(ins.operands[0], []).append(ins)
+        order = sorted(runs)
+        clashed: list[tuple[int, int]] = []     # spans of runs that clashed
+        k = w0 = 0                  # the next run: order[k]'s stores at w0
+        while k < len(order):
+            stores = runs[order[k]][w0:w0 + _VECTOR_WIDTH]
+            if len(stores) < _VECTOR_WIDTH:
+                k, w0 = k + 1, 0
+                continue
+            offs = [s.operands[1] for s in stores]
+            packed = offs == list(range(offs[0], offs[0] + _VECTOR_WIDTH)) \
+                and _slp_try_group(self, order[k], stores, clashed)
+            if not packed:
+                w0 += 1
+                continue
+            del runs[order[k]][w0:w0 + _VECTOR_WIDTH]
+            if any(lo <= packed[1] and packed[0] <= hi for lo, hi in clashed):
+                k = w0 = 0              # a run that clashed may pack now
+                clashed.clear()
+            else:                       # the runs across the gap are new
+                w0 = max(w0 - _VECTOR_WIDTH + 1, 0)
+        if not self.removed:
+            return False
+        out = []
+        for i, ins in enumerate(self.instrs):
+            out += self.inserted.get(i, ())
+            if ins.iid not in self.removed:
+                out.append(ins)
+        self.block.instrs = out
+        return True
+
+
+def _slp_try_group(blk: _SlpBlock, g: str, stores: list[Instruction],
+                   clashed: list) -> tuple[int, int] | None:
+    """Pack the run ``stores`` of ``blk``; returns the positions of the
+    first and last instruction packed, or None when the run does not pack.
+    The span of a run that fails only because other code in it touches its
+    regions goes into ``clashed``."""
+    step, defs_in_block = blk.step, blk.defs
+    f = step.f
+    offs = [s.operands[1] for s in stores]
     members: list[Instruction] = list(stores)
 
     # `build` and `emit` take themselves as an argument: a closure that
@@ -1552,33 +1587,33 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
 
     roots = [s.operands[2] for s in stores]
     if len(set(roots)) != _VECTOR_WIDTH:
-        return False
-    defs = facts.defs
+        return None
+    defs = step.defs
     tree = build(roots, build)
     if tree is None or isinstance(tree, _SlpSplat):
-        return False
+        return None
 
     member_ids = {m.iid for m in members}
-    if not _read_only_by(facts.uses, members, member_ids):
-        return False
+    if not _read_only_by(step.uses, members, member_ids):
+        return None
 
     # Nothing inside the group's span may write the regions the group
     # touches, and no outside read of g may sit between the moved stores.
-    pos = {ins.iid: i for i, ins in enumerate(block.instrs)}
-    span_lo = min(pos[m.iid] for m in members)
-    span_hi = max(pos[m.iid] for m in members)
+    # The span is the block as it is now: the packed code gone, the
+    # vector code in.
+    span_lo = min(blk.index[m.iid] for m in members)
+    span_hi = max(blk.index[m.iid] for m in members)
     leaf_globals = {m.operands[0] for m in members if m.opcode == "load"}
-    for i in range(span_lo, span_hi + 1):
-        ins = block.instrs[i]
-        if ins.iid in member_ids:
-            continue
+    for ins in (ins for i in range(span_lo, span_hi + 1)
+                for ins in (*blk.inserted.get(i, ()), blk.instrs[i])
+                if ins.iid not in member_ids and ins.iid not in blk.removed):
         if ins.opcode in ("store", "vstore") \
-                and ins.operands[0] in leaf_globals | {g}:
-            return False
-        if ins.opcode in ("load", "vload") and ins.operands[0] == g:
-            return False
+                and ins.operands[0] in leaf_globals | {g} \
+                or ins.opcode in ("load", "vload") and ins.operands[0] == g:
+            clashed.append((span_lo, span_hi))
+            return None
 
-    names = _all_names(f)
+    names = step.names
     emitted: list[Instruction] = []
     splat_cache: dict[object, str] = {}
 
@@ -1626,15 +1661,20 @@ def _slp_try_group(f: Function, block: BasicBlock, g: str,
                                (g, offs[0], root_vec), stores[-1].loc,
                                _VECTOR_WIDTH))
 
-    out: list[Instruction] = []
-    for i, ins in enumerate(block.instrs):
-        if i == span_hi:
-            out.extend(emitted)
-        if ins.iid in member_ids:
-            continue
-        out.append(ins)
-    block.instrs = out
-    return True
+    # The packing: every fact of the step and the block follows it.  A
+    # name it frees may be one a fresh name would take again, so the
+    # search for fresh names then starts from each base.
+    blk.removed |= member_ids
+    blk.inserted[span_hi] = emitted
+    gone = {m.result for m in members} - {None}
+    for name in gone:
+        del defs[name], defs_in_block[name]
+    _track(defs, step.uses, members, emitted)
+    defs_in_block.update((i.result, i) for i in emitted if i.result)
+    names -= gone
+    if any(n.startswith("slp.") for n in gone):
+        names.ends.clear()
+    return span_lo, span_hi
 
 
 # ======================================================================
@@ -1703,40 +1743,20 @@ def if_convert(f: Function) -> bool:
 # ======================================================================
 
 # The pipeline states ``run_pipeline`` kept, least recently used first:
-# (input, pass prefix) -> (function, log, clean), at most ``MEMO_SIZE``.
-_states: OrderedDict = OrderedDict()
-
-_LOC_ROW = attrgetter("file", "line")
-
-
-def _input(prog: Program, key: tuple | None) -> tuple | None:
-    """``prog`` as ``_states`` keys it, from its ``memo_key``: that key,
-    each instruction's source file and line as two columns, and the
-    function's next id.  ``validate`` reads neither of the last two, but
-    the passes copy them into their output.  None when ``key`` is None or
-    the program's contents cannot be hashed."""
-    if key is None:
-        return None
-    func = prog.function()
-    try:
-        locs = [_LOC_ROW(ins.loc) for b in func.blocks for ins in b.instrs]
-        start = (key, (*zip(*locs),), func.next_id)
-        hash(start)
-    except (AttributeError, TypeError):     # no SourceLoc, or unhashable
-        return None
-    return start
+# (input state, pass prefix) -> (frozen program, log, clean).
+_states = Memo()
 
 
 def run_pipeline(prog: Program,
                  spec: PipelineSpec) -> tuple[Program, list[PassLogEntry]]:
     """Apply the enabled passes in their fixed order, cleaning up after
     each, and validating the program after a pass whose step or cleanup
-    reports a change.  The passes rewrite one private copy of the program
-    in place.  With every toggle off the program comes back unchanged
-    (modulo copying).  Raises IRError when the input program is malformed,
-    and InternalPassError when a pass leaves it malformed or when the pass
-    or its cleanup does not settle within ``_FIXPOINT_STEPS`` steps,
-    carrying the log of passes applied so far.
+    reports a change.  The passes rewrite one mutable copy of the program;
+    the state after each pass is frozen (``ir.freeze``), and so is the
+    result: the input itself when no pass changes it.  Raises IRError when
+    the input program is malformed, and InternalPassError when a pass
+    leaves it malformed or when the pass or its cleanup does not settle
+    within ``_FIXPOINT_STEPS`` steps, carrying the log so far.
 
     Cleanup is skipped after a step that reports no change on a function
     that cleanup left at its fixpoint: such a step changed nothing (the
@@ -1746,42 +1766,37 @@ def run_pipeline(prog: Program,
     way.
 
     A pipeline is a pure function of its input and of the spec fields its
-    steps read, so after each pass the run keeps a copy of the function
-    (the copy it kept before, when neither the step nor cleanup reports a
-    change), the log so far and whether cleanup settled it, in
-    ``_states``: the last ``MEMO_SIZE`` states, keyed by the input
-    (``_input``) and the passes applied, ``loop_unswitch`` with its
-    threshold.  A run starts from the longest prefix of its passes kept
-    for its input and returns a fresh copy, so a program, its ids and its
-    log are the same as without the memo.  A pass that raises keeps
-    nothing, so a later run raises the same error with the same log.  A
-    program without a ``memo_key`` runs without the memo.
+    steps read, so after each pass the run keeps the state, the log so far
+    and whether cleanup settled it in ``_states``, the last ``MEMO_SIZE``
+    states, keyed by the input's ``state`` and the passes applied,
+    ``loop_unswitch`` with its threshold.  A run starts from the longest
+    prefix of its passes kept for its input, and returns the kept program
+    itself when it has them all.  A pass that raises keeps nothing, so a
+    later run raises the same error with the same log.  A program whose
+    ``state`` is None runs without the memo.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
-    key = memo_key(prog)
-    errors = validate(prog, key)
+    prog = freeze(prog)
+    errors = validate(prog)
     if errors:
         raise IRError(f"invalid input program: {errors[0]}")
-    order, start = spec.order, _input(prog, key)
+    order, start = spec.order, prog.state
     steps = [(name, spec.unswitch_threshold) if name == "loop_unswitch"
              else name for name in order]
     prefixes = [tuple(steps[:k]) for k in range(1, len(steps) + 1)]
     done = len(order) if start is not None else 0   # passes already run
     while done and (start, prefixes[done - 1]) not in _states:
         done -= 1
-    log: list[PassLogEntry] = []
-    clean = False                   # is func at cleanup's fixpoint?
-    kept = None                     # the memo's copy of func, if it has one
-    base = prog
+    out, log, clean = prog, (), False   # clean: is out at cleanup's fixpoint?
     if done:
         _states.move_to_end((start, prefixes[done - 1]))
-        kept, kept_log, clean = _states[start, prefixes[done - 1]]
-        (slot,) = prog.functions
-        base = Program({slot: kept}, prog.globals, prog.stage)
-        log += kept_log
-    out = copy_program(base)
-    func = out.function()
+        out, log, clean = _states[start, prefixes[done - 1]]
+    log = [*log]
+    if done == len(order):
+        return out, log
+    work = copy_program(out)
+    func = work.function()
     for name, prefix in zip(order[done:], prefixes[done:]):
         step = _PASSES[name]
         before = {i.iid for i in func.instructions()}
@@ -1789,19 +1804,17 @@ def run_pipeline(prog: Program,
             changed = _to_fixpoint(lambda f: step(f, spec), func, name)
             if changed or not clean:
                 # Cleanup may change what the pass left alone.
-                changed |= cleanup(func, out.globals)
+                changed |= cleanup(func, work.globals)
                 clean = True
         except InternalPassError as e:
             raise InternalPassError(f"pass {name}: {e}", log) from e
         log.append(_log_entry(name, func, before))
-        errors = validate(out) if changed else []
-        if errors:
-            raise InternalPassError(
-                f"pass {name} broke the program: {errors[0]}", log)
+        if changed:
+            out = freeze(work)
+            errors = validate(out)
+            if errors:
+                raise InternalPassError(
+                    f"pass {name} broke the program: {errors[0]}", log)
         if start is not None:
-            if changed or kept is None:     # else func is still kept
-                kept = copy_function(func)
-            _states[start, prefix] = (kept, (*log,), clean)
-            if len(_states) > MEMO_SIZE:
-                _states.popitem(last=False)
+            _states.get_or((start, prefix), lambda: (out, (*log,), clean))
     return out, log

@@ -109,27 +109,13 @@ events, steps and errors stay those of the ``ir`` semantics.
   there: the compare dominates its reader, and no path from one to the
   other inside a region re-enters the block that defines an operand.
 
-Translations, with their event tables, are kept in an LRU cache of
-``ir.MEMO_SIZE`` entries keyed by ``ir.program_key``, and each is
-translated from the program that ``ir.keyed_program`` rebuilds from its
-key, so it reads nothing but the key.  The key holds no stage: a source
-and an identical lowering share one translation.
-
-Building that key costs more than running a short function, and an
-analysis runs one function over many inputs, so ``execute`` first checks
-a one-entry memo of the function it ran last, by what a translation
-reads: the memory shapes, the scalar parameter widths and the block
-labels, compared by value, and each block's instructions in order (so
-also its size), compared by identity.  On a hit it takes the memo's
-translation and builds no key.
-The memo is sound because instructions are immutable
-(``ir.Instruction``): an object the memo holds still has every field it
-had when the memo stored it, and the memo keeps its own tuple of each
-block's instructions, so a block list changed since shows as a miss.
-Sequence equality tries identity first and then value, and two
-instructions equal by value agree on every field the key holds, so a
-value-equal function may hit too.  The memo is refreshed on every call,
-so the calls after such a hit compare identities only.
+Translations, with their event tables, are kept in an LRU memo of
+``ir.MEMO_SIZE`` entries keyed by the frozen program's ``key`` (see
+``ir.freeze``), and each is translated from the program itself, which
+reads nothing the key leaves out.  The key holds no stage: a source and
+an identical lowering share one translation.  A frozen program builds
+its key once, so the N inputs of an analysis meet its translation by
+identity; ``execute`` freezes a copy of a program that is not frozen.
 """
 
 from __future__ import annotations
@@ -137,14 +123,11 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import attrgetter
 from typing import NamedTuple
 
 from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
-                 MEMO_SIZE, NEG_EXPR, VECTOR_OPS, ArrayType, Program,
-                 ScalarType, control_flow, keyed_program, program_key,
-                 settle, value_operands, width_rule)
+                 NEG_EXPR, VECTOR_OPS, ArrayType, Memo, Program, ScalarType,
+                 control_flow, freeze, settle, value_operands, width_rule)
 
 DEFAULT_FUEL = 1_000_000
 _LANE_MASK = (1 << LANE_WIDTH) - 1
@@ -215,15 +198,10 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
     absolute step, and checks the fuel on each branch back to its head;
     the driver checks it after every region.
     """
+    prog = freeze(prog)
     func = prog.function()
-    memory: dict[str, list[int]] = {}
-    shapes: dict[str, tuple[int, int]] = {}     # element width, length
-    for g in prog.globals.values():
-        memory[g.name] = list(g.init)
-        shapes[g.name] = (g.elem_width, len(g.init))
-
+    memory = {g.name: list(g.init) for g in prog.globals.values()}
     env: dict[str, int | tuple[int, ...]] = {}
-    widths = []                                 # scalar parameter widths
     for p in func.params:
         if p.name not in args:
             raise TraceError(f"missing argument {p.name!r}")
@@ -236,22 +214,12 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
                     f"argument {p.name!r}: need a tuple of {n} integers")
             emask = (1 << p.type.elem_width) - 1
             memory[p.name] = [x & emask for x in v]
-            shapes[p.name] = (p.type.elem_width, n)
         elif isinstance(v, int):
             env[p.name] = v & ((1 << p.type.width) - 1)
-            widths.append((p.name, p.type.width))
         else:
             raise TraceError(f"argument {p.name!r}: need an integer")
 
-    global _last
-    blocks = func.blocks
-    seen = (shapes, widths, [*map(_LABEL, blocks)],
-            [*map(tuple, map(_INSTRS, blocks))])
-    last = _last
-    translation = last[1] if seen == last[0] \
-        else _translate(program_key(prog))
-    _last = seen, translation
-    regions, used = translation
+    regions, used = _translate(prog)
     events: list[BranchDir | MemAccess] = []
     append, mem = events.append, [memory[r] for r in used]
     nxt = steps = 0
@@ -272,13 +240,6 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
 # ======================================================================
 # Translation
 # ======================================================================
-
-# The function that ``execute`` ran last, as what its memo compares, and
-# its translation.  Each call reads it once and replaces it whole, so
-# calls from several threads can only cost each other a miss.
-_last: tuple = (None, None)
-
-_LABEL, _INSTRS = attrgetter("label"), attrgetter("instrs")
 
 
 class _OutOfBounds(Exception):
@@ -312,9 +273,12 @@ def _oob(step, iid, region, offset, length):
                              f"bounds (length {length})")
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _translate(key):
-    """``(regions, arrays)`` for the program of ``key`` (``program_key``).
+# The translations of the frozen programs run, by their ``key``.
+_translations = Memo()
+
+
+def _translate(prog):
+    """``(regions, arrays)`` for the frozen program ``prog``.
 
     ``regions[k](env, E, M, s, F)`` runs region k from its head, with
     ``env`` holding the values that live between regions, ``E`` taking
@@ -323,7 +287,8 @@ def _translate(key):
     next region, or a 1-tuple holding the function's result, and the step
     count.  Region 0 starts at the entry block.
     """
-    return _Translator(keyed_program(key, "midend")).translate()  # any stage
+    return _translations.get_or(prog.key,
+                                lambda: _Translator(prog).translate())
 
 
 def _lane(offset: str, i: int) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ctlab import Analysis, analyze
+from ctlab import Analysis, analyze, backend, ir
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import print_ir
@@ -15,6 +15,7 @@ from ctlab.leaks import compare_traces
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import execute, gen_inputs
+from conftest import start_cold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,3 +70,61 @@ def test_demo_output_is_unchanged(demo, capsys):
     golden = (ROOT / "tests" / "golden" / f"{demo}.out").read_text(
         encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+# ----------------------------------------------------------------------
+# The memos, against cold runs
+
+
+def shown(a: Analysis) -> tuple:
+    """An analysis as text: both programs with ids, their next fresh ids,
+    both logs and the report."""
+    return (print_ir(a.midend), a.midend.function().next_id, repr(a.pass_log),
+            print_ir(a.lowered), a.lowered.function().next_id,
+            repr(a.lower_log), repr(a.report))
+
+
+def test_warm_analyses_give_what_cold_ones_give():
+    # The oracle: every corpus program under every preset at seeds 0, 1
+    # and 7, run forwards and then in reverse on warm memos, gives what
+    # each run gives from empty memos.
+    runs = [(name, p.spec, seed) for seed in (0, 1, 7) for name in names()
+            for p in PRESETS.values()]
+    want = []
+    for name, spec, seed in runs:
+        start_cold()
+        want.append(shown(analyze(load_program(name), spec, seed=seed)))
+    for step in (1, -1):
+        start_cold()
+        got = [shown(analyze(load_program(name), spec, seed=seed))
+               for name, spec, seed in runs[::step]]
+        assert got == want[::step]
+
+
+def test_a_repeated_sweep_keys_each_program_once_and_lowers_each_input_once(
+        monkeypatch):
+    # A frozen program builds its content key at most once; lowering runs
+    # once per distinct (input, profile, cmov flag), and a second sweep
+    # builds no key and lowers nothing.
+    keyed, lowered = [], []
+    real_key, real_lower = ir.program_key, backend._lower_function
+    monkeypatch.setattr(ir, "program_key",
+                        lambda prog: keyed.append(prog) or real_key(prog))
+    monkeypatch.setattr(backend, "_lower_function", lambda *a: (
+        lowered.append(a) or real_lower(*a)))
+
+    def sweep():
+        return [(a.midend, spec.backend, spec.cmov_conversion)
+                for spec in (p.spec for p in PRESETS.values())
+                for a in (analyze(load_program(name), spec)
+                          for name in names())]
+
+    start_cold()
+    inputs = sweep()
+    assert len({id(prog) for prog in keyed}) == len(keyed)
+    distinct = {(print_ir(mid), mid.function().next_id, *rest)
+                for mid, *rest in inputs}
+    assert len(lowered) == len(distinct) < len(inputs)
+    done = len(keyed), len(lowered)
+    sweep()
+    assert (len(keyed), len(lowered)) == done

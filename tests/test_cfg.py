@@ -14,6 +14,7 @@ from ctlab.ir import control_flow, parse_ir, predecessors, successors
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import execute, gen_inputs
+from conftest import start_cold
 
 STRAIGHT = """
 func f(public n: u32 = 4) {
@@ -233,7 +234,7 @@ def test_dominators_match_the_reference_on_every_pipeline_function(
 
     for module in (ir, cfg, passes, tracer):
         monkeypatch.setattr(module, "control_flow", checked)
-    passes._states.clear()              # run the passes, not the memo
+    start_cold()                        # run the passes, not the memo
     for name in names():
         source = load_program(name)
         checked(source.function())
@@ -337,8 +338,7 @@ def test_a_study_builds_each_graphs_facts_once(monkeypatch):
 
     monkeypatch.setattr(ir, "ControlFlow", flow)
     monkeypatch.setattr(cfg, "_find_loops", find_loops)
-    ir._control_flow.cache_clear()
-    passes._states.clear()
+    start_cold()
     study()
     assert max(trees.values()) == max(loops.values()) == 1
     built = (sum(trees.values()), sum(loops.values()))
@@ -379,11 +379,7 @@ def test_a_study_checks_and_translates_each_program_once(monkeypatch):
     monkeypatch.setattr(tracer, "_Translator", translator)
     monkeypatch.setattr(ir, "ControlFlow", flow)
     monkeypatch.setattr(passes, "_log_entry", entry)
-    ir._errors.cache_clear()
-    ir._control_flow.cache_clear()
-    tracer._translate.cache_clear()
-    tracer._last = (None, None)
-    passes._states.clear()
+    start_cold()
     study()
     assert max(walks.values()) == max(translations.values()) == 1
     assert len(applications) == len(passes._states) == 200

@@ -7,7 +7,7 @@ import pytest
 from ctlab import corpus
 from ctlab.cli import main
 from ctlab.corpus import CorpusError, entries, get, load_program, names
-from ctlab.ir import IRError, parse_ir, print_ir, validate
+from ctlab.ir import IRError, copy_program, parse_ir, print_ir, validate
 from ctlab.tracer import gen_inputs
 
 EXPECTED = {
@@ -92,23 +92,25 @@ def test_entries_returns_copies():
     assert len(entries()) == len(EXPECTED)
 
 
-def test_each_load_is_a_private_copy_of_one_parse():
+def test_each_load_is_the_one_frozen_parse():
     for name in names():
         fresh = parse_ir(get(name).source)
-        first, second = load_program(name), load_program(name)
-        for prog in (first, second):
+        first = load_program(name)
+        assert load_program(name) is first
+        for prog in (first, copy_program(first)):
             assert print_ir(prog) == print_ir(fresh), name
             assert prog.stage == fresh.stage
             assert [f.next_id for f in prog.functions.values()] == \
                 [f.next_id for f in fresh.functions.values()]
             assert [g.init_kind for g in prog.globals.values()] == \
                 [g.init_kind for g in fresh.globals.values()]
-        # Mutating one copy leaves the next load as parsed.
-        func = first.function()
+        # Mutating a copy leaves the next load as parsed.
+        copy = copy_program(first)
+        func = copy.function()
         func.blocks[0].instrs.clear()
         func.params.clear()
         func.fresh_id()
-        for g in first.globals.values():
+        for g in copy.globals.values():
             g.init = ()
         assert print_ir(load_program(name)) == print_ir(fresh), name
         assert load_program(name).function().next_id == \

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import copy
+import pickle
 import random
 from dataclasses import fields
 
 import pytest
 
-from ctlab import ir, tracer
+from ctlab import backend, ir, passes, tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import (
@@ -26,15 +27,16 @@ from ctlab.ir import (
     ScalarType,
     SourceLoc,
     copy_program,
-    keyed_program,
+    freeze,
     parse_ir,
     print_ir,
-    program_key,
     validate,
     value_bits,
 )
 from ctlab.mitigations import PRESETS
 from ctlab.passes import PipelineSpec, run_pipeline
+from ctlab.tracer import execute, gen_inputs
+from conftest import start_cold
 
 BASIC = """
 func demo(secret sec: u1, public n: u32 = 8) {
@@ -609,7 +611,7 @@ def count_walks(monkeypatch):
     real = ir._check
     monkeypatch.setattr(ir, "_check",
                         lambda prog: walks.append(prog) or real(prog))
-    ir._errors.cache_clear()
+    start_cold()
     return walks
 
 
@@ -707,11 +709,12 @@ MEMO_CHANGES = {
 def test_a_change_to_any_field_of_the_key_is_checked(change, error,
                                                      monkeypatch):
     walks = count_walks(monkeypatch)
-    prog = parse_ir(MEMO_BASE)
-    assert validate(prog) == validate(copy_program(prog)) == []
-    assert len(walks) == 1              # the copy is a hit
+    prog = freeze(parse_ir(MEMO_BASE))
+    assert validate(prog) == validate(freeze(copy_program(prog))) == []
+    assert len(walks) == 1              # the frozen copy is a hit
+    prog = copy_program(prog)
     change(prog)
-    errs = validate(prog)
+    errs = validate(freeze(prog))
     assert len(walks) == 2
     if error is None:
         assert errs == []
@@ -722,7 +725,7 @@ def test_a_change_to_any_field_of_the_key_is_checked(change, error,
 def test_a_failed_check_gives_the_same_messages_and_is_walked_once(
         monkeypatch):
     walks = count_walks(monkeypatch)
-    prog = parse_ir(MEMO_BASE.replace("ret v", "ret q"))
+    prog = freeze(parse_ir(MEMO_BASE.replace("ret v", "ret q")))
     first = validate(prog)
     assert first == ["f/bb2/id8: use of undefined 'q'"]
     first.append("a caller's own line")     # each call gets its own list
@@ -734,24 +737,40 @@ def test_contents_the_memo_cannot_key_get_the_same_messages(monkeypatch):
     walks = count_walks(monkeypatch)
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  c = const 1\n"
                     "  ret c\n}")
-    assert validate(prog) == validate(prog) == [] and len(walks) == 1
+    frozen = freeze(prog)
+    assert validate(frozen) == validate(frozen) == [] and len(walks) == 1
     instrs = prog.function().blocks[0].instrs
     # A list cannot be hashed, and 1.0 == 1 although only 1 is an int.
     for bad in ([1], 1.0):
         instrs[0] = instrs[0]._replace(operands=(bad,))
-        assert validate(prog) == ["f/bb0/id0: const takes an immediate"]
+        assert validate(freeze(prog)) == \
+            ["f/bb0/id0: const takes an immediate"]
     instrs[0] = instrs[0]._replace(operands=(1,), width=32.0)
-    assert validate(prog) == []
+    assert validate(freeze(prog)) == []
     # A valid program that cannot be keyed is walked on every call.
     prog.globals["g"] = GlobalArray("g", 8, 2, [1, 2])
-    assert validate(prog) == validate(prog) == []
-    assert len(walks) == 6 and ir._errors.cache_info().currsize == 1
+    frozen = freeze(prog)
+    assert validate(frozen) == validate(frozen) == []
+    assert len(walks) == 6 and len(ir._errors) == 1
+    # A program that is not frozen is walked on every call.
+    assert validate(prog) == validate(prog) == [] and len(walks) == 8
 
 
-def test_each_memo_is_an_lru_cache_of_memo_size():
-    for memo in (ir._errors, ir._control_flow, tracer._translate):
-        assert memo.cache_parameters() == {"maxsize": ir.MEMO_SIZE,
-                                           "typed": False}
+def test_each_memo_keeps_its_last_memo_size_results():
+    for memo in (ir._errors, ir._control_flow, tracer._translations,
+                 passes._states, backend._lowered):
+        assert isinstance(memo, ir.Memo)
+    memo = ir.Memo()
+    for k in range(ir.MEMO_SIZE + 1):
+        assert memo.get_or(k, lambda k=k: -k) == -k
+    assert len(memo) == ir.MEMO_SIZE and 0 not in memo
+    assert memo.get_or(1, pytest.fail) == -1    # a hit, now the newest
+    memo.get_or("new", lambda: 0)               # evicts 2, not 1
+    assert 1 in memo and 2 not in memo
+    with pytest.raises(ZeroDivisionError):      # a raise keeps nothing
+        memo.get_or("x", lambda: 1 / 0)
+    assert "x" not in memo
+    assert memo.get_or(None, lambda: 5) == 5 and None not in memo
 
 
 def test_a_number_of_another_type_gets_its_own_message():
@@ -768,7 +787,8 @@ def test_a_number_of_another_type_gets_its_own_message():
         for x in (n, float(n)):
             prog = parse_ir(MEMO_BASE.replace("ret v", "ret q"))
             change(prog, x)
-            assert message.format(x) in validate(prog) == ir._check(prog)
+            assert message.format(x) in validate(freeze(prog)) == \
+                ir._check(prog)
 
 
 def memo_programs():
@@ -793,12 +813,72 @@ def memo_programs():
 
 def test_the_memo_gives_what_a_walk_gives():
     # The soundness oracle: on a cold memo and a warm one, validate says
-    # what the walk of the program itself says; and the program rebuilt
-    # from a key has that key.
-    for prog in memo_programs():
-        ir._errors.cache_clear()
+    # what the walk of the program itself says, and so does a frozen copy
+    # of it, which meets the kept messages.
+    for prog in map(freeze, memo_programs()):
+        start_cold()
         cold, warm = validate(prog), validate(prog)
         assert cold == warm == ir._check(prog), print_ir(prog)
-        assert ir._errors.cache_info().hits == 1
-        key = program_key(prog)
-        assert program_key(keyed_program(key, prog.stage)) == key
+        assert len(ir._errors) == (prog.key is not None)
+        assert validate(freeze(copy_program(prog))) == cold
+        assert len(ir._errors) == (prog.key is not None)
+
+
+def test_every_write_into_a_frozen_program_raises():
+    prog = load_program("rsa_bearssl_lookup")
+    func = prog.function()
+    block, param = func.blocks[0], func.params[0]
+    g = prog.globals["base"]
+    text = print_ir(prog)
+    writes = [
+        lambda: func.blocks.append(block), lambda: func.blocks.pop(),
+        lambda: block.instrs.append(block.instrs[0]),
+        lambda: block.instrs.__setitem__(0, block.instrs[-1]),
+        lambda: block.instrs.clear(), lambda: func.params.append(param),
+        lambda: func.params.__delitem__(0),
+        lambda: prog.globals.__setitem__("h", g),
+        lambda: prog.globals.clear(), lambda: prog.functions.clear(),
+        lambda: setattr(prog, "stage", "lowered"),
+        lambda: setattr(prog, "globals", {}), lambda: delattr(prog, "stage"),
+        lambda: setattr(func, "next_id", 0), func.fresh_id,
+        lambda: setattr(func, "blocks", []),
+        lambda: setattr(func, "name", "g"),
+        lambda: setattr(block, "instrs", []),
+        lambda: setattr(block, "label", "x"),
+        lambda: setattr(param, "name", "m"),
+        lambda: setattr(param, "type", ScalarType(8)),
+        lambda: setattr(g, "init", ()), lambda: setattr(g, "length", 0)]
+    for write in writes:
+        with pytest.raises((AttributeError, TypeError)):
+            write()
+    assert print_ir(prog) == text
+    assert freeze(prog) is prog
+    for twin in (copy.deepcopy(prog), pickle.loads(pickle.dumps(prog))):
+        assert print_ir(twin) == text and freeze(twin) is twin
+
+
+def test_editing_a_copy_leaves_the_frozen_program_and_its_memos_alone():
+    # validate, execute and lower answer a frozen program from memos kept
+    # by its key; a copy edited in every part changes none of them.
+    prog = load_program("loop_unswitch_toy")
+    args = gen_inputs(prog).arg_dicts()
+
+    def seen():
+        low, log = lower(prog, PROFILES["i386"])
+        return (print_ir(prog), validate(prog),
+                [execute(prog, a) for a in args], print_ir(low), log)
+
+    want = seen()
+    copy = copy_program(prog)
+    func = copy.function()
+    body = func.block("loopB").instrs
+    sel = body[4]
+    assert sel.opcode == "select"
+    body[4] = sel._replace(operands=sel.operands[::-1])
+    func.blocks[-1].instrs.pop(0)
+    func.params[0].name = "v"
+    func.fresh_id()
+    copy.globals["y"].init = (7,) * 8
+    assert print_ir(copy) != want[0] and validate(copy) != []
+    assert validate(freeze(copy)) == validate(copy)
+    assert seen() == want

@@ -8,16 +8,17 @@ import re
 
 import pytest
 
-from ctlab import tracer
+from ctlab import ir, tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS,
                       MEMORY_OPS, ArrayType, ScalarType, control_flow,
-                      evaluate, keyed_program, parse_ir, predecessors,
-                      program_key, validate, value_operands)
+                      copy_program, evaluate, freeze, parse_ir,
+                      predecessors, program_key, validate, value_operands)
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import BranchDir, MemAccess, TraceError, execute, gen_inputs
+from conftest import start_cold
 
 
 def run(src: str, **args):
@@ -419,7 +420,7 @@ bb0:
 
 
 # ----------------------------------------------------------------------
-# The memo of the function run last
+# The memo of translations
 # ----------------------------------------------------------------------
 
 def lowered(name, preset):
@@ -433,46 +434,43 @@ def test_an_analysis_builds_its_translation_key_once(monkeypatch):
     args = gen_inputs(low, count=16, seed=0).arg_dicts()
     fresh = []
     for x in args:                  # each from a translation of its own
-        forget_translations()
+        start_cold()
         fresh.append(execute(low, x))
     keys = []
-    real = tracer.program_key
-    monkeypatch.setattr(tracer, "program_key",
+    real = ir.program_key
+    monkeypatch.setattr(ir, "program_key",
                         lambda prog: keys.append(prog) or real(prog))
-    forget_translations()
-    assert [execute(low, x) for x in args] == fresh
-    assert len(keys) == 1
+    start_cold()
+    copy = freeze(copy_program(low))    # its key is not built yet
+    assert [execute(copy, x) for x in args] == fresh
+    assert len(keys) == 1 and keys[0] is copy
 
 
 def test_an_instruction_replaced_between_calls_is_translated_anew(
         monkeypatch):
     prog = parse_ir("func f(secret s: u8) {\nbb0:\n  r = add s, 1\n"
                     "  ret r\n}")
-    keys = []
-    real = tracer._translate
-    monkeypatch.setattr(tracer, "_translate",
-                        lambda key: keys.append(key) or real(key))
+    translated = []
+    real = tracer._Translator
+    monkeypatch.setattr(tracer, "_Translator",
+                        lambda prog: translated.append(prog) or real(prog))
+    start_cold()
     assert [execute(prog, {"s": 5}).result for _ in range(2)] == [6, 6]
-    assert len(keys) == 1
+    assert len(translated) == 1
     instrs = prog.function().blocks[0].instrs
     instrs[0] = instrs[0]._replace(operands=("s", 2))    # the same id
     assert execute(prog, {"s": 5}).result == 7
-    assert len(keys) == 2 and keys[1] != keys[0]
+    assert len(translated) == 2
+    assert translated[1].key != translated[0].key
 
 
 # ----------------------------------------------------------------------
 # Events at dynamic offsets
 # ----------------------------------------------------------------------
 
-def forget_translations():
-    """Drop every kept translation: the cache and ``execute``'s memo."""
-    tracer._translate.cache_clear()
-    tracer._last = (None, None)
-
-
 def event_tables(prog):
     """The event tables of ``prog``'s translation, by instruction id."""
-    regions, _ = tracer._translate(program_key(prog))
+    regions, _ = tracer._translate(freeze(prog))
     return {t.iid: t for t in regions[0].__globals__.values()
             if isinstance(t, tracer._Events)}
 
@@ -489,7 +487,7 @@ def test_inputs_that_load_at_one_offset_share_its_event():
 
 
 def test_an_event_table_holds_only_the_offsets_executed():
-    forget_translations()
+    start_cold()
     prog = parse_ir(MEMORY)
     assert event_tables(prog) == {0: {}}
     for s in (200, 3, 200):
@@ -514,7 +512,7 @@ global out: arr<u32,5> = zeros
 
 
 def test_vector_ops_at_dynamic_offsets_emit_per_lane_events():
-    forget_translations()
+    start_cold()
     prog = parse_ir(DYNAMIC_LANES)
     t = execute(prog, {"s": 3, "o": 1})
     assert t.events == [MemAccess(0, "load", "table", o) for o in (3, 4, 5, 6)] \
@@ -912,7 +910,7 @@ def bounds_hold(prog, args):
     instruction reads is within the bound that translation gives it in the
     reader's block: at most the bound, and not negative when the bound is
     at most 64 bits."""
-    t = tracer._Translator(keyed_program(program_key(prog), prog.stage))
+    t = tracer._Translator(prog)
 
     def watch(label, ins, env):
         t.scope = t.facts[label]
@@ -1083,7 +1081,7 @@ big:
 
 def translated_source(monkeypatch, prog):
     """The source that ``execute`` compiles for ``prog``."""
-    forget_translations()
+    start_cold()
     lines = []
     real = tracer._Translator.compile
     monkeypatch.setattr(tracer._Translator, "compile",
