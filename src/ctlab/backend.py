@@ -151,7 +151,7 @@ def _lower_function(func: Function, profile: BackendProfile,
         bidx += 1
 
 
-# The lowerings ``lower`` made, least recently used first: (input state,
+# The lowerings ``lower`` made, least recently used first: (input key,
 # profile, cmov conversion) -> (frozen lowered program, log).
 _lowered = Memo()
 
@@ -161,10 +161,11 @@ def lower(prog: Program, profile: BackendProfile,
     """Lower every select/vselect of the program's function for
     ``profile``; returns the frozen lowered program and its one-entry log.
 
-    Lowering is a pure function of the input's ``state``, the profile and
-    the cmov flag, so the last ``MEMO_SIZE`` lowerings are kept by those
-    and one met again returns the kept program.  An input whose ``state``
-    is None is lowered without the memo; a raise keeps nothing."""
+    Lowering is a pure function of the input's ``key`` (see ``ir.freeze``),
+    the profile and the cmov flag, so the last ``MEMO_SIZE`` lowerings are
+    kept by those and one met again returns the kept program.  An input
+    whose ``key`` is None is lowered without the memo; a raise keeps
+    nothing."""
     if prog.stage != "midend":
         raise LoweringError(f"cannot lower a {prog.stage!r}-stage program")
     prog = freeze(prog)
@@ -181,7 +182,6 @@ def lower(prog: Program, profile: BackendProfile,
             raise LoweringError(f"lowering broke the program: {errors[0]}")
         return out, (_log_entry("lower", func, before),)
 
-    key = None if prog.state is None else (prog.state, profile,
-                                           cmov_conversion)
+    key = None if prog.key is None else (prog.key, profile, cmov_conversion)
     out, log = _lowered.get_or(key, lowering)
     return out, [*log]

@@ -393,29 +393,27 @@ def program_key(prog: Program) -> tuple:
     """The content of ``prog`` as a key: the function name; each global's
     dict key, name, element width, length and elements; each parameter's
     name, type, secrecy and default; then ``content_key`` of the blocks.
-    It holds no stage.  A frozen program builds it once (``key``), and
-    the memos of ``validate`` and the tracer's translations each keep a
-    pure function of it.  Raises ``IRError`` for a program of other than
-    one function."""
+    It holds no stage.  A frozen program's ``key`` holds it, built once.
+    Raises ``IRError`` for a program of other than one function."""
     func = prog.function()
     return (func.name,
             (*[(k, *_GLOBAL_ROW(g)) for k, g in prog.globals.items()],),
             (*map(_PARAM_ROW, func.params),), *content_key(func.blocks))
 
 
-# The size of each memo keyed by content: ``validate``'s messages, the
-# tracer's translations, ``control_flow``'s graph facts, the pipeline
-# states of ``passes.run_pipeline`` and the lowerings of
-# ``backend.lower``.  A study of every corpus program under every preset,
-# checked against its sources, checks 67 distinct programs, translates 37,
-# meets 40 graphs, reaches 200 pipeline states and makes 48 lowerings;
-# each memo holds its working set with room to spare, so a repeated study
-# computes nothing again, where a smaller memo would evict in a cycle.  A
+# The size of each of the four memos keyed by content: the tracer's
+# translations, ``control_flow``'s graph facts, the pipeline states of
+# ``passes.run_pipeline`` (its checked inputs among them) and the
+# lowerings of ``backend.lower``.  A study of every corpus program under
+# every preset, checked against its sources, translates 37 programs, meets
+# 40 graphs, reaches 210 pipeline states and makes 48 lowerings; each memo
+# holds its working set with room to spare, so a repeated study computes
+# nothing again, where a smaller memo would evict in a cycle.  A
 # translation with its event tables retains 3-540 KB for a corpus program
 # (tracemalloc, CPython 3.11).  A state or a lowering is a frozen program:
 # its own block tuples, sharing its instructions with the programs around
-# it; the study's states and lowerings hold about 1.1 MB, and with the
-# messages and translations the memos hold about 2.1 MB.
+# it; the study's states and lowerings hold about 1.5 MB, and the four
+# memos about 2.9 MB (tracemalloc, a study run from empty memos).
 MEMO_SIZE = 256
 
 
@@ -494,33 +492,25 @@ class _FrozenProgram(_ReadOnly, Program):
 
     @cached_property
     def key(self) -> _Key | None:
-        """``program_key(self)``, or None when no memo may stand in for work
-        on the program: it has other than one function, contents that
-        cannot be hashed, or an instruction id, operand, width, or global
-        element width, length or element that is not an ``int`` (or a
-        name, for an operand): Python counts ``1.0`` equal to ``1``, but
-        the check, its messages and the passes do not."""
+        """``program_key(self)`` with what the passes and the lowering copy
+        into their output beyond it: each instruction's source file and
+        line as two columns, the next id, the function's slot and each
+        global's ``init_kind``.  None when no memo may stand in for work
+        on the program: it has other than one function, a location that
+        is no ``SourceLoc``, contents that cannot be hashed, or an
+        instruction id, operand, width or source line, a parameter width,
+        or a global element width, length or element that is not an
+        ``int`` (or a name, for an operand): Python counts ``1.0`` equal to
+        ``1``, but the check, the passes and the printer do not."""
         try:
-            key = program_key(self)
-        except IRError:
-            return None
-        return _interned(key) if _plain(key) else None
-
-    @cached_property
-    def state(self) -> _Key | None:
-        """``key`` with what the passes and the lowering copy into their
-        output beyond it: each instruction's source file and line as two
-        columns, the next id, the function's slot and each global's
-        ``init_kind``.  None when ``key`` is, or these cannot be
-        hashed."""
-        if self.key is None:
-            return None
-        (slot, func), = self.functions.items()
-        try:
+            content = program_key(self)
+            (slot, func), = self.functions.items()
             locs = [_LOC_ROW(ins.loc) for ins in func.instructions()]
-        except AttributeError:          # a location that is no SourceLoc
+        except (IRError, AttributeError):   # AttributeError: no SourceLoc
             return None
-        return _interned((self.key, (*zip(*locs),), func.next_id, slot,
+        if not _plain(content, [line for _, line in locs]):
+            return None
+        return _interned((content, (*zip(*locs),), func.next_id, slot,
                           (*[g.init_kind for g in self.globals.values()],)))
 
 
@@ -537,8 +527,8 @@ def freeze(prog: Program) -> Program:
     A frozen program's blocks, instruction lists and parameters are
     tuples, its functions and globals read-only mappings, and a write to
     an attribute of any of its parts raises.  It shares the (immutable)
-    instructions.  Its ``key`` and ``state`` are built once, on first use,
-    so a memo keyed by them meets it again by identity.  ``copy_program``
+    instructions.  Its ``key`` is built once, on first use, so a memo
+    keyed by it meets it again by identity.  ``copy_program``
     makes a mutable copy."""
     if prog.__class__ is _FrozenProgram:
         return prog
@@ -1136,43 +1126,15 @@ def _vector(lanes: int) -> str:
     return f"a {lanes}-lane vector"
 
 
-def validate(prog: Program) -> list[str]:
-    """Return violation strings; empty means the program is well formed.
-
-    Checks that every global has as many elements as its length and that
-    they fit its element width, and structure, dominance and the type of
-    every value operand (see the module conventions).  Each violation
-    names the global and element, or the function, block, and instruction
-    id involved; a program of other than one function, a function with no
-    blocks or duplicate labels, or an instruction of a shape the parser
-    rejects, is checked no further.  A phi takes its arms' type, counting
-    through the phis among them; with several, it takes the type of its
-    first arm with just one, else the least by name, and reports the rest.
-
-    The messages of the last ``MEMO_SIZE`` frozen programs checked are
-    kept by stage and ``key`` (see ``freeze``).  The walk reads nothing
-    the key leaves out, so what is kept is what a walk gives, and a
-    program checked before is met by identity.  A program that is not
-    frozen, or whose ``key`` is None, is walked without the memo.
-    """
-    key = prog.key if prog.__class__ is _FrozenProgram else None
-    if key is None:
-        return _check(prog)
-    return list(_errors.get_or((prog.stage, key), lambda: (*_check(prog),)))
-
-
-# ``_check``'s messages by (stage, key) of the frozen programs checked.
-_errors = Memo()
-
-
 _PLAIN = {int, str}
 
 
-def _plain(key: tuple) -> bool:
-    """Is every number in ``key`` that the check reads or prints an
-    ``int``?"""
-    _, globals_, _, _, _, *columns = key
-    kinds = set()
+def _plain(key: tuple, lines: list) -> bool:
+    """Is every number in ``key`` (``program_key``'s) that ``validate``
+    reads or prints an ``int``, and every source line in ``lines``?"""
+    _, globals_, params, _, _, *columns = key
+    kinds = {*map(type, lines)}
+    kinds.update(type(x) for _, t, _, _ in params for x in vars(t).values())
     for _, _, width, length, init in globals_:
         kinds.update(map(type, init), (type(width), type(length)))
     if columns:                         # some instruction
@@ -1182,10 +1144,37 @@ def _plain(key: tuple) -> bool:
     return kinds <= _PLAIN
 
 
-def _check(prog: Program) -> list[str]:
-    """``validate``'s walk, without its memo."""
+def _non_ints(*numbers) -> list[str]:
+    """A message for each ``(name, number)`` whose number is no ``int``."""
+    return [f"{name} is {x!r}, not an int" for name, x in numbers
+            if not isinstance(x, int)]
+
+
+def validate(prog: Program) -> list[str]:
+    """Return violation strings; empty means the program is well formed.
+
+    Checks that every global has as many elements as its length and that
+    they fit its element width, that every number it reads (a global's
+    element width, length and elements, a parameter's widths, an
+    instruction's id and width) is an ``int``, and structure, dominance
+    and the type of every value operand (see the module conventions).
+    Each violation names the global and element, or the function, block,
+    and instruction id involved; a program of other than one function, a
+    function with no blocks or duplicate labels, or an instruction of a
+    shape the parser rejects, is checked no further.  A phi takes its
+    arms' type, counting through the phis among them; with several, it
+    takes the type of its first arm with just one, else the least by name,
+    and reports the rest.
+    """
     errs: list[str] = []
     for g in prog.globals.values():
+        wrong = _non_ints(("element width", g.elem_width),
+                          ("length", g.length),
+                          *[(f"element {i}", x) for i, x in enumerate(g.init)
+                            if not isinstance(x, int)])
+        errs += [f"global {g.name}: {w}" for w in wrong]
+        if wrong:
+            continue
         if len(g.init) != g.length:     # the parser's wording
             errs.append(f"global {g.name}: {len(g.init)} initializers for "
                         f"length {g.length}")
@@ -1208,6 +1197,9 @@ def _check(prog: Program) -> list[str]:
             where += f"/id{ins.iid}"
         errs.append(f"{where}: {msg}")
 
+    for p in func.params:
+        for w in _non_ints(*vars(p.type).items()):
+            err(None, None, f"parameter {p.name}: {w}")
     labels = [b.label for b in func.blocks]
     if not labels:                      # the parser's wording
         err(None, None, f"function {func.name} has no blocks")
@@ -1224,6 +1216,9 @@ def _check(prog: Program) -> list[str]:
         for p in func.params}
     for block in func.blocks:
         for idx, ins in enumerate(block.instrs):
+            if not isinstance(ins.iid, int) or not isinstance(ins.width, int):
+                for w in _non_ints(("id", ins.iid), ("width", ins.width)):
+                    err(block, ins, w)
             if ins.iid in seen_ids:
                 err(block, ins, "duplicate instruction id")
             seen_ids.add(ins.iid)

@@ -1743,7 +1743,7 @@ def if_convert(f: Function) -> bool:
 # ======================================================================
 
 # The pipeline states ``run_pipeline`` kept, least recently used first:
-# (input state, pass prefix) -> (frozen program, log, clean).
+# (input key, pass prefix) -> (frozen program, log, clean).
 _states = Memo()
 
 
@@ -1766,38 +1766,40 @@ def run_pipeline(prog: Program,
     way.
 
     A pipeline is a pure function of its input and of the spec fields its
-    steps read, so after each pass the run keeps the state, the log so far
-    and whether cleanup settled it in ``_states``, the last ``MEMO_SIZE``
-    states, keyed by the input's ``state`` and the passes applied,
-    ``loop_unswitch`` with its threshold.  A run starts from the longest
+    steps read, so the run keeps the checked input, and the state after
+    each pass, with the log so far and whether cleanup settled it, in
+    ``_states``, the last ``MEMO_SIZE`` states, keyed by the input's
+    ``key`` and the passes applied, ``loop_unswitch`` with its threshold:
+    the input is the state of no passes.  A run starts from the longest
     prefix of its passes kept for its input, and returns the kept program
-    itself when it has them all.  A pass that raises keeps nothing, so a
-    later run raises the same error with the same log.  A program whose
-    ``state`` is None runs without the memo.
+    itself when it has them all.  A kept state was checked when it was
+    made, so the input is walked only when no state of it is kept.  A pass
+    that raises keeps nothing, so a later run raises the same error with
+    the same log.  A program whose ``key`` is None runs without the memo.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
     prog = freeze(prog)
-    errors = validate(prog)
-    if errors:
-        raise IRError(f"invalid input program: {errors[0]}")
-    order, start = spec.order, prog.state
+    order = spec.order
     steps = [(name, spec.unswitch_threshold) if name == "loop_unswitch"
              else name for name in order]
-    prefixes = [tuple(steps[:k]) for k in range(1, len(steps) + 1)]
-    done = len(order) if start is not None else 0   # passes already run
-    while done and (start, prefixes[done - 1]) not in _states:
-        done -= 1
-    out, log, clean = prog, (), False   # clean: is out at cleanup's fixpoint?
-    if done:
-        _states.move_to_end((start, prefixes[done - 1]))
-        out, log, clean = _states[start, prefixes[done - 1]]
+    keys = [None if prog.key is None else (prog.key, tuple(steps[:k]))
+            for k in range(len(steps) + 1)]     # the state after k passes
+    # The passes already run: the longest prefix kept, or -1 for none.
+    done = max((k for k, key in enumerate(keys) if key in _states), default=-1)
+    if done < 0:                        # no state of the input is kept
+        errors = validate(prog)
+        if errors:
+            raise IRError(f"invalid input program: {errors[0]}")
+        done = 0
+    # clean: is out at cleanup's fixpoint?
+    out, log, clean = _states.get_or(keys[done], lambda: (prog, (), False))
     log = [*log]
     if done == len(order):
         return out, log
     work = copy_program(out)
     func = work.function()
-    for name, prefix in zip(order[done:], prefixes[done:]):
+    for name, key in zip(order[done:], keys[done + 1:]):
         step = _PASSES[name]
         before = {i.iid for i in func.instructions()}
         try:
@@ -1815,6 +1817,5 @@ def run_pipeline(prog: Program,
             if errors:
                 raise InternalPassError(
                     f"pass {name} broke the program: {errors[0]}", log)
-        if start is not None:
-            _states.get_or((start, prefix), lambda: (out, (*log,), clean))
+        _states.get_or(key, lambda: (out, (*log,), clean))
     return out, log

@@ -189,8 +189,11 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
     memory access, or fuel exhaustion.
 
     The function runs through its cached translation (see the module
-    docstring).  ``steps`` counts every instruction executed, phis and the
-    terminator included, and ``fuel`` bounds it with the same outcome as
+    docstring).  A program that is not frozen is copied, frozen and keyed
+    anew on every call, which can take several times as long as the run:
+    to trace a hand-built program over many inputs, ``ir.freeze`` it once.
+    ``steps`` counts every instruction executed, phis and the terminator
+    included, and ``fuel`` bounds it with the same outcome as
     counting step by step: an out-of-bounds access at step k raises its
     bounds error when k is at most the fuel and reports fuel exhaustion
     otherwise; without one, fuel runs out when the step count exceeds it.

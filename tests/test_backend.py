@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import gc
-import time
-
 import pytest
 
 from ctlab import backend, passes
 from ctlab.backend import PROFILES, LoweringError, lower
 from ctlab.ir import parse_ir, validate
 from ctlab.tracer import BranchDir, execute
-from conftest import start_cold
+from conftest import best_times, start_cold
 
 X64 = PROFILES["x86-64"]
 I386 = PROFILES["i386"]
@@ -189,24 +186,15 @@ def test_lowering_is_linear_in_the_selects_it_branches(monkeypatch):
     monkeypatch.setattr(backend, "_labels", labels)
     monkeypatch.setattr(backend, "_fix_phi_arm_labels", fix)
 
-    def run(n):
-        """The counts, the lowered program and the best time."""
-        best = float("inf")
-        for _ in range(5):
-            prog = select_run(n)
-            start_cold()                # lower it, not take the memo's
-            counts.update(dict.fromkeys(counts, 0))
-            gc.collect()
-            gc.disable()                # time the lowering, not a collection
-            try:
-                start = time.perf_counter()
-                low, _ = lower(prog, I386)
-                best = min(best, time.perf_counter() - start)
-            finally:
-                gc.enable()
-        return dict(counts), low, best
+    def prepare(n):
+        """A lowering of n selects, and the counts it makes."""
+        prog = select_run(n)
+        start_cold()                    # lower it, not take the memo's
+        counts.update(dict.fromkeys(counts, 0))
+        return lambda: (lower(prog, I386)[0], dict(counts))
 
-    (small, _, t_small), (large, low, t_large) = run(100), run(400)
+    (t_small, (_, small)), (t_large, (low, large)) = \
+        best_times(prepare, 100, 400)
     assert small == large == {"labels": 1, "phi blocks": 1}
     assert len(low.function().blocks) == 2 + 3 * 400
     assert t_large <= 6 * t_small, (t_small, t_large)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from ctlab import cfg, ir, passes, tracer
+from ctlab import backend, cfg, ir, passes, tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.cfg import counted_loop_info, innermost, natural_loops
 from ctlab.corpus import load_program, names
@@ -347,47 +347,62 @@ def test_a_study_builds_each_graphs_facts_once(monkeypatch):
 
 
 def test_a_study_checks_and_translates_each_program_once(monkeypatch):
-    # The same for the other per-process memos: each distinct program is
-    # walked by validate and translated by the tracer at most once, each
-    # pipeline state is reached by one pass application, and a second
-    # round does none of these.  A corpus or a preset list that outgrows
-    # ir.MEMO_SIZE fails here: the one size holds the study's programs
-    # checked, its translations, its graphs and its pipeline states.
-    walks, translations, graphs = Counter(), Counter(), Counter()
-    real_check, real_translator = ir._check, tracer._Translator
-    real_flow = ir.ControlFlow
-    applications = []
-    real_entry = passes._log_entry
+    # The same for the other per-process memos.  A cold study walks each
+    # pipeline input, each pass output that changed and each lowering
+    # once, when it is made: the programs walked are the programs the
+    # pipeline and the lowering keep.  It translates each distinct key
+    # once, reaches each pipeline state by one pass application, and a
+    # second round walks, translates, applies and lowers nothing.  A
+    # corpus or a preset list that outgrows ir.MEMO_SIZE fails here: the
+    # one size holds the study's translations, graphs, pipeline states and
+    # lowerings.
+    walks = {passes: [], backend: []}
+    translations, graphs = Counter(), Counter()
+    applications, lowerings = [], []
+    real_translator, real_flow = tracer._Translator, ir.ControlFlow
+    real_entry, real_lower = passes._log_entry, backend._lower_function
 
     def entry(name, func, before):      # one per pass application
         applications.append(name)
         return real_entry(name, func, before)
 
-    def check(prog):
-        walks[prog.stage, ir.program_key(prog)] += 1
-        return real_check(prog)
+    def lower_function(func, profile, cmov_conversion):
+        lowerings.append(profile)
+        return real_lower(func, profile, cmov_conversion)
 
     def translator(prog):
-        translations[ir.program_key(prog)] += 1
+        translations[prog.key] += 1
         return real_translator(prog)
 
     def flow(labels, successors):
         graphs[labels, successors] += 1
         return real_flow(labels, successors)
 
-    monkeypatch.setattr(ir, "_check", check)
+    for module, walked in walks.items():
+        monkeypatch.setattr(module, "validate", lambda prog, walked=walked: (
+            walked.append(prog) or ir.validate(prog)))
     monkeypatch.setattr(tracer, "_Translator", translator)
     monkeypatch.setattr(ir, "ControlFlow", flow)
     monkeypatch.setattr(passes, "_log_entry", entry)
+    monkeypatch.setattr(backend, "_lower_function", lower_function)
     start_cold()
     study()
-    assert max(walks.values()) == max(translations.values()) == 1
-    assert len(applications) == len(passes._states) == 200
-    assert max(len(walks), len(translations), len(graphs)) <= ir.MEMO_SIZE
-    done = (sum(walks.values()), sum(translations.values()))
+    kept = {passes: [out for out, _, _ in passes._states.values()],
+            backend: [out for out, _ in backend._lowered.values()]}
+    for module, walked in walks.items():
+        assert len({*map(id, walked)}) == len(walked)       # each once
+        assert {*map(id, walked)} == {*map(id, kept[module])}
+    assert max(translations.values()) == 1
+    assert len(applications) == 200 and len(passes._states) == 210
+    assert len(lowerings) == len(backend._lowered) == 48
+    assert max(len(translations), len(graphs)) <= ir.MEMO_SIZE
+    def counts():
+        return ([len(walked) for walked in walks.values()],
+                sum(translations.values()), len(applications), len(lowerings))
+
+    done = counts()
     study()
-    assert (sum(walks.values()), sum(translations.values())) == done
-    assert len(applications) == 200
+    assert counts() == done
 
 
 def test_cached_loops_are_frozen():

@@ -10,6 +10,7 @@ from dataclasses import fields
 import pytest
 
 from ctlab import backend, ir, passes, tracer
+from ctlab.analysis import analyze
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import (
@@ -34,9 +35,9 @@ from ctlab.ir import (
     value_bits,
 )
 from ctlab.mitigations import PRESETS
-from ctlab.passes import PipelineSpec, run_pipeline
+from ctlab.passes import InternalPassError, PipelineSpec, run_pipeline
 from ctlab.tracer import execute, gen_inputs
-from conftest import start_cold
+from conftest import count_walks, start_cold
 
 BASIC = """
 func demo(secret sec: u1, public n: u32 = 8) {
@@ -601,18 +602,17 @@ def test_value_bits_is_the_least_fixpoint_of_the_width_rule():
 
 
 # ----------------------------------------------------------------------
-# The memo of programs checked
+# The pipeline's kept inputs stand for checked ones
 
 
-def count_walks(monkeypatch):
-    """Empty the memo of programs checked; the list gets each program that
-    ``validate`` walks from then on."""
-    walks = []
-    real = ir._check
-    monkeypatch.setattr(ir, "_check",
-                        lambda prog: walks.append(prog) or real(prog))
-    start_cold()
-    return walks
+def pipeline_error(prog) -> str | None:
+    """What ``run_pipeline`` raises for ``prog`` under no passes, less its
+    ``invalid input program: `` prefix; None when it raises nothing."""
+    try:
+        run_pipeline(prog, PipelineSpec())
+    except IRError as e:
+        return str(e).removeprefix("invalid input program: ")
+    return None
 
 
 MEMO_BASE = """
@@ -668,9 +668,9 @@ def _set(what, **changes):
     return change
 
 
-# Each field the memo's key holds, changed in a valid program: the error
-# the change makes, or None where the field only names things in
-# messages, so the program stays valid.
+# Each field the key holds, and the stage, changed in a valid program:
+# the error the change makes, or None where the field only names things
+# in messages, so the program stays valid.
 MEMO_CHANGES = {
     "iid": (lambda p: _put(p, "bb2", 1, iid=4), "duplicate instruction id"),
     "opcode": (lambda p: _put(p, "bb2", 1, opcode="bogus"),
@@ -708,57 +708,75 @@ MEMO_CHANGES = {
                          ids=list(MEMO_CHANGES))
 def test_a_change_to_any_field_of_the_key_is_checked(change, error,
                                                      monkeypatch):
+    # A kept pipeline input stands for a checked one, so a change to any
+    # field of the key gives a program that the pipeline walks and answers
+    # as the walk does.  The key holds no stage: the pipeline takes only
+    # mid-end programs, and says so before it looks a key up.
     walks = count_walks(monkeypatch)
     prog = freeze(parse_ir(MEMO_BASE))
-    assert validate(prog) == validate(freeze(copy_program(prog))) == []
-    assert len(walks) == 1              # the frozen copy is a hit
-    prog = copy_program(prog)
-    change(prog)
-    errs = validate(freeze(prog))
-    assert len(walks) == 2
+    for same in (prog, freeze(copy_program(prog))):
+        assert pipeline_error(same) is None
+    assert len(walks) == 1              # the frozen copy meets the kept input
+    changed = copy_program(prog)
+    change(changed)
+    changed = freeze(changed)
+    errs = validate(changed)
     if error is None:
         assert errs == []
     else:
         assert any(error in e for e in errs), errs
+    if changed.stage != "midend":
+        with pytest.raises(InternalPassError, match="midend-stage"):
+            run_pipeline(changed, PipelineSpec())
+        return
+    assert changed.key != prog.key
+    assert pipeline_error(changed) == (errs[0] if errs else None)
+    assert len(walks) == 2
 
 
-def test_a_failed_check_gives_the_same_messages_and_is_walked_once(
+def test_a_failed_check_keeps_nothing_and_gives_the_same_message(
         monkeypatch):
+    # An input that fails the check keeps no state, so each run walks it
+    # and raises the same message.
     walks = count_walks(monkeypatch)
     prog = freeze(parse_ir(MEMO_BASE.replace("ret v", "ret q")))
     first = validate(prog)
     assert first == ["f/bb2/id8: use of undefined 'q'"]
     first.append("a caller's own line")     # each call gets its own list
     assert validate(prog) == ["f/bb2/id8: use of undefined 'q'"]
-    assert len(walks) == 1
+    for _ in range(2):
+        assert pipeline_error(prog) == "f/bb2/id8: use of undefined 'q'"
+    assert len(walks) == 2 and len(passes._states) == 0
 
 
 def test_contents_the_memo_cannot_key_get_the_same_messages(monkeypatch):
+    # A program with no key is walked on every run and keeps nothing.
     walks = count_walks(monkeypatch)
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  c = const 1\n"
                     "  ret c\n}")
-    frozen = freeze(prog)
-    assert validate(frozen) == validate(frozen) == [] and len(walks) == 1
-    instrs = prog.function().blocks[0].instrs
+    assert freeze(prog).key is not None
     # A list cannot be hashed, and 1.0 == 1 although only 1 is an int.
-    for bad in ([1], 1.0):
-        instrs[0] = instrs[0]._replace(operands=(bad,))
-        assert validate(freeze(prog)) == \
-            ["f/bb0/id0: const takes an immediate"]
-    instrs[0] = instrs[0]._replace(operands=(1,), width=32.0)
-    assert validate(freeze(prog)) == []
-    # A valid program that cannot be keyed is walked on every call.
+    for change, message in [({"operands": ([1],)}, "const takes an immediate"),
+                            ({"operands": (1.0,)}, "const takes an immediate"),
+                            ({"width": 32.0}, "width is 32.0, not an int")]:
+        bad = copy_program(prog)
+        instrs = bad.function().blocks[0].instrs
+        instrs[0] = instrs[0]._replace(**change)
+        bad = freeze(bad)
+        assert bad.key is None
+        assert [pipeline_error(bad)] == validate(bad) == \
+            [f"f/bb0/id0: {message}"]
+    # A valid program that cannot be keyed is walked on every run.
     prog.globals["g"] = GlobalArray("g", 8, 2, [1, 2])
     frozen = freeze(prog)
-    assert validate(frozen) == validate(frozen) == []
-    assert len(walks) == 6 and len(ir._errors) == 1
-    # A program that is not frozen is walked on every call.
-    assert validate(prog) == validate(prog) == [] and len(walks) == 8
+    assert frozen.key is None
+    assert pipeline_error(frozen) is pipeline_error(frozen) is None
+    assert len(walks) == 5 and len(passes._states) == 0
 
 
 def test_each_memo_keeps_its_last_memo_size_results():
-    for memo in (ir._errors, ir._control_flow, tracer._translations,
-                 passes._states, backend._lowered):
+    for memo in (ir._control_flow, tracer._translations, passes._states,
+                 backend._lowered):
         assert isinstance(memo, ir.Memo)
     memo = ir.Memo()
     for k in range(ir.MEMO_SIZE + 1):
@@ -774,34 +792,74 @@ def test_each_memo_keeps_its_last_memo_size_results():
 
 
 def test_a_number_of_another_type_gets_its_own_message():
-    # Messages are kept, and 1.0 == 1: a program with an id, a length or
-    # an element that is not an int is walked, so its message prints the
-    # number as it is, not as the equal int of a program checked before.
+    # 1.0 == 1, but a program with an id, a length or an element that is
+    # not an int is not answered from the kept input of the equal program
+    # of ints: the pipeline walks it, and its message prints the number.
     for change, n, message in [
-            (lambda p, x: _put(p, "bb2", 4, iid=x), 8,
-             "f/bb2/id{}: use of undefined 'q'"),
-            (lambda p, x: setattr(p.globals["g"], "length", x), 3,
-             "global g: 2 initializers for length {}"),
-            (lambda p, x: setattr(p.globals["g"], "init", (300, x)), -1,
-             "global g: element 1 is {}, which does not fit u32")]:
+            (lambda p, x: _put(p, "bb2", 4, iid=x), 20,
+             "f/bb2/id20.0: id is 20.0, not an int"),
+            (lambda p, x: setattr(p.globals["g"], "length", x), 2,
+             "global g: length is 2.0, not an int"),
+            (lambda p, x: setattr(p.globals["g"], "init", (300, x)), 1,
+             "global g: element 1 is 1.0, not an int")]:
+        start_cold()
+        errors = []
         for x in (n, float(n)):
-            prog = parse_ir(MEMO_BASE.replace("ret v", "ret q"))
+            prog = parse_ir(MEMO_BASE)
             change(prog, x)
-            assert message.format(x) in validate(freeze(prog)) == \
-                ir._check(prog)
+            errors.append(pipeline_error(prog))
+        assert errors == [None, message]
+
+
+# A number the check reads, in a program built in Python, that is another
+# type than int: the message ``validate`` gives.
+NOT_INTS = {
+    "instruction id": (lambda p: _put(p, "bb2", 4, iid=8.0),
+                       "f/bb2/id8.0: id is 8.0, not an int"),
+    "instruction width": (lambda p: _put(p, "bb2", 1, width=16.0),
+                          "f/bb2/id5: width is 16.0, not an int"),
+    "parameter width": (
+        _set(lambda p: p.function().params[0], type=ScalarType(8.0)),
+        "f: parameter s: width is 8.0, not an int"),
+    "array parameter element width": (
+        _set(lambda p: p.function().params[2], type=ArrayType(32.0, 2)),
+        "f: parameter a: elem_width is 32.0, not an int"),
+    "array parameter length": (
+        _set(lambda p: p.function().params[2], type=ArrayType(32, 2.0)),
+        "f: parameter a: length is 2.0, not an int"),
+    "global element width": (_set_global(elem_width=32.0),
+                             "global g: element width is 32.0, not an int"),
+    "global length": (_set_global(length=2.0),
+                      "global g: length is 2.0, not an int"),
+    "global element": (_set_global(init=(300, 1.0)),
+                       "global g: element 1 is 1.0, not an int"),
+}
+
+
+@pytest.mark.parametrize("change, message", NOT_INTS.values(),
+                         ids=list(NOT_INTS))
+def test_a_number_that_is_not_an_int_is_a_located_error(change, message):
+    # Python counts 16.0 equal to 16, but the analysis computes with ints:
+    # such a program has no key, and the check, not a bare TypeError from
+    # deep in the analysis, reports the number where it stands.
+    prog = parse_ir(MEMO_BASE)
+    change(prog)
+    assert freeze(prog).key is None
+    assert validate(prog) == [message]
+    start_cold()
+    with pytest.raises(IRError) as err:
+        analyze(prog, PRESETS["llvm18-O3"].spec)
+    assert str(err.value) == f"invalid input program: {message}"
 
 
 def memo_programs():
-    """Programs to check the memo against: every corpus program under
-    every preset, mid-end and lowered; the tracer tests' random graphs;
+    """Mid-end programs to check the pipeline's kept inputs against: every
+    corpus program under every preset, the tracer tests' random graphs,
     and every change of ``MEMO_CHANGES``."""
     from test_tracer import random_cfg
     for name in names():
         for p in PRESETS.values():
-            mid, _ = run_pipeline(load_program(name), p.spec)
-            yield mid
-            yield lower(mid, PROFILES[p.spec.backend],
-                        p.spec.cmov_conversion)[0]
+            yield run_pipeline(load_program(name), p.spec)[0]
     rng = random.Random(7)
     for _ in range(100):
         yield parse_ir(random_cfg(rng))
@@ -811,17 +869,22 @@ def memo_programs():
         yield prog
 
 
-def test_the_memo_gives_what_a_walk_gives():
-    # The soundness oracle: on a cold memo and a warm one, validate says
-    # what the walk of the program itself says, and so does a frozen copy
-    # of it, which meets the kept messages.
+def test_the_memo_gives_what_a_walk_gives(monkeypatch):
+    # The soundness oracle: on a cold memo and a warm one, and for a
+    # frozen copy, which meets the input kept for the program, the
+    # pipeline raises what a walk of the program itself says.
+    walks = count_walks(monkeypatch)
     for prog in map(freeze, memo_programs()):
+        if prog.stage != "midend":
+            continue
+        errors = validate(prog)
         start_cold()
-        cold, warm = validate(prog), validate(prog)
-        assert cold == warm == ir._check(prog), print_ir(prog)
-        assert len(ir._errors) == (prog.key is not None)
-        assert validate(freeze(copy_program(prog))) == cold
-        assert len(ir._errors) == (prog.key is not None)
+        walks.clear()
+        for same in (prog, prog, freeze(copy_program(prog))):
+            assert pipeline_error(same) == (errors[0] if errors else None)
+        kept = prog.key is not None and not errors
+        assert len(walks) == (1 if kept else 3), print_ir(prog)
+        assert len(passes._states) == kept
 
 
 def test_every_write_into_a_frozen_program_raises():
