@@ -20,7 +20,7 @@ from importlib import resources
 
 from .analysis import analyze
 from .ir import IRError, Program, freeze, parse_ir, validate
-from .passes import PipelineSpec
+from .passes import PipelineSpec, run_pipeline
 
 __all__ = ["CorpusEntry", "CorpusError", "entries", "get", "load_program",
            "names"]
@@ -106,8 +106,13 @@ def _parsed(name: str) -> Program:
 
 
 def _checked(prog: Program) -> Program:
-    """``prog`` frozen, if it is valid; else the pipeline's ``IRError``."""
+    """``prog`` frozen, if it is valid; else the pipeline's ``IRError``.
+    A mid-end program is checked by the pipeline of no passes, which keeps
+    it as the state that a later pipeline of it starts from."""
     prog = freeze(prog)
+    if prog.stage == "midend":
+        run_pipeline(prog, PipelineSpec())
+        return prog
     errors = validate(prog)
     if errors:
         raise IRError(f"invalid input program: {errors[0]}")

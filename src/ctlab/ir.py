@@ -401,19 +401,20 @@ def program_key(prog: Program) -> tuple:
             (*map(_PARAM_ROW, func.params),), *content_key(func.blocks))
 
 
-# The size of each of the four memos keyed by content: the tracer's
-# translations, ``control_flow``'s graph facts, the pipeline states of
-# ``passes.run_pipeline`` (its checked inputs among them) and the
-# lowerings of ``backend.lower``.  A study of every corpus program under
-# every preset, checked against its sources, translates 37 programs, meets
-# 40 graphs, reaches 210 pipeline states and makes 48 lowerings; each memo
-# holds its working set with room to spare, so a repeated study computes
-# nothing again, where a smaller memo would evict in a cycle.  A
-# translation with its event tables retains 3-540 KB for a corpus program
-# (tracemalloc, CPython 3.11).  A state or a lowering is a frozen program:
-# its own block tuples, sharing its instructions with the programs around
-# it; the study's states and lowerings hold about 1.5 MB, and the four
-# memos about 2.9 MB (tracemalloc, a study run from empty memos).
+# The size of each of the five memos keyed by content: the tracer's
+# translations and input sets, ``control_flow``'s graph facts, the
+# pipeline states of ``passes.run_pipeline`` (its checked inputs among
+# them) and the lowerings of ``backend.lower``.  A study of every corpus
+# program under every preset, checked against its sources, translates 37
+# programs, meets 40 graphs, reaches 210 pipeline states, makes 48
+# lowerings and draws 9 input sets; each memo holds its working set with
+# room to spare, so a repeated study computes nothing again, where a
+# smaller memo would evict in a cycle.  A translation with its event
+# tables retains 2-660 KB for a lowered corpus program (tracemalloc,
+# CPython 3.11).  A state or a lowering is a frozen program: its own block
+# tuples, sharing its instructions with the programs around it.  The five
+# memos hold about 3.6 MB after a study run from empty memos, its sources
+# traced at 16 inputs (tracemalloc).
 MEMO_SIZE = 256
 
 

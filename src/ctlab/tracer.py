@@ -18,9 +18,12 @@ constant-time.
 
 A trace holds events that its translation built, not fresh ones.  Branch
 events and accesses at constant offsets are built while translating.  An
-access at a computed offset looks its event up in its instruction's table
-of events by offset: the event is built the first time any input reaches
-that offset, and every later trace of every input shares it.  A warm pass
+access at a computed offset keeps a list of events with one slot per
+element of its memory region, and reads ``E(K[o] or miss(o))``: the event
+is built into its slot the first time any input reaches that offset, and
+every later trace of every input shares it.  The bounds check, or the
+range proof that leaves it out, comes before the lookup, so ``o`` is in
+``[0, length)`` and never indexes the list from its end.  A warm pass
 therefore allocates almost nothing per access, and the cyclic garbage
 collector, which a surplus of new container objects starts, seldom runs.
 
@@ -123,6 +126,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
@@ -211,12 +215,14 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
         v = args[p.name]
         if isinstance(p.type, ArrayType):
             n = p.type.length
-            if not (isinstance(v, (tuple, list)) and len(v) == n
-                    and all(isinstance(x, int) for x in v)):
-                raise TraceError(
-                    f"argument {p.name!r}: need a tuple of {n} integers")
-            emask = (1 << p.type.elem_width) - 1
-            memory[p.name] = [x & emask for x in v]
+            try:                    # int.__and__ takes what is an int
+                if not isinstance(v, (tuple, list)) or len(v) != n:
+                    raise TypeError
+                memory[p.name] = list(map(int.__and__, v, repeat(
+                    (1 << p.type.elem_width) - 1)))
+            except TypeError:
+                raise TraceError(f"argument {p.name!r}: need a tuple of {n} "
+                                 "integers") from None
         elif isinstance(v, int):
             env[p.name] = v & ((1 << p.type.width) - 1)
         else:
@@ -251,19 +257,20 @@ class _OutOfBounds(Exception):
         self.step = step                # absolute step of the access
 
 
-class _Events(dict):
-    """The events of one memory instruction at dynamic offsets, by element
-    offset: each is built on first use and shared by every later trace."""
+class _Events:
+    """The events of one memory instruction at computed offsets: ``table``
+    holds one per element offset of its region, None until ``miss``
+    builds it on first use; every later trace shares it."""
 
-    __slots__ = ("iid", "kind", "region")
+    __slots__ = ("iid", "kind", "region", "table")
 
-    def __init__(self, iid, kind, region):
-        super().__init__()
+    def __init__(self, iid, kind, region, length):
         self.iid, self.kind, self.region = iid, kind, region
+        self.table = [None] * length
 
-    def __missing__(self, offset):
-        event = self[offset] = MemAccess(self.iid, self.kind, self.region,
-                                         offset)
+    def miss(self, offset):
+        event = self.table[offset] = MemAccess(self.iid, self.kind,
+                                               self.region, offset)
         return event
 
 
@@ -683,9 +690,12 @@ class _Translator:
                     and self.checked.get(off, length) > length - lanes:
                 self.emit(f"if not 0 <= {o} <= {length - lanes}: {fail}")
                 self.checked[off] = length - lanes
-            table = self.const(_Events(ins.iid, kind, name))
+            # The check comes first: a lane's index is in [0, length).
+            events = _Events(ins.iid, kind, name, length)
+            table, miss = self.const(events.table), self.const(events.miss)
             for i in range(lanes):
-                self.emit(f"E({table}[{_lane(o, i)}])")
+                at = _lane(o, i)
+                self.emit(f"E({table}[{at}] or {miss}({at}))")
         return o
 
     def instruction(self, n, step, ins):
@@ -820,12 +830,8 @@ class InputSet:
         return [dict(self.public_values, **sv) for sv in self.secret_values]
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _M64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return state, z ^ (z >> 31)
+# The input sets drawn, by parameter declarations, count and seed.
+_inputs = Memo()
 
 
 def gen_inputs(prog: Program, *, count: int = 16, seed: int = 0) -> InputSet:
@@ -836,7 +842,29 @@ def gen_inputs(prog: Program, *, count: int = 16, seed: int = 0) -> InputSet:
     draw per scalar (array secrets element by element, in order), and whole
     assignments are re-drawn until pairwise distinct.  ``count`` is capped
     at the size of the secret domain so distinctness is always achievable.
+
+    The draw reads only each parameter's name, type, secrecy and default,
+    ``count`` and ``seed``, so the last ``ir.MEMO_SIZE`` draws are kept in
+    ``_inputs`` under those; every call returns an ``InputSet`` of its own.
+    A draw that raises keeps nothing, and one whose numbers are not all
+    ``int``s (``7.0 == 7``) is not kept.
     """
+    params = prog.function().params
+    numbers = [count, seed]
+    for p in params:
+        numbers += vars(p.type).values()
+        if p.default is not None:
+            numbers.append(p.default)
+    key = None
+    if all(x.__class__ is int for x in numbers):
+        key = (*((p.name, p.type, p.secrecy, p.default) for p in params),
+               count, seed)
+    publics, rows = _inputs.get_or(key, lambda: _draw(prog, count, seed))
+    return InputSet(dict(publics), [*map(dict, rows)], seed)
+
+
+def _draw(prog, count, seed):
+    """The public values and the secret rows of ``gen_inputs``."""
     func = prog.function()
     secrets = [p for p in func.params if p.is_secret]
     if not secrets:
@@ -854,7 +882,21 @@ def gen_inputs(prog: Program, *, count: int = 16, seed: int = 0) -> InputSet:
     if total_bits < 63:
         count = min(count, 1 << total_bits)
 
-    state = seed & _M64
+    # A row is one draw per element, in order: the mask of each, and each
+    # secret's slice of them (an int index for a scalar).
+    masks: list[int] = []
+    places = []
+    for p in secrets:
+        if isinstance(p.type, ScalarType):
+            places.append((p.name, len(masks)))
+            masks.append((1 << p.type.width) - 1)
+        else:
+            n = p.type.length
+            places.append((p.name, slice(len(masks), len(masks) + n)))
+            masks += [(1 << p.type.elem_width) - 1] * n
+
+    m64 = _M64                          # a local: read once per draw
+    state = seed & m64
     seen: set[tuple] = set()
     rows: list[dict[str, int | tuple[int, ...]]] = []
     attempts = 0
@@ -862,25 +904,16 @@ def gen_inputs(prog: Program, *, count: int = 16, seed: int = 0) -> InputSet:
         attempts += 1
         if attempts > 100_000:
             raise TraceError("input generation failed to find distinct secrets")
-        row: dict[str, int | tuple[int, ...]] = {}
-        key = []
-        for p in secrets:
-            if isinstance(p.type, ScalarType):
-                state, z = _splitmix64(state)
-                v = z & ((1 << p.type.width) - 1)
-                row[p.name] = v
-                key.append(v)
-            else:
-                emask = (1 << p.type.elem_width) - 1
-                elems = []
-                for _ in range(p.type.length):
-                    state, z = _splitmix64(state)
-                    elems.append(z & emask)
-                row[p.name] = tuple(elems)
-                key.extend(elems)
-        k = tuple(key)
+        draws = []
+        draw = draws.append
+        for m in masks:                 # splitmix64
+            state = (state + 0x9E3779B97F4A7C15) & m64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & m64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m64
+            draw((z ^ (z >> 31)) & m)
+        k = tuple(draws)
         if k in seen:
             continue
         seen.add(k)
-        rows.append(row)
-    return InputSet(publics, rows, seed)
+        rows.append({name: k[at] for name, at in places})
+    return publics, rows

@@ -9,10 +9,10 @@ from ctlab.ir import validate
 
 def start_cold() -> None:
     """Empty every memo of the process: the control-flow facts, the
-    tracer's translations, the pipeline states and the lowerings.  What a
-    test counts after this runs in full."""
-    for memo in (ir._control_flow, tracer._translations, passes._states,
-                 backend._lowered):
+    tracer's translations and input sets, the pipeline states and the
+    lowerings.  What a test counts after this runs in full."""
+    for memo in (ir._control_flow, tracer._translations, tracer._inputs,
+                 passes._states, backend._lowered):
         memo.clear()
 
 
@@ -25,6 +25,17 @@ def count_walks(monkeypatch) -> list:
                             lambda prog: walks.append(prog) or validate(prog))
     start_cold()
     return walks
+
+
+def count_draws(monkeypatch) -> list:
+    """Start cold; the list gets the arguments of each input set that
+    ``gen_inputs`` draws from then on."""
+    draws = []
+    real = tracer._draw
+    monkeypatch.setattr(tracer, "_draw",
+                        lambda *a: draws.append(a) or real(*a))
+    start_cold()
+    return draws
 
 
 def best_times(prepare, small: int, large: int) -> list[tuple]:

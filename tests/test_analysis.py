@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import runpy
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from ctlab import Analysis, analyze, backend, ir
+from ctlab import Analysis, analyze, backend, corpus, ir, tracer
 from ctlab.backend import PROFILES, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import print_ir
@@ -15,7 +16,7 @@ from ctlab.leaks import compare_traces
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import execute, gen_inputs
-from conftest import start_cold
+from conftest import count_draws, count_walks, start_cold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,3 +129,35 @@ def test_a_repeated_sweep_keys_each_program_once_and_lowers_each_input_once(
     done = len(keyed), len(lowered)
     sweep()
     assert (len(keyed), len(lowered)) == done
+
+
+def sweep_at(seed):
+    for spec in (p.spec for p in PRESETS.values()):
+        for name in names():
+            analyze(load_program(name), spec, seed=seed)
+
+
+def test_a_repeated_sweep_draws_each_input_set_once(monkeypatch):
+    # The corpus programs keep their parameters under every preset, so a
+    # sweep at one seed draws one input set per distinct declaration: 9,
+    # since fig1a_branch and fig1c_ctselect declare the same parameters.
+    # A second sweep draws none.
+    for name in names():
+        load_program(name)              # and its self-check
+    draws = count_draws(monkeypatch)
+    sweep_at(1)
+    assert len(draws) == len(tracer._inputs) == 9
+    sweep_at(1)
+    assert len(draws) == 9
+
+
+def test_a_cold_study_walks_each_program_once(monkeypatch):
+    # The corpus checks an entry with the pipeline of no passes, so the
+    # entry's first pipeline starts from that kept state: a fresh process
+    # walks each corpus entry, pass output and lowering once.
+    monkeypatch.setattr(corpus, "_CHECKED", set())
+    monkeypatch.setattr(corpus, "_parsed", lru_cache(maxsize=None)(
+        corpus._parsed.__wrapped__))    # parse anew, once per entry
+    walks = count_walks(monkeypatch)
+    sweep_at(0)
+    assert len(walks) == len({*map(id, walks)}) == 89

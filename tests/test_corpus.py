@@ -80,6 +80,31 @@ def test_load_program_refuses_an_invalid_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+LOWERED = """stage lowered
+func f(secret s: u1) {
+bb0:
+  r = cmov s, 3, 4
+  ret r
+}
+"""
+
+
+def test_a_lowered_file_is_checked_without_the_pipeline(tmp_path):
+    # The pipeline takes only mid-end programs; a lowered file is checked
+    # by validate alone, so it gets no stage error, and a malformed one
+    # gets the message of a mid-end file.
+    path = tmp_path / "low.ir"
+    path.write_text(LOWERED, encoding="utf-8")
+    prog = load_program(str(path))
+    assert prog.stage == "lowered" and print_ir(prog) == \
+        print_ir(parse_ir(LOWERED))
+    path.write_text(LOWERED.replace("cmov", "select"), encoding="utf-8")
+    with pytest.raises(IRError) as e:
+        load_program(str(path))
+    assert str(e.value) == "invalid input program: f/bb0/id0: select " \
+                           "present in lowered program"
+
+
 def test_unknown_entry_errors():
     with pytest.raises(CorpusError):
         get("no_such_entry")

@@ -775,8 +775,8 @@ def test_contents_the_memo_cannot_key_get_the_same_messages(monkeypatch):
 
 
 def test_each_memo_keeps_its_last_memo_size_results():
-    for memo in (ir._control_flow, tracer._translations, passes._states,
-                 backend._lowered):
+    for memo in (ir._control_flow, tracer._translations, tracer._inputs,
+                 passes._states, backend._lowered):
         assert isinstance(memo, ir.Memo)
     memo = ir.Memo()
     for k in range(ir.MEMO_SIZE + 1):

@@ -18,7 +18,7 @@ from ctlab.ir import (BINARY_OPS, EVAL_OPS, LANE_WIDTH, LANEWISE_OPS,
 from ctlab.mitigations import PRESETS
 from ctlab.passes import run_pipeline
 from ctlab.tracer import BranchDir, MemAccess, TraceError, execute, gen_inputs
-from conftest import start_cold
+from conftest import count_draws, start_cold
 
 
 def run(src: str, **args):
@@ -419,6 +419,82 @@ bb0:
         assert all(0 <= x <= 255 for x in m)
 
 
+DRAWN = "func f(secret s: TYPE, public n: u32 = 7) {\nbb0:\n  ret n\n}"
+
+
+@pytest.mark.parametrize("kind, count, rows", [
+    ("u8", 4, [237, 137, 1, 207]),
+    ("arr<u8,4>", 3, [(237, 137, 1, 207), (150, 7, 184, 22),
+                      (122, 114, 204, 127)]),
+    # capped at the domain of 4; repeats are drawn again, in first-drawn
+    # order (237, 137 and 1 are all 1 in two bits)
+    ("u2", 16, [1, 3, 2, 0]),
+])
+def test_gen_inputs_draws_the_same_rows(kind, count, rows):
+    iset = gen_inputs(parse_ir(DRAWN.replace("TYPE", kind)), count=count,
+                      seed=3)
+    assert iset.secret_values == [{"s": r} for r in rows]
+    assert iset.public_values == {"n": 7} and iset.seed == 3
+
+
+def test_each_call_gets_an_input_set_of_its_own(monkeypatch):
+    draws = count_draws(monkeypatch)
+    prog = parse_ir(DRAWN.replace("TYPE", "arr<u8,2>"))
+    first = gen_inputs(prog, count=4, seed=3)
+    want = repr(first)
+    assert repr(gen_inputs(prog, count=4, seed=3)) == want
+    assert len(draws) == 1
+    first.secret_values[0]["s"] = (0, 0)
+    first.secret_values.append({"s": (1, 1)})
+    first.public_values["n"] = 8
+    assert repr(gen_inputs(prog, count=4, seed=3)) == want
+    assert len(draws) == 1 and len(tracer._inputs) == 1
+
+
+def _public(**fields):
+    """A change that sets ``fields`` of the public parameter."""
+    def change(prog):
+        vars(prog.function().params[1]).update(fields)
+    return change
+
+
+@pytest.mark.parametrize("text, change, count, seed", [
+    (("s:", "t:"), None, 4, 3),
+    (("n:", "m:"), None, 4, 3),
+    (("u8", "u16"), None, 4, 3),
+    (("u32 = 7", "u16 = 7"), None, 4, 3),
+    (None, _public(secrecy="secret"), 4, 3),    # its default unread
+    (("= 7", "= 8"), None, 4, 3),
+    (None, _public(default=7.0), 4, 3),     # 7.0 == 7, but is no int
+    (None, None, 5, 3),
+    (None, None, 4, 4),
+], ids=["secret-name", "public-name", "secret-width", "public-width",
+        "secrecy", "default", "float-default", "count", "seed"])
+def test_a_change_to_what_the_draw_reads_gets_its_own_draw(
+        text, change, count, seed, monkeypatch):
+    base = DRAWN.replace("TYPE", "u8")
+    prog = parse_ir(base if text is None else base.replace(*text))
+    if change is not None:
+        change(prog)
+    start_cold()
+    want = gen_inputs(prog, count=count, seed=seed)     # a cold draw
+    draws = count_draws(monkeypatch)
+    gen_inputs(parse_ir(base), count=4, seed=3)
+    got = gen_inputs(prog, count=count, seed=seed)
+    assert got == want and len(draws) == 2
+    assert [type(v) for v in got.public_values.values()] == \
+        [type(v) for v in want.public_values.values()]
+
+
+def test_a_failed_draw_raises_every_time_and_keeps_nothing(monkeypatch):
+    draws = count_draws(monkeypatch)
+    prog = parse_ir("func f(public n: u32 = 7) {\nbb0:\n  ret n\n}")
+    for _ in range(2):
+        with pytest.raises(TraceError, match="^f has no secret parameters$"):
+            gen_inputs(prog)
+    assert len(draws) == 2 and len(tracer._inputs) == 0
+
+
 # ----------------------------------------------------------------------
 # The memo of translations
 # ----------------------------------------------------------------------
@@ -468,11 +544,21 @@ def test_an_instruction_replaced_between_calls_is_translated_anew(
 # Events at dynamic offsets
 # ----------------------------------------------------------------------
 
-def event_tables(prog):
-    """The event tables of ``prog``'s translation, by instruction id."""
+def event_objects(prog):
+    """The ``_Events`` of ``prog``'s translation, by instruction id, and
+    the namespace that its generated code reads them from."""
     regions, _ = tracer._translate(freeze(prog))
-    return {t.iid: t for t in regions[0].__globals__.values()
-            if isinstance(t, tracer._Events)}
+    namespace = regions[0].__globals__
+    return {f.__self__.iid: f.__self__ for f in namespace.values()
+            if isinstance(getattr(f, "__self__", None), tracer._Events)}, \
+        namespace
+
+
+def event_tables(prog):
+    """The events built in each event table of ``prog``'s translation, by
+    instruction id: a dict by element offset of the entries filled."""
+    return {iid: {o: e for o, e in enumerate(events.table) if e is not None}
+            for iid, events in event_objects(prog)[0].items()}
 
 
 def test_inputs_that_load_at_one_offset_share_its_event():
@@ -539,6 +625,62 @@ def test_bounds_errors_at_dynamic_offsets_name_the_first_bad_lane(o, step,
     assert 5 not in event_tables(prog)[3]
 
 
+class Watched(list):
+    """An event table that records every index the generated code reads."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+# o is -1 for c = 1 once its select takes the negative immediate that a
+# program built in Python may hold.
+SELECTED_OFFSET = """
+func f(secret c: u1) {
+bb0:
+  o = select c, 1, 2
+  v = load t, o
+  ret v
+}
+global t: arr<u32,4> = counting
+"""
+
+
+def selected_offset():
+    prog = parse_ir(SELECTED_OFFSET)
+    instrs = prog.function().blocks[0].instrs
+    instrs[0] = instrs[0]._replace(operands=("c", -1, 2))
+    assert validate(prog) == []
+    return freeze(prog)
+
+
+@pytest.mark.parametrize("make, args, iid, error", [
+    (selected_offset, {"c": 1}, 1, "id 1: t[-1] out of bounds (length 4)"),
+    (lambda: freeze(parse_ir(DYNAMIC_LANES)), {"s": 3, "o": 2}, 3,
+     "id 3: out[5] out of bounds (length 5)"),
+], ids=["offset-below-zero", "lane-past-the-end"])
+def test_an_offset_out_of_bounds_reads_no_event_table(make, args, iid, error):
+    # The bounds check runs before the table is indexed, so a negative
+    # offset never reads a table from its end, and a lane past the end
+    # never indexes past it: both raise the located bounds error.
+    start_cold()
+    prog = make()
+    objects, namespace = event_objects(prog)
+    events = objects[iid]
+    name = next(k for k, v in namespace.items() if v is events.table)
+    watched = namespace[name] = Watched(events.table)
+    with pytest.raises(TraceError) as e:
+        execute(prog, args)
+    assert str(e.value) == error
+    assert all(0 <= i < len(watched) for i in watched.reads), watched.reads
+    assert events.table == [None] * len(events.table)
+    start_cold()                        # drop the watched translation
+
+
 def test_the_translation_key_tells_every_field_and_block_apart():
     # Changing one field of one instruction, a parameter's width, or
     # moving an instruction to the next block, gives another key, so the
@@ -597,6 +739,12 @@ def test_wrong_kind_arguments_raise_trace_error(args, error):
 def test_well_formed_arguments_are_masked():
     t = execute(parse_ir(ARGS), {"s": 0x101, "m": [7, 0x1FF]})
     assert t.result == 0xFF + 1 and t.memory["m"] == (7, 0xFF)
+
+
+def test_a_bool_element_is_an_integer():
+    t = execute(parse_ir(ARGS), {"s": 1, "m": (True, False)})
+    assert t.memory["m"] == (1, 0) and t.result == 1
+    assert [type(x) for x in t.memory["m"]] == [int, int]
 
 
 # ----------------------------------------------------------------------
