@@ -39,10 +39,32 @@ the control-flow graph, written as structured Python:
   that enters it; a join, once every incoming edge of the join leaves the
   two arms of one ``condbr`` in the region, written after that
   ``if``/``else``; and the branches back to its head, each a ``continue``
-  of a ``while True:`` around the region.  Every other edge returns the
-  index of the region its target heads to a driver loop.  A region holds
-  at most ``_CHUNK`` instructions, which also bounds how deep its
-  branches nest.
+  of a ``while True:`` around the region.
+* A region also holds loops, each nested as a ``while True:`` where its
+  head is entered: a loop head qualifies when exactly one edge enters it
+  from outside and every other edge into it is a back edge, from a block
+  that it dominates.  Steps pending are added before the ``while``, so
+  the head starts at 0 as a region's does.  A branch back to the
+  innermost loop's head is its ``continue``; one to the head one loop out
+  is a ``break``, and the code after the inner ``while`` is the tail of
+  a branch back to that head: the fuel check, then ``continue``.  No
+  other code follows a nested ``while``, so every edge out of a loop that
+  is none of these returns to the driver.
+* Every other edge returns the index of the region its target heads to a
+  driver loop, which enters a region only at its head.  So every edge
+  into a nested loop's head must be its way in, a ``continue`` or a
+  ``break``.  A loop is nested only where its region has room for all
+  its instructions; when an edge into its head is none of the three all
+  the same (from a latch that is neither nested nor a join, one in a
+  loop two in, or one past an irreducible loop or past the room left),
+  that head is planned as a region head and the function is planned
+  again.
+* A region holds at most ``_CHUNK`` instructions.  Its code sits at most
+  ``_DEPTH`` levels deep, counting an ``if`` and a nested ``while`` as a
+  level each, and at most ``_LOOPS`` loops deep, the ``while`` of the
+  region included: CPython's compiler refuses deeper code.  A block that
+  would sit deeper is not nested there: it may still be the join after an
+  ``if``, and is otherwise the head of a region.
 * Regions are planned before any source is written: the plan places
   every block, classifies every edge and so knows which values another
   region reads.  Only those live in a dict between regions, with the
@@ -103,14 +125,24 @@ events, steps and errors stay those of the ``ir`` semantics.
   at least as tight, always runs before it in the region's structured
   code.  An arm of an ``if`` starts from the checks before the ``if``; a
   join after it, and the other arm, from those alone, since the checks of
-  an arm hold only where that arm ran.  The earlier check raised if the
-  offset was out of bounds, so the dropped one could never fail.
+  an arm hold only where that arm ran.  The body of a nested loop starts
+  from the checks before its ``while``, which hold in every iteration;
+  what the body checks holds in the same iteration only, and nothing but
+  the fuel check follows the ``while``.  The earlier check raised if the
+  offset was out of bounds, so the dropped one could never fail, and the
+  offset still holds the value it checked: its definition dominates the
+  check, so it is in no loop entered after the check (that loop's head
+  would then dominate the check, which runs before the head is entered),
+  and nothing between the two redefines it.
 * Compares.  When an ``icmp``'s only reader is the test of a ``condbr``,
   ``select`` or ``cmov`` in the compare's own region, that reader tests
   the comparison itself (``if a < b:``, ``x if a < b else y``) and the 0/1
   value is never built.  The compare's operands still hold their values
   there: the compare dominates its reader, and no path from one to the
-  other inside a region re-enters the block that defines an operand.
+  other inside a region re-enters the block that defines an operand.  A
+  loop nested between the two does not either, since that block
+  dominates the compare and so, as for a checked offset above, is in no
+  loop entered after it.
 
 Translations, with their event tables, are kept in an LRU memo of
 ``ir.MEMO_SIZE`` entries keyed by the frozen program's ``key`` (see
@@ -129,6 +161,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
+from .cfg import natural_loops
 from .ir import (BINARY_EXPRS, COMPARE_EXPRS, LANE_WIDTH, LANEWISE_OPS,
                  NEG_EXPR, VECTOR_OPS, ArrayType, Memo, Program, ScalarType,
                  control_flow, freeze, settle, value_operands, width_rule)
@@ -143,6 +176,12 @@ _M64 = (1 << 64) - 1
 # 79-instruction unrolled poly_frommsg loop of five presets in one
 # ``while True:`` region, where 48 split it into 3-4 regions and no loop.
 _CHUNK = 96
+# CPython 3.11 refuses a line 100 indentation levels deep, counting a
+# function's body as level 1, and a 21st statically nested loop.  A
+# node's code sits at most ``_DEPTH`` levels deep, so its arms fit; a
+# region's ``while`` and the loops nested in it are at most ``_LOOPS``.
+_DEPTH = 98
+_LOOPS = 20
 # The bound of a negative immediate: above every mask and ``_M64``.
 _UNBOUNDED = 1 << 65
 # What the outcome of an ``icmp`` on an edge proves of its operands
@@ -202,8 +241,9 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
     bounds error when k is at most the fuel and reports fuel exhaustion
     otherwise; without one, fuel runs out when the step count exceeds it.
     A region counts its steps as constants, passes every bounds check its
-    absolute step, and checks the fuel on each branch back to its head;
-    the driver checks it after every region.
+    absolute step, and checks the fuel on each branch back to the head of
+    a loop, its own or a nested one (on a ``break``, after the loop that
+    it leaves); the driver checks it after every region.
     """
     prog = freeze(prog)
     func = prog.function()
@@ -315,10 +355,13 @@ class _Translator:
 
     The graph's nodes are blocks, a block longer than ``_CHUNK``
     instructions cut into pieces; node n's arms enter ``succ[n]``.  The
-    plan files each edge, keyed by its node and arm, under one of four
-    kinds: "nest" (its target is nested under it), "join" (it falls
-    through to the join after an ``if``/``else``), "back" (to the head of
-    its own region) or "exit" (to the head of another region).
+    plan files each edge, keyed by its node and arm, under one of six
+    kinds: "nest" (its target is nested under it), "loop" (its target is
+    a loop head nested under it as a ``while True:``), "join" (it falls
+    through to the join after an ``if``/``else``), "back" (a ``continue``
+    to the head of the innermost loop around it, the region's own or a
+    nested one), "break" (to the head of the loop one out) or "exit" (to
+    the head of another region).
     """
 
     def __init__(self, prog):
@@ -362,6 +405,12 @@ class _Translator:
         for targets in self.succ:
             for t in targets:
                 self.indeg[t] += 1
+        # Each loop by its head's node: its back edges, and its
+        # instructions, which the region that nests it must all hold.
+        size = {b.label: len(b.instrs) for b in func.blocks}
+        self.cycles = {first[l.header]: (len(l.latches),
+                                         sum(map(size.get, l.blocks)))
+                       for l in natural_loops(func)}
         self.ranges(func, flow, defs, params)
         self.names: dict[str, str] = {}     # value -> generated identifier
         self.arrays: dict[str, str] = {}    # memory region -> identifier
@@ -468,29 +517,45 @@ class _Translator:
 
     def plan(self):
         """Place every node in a region and file every edge; no source is
-        written here."""
-        self.region = {0: 0}            # node -> its region
-        self.heads = [0]                # region -> its head node
-        self.kind = {}                  # (node, arm) -> kind of the edge
-        self.join = {}                  # condbr node -> its join node
-        self.flush = set()              # joins whose arms add their steps
-        self.enter = {}                 # node -> steps pending on entry
-        self.loops = set()              # regions with a back edge
-        self.lengths = []               # region -> its instruction count
-        self.reads = []                 # region -> values read, in order
-        self.home = {}                  # value -> region that defines it
-        for k, h in enumerate(self.heads):      # exits append heads
-            self.k, self.size, self.read = k, 0, {}
-            self.place(h, 0)
-            for n, a, t, _ in self.walk(h):
-                self.exit(n, a, t)
-            self.lengths.append(self.size)
-            self.reads.append(self.read)
+        written here.
 
-    def place(self, n, pend):
+        The driver enters a region only at its head, so every edge into a
+        nested loop's head must be its "loop" edge, a "back" edge or a
+        "break".  A loop head that some other edge enters is planned
+        again, from the start, as the head of a region of its own."""
+        self.forced = set()             # loop heads that head a region
+        while True:
+            self.region = {0: 0}        # node -> its region
+            self.heads = [0]            # region -> its head node
+            self.kind = {}              # (node, arm) -> kind of the edge
+            self.join = {}              # condbr node -> its join node
+            self.flush = set()          # joins whose arms add their steps
+            self.enter = {}             # node -> steps pending on entry
+            self.depth = {}             # node -> indentation of its code
+            self.loops = set()          # regions with a ``while``
+            self.breaks = set()         # nested loops with a "break" out
+            self.closed = Counter()     # nested loop -> its back edges
+            self.unclosed = set()       # nested loops entered otherwise
+            self.lengths = []           # region -> its instruction count
+            self.reads = []             # region -> values read, in order
+            self.home = {}              # value -> region that defines it
+            for k, h in enumerate(self.heads):      # exits append heads
+                self.k, self.size, self.read = k, 0, {}
+                self.whiles = [h]       # the loops around, innermost last
+                self.place(h, 0, 2)
+                for n, a, t, _ in self.walk(h):
+                    self.exit(n, a, t)
+                self.lengths.append(self.size)
+                self.reads.append(self.read)
+            if not self.unclosed:
+                return
+            self.forced |= self.unclosed
+
+    def place(self, n, pend, depth):
         """Put node n in the current region, ``pend`` steps after the
-        region last added to its step count."""
-        self.region[n], self.enter[n] = self.k, pend
+        region last added to its step count, its code ``depth`` levels
+        into the region's function."""
+        self.region[n], self.enter[n], self.depth[n] = self.k, pend, depth
         b, instrs = self.nodes[n]
         self.size += len(instrs)
         if instrs[0] is b.instrs[0]:
@@ -515,15 +580,37 @@ class _Translator:
         edges left open at the tail of n's code, as (node, arm, target,
         pending steps)."""
         pend = self.enter[n] + len(self.nodes[n][1])
+        depth = self.depth[n] + (len(self.succ[n]) > 1)     # of its arms
+        whiles = self.whiles
         open_edges = []
         for a, t in enumerate(self.succ[n]):
-            if t == self.heads[self.k]:
-                self.kind[n, a] = "back"
-                self.loops.add(self.k)
-            elif self.indeg[t] == 1 and t not in self.region and self.fits(t):
+            if t in whiles[-2:]:
+                if t == whiles[-1]:
+                    self.kind[n, a] = "back"
+                else:
+                    self.kind[n, a] = "break"
+                    self.breaks.add(whiles[-1])
+                if t == whiles[0]:
+                    self.loops.add(self.k)
+                else:
+                    self.closed[t] += 1
+            elif t in self.region or not self.fits(t) or depth > _DEPTH:
+                open_edges.append((n, a, t, pend))
+            elif self.indeg[t] == 1:
                 self.kind[n, a] = "nest"
-                self.place(t, pend)
+                self.place(t, pend, depth)
                 open_edges += self.walk(t)
+            elif self.nestable(t, depth):
+                # Its code ends in ``continue``, ``break`` or an exit, so
+                # no open edge leaves it.
+                self.kind[n, a] = "loop"
+                self.place(t, 0, depth + 1)
+                whiles.append(t)
+                for m, b, u, _ in self.walk(t):
+                    self.exit(m, b, u)
+                whiles.pop()
+                if self.closed[t] < self.cycles[t][0]:
+                    self.unclosed.add(t)
             else:
                 open_edges.append((n, a, t, pend))
         if len(self.succ[n]) < 2 or not open_edges:
@@ -545,8 +632,17 @@ class _Translator:
         if len(pends) > 1:
             self.flush.add(j)
         self.join[n] = j
-        self.place(j, pends.pop() if len(pends) == 1 else 0)
+        self.place(j, pends.pop() if len(pends) == 1 else 0, self.depth[n])
         return self.walk(j)
+
+    def nestable(self, t, depth):
+        """May the loop head t be nested here, its ``while`` at ``depth``?
+        Only one edge may enter it from outside the loop, and the region
+        must have room for the whole loop."""
+        backs, size = self.cycles.get(t, (0, 0))
+        return (self.indeg[t] - backs == 1 and t not in self.forced
+                and self.size + size <= _CHUNK and depth < _DEPTH
+                and len(self.whiles) < _LOOPS)
 
     def exit(self, n, a, t):
         self.kind[n, a] = "exit"
@@ -662,10 +758,23 @@ class _Translator:
                     self.emit(f"env[{r!r}] = {self.val(r)}")
         if kind == "nest":
             self.node(t)
+        elif kind == "loop":
+            # The head starts with no steps pending, as a region's does.
+            # A "break" out of the loop lands after it, on the tail of a
+            # branch back to the head one out.
+            self.emit(f"s += {pend}")
+            self.emit("while True:")
+            self.inside(self.node, t)
+            if t in self.breaks:
+                self.emit("if s > F: return None, s")
+                self.emit("continue")
         elif kind == "back":
             self.emit(f"s += {pend}")
             self.emit("if s > F: return None, s")
             self.emit("continue")
+        elif kind == "break":
+            self.emit(f"s += {pend}")
+            self.emit("break")
         elif t in self.flush:
             self.emit(f"s += {pend}")
 
@@ -795,19 +904,23 @@ class _Translator:
     def branch(self, n, ins):
         """An ``if``/``else`` over the two arms, then the join, if any."""
         self.emit(f"if {self.test(ins.operands[0])}:")
-        self.arm(n, 0, BranchDir(ins.iid, True))
+        self.inside(self.arm, n, 0, BranchDir(ins.iid, True))
         self.emit("else:")
-        self.arm(n, 1, BranchDir(ins.iid, False))
+        self.inside(self.arm, n, 1, BranchDir(ins.iid, False))
         if n in self.join:
             self.node(self.join[n])
 
     def arm(self, n, a, event):
-        # An arm starts from the checks before its ``if``; what it checks
-        # itself does not hold after the ``if``.
-        outer, checked = self.indent, self.checked
-        self.indent, self.checked = outer + "    ", dict(checked)
         self.emit(f"E({self.const(event)})")
         self.edge(n, a)
+
+    def inside(self, write, *args):
+        """``write(*args)`` one level in: an arm of an ``if`` or the body
+        of a nested loop starts from the checks made before it, and what
+        it checks itself does not hold after it."""
+        outer, checked = self.indent, self.checked
+        self.indent, self.checked = outer + "    ", dict(checked)
+        write(*args)
         self.indent, self.checked = outer, checked
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -1146,17 +1147,28 @@ global t: arr<u32,4> = counting
 """
 
 
-def test_a_loop_with_a_diamond_is_two_generated_functions(monkeypatch):
-    # The entry block, then the loop: its body, both arms, the join and
-    # the exit all sit under the loop header's region.
-    translations = []
+def regions_and_calls(monkeypatch, prog, args):
+    """The number of generated functions in ``prog``'s translation, and
+    how many calls to them ``execute`` makes on ``args``."""
+    calls = []
     real = tracer._translate
-    monkeypatch.setattr(tracer, "_translate",
-                        lambda key: translations.append(real(key))
-                        or translations[-1])
-    execute(parse_ir(LOOP_DIAMOND), {"s": 5, "n": 4})
-    regions, _ = translations[0]
-    assert len(regions) == 2
+
+    def counted(prog):
+        regions, arrays = real(prog)
+        return tuple((lambda r: lambda *a: calls.append(r) or r(*a))(r)
+                     for r in regions), arrays
+
+    monkeypatch.setattr(tracer, "_translate", counted)
+    execute(prog, args)
+    return len(real(freeze(prog))[0]), len(calls)
+
+
+def test_a_loop_with_a_diamond_is_one_generated_function(monkeypatch):
+    # The entry block nests the loop as a ``while True:``: its body, both
+    # arms, the join and the exit all sit under the loop header.
+    prog, args = parse_ir(LOOP_DIAMOND), {"s": 5, "n": 4}
+    assert regions_and_calls(monkeypatch, prog, args) == (1, 1)
+    assert observe(prog, args) == reference(prog, args)[0]
 
 
 def test_fuel_bounds_every_step_through_a_diamond():
@@ -1202,6 +1214,428 @@ def test_a_400_deep_chain_of_conditionals():
         assert t.events == [BranchDir(2 * i + 1, i < s)
                             for i in range(level + (s < 400))]
     assert observe(prog, {"s": 7}) == reference(prog, {"s": 7})[0]
+
+
+# ----------------------------------------------------------------------
+# Loop nests
+# ----------------------------------------------------------------------
+
+# Two counted loops, one in the other, that read t[i * m + j] for i < n
+# and j < m; t holds 12 cells, so n * m > 12 leaves it.
+NEST = """
+func f(secret s: u8, public n: u32 = 3, public m: u32 = 4) {
+bb0:
+  br outer
+outer:
+  i = phi [bb0: 0], [latch: i1]
+  acc = phi [bb0: 0], [latch: a]
+  c = icmp.lt i, n
+  condbr c, pre, done
+pre:
+  base = mul i, m
+  br inner
+inner:
+  j = phi [pre: 0], [body: j1]
+  a = phi [pre: acc], [body: a1]
+  d = icmp.lt j, m
+  condbr d, body, latch
+body:
+  o = add base, j
+  w = load t, o
+  x = xor w, s
+  a1 = add a, x
+  j1 = add j, 1
+  br inner
+latch:
+  i1 = add i, 1
+  br outer
+done:
+  ret acc
+}
+global t: arr<u32,12> = counting
+"""
+
+
+def test_a_loop_nest_is_one_generated_function(monkeypatch):
+    # The inner loop is a ``while True:`` in the outer one, which is one
+    # in the entry's region: one call per run, where a region per loop
+    # head took 3 functions and a call per loop entry.
+    prog = parse_ir(NEST)
+    assert regions_and_calls(monkeypatch, prog,
+                             {"s": 9, "n": 3, "m": 4}) == (1, 1)
+    poly = lowered("poly_frommsg", "baseline-off")      # 3 and 66 before
+    args = gen_inputs(poly, count=1, seed=0).arg_dicts()[0]
+    assert regions_and_calls(monkeypatch, poly, args) == (1, 1)
+    assert observe(poly, args) == reference(poly, args)[0]
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (4, 4), (2, 7), (0, 4), (3, 0)])
+def test_a_loop_nest_counts_steps_and_fuel_exactly(n, m):
+    # (4, 4) and (2, 7) read t[12] in the inner loop.  Each outer iteration
+    # leaves the inner loop by a break, whose tail checks the fuel.
+    prog = parse_ir(NEST)
+    for s in (0, 0x5A):
+        matches_the_reference_at_every_fuel(prog, {"s": s, "n": n, "m": m})
+    assert observe(prog, {"s": 0, "n": 4, "m": 4}) == \
+        "id 12: t[12] out of bounds (length 12)"
+
+
+def test_fuel_ends_an_outer_loop_that_goes_round_by_breaks():
+    # With m = 0 the inner loop ends at once, so the outer loop goes round
+    # only by the break out of it, 2**32 - 1 times: the fuel check after
+    # the inner ``while`` is all that ends the run early.
+    prog = parse_ir(NEST)
+    args = {"s": 0, "n": 2 ** 32 - 1, "m": 0}
+    for fuel in range(60):
+        assert observe(prog, args, fuel) == reference(prog, args, fuel)[0]
+
+
+# NEST with an inner body longer than a region, and t of 2 cells.
+LONG_INNER_BODY = NEST.replace("  o = add base, j",
+                               LONG_BODY + "\n  o = add base, j") \
+    .replace("arr<u32,12>", "arr<u32,2>")
+
+
+# The inner loop's body branches on two bits of s to one of two blocks,
+# `both` and `z`, that the arms of both branches enter: `both` is the
+# join, so `z`, the latch, is neither nested nor a join.
+UNNESTED_LATCH = """
+func f(secret s: u8, public n: u32 = 2, public m: u32 = 3) {
+bb0:
+  br outer
+outer:
+  i = phi [bb0: 0], [latch: i1]
+  c = icmp.lt i, n
+  condbr c, pre, done
+pre:
+  br inner
+inner:
+  j = phi [pre: 0], [z: j1]
+  d = icmp.lt j, m
+  condbr d, body, latch
+body:
+  x = lshr s, j
+  b = and x, 1
+  condbr b, p, q
+p:
+  b2 = and x, 2
+  condbr b2, both, z
+q:
+  b3 = and x, 4
+  condbr b3, both, z
+both:
+  w = load t, j
+  br z
+z:
+  j1 = add j, 1
+  br inner
+latch:
+  i1 = add i, 1
+  br outer
+done:
+  ret i
+}
+global t: arr<u32,3> = counting
+"""
+
+# The outer loop's body enters x or y, which branch to each other while
+# their count is below m: a loop with two ways in and no head.
+IRREDUCIBLE_INNER = """
+func f(secret s: u8, public n: u32 = 2, public m: u32 = 3) {
+bb0:
+  br outer
+outer:
+  i = phi [bb0: 0], [latch: i1]
+  c = icmp.lt i, n
+  condbr c, pre, done
+pre:
+  g = lshr s, i
+  h = and g, 1
+  condbr h, x, y
+x:
+  k = phi [pre: 0], [y: ky]
+  kx = add k, 1
+  w = load t, kx
+  ex = icmp.lt kx, m
+  condbr ex, y, latch
+y:
+  k2 = phi [pre: 0], [x: kx]
+  ky = add k2, 1
+  ey = icmp.lt ky, m
+  condbr ey, x, latch
+latch:
+  i1 = add i, 1
+  br outer
+done:
+  ret i
+}
+global t: arr<u32,4> = counting
+"""
+
+
+def loop_nest(depth):
+    """``depth`` counted loops, each the whole body of the one around it;
+    loop k runs while its counter is below n, the innermost while below
+    m, and the innermost body reads t at its counter."""
+    last = depth - 1
+    lines = ["func f(secret s: u8, public n: u32 = 1, public m: u32 = 3) {",
+             "bb0:", "  br h0"]
+    for k in range(depth):
+        lines += [f"h{k}:",
+                  f"  i{k} = phi [{f'h{k - 1}' if k else 'bb0'}: 0], "
+                  f"[l{k}: j{k}]",
+                  f"  c{k} = icmp.lt i{k}, {'m' if k == last else 'n'}",
+                  f"  condbr c{k}, {f'h{k + 1}' if k < last else 'body'}, "
+                  f"{f'l{k - 1}' if k else 'done'}",
+                  f"l{k}:", f"  j{k} = add i{k}, 1", f"  br h{k}"]
+    lines += ["body:", f"  x = load t, i{last}", "  y = xor x, s",
+              f"  store t, i{last}, y", f"  br l{last}",
+              "done:", "  ret i0", "}", "global t: arr<u32,3> = counting"]
+    return parse_ir("\n".join(lines))
+
+
+def deep_levels(loops, ifs):
+    """``loops`` one-block loops, each branching back to itself while its
+    own secret bit c{k} is set, one in the other: between two loops,
+    ``ifs`` branches on the secret bit b nest the next loop under their
+    taken arms, and each other arm returns.  Each loop costs two levels of
+    indentation, its ``while`` and its ``if``, for one instruction."""
+    params = ", ".join(f"secret c{k}: u1" for k in range(loops))
+    lines = [f"func f(secret b: u1, {params}) {{", "bb0:", "  br h0"]
+    for k in range(loops):
+        after = [f"a{k}_{f}" for f in range(ifs)] + \
+            [f"h{k + 1}" if k < loops - 1 else "fin"]
+        lines += [f"h{k}:", f"  condbr c{k}, h{k}, {after[0]}"]
+        for f in range(ifs):
+            lines += [f"{after[f]}:", f"  condbr b, {after[f + 1]}, done"]
+    lines += ["fin:", "  ret 1", "done:", "  ret 0", "}"]
+    return parse_ir("\n".join(lines))
+
+
+def test_an_inner_loop_longer_than_a_region_matches_the_reference():
+    prog = parse_ir(LONG_INNER_BODY)
+    for n, m in ((2, 1), (1, 3)):           # (1, 3) reads t[2]
+        matches_the_reference_at_every_fuel(prog, {"s": 7, "n": n, "m": m})
+
+
+def test_an_inner_loop_with_an_unnested_latch_matches_the_reference():
+    prog = parse_ir(UNNESTED_LATCH)
+    for s in (0, 0b011, 0b101, 0b110, 0xFF):
+        for m in (3, 4):                    # m = 4 reads t[3]
+            matches_the_reference_at_every_fuel(prog, {"s": s, "n": 2,
+                                                       "m": m})
+
+
+def test_an_irreducible_inner_loop_matches_the_reference():
+    prog = parse_ir(IRREDUCIBLE_INNER)
+    for s in (0, 1, 2, 3):
+        for m in (3, 5):                    # m = 5 reads t[4]
+            matches_the_reference_at_every_fuel(prog, {"s": s, "n": 2,
+                                                       "m": m})
+
+
+@pytest.mark.parametrize("depth, counted, one_block", [
+    (3, 1, 1), (19, 3, 1), (20, 4, 2), (25, 9, 2)])
+def test_a_deep_loop_nest_matches_the_reference(depth, counted, one_block):
+    # A counted loop takes 5 instructions, so a region has room for the
+    # innermost 17 and each loop around them heads a region.  A
+    # one-block loop takes 1, and CPython refuses a 21st statically
+    # nested loop: past 19 loops nested in a region (and its own
+    # ``while``), a loop heads a region of its own.
+    prog = loop_nest(depth)
+    assert len(tracer._translate(freeze(prog))[0]) == counted
+    for m in (3, 4):                        # m = 4 reads t[3]
+        matches_the_reference_at_every_fuel(prog, {"s": 5, "n": 1, "m": m})
+    prog = deep_levels(depth, 0)
+    assert len(tracer._translate(freeze(prog))[0]) == one_block
+    args = {"b": 0, **{f"c{k}": 0 for k in range(depth)}}
+    matches_the_reference_at_every_fuel(prog, args)
+    for k in (0, depth - 1):                # a loop that never ends
+        spin = {**args, f"c{k}": 1}
+        for fuel in range(2 * depth + 9):
+            assert observe(prog, spin, fuel) == \
+                reference(prog, spin, fuel)[0], (k, fuel)
+
+
+def test_a_nest_deeper_than_100_levels_matches_the_reference(monkeypatch):
+    # 10 loops with 9 branches between each two, at 11 levels and 10
+    # instructions a loop: loop k's head sits at level 3 + 11k.  Loop 8's
+    # last branches would pass CPython's 100 levels of indentation, so the
+    # block each enters, which nothing else enters, follows its ``if`` as
+    # a join; loop 9's head, two of whose edges enter it, heads a region.
+    prog = deep_levels(10, 9)
+    source = translated_source(monkeypatch, prog)
+    assert max(len(line) - len(line.lstrip()) for line in source) <= 4 * 99
+    assert len(tracer._translate(freeze(prog))[0]) == 3
+    args = {"b": 1, **{f"c{k}": 0 for k in range(10)}}
+    for b in (0, 1):
+        matches_the_reference_at_every_fuel(prog, {**args, "b": b})
+    # A loop that never ends: fuel runs out on its branch back.
+    for k in (0, 8, 9):
+        spin = {**args, f"c{k}": 1}
+        for fuel in range(150):
+            assert observe(prog, spin, fuel) == \
+                reference(prog, spin, fuel)[0], (k, fuel)
+
+
+def random_nest(rng):
+    """IR text of a random function of counted loop nests.
+
+    A body is a few statements, each one of: straight-line ops, with loads
+    at an offset that may leave ``tbl`` and stores; an if/else on a value
+    whose arms are bodies and whose join picks a value from each arm; a
+    loop of 1-3 trips (or n) whose body is a body, so loops nest and
+    follow one another, and which may start with a select on a compare
+    made before the loop; and, in a loop, a branch whose taken arm leaves
+    the loop's body: back to the head of the loop, or of the loop one or
+    two out, with that loop's counter stepped, to the block after the
+    loop or after the one around it, or out of the function.  Every
+    branch back to a head steps its counter, so every run ends."""
+    blocks: dict[str, list[str]] = {}
+    count = iter(range(1 << 30))
+
+    def fresh(prefix):
+        return f"{prefix}{next(count)}"
+
+    def start(label):
+        blocks[label] = []
+        return label
+
+    def cond(label, pool):
+        g = fresh("g")
+        blocks[label].append(f"  {g} = " + rng.choice(
+            [f"and {rng.choice(pool)}, 1",
+             f"icmp.lt {rng.choice(pool)}, {rng.choice(pool + [2, 9])}"]))
+        return g
+
+    def straight(label, pool):
+        for _ in range(rng.randint(1, 3)):
+            a, v = rng.choice(pool), fresh("v")
+            op = rng.choice(["add", "xor", "mul", "lshr", "load", "store"])
+            if op in ("load", "store"):
+                o = fresh("o")
+                blocks[label].append(f"  {o} = and {a}, "
+                                     f"{rng.choice([3, 7])}")
+                blocks[label].append(f"  {v} = load tbl, {o}" if op == "load"
+                                     else f"  store tbl, {o}, "
+                                          f"{rng.choice(pool)}")
+                pool = pool + [v] * (op == "load")
+            else:
+                blocks[label].append(
+                    f"  {v} = {op} {a}, {rng.choice(pool + [1, 3])}")
+                pool = pool + [v]
+        return label, pool
+
+    def diamond(label, pool, loops, depth):
+        g = cond(label, pool)
+        then, other, join = fresh("t"), fresh("e"), fresh("j")
+        blocks[label].append(f"  condbr {g}, {then}, {other}")
+        ends = [body(start(arm), pool, loops, depth + 1)
+                for arm in (then, other)]
+        start(join)
+        v = fresh("v")
+        blocks[join].append(f"  {v} = phi " + ", ".join(
+            f"[{end}: {rng.choice(p)}]" for end, p in ends))
+        for end, _ in ends:
+            blocks[end].append(f"  br {join}")
+        return join, pool + [v]
+
+    def loop(label, pool, loops, depth):
+        head, first, after = fresh("h"), fresh("b"), fresh("x")
+        here = {"head": head, "i": fresh("i"), "acc": fresh("acc"),
+                "after": after, "into": [(label, 0, rng.choice(pool))]}
+        i, acc = here["i"], here["acc"]
+        inside = pool + [i, acc]
+        start(head)
+        start(first)
+        if rng.random() < 0.5:
+            # A compare before the loop that only a select in it tests.
+            k, v = fresh("k"), fresh("v")
+            blocks[label].append(f"  {k} = icmp.lt {rng.choice(pool)}, "
+                                 f"{rng.choice(pool + [5])}")
+            blocks[first].append(f"  {v} = select {k}, {rng.choice(inside)}"
+                                 f", {rng.choice(inside)}")
+            inside.append(v)
+        blocks[label].append(f"  br {head}")
+        end, p = body(first, inside, loops + [here], depth + 1)
+        step = fresh("i")
+        blocks[end] += [f"  {step} = add {i}, 1", f"  br {head}"]
+        here["into"].append((end, step, rng.choice(p)))
+        blocks[head] += [
+            f"  {i} = phi " + ", ".join(f"[{e}: {v}]"
+                                        for e, v, _ in here["into"]),
+            f"  {acc} = phi " + ", ".join(f"[{e}: {a}]"
+                                          for e, _, a in here["into"]),
+            f"  {head}c = icmp.lt {i}, {rng.choice([1, 2, 3, 'n'])}",
+            f"  condbr {head}c, {first}, {after}"]
+        start(after)
+        return after, pool + [i, acc]
+
+    def leave(label, pool, loops):
+        g = cond(label, pool)
+        out, on = fresh("y"), fresh("n")
+        blocks[label].append(f"  condbr {g}, {out}, {on}")
+        start(out)
+        where = rng.choice(["back", "back", "after", "ret"]
+                           + ["break", "break", "after2"] * (len(loops) > 1)
+                           + ["out2"] * (len(loops) > 2))
+        if where == "ret":
+            blocks[out].append(f"  ret {rng.choice(pool)}")
+        elif where.startswith("after"):
+            target = loops[-1 - (where == "after2")]["after"]
+            blocks[out].append(f"  br {target}")
+        else:
+            to = loops[-1 - {"back": 0, "break": 1, "out2": 2}[where]]
+            step = fresh("i")
+            blocks[out] += [f"  {step} = add {to['i']}, 1",
+                            f"  br {to['head']}"]
+            to["into"].append((out, step, rng.choice(pool)))
+        start(on)
+        return on, pool
+
+    def body(label, pool, loops, depth):
+        for _ in range(rng.randint(1, 2)):
+            kinds = ["straight"] + ["diamond"] * (depth < 3) \
+                + ["loop", "loop"] * (len(loops) < 3) \
+                + ["leave", "leave"] * bool(loops)
+            kind = rng.choice(kinds)
+            if kind == "straight":
+                label, pool = straight(label, pool)
+            elif kind == "diamond":
+                label, pool = diamond(label, pool, loops, depth)
+            elif kind == "loop":
+                label, pool = loop(label, pool, loops, depth)
+            else:
+                label, pool = leave(label, pool, loops)
+        return label, pool
+
+    end, pool = body(start("bb0"), ["s", "q", "n"], [], 0)
+    blocks[end].append(f"  ret {rng.choice(pool)}")
+    return ("func f(secret s: u8, secret q: u32, public n: u32 = 2) {\n"
+            + "\n".join(f"{label}:\n" + "\n".join(lines)
+                        for label, lines in blocks.items())
+            + "\n}\nglobal tbl: arr<u32,7> = counting\n")
+
+
+def test_random_loop_nests_match_the_reference():
+    rng = random.Random(29)
+    kinds = Counter()
+    for case in range(150):
+        src = random_nest(rng)
+        prog = parse_ir(src)
+        assert validate(prog) == [], src
+        plan = tracer._Translator(freeze(prog))
+        plan.plan()
+        kinds.update(plan.kind.values())
+        args = {"s": rng.randrange(256), "q": rng.randrange(1 << 32), "n": 2}
+        _, steps = reference(prog, args)
+        fuels = {0, rng.randint(0, steps), steps // 2, steps - 1, steps}
+        for fuel in sorted(f for f in fuels if f >= 0):
+            want = reference(prog, args, fuel)[0]
+            assert observe(prog, args, fuel) == want, (case, fuel, src)
+    # 257 breaks out of 525 nested loops; a planner that stops nesting
+    # loops fails here.
+    assert kinds["break"] >= 150 and kinds["loop"] >= 300, kinds
 
 
 # ----------------------------------------------------------------------
@@ -1432,6 +1866,42 @@ def test_a_check_that_no_bound_proves_covers_its_arm_alone(monkeypatch):
                 prog, {"s": s, "c": c, "m": (1, 2, 3, 4)})
 
 
+# A load of m at o before a loop, and in its body at o and at the
+# loop's counter j.
+CHECK_BEFORE_LOOP = """
+func f(secret s: u8, secret m: arr<u8,4>, public n: u32 = 3) {
+bb0:
+  o = and s, 7
+  x = load m, o
+  br loop
+loop:
+  j = phi [bb0: 0], [body: j1]
+  acc = phi [bb0: x], [body: a1]
+  d = icmp.lt j, n
+  condbr d, body, done
+body:
+  y = load m, o
+  z = load m, j
+  a1 = add acc, z
+  j1 = add j, 1
+  br loop
+done:
+  ret acc
+}
+"""
+
+
+def test_a_check_before_a_nested_loop_covers_its_body(monkeypatch):
+    # The loop is nested in the entry's region, so the check of o before
+    # it covers the body's load at o; j is checked in the body.
+    prog = parse_ir(CHECK_BEFORE_LOOP)
+    assert checks(translated_source(monkeypatch, prog)) == 2
+    for s in (2, 5):                        # o = 5 is out of bounds
+        for n in (3, 5):                    # j = 4 is out of bounds
+            matches_the_reference_at_every_fuel(
+                prog, {"s": s, "m": (1, 2, 3, 4), "n": n})
+
+
 # A load of t at o in the arm that only `o < {limit}` enters, an `add.8`
 # of o there, and the same load after the join, where no compare bounds o.
 COMPARE_BOUND = """
@@ -1501,3 +1971,30 @@ def test_the_corpus_needs_few_checks_and_wraps(monkeypatch):
         got[name] = (checks(source),
                      sum(len(WRAPPED.findall(line)) for line in source))
     assert got == LLVM18_O3_CHECKS_AND_WRAPS
+
+
+# Generated functions of each corpus program lowered under llvm18-O3 and
+# under baseline-off.  A loop nest is one function; the unrolled loops of
+# rsa and ecdsa under llvm18-O3 fill several regions of _CHUNK
+# instructions.
+CORPUS_REGIONS = {
+    "fig1a_branch": (1, 1),
+    "fig1b_load": (1, 1),
+    "fig1c_ctselect": (1, 1),
+    "fig1d_ctlookup": (1, 1),
+    "rsa_bearssl_lookup": (31, 1),
+    "ecdsa_bearssl_lookup": (4, 1),
+    "poly_frommsg": (1, 1),
+    "loop_unswitch_toy": (1, 1),
+    "jump_threading_toy": (1, 1),
+    "path_splitting_toy": (1, 1),
+}
+
+
+def test_the_corpus_translates_into_few_functions():
+    # A planner change that splits regions again shows here before it
+    # shows in a benchmark.
+    got = {name: tuple(len(tracer._translate(freeze(lowered(name, p)))[0])
+                       for p in ("llvm18-O3", "baseline-off"))
+           for name in names()}
+    assert got == CORPUS_REGIONS
