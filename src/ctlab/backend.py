@@ -16,16 +16,17 @@ from .ir import (
     BasicBlock,
     Function,
     Instruction,
+    IRError,
     Memo,
     Program,
     copy_program,
     freeze,
     successors,
-    validate,
     value_operands,
 )
-from .passes import (PassLogEntry, _br, _condbr, _fix_phi_arm_labels,
-                     _fresh_name, _labels, _log_entry, _Taken)
+from .passes import (PassLogEntry, _br, _checked_input, _condbr,
+                     _fix_phi_arm_labels, _fresh_name, _labels, _log_entry,
+                     _Taken)
 
 __all__ = ["BackendProfile", "LoweringError", "PROFILES", "lower"]
 
@@ -163,12 +164,13 @@ def lower(prog: Program, profile: BackendProfile,
 
     Lowering is a pure function of the input's ``key`` (see ``ir.freeze``),
     the profile and the cmov flag, so the last ``MEMO_SIZE`` lowerings are
-    kept by those and one met again returns the kept program.  An input
-    whose ``key`` is None is lowered without the memo; a raise keeps
-    nothing."""
+    kept by those and one met again returns the kept program; a raise
+    keeps nothing.  An input that is not frozen is frozen first, so a
+    malformed one raises ``IRError`` as an invalid input program; a
+    lowered program that is malformed raises ``LoweringError``."""
     if prog.stage != "midend":
         raise LoweringError(f"cannot lower a {prog.stage!r}-stage program")
-    prog = freeze(prog)
+    prog = _checked_input(prog)
 
     def lowering():
         out = copy_program(prog)
@@ -176,12 +178,11 @@ def lower(prog: Program, profile: BackendProfile,
         before = {i.iid for i in func.instructions()}
         _lower_function(func, profile, cmov_conversion)
         out.stage = "lowered"
-        out = freeze(out)
-        errors = validate(out)
-        if errors:
-            raise LoweringError(f"lowering broke the program: {errors[0]}")
+        try:
+            out = freeze(out)
+        except IRError as e:
+            raise LoweringError(f"lowering broke the program: {e}") from e
         return out, (_log_entry("lower", func, before),)
 
-    key = None if prog.key is None else (prog.key, profile, cmov_conversion)
-    out, log = _lowered.get_or(key, lowering)
+    out, log = _lowered.get_or((prog.key, profile, cmov_conversion), lowering)
     return out, [*log]

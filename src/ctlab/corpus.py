@@ -19,8 +19,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .analysis import analyze
-from .ir import IRError, Program, freeze, parse_ir, validate
-from .passes import PipelineSpec, run_pipeline
+from .ir import IRError, Program, parse_ir
+from .passes import PipelineSpec, _checked_input
 
 __all__ = ["CorpusEntry", "CorpusError", "entries", "get", "load_program",
            "names"]
@@ -100,23 +100,9 @@ def _read_ir(name: str) -> str:
 def _parsed(name: str) -> Program:
     """The one parse of an entry, frozen and validated."""
     try:
-        return _checked(parse_ir(_read_ir(name)))
+        return _checked_input(parse_ir(_read_ir(name)))
     except IRError as e:
         raise CorpusError(f"corpus entry {name!r}: {e}") from e
-
-
-def _checked(prog: Program) -> Program:
-    """``prog`` frozen, if it is valid; else the pipeline's ``IRError``.
-    A mid-end program is checked by the pipeline of no passes, which keeps
-    it as the state that a later pipeline of it starts from."""
-    prog = freeze(prog)
-    if prog.stage == "midend":
-        run_pipeline(prog, PipelineSpec())
-        return prog
-    errors = validate(prog)
-    if errors:
-        raise IRError(f"invalid input program: {errors[0]}")
-    return prog
 
 
 def _baseline_check(entry: CorpusEntry) -> None:
@@ -155,6 +141,6 @@ def load_program(name_or_path: str) -> Program:
         return get(name_or_path).load()
     if os.path.exists(name_or_path):
         with open(name_or_path, encoding="utf-8") as fh:
-            return _checked(parse_ir(fh.read()))
+            return _checked_input(parse_ir(fh.read()))
     raise CorpusError(
         f"{name_or_path!r} is neither a corpus entry nor an existing file")

@@ -73,9 +73,11 @@ Conventions:
   rewrites a function by rewriting its block lists: it puts a new
   instruction, often ``ins._replace(...)``, where the old one stood.  So
   ``copy_function`` copies the lists and shares the instructions.
-* A program that leaves a layer is frozen (``freeze``): its lists are
-  tuples and every write raises, so the memos key it once and meet it
-  again by identity.  A pass works on a mutable copy (``copy_program``).
+* A program that leaves a layer is frozen (``freeze``), and a frozen
+  program is a checked program: ``freeze`` validates what it freezes.
+  Its lists are tuples and every write raises, so the memos key it once
+  and meet it again by identity.  A pass works on a mutable copy
+  (``copy_program``).
 * Global initializers: ``zeros``, ``counting`` (element i holds i, wrapped),
   or an explicit ``[1, 2, 3]`` list of integers, wrapped to the element
   width, with no empty item (``[]`` has none).  Every
@@ -265,8 +267,8 @@ _ALL_FIELDS = attrgetter(*_FIELDS)
 (_PUT_IID, _PUT_OPCODE, _PUT_RESULT, _PUT_OPERANDS, _PUT_LOC, _PUT_WIDTH,
  _PUT_PRED, _PUT_LABELS) = (getattr(Instruction, f).__set__ for f in _FIELDS)
 
-# The instruction fields that ``validate`` and the tracer's translation
-# read: every field but ``loc``.
+# The instruction fields that the tracer's translation reads: every
+# field but ``loc``, which a frozen program's ``key`` holds apart.
 KEY_FIELDS = ("iid", "opcode", "result", "operands", "width", "pred",
               "labels")
 _KEY_ROW = attrgetter(*KEY_FIELDS)
@@ -403,8 +405,8 @@ def program_key(prog: Program) -> tuple:
 
 # The size of each of the five memos keyed by content: the tracer's
 # translations and input sets, ``control_flow``'s graph facts, the
-# pipeline states of ``passes.run_pipeline`` (its checked inputs among
-# them) and the lowerings of ``backend.lower``.  A study of every corpus
+# pipeline states of ``passes.run_pipeline`` (its inputs among them) and
+# the lowerings of ``backend.lower``.  A study of every corpus
 # program under every preset, checked against its sources, translates 37
 # programs, meets 40 graphs, reaches 210 pipeline states, makes 48
 # lowerings and draws 9 input sets; each memo holds its working set with
@@ -423,10 +425,7 @@ class Memo(OrderedDict):
 
     def get_or(self, key, compute):
         """The result kept under ``key``, else ``compute()`` kept under it;
-        nothing is kept for a ``key`` of None or a ``compute`` that
-        raises."""
-        if key is None:
-            return compute()
+        nothing is kept for a ``compute`` that raises."""
         try:
             self.move_to_end(key)
             return self[key]
@@ -458,15 +457,6 @@ class _Key:
 _KEYS: WeakValueDictionary = WeakValueDictionary()
 
 
-def _interned(items: tuple) -> _Key | None:
-    """The live key of ``items``; None when they cannot be hashed."""
-    try:
-        key = _Key(items)
-    except TypeError:
-        return None
-    return _KEYS.setdefault(key, key)
-
-
 # ======================================================================
 # Frozen programs
 # ======================================================================
@@ -492,27 +482,20 @@ class _FrozenProgram(_ReadOnly, Program):
         return freeze, (copy_program(self),)
 
     @cached_property
-    def key(self) -> _Key | None:
+    def key(self) -> _Key:
         """``program_key(self)`` with what the passes and the lowering copy
         into their output beyond it: each instruction's source file and
         line as two columns, the next id, the function's slot and each
-        global's ``init_kind``.  None when no memo may stand in for work
-        on the program: it has other than one function, a location that
-        is no ``SourceLoc``, contents that cannot be hashed, or an
-        instruction id, operand, width or source line, a parameter width,
-        or a global element width, length or element that is not an
-        ``int`` (or a name, for an operand): Python counts ``1.0`` equal to
-        ``1``, but the check, the passes and the printer do not."""
-        try:
-            content = program_key(self)
-            (slot, func), = self.functions.items()
-            locs = [_LOC_ROW(ins.loc) for ins in func.instructions()]
-        except (IRError, AttributeError):   # AttributeError: no SourceLoc
-            return None
-        if not _plain(content, [line for _, line in locs]):
-            return None
-        return _interned((content, (*zip(*locs),), func.next_id, slot,
-                          (*[g.init_kind for g in self.globals.values()],)))
+        global's ``init_kind``, as the one live ``_Key`` of those.
+        ``validate`` has checked every number in it to be an ``int``
+        (Python counts ``1.0`` equal to ``1``, but the check, the passes
+        and the printer do not)."""
+        (slot, func), = self.functions.items()
+        locs = [_LOC_ROW(ins.loc) for ins in func.instructions()]
+        kinds = (*[g.init_kind for g in self.globals.values()],)
+        key = _Key((program_key(self), (*zip(*locs),), func.next_id, slot,
+                    kinds))
+        return _KEYS.setdefault(key, key)
 
 
 def _make(cls, **fields):
@@ -523,14 +506,16 @@ def _make(cls, **fields):
 
 
 def freeze(prog: Program) -> Program:
-    """``prog`` itself when it is frozen, else a frozen copy of it.
+    """``prog`` itself when it is frozen, else a checked, frozen copy of
+    it: a frozen program is a checked program.
 
-    A frozen program's blocks, instruction lists and parameters are
-    tuples, its functions and globals read-only mappings, and a write to
-    an attribute of any of its parts raises.  It shares the (immutable)
-    instructions.  Its ``key`` is built once, on first use, so a memo
-    keyed by it meets it again by identity.  ``copy_program``
-    makes a mutable copy."""
+    The copy is walked by ``validate``, and the first violation raises
+    ``IRError``; a frozen program is not walked again.  Its blocks,
+    instruction lists, parameters and global initializers are tuples, its
+    functions and globals read-only mappings, and a write to an attribute
+    of any of its parts raises.  It shares the (immutable) instructions.
+    Its ``key`` is built once, on first use, so a memo keyed by it meets
+    it again by identity.  ``copy_program`` makes a mutable copy."""
     if prog.__class__ is _FrozenProgram:
         return prog
     functions = {slot: _make(
@@ -539,10 +524,14 @@ def freeze(prog: Program) -> Program:
         blocks=tuple(_make(_FrozenBlock, label=b.label, instrs=(*b.instrs,))
                      for b in f.blocks))
         for slot, f in prog.functions.items()}
-    globals_ = {k: _make(_FrozenGlobal, **vars(g))
+    globals_ = {k: _make(_FrozenGlobal, **{**vars(g), "init": (*g.init,)})
                 for k, g in prog.globals.items()}
-    return _make(_FrozenProgram, functions=MappingProxyType(functions),
-                 globals=MappingProxyType(globals_), stage=prog.stage)
+    frozen = _make(_FrozenProgram, functions=MappingProxyType(functions),
+                   globals=MappingProxyType(globals_), stage=prog.stage)
+    errors = validate(frozen)
+    if errors:
+        raise IRError(errors[0])
+    return frozen
 
 
 # ======================================================================
@@ -1127,28 +1116,10 @@ def _vector(lanes: int) -> str:
     return f"a {lanes}-lane vector"
 
 
-_PLAIN = {int, str}
-
-
-def _plain(key: tuple, lines: list) -> bool:
-    """Is every number in ``key`` (``program_key``'s) that ``validate``
-    reads or prints an ``int``, and every source line in ``lines``?"""
-    _, globals_, params, _, _, *columns = key
-    kinds = {*map(type, lines)}
-    kinds.update(type(x) for _, t, _, _ in params for x in vars(t).values())
-    for _, _, width, length, init in globals_:
-        kinds.update(map(type, init), (type(width), type(length)))
-    if columns:                         # some instruction
-        fields = dict(zip(KEY_FIELDS, columns))
-        kinds.update(map(type, fields["iid"]), map(type, fields["width"]),
-                     map(type, chain.from_iterable(fields["operands"])))
-    return kinds <= _PLAIN
-
-
 def _non_ints(*numbers) -> list[str]:
     """A message for each ``(name, number)`` whose number is no ``int``."""
     return [f"{name} is {x!r}, not an int" for name, x in numbers
-            if not isinstance(x, int)]
+            if x.__class__ is not int]
 
 
 def validate(prog: Program) -> list[str]:
@@ -1157,12 +1128,17 @@ def validate(prog: Program) -> list[str]:
     Checks that every global has as many elements as its length and that
     they fit its element width, that every number it reads (a global's
     element width, length and elements, a parameter's widths, an
-    instruction's id and width) is an ``int``, and structure, dominance
-    and the type of every value operand (see the module conventions).
+    instruction's id, width and source line) is an ``int``, that an
+    instruction's operands and labels are tuples, its location a
+    ``SourceLoc`` and each value operand a name or an ``int``, and
+    structure, dominance and the type of every value operand (see the
+    module conventions).
     Each violation names the global and element, or the function, block,
     and instruction id involved; a program of other than one function, a
     function with no blocks or duplicate labels, or an instruction of a
-    shape the parser rejects, is checked no further.  A phi takes its
+    shape the parser rejects, is checked no further, and a function with
+    an instruction whose operands or labels are not tuples no further
+    than the first sweep of its instructions.  A phi takes its
     arms' type, counting through the phis among them; with several, it
     takes the type of its first arm with just one, else the least by name,
     and reports the rest.
@@ -1172,7 +1148,7 @@ def validate(prog: Program) -> list[str]:
         wrong = _non_ints(("element width", g.elem_width),
                           ("length", g.length),
                           *[(f"element {i}", x) for i, x in enumerate(g.init)
-                            if not isinstance(x, int)])
+                            if x.__class__ is not int])
         errs += [f"global {g.name}: {w}" for w in wrong]
         if wrong:
             continue
@@ -1211,15 +1187,28 @@ def validate(prog: Program) -> list[str]:
     label_set = set(labels)
 
     seen_ids: set[int] = set()
+    untupled = False                    # operands or labels not a tuple
     defs: dict[str, tuple[str, int]] = {}  # name -> (block, index)
     types: dict[str, object] = {
         p.name: _REGION if isinstance(p.type, ArrayType) else _SCALAR
         for p in func.params}
     for block in func.blocks:
         for idx, ins in enumerate(block.instrs):
-            if not isinstance(ins.iid, int) or not isinstance(ins.width, int):
+            if ins.iid.__class__ is not int or ins.width.__class__ is not int:
                 for w in _non_ints(("id", ins.iid), ("width", ins.width)):
                     err(block, ins, w)
+            if ins.operands.__class__ is not tuple or \
+                    ins.labels.__class__ is not tuple:
+                untupled = True
+                for name, x in ("operands", ins.operands), \
+                        ("labels", ins.labels):
+                    if x.__class__ is not tuple:
+                        err(block, ins, f"{name} are {x!r}, not a tuple")
+            if ins.loc.__class__ is not SourceLoc:
+                err(block, ins, f"location is {ins.loc!r}, not a SourceLoc")
+            elif ins.loc.line.__class__ is not int:
+                err(block, ins,
+                    f"source line is {ins.loc.line!r}, not an int")
             if ins.iid in seen_ids:
                 err(block, ins, "duplicate instruction id")
             seen_ids.add(ins.iid)
@@ -1231,7 +1220,10 @@ def validate(prog: Program) -> list[str]:
                     ins.operands if ins.opcode == "phi"
                     else _vector(ins.width) if ins.opcode in VECTOR_OPS
                     else _SCALAR)
-    phis = {n: t for n, t in types.items() if isinstance(t, tuple)}
+    if untupled:                        # the graph's facts hash them
+        return errs
+    phis = {n: [a for a in t if a.__class__ in (int, str)]
+            for n, t in types.items() if isinstance(t, tuple)}
     if phis:
         def arm(a, reach):          # the types that arm `a` can have
             return reach[a] if a in phis else {
@@ -1269,8 +1261,12 @@ def validate(prog: Program) -> list[str]:
             for k, op in enumerate(value_operands(ins)):
                 need = _vector(ins.width) if ins.opcode == "vstore" \
                     and k == 1 else want
-                got = _SCALAR if isinstance(op, int) else types.get(op)
-                if op not in types and not isinstance(op, int):
+                if op.__class__ not in (int, str):
+                    err(block, ins, f"operand {op!r} is not a name or an int")
+                    malformed.add(id(ins))
+                    continue
+                got = _SCALAR if op.__class__ is int else types.get(op)
+                if op not in types and op.__class__ is not int:
                     err(block, ins, f"use of undefined {op!r}")
                 elif got is not None and got != need:
                     err(block, ins,

@@ -17,7 +17,7 @@ rewrite reads the function as the step found it.
 
 The runner thaws a mutable copy of the frozen program (see ``ir.freeze``),
 whose one function is the unit every pass rewrites, runs each pass's step
-and then cleanup on it, each to its fixpoint, freezes and validates the
+and then cleanup on it, each to its fixpoint, freezes (and so checks) the
 result when either reports a change, and logs created/deleted instruction
 ids so leak findings can be attributed to the pass that introduced them.
 A step or cleanup that does not settle raises an error that names it.
@@ -55,7 +55,6 @@ from .ir import (
     predecessors,
     substitute,
     successors,
-    validate,
     value_bits,
     value_operands,
 )
@@ -1747,16 +1746,26 @@ def if_convert(f: Function) -> bool:
 _states = Memo()
 
 
+def _checked_input(prog: Program) -> Program:
+    """``prog`` frozen, which checks it (``ir.freeze``); an invalid one
+    raises ``IRError`` naming it the input."""
+    try:
+        return freeze(prog)
+    except IRError as e:
+        raise IRError(f"invalid input program: {e}") from e
+
+
 def run_pipeline(prog: Program,
                  spec: PipelineSpec) -> tuple[Program, list[PassLogEntry]]:
     """Apply the enabled passes in their fixed order, cleaning up after
-    each, and validating the program after a pass whose step or cleanup
+    each, and checking the program after a pass whose step or cleanup
     reports a change.  The passes rewrite one mutable copy of the program;
-    the state after each pass is frozen (``ir.freeze``), and so is the
-    result: the input itself when no pass changes it.  Raises IRError when
-    the input program is malformed, and InternalPassError when a pass
-    leaves it malformed or when the pass or its cleanup does not settle
-    within ``_FIXPOINT_STEPS`` steps, carrying the log so far.
+    the state after each pass is frozen (``ir.freeze``), which checks it,
+    and so is the result: the input itself when no pass changes it.
+    Raises IRError when the input program is malformed, and
+    InternalPassError when a pass leaves it malformed or when the pass or
+    its cleanup does not settle within ``_FIXPOINT_STEPS`` steps, carrying
+    the log so far.
 
     Cleanup is skipped after a step that reports no change on a function
     that cleanup left at its fixpoint: such a step changed nothing (the
@@ -1766,32 +1775,25 @@ def run_pipeline(prog: Program,
     way.
 
     A pipeline is a pure function of its input and of the spec fields its
-    steps read, so the run keeps the checked input, and the state after
-    each pass, with the log so far and whether cleanup settled it, in
+    steps read, so the run keeps the input, and the state after each
+    pass, with the log so far and whether cleanup settled it, in
     ``_states``, the last ``MEMO_SIZE`` states, keyed by the input's
     ``key`` and the passes applied, ``loop_unswitch`` with its threshold:
     the input is the state of no passes.  A run starts from the longest
     prefix of its passes kept for its input, and returns the kept program
-    itself when it has them all.  A kept state was checked when it was
-    made, so the input is walked only when no state of it is kept.  A pass
-    that raises keeps nothing, so a later run raises the same error with
-    the same log.  A program whose ``key`` is None runs without the memo.
+    itself when it has them all.  A pass that raises keeps nothing, so a
+    later run raises the same error with the same log.
     """
     if prog.stage != "midend":
         raise InternalPassError("pipeline requires a midend-stage program", [])
-    prog = freeze(prog)
+    prog = _checked_input(prog)
     order = spec.order
     steps = [(name, spec.unswitch_threshold) if name == "loop_unswitch"
              else name for name in order]
-    keys = [None if prog.key is None else (prog.key, tuple(steps[:k]))
+    keys = [(prog.key, tuple(steps[:k]))
             for k in range(len(steps) + 1)]     # the state after k passes
-    # The passes already run: the longest prefix kept, or -1 for none.
-    done = max((k for k, key in enumerate(keys) if key in _states), default=-1)
-    if done < 0:                        # no state of the input is kept
-        errors = validate(prog)
-        if errors:
-            raise IRError(f"invalid input program: {errors[0]}")
-        done = 0
+    # The passes already run: the longest prefix kept.
+    done = max((k for k, key in enumerate(keys) if key in _states), default=0)
     # clean: is out at cleanup's fixpoint?
     out, log, clean = _states.get_or(keys[done], lambda: (prog, (), False))
     log = [*log]
@@ -1812,10 +1814,10 @@ def run_pipeline(prog: Program,
             raise InternalPassError(f"pass {name}: {e}", log) from e
         log.append(_log_entry(name, func, before))
         if changed:
-            out = freeze(work)
-            errors = validate(out)
-            if errors:
+            try:
+                out = freeze(work)
+            except IRError as e:
                 raise InternalPassError(
-                    f"pass {name} broke the program: {errors[0]}", log)
+                    f"pass {name} broke the program: {e}", log) from e
         _states.get_or(key, lambda: (out, (*log,), clean))
     return out, log

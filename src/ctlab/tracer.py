@@ -150,7 +150,8 @@ Translations, with their event tables, are kept in an LRU memo of
 reads nothing the key leaves out.  The key holds no stage: a source and
 an identical lowering share one translation.  A frozen program builds
 its key once, so the N inputs of an analysis meet its translation by
-identity; ``execute`` freezes a copy of a program that is not frozen.
+identity; ``execute`` freezes (and so checks) a copy of a program that
+is not frozen.
 """
 
 from __future__ import annotations
@@ -222,19 +223,21 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
             fuel: int = DEFAULT_FUEL) -> Trace:
     """Run the program's function to completion and return its trace.
 
-    ``prog`` must pass ``validate`` (``lower`` returns such a program):
-    every operand then has the type its opcode takes and every value is
-    set before it is read, so nothing is checked again here.  ``args``
-    maps every parameter name to a value: an int for a scalar (masked to
-    the declared width), a tuple (or list) of as many ints as its length
-    for an array parameter.  Execution is fully deterministic.  Raises
-    TraceError only on a missing or ill-formed argument, an out-of-bounds
-    memory access, or fuel exhaustion.
+    ``prog`` is frozen, and so checked (``ir.freeze``): one that fails
+    ``validate`` raises ``IRError``, and in one that passes every operand
+    has the type its opcode takes and every value is set before it is
+    read, so nothing is checked again here.  ``args`` maps every parameter
+    name to a value: an int for a scalar (masked to the declared width), a
+    tuple (or list) of as many ints as its length for an array parameter.
+    Execution is fully deterministic.  Raises TraceError only on a missing
+    or ill-formed argument, an out-of-bounds memory access, or fuel
+    exhaustion.
 
     The function runs through its cached translation (see the module
-    docstring).  A program that is not frozen is copied, frozen and keyed
-    anew on every call, which can take several times as long as the run:
-    to trace a hand-built program over many inputs, ``ir.freeze`` it once.
+    docstring).  A program that is not frozen is copied, checked, frozen
+    and keyed anew on every call, which can take several times as long as
+    the run: to trace a hand-built program over many inputs, ``ir.freeze``
+    it once, which saves a walk and a key per call.
     ``steps`` counts every instruction executed, phis and the terminator
     included, and ``fuel`` bounds it with the same outcome as
     counting step by step: an out-of-bounds access at step k raises its
@@ -960,7 +963,7 @@ def gen_inputs(prog: Program, *, count: int = 16, seed: int = 0) -> InputSet:
     ``count`` and ``seed``, so the last ``ir.MEMO_SIZE`` draws are kept in
     ``_inputs`` under those; every call returns an ``InputSet`` of its own.
     A draw that raises keeps nothing, and one whose numbers are not all
-    ``int``s (``7.0 == 7``) is not kept.
+    ``int``s (``7.0 == 7``) skips the memo.
     """
     params = prog.function().params
     numbers = [count, seed]
@@ -968,11 +971,12 @@ def gen_inputs(prog: Program, *, count: int = 16, seed: int = 0) -> InputSet:
         numbers += vars(p.type).values()
         if p.default is not None:
             numbers.append(p.default)
-    key = None
     if all(x.__class__ is int for x in numbers):
         key = (*((p.name, p.type, p.secrecy, p.default) for p in params),
                count, seed)
-    publics, rows = _inputs.get_or(key, lambda: _draw(prog, count, seed))
+        publics, rows = _inputs.get_or(key, lambda: _draw(prog, count, seed))
+    else:
+        publics, rows = _draw(prog, count, seed)
     return InputSet(dict(publics), [*map(dict, rows)], seed)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from ctlab import backend, passes
 from ctlab.backend import PROFILES, LoweringError, lower
-from ctlab.ir import parse_ir, validate
+from ctlab.ir import IRError, parse_ir, validate
 from ctlab.tracer import BranchDir, execute
 from conftest import best_times, start_cold
 
@@ -246,6 +246,20 @@ def test_lowering_twice_rejected():
     low, _ = lower(parse_ir(PLAIN_SELECT), X64)
     with pytest.raises(LoweringError):
         lower(low, X64)
+
+
+def test_lower_blames_an_invalid_input_not_itself():
+    # A mutable input is frozen, and so checked, before it is lowered: a
+    # malformed one is an invalid input, as in the pipeline, where the
+    # lowering once reported that it broke the program.  Nothing is kept.
+    start_cold()
+    bad = parse_ir(PLAIN_SELECT.replace("select s, a, b", "select s, a, q"))
+    for _ in range(2):
+        with pytest.raises(IRError) as err:
+            lower(bad, X64)
+        assert str(err.value) == \
+            "invalid input program: f/bb0/id0: use of undefined 'q'"
+    assert len(backend._lowered) == 0
 
 
 def test_lower_log_shape():

@@ -348,17 +348,19 @@ def test_a_study_builds_each_graphs_facts_once(monkeypatch):
 
 def test_a_study_checks_and_translates_each_program_once(monkeypatch):
     # The same for the other per-process memos.  A cold study walks each
-    # pipeline input, each pass output that changed and each lowering
-    # once, when it is made: the programs walked are the programs the
-    # pipeline and the lowering keep.  It translates each distinct key
+    # pass output that changed and each lowering once, when it is frozen:
+    # the programs walked are the programs the pipeline and the lowering
+    # keep, less the corpus inputs, which were checked when the corpus
+    # froze them.  It translates each distinct key
     # once, reaches each pipeline state by one pass application, and a
     # second round walks, translates, applies and lowers nothing.  A
     # corpus or a preset list that outgrows ir.MEMO_SIZE fails here: the
     # one size holds the study's translations, graphs, pipeline states and
     # lowerings.
-    walks = {passes: [], backend: []}
+    walked = []
     translations, graphs = Counter(), Counter()
     applications, lowerings = [], []
+    real_validate = ir.validate
     real_translator, real_flow = tracer._Translator, ir.ControlFlow
     real_entry, real_lower = passes._log_entry, backend._lower_function
 
@@ -378,27 +380,27 @@ def test_a_study_checks_and_translates_each_program_once(monkeypatch):
         graphs[labels, successors] += 1
         return real_flow(labels, successors)
 
-    for module, walked in walks.items():
-        monkeypatch.setattr(module, "validate", lambda prog, walked=walked: (
-            walked.append(prog) or ir.validate(prog)))
+    monkeypatch.setattr(ir, "validate", lambda prog: (
+        walked.append(prog) or real_validate(prog)))
     monkeypatch.setattr(tracer, "_Translator", translator)
     monkeypatch.setattr(ir, "ControlFlow", flow)
     monkeypatch.setattr(passes, "_log_entry", entry)
     monkeypatch.setattr(backend, "_lower_function", lower_function)
     start_cold()
     study()
-    kept = {passes: [out for out, _, _ in passes._states.values()],
-            backend: [out for out, _ in backend._lowered.values()]}
-    for module, walked in walks.items():
-        assert len({*map(id, walked)}) == len(walked)       # each once
-        assert {*map(id, walked)} == {*map(id, kept[module])}
+    inputs = {id(load_program(name)) for name in names()}
+    kept = [out for out, _, _ in passes._states.values()
+            if id(out) not in inputs]
+    kept += [out for out, _ in backend._lowered.values()]
+    assert len({*map(id, walked)}) == len(walked)           # each once
+    assert {*map(id, walked)} == {*map(id, kept)}
     assert max(translations.values()) == 1
     assert len(applications) == 200 and len(passes._states) == 210
     assert len(lowerings) == len(backend._lowered) == 48
     assert max(len(translations), len(graphs)) <= ir.MEMO_SIZE
     def counts():
-        return ([len(walked) for walked in walks.values()],
-                sum(translations.values()), len(applications), len(lowerings))
+        return (len(walked), sum(translations.values()), len(applications),
+                len(lowerings))
 
     done = counts()
     study()

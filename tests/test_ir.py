@@ -708,18 +708,18 @@ MEMO_CHANGES = {
                          ids=list(MEMO_CHANGES))
 def test_a_change_to_any_field_of_the_key_is_checked(change, error,
                                                      monkeypatch):
-    # A kept pipeline input stands for a checked one, so a change to any
-    # field of the key gives a program that the pipeline walks and answers
-    # as the walk does.  The key holds no stage: the pipeline takes only
-    # mid-end programs, and says so before it looks a key up.
+    # A frozen program is a checked one, so a change to any field of the
+    # key gives a program that freezing walks: the pipeline answers as
+    # the walk does, and a valid change gets a key of its own.  The key
+    # holds no stage: the pipeline takes only mid-end programs, and says
+    # so before it freezes one.
     walks = count_walks(monkeypatch)
     prog = freeze(parse_ir(MEMO_BASE))
     for same in (prog, freeze(copy_program(prog))):
         assert pipeline_error(same) is None
-    assert len(walks) == 1              # the frozen copy meets the kept input
+    assert len(walks) == 2              # each freeze, not each run
     changed = copy_program(prog)
     change(changed)
-    changed = freeze(changed)
     errs = validate(changed)
     if error is None:
         assert errs == []
@@ -729,9 +729,14 @@ def test_a_change_to_any_field_of_the_key_is_checked(change, error,
         with pytest.raises(InternalPassError, match="midend-stage"):
             run_pipeline(changed, PipelineSpec())
         return
-    assert changed.key != prog.key
     assert pipeline_error(changed) == (errs[0] if errs else None)
-    assert len(walks) == 2
+    assert len(walks) == 3
+    if errs:
+        with pytest.raises(IRError) as err:
+            freeze(changed)
+        assert str(err.value) == errs[0]
+    else:
+        assert freeze(changed).key != prog.key
 
 
 def test_a_failed_check_keeps_nothing_and_gives_the_same_message(
@@ -739,7 +744,7 @@ def test_a_failed_check_keeps_nothing_and_gives_the_same_message(
     # An input that fails the check keeps no state, so each run walks it
     # and raises the same message.
     walks = count_walks(monkeypatch)
-    prog = freeze(parse_ir(MEMO_BASE.replace("ret v", "ret q")))
+    prog = parse_ir(MEMO_BASE.replace("ret v", "ret q"))
     first = validate(prog)
     assert first == ["f/bb2/id8: use of undefined 'q'"]
     first.append("a caller's own line")     # each call gets its own list
@@ -749,29 +754,19 @@ def test_a_failed_check_keeps_nothing_and_gives_the_same_message(
     assert len(walks) == 2 and len(passes._states) == 0
 
 
-def test_contents_the_memo_cannot_key_get_the_same_messages(monkeypatch):
-    # A program with no key is walked on every run and keeps nothing.
-    walks = count_walks(monkeypatch)
+def test_a_list_initializer_is_frozen_as_a_tuple():
+    # A global built in Python with a list initializer is valid: the
+    # frozen copy holds a tuple, so it has a key and keeps its state.
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  c = const 1\n"
                     "  ret c\n}")
-    assert freeze(prog).key is not None
-    # A list cannot be hashed, and 1.0 == 1 although only 1 is an int.
-    for change, message in [({"operands": ([1],)}, "const takes an immediate"),
-                            ({"operands": (1.0,)}, "const takes an immediate"),
-                            ({"width": 32.0}, "width is 32.0, not an int")]:
-        bad = copy_program(prog)
-        instrs = bad.function().blocks[0].instrs
-        instrs[0] = instrs[0]._replace(**change)
-        bad = freeze(bad)
-        assert bad.key is None
-        assert [pipeline_error(bad)] == validate(bad) == \
-            [f"f/bb0/id0: {message}"]
-    # A valid program that cannot be keyed is walked on every run.
     prog.globals["g"] = GlobalArray("g", 8, 2, [1, 2])
     frozen = freeze(prog)
-    assert frozen.key is None
-    assert pipeline_error(frozen) is pipeline_error(frozen) is None
-    assert len(walks) == 5 and len(passes._states) == 0
+    assert frozen.globals["g"].init == (1, 2)
+    assert prog.globals["g"].init == [1, 2]
+    start_cold()
+    for _ in range(2):
+        assert pipeline_error(frozen) is None
+    assert [*passes._states] == [(frozen.key, ())]
 
 
 def test_each_memo_keeps_its_last_memo_size_results():
@@ -788,36 +783,28 @@ def test_each_memo_keeps_its_last_memo_size_results():
     with pytest.raises(ZeroDivisionError):      # a raise keeps nothing
         memo.get_or("x", lambda: 1 / 0)
     assert "x" not in memo
-    assert memo.get_or(None, lambda: 5) == 5 and None not in memo
-
-
-def test_a_number_of_another_type_gets_its_own_message():
-    # 1.0 == 1, but a program with an id, a length or an element that is
-    # not an int is not answered from the kept input of the equal program
-    # of ints: the pipeline walks it, and its message prints the number.
-    for change, n, message in [
-            (lambda p, x: _put(p, "bb2", 4, iid=x), 20,
-             "f/bb2/id20.0: id is 20.0, not an int"),
-            (lambda p, x: setattr(p.globals["g"], "length", x), 2,
-             "global g: length is 2.0, not an int"),
-            (lambda p, x: setattr(p.globals["g"], "init", (300, x)), 1,
-             "global g: element 1 is 1.0, not an int")]:
-        start_cold()
-        errors = []
-        for x in (n, float(n)):
-            prog = parse_ir(MEMO_BASE)
-            change(prog, x)
-            errors.append(pipeline_error(prog))
-        assert errors == [None, message]
 
 
 # A number the check reads, in a program built in Python, that is another
-# type than int: the message ``validate`` gives.
+# type than int: the message ``validate`` gives.  Python counts ``8.0``
+# and ``True`` equal to ``8`` and ``1``, and most of these changes keep
+# the numbers of MEMO_BASE.
 NOT_INTS = {
     "instruction id": (lambda p: _put(p, "bb2", 4, iid=8.0),
                        "f/bb2/id8.0: id is 8.0, not an int"),
     "instruction width": (lambda p: _put(p, "bb2", 1, width=16.0),
                           "f/bb2/id5: width is 16.0, not an int"),
+    "source line": (lambda p: _put(p, "bb2", 1, loc=SourceLoc("f.c", 8.0)),
+                    "f/bb2/id5: source line is 8.0, not an int"),
+    "operand": (lambda p: _put(p, "bb2", 1, operands=("p", 3.0)),
+                "f/bb2/id5: operand 3.0 is not a name or an int"),
+    "bool operand": (lambda p: _put(p, "bb2", 1, operands=("p", True)),
+                     "f/bb2/id5: operand True is not a name or an int"),
+    "phi arm": (lambda p: _put(p, "bb2", 0, operands=(1.0, "x")),
+                "f/bb2/id4: operand 1.0 is not a name or an int"),
+    "const immediate": (
+        lambda p: _put(p, "bb2", 1, opcode="const", operands=(3.0,)),
+        "f/bb2/id5: const takes an immediate"),
     "parameter width": (
         _set(lambda p: p.function().params[0], type=ScalarType(8.0)),
         "f: parameter s: width is 8.0, not an int"),
@@ -835,21 +822,59 @@ NOT_INTS = {
                        "global g: element 1 is 1.0, not an int"),
 }
 
+# A part the check reads that is not of the type it takes: a list, which
+# cannot be hashed, where a name, an int or a tuple stands, and a
+# location that is not a ``SourceLoc``.
+NOT_PARTS = {
+    "list operand": (lambda p: _put(p, "bb2", 1, operands=(["p"], 3)),
+                     "f/bb2/id5: operand ['p'] is not a name or an int"),
+    "list phi arm": (lambda p: _put(p, "bb2", 0, operands=([1], "x")),
+                     "f/bb2/id4: operand [1] is not a name or an int"),
+    "list immediate": (
+        lambda p: _put(p, "bb2", 1, opcode="const", operands=([3],)),
+        "f/bb2/id5: const takes an immediate"),
+    "location": (lambda p: _put(p, "bb2", 1, loc=None),
+                 "f/bb2/id5: location is None, not a SourceLoc"),
+    "operand list": (lambda p: _put(p, "bb2", 1, operands=["p", 3]),
+                     "f/bb2/id5: operands are ['p', 3], not a tuple"),
+    "label list": (lambda p: _put(p, "bb0", 1, labels=["bb1", "bb2"]),
+                   "f/bb0/id1: labels are ['bb1', 'bb2'], not a tuple"),
+}
+
+
+def located_error(change, message):
+    # The check, not a bare TypeError from deep in the analysis, reports
+    # the part where it stands; freezing raises it, so does tracing, which
+    # freezes first, and the pipeline raises it as an invalid input even
+    # where the kept states of MEMO_BASE hold a program that Python counts
+    # equal, and keeps no state for it.
+    prog = parse_ir(MEMO_BASE)
+    change(prog)
+    assert validate(prog) == [message]
+    for freezes in (freeze, lambda p: execute(p, {})):
+        with pytest.raises(IRError) as err:
+            freezes(prog)
+        assert str(err.value) == message
+    start_cold()
+    spec = PRESETS["llvm18-O3"].spec
+    run_pipeline(parse_ir(MEMO_BASE), spec)
+    kept = [*passes._states]
+    with pytest.raises(IRError) as err:
+        analyze(prog, spec)
+    assert str(err.value) == f"invalid input program: {message}"
+    assert [*passes._states] == kept
+
 
 @pytest.mark.parametrize("change, message", NOT_INTS.values(),
                          ids=list(NOT_INTS))
 def test_a_number_that_is_not_an_int_is_a_located_error(change, message):
-    # Python counts 16.0 equal to 16, but the analysis computes with ints:
-    # such a program has no key, and the check, not a bare TypeError from
-    # deep in the analysis, reports the number where it stands.
-    prog = parse_ir(MEMO_BASE)
-    change(prog)
-    assert freeze(prog).key is None
-    assert validate(prog) == [message]
-    start_cold()
-    with pytest.raises(IRError) as err:
-        analyze(prog, PRESETS["llvm18-O3"].spec)
-    assert str(err.value) == f"invalid input program: {message}"
+    located_error(change, message)
+
+
+@pytest.mark.parametrize("change, message", NOT_PARTS.values(),
+                         ids=list(NOT_PARTS))
+def test_a_part_of_another_type_is_a_located_error(change, message):
+    located_error(change, message)
 
 
 def memo_programs():
@@ -870,21 +895,25 @@ def memo_programs():
 
 
 def test_the_memo_gives_what_a_walk_gives(monkeypatch):
-    # The soundness oracle: on a cold memo and a warm one, and for a
-    # frozen copy, which meets the input kept for the program, the
-    # pipeline raises what a walk of the program itself says.
+    # The soundness oracle: on a cold memo and a warm one, the pipeline
+    # raises what a walk of the program itself says.  Each freeze walks:
+    # an invalid program keeps nothing, and a valid one keeps its input,
+    # which an equal frozen copy meets.
     walks = count_walks(monkeypatch)
-    for prog in map(freeze, memo_programs()):
+    for prog in memo_programs():
         if prog.stage != "midend":
             continue
         errors = validate(prog)
+        thawed = copy_program(prog)
         start_cold()
         walks.clear()
-        for same in (prog, prog, freeze(copy_program(prog))):
+        for same in (thawed, thawed):
             assert pipeline_error(same) == (errors[0] if errors else None)
-        kept = prog.key is not None and not errors
-        assert len(walks) == (1 if kept else 3), print_ir(prog)
-        assert len(passes._states) == kept
+        assert len(walks) == 2 and len(passes._states) == (not errors)
+        if not errors:
+            frozen = freeze(thawed)
+            assert pipeline_error(frozen) is None
+            assert len(walks) == 3 and len(passes._states) == 1
 
 
 def test_every_write_into_a_frozen_program_raises():
@@ -943,5 +972,7 @@ def test_editing_a_copy_leaves_the_frozen_program_and_its_memos_alone():
     func.fresh_id()
     copy.globals["y"].init = (7,) * 8
     assert print_ir(copy) != want[0] and validate(copy) != []
-    assert validate(freeze(copy)) == validate(copy)
+    with pytest.raises(IRError) as err:
+        freeze(copy)
+    assert str(err.value) == validate(copy)[0]
     assert seen() == want
