@@ -524,7 +524,7 @@ def freeze(prog: Program) -> Program:
         blocks=tuple(_make(_FrozenBlock, label=b.label, instrs=(*b.instrs,))
                      for b in f.blocks))
         for slot, f in prog.functions.items()}
-    globals_ = {k: _make(_FrozenGlobal, **{**vars(g), "init": (*g.init,)})
+    globals_ = {k: _make(_FrozenGlobal, **{**vars(g), "init": tuple(g.init)})
                 for k, g in prog.globals.items()}
     frozen = _make(_FrozenProgram, functions=MappingProxyType(functions),
                    globals=MappingProxyType(globals_), stage=prog.stage)

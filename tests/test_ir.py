@@ -763,6 +763,8 @@ def test_a_list_initializer_is_frozen_as_a_tuple():
     frozen = freeze(prog)
     assert frozen.globals["g"].init == (1, 2)
     assert prog.globals["g"].init == [1, 2]
+    again = freeze(copy_program(frozen))    # a tuple is shared, not copied
+    assert again.globals["g"].init is frozen.globals["g"].init
     start_cold()
     for _ in range(2):
         assert pipeline_error(frozen) is None
