@@ -1128,11 +1128,11 @@ def validate(prog: Program) -> list[str]:
     Checks that every global has as many elements as its length and that
     they fit its element width, that every number it reads (a global's
     element width, length and elements, a parameter's widths, an
-    instruction's id, width and source line) is an ``int``, that an
-    instruction's operands and labels are tuples, its location a
-    ``SourceLoc`` and each value operand a name or an ``int``, and
-    structure, dominance and the type of every value operand (see the
-    module conventions).
+    instruction's id, width and source line, the next id) is an ``int``
+    and the next id above every id, that an instruction's operands and
+    labels are tuples, its location a ``SourceLoc`` and each value operand
+    a name or an ``int``, and structure, dominance and the type of every
+    value operand (see the module conventions).
     Each violation names the global and element, or the function, block,
     and instruction id involved; a program of other than one function, a
     function with no blocks or duplicate labels, or an instruction of a
@@ -1141,9 +1141,32 @@ def validate(prog: Program) -> list[str]:
     than the first sweep of its instructions.  A phi takes its
     arms' type, counting through the phis among them; with several, it
     takes the type of its first arm with just one, else the least by name,
-    and reports the rest.
+    and reports the rest.  A list where a name stands stops the checks,
+    and is reported.
     """
     errs: list[str] = []
+    try:
+        return _check(prog, errs)
+    except TypeError:                   # a list where a name stands
+        func = prog.function()
+        names = [(func.name, "parameter name", p.name) for p in func.params]
+        for b in func.blocks:
+            names.append((func.name, "block label", b.label))
+            for ins in b.instrs:
+                at = f"{func.name}/{b.label}/id{ins.iid}"
+                labels = ins.labels if ins.labels.__class__ is tuple else ()
+                names += [(at, "result", ins.result),
+                          (at, "opcode", ins.opcode),
+                          *[(at, "label", l) for l in labels]]
+        errs += [f"{at}: {what} is {x!r}, not a name" for at, what, x in names
+                 if x is not None and x.__class__ is not str]
+        if not errs:
+            raise
+        return errs
+
+
+def _check(prog: Program, errs: list[str]) -> list[str]:
+    """``validate`` into ``errs``; a name it cannot hash raises."""
     for g in prog.globals.values():
         wrong = _non_ints(("element width", g.elem_width),
                           ("length", g.length),
@@ -1220,6 +1243,10 @@ def validate(prog: Program) -> list[str]:
                     ins.operands if ins.opcode == "phi"
                     else _vector(ins.width) if ins.opcode in VECTOR_OPS
                     else _SCALAR)
+    last = max([i for i in seen_ids if i.__class__ is int], default=-1)
+    if func.next_id.__class__ is not int or func.next_id <= last:
+        err(None, None, f"next id is {func.next_id!r}; it must be an int "
+                        f"above instruction id {last}")
     if untupled:                        # the graph's facts hash them
         return errs
     phis = {n: [a for a in t if a.__class__ in (int, str)]

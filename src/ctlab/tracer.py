@@ -24,8 +24,11 @@ is built into its slot the first time any input reaches that offset, and
 every later trace of every input shares it.  The bounds check, or the
 range proof that leaves it out, comes before the lookup, so ``o`` is in
 ``[0, length)`` and never indexes the list from its end.  A warm pass
-therefore allocates almost nothing per access, and the cyclic garbage
-collector, which a surplus of new container objects starts, seldom runs.
+therefore allocates almost nothing per access, and a run only its trace,
+event list and the cells of each region it writes or takes as an argument
+(``execute``).  The event lists still start about 4.6 young-generation
+garbage collections per warm ``wide-leaky`` benchmark pass, 2-2.5 ms of
+its 27-30 ms (2-core Xeon, CPython 3.11).
 
 ``execute`` translates a function into Python once and runs every input
 through the translation.  Each generated function runs one *region* of
@@ -158,8 +161,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cfg import natural_loops
@@ -210,13 +212,36 @@ class MemAccess(NamedTuple):
     offset: int
 
 
-@dataclass
 class Trace:
-    function: str
-    events: list[BranchDir | MemAccess]
-    result: int | None
-    steps: int
-    memory: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    """One run's events, result and step count, and ``memory``: each
+    region's cells when it ended, by name.  ``memory`` is given as a dict,
+    or as the run's own list of cells per region in ``names``' order."""
+
+    __slots__ = ("function", "events", "result", "steps", "_memory", "_names")
+
+    def __init__(self, function: str, events: list[BranchDir | MemAccess],
+                 result: int | None, steps: int, memory=None, names=None):
+        self.function, self.events, self.result, self.steps = \
+            function, events, result, steps
+        self._memory, self._names = {} if memory is None else memory, names
+
+    @property
+    def memory(self) -> dict[str, tuple[int, ...]]:
+        if self._names is not None:     # built on first read
+            self._memory = dict(zip(self._names, map(tuple, self._memory)))
+            self._names = None
+        return self._memory
+
+    def _fields(self):
+        return self.function, self.events, self.result, self.steps, self.memory
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() \
+            if other.__class__ is Trace else NotImplemented
+
+    def __repr__(self):
+        return ("Trace(function={!r}, events={!r}, result={!r}, steps={!r}, "
+                "memory={!r})").format(*self._fields())
 
 
 def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
@@ -237,7 +262,10 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
     docstring).  A program that is not frozen is copied, checked, frozen
     and keyed anew on every call, which can take several times as long as
     the run: to trace a hand-built program over many inputs, ``ir.freeze``
-    it once, which saves a walk and a key per call.
+    it once, which saves a walk and a key per call.  The translation
+    keeps an argument plan (``_translate``), so a call reads nothing of
+    the program; a global that no store writes is read from its shared
+    initializer, and the trace keeps the run's region lists.
     ``steps`` counts every instruction executed, phis and the terminator
     included, and ``fuel`` bounds it with the same outcome as
     counting step by step: an out-of-bounds access at step k raises its
@@ -248,41 +276,36 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
     a loop, its own or a nested one (on a ``break``, after the loop that
     it leaves); the driver checks it after every region.
     """
-    prog = freeze(prog)
-    func = prog.function()
-    memory = {g.name: list(g.init) for g in prog.globals.values()}
-    env: dict[str, int | tuple[int, ...]] = {}
-    for p in func.params:
-        if p.name not in args:
-            raise TraceError(f"missing argument {p.name!r}")
-        v = args[p.name]
-        if isinstance(p.type, ArrayType):
-            n = p.type.length
-            try:                    # int.__and__ takes what is an int
-                if not isinstance(v, (tuple, list)) or len(v) != n:
-                    raise TypeError
-                memory[p.name] = list(map(int.__and__, v, repeat(
-                    (1 << p.type.elem_width) - 1)))
-            except TypeError:
-                raise TraceError(f"argument {p.name!r}: need a tuple of {n} "
-                                 "integers") from None
-        elif isinstance(v, int):
-            env[p.name] = v & ((1 << p.type.width) - 1)
-        else:
-            raise TraceError(f"argument {p.name!r}: need an integer")
-
-    regions, used = _translate(prog)
+    regions, (function, names, inits, written, params) = \
+        _translate(freeze(prog))
+    cells = [*inits]
+    for j in written:
+        cells[j] = [*cells[j]]
+    env: dict[str, int] = {}
+    try:                                # int.__and__ takes only an int
+        for name, mask, n, j in params:
+            v = args[name]
+            if n is None:
+                env[name] = int.__and__(v, mask)
+            elif isinstance(v, (tuple, list)) and len(v) == n:
+                cells[j] = [x & mask for x in v]
+            else:
+                raise TypeError
+    except KeyError:
+        raise TraceError(f"missing argument {name!r}") from None
+    except TypeError:
+        need = "an integer" if n is None else f"a tuple of {n} integers"
+        raise TraceError(f"argument {name!r}: need {need}") from None
     events: list[BranchDir | MemAccess] = []
-    append, mem = events.append, [memory[r] for r in used]
+    append = events.append
     nxt = steps = 0
     try:
         while True:
-            nxt, steps = regions[nxt](env, append, mem, steps, fuel)
+            nxt, steps = regions[nxt](env, append, cells, steps, fuel)
             if steps > fuel:
                 break
             if nxt.__class__ is tuple:
-                return Trace(func.name, events, nxt[0], steps,
-                             {n: tuple(v) for n, v in memory.items()})
+                return Trace(function, events, nxt[0], steps, cells, names)
     except _OutOfBounds as e:
         if e.step <= fuel:
             raise TraceError(str(e)) from None
@@ -331,11 +354,13 @@ _translations = Memo()
 
 
 def _translate(prog):
-    """``(regions, arrays)`` for the frozen program ``prog``.
+    """``(regions, plan)`` for the frozen program ``prog``; ``plan`` is
+    ``execute``'s argument plan: ``(function name, region names, their
+    initializers, the globals that a store writes, the parameters)``.
 
     ``regions[k](env, E, M, s, F)`` runs region k from its head, with
     ``env`` holding the values that live between regions, ``E`` taking
-    each event, ``M[j]`` the list of memory region ``arrays[j]``, ``s`` the
+    each event, ``M[j]`` the cells of memory region ``names[j]``, ``s`` the
     steps taken so far and ``F`` the fuel.  It returns the index of the
     next region, or a 1-tuple holding the function's result, and the step
     count.  Region 0 starts at the entry block.
@@ -378,6 +403,18 @@ class _Translator:
                 self.shapes[p.name] = (p.type.elem_width, p.type.length)
             else:
                 params.append((p.name, p.type.width))
+        # ``execute``'s argument plan (see ``_translate``).
+        self.slot = {r: j for j, r in enumerate(self.shapes)}
+        inits = {g.name: g.init for g in prog.globals.values()}
+        stored = {ins.operands[0] for ins in func.instructions()
+                  if ins.opcode in ("store", "vstore")}
+        self.arguments = (
+            func.name, tuple(self.shapes), tuple(map(inits.get, self.shapes)),
+            tuple(self.slot[r] for r in inits if r in stored),
+            tuple((p.name, (1 << p.type.width) - 1, None, None)
+                  if isinstance(p.type, ScalarType) else
+                  (p.name, (1 << p.type.elem_width) - 1, p.type.length,
+                   self.slot[p.name]) for p in func.params))
         # Every phi's width, by the width rule (see ``ir``).
         defs = func.defs()
         inputs, rule = width_rule(defs, dict(params).__getitem__)
@@ -416,7 +453,6 @@ class _Translator:
                        for l in natural_loops(func)}
         self.ranges(func, flow, defs, params)
         self.names: dict[str, str] = {}     # value -> generated identifier
-        self.arrays: dict[str, str] = {}    # memory region -> identifier
         self.namespace = {"_oob": _oob}
         self.consts = 0
 
@@ -674,7 +710,7 @@ class _Translator:
             size += length
         self.compile(batch)
         return (tuple(self.namespace[f"r{k}"] for k in range(len(self.heads))),
-                tuple(self.arrays))
+                self.arguments)
 
     def compile(self, lines):
         exec(compile("\n".join(lines), "<ctlab translation>", "exec"),
@@ -694,8 +730,7 @@ class _Translator:
         self.checked: dict[str, int] = {}   # offset -> bound proved on it
         self.indent = "        " if k in self.loops else "    "
         self.node(h)
-        prologue = [f"{m} = M[{j}]"
-                    for j, (r, m) in enumerate(self.arrays.items())
+        prologue = [f"m{j} = M[{j}]" for j, r in enumerate(self.shapes)
                     if r in self.touched] + loads
         if k in self.loops:
             prologue.append("while True:")
@@ -730,7 +765,7 @@ class _Translator:
 
     def array(self, name) -> str:
         self.touched.add(name)
-        return self.arrays.setdefault(name, f"m{len(self.arrays)}")
+        return f"m{self.slot[name]}"
 
     def node(self, n):
         """Write node n and what the plan placed after it."""

@@ -250,17 +250,18 @@ def _in_func(body: str) -> str:
     return f"func f(secret k: u8) {{\nbb0:\n{body}\n  ret k\n}}"
 
 
-def _built(*blocks) -> Program:
-    """A program of ``f(secret k: u8)`` built without the parser: each
-    block is its label and its instructions' (id, opcode, result,
-    operands, labels) fields."""
+def _built(*blocks, next_id=10, param="k") -> Program:
+    """A program of ``f(secret k: u8)`` (``k`` named ``param``) built
+    without the parser: each block is its label and its instructions'
+    (id, opcode, result, operands, labels) fields; ids stay below
+    ``next_id``."""
     loc = SourceLoc("t.c", 1)
     return Program({"f": Function(
-        "f", [Param("k", ScalarType(8), "secret")],
+        "f", [Param(param, ScalarType(8), "secret")],
         [BasicBlock(label, [Instruction(iid, op, result, operands, loc,
                                         labels=labels)
                             for iid, op, result, operands, labels in instrs])
-         for label, instrs in blocks])})
+         for label, instrs in blocks], next_id=next_id)})
 
 
 _RET_K = (9, "ret", None, ("k",), ())
@@ -318,6 +319,19 @@ ERRORS = [
      "f/c/id2: phi after non-phi instruction"),
     (_built(("b", [(0, "load", "a", ("nope", 0), ()), _RET_K])),
      "f/b/id0: unknown memory name 'nope'"),
+    (_built(("b", [_RET_K]), next_id=9),
+     "f: next id is 9; it must be an int above instruction id 9"),
+    # A list where a name stands: each check that looks it up stops, and
+    # a second walk finds it.
+    (_built(("b", [(0, "add", ["a"], ("k", 1), ()), _RET_K])),
+     "f/b/id0: result is ['a'], not a name"),
+    (_built(("b", [(0, ["ret"], None, ("k",), ())])),
+     "f/b/id0: opcode is ['ret'], not a name"),
+    (_built(("b", [(0, "br", None, (), (["b"],))])),
+     "f/b/id0: label is ['b'], not a name"),
+    (_built((["b"], [_RET_K])), "f: block label is ['b'], not a name"),
+    (_built(("b", [_RET_K]), param=["k"]),
+     "f: parameter name is ['k'], not a name"),
 ]
 
 
@@ -329,6 +343,22 @@ def test_every_error_message_is_reachable(source, message):
         assert str(caught.value) == message
     else:
         assert validate(source) == [message]
+        with pytest.raises(IRError) as caught:
+            freeze(source)
+        assert str(caught.value) == message
+
+
+def test_a_stale_next_id_is_blamed_on_the_input():
+    # A pass takes fresh ids from ``next_id``; below an id in use it would
+    # make a duplicate and be blamed for it.
+    prog = copy_program(load_program("loop_unswitch_toy"))
+    prog.function().next_id = 0
+    message = ("loop_unswitch_toy: next id is 0; it must be an int above "
+               "instruction id 13")
+    assert validate(prog) == [message]
+    with pytest.raises(IRError) as err:
+        run_pipeline(prog, PRESETS["gcc13-O3"].spec)
+    assert str(err.value) == f"invalid input program: {message}"
 
 
 def test_result_names_may_begin_with_an_opcode():

@@ -541,6 +541,58 @@ def test_an_instruction_replaced_between_calls_is_translated_anew(
     assert translated[1].key != translated[0].key
 
 
+REGIONS = """
+func f(secret s: u8, secret m: arr<u8,4>, public k: arr<u8,2>) {
+bb0:
+  i = and s, 3
+  v = load t, i
+  store out, i, v
+  store m, i, s
+  w = load k, 1
+  ret w
+}
+global t: arr<u8,4> = [5, 6, 7, 8]
+global out: arr<u8,4> = zeros
+"""
+
+
+def test_a_traces_memory_is_its_own():
+    # A trace keeps its run's region lists and builds ``memory`` from them
+    # on first read; a global that no store writes is read from its shared
+    # initializer.  A later run of the same translation changes neither.
+    prog = freeze(parse_ir(REGIONS))
+    args = [{"s": s, "m": (1, 2, 3, 4), "k": (9, 0x1FF)} for s in (1, 6)]
+    first = execute(prog, args[0])
+    second = execute(prog, args[1])
+    assert first.memory == reference(prog, args[0])[0][3]
+    assert second.memory == reference(prog, args[1])[0][3]
+    assert first.memory["out"] == (0, 6, 0, 0)
+    assert first.memory["m"] == (1, 1, 3, 4) and first.memory["k"] == (9, 255)
+    # Equal by value, as a dataclass was.
+    again = [execute(prog, x) for x in args]
+    assert again == [first, second] and first != second
+    assert repr(tracer.Trace("f", [], None, 0)) == \
+        "Trace(function='f', events=[], result=None, steps=0, memory={})"
+
+
+def test_a_warm_run_reads_nothing_of_the_program(monkeypatch):
+    # The translation keeps an argument plan, so a call binds its
+    # arguments without the function, and a trace builds its memory dict
+    # only when it is read.
+    low = lowered("poly_frommsg", "llvm18-O3")
+    args = gen_inputs(low, count=16, seed=0).arg_dicts()
+    want = [execute(low, x) for x in args]
+    calls = []
+    real = ir.Program.function
+    monkeypatch.setattr(ir.Program, "function",
+                        lambda self: calls.append(self) or real(self))
+    traces = [execute(low, x) for x in args]
+    assert calls == []
+    assert all(t._names is not None for t in traces)     # nothing built
+    assert traces == want
+    assert all(t._names is None for t in traces)
+
+
 # ----------------------------------------------------------------------
 # Events at dynamic offsets
 # ----------------------------------------------------------------------
@@ -1154,9 +1206,9 @@ def regions_and_calls(monkeypatch, prog, args):
     real = tracer._translate
 
     def counted(prog):
-        regions, arrays = real(prog)
+        regions, plan = real(prog)
         return tuple((lambda r: lambda *a: calls.append(r) or r(*a))(r)
-                     for r in regions), arrays
+                     for r in regions), plan
 
     monkeypatch.setattr(tracer, "_translate", counted)
     execute(prog, args)
