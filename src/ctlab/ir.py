@@ -74,9 +74,10 @@ Conventions:
   instruction, often ``ins._replace(...)``, where the old one stood.  So
   ``copy_function`` copies the lists and shares the instructions.
 * A program that leaves a layer is frozen (``freeze``), and a frozen
-  program is a checked program: ``freeze`` validates what it freezes.
-  Its lists are tuples and every write raises, so the memos key it once
-  and meet it again by identity.  A pass works on a mutable copy
+  program is a checked program: ``freeze`` raises the first violation
+  that one walk of ``validate`` meets, never a bare Python error.  Its
+  lists are tuples and every write raises, so the memos key it once and
+  meet it again by identity.  A pass works on a mutable copy
   (``copy_program``).
 * Global initializers: ``zeros``, ``counting`` (element i holds i, wrapped),
   or an explicit ``[1, 2, 3]`` list of integers, wrapped to the element
@@ -275,21 +276,6 @@ _KEY_ROW = attrgetter(*KEY_FIELDS)
 _LABEL, _INSTRS = attrgetter("label"), attrgetter("instrs")
 
 
-def content_key(blocks: list[BasicBlock]) -> tuple:
-    """The content of ``blocks`` as a key: the block labels, the block
-    sizes, then one column per field of ``KEY_FIELDS`` over every
-    instruction in order (no columns when there are no instructions).
-
-    Columns keep no tuple per instruction, so a kept key is about half the
-    size of rows of fields.  Every tuple here is allocated at its final
-    size: one made from an iterator of unknown length, such as
-    ``tuple(map(...))``, grows by resizing, and the resized tuples pile up
-    in CPython's per-size free lists until the next full collection."""
-    rows = [*map(_KEY_ROW, chain.from_iterable(map(_INSTRS, blocks)))]
-    return ((*map(_LABEL, blocks),), (*map(len, map(_INSTRS, blocks)),),
-            *zip(*rows))
-
-
 @dataclass
 class BasicBlock:
     label: str
@@ -394,13 +380,24 @@ _LOC_ROW = attrgetter("file", "line")
 def program_key(prog: Program) -> tuple:
     """The content of ``prog`` as a key: the function name; each global's
     dict key, name, element width, length and elements; each parameter's
-    name, type, secrecy and default; then ``content_key`` of the blocks.
-    It holds no stage.  A frozen program's ``key`` holds it, built once.
-    Raises ``IRError`` for a program of other than one function."""
+    name, type, secrecy and default; the block labels; the block sizes;
+    then one column per field of ``KEY_FIELDS`` over every instruction in
+    order (no columns when there are no instructions).  It holds no stage.
+    A frozen program's ``key`` holds it, built once.  Raises ``IRError``
+    for a program of other than one function.
+
+    Columns keep no tuple per instruction, so a kept key is about half the
+    size of rows of fields.  Every tuple here is allocated at its final
+    size: one made from an iterator of unknown length, such as
+    ``tuple(map(...))``, grows by resizing, and the resized tuples pile up
+    in CPython's per-size free lists until the next full collection."""
     func = prog.function()
+    blocks = func.blocks
+    rows = [*map(_KEY_ROW, chain.from_iterable(map(_INSTRS, blocks)))]
     return (func.name,
             (*[(k, *_GLOBAL_ROW(g)) for k, g in prog.globals.items()],),
-            (*map(_PARAM_ROW, func.params),), *content_key(func.blocks))
+            (*map(_PARAM_ROW, func.params),), (*map(_LABEL, blocks),),
+            (*map(len, map(_INSTRS, blocks)),), *zip(*rows))
 
 
 # The size of each of the five memos keyed by content: the tracer's
@@ -524,8 +521,9 @@ def freeze(prog: Program) -> Program:
         blocks=tuple(_make(_FrozenBlock, label=b.label, instrs=(*b.instrs,))
                      for b in f.blocks))
         for slot, f in prog.functions.items()}
-    globals_ = {k: _make(_FrozenGlobal, **{**vars(g), "init": tuple(g.init)})
-                for k, g in prog.globals.items()}
+    globals_ = {k: _make(_FrozenGlobal, **{**vars(g), "init": (
+        tuple(g.init) if g.init.__class__ is list else g.init)})
+        for k, g in prog.globals.items()}
     frozen = _make(_FrozenProgram, functions=MappingProxyType(functions),
                    globals=MappingProxyType(globals_), stage=prog.stage)
     errors = validate(frozen)
@@ -630,25 +628,28 @@ _ARITY = {
 
 def _shape_error(ins: Instruction) -> str | None:
     """What is wrong with the shape of ``ins``, or None: its result,
-    operand count, width or lane count, ``icmp`` predicate, a memory op's
-    region, or a ``const`` of a name.  ``parse_ir`` and ``validate`` both
-    check it."""
-    oc = ins.opcode
+    operand count, width or lane count (a ``phi`` may carry the lane count
+    of the vectors it joins), predicate (one on ``icmp``, none elsewhere),
+    a memory op's region, or a ``const`` of a name.  ``parse_ir`` and
+    ``validate`` both check it."""
+    oc, width = ins.opcode, ins.width
     if (ins.result is None) is not (oc in NO_RESULT_OPS):
         return f"{oc} needs a result name" if ins.result is None \
             else f"{oc} takes no result"
     arity = _ARITY.get(oc)
-    if arity is None:                   # phi and the terminators
-        return None
-    if len(ins.operands) != arity:
+    if arity is not None and len(ins.operands) != arity:
         return f"{oc} takes {arity} operand(s), got {len(ins.operands)}"
     if oc in VECTOR_OPS:
-        if ins.width not in LANE_COUNTS:
-            return f"bad lane count {ins.width}"
-    elif ins.width not in INSTR_WIDTHS:
-        return f"bad width {ins.width}"
-    if oc == "icmp" and ins.pred not in CMP_PREDS:
-        return "icmp needs a predicate: icmp.eq/.ne/.lt/.gt"
+        if width not in LANE_COUNTS:
+            return f"bad lane count {width}"
+    elif width not in INSTR_WIDTHS and not (oc == "phi"
+                                            and width in LANE_COUNTS):
+        return f"bad width {width}"
+    if oc == "icmp":
+        if ins.pred not in CMP_PREDS:
+            return "icmp needs a predicate: icmp.eq/.ne/.lt/.gt"
+    elif ins.pred is not None:
+        return f"{oc} takes no predicate"
     if oc in MEMORY_OPS and not isinstance(ins.operands[0], str):
         return f"{oc} needs a global name first"
     if oc == "const" and not isinstance(ins.operands[0], int):
@@ -1116,122 +1117,129 @@ def _vector(lanes: int) -> str:
     return f"a {lanes}-lane vector"
 
 
-def _non_ints(*numbers) -> list[str]:
-    """A message for each ``(name, number)`` whose number is no ``int``."""
-    return [f"{name} is {x!r}, not an int" for name, x in numbers
-            if x.__class__ is not int]
+# The classes each instruction field may be, and the message for another.
+_FIELD_CLASSES = (
+    ("iid", (int,), "id is {!r}, not an int"),
+    ("width", (int,), "width is {!r}, not an int"),
+    ("operands", (tuple,), "operands are {!r}, not a tuple"),
+    ("labels", (tuple,), "labels are {!r}, not a tuple"),
+    ("loc", (SourceLoc,), "location is {!r}, not a SourceLoc"),
+    ("loc.line", (int,), "source line is {!r}, not an int"),
+    ("loc.file", (str,), "source file is {!r}, not a string"),
+    ("result", (str, type(None)), "result is {!r}, not a name"),
+    ("opcode", (str,), "opcode is {!r}, not a name"))
 
 
 def validate(prog: Program) -> list[str]:
-    """Return violation strings; empty means the program is well formed.
+    """The first violation in ``prog`` as a one-item list, naming the
+    global, or the function, block and instruction id; empty means the
+    program is well formed.
 
-    Checks that every global has as many elements as its length and that
-    they fit its element width, that every number it reads (a global's
-    element width, length and elements, a parameter's widths, an
-    instruction's id, width and source line, the next id) is an ``int``
-    and the next id above every id, that an instruction's operands and
-    labels are tuples, its location a ``SourceLoc`` and each value operand
-    a name or an ``int``, and structure, dominance and the type of every
-    value operand (see the module conventions).
-    Each violation names the global and element, or the function, block,
-    and instruction id involved; a program of other than one function, a
-    function with no blocks or duplicate labels, or an instruction of a
-    shape the parser rejects, is checked no further, and a function with
-    an instruction whose operands or labels are not tuples no further
-    than the first sweep of its instructions.  A phi takes its
-    arms' type, counting through the phis among them; with several, it
-    takes the type of its first arm with just one, else the least by name,
-    and reports the rest.  A list where a name stands stops the checks,
-    and is reported.
+    One walk checks, in order: each global (a name, an initializer kind,
+    ``int`` numbers, an element width the parser takes, as many elements
+    as its length, each fitting that width); that there is one function;
+    its name; each parameter (a name, a ``ScalarType`` or ``ArrayType`` of
+    ``int`` widths the parser takes, secret or public, an ``int`` default
+    or none); the block labels; each instruction's fields
+    (``_FIELD_CLASSES``), id and result; the next id; each instruction's
+    shape (``_shape_error``), operand types (see the module conventions)
+    and labels; and dominance.  Each part is checked where the walk first
+    reads or hashes it, so no program built in Python makes it raise.  A
+    phi takes its arms' type, counting through the phis among them; of
+    several, the type of its first arm with just one, else the least.
     """
-    errs: list[str] = []
     try:
-        return _check(prog, errs)
-    except TypeError:                   # a list where a name stands
-        func = prog.function()
-        names = [(func.name, "parameter name", p.name) for p in func.params]
-        for b in func.blocks:
-            names.append((func.name, "block label", b.label))
-            for ins in b.instrs:
-                at = f"{func.name}/{b.label}/id{ins.iid}"
-                labels = ins.labels if ins.labels.__class__ is tuple else ()
-                names += [(at, "result", ins.result),
-                          (at, "opcode", ins.opcode),
-                          *[(at, "label", l) for l in labels]]
-        errs += [f"{at}: {what} is {x!r}, not a name" for at, what, x in names
-                 if x is not None and x.__class__ is not str]
-        if not errs:
-            raise
-        return errs
-
-
-def _check(prog: Program, errs: list[str]) -> list[str]:
-    """``validate`` into ``errs``; a name it cannot hash raises."""
-    for g in prog.globals.values():
-        wrong = _non_ints(("element width", g.elem_width),
-                          ("length", g.length),
-                          *[(f"element {i}", x) for i, x in enumerate(g.init)
-                            if x.__class__ is not int])
-        errs += [f"global {g.name}: {w}" for w in wrong]
-        if wrong:
-            continue
-        if len(g.init) != g.length:     # the parser's wording
-            errs.append(f"global {g.name}: {len(g.init)} initializers for "
-                        f"length {g.length}")
-        for i, x in enumerate(g.init):
-            if not 0 <= x < 1 << g.elem_width:
-                errs.append(f"global {g.name}: element {i} is {x}, which "
-                            f"does not fit u{g.elem_width}")
-                break
-
-    try:
-        func = prog.function()
+        _check(prog)
     except IRError as e:
-        return errs + [str(e)]
+        return [str(e)]
+    return []
+
+
+def _check(prog: Program) -> None:
+    """``validate``'s walk: raise ``IRError`` with the first violation."""
+    for k, g in prog.globals.items():
+        where, init, ew = f"global {g.name}", g.init, g.elem_width
+        if g.name.__class__ is not str:
+            raise IRError(f"global {k}: name is {g.name!r}, not a name")
+        if g.init_kind not in ("zeros", "counting", "explicit"):
+            raise IRError(f"{where}: initializer kind is {g.init_kind!r}, "
+                          "not zeros, counting or explicit")
+        for what, x in ("element width", ew), ("length", g.length):
+            if x.__class__ is not int:
+                raise IRError(f"{where}: {what} is {x!r}, not an int")
+        if init.__class__ is not tuple and init.__class__ is not list:
+            raise IRError(f"{where}: initializers are {init!r}, not a tuple "
+                          "or a list")
+        if ew not in INSTR_WIDTHS:      # the parser's wording, as below
+            raise IRError(f"{where}: bad element width u{ew}")
+        if len(init) != g.length:
+            raise IRError(f"{where}: {len(init)} initializers for length "
+                          f"{g.length}")
+        bound = 1 << ew
+        for i, x in enumerate(init):
+            if x.__class__ is not int or not 0 <= x < bound:
+                raise IRError(f"{where}: element {i} is {x!r}, " + (
+                    "not an int" if x.__class__ is not int
+                    else f"which does not fit u{ew}"))
+
+    func = prog.function()
+    if func.name.__class__ is not str:
+        raise IRError(f"function name is {func.name!r}, not a name")
 
     def err(block, ins, msg):
-        where = func.name
-        if block is not None:
-            where += f"/{block.label}"
+        where = func.name if block is None else f"{func.name}/{block.label}"
         if ins is not None:
             where += f"/id{ins.iid}"
-        errs.append(f"{where}: {msg}")
+        raise IRError(f"{where}: {msg}")
 
     for p in func.params:
-        for w in _non_ints(*vars(p.type).items()):
-            err(None, None, f"parameter {p.name}: {w}")
+        t, at = p.type, f"parameter {p.name}"
+        if p.name.__class__ is not str:
+            err(None, None, f"parameter name is {p.name!r}, not a name")
+        if t.__class__ is not ScalarType and t.__class__ is not ArrayType:
+            err(None, None, f"{at}: type is {t!r}, not a ScalarType or an "
+                            "ArrayType")
+        for what, x in vars(t).items():
+            if x.__class__ is not int:
+                err(None, None, f"{at}: {what} is {x!r}, not an int")
+        if t.__class__ is ScalarType and t.width not in PARAM_WIDTHS:
+            err(None, None, f"{at}: unsupported scalar width u{t.width}")
+        if t.__class__ is ArrayType and t.elem_width not in INSTR_WIDTHS:
+            err(None, None, f"{at}: bad element width u{t.elem_width}")
+        if p.secrecy not in (SECRET, "public"):
+            err(None, None, f"{at}: secrecy is {p.secrecy!r}, not secret "
+                            "or public")
+        if p.default is not None and p.default.__class__ is not int:
+            err(None, None, f"{at}: default is {p.default!r}, not an int")
     labels = [b.label for b in func.blocks]
     if not labels:                      # the parser's wording
         err(None, None, f"function {func.name} has no blocks")
-        return errs
-    if len(set(labels)) != len(labels):
-        err(None, None, "duplicate block labels")
-        return errs
+    for label in labels:
+        if label.__class__ is not str:
+            err(None, None, f"block label is {label!r}, not a name")
     label_set = set(labels)
+    if len(label_set) != len(labels):
+        err(None, None, "duplicate block labels")
 
     seen_ids: set[int] = set()
-    untupled = False                    # operands or labels not a tuple
     defs: dict[str, tuple[str, int]] = {}  # name -> (block, index)
     types: dict[str, object] = {
         p.name: _REGION if isinstance(p.type, ArrayType) else _SCALAR
         for p in func.params}
     for block in func.blocks:
         for idx, ins in enumerate(block.instrs):
-            if ins.iid.__class__ is not int or ins.width.__class__ is not int:
-                for w in _non_ints(("id", ins.iid), ("width", ins.width)):
-                    err(block, ins, w)
-            if ins.operands.__class__ is not tuple or \
-                    ins.labels.__class__ is not tuple:
-                untupled = True
-                for name, x in ("operands", ins.operands), \
-                        ("labels", ins.labels):
-                    if x.__class__ is not tuple:
-                        err(block, ins, f"{name} are {x!r}, not a tuple")
-            if ins.loc.__class__ is not SourceLoc:
-                err(block, ins, f"location is {ins.loc!r}, not a SourceLoc")
-            elif ins.loc.line.__class__ is not int:
-                err(block, ins,
-                    f"source line is {ins.loc.line!r}, not an int")
+            loc = ins.loc
+            if (ins.iid.__class__ is not int or ins.width.__class__ is not int
+                    or ins.operands.__class__ is not tuple
+                    or ins.labels.__class__ is not tuple
+                    or loc.__class__ is not SourceLoc
+                    or loc.line.__class__ is not int
+                    or loc.file.__class__ is not str
+                    or ins.result.__class__ is not str and ins.result is not None
+                    or ins.opcode.__class__ is not str):
+                for name, classes, message in _FIELD_CLASSES:
+                    if (x := attrgetter(name)(ins)).__class__ not in classes:
+                        err(block, ins, message.format(x))
             if ins.iid in seen_ids:
                 err(block, ins, "duplicate instruction id")
             seen_ids.add(ins.iid)
@@ -1243,12 +1251,10 @@ def _check(prog: Program, errs: list[str]) -> list[str]:
                     ins.operands if ins.opcode == "phi"
                     else _vector(ins.width) if ins.opcode in VECTOR_OPS
                     else _SCALAR)
-    last = max([i for i in seen_ids if i.__class__ is int], default=-1)
+    last = max(seen_ids, default=-1)
     if func.next_id.__class__ is not int or func.next_id <= last:
         err(None, None, f"next id is {func.next_id!r}; it must be an int "
                         f"above instruction id {last}")
-    if untupled:                        # the graph's facts hash them
-        return errs
     phis = {n: [a for a in t if a.__class__ in (int, str)]
             for n, t in types.items() if isinstance(t, tuple)}
     if phis:
@@ -1263,44 +1269,43 @@ def _check(prog: Program, errs: list[str]) -> list[str]:
             one = [t for a in phis[p] if len(t := arm(a, reach)) == 1]
             types[p] = min(one[0] if one else ts, default=None)
 
-    malformed: set[int] = set()         # id() of each, checked no further
     for block in func.blocks:
-        term = block.terminator
-        if term is None:
+        if block.terminator is None:
             err(block, None, "block lacks a terminator")
         for idx, ins in enumerate(block.instrs):
-            shape = f"unknown opcode {ins.opcode!r}" \
-                if ins.opcode not in ALL_OPS else _shape_error(ins)
+            oc = ins.opcode
+            shape = f"unknown opcode {oc!r}" \
+                if oc not in ALL_OPS else _shape_error(ins)
             if shape is not None:
                 err(block, ins, shape)
-                malformed.add(id(ins))
-                continue
-            if ins.is_terminator and idx != len(block.instrs) - 1:
+            if oc in TERMINATOR_OPS and idx != len(block.instrs) - 1:
                 err(block, ins, "terminator not at block end")
-            if ins.opcode == "phi" and block is func.blocks[0]:
+            if oc == "phi" and block is func.blocks[0]:
                 err(block, ins, "phi in the entry block")
-            if ins.opcode == "phi" and any(
+            if oc == "phi" and any(
                     prev.opcode != "phi" for prev in block.instrs[:idx]):
                 err(block, ins, "phi after non-phi instruction")
-            want = (types[ins.result] if ins.opcode == "phi"
-                    else _vector(ins.width) if ins.opcode in LANEWISE_OPS
-                    or ins.opcode == "vselect" else _SCALAR)
+            want = (types[ins.result] if oc == "phi"
+                    else _vector(ins.width) if oc in LANEWISE_OPS
+                    or oc == "vselect" else _SCALAR)
             for k, op in enumerate(value_operands(ins)):
-                need = _vector(ins.width) if ins.opcode == "vstore" \
-                    and k == 1 else want
-                if op.__class__ not in (int, str):
+                need = _vector(ins.width) if oc == "vstore" and k == 1 \
+                    else want
+                if op.__class__ is int:
+                    got = _SCALAR
+                elif op.__class__ is not str:
                     err(block, ins, f"operand {op!r} is not a name or an int")
-                    malformed.add(id(ins))
-                    continue
-                got = _SCALAR if op.__class__ is int else types.get(op)
-                if op not in types and op.__class__ is not int:
+                elif op not in types:
                     err(block, ins, f"use of undefined {op!r}")
-                elif got is not None and got != need:
-                    err(block, ins,
-                        f"operand {op!r} is {got}; {ins.opcode} needs {need}")
-            for l in ins.labels:
-                if l not in label_set:
-                    err(block, ins, f"unknown target block {l!r}")
+                else:
+                    got = types[op]
+                if got is not None and got != need:
+                    err(block, ins, f"operand {op!r} is {got}; {oc} needs {need}")
+            for label in ins.labels:
+                if label.__class__ is not str:
+                    err(block, ins, f"label is {label!r}, not a name")
+                if label not in label_set:
+                    err(block, ins, f"unknown target block {label!r}")
             if ins.opcode in MEMORY_OPS and ins.operands[0] not in \
                     prog.globals and types.get(ins.operands[0]) != _REGION:
                 err(block, ins,
@@ -1318,8 +1323,6 @@ def _check(prog: Program, errs: list[str]) -> list[str]:
         if block.label not in reach:
             continue  # unreachable; skip dominance checks
         for idx, ins in enumerate(block.instrs):
-            if id(ins) in malformed:
-                continue
             if ins.opcode == "phi":
                 preds = flow.preds(block.label)
                 for label, op in zip(ins.labels, ins.operands):
@@ -1330,8 +1333,7 @@ def _check(prog: Program, errs: list[str]) -> list[str]:
                             and not flow.dominates(defs[op][0], label):
                         err(block, ins,
                             f"phi value {op!r} does not dominate edge {label}")
-                arm_labels = set(ins.labels)
-                if arm_labels != set(p for p in preds if p in reach):
+                if set(ins.labels) != {p for p in preds if p in reach}:
                     err(block, ins, "phi arms do not match predecessors")
                 continue
             for op in value_operands(ins):
@@ -1344,8 +1346,6 @@ def _check(prog: Program, errs: list[str]) -> list[str]:
                 elif not flow.dominates(dblock, block.label):
                     err(block, ins,
                         f"definition of {op!r} does not dominate use")
-
-    return errs
 
 
 # ======================================================================

@@ -395,8 +395,8 @@ class _Translator:
     def __init__(self, prog):
         func = prog.function()
         # memory region -> (elem width, length), as ``execute`` lays it out
-        self.shapes = {g.name: (g.elem_width, len(g.init))
-                       for g in prog.globals.values()}
+        self.shapes = {k: (g.elem_width, len(g.init))
+                       for k, g in prog.globals.items()}
         params = []                     # scalar parameter widths
         for p in func.params:
             if isinstance(p.type, ArrayType):
@@ -405,7 +405,7 @@ class _Translator:
                 params.append((p.name, p.type.width))
         # ``execute``'s argument plan (see ``_translate``).
         self.slot = {r: j for j, r in enumerate(self.shapes)}
-        inits = {g.name: g.init for g in prog.globals.values()}
+        inits = {k: g.init for k, g in prog.globals.items()}
         stored = {ins.operands[0] for ins in func.instructions()
                   if ins.opcode in ("store", "vstore")}
         self.arguments = (

@@ -5,13 +5,14 @@ from __future__ import annotations
 import copy
 import pickle
 import random
-from dataclasses import fields
+import signal
+from dataclasses import fields, replace
 
 import pytest
 
 from ctlab import backend, ir, passes, tracer
 from ctlab.analysis import analyze
-from ctlab.backend import PROFILES, lower
+from ctlab.backend import PROFILES, LoweringError, lower
 from ctlab.corpus import load_program, names
 from ctlab.ir import (
     INSTR_WIDTHS,
@@ -34,9 +35,10 @@ from ctlab.ir import (
     validate,
     value_bits,
 )
+from ctlab.leaks import LeakError
 from ctlab.mitigations import PRESETS
 from ctlab.passes import InternalPassError, PipelineSpec, run_pipeline
-from ctlab.tracer import execute, gen_inputs
+from ctlab.tracer import TraceError, execute, gen_inputs
 from conftest import count_walks, start_cold
 
 BASIC = """
@@ -185,11 +187,13 @@ def test_validate_rejects_a_global_element_that_does_not_fit():
     prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  ret n\n}\n"
                     "global g: arr<u8,3> = [1, 2, 255]")
     assert validate(prog) == []
-    prog.globals["g"] = GlobalArray("g", 8, 3, (1, 2 ** 40, -1))
-    prog.globals["h"] = GlobalArray("h", 16, 2, (65535, -1))
-    assert validate(prog) == [
-        "global g: element 1 is 1099511627776, which does not fit u8",
-        "global h: element 1 is -1, which does not fit u16"]
+    for g, message in [
+            (GlobalArray("g", 8, 3, (1, 2 ** 40, 255)),
+             "global g: element 1 is 1099511627776, which does not fit u8"),
+            (GlobalArray("h", 16, 2, (65535, -1)),
+             "global h: element 1 is -1, which does not fit u16")]:
+        prog.globals = {g.name: g}
+        assert validate(prog) == [message]
 
 
 def test_validate_rejects_a_global_whose_initializers_miss_its_length():
@@ -321,8 +325,8 @@ ERRORS = [
      "f/b/id0: unknown memory name 'nope'"),
     (_built(("b", [_RET_K]), next_id=9),
      "f: next id is 9; it must be an int above instruction id 9"),
-    # A list where a name stands: each check that looks it up stops, and
-    # a second walk finds it.
+    # A list where a name stands: the walk checks each name before it
+    # first hashes it.
     (_built(("b", [(0, "add", ["a"], ("k", 1), ()), _RET_K])),
      "f/b/id0: result is ['a'], not a name"),
     (_built(("b", [(0, ["ret"], None, ("k",), ())])),
@@ -410,27 +414,24 @@ def test_validate_catches_broken_programs():
 
 def test_validate_checks_the_shapes_the_parser_checks():
     # Each would pass the other checks and then crash execute.
-    prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n  a = icmp.eq n, 1\n"
-                    "  b = add n, 1\n  c = add n, 1\n  d = const 5\n"
-                    "  e = add n, 1\n  ret n\n}")
-    instrs = prog.function().blocks[0].instrs
-    instrs[0] = instrs[0]._replace(pred="le")
-    instrs[1] = instrs[1]._replace(operands=("n",))
-    instrs[2] = instrs[2]._replace(operands=("n", 1, 2))
-    instrs[3] = instrs[3]._replace(operands=("n",))
-    instrs[4] = instrs[4]._replace(width=7)
-    instrs[5] = instrs[5]._replace(result="r")
-    assert validate(prog) == [
-        "f/bb0/id0: icmp needs a predicate: icmp.eq/.ne/.lt/.gt",
-        "f/bb0/id1: add takes 2 operand(s), got 1",
-        "f/bb0/id2: add takes 2 operand(s), got 3",
-        "f/bb0/id3: const takes an immediate",
-        "f/bb0/id4: bad width 7",
-        "f/bb0/id5: ret takes no result",
-    ]
-    with pytest.raises(IRError, match="invalid input program: f/bb0/id0: "
-                                      "icmp needs a predicate"):
-        run_pipeline(prog, PipelineSpec())
+    for k, change, message in [
+            (0, {"pred": "le"},
+             "f/bb0/id0: icmp needs a predicate: icmp.eq/.ne/.lt/.gt"),
+            (1, {"operands": ("n",)}, "f/bb0/id1: add takes 2 operand(s), got 1"),
+            (2, {"operands": ("n", 1, 2)},
+             "f/bb0/id2: add takes 2 operand(s), got 3"),
+            (3, {"operands": ("n",)}, "f/bb0/id3: const takes an immediate"),
+            (4, {"width": 7}, "f/bb0/id4: bad width 7"),
+            (5, {"result": "r"}, "f/bb0/id5: ret takes no result")]:
+        prog = parse_ir("func f(public n: u32 = 1) {\nbb0:\n"
+                        "  a = icmp.eq n, 1\n  b = add n, 1\n  c = add n, 1\n"
+                        "  d = const 5\n  e = add n, 1\n  ret n\n}")
+        instrs = prog.function().blocks[0].instrs
+        instrs[k] = instrs[k]._replace(**change)
+        assert validate(prog) == [message]
+        with pytest.raises(IRError) as err:
+            run_pipeline(prog, PipelineSpec())
+        assert str(err.value) == f"invalid input program: {message}"
 
 
 def test_validate_phi_arms_match_predecessors():
@@ -521,17 +522,16 @@ def test_validate_accepts_vector_phis():
 @pytest.mark.parametrize("order", [("r", "q"), ("q", "r")])
 def test_each_phi_of_an_ill_typed_cycle_is_blamed_by_its_own_arms(order):
     # r and q both reach a vector and a scalar; each takes the type of its
-    # one arm from outside the cycle, wherever the cycle is entered.
+    # one arm from outside the cycle, wherever the cycle is entered, so
+    # the walk blames the first of them by the arm from the other.
     phis = {"r": "  r = phi [bbH: q], [bb0: v]\n",
             "q": "  q = phi [bbH: r], [bb0: n]\n"}
     body = ("  br bbH\nbbH:\n" + "".join(phis[p] for p in order)
             + "  condbr n, bbH, bbX\nbbX:\n  ret n")
-    iid = {p: 3 + k for k, p in enumerate(order)}
-    assert sorted(validate(parse_ir(TYPED.format(body=body)))) == sorted([
-        f"f/bbH/id{iid['r']}: operand 'q' is a scalar; phi needs a 4-lane "
-        "vector",
-        f"f/bbH/id{iid['q']}: operand 'r' is a 4-lane vector; phi needs a "
-        "scalar"])
+    blame = {"r": "operand 'q' is a scalar; phi needs a 4-lane vector",
+             "q": "operand 'r' is a 4-lane vector; phi needs a scalar"}
+    assert validate(parse_ir(TYPED.format(body=body))) == [
+        f"f/bbH/id3: {blame[order[0]]}"]
 
 
 LOOP_MASK = """
@@ -854,9 +854,10 @@ NOT_INTS = {
                        "global g: element 1 is 1.0, not an int"),
 }
 
-# A part the check reads that is not of the type it takes: a list, which
-# cannot be hashed, where a name, an int or a tuple stands, and a
-# location that is not a ``SourceLoc``.
+# A part the check reads that is not of the type or in the range it
+# takes: a list, which cannot be hashed, where a name, an int or a tuple
+# stands, a location that is not a ``SourceLoc``, and a width that the
+# parser would not take.
 NOT_PARTS = {
     "list operand": (lambda p: _put(p, "bb2", 1, operands=(["p"], 3)),
                      "f/bb2/id5: operand ['p'] is not a name or an int"),
@@ -871,6 +872,43 @@ NOT_PARTS = {
                      "f/bb2/id5: operands are ['p', 3], not a tuple"),
     "label list": (lambda p: _put(p, "bb0", 1, labels=["bb1", "bb2"]),
                    "f/bb0/id1: labels are ['bb1', 'bb2'], not a tuple"),
+    "source file": (lambda p: _put(p, "bb2", 1, loc=SourceLoc(["f.c"], 8)),
+                    "f/bb2/id5: source file is ['f.c'], not a string"),
+    "list predicate": (lambda p: _put(p, "bb0", 0, pred=["lt"]),
+                       "f/bb0/id0: icmp needs a predicate: "
+                       "icmp.eq/.ne/.lt/.gt"),
+    "predicate off icmp": (lambda p: _put(p, "bb2", 1, pred="eq"),
+                           "f/bb2/id5: add takes no predicate"),
+    "phi width": (lambda p: _put(p, "bb2", 0, width=-1),
+                  "f/bb2/id4: bad width -1"),
+    "terminator width": (lambda p: _put(p, "bb2", 4, width=-1),
+                         "f/bb2/id8: bad width -1"),
+    "entry label": (_set(lambda p: p.function().blocks[0], label=None),
+                    "f: block label is None, not a name"),
+    "function name": (_set(lambda p: p.function(), name=["f"]),
+                      "function name is ['f'], not a name"),
+    "parameter type": (_set(lambda p: p.function().params[0], type=None),
+                       "f: parameter s: type is None, not a ScalarType or "
+                       "an ArrayType"),
+    "scalar parameter width": (
+        _set(lambda p: p.function().params[0], type=ScalarType(-3)),
+        "f: parameter s: unsupported scalar width u-3"),
+    "array parameter element width": (
+        _set(lambda p: p.function().params[2], type=ArrayType(-1, 2)),
+        "f: parameter a: bad element width u-1"),
+    "secrecy": (_set(lambda p: p.function().params[0], secrecy=["secret"]),
+                "f: parameter s: secrecy is ['secret'], not secret or public"),
+    "default": (_set(lambda p: p.function().params[1], default=[2]),
+                "f: parameter n: default is [2], not an int"),
+    "global name": (_set_global(name=["g"]),
+                    "global g: name is ['g'], not a name"),
+    "initializer kind": (_set_global(init_kind=["zeros"]),
+                         "global g: initializer kind is ['zeros'], not "
+                         "zeros, counting or explicit"),
+    "initializer": (_set_global(init=5),
+                    "global g: initializers are 5, not a tuple or a list"),
+    "global element width": (_set_global(elem_width=-1),
+                             "global g: bad element width u-1"),
 }
 
 
@@ -907,6 +945,86 @@ def test_a_number_that_is_not_an_int_is_a_located_error(change, message):
                          ids=list(NOT_PARTS))
 def test_a_part_of_another_type_is_a_located_error(change, message):
     located_error(change, message)
+
+
+def field_setters(prog):
+    """``(field, put)`` for each field of each part of ``prog``:
+    ``put(p, value)`` sets that field of ``p``, a mutable copy of ``prog``,
+    to ``value``."""
+    def attr(part, name):
+        return lambda p, v: setattr(part(p), name, v)
+
+    def typed(i, name):                 # a field of parameter i's type
+        def put(p, v):
+            param = p.function().params[i]
+            param.type = replace(param.type, **{name: v})
+        return put
+
+    def field(j, k, name, loc=False):   # a field of instruction k of block j
+        def put(p, v):
+            instrs = p.function().blocks[j].instrs
+            instrs[k] = instrs[k]._replace(
+                **{"loc": replace(instrs[k].loc, **{name: v})} if loc
+                else {name: v})
+        return put
+
+    func = prog.function()
+    yield "stage", attr(lambda p: p, "stage")
+    for key in prog.globals:
+        for name in ("name", "elem_width", "length", "init", "init_kind"):
+            yield f"global {key} {name}", attr(lambda p, key=key:
+                                               p.globals[key], name)
+    for name in ("name", "next_id"):
+        yield f"function {name}", attr(Program.function, name)
+    for i, param in enumerate(func.params):
+        for name in ("name", "type", "secrecy", "default"):
+            yield f"parameter {i} {name}", attr(lambda p, i=i:
+                                                p.function().params[i], name)
+        for name in vars(param.type):
+            yield f"parameter {i} type {name}", typed(i, name)
+    for j, block in enumerate(func.blocks):
+        yield f"block {j} label", attr(lambda p, j=j: p.function().blocks[j],
+                                       "label")
+        for k in range(len(block.instrs)):
+            for f in fields(Instruction):
+                yield f"instruction {j}.{k} {f.name}", field(j, k, f.name)
+            for name in ("file", "line"):
+                yield f"instruction {j}.{k} loc {name}", field(j, k, name, True)
+
+
+def _hang(signum, frame):
+    raise TimeoutError("the analysis ran past its alarm")
+
+
+def test_one_corrupted_field_ends_in_ctlab_s_own_error():
+    # Each field of each part of four programs, set in turn to each value
+    # below: freezing and analysing the program completes or raises one of
+    # ctlab's own errors, never a bare Python error, and never hangs.
+    values = (None, 1.5, ["x"], -1, True, "zz", 0)
+    ours = (IRError, TraceError, LeakError, LoweringError, InternalPassError)
+    spec = PRESETS["baseline-off"].spec
+    bases = [load_program(n) for n in ("fig1b_load", "fig1d_ctlookup",
+                                       "loop_unswitch_toy")]
+    bases.append(freeze(parse_ir(MEMO_BASE)))
+    old = signal.signal(signal.SIGALRM, _hang)
+    try:
+        for base in bases:
+            for what, put in field_setters(base):
+                for value in values:
+                    prog = copy_program(base)
+                    put(prog, value)
+                    signal.alarm(5)
+                    try:
+                        analyze(freeze(prog), spec, inputs=4)
+                    except ours:
+                        pass
+                    except Exception as e:
+                        pytest.fail(f"{base.function().name}: {what} = "
+                                    f"{value!r}: {e!r}")
+                    finally:
+                        signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, old)
 
 
 def memo_programs():
