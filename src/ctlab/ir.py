@@ -889,12 +889,12 @@ def print_ir(prog: Program) -> str:
             lines.append(f"  {print_instruction(ins, with_id=True)}")
     lines.append("}")
     lines.append("")
-    for g in prog.globals.values():
+    for name, g in prog.globals.items():     # the name memory ops use
         if g.init_kind in ("zeros", "counting"):
             init = g.init_kind
         else:
             init = "[" + ", ".join(str(v) for v in g.init) + "]"
-        lines.append(f"global {g.name}: arr<u{g.elem_width},{g.length}> = {init}")
+        lines.append(f"global {name}: arr<u{g.elem_width},{g.length}> = {init}")
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -1139,14 +1139,17 @@ def validate(prog: Program) -> list[str]:
     ``int`` numbers, an element width the parser takes, as many elements
     as its length, each fitting that width); that there is one function;
     its name; each parameter (a name, a ``ScalarType`` or ``ArrayType`` of
-    ``int`` widths the parser takes, secret or public, an ``int`` default
-    or none); the block labels; each instruction's fields
-    (``_FIELD_CLASSES``), id and result; the next id; each instruction's
-    shape (``_shape_error``), operand types (see the module conventions)
-    and labels; and dominance.  Each part is checked where the walk first
-    reads or hashes it, so no program built in Python makes it raise.  A
-    phi takes its arms' type, counting through the phis among them; of
-    several, the type of its first arm with just one, else the least.
+    ``int`` widths the parser takes and a length of at least 0, secret or
+    public, and no default or, on a public scalar, an ``int`` that fits
+    its width); the block labels; each instruction's fields
+    (``_FIELD_CLASSES``), an id and a source line of at least 0, and its
+    result; the next id; each instruction's shape (``_shape_error``),
+    operand types (see the module conventions) and labels; and dominance.
+    Each part is checked where the walk first reads or hashes it, so no
+    program built in Python makes it raise, and ``print_ir`` writes a
+    program that passes as text that parses back.  A phi takes its arms'
+    type, counting through the phis among them; of several, the type of
+    its first arm with just one, else the least.
     """
     try:
         _check(prog)
@@ -1206,11 +1209,21 @@ def _check(prog: Program) -> None:
             err(None, None, f"{at}: unsupported scalar width u{t.width}")
         if t.__class__ is ArrayType and t.elem_width not in INSTR_WIDTHS:
             err(None, None, f"{at}: bad element width u{t.elem_width}")
+        if t.__class__ is ArrayType and t.length < 0:
+            err(None, None, f"{at}: length is {t.length}, which is negative")
         if p.secrecy not in (SECRET, "public"):
             err(None, None, f"{at}: secrecy is {p.secrecy!r}, not secret "
                             "or public")
-        if p.default is not None and p.default.__class__ is not int:
-            err(None, None, f"{at}: default is {p.default!r}, not an int")
+        if p.default is not None:       # the parser's wording, as below
+            if p.default.__class__ is not int:
+                err(None, None, f"{at}: default is {p.default!r}, not an int")
+            if p.secrecy == SECRET:
+                err(None, None, f"secret parameter {p.name!r} takes no default")
+            if t.__class__ is ArrayType:
+                err(None, None, "array parameter defaults are not supported")
+            if not 0 <= p.default < 1 << t.width:
+                err(None, None, f"{at}: default is {p.default}, which does "
+                                f"not fit u{t.width}")
     labels = [b.label for b in func.blocks]
     if not labels:                      # the parser's wording
         err(None, None, f"function {func.name} has no blocks")
@@ -1240,6 +1253,9 @@ def _check(prog: Program) -> None:
                 for name, classes, message in _FIELD_CLASSES:
                     if (x := attrgetter(name)(ins)).__class__ not in classes:
                         err(block, ins, message.format(x))
+            if ins.iid < 0 or loc.line < 0:     # the text writes neither
+                err(block, ins, "negative instruction id" if ins.iid < 0
+                    else f"source line is {loc.line}, which is negative")
             if ins.iid in seen_ids:
                 err(block, ins, "duplicate instruction id")
             seen_ids.add(ins.iid)

@@ -15,14 +15,23 @@ in step, skipping equal events, and its divergences are classified:
 A pair also stops at its first misaligned event, or where one trace ends.
 
 The pairs are not walked one by one but refined together, as a
-partition: a group holds traces no pair of which has stopped.  It walks
-forward while its members' events line up, noting memory events met at
-different offsets, and at the first position where they stop lining up
-it splits by aligned structure; pairs that land in different parts stop,
-and each part of two or more goes on alone.  Identical traces never stop,
-so they stay in one part.  Each pair is so walked exactly as far as a
-scan of its two traces would go, and the work grows with the number of
-traces rather than of their pairs.
+partition: a group holds traces no pair of which has stopped.  A group of
+three or more walks column by column, reading one event of each member
+per position, and moves on while every event equals the first; at the
+first position where they stop lining up it splits by aligned structure,
+noting what differs there; pairs that land in different parts stop, and
+each part of two or more goes on alone.  A group of two is one scan for
+the positions where its events differ.  Identical traces never stop, so
+they stay in one part.  Each pair is so walked exactly as far as a scan
+of its two traces would go, and the work grows with the events read, not
+with the pairs: a position costs one step of Python whatever the size of
+the group, and a part goes on with its members' iterators where the
+group left them, without slicing their lists again.
+
+Both walks test identity before equality.  The tracer builds each event
+once and shares it between traces, so nearly every test is settled by
+identity in C, but identity is only a shortcut: two equal events that
+are distinct objects are compared by value, and give the same findings.
 
 Findings are attributed to instruction ids and source locations, and
 deduplicated by (instr, kind) so each culprit appears once per report.
@@ -32,10 +41,10 @@ if every pair had been scanned.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import ne
+from itertools import compress, count, islice
+from operator import is_not
 
 from .ir import SourceLoc
 from .tracer import Trace
@@ -92,83 +101,79 @@ class ReportDiff:
         return not self.added_lines and not self.removed_lines
 
 
-# A group's members are first walked against its lowest member over this
-# many events, then over windows twice as long: a member misaligned late in
-# a window wastes the walks of the members before it, and doubling keeps
-# that waste within the work already done.
-_WINDOW = 16
-
 _Note = Callable[[int, str, tuple[int, int]], None]
-_Group = tuple[int, list[int], list[list[tuple]]]
+_Group = tuple[int, list[int], list[list[tuple]], list[Iterator[tuple]]]
 
 
-def _refine(pos: int, idx: list[int], seqs: list[list[tuple]], note: _Note,
+def _refine(pos: int, idx: list[int], seqs: list[list[tuple]],
+            its: list[Iterator[tuple]], note: _Note,
             groups: list[_Group]) -> None:
     """Walk one group of traces from event ``pos`` until it splits or a
     member ends, noting the first diverging pair in the group for every
     divergence on the way.
 
-    ``idx`` (ascending) are the members' trace indices and ``seqs`` their
-    event lists; no pair of members has stopped before ``pos``.  The parts
-    of two or more members that the group splits into go onto ``groups``.
-    An event's aligned structure is ``e[:3]``: (instr, kind, region) of a
+    ``idx`` (ascending) are the members' trace indices, ``seqs`` their
+    event lists and ``its`` iterators over those lists from ``pos`` on; no
+    pair of members has stopped before ``pos``.  The parts of two or more
+    members that the group splits into go onto ``groups``, each member
+    with its own iterator, so no part starts over from its list.  An
+    event's aligned structure is ``e[:3]``: (instr, kind, region) of a
     memory event, the whole (instr, taken) of a branch; the lengths
     differ, so the two never match.
-    """
-    # While every member is aligned with the first, two members that differ
-    # cannot both equal the first, so the first paired with the lowest
-    # member that differs from it is the first pair to show a memory
-    # divergence.  Each member is walked against the first, skipping equal
-    # events, up to the first misaligned event of any member (``split``)
-    # or the end of the shortest.  A member walked before ``split`` was
-    # found may have gone past it, but only together with the first, so
-    # what it found there is a divergence of that pair all the same.
-    first = seqs[0]
-    split = end = min(map(len, seqs))
-    lowest: dict[int, int] = {}     # memory id -> lowest member differing
-    lo, width = pos, _WINDOW
-    while lo < split:
-        hi = min(lo + width, split)
-        for m in range(1, len(seqs)):
-            s = seqs[m]
-            for q in compress(count(lo), map(ne, first[lo:hi], s[lo:hi])):
-                a = first[q]
-                if a[:3] != s[q][:3]:
-                    hi = split = q
-                    break
-                if m < lowest.get(a[0], len(seqs)):
-                    lowest[a[0]] = m
-        lo, width = hi, 2 * width
-    for iid, m in lowest.items():
-        note(iid, MEMORY_ACCESS, (idx[0], idx[m]))
 
-    if split == end:
-        # The shortest members ended: their pairs stop, the rest go on.
-        rest = [m for m, s in enumerate(seqs) if len(s) > end]
-        if len(rest) > 1:
-            groups.append((end, [idx[m] for m in rest],
-                           [seqs[m] for m in rest]))
+    A pair is one scan, in C, for the positions where its two events are
+    not one object; each hit is then compared by value.  A group of three
+    or more reads a column, one event of each member, per position, and
+    moves on when every event equals the first, a count that runs in C
+    and meets the tracer's shared events by identity.
+    """
+    if len(seqs) == 2:
+        a, b = seqs
+        for q in compress(count(pos), map(is_not, *its)):
+            e, f = a[q], b[q]
+            if e[:3] != f[:3]:      # misaligned: the pair stops here
+                if len(e) == len(f) == 2 and e[0] == f[0]:    # one branch
+                    note(e[0], CONTROL_FLOW, (idx[0], idx[1]))
+                return
+            if e != f:
+                note(e[0], MEMORY_ACCESS, (idx[0], idx[1]))
         return
-    # Split by aligned structure; pairs across buckets stop here, and a
-    # branch taken both ways is a control-flow divergence.
-    buckets: dict[tuple, list[int]] = {}
-    for m, s in enumerate(seqs):
-        buckets.setdefault(s[split][:3], []).append(m)
-    for head, ms in buckets.items():
-        if len(head) == 2:
-            other = buckets.get((head[0], False)) if head[1] else None
-            if other:
-                i, j = idx[ms[0]], idx[other[0]]
-                note(head[0], CONTROL_FLOW, (min(i, j), max(i, j)))
-        else:
-            e = seqs[ms[0]][split]
-            for m in ms:
-                if seqs[m][split] != e:
-                    note(head[0], MEMORY_ACCESS, (idx[ms[0]], idx[m]))
-                    break
-        if len(ms) > 1:
-            groups.append((split + 1, [idx[m] for m in ms],
-                           [seqs[m] for m in ms]))
+    n = len(seqs)
+    for p, col in enumerate(zip(*its), pos):
+        if col.count(col[0]) == n:
+            continue
+        # Bucket by aligned structure; pairs across buckets stop here, and
+        # a branch taken both ways is a control-flow divergence.  Within a
+        # bucket, the first member paired with the lowest that differs
+        # from it is the first pair to show a memory divergence.
+        buckets: dict[tuple, list[int]] = {}
+        for m, e in enumerate(col):
+            buckets.setdefault(e[:3], []).append(m)
+        for head, ms in buckets.items():
+            if len(head) == 2:
+                other = buckets.get((head[0], False)) if head[1] else None
+                if other:
+                    i, j = idx[ms[0]], idx[other[0]]
+                    note(head[0], CONTROL_FLOW, (min(i, j), max(i, j)))
+            else:
+                e = col[ms[0]]
+                for m in ms:
+                    if col[m] != e:
+                        note(head[0], MEMORY_ACCESS, (idx[ms[0]], idx[m]))
+                        break
+        if len(buckets) > 1:
+            for ms in buckets.values():
+                if len(ms) > 1:
+                    groups.append((p + 1, [idx[m] for m in ms],
+                                   [seqs[m] for m in ms], [its[m] for m in ms]))
+            return
+    # The shortest members ended: their pairs stop, the rest go on.  The
+    # iterators zip read before it met the end may have lost an event.
+    end = min(map(len, seqs))
+    rest = [m for m, s in enumerate(seqs) if len(s) > end]
+    if len(rest) > 1:
+        groups.append((end, [idx[m] for m in rest], [seqs[m] for m in rest],
+                       [islice(seqs[m], end, None) for m in rest]))
 
 
 def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
@@ -177,7 +182,10 @@ def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
 
     Traces equal to trace 0 are dropped first: such a trace parts from
     every other trace as trace 0 does, in a later pair.  The rest are
-    refined together in groups (``_refine``), never compared pair by pair.
+    refined together in groups (``_refine``), never compared pair by pair:
+    a group of three or more walks column by column, a group of two is
+    one scan, and each member keeps one iterator over its events from the
+    first group to the last.
     Findings are deduplicated by (instr, kind), keeping the witness from
     the first diverging pair in index order.  An instruction id without a
     source location is an error, for the finding that pair order reaches
@@ -201,7 +209,8 @@ def compare_traces(traces: list[Trace], id_to_loc: dict[int, SourceLoc],
                  if traces[i].events != first]
     groups: list[_Group] = []
     if len(idx) > 1:
-        groups.append((0, idx, [traces[i].events for i in idx]))
+        seqs = [traces[i].events for i in idx]
+        groups.append((0, idx, seqs, list(map(iter, seqs))))
     while groups:
         _refine(*groups.pop(), note, groups)
 

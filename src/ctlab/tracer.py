@@ -26,9 +26,9 @@ range proof that leaves it out, comes before the lookup, so ``o`` is in
 ``[0, length)`` and never indexes the list from its end.  A warm pass
 therefore allocates almost nothing per access, and a run only its trace,
 event list and the cells of each region it writes or takes as an argument
-(``execute``).  The event lists still start about 4.6 young-generation
-garbage collections per warm ``wide-leaky`` benchmark pass, 2-2.5 ms of
-its 27-30 ms (2-core Xeon, CPython 3.11).
+(``execute``).  A warm ``wide-leaky`` benchmark pass still starts 6
+garbage collections, which take 2.3-2.5 ms of its 27-28 ms (medians of
+20 passes, gc callbacks; 2-core Xeon, CPython 3.11).
 
 ``execute`` translates a function into Python once and runs every input
 through the translation.  Each generated function runs one *region* of

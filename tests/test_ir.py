@@ -947,6 +947,37 @@ def test_a_part_of_another_type_is_a_located_error(change, message):
     located_error(change, message)
 
 
+# Parts the text cannot say: print_ir would write what parse_ir rejects or
+# reads back as another program.  A default on a secret or an array
+# parameter is refused in the parser's words.
+UNPRINTABLE = {
+    "secret default": (_set(lambda p: p.function().params[0], default=3),
+                       "f: secret parameter 's' takes no default"),
+    "array default": (_set(lambda p: p.function().params[2], default=0),
+                      "f: array parameter defaults are not supported"),
+    "wide default": (_set(lambda p: p.function().params[1], default=1 << 32),
+                     "f: parameter n: default is 4294967296, which does not "
+                     "fit u32"),
+    "negative default": (_set(lambda p: p.function().params[1], default=-1),
+                         "f: parameter n: default is -1, which does not fit "
+                         "u32"),
+    "negative length": (_set(lambda p: p.function().params[2],
+                             type=ArrayType(32, -1)),
+                        "f: parameter a: length is -1, which is negative"),
+    "negative id": (lambda p: _put(p, "bb2", 1, iid=-1),
+                    "f/bb2/id-1: negative instruction id"),
+    "negative source line": (
+        lambda p: _put(p, "bb2", 1, loc=SourceLoc("f.c", -1)),
+        "f/bb2/id5: source line is -1, which is negative"),
+}
+
+
+@pytest.mark.parametrize("change, message", UNPRINTABLE.values(),
+                         ids=list(UNPRINTABLE))
+def test_a_part_the_text_cannot_say_is_a_located_error(change, message):
+    located_error(change, message)
+
+
 def field_setters(prog):
     """``(field, put)`` for each field of each part of ``prog``:
     ``put(p, value)`` sets that field of ``p``, a mutable copy of ``prog``,
@@ -996,35 +1027,56 @@ def _hang(signum, frame):
     raise TimeoutError("the analysis ran past its alarm")
 
 
-def test_one_corrupted_field_ends_in_ctlab_s_own_error():
-    # Each field of each part of four programs, set in turn to each value
-    # below: freezing and analysing the program completes or raises one of
-    # ctlab's own errors, never a bare Python error, and never hangs.
+def corrupted_programs():
+    """``(what, prog)``: each field of each part of four programs, set in
+    turn to each of a few values, in a mutable copy."""
     values = (None, 1.5, ["x"], -1, True, "zz", 0)
-    ours = (IRError, TraceError, LeakError, LoweringError, InternalPassError)
-    spec = PRESETS["baseline-off"].spec
     bases = [load_program(n) for n in ("fig1b_load", "fig1d_ctlookup",
                                        "loop_unswitch_toy")]
     bases.append(freeze(parse_ir(MEMO_BASE)))
+    for base in bases:
+        for what, put in field_setters(base):
+            for value in values:
+                prog = copy_program(base)
+                put(prog, value)
+                yield f"{base.function().name}: {what} = {value!r}", prog
+
+
+def test_one_corrupted_field_ends_in_ctlab_s_own_error():
+    # Freezing and analysing each corrupted program completes or raises
+    # one of ctlab's own errors, never a bare Python error, and never hangs.
+    ours = (IRError, TraceError, LeakError, LoweringError, InternalPassError)
+    spec = PRESETS["baseline-off"].spec
     old = signal.signal(signal.SIGALRM, _hang)
     try:
-        for base in bases:
-            for what, put in field_setters(base):
-                for value in values:
-                    prog = copy_program(base)
-                    put(prog, value)
-                    signal.alarm(5)
-                    try:
-                        analyze(freeze(prog), spec, inputs=4)
-                    except ours:
-                        pass
-                    except Exception as e:
-                        pytest.fail(f"{base.function().name}: {what} = "
-                                    f"{value!r}: {e!r}")
-                    finally:
-                        signal.alarm(0)
+        for what, prog in corrupted_programs():
+            signal.alarm(5)
+            try:
+                analyze(freeze(prog), spec, inputs=4)
+            except ours:
+                pass
+            except Exception as e:
+                pytest.fail(f"{what}: {e!r}")
+            finally:
+                signal.alarm(0)
     finally:
         signal.signal(signal.SIGALRM, old)
+
+
+def test_every_corrupted_program_that_freezes_prints_as_text_that_parses_back():
+    # What validate lets pass, the text can say: each corrupted program
+    # fails to freeze, or prints as text that parses and freezes back to a
+    # program that prints the same text.  Among them: a global named apart
+    # from its key, a default on a secret parameter, a negative id.
+    frozen = 0
+    for what, prog in corrupted_programs():
+        try:
+            text = print_ir(freeze(prog))
+        except IRError:
+            continue
+        frozen += 1
+        assert print_ir(freeze(parse_ir(text))) == text, what
+    assert frozen > 100
 
 
 def memo_programs():

@@ -19,6 +19,7 @@ from ctlab.leaks import (
 )
 from ctlab.mitigations import preset
 from ctlab.tracer import BranchDir, MemAccess, Trace, execute, gen_inputs
+from conftest import best_times
 
 SECRET_BRANCH = """
 func f(secret s: u1) {
@@ -324,6 +325,46 @@ def test_compare_traces_matches_all_pairs_reference(traces, missing):
             == outcome(reference_compare_traces, traces, id_to_loc))
 
 
+def rebuilt(traces, event):
+    """``traces`` with each event ``e`` replaced by ``event(e)``."""
+    return [mk_trace([event(e) for e in t.events]) for t in traces]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_lists(), st.sets(st.sampled_from(IDS)))
+def test_identity_does_not_decide_a_finding(traces, missing):
+    # The walks test identity before equality.  Every event rebuilt as a
+    # fresh equal object, or every set of equal events made one object,
+    # gives the findings (or the error) of the traces as drawn.
+    id_to_loc = {i: SourceLoc("r.c", 10 + i) for i in IDS if i not in missing}
+    want = outcome(compare_traces, traces, id_to_loc)
+    interned = {}
+    for event in (lambda e: type(e)(*e), lambda e: interned.setdefault(e, e)):
+        assert outcome(compare_traces, rebuilt(traces, event),
+                       id_to_loc) == want
+
+
+def test_compare_is_linear_in_the_traces():
+    # n traces share a 200-event stem, part in pairs at a branch of their
+    # own, and each pair runs on to a branch taken both ways: a walk whose
+    # work per member or per pair grew with the traces would take more
+    # than 6 times as long at 4 times the traces.
+    stem = [MemAccess(0, "load", "t", p % 7) for p in range(200)]
+    tail = [MemAccess(1, "store", "u", p % 5) for p in range(50)]
+
+    def prepare(n):
+        traces = [mk_trace(stem + [BranchDir(2 + k // 2, True)] + tail
+                           + [BranchDir(1, k % 2 == 0)]) for k in range(n)]
+        id_to_loc = {i: SourceLoc("s.c", i) for i in range(2 + n // 2)}
+        return lambda: compare_traces(traces, id_to_loc)
+
+    (t_small, small), (t_large, large) = best_times(prepare, 100, 400)
+    for report in small, large:
+        assert [(f.instr, f.kind, f.witness) for f in report.findings] \
+            == [(1, CONTROL_FLOW, (0, 1))]
+    assert t_large <= 6 * t_small, (t_small, t_large)
+
+
 def test_witness_is_first_pair_in_index_order_with_duplicates():
     a = [BranchDir(0, False)]
     b = [BranchDir(0, True), MemAccess(1, "load", "t", 0)]
@@ -337,20 +378,30 @@ def test_witness_is_first_pair_in_index_order_with_duplicates():
     assert rep.findings == reference_compare_traces(traces, id_to_loc).findings
 
 
+# Distinct traces that a corpus row's inputs give, where some are equal.
+DISTINCT = {("path_splitting_toy", "gcc13-O3", 64): 54}
+
+
 @pytest.mark.parametrize("program, preset_name, inputs", [
     ("fig1b_load", "baseline-off", 256),
     ("poly_frommsg", "llvm18-O3", 128),
+    ("path_splitting_toy", "gcc13-O3", 64),
+    ("rsa_bearssl_lookup", "llvm18-Os", 16),
 ])
 def test_compare_traces_matches_reference_on_corpus(program, preset_name,
                                                     inputs):
-    # Every trace distinct from every other, parting within a few events:
-    # the shapes where walking the traces as one group saves the most over
-    # walking each pair alone.
+    # The first two rows: every trace distinct from every other, parting
+    # within a few events, where walking the traces as one group saves the
+    # most over walking each pair alone.  path_splitting_toy: classes of
+    # equal traces that part every three events, so small groups walk to
+    # the end.  rsa: 16 traces of 481 events each, one leaving the group
+    # every 32 events, at 15 different branches.
     low = analyze(load_program(program), preset(preset_name).spec,
                   inputs=inputs, seed=0).lowered
     traces = [execute(low, args) for args in
               gen_inputs(low, count=inputs, seed=0).arg_dicts()]
-    assert len({tuple(t.events) for t in traces}) == inputs
+    assert (len({tuple(t.events) for t in traces})
+            == DISTINCT.get((program, preset_name, inputs), inputs))
     id_to_loc = low.function().id_to_loc()
     report = compare_traces(traces, id_to_loc)
     assert report.findings
