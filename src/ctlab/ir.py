@@ -435,22 +435,17 @@ class Memo(OrderedDict):
 
 
 class _Key:
-    """A memo key: the tuple ``items``, with its hash computed once."""
+    """A memo key: the one live key of the tuple ``items`` (``_KEYS``), so
+    a memo hashes and compares it by identity, in C."""
 
-    __slots__ = ("items", "hash", "__weakref__")
+    __slots__ = ("items", "__weakref__")
 
     def __init__(self, items: tuple):
-        self.items, self.hash = items, hash(items)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Key) and self.items == other.items
+        self.items = items
 
 
-# Every live key, so that equal keys are one object (hash-consing, after
-# Filliâtre & Conchon 2006) and every memo meets a key by identity.
+# Every live key by its items, so that equal keys are one object
+# (hash-consing, after Filliâtre & Conchon 2006).
 _KEYS: WeakValueDictionary = WeakValueDictionary()
 
 
@@ -490,9 +485,9 @@ class _FrozenProgram(_ReadOnly, Program):
         (slot, func), = self.functions.items()
         locs = [_LOC_ROW(ins.loc) for ins in func.instructions()]
         kinds = (*[g.init_kind for g in self.globals.values()],)
-        key = _Key((program_key(self), (*zip(*locs),), func.next_id, slot,
-                    kinds))
-        return _KEYS.setdefault(key, key)
+        items = (program_key(self), (*zip(*locs),), func.next_id, slot,
+                 kinds)
+        return _KEYS.setdefault(items, _Key(items))
 
 
 def _make(cls, **fields):

@@ -1792,8 +1792,8 @@ def run_pipeline(prog: Program,
              else name for name in order]
     keys = [(prog.key, tuple(steps[:k]))
             for k in range(len(steps) + 1)]     # the state after k passes
-    # The passes already run: the longest prefix kept.
-    done = max((k for k, key in enumerate(keys) if key in _states), default=0)
+    # The passes already run: the longest prefix kept, probed longest first.
+    done = next((k for k in range(len(order), 0, -1) if keys[k] in _states), 0)
     # clean: is out at cleanup's fixpoint?
     out, log, clean = _states.get_or(keys[done], lambda: (prog, (), False))
     log = [*log]

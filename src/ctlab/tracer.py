@@ -19,16 +19,16 @@ constant-time.
 A trace holds events that its translation built, not fresh ones.  Branch
 events and accesses at constant offsets are built while translating.  An
 access at a computed offset keeps a list of events with one slot per
-element of its memory region, and reads ``E(K[o] or miss(o))``: the event
-is built into its slot the first time any input reaches that offset, and
-every later trace of every input shares it.  The bounds check, or the
-range proof that leaves it out, comes before the lookup, so ``o`` is in
-``[0, length)`` and never indexes the list from its end.  A warm pass
-therefore allocates almost nothing per access, and a run only its trace,
-event list and the cells of each region it writes or takes as an argument
-(``execute``).  A warm ``wide-leaky`` benchmark pass still starts 6
-garbage collections, which take 2.3-2.5 ms of its 27-28 ms (medians of
-20 passes, gc callbacks; 2-core Xeon, CPython 3.11).
+element of its memory region, and runs ``E.append(K[o] or miss(o))``,
+``E`` the event list: the event is built into its slot the first time
+any input reaches that offset, and every later trace of every input
+shares it.  The bounds check, or the range proof that leaves it out,
+comes before the lookup, so ``o`` is in ``[0, length)`` and never
+indexes the list from its end.  A warm pass therefore allocates almost
+nothing per access, and a run only its trace, event list and the cells
+of each region it writes or takes as an argument (``execute``).  A warm
+``wide-leaky`` benchmark pass still collects garbage 6 times, 2.3 ms of
+its 25 ms (medians of 20 passes; 2-core Xeon, CPython 3.11).
 
 ``execute`` translates a function into Python once and runs every input
 through the translation.  Each generated function runs one *region* of
@@ -137,15 +137,25 @@ events, steps and errors stay those of the ``ir`` semantics.
   check, so it is in no loop entered after the check (that loop's head
   would then dominate the check, which runs before the head is entered),
   and nothing between the two redefines it.
-* Compares.  When an ``icmp``'s only reader is the test of a ``condbr``,
-  ``select`` or ``cmov`` in the compare's own region, that reader tests
-  the comparison itself (``if a < b:``, ``x if a < b else y``) and the 0/1
-  value is never built.  The compare's operands still hold their values
-  there: the compare dominates its reader, and no path from one to the
-  other inside a region re-enters the block that defines an operand.  A
-  loop nested between the two does not either, since that block
-  dominates the compare and so, as for a checked offset above, is in no
-  loop entered after it.
+* Single uses.  A scalar value that exactly one later instruction of its
+  own node reads is written into that reader's expression, not a local:
+  the result of a binary op, ``neg``, ``icmp``, ``select``, ``cmov``,
+  ``const`` or ``load``, read by one of the first five, a ``store`` (its
+  value), ``ret`` or ``condbr``.  A node is straight-line code, so the
+  value is only computed later, from operands that still hold their
+  values, and checks, events, steps and fuel checks stay in place.  No
+  store of the node may lie between a load and where its expression is
+  at last evaluated (in its reader, or in the reader that takes that),
+  and at most ``_NEST`` values nest.  Offsets (read three times), phis'
+  operands, vectors and values another region reads are never inlined.
+  A compare that only the test of a ``condbr``, ``select`` or ``cmov`` in
+  its own region reads is tested there itself (``if a < b:``), even in a
+  later node, where nothing is inlined into it.  The compare's operands
+  still hold their values there: the compare dominates its reader, and
+  no path from one to the other inside a region re-enters the block that
+  defines an operand.  A loop nested between the two does not either,
+  since that block dominates the compare and so, as for a checked offset
+  above, is in no loop entered after it.
 
 Translations, with their event tables, are kept in an LRU memo of
 ``ir.MEMO_SIZE`` entries keyed by the frozen program's ``key`` (see
@@ -185,6 +195,11 @@ _CHUNK = 96
 # region's ``while`` and the loops nested in it are at most ``_LOOPS``.
 _DEPTH = 98
 _LOOPS = 20
+# Single uses (see the module docstring).  Each value nested adds at most 3
+# parentheses, and CPython's parser takes 200.
+_INLINED = {*BINARY_EXPRS, "neg", "icmp", "const", "select", "cmov", "load"}
+_READERS = {*BINARY_EXPRS, "neg", "icmp", "select", "cmov", "ret", "condbr"}
+_NEST = 40
 # The bound of a negative immediate: above every mask and ``_M64``.
 _UNBOUNDED = 1 << 65
 # What the outcome of an ``icmp`` on an edge proves of its operands
@@ -297,11 +312,10 @@ def execute(prog: Program, args: dict[str, int | tuple[int, ...]], *,
         need = "an integer" if n is None else f"a tuple of {n} integers"
         raise TraceError(f"argument {name!r}: need {need}") from None
     events: list[BranchDir | MemAccess] = []
-    append = events.append
     nxt = steps = 0
     try:
         while True:
-            nxt, steps = regions[nxt](env, append, cells, steps, fuel)
+            nxt, steps = regions[nxt](env, events, cells, steps, fuel)
             if steps > fuel:
                 break
             if nxt.__class__ is tuple:
@@ -359,8 +373,8 @@ def _translate(prog):
     initializers, the globals that a store writes, the parameters)``.
 
     ``regions[k](env, E, M, s, F)`` runs region k from its head, with
-    ``env`` holding the values that live between regions, ``E`` taking
-    each event, ``M[j]`` the cells of memory region ``names[j]``, ``s`` the
+    ``env`` holding the values that live between regions, ``E`` the event
+    list, ``M[j]`` the cells of memory region ``names[j]``, ``s`` the
     steps taken so far and ``F`` the fuel.  It returns the index of the
     next region, or a 1-tuple holding the function's result, and the step
     count.  Region 0 starts at the entry block.
@@ -420,13 +434,14 @@ class _Translator:
         inputs, rule = width_rule(defs, dict(params).__getitem__)
         self.widths = settle([v for v, ins in defs.items()
                               if ins.opcode == "phi"], inputs, rule, 0)
-        # Compares that only the test of a condbr, select or cmov reads.
-        reads = Counter(op for ins in func.instructions()
-                        for op in value_operands(ins) if isinstance(op, str))
+        # How often the function reads each value (a phi's arms count), and
+        # the compares that only the test of a condbr, select or cmov reads.
+        self.uses = Counter(op for ins in func.instructions() for op in
+                            value_operands(ins) if isinstance(op, str))
         self.tested = {
             c for ins in func.instructions()
             if ins.opcode in ("condbr", "select", "cmov")
-            and reads[c := ins.operands[0]] == 1 and c in defs
+            and self.uses[c := ins.operands[0]] == 1 and c in defs
             and defs[c].opcode == "icmp"}
         flow = control_flow(func)
         live = flow.reachable
@@ -452,7 +467,8 @@ class _Translator:
                                          sum(map(size.get, l.blocks)))
                        for l in natural_loops(func)}
         self.ranges(func, flow, defs, params)
-        self.names: dict[str, str] = {}     # value -> generated identifier
+        self.names: dict[str, str] = {}     # value -> identifier or expression
+        self.tests: dict[str, str] = {}     # inlined compare -> its test
         self.namespace = {"_oob": _oob}
         self.consts = 0
 
@@ -698,6 +714,7 @@ class _Translator:
         # from ``env`` on entry, its head's phis included.
         self.shared = {v for k, read in enumerate(self.reads) for v in read
                        if self.home.get(v) != k}
+        self.inline = self.single_uses()
         # Regions are compiled in batches of at most _CHUNK instructions.
         batch: list[str] = []
         size = 0
@@ -711,6 +728,33 @@ class _Translator:
         self.compile(batch)
         return (tuple(self.namespace[f"r{k}"] for k in range(len(self.heads))),
                 self.arguments)
+
+    def single_uses(self) -> set[str]:
+        """The values written into their one reader (see Single uses)."""
+        inline = set()
+        for _, instrs in self.nodes:
+            reader = {}     # value defined here -> its reader here, or None
+            for j, ins in enumerate(instrs):
+                for v in (ins.operands[2:] if ins.opcode == "store" else
+                          ins.operands if ins.opcode in _READERS else ()):
+                    if v in reader and self.uses[v] == 1:
+                        reader[v] = j
+                if ins.opcode in _INLINED:
+                    reader[ins.result] = None
+            # Inlined value -> where its expression is evaluated, and its
+            # depth there.  A compare that a later node tests takes none.
+            at = {c: (len(instrs), _NEST) for c, j in reader.items()
+                  if j is None and c in self.tested and c not in self.shared}
+            for i in range(len(instrs) - 1, -1, -1):    # readers first
+                if (j := reader.get(instrs[i].result)) is None:
+                    continue
+                end, d = at.get(instrs[j].result, (j, 0))
+                if d < _NEST and (instrs[i].opcode != "load" or not any(
+                        ins.opcode in ("store", "vstore")
+                        for ins in instrs[i + 1:end])):
+                    at[instrs[i].result] = end, d + 1
+            inline |= at.keys()
+        return inline
 
     def compile(self, lines):
         exec(compile("\n".join(lines), "<ctlab translation>", "exec"),
@@ -726,7 +770,6 @@ class _Translator:
                  if self.home.get(v) != k or v in entering]
         self.body: list[str] = []
         self.touched: set[str] = set()      # memory regions accessed here
-        self.tests: dict[str, str] = {}     # compare -> its test, unwritten
         self.checked: dict[str, int] = {}   # offset -> bound proved on it
         self.indent = "        " if k in self.loops else "    "
         self.node(h)
@@ -754,6 +797,9 @@ class _Translator:
         return self.names.setdefault(op, f"v{len(self.names)}")
 
     def define(self, result, expr):
+        if result in self.inline:   # a number, name or subscript has no space
+            self.names[result] = f"({expr})" if " " in expr else expr
+            return
         v = self.val(result)
         self.emit(f"{v} = {expr}")
         if result in self.shared:
@@ -827,8 +873,8 @@ class _Translator:
             if not 0 <= off <= length - lanes:
                 self.emit(fail)
             for i in range(lanes):
-                self.emit(
-                    f"E({self.const(MemAccess(ins.iid, kind, name, off + i))})")
+                event = self.const(MemAccess(ins.iid, kind, name, off + i))
+                self.emit(f"E.append({event})")
         else:
             # The offset's bound proves it, or an earlier check that this
             # code always follows, of the same offset against a bound at
@@ -842,7 +888,7 @@ class _Translator:
             table, miss = self.const(events.table), self.const(events.miss)
             for i in range(lanes):
                 at = _lane(o, i)
-                self.emit(f"E({table}[{at}] or {miss}({at}))")
+                self.emit(f"E.append({table}[{at}] or {miss}({at}))")
         return o
 
     def instruction(self, n, step, ins):
@@ -859,10 +905,9 @@ class _Translator:
         elif op == "icmp":
             a, b = map(val, ins.operands)
             test = COMPARE_EXPRS[ins.pred].format(a=a, b=b)
-            if ins.result in self.tested and ins.result not in self.shared:
-                self.tests[ins.result] = test   # its one reader writes it
-            else:
-                self.define(ins.result, f"1 if {test} else 0")
+            if ins.result in self.inline:
+                self.tests[ins.result] = test
+            self.define(ins.result, f"1 if {test} else 0")
         elif op == "const":
             self.define(ins.result, str(ins.operands[0] & mask))
         elif op in ("select", "cmov"):
@@ -936,7 +981,7 @@ class _Translator:
 
     def test(self, c) -> str:
         """The expression a condbr, select or cmov tests for condition
-        ``c``: the comparison itself when the compare was left unwritten."""
+        ``c``: the comparison itself when the compare is inlined."""
         return self.tests.get(c) or self.val(c)
 
     def branch(self, n, ins):
@@ -949,7 +994,7 @@ class _Translator:
             self.node(self.join[n])
 
     def arm(self, n, a, event):
-        self.emit(f"E({self.const(event)})")
+        self.emit(f"E.append({self.const(event)})")
         self.edge(n, a)
 
     def inside(self, write, *args):

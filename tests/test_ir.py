@@ -784,6 +784,16 @@ def test_a_failed_check_keeps_nothing_and_gives_the_same_message(
     assert len(walks) == 2 and len(passes._states) == 0
 
 
+def test_two_frozen_copies_of_a_program_share_one_key_object():
+    # Equal keys are one object, so a memo hashes and compares a key by
+    # identity, in C.
+    prog = parse_ir(MEMO_BASE)
+    first, second = freeze(copy_program(prog)), freeze(copy_program(prog))
+    assert first is not second and first.key is second.key
+    assert type(first.key).__hash__ is object.__hash__
+    assert type(first.key).__eq__ is object.__eq__
+
+
 def test_a_list_initializer_is_frozen_as_a_tuple():
     # A global built in Python with a list initializer is valid: the
     # frozen copy holds a tuple, so it has a key and keeps its state.

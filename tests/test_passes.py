@@ -2015,6 +2015,27 @@ def test_the_memo_keeps_the_last_memo_size_states(monkeypatch):
     assert len(applied) == ir.MEMO_SIZE + 2
 
 
+
+def test_a_warm_pipeline_probes_its_states_once(monkeypatch):
+    # The longest prefix is probed first; a probe leaves the LRU order as
+    # it is, and the warm run gives what the cold one gave.
+    probes = []
+
+    class Probed(ir.Memo):
+        def __contains__(self, key):
+            probes.append(key)
+            return super().__contains__(key)
+
+    monkeypatch.setattr(passes, "_states", Probed())
+    prog, spec = load_program("rsa_bearssl_lookup"), PRESETS["llvm18-O3"].spec
+    out, log = run_pipeline(prog, spec)
+    order = [*passes._states]
+    probes.clear()
+    again, again_log = run_pipeline(prog, spec)
+    assert again is out and again_log == log
+    assert len(probes) == 1 and [*passes._states] == order
+
+
 # ----------------------------------------------------------------------
 # what the passes produce, pinned
 

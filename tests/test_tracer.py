@@ -911,7 +911,8 @@ def random_cfg(rng):
     those of the blocks that dominate it; a phi's arms come from exactly
     the reachable predecessors, each reading a value that dominates its
     edge.  A secret-indexed load may leave its region, and some blocks are
-    longer than a region.
+    longer than a region.  Some chains of single-use values run from a
+    load, past a store to the load's region, into a store.
 
     Values of every width meet ops of every width, so a mask that the
     translation drops or keeps is tested both ways: a u64 parameter feeds
@@ -1023,13 +1024,13 @@ def random_cfg(rng):
                 ["add", "xor", "mul", "lshr", "and", "sub.8", "icmp.lt", "or",
                  "shl", "lshr.8", "and.16", "or.8", "xor.64", "lshr.64",
                  "add.8", "mul.16", "const", "const.8", "select"]
-                + ["load", "store", "vector"] * 3 * (not long))
+                + ["load", "store", "vector", "chain"] * 3 * (not long))
             a, b = rng.choice(pool), rng.choice(pool)
             if rng.random() < 0.25:     # an immediate, some too wide
                 b = rng.choice([0, 1, 7, 8, 31, 32, 33, 63, 64, 65, 255,
                                 1 << 40])
             name = f"b{i}_x{k}"
-            if op in ("load", "store", "vector"):
+            if op in ("load", "store", "vector", "chain"):
                 if offs and rng.random() < 0.6:
                     off = rng.choice(offs)
                 else:
@@ -1053,6 +1054,16 @@ def random_cfg(rng):
                                                         "vadd"])
                           + f".2 {name}v, {name}s",
                           f"  vstore.2 {dst}, {off}, {name}w"]
+            elif op == "chain":
+                # A single-use chain from a load to a store that ends after
+                # a store to the load's region: the load is read before it.
+                region = rng.choice(["a", "wide"])
+                chain = [f"  {name}l = load {region}, {off}",
+                         f"  {name}u = {rng.choice(['add', 'xor'])} "
+                         f"{name}l, {a}", f"  store out, {off}, {name}u"]
+                chain.insert(rng.choice([1, 2]),
+                             f"  store {region}, {rng.choice(offs)}, {b}")
+                lines += chain
             elif op.startswith("const"):
                 imm = rng.choice([5, 300, 1 << 40])
                 lines.append(f"  {name} = {op} {imm}")
@@ -1751,10 +1762,188 @@ def test_a_compare_only_a_select_or_cmov_tests_is_never_built(monkeypatch):
     for prog in (source, lowered("path_splitting_toy", "baseline-off")):
         lines = translated_source(monkeypatch, prog)
         assert not [line for line in lines if line.endswith(" else 0")], lines
-        assert [line for line in lines
-                if re.search(r"= 1 if v\d+ == 0 else 4294967295$", line)]
+        # The select sits in the sum, its one reader.
+        assert [line for line in lines if re.search(
+            r"= \(v\d+ \+ \(1 if .+ == 0 else 4294967295\)\) & ", line)]
         for args in gen_inputs(source, count=8, seed=1).arg_dicts():
             assert observe(prog, args) == reference(prog, args)[0], args
+
+
+def assignments(lines):
+    """The lines of translated source that assign a value its own local."""
+    return [line for line in lines if re.match(r"\s*v\d+ = ", line)]
+
+
+def test_single_use_values_are_written_into_their_readers(monkeypatch):
+    # Translating every corpus program under every preset wrote 4,238
+    # value assignments when every value had its own; the gate pins what
+    # writing each single-use value into its reader leaves.
+    lines = []
+    real = tracer._Translator.compile
+    monkeypatch.setattr(tracer._Translator, "compile",
+                        lambda self, batch: lines.extend(batch)
+                        or real(self, batch))
+    for name in names():
+        for preset in PRESETS:
+            tracer._Translator(lowered(name, preset)).translate()
+    assert len(assignments(lines)) <= 2362
+
+
+# u reads the load w and is the value of the store to a, after the store to
+# l that w's load must come before; y reads x, which no store follows.
+LOAD_STORE = """
+func f(secret s: u8, public k: u8 = 2) {
+bb0:
+  v = add s, 1
+  w = load l, 0
+  u = add w, k
+  store l, 0, v
+  store a, 0, u
+  x = load l, 0
+  y = add x, k
+  store a, 1, y
+  ret 0
+}
+global l: arr<u8,1> = [7]
+global a: arr<u8,2> = zeros
+"""
+
+
+def test_a_load_is_read_before_a_store_to_its_region(monkeypatch):
+    prog = parse_ir(LOAD_STORE)
+    lines = translated_source(monkeypatch, prog)
+    # w is read into a local before the store to l; x is read in the
+    # store to a, and v in the store to l.
+    assert [line.strip() for line in assignments(lines)
+            if "= env[" not in line] == ["v3 = m0[0]"], lines
+    assert [line.strip() for line in lines if line.strip().startswith("m")
+            and "] = " in line] == ["m0[0] = ((v0 + 1)) & 255",
+                                    "m1[0] = ((v3 + v1)) & 255",
+                                    "m1[1] = ((m0[0] + v1)) & 255"], lines
+    for s in (0, 6, 255):
+        matches_the_reference_at_every_fuel(prog, {"s": s, "k": 2})
+        assert execute(prog, {"s": s, "k": 2}).memory["a"] == \
+            (9, (s + 3) & 255)
+
+
+# The compare c is tested in b1, a node after its own, past a store to l.
+FAR_TEST = """
+func f(secret s: u8) {
+bb0:
+  w = load l, 0
+  c = icmp.eq w, 7
+  br b1
+b1:
+  store l, 0, s
+  condbr c, b2, b3
+b2:
+  ret 1
+b3:
+  ret 2
+}
+global l: arr<u8,1> = [7]
+"""
+
+
+def test_a_compare_tested_in_a_later_node_takes_no_inlined_operand(
+        monkeypatch):
+    prog = parse_ir(FAR_TEST)
+    lines = translated_source(monkeypatch, prog)
+    assert "    v1 = m0[0]" in lines and "    if v1 == 7:" in lines, lines
+    for s in (0, 7):
+        matches_the_reference_at_every_fuel(prog, {"s": s})
+        assert execute(prog, {"s": s}).result == 1
+
+
+def chain_source(length):
+    """One block of ``length`` instructions: a load, then values that each
+    read the one before and nothing else, every other one as the amount
+    of a shift, then a ``ret`` of the last."""
+    reads = ["add {}, s", "select {}, s, 3", "icmp.lt {}, s", "lshr s, {}",
+             "neg {}", "xor {}, 5", "mul {}, s"]
+    lines = ["  x0 = load t, 1"] + [
+        f"  x{k} = " + ("shl s, {}" if k % 2 else reads[k // 2 % len(reads)])
+        .format(f"x{k - 1}") for k in range(1, length - 1)]
+    return ("func f(secret s: u8) {\nbb0:\n" + "\n".join(lines)
+            + f"\n  ret x{length - 2}\n}}\n"
+            "global t: arr<u32,2> = [3, 4]\n")
+
+
+def test_a_region_of_single_use_values_compiles(monkeypatch):
+    # The chain fills a region; through a shift's amount each value nests
+    # 3 parentheses deep in its reader, so unbounded nesting would pass
+    # CPython's limit of 200.
+    prog = parse_ir(chain_source(tracer._CHUNK))
+    lines = translated_source(monkeypatch, prog)
+    # Every value but the parameter's is inlined, less one per _NEST + 1.
+    assert len(assignments(lines)) == \
+        1 + (tracer._CHUNK - 1) // (tracer._NEST + 1)
+    for s in (0, 1, 7, 200):
+        matches_the_reference_at_every_fuel(prog, {"s": s})
+
+
+SELECTS = """
+func f(secret s: u8, public k: u8 = 9) {
+bb0:
+  c = icmp.lt s, k
+  a = add s, 1
+  i = and s, 3
+  b = load t, i
+  r = select c, a, b
+  d = and s, 1
+  e = const 7
+  m = mul s, 3
+  q = select d, e, m
+  x = xor r, q
+  ret x
+}
+global t: arr<u8,4> = [5, 6, 7, 8]
+"""
+
+
+def test_a_select_whose_condition_and_arms_are_read_once_is_one_line(
+        monkeypatch):
+    for text in (SELECTS, "stage lowered\n" + SELECTS.replace("select",
+                                                              "cmov")):
+        prog = parse_ir(text)
+        lines = translated_source(monkeypatch, prog)
+        # Only the offset i has a local of its own, beside the parameters.
+        assert [line.strip() for line in assignments(lines)
+                if "= env[" not in line] == ["v4 = v0 & 3"], lines
+        assert [line.strip() for line in lines if "return" in line] == [
+            "return ((((((v0 + 1)) if v0 < v1 else m0[v4]) ^ "
+            "(7 if (v0 & 1) else ((v0 * 3))))),), s + 11"], lines
+        for s in (0, 3, 8, 9, 200):
+            matches_the_reference_at_every_fuel(prog, {"s": s, "k": 9})
+
+
+PHI_READ = """
+func f(secret s: u8) {
+bb0:
+  x = add s, 1
+  c = and s, 1
+  condbr c, b1, b2
+b1:
+  y = mul s, 3
+  br b2
+b2:
+  p = phi [bb0: x], [b1: y]
+  ret p
+}
+"""
+
+
+def test_a_value_a_phi_reads_once_keeps_its_local(monkeypatch):
+    # A phi's operand is copied on its edge, so it is never inlined; the
+    # condition, read once by the condbr, is.
+    prog = parse_ir(PHI_READ)
+    lines = translated_source(monkeypatch, prog)
+    assert [line.strip() for line in assignments(lines)] == [
+        "v0 = env['s']", "v1 = (v0 + 1)", "v3 = (v0 * 3)", "v4 = v3",
+        "v4 = v1"], lines
+    assert "    if (v0 & 1):" in lines
+    for s in (0, 1, 254, 255):
+        matches_the_reference_at_every_fuel(prog, {"s": s})
 
 
 NEGATIVE = """
