@@ -27,8 +27,10 @@ comes before the lookup, so ``o`` is in ``[0, length)`` and never
 indexes the list from its end.  A warm pass therefore allocates almost
 nothing per access, and a run only its trace, event list and the cells
 of each region it writes or takes as an argument (``execute``).  A warm
-``wide-leaky`` benchmark pass still collects garbage 6 times, 2.3 ms of
-its 25 ms (medians of 20 passes; 2-core Xeon, CPython 3.11).
+``wide-leaky`` benchmark pass still runs about 6 collections (5.45 of
+generation 0, 0.5 of 1 and 0.05 of 2), 5 ms of its 49 ms (20 passes
+pinned to one CPU, collections timed with ``gc.callbacks``: means, and
+the pass's median; 2-core Xeon, CPython 3.11).
 
 ``execute`` translates a function into Python once and runs every input
 through the translation.  Each generated function runs one *region* of
@@ -108,20 +110,45 @@ events, steps and errors stay those of the ``ir`` semantics.
   negative immediate, which a program built in Python may hold (the
   parser masks them), is bounded above every mask, as is anything that
   passes it through.
-* Masks.  The bounds hold for every value the generated code computes:
-  by induction over the steps of a run, each operand is within its bound
+* Masks.  The bounds hold for every value that an op reads: by
+  induction over the steps of a run, each operand is within its bound
   when an op reads it, and a mask that is left out is one that could not
   clear a bit.  So an op's wrap `` & {m}`` is left out when the bound of
   what it masks fits the width: an ``or``/``xor`` of two fitting
-  operands, an ``and`` with one, an ``add``, a ``mul`` or a ``shl`` by an
-  immediate whose unwrapped result fits; ``lshr`` without the mask of a
-  left operand that fits; a shift by an immediate with the amount masked
-  while translating; a ``load`` (or ``vload`` lane) without its wrap when
-  the elements are no wider than the load; and a ``store`` (or ``vstore``
-  lane) without its wrap when the value fits the element.  The last two
-  rely on every memory cell fitting its element width: ``validate``
-  checks the globals' initializers, ``execute`` masks array arguments,
-  and a store wraps any value that may not fit.
+  operands, an ``and`` with one, an ``add``, a ``mul`` or a ``shl`` whose
+  unwrapped result fits; ``lshr`` without the mask of a left operand that
+  fits; a ``load`` (or ``vload`` lane) without its wrap when the elements
+  are no wider than the load; and a ``store`` (or ``vstore`` lane)
+  without its wrap when the value fits the element.  The last two rely on
+  every memory cell fitting its element width: ``validate`` checks the
+  globals' initializers, ``execute`` masks array arguments, and a store
+  wraps any value that may not fit.  Three more rules:
+
+  - A shift-amount mask that a bound proves.  An immediate amount is
+    masked while translating; a value's mask `` & {k}`` (``k = w - 1``)
+    is left out when its bound, counting the compares that dominate the
+    shift, is at most ``k``, as the mask could not clear a bit.  A
+    ``shl`` by it is bounded by its left operand's bound shifted by the
+    amount's, which may prove its wrap idle too.
+  - A wrap that an ``and`` clears.  A value written into an ``and`` (see
+    Single uses) whose other operand's bound fits the value's width
+    leaves out its own trailing wrap: ``(x & m) & y == x & y`` for every
+    integer ``x``, negative ones included, when ``0 <= y <= m``.  So the
+    ``and`` computes what it would with the wrap.  This covers an
+    ``add``, ``sub``, ``mul``, ``or``, ``xor``, ``shl``, ``neg``, ``and``
+    and a narrowing ``load``, but never ``lshr``, whose mask is on its
+    left operand and shifted.  The unwrapped value may exceed its bound,
+    but the ``and`` is its only reader, and only one side of an ``and``
+    drops its wrap: the other is the operand whose bound makes the rule
+    hold, so it keeps the wrap that enforces that bound.
+  - ``-c & y`` as a select.  An ``and`` of a ``neg`` written into it, of
+    a value ``c`` bounded by 1, with a ``y`` that fits the ``neg``'s width
+    is written ``y if c else 0``, with the ``and``'s own wrap where ``y``
+    may not fit it, and ``c`` the compare itself (``a < b``) when it is an
+    ``icmp`` written into the ``neg``.  ``c`` is 0 or 1, so the wrapped
+    ``-c`` is 0 or every bit of its width, and the ``and`` gives 0 or
+    ``y``.  Like the rule before, this changes only an expression that no
+    other op reads.
 * Bounds checks.  An access at a computed offset is checked only when
   the offset's bound is above the last offset that leaves room for its
   lanes, and no earlier check of the same offset value, against a bound
@@ -200,6 +227,9 @@ _LOOPS = 20
 _INLINED = {*BINARY_EXPRS, "neg", "icmp", "const", "select", "cmov", "load"}
 _READERS = {*BINARY_EXPRS, "neg", "icmp", "select", "cmov", "ret", "condbr"}
 _NEST = 40
+# The ops whose trailing wrap an ``and`` reader may clear (see Masks);
+# ``lshr`` masks its left operand instead.
+_CLEARED = {*BINARY_EXPRS, "neg", "load"} - {"lshr"}
 # The bound of a negative immediate: above every mask and ``_M64``.
 _UNBOUNDED = 1 << 65
 # What the outcome of an ``icmp`` on an edge proves of its operands
@@ -391,6 +421,19 @@ def _tuple(items) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
+def _enclosed(expr) -> bool:
+    """Does ``expr`` need no parentheses as an operand: is it a number, a
+    name or a subscript (it holds no space), or one ``( ... )`` group?"""
+    if " " not in expr:
+        return True
+    depth = 0
+    for i, ch in enumerate(expr):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:               # the first group closes here
+            return i == len(expr) - 1
+    return False
+
+
 class _Translator:
     """Plans one function's regions, then writes and compiles their
     source.
@@ -540,11 +583,14 @@ class _Translator:
         """Bounds of binary op ``op`` at width ``w`` over ``a`` and ``b``:
         one on the term that its wrap `` & {m}`` masks (``lshr``'s left
         operand, the whole result of any other op), and one on the
-        result.  A ``sub`` may go below zero, and a shift by a value may
-        reach any bit, so their wraps always stay."""
+        result.  A ``sub`` may go below zero, so its wrap always stays.
+        A shift amount is masked by ``w - 1``: an immediate while
+        translating, and a value only when its bound may exceed that, so
+        a ``shl`` moves its left operand by at most the amount's bound.
+        ``lshr`` may move it by none."""
         m = (1 << w) - 1
         x, y = self.bound(a), self.bound(b)
-        k = b & (w - 1) if isinstance(b, int) else None
+        k = b & (w - 1) if isinstance(b, int) else None     # an immediate
         if op == "lshr":
             return x, min(x, m) >> (k or 0)
         if op == "add":
@@ -555,8 +601,8 @@ class _Translator:
             term = min(x, y)
         elif op in ("or", "xor"):
             term = (1 << max(x, y).bit_length()) - 1
-        elif op == "shl" and k is not None:
-            term = x << k
+        elif op == "shl" and (k is not None or y < w):
+            term = x << (y if k is None else k)
         else:
             term = _UNBOUNDED
         return term, min(term, m)
@@ -730,9 +776,12 @@ class _Translator:
                 self.arguments)
 
     def single_uses(self) -> set[str]:
-        """The values written into their one reader (see Single uses)."""
+        """The values written into their one reader (see Single uses), and
+        the wraps that an ``and`` reader makes idle (see Masks)."""
         inline = set()
-        for _, instrs in self.nodes:
+        self.unwrapped: set[str] = set()    # inlined values left unwrapped
+        self.selects: dict[str, str] = {}   # ``neg`` of a 0/1 value -> it
+        for b, instrs in self.nodes:
             reader = {}     # value defined here -> its reader here, or None
             for j, ins in enumerate(instrs):
                 for v in (ins.operands[2:] if ins.opcode == "store" else
@@ -754,6 +803,21 @@ class _Translator:
                         for ins in instrs[i + 1:end])):
                     at[instrs[i].result] = end, d + 1
             inline |= at.keys()
+            self.scope = self.facts[b.label]
+            made = {ins.result: ins for ins in instrs if ins.result in at}
+            for ins in instrs:
+                if ins.opcode != "and":
+                    continue
+                # At most one side: the other keeps the bound it is read by.
+                for x, y in (ins.operands, ins.operands[::-1]):
+                    d = made.get(x)
+                    if d is not None and d.opcode in _CLEARED \
+                            and self.within(y, d.width):
+                        if d.opcode == "neg" and self.bound(d.operands[0]) <= 1:
+                            self.selects[x] = d.operands[0]
+                        else:
+                            self.unwrapped.add(x)
+                        break
         return inline
 
     def compile(self, lines):
@@ -797,8 +861,8 @@ class _Translator:
         return self.names.setdefault(op, f"v{len(self.names)}")
 
     def define(self, result, expr):
-        if result in self.inline:   # a number, name or subscript has no space
-            self.names[result] = f"({expr})" if " " in expr else expr
+        if result in self.inline:
+            self.names[result] = expr if _enclosed(expr) else f"({expr})"
             return
         v = self.val(result)
         self.emit(f"{v} = {expr}")
@@ -898,10 +962,14 @@ class _Translator:
         if op == "phi":
             return
         if op in BINARY_EXPRS:
-            self.define(ins.result, self.binary(op, w, *ins.operands))
+            self.define(ins.result,
+                        self.binary(op, w, *ins.operands, result=ins.result))
         elif op == "neg":
-            self.define(ins.result, NEG_EXPR.format(a=val(ins.operands[0]),
-                                                    m=mask))
+            if ins.result not in self.selects:  # else its ``and`` tests it
+                expr = NEG_EXPR.replace(" & {m}", "") \
+                    if ins.result in self.unwrapped else NEG_EXPR
+                self.define(ins.result,
+                            expr.format(a=val(ins.operands[0]), m=mask))
         elif op == "icmp":
             a, b = map(val, ins.operands)
             test = COMPARE_EXPRS[ins.pred].format(a=a, b=b)
@@ -930,7 +998,8 @@ class _Translator:
             name = ins.operands[0]
             lanes, width = (1, w) if op == "load" else (w, LANE_WIDTH)
             o = self.access(step, ins, "load", lanes)
-            wrap = self.mask_unless(self.shapes[name][0] <= width, width)
+            wrap = self.mask_unless(self.shapes[name][0] <= width
+                                    or ins.result in self.unwrapped, width)
             loads = [f"{self.array(name)}[{_lane(o, i)}]{wrap}"
                      for i in range(lanes)]
             self.define(ins.result,
@@ -956,17 +1025,30 @@ class _Translator:
             self.emit(f"return ({'None' if r is None else val(r)},), "
                       f"s + {step}")
 
-    def binary(self, op, w, a, b, lane=None) -> str:
+    def binary(self, op, w, a, b, lane=None, result=None) -> str:
         """``BINARY_EXPRS[op]`` at width ``w`` over operands ``a`` and
         ``b`` (their lane ``lane`` of vectors), leaving out the wrap
         `` & {m}`` when the bound of the term it masks fits the width
-        (``arith``).  An immediate shift amount is masked here."""
+        (``arith``) or an ``and`` clears it (``result`` is unwrapped), and
+        a shift amount's mask `` & {k}`` when the amount's bound fits it;
+        an immediate amount is masked here.  An ``and`` of a ``neg`` in
+        ``selects`` is a select on the value the ``neg`` negates."""
         expr = BINARY_EXPRS[op]
-        if self.arith(op, w, a, b)[0] <= (1 << w) - 1:
+        if b in self.selects:
+            a, b = b, a
+        if a in self.selects:           # -c & b
+            expr = "({b} if {a} else 0) & {m}"
+        if result in self.unwrapped or \
+                self.arith(op, w, a, b)[0] <= (1 << w) - 1:
             expr = expr.replace(" & {m}", "")
-        if isinstance(b, int) and op in ("shl", "lshr"):
-            expr, b = expr.replace(" & {k}", ""), b & (w - 1)
-        a, b = self.val(a), self.val(b)
+        if op in ("shl", "lshr") and (isinstance(b, int) or self.bound(b) < w):
+            expr = expr.replace(" & {k}", "")
+            if isinstance(b, int):
+                b &= w - 1
+        # An operand's expression is a name, a number or enclosed.
+        expr = expr.replace("({a})", "{a}").replace("({b})", "{b}")
+        a = self.test(self.selects[a]) if a in self.selects else self.val(a)
+        b = self.val(b)
         if lane is not None:
             a, b = f"{a}[{lane}]", f"{b}[{lane}]"
         return expr.format(a=a, b=b, m=(1 << w) - 1, k=w - 1)
@@ -980,8 +1062,9 @@ class _Translator:
         return "" if fits else f" & {(1 << width) - 1}"
 
     def test(self, c) -> str:
-        """The expression a condbr, select or cmov tests for condition
-        ``c``: the comparison itself when the compare is inlined."""
+        """The expression that a condbr, a select, a cmov or an ``and`` in
+        ``selects`` tests for condition ``c``: the comparison itself when
+        the compare is inlined."""
         return self.tests.get(c) or self.val(c)
 
     def branch(self, n, ins):
